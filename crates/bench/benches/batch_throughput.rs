@@ -1,12 +1,12 @@
-//! Throughput of batched, bank-parallel NTT execution through the
-//! unified engine layer: `BatchExecutor` fanning a fixed 16-job batch
+//! Throughput of batched, bank-parallel NTT execution:
+//! `BatchExecutor` fanning a fixed 16-job batch
 //! across 1, 4, and 16 banks; the scheduling-policy comparison on a
 //! skewed mixed-size batch (LPT bin-packing + async drain vs round-robin
-//! waves); and the sequential CPU yardstick via the same `NttEngine`
-//! trait.
+//! waves); and the sequential CPU yardstick, each job alone on the golden
+//! `CpuNttEngine`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ntt_pim::engine::batch::{run_sequential, BatchExecutor, NttJob, SchedulePolicy};
+use ntt_pim::engine::batch::{BatchExecutor, NttJob, SchedulePolicy};
 use ntt_pim::engine::CpuNttEngine;
 use ntt_pim_core::config::PimConfig;
 
@@ -53,7 +53,7 @@ fn bench_batch_across_banks(c: &mut Criterion) {
         let mut exec = BatchExecutor::new(PimConfig::hbm2e(2).with_banks(banks)).unwrap();
         group.bench_with_input(BenchmarkId::new("banks", banks), &banks, |b, _| {
             b.iter(|| {
-                let out = exec.run_forward(&batch).unwrap();
+                let out = exec.run(&batch).unwrap();
                 assert_eq!(out.spectra.len(), JOBS);
                 out.latency_ns
             })
@@ -98,8 +98,15 @@ fn bench_sequential_cpu_yardstick(c: &mut Criterion) {
         let batch = jobs(n);
         group.bench_with_input(BenchmarkId::from_parameter(n), &batch, |b, batch| {
             b.iter(|| {
-                let mut cpu = CpuNttEngine::golden();
-                run_sequential(&mut cpu, batch).unwrap().0
+                let cpu = CpuNttEngine::golden();
+                batch
+                    .iter()
+                    .map(|job| {
+                        let mut data = job.coeffs.clone();
+                        cpu.forward(&mut data, job.q).unwrap();
+                        data
+                    })
+                    .collect::<Vec<_>>()
             })
         });
     }

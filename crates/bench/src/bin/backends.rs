@@ -26,7 +26,8 @@
 
 use ntt_bus::{BackendKind, BackendSpec, NttBackend, NttJob, PublishedKind, SchedulePolicy};
 use ntt_pim::core::config::{PimConfig, Topology};
-use ntt_pim::engine::{CpuNttEngine, NttEngine};
+use ntt_pim::engine::batch::JobKind;
+use ntt_pim::engine::CpuNttEngine;
 use ntt_service::FleetRouter;
 
 /// Request lengths, cycled (with 12289 every length keeps `2N | q-1`).
@@ -89,17 +90,18 @@ fn mixed_specs() -> Vec<BackendSpec> {
     ]
 }
 
+/// Job-by-job results on the golden engine's scalar kernel — independent
+/// of the lane kernel the CPU backend runs.
 fn golden(jobs: &[NttJob]) -> Vec<Vec<u64>> {
-    let mut cpu = CpuNttEngine::golden();
+    let cpu = CpuNttEngine::golden();
     jobs.iter()
         .map(|job| {
             let mut data = job.coeffs.clone();
             match &job.kind {
-                ntt_pim::engine::batch::JobKind::NegacyclicPolymul { rhs } => {
-                    cpu.negacyclic_polymul(&mut data, rhs, job.q).unwrap()
-                }
-                _ => cpu.forward(&mut data, job.q).unwrap(),
-            };
+                JobKind::NegacyclicPolymul { rhs } => cpu.negacyclic_polymul(&mut data, rhs, job.q),
+                _ => cpu.forward(&mut data, job.q),
+            }
+            .expect("golden jobs are valid");
             data
         })
         .collect()

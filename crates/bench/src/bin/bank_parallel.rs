@@ -10,7 +10,7 @@ use ntt_pim_bench::{print_table, Q};
 use ntt_pim_core::config::PimConfig;
 use ntt_pim_core::layout::PolyLayout;
 use ntt_pim_core::mapper::{map_ntt, MapperOptions, NttParams};
-use ntt_pim_core::sched::{schedule, schedule_parallel};
+use ntt_pim_core::sched::{schedule, schedule_queues};
 
 fn main() {
     for &n in &[1024usize, 4096] {
@@ -28,7 +28,7 @@ fn main() {
         let single = schedule(&base_cfg, &program).unwrap();
         for banks in [1usize, 2, 4, 8, 16] {
             let cfg = base_cfg.with_banks(banks as u32);
-            let parallel = schedule_parallel(&cfg, &vec![program.clone(); banks]).unwrap();
+            let parallel = schedule_queues(&cfg, &vec![vec![program.clone()]; banks]).unwrap();
             let speedup = banks as f64 * single.end_ps as f64 / parallel.end_ps as f64;
             let cmds: usize = parallel.banks.iter().map(|t| t.events.len()).sum();
             let horizon_cycles = parallel.end_ps / cfg.timing.resolve().cycle_ps;

@@ -31,7 +31,7 @@
 
 use ntt_pim::core::config::{PimConfig, Topology};
 use ntt_pim::engine::batch::{BatchExecutor, NttJob};
-use ntt_service::{FleetRouter, NttService, ServiceConfig, ServiceError};
+use ntt_service::{BackendSpec, FleetRouter, NttService, ServiceConfig, ServiceError};
 use std::sync::{Barrier, Mutex};
 use std::time::Duration;
 
@@ -151,9 +151,10 @@ struct Smoke {
 
 fn run_smoke() -> Smoke {
     let jobs = burst(SMOKE_CONCURRENCY);
+    let pim = PimConfig::hbm2e(2).with_topology(TOPOLOGY);
     let service = NttService::start(
-        ServiceConfig::new(PimConfig::hbm2e(2).with_topology(TOPOLOGY))
-            .with_device_count(SMOKE_DEVICES)
+        ServiceConfig::new(pim)
+            .with_backends(vec![BackendSpec::Pim(pim); SMOKE_DEVICES])
             .with_max_wait(Duration::from_millis(10))
             .with_queue_depth(2 * SMOKE_CONCURRENCY),
     )

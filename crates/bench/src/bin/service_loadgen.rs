@@ -23,8 +23,8 @@
 //!   above the threshold even if batches split under scheduler noise).
 
 use ntt_pim::core::config::{PimConfig, Topology};
+use ntt_pim::core::device::{NttDirection, PimDevice};
 use ntt_pim::engine::batch::{BatchExecutor, NttJob};
-use ntt_pim::engine::{NttEngine, PimDeviceEngine};
 use ntt_service::{NttService, ServiceConfig, ServiceError};
 use std::sync::{Barrier, Mutex};
 use std::time::Duration;
@@ -87,18 +87,25 @@ struct Point {
 
 /// Serial per-request baseline: the same requests served one at a time
 /// on the same device (each request alone on the chip — what a
-/// batching-free front-end would deliver). Returns summed simulated
-/// latency and the per-request golden outputs.
+/// batching-free front-end would deliver), each on the paper path:
+/// bit-reversed load, one write request, readback. Returns summed
+/// simulated latency and the per-request outputs.
 fn run_serial(jobs: &[NttJob]) -> (f64, Vec<Vec<u64>>) {
-    let mut engine = PimDeviceEngine::new(PimConfig::hbm2e(2).with_topology(TOPOLOGY))
-        .expect("valid serial config");
+    let mut device =
+        PimDevice::new(PimConfig::hbm2e(2).with_topology(TOPOLOGY)).expect("valid serial config");
     let mut total_ns = 0.0;
     let mut outputs = Vec::with_capacity(jobs.len());
     for job in jobs {
-        let mut data = job.coeffs.clone();
-        let report = engine.forward(&mut data, job.q).expect("valid serial job");
-        total_ns += report.latency_ns;
-        outputs.push(data);
+        let words: Vec<u32> = job.coeffs.iter().map(|&c| c as u32).collect();
+        let mut h = device
+            .load_polynomial_bitrev(0, &words, job.q as u32)
+            .expect("valid serial job");
+        let report = device
+            .ntt_in_place(&mut h, NttDirection::Forward)
+            .expect("valid serial job");
+        total_ns += report.latency_ns();
+        let out = device.read_polynomial(&h).expect("valid serial job");
+        outputs.push(out.into_iter().map(u64::from).collect());
     }
     (total_ns, outputs)
 }

@@ -9,16 +9,14 @@
 //! pure performance decision.
 
 use crate::cost::{
-    group_jobs, kind_factor, kind_factor_tag, BusCostModel, CpuLaneCostModel, PublishedCostModel,
+    kind_factor, kind_factor_tag, BusCostModel, CpuLaneCostModel, PublishedCostModel,
 };
 use crate::window::{BackendKind, CapabilityWindow};
 use ntt_pim::core::config::{PimConfig, Topology};
 use ntt_pim::core::device::QueueReport;
 use ntt_pim::core::PimError;
-use ntt_pim::engine::batch::{
-    run_lane_batched, run_sequential, BatchExecutor, NttJob, SchedulePolicy,
-};
-use ntt_pim::engine::{CpuDataflow, CpuNttEngine, EngineError, ReportSource};
+use ntt_pim::engine::batch::{group_jobs, run_lane_batched, BatchExecutor, NttJob, SchedulePolicy};
+use ntt_pim::engine::{CpuNttEngine, EngineError, ReportSource};
 use ntt_pim::reference::cache::PlanCache;
 use ntt_pim::reference::lanes::LANE_WIDTH;
 use pim_baselines::{BpNttModel, MenttModel, NttAccelerator};
@@ -42,8 +40,6 @@ pub struct BackendOutcome {
     pub bus_slots: u64,
     /// Rank-level row activations (PIM only; 0 elsewhere).
     pub rank_acts: u64,
-    /// The policy that scheduled the batch.
-    pub policy: SchedulePolicy,
     /// The (possibly synthetic `1×1×lanes`) topology the batch ran on.
     pub topology: Topology,
     /// Per-lane completion/energy accounting; non-PIM backends
@@ -57,7 +53,9 @@ pub struct BackendOutcome {
 ///
 /// Implementations must keep the parity contract: for any job that
 /// passes [`Self::admit`], [`Self::run`] returns results bit-identical
-/// to [`CpuNttEngine::golden`] on the same input.
+/// to [`CpuNttEngine::golden`] on the same input. The window, admission
+/// check and topology come from [`Self::cost_model`], so a backend is
+/// admitted and priced by the same model the fleet router holds.
 pub trait NttBackend: Send {
     /// Short routing label (`"pim"`, `"cpu-lanes"`, `"bp-ntt"`, …).
     fn label(&self) -> &str;
@@ -65,8 +63,14 @@ pub trait NttBackend: Send {
     /// The backend family.
     fn kind(&self) -> BackendKind;
 
+    /// A fresh cost model pricing this backend (the router holds one
+    /// per fleet slot).
+    fn cost_model(&self) -> BusCostModel;
+
     /// The honest capability window.
-    fn window(&self) -> CapabilityWindow;
+    fn window(&self) -> CapabilityWindow {
+        self.cost_model().window()
+    }
 
     /// Independent lanes one batch can fan across.
     fn lanes(&self) -> usize {
@@ -74,7 +78,9 @@ pub trait NttBackend: Send {
     }
 
     /// The topology fleet accounting files this backend under.
-    fn topology(&self) -> Topology;
+    fn topology(&self) -> Topology {
+        self.cost_model().topology()
+    }
 
     /// Whether one job is inside the window — typed errors, never
     /// panics.
@@ -82,11 +88,9 @@ pub trait NttBackend: Send {
     /// # Errors
     ///
     /// [`EngineError::Shape`] or [`EngineError::Unsupported`].
-    fn admit(&self, job: &NttJob) -> Result<(), EngineError>;
-
-    /// A fresh cost model pricing this backend (the router holds one
-    /// per fleet slot).
-    fn cost_model(&self) -> BusCostModel;
+    fn admit(&self, job: &NttJob) -> Result<(), EngineError> {
+        self.cost_model().admit(job)
+    }
 
     /// Runs a whole micro-batch. The batch is validated up front; a
     /// malformed job fails the batch before anything executes.
@@ -151,11 +155,6 @@ impl PimBackend {
         self
     }
 
-    /// Wraps an existing executor (preserving its device and policy).
-    pub fn from_executor(exec: BatchExecutor) -> Self {
-        Self { exec }
-    }
-
     /// The underlying executor.
     pub fn executor_mut(&mut self) -> &mut BatchExecutor {
         &mut self.exec
@@ -176,18 +175,6 @@ impl NttBackend for PimBackend {
         BackendKind::Pim
     }
 
-    fn window(&self) -> CapabilityWindow {
-        self.cost_model().window()
-    }
-
-    fn topology(&self) -> Topology {
-        self.exec.config().topology
-    }
-
-    fn admit(&self, job: &NttJob) -> Result<(), EngineError> {
-        self.cost_model().admit(job)
-    }
-
     fn cost_model(&self) -> BusCostModel {
         // Built infallibly: the executor's config already validated.
         BusCostModel::Pim(ntt_pim::engine::batch::DeviceCostModel::with_options(
@@ -205,7 +192,6 @@ impl NttBackend for PimBackend {
             job_latency_ns: out.job_latency_ns,
             bus_slots: out.bus_slots,
             rank_acts: out.rank_acts,
-            policy: out.policy,
             topology: out.topology,
             queue_report: out.queue_report,
             source: ReportSource::Simulated,
@@ -244,7 +230,7 @@ impl CpuLanesBackend {
     /// A backend serving its plans from `cache`.
     pub fn with_cache(cache: Arc<PlanCache>) -> Self {
         Self {
-            cpu: CpuNttEngine::with_cache(CpuDataflow::IterativeDit, cache),
+            cpu: CpuNttEngine::with_cache(cache),
             cost: CpuLaneCostModel::new(),
         }
     }
@@ -265,25 +251,13 @@ impl NttBackend for CpuLanesBackend {
         BackendKind::CpuLanes
     }
 
-    fn window(&self) -> CapabilityWindow {
-        self.cost_model().window()
-    }
-
-    fn topology(&self) -> Topology {
-        Topology::new(1, 1, LANE_WIDTH as u32)
-    }
-
-    fn admit(&self, job: &NttJob) -> Result<(), EngineError> {
-        self.cost_model().admit(job)
-    }
-
     fn cost_model(&self) -> BusCostModel {
         BusCostModel::CpuLanes(CpuLaneCostModel::new())
     }
 
     fn run(&mut self, jobs: &[NttJob]) -> Result<BackendOutcome, EngineError> {
         admit_batch(self, jobs)?;
-        let (spectra, _measured, _lane_jobs) = run_lane_batched(&mut self.cpu, jobs)?;
+        let (spectra, _lane_jobs) = run_lane_batched(&self.cpu, jobs)?;
         // Deterministic lane-wave co-simulation: groups run serially,
         // each group in LANE_WIDTH-wide waves, all lanes of a wave
         // finishing together (the SoA kernel's real shape).
@@ -310,7 +284,6 @@ impl NttBackend for CpuLanesBackend {
             job_latency_ns,
             bus_slots: 0,
             rank_acts: 0,
-            policy: SchedulePolicy::Lpt,
             topology: self.topology(),
             queue_report: queue,
             source: ReportSource::Simulated,
@@ -370,25 +343,13 @@ impl NttBackend for PublishedBackend {
         BackendKind::Published
     }
 
-    fn window(&self) -> CapabilityWindow {
-        self.cost_model().window()
-    }
-
-    fn topology(&self) -> Topology {
-        Topology::new(1, 1, 1)
-    }
-
-    fn admit(&self, job: &NttJob) -> Result<(), EngineError> {
-        self.cost_model().admit(job)
-    }
-
     fn cost_model(&self) -> BusCostModel {
         BusCostModel::Published(PublishedCostModel::new(self.label, Arc::clone(&self.model)))
     }
 
     fn run(&mut self, jobs: &[NttJob]) -> Result<BackendOutcome, EngineError> {
         admit_batch(self, jobs)?;
-        let (spectra, _measured) = run_sequential(&mut self.golden, jobs)?;
+        let (spectra, _lane_jobs) = run_lane_batched(&self.golden, jobs)?;
         let mut queue = QueueReport::empty(1, 1, 1);
         let mut job_latency_ns = Vec::with_capacity(jobs.len());
         let mut energy_nj = 0.0;
@@ -411,10 +372,66 @@ impl NttBackend for PublishedBackend {
             job_latency_ns,
             bus_slots: 0,
             rank_acts: 0,
-            policy: SchedulePolicy::Lpt,
             topology: self.topology(),
             queue_report: queue,
             source: ReportSource::Published,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const Q: u64 = 12289;
+
+    fn poly(n: usize, seed: u64) -> Vec<u64> {
+        let mut state = seed;
+        (0..n)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 11) % Q
+            })
+            .collect()
+    }
+
+    #[test]
+    fn published_backend_reports_published_points() {
+        let mut mentt = PublishedBackend::mentt();
+        let job = NttJob::forward(poly(256, 3), Q);
+        let out = mentt.run(std::slice::from_ref(&job)).unwrap();
+        assert_eq!(out.source, ReportSource::Published);
+        assert_eq!(out.latency_ns, 23_000.0);
+        let mut expect = job.coeffs.clone();
+        CpuNttEngine::golden().forward(&mut expect, Q).unwrap();
+        assert_eq!(out.spectra[0], expect, "computed on the golden path");
+        // MeNTT caps at 1K: a typed window error, nothing computed.
+        let long = NttJob::forward(poly(2048, 4), Q);
+        assert!(matches!(
+            mentt.admit(&long),
+            Err(EngineError::Unsupported { .. })
+        ));
+        assert!(mentt.run(&[long]).is_err());
+    }
+
+    #[test]
+    fn published_backend_polymul_validates_the_pair_itself() {
+        // A malformed second operand is rejected by the published
+        // backend's own admission, naming the job, before the golden
+        // path runs.
+        let mut mentt = PublishedBackend::mentt();
+        for rhs in [poly(128, 8), vec![Q; 256]] {
+            let job = NttJob::negacyclic_polymul(poly(256, 7), rhs, Q);
+            let err = mentt.run(&[job]).unwrap_err();
+            assert!(
+                matches!(&err, EngineError::Shape { reason } if reason.contains("job 0")),
+                "{err}"
+            );
+        }
+        // A valid pair is priced as three published transforms.
+        let job = NttJob::negacyclic_polymul(poly(256, 7), poly(256, 8), Q);
+        assert_eq!(mentt.run(&[job]).unwrap().latency_ns, 3.0 * 23_000.0);
     }
 }

@@ -19,9 +19,11 @@
 //! touches device or host state, so the router can probe every backend
 //! for every batch without perturbing the simulation.
 
-use crate::window::{validate_shape, BackendKind, CapabilityWindow};
+use crate::window::{BackendKind, CapabilityWindow};
 use ntt_pim::core::config::Topology;
-use ntt_pim::engine::batch::{validate_job, DeviceCostModel, JobKind, NttJob};
+use ntt_pim::engine::batch::{
+    group_jobs, validate_job, validate_shape, DeviceCostModel, JobKind, NttJob,
+};
 use ntt_pim::engine::EngineError;
 use ntt_pim::reference::lanes::LANE_WIDTH;
 use pim_baselines::NttAccelerator;
@@ -282,58 +284,10 @@ impl BusCostModel {
     }
 }
 
-/// One same-`(kind, n, q)` group of a batch, in first-seen order — the
-/// unit the CPU lane kernel (and its cost model) operates on.
-#[derive(Debug)]
-pub(crate) struct JobGroup {
-    /// Kind tag: 0 forward/split, 1 inverse, 2 polymul.
-    pub tag: u8,
-    /// Transform length.
-    pub n: usize,
-    /// Modulus.
-    pub q: u64,
-    /// Indices into the batch, in arrival order.
-    pub indices: Vec<usize>,
-}
-
-/// Groups a batch by `(kind, n, q)` in first-seen order, mirroring
-/// [`ntt_pim::engine::batch::run_lane_batched`]'s grouping so modeled
-/// timing matches executed grouping exactly.
-pub(crate) fn group_jobs(jobs: &[NttJob]) -> Vec<JobGroup> {
-    let mut groups: Vec<JobGroup> = Vec::new();
-    for (i, job) in jobs.iter().enumerate() {
-        let tag = kind_tag(&job.kind);
-        let (n, q) = (job.n(), job.q);
-        match groups
-            .iter_mut()
-            .find(|g| g.tag == tag && g.n == n && g.q == q)
-        {
-            Some(g) => g.indices.push(i),
-            None => groups.push(JobGroup {
-                tag,
-                n,
-                q,
-                indices: vec![i],
-            }),
-        }
-    }
-    groups
-}
-
-/// Collapses a job kind to its lane-grouping tag (split jobs are
-/// forward NTTs functionally).
-pub(crate) fn kind_tag(kind: &JobKind) -> u8 {
-    match kind {
-        JobKind::Forward | JobKind::SplitLarge => 0,
-        JobKind::Inverse => 1,
-        JobKind::NegacyclicPolymul { .. } => 2,
-    }
-}
-
 /// Latency multiplier of a job kind over one transform (a negacyclic
 /// product runs three transforms plus element-wise passes).
 pub(crate) fn kind_factor(kind: &JobKind) -> f64 {
-    kind_factor_tag(kind_tag(kind))
+    kind_factor_tag(kind.lane_tag())
 }
 
 /// [`kind_factor`] over a pre-computed tag.

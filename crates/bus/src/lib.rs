@@ -7,7 +7,9 @@
 //! all sit behind one [`NttBackend`] trait as co-simulated,
 //! interchangeable devices, each advertising an honest
 //! [`CapabilityWindow`] (modulus bounds, max `N`, lane count) and a
-//! queryable cost model ([`BusCostModel`]).
+//! queryable cost model ([`BusCostModel`]). It is the workspace's one
+//! execution trait: a single request is `run(&[job])`, admission goes
+//! through the window and pricing through the cost model.
 //!
 //! The pieces:
 //!
@@ -17,18 +19,16 @@
 //!   a deterministic analytic lane-timing model), and
 //!   [`PublishedBackend`] (golden-path compute priced by published
 //!   datapoints).
-//! * [`registry`] — [`BackendBus`], a memory-mapped-style registry:
-//!   each registered backend owns an address aperture and commands are
-//!   dispatched by handle or by address ([`BackendBus::dispatch`]).
 //! * [`cost`] — [`BusCostModel`], the per-`(n, q, kind)` cost metadata
 //!   the heterogeneous fleet router quotes before placing a
 //!   micro-batch.
-//! * [`window`] — [`CapabilityWindow`] and the shared shape validation;
-//!   window violations are typed [`EngineError::Unsupported`] values,
-//!   never panics.
+//! * [`window`] — [`BackendKind`] and [`CapabilityWindow`]; window
+//!   violations are typed [`EngineError::Unsupported`] values, never
+//!   panics.
 //! * [`spec`] — [`BackendSpec`], the parseable description
-//!   (`"pim:2,cpu-lanes:1,bp-ntt:1"`) the service and CLI build fleets
-//!   from.
+//!   (`"pim:2,cpu-lanes:1,bp-ntt:1"`, at most [`MAX_FLEET_SLOTS`] slots)
+//!   the service and CLI build fleets from: [`BackendSpec::build`] stands
+//!   up one `Box<dyn NttBackend>` per slot.
 //!
 //! Every backend computes bit-identical results for any admitted job —
 //! the published models and the CPU lanes run the same golden kernels;
@@ -41,15 +41,13 @@
 
 pub mod backend;
 pub mod cost;
-pub mod registry;
 pub mod spec;
 pub mod window;
 
 pub use backend::{BackendOutcome, CpuLanesBackend, NttBackend, PimBackend, PublishedBackend};
 pub use cost::{BusCostModel, CpuLaneCostModel, PublishedCostModel};
-pub use registry::{AddrRange, BackendBus, BackendHandle, BACKEND_APERTURE};
-pub use spec::{BackendSpec, PublishedKind};
-pub use window::{validate_shape, BackendKind, CapabilityWindow};
+pub use spec::{BackendSpec, PublishedKind, MAX_FLEET_SLOTS};
+pub use window::{BackendKind, CapabilityWindow};
 
 // Re-exported so bus consumers (service, bench, CLI) name job and error
 // types through one crate.

@@ -16,6 +16,12 @@ use ntt_pim::reference::cache::PlanCache;
 use pim_baselines::{BpNttModel, MenttModel, NttAccelerator};
 use std::sync::Arc;
 
+/// Most slots one fleet description may name. Every slot becomes a live
+/// backend with its own worker thread, so [`BackendSpec::parse_list`]
+/// (and the CLI's `serve --devices`) reject larger fleets up front
+/// instead of trying to allocate them.
+pub const MAX_FLEET_SLOTS: usize = 256;
+
 /// Which published comparator a `published` slot models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PublishedKind {
@@ -81,13 +87,15 @@ impl BackendSpec {
     }
 
     /// Parses a fleet description: comma-separated `name` or
-    /// `name:count` entries, e.g. `pim:2,cpu-lanes:1,bp-ntt:1`.
+    /// `name:count` entries, e.g. `pim:2,cpu-lanes:1,bp-ntt:1`, naming
+    /// at most [`MAX_FLEET_SLOTS`] slots in total.
     ///
     /// # Errors
     ///
-    /// A description of the first malformed entry.
+    /// A description of the first malformed entry, or of the count that
+    /// takes the fleet past [`MAX_FLEET_SLOTS`].
     pub fn parse_list(s: &str) -> Result<Vec<Self>, String> {
-        let mut specs = Vec::new();
+        let mut specs: Vec<Self> = Vec::new();
         for entry in s.split(',') {
             let entry = entry.trim();
             if entry.is_empty() {
@@ -104,6 +112,11 @@ impl BackendSpec {
             };
             if count == 0 {
                 return Err(format!("zero count in `{entry}`"));
+            }
+            if count > MAX_FLEET_SLOTS - specs.len() {
+                return Err(format!(
+                    "`{entry}` takes the fleet past {MAX_FLEET_SLOTS} slots"
+                ));
             }
             let spec = Self::parse(name)?;
             specs.extend(std::iter::repeat_n(spec, count));
@@ -167,5 +180,94 @@ impl BackendSpec {
                 BusCostModel::Published(PublishedCostModel::new(k.label(), k.model()))
             }
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Fragments fleet descriptions are made of, including the counts
+    /// that would otherwise overflow the slot allocation.
+    const TOKENS: [&str; 12] = [
+        "pim",
+        "cpu-lanes",
+        "mentt",
+        "bp-ntt",
+        ":",
+        ",",
+        "0",
+        "1",
+        "255",
+        "256",
+        "1000000000",
+        "18446744073709551615",
+    ];
+
+    #[test]
+    fn spec_list_spans_all_three_backend_kinds() {
+        let specs = BackendSpec::parse_list("pim,cpu-lanes:2,mentt,bp-ntt").unwrap();
+        assert_eq!(specs.len(), 5);
+        let backends: Vec<Box<dyn NttBackend>> = specs
+            .iter()
+            .map(|s| s.build(SchedulePolicy::Lpt, None).unwrap())
+            .collect();
+        for (spec, backend) in specs.iter().zip(&backends) {
+            assert_eq!(backend.label(), spec.label());
+            assert_eq!(backend.kind(), spec.kind());
+            assert_eq!(spec.cost_model().unwrap().window(), backend.window());
+        }
+        for kind in [
+            BackendKind::Pim,
+            BackendKind::CpuLanes,
+            BackendKind::Published,
+        ] {
+            assert!(backends.iter().any(|b| b.kind() == kind), "{kind}");
+        }
+    }
+
+    #[test]
+    fn parse_list_bounds_the_fleet() {
+        for huge in [
+            "pim:18446744073709551615",
+            "pim:1000000000",
+            "cpu-lanes:257",
+        ] {
+            assert!(BackendSpec::parse_list(huge).is_err(), "{huge}");
+        }
+        let full = BackendSpec::parse_list(&format!("pim:{MAX_FLEET_SLOTS}")).unwrap();
+        assert_eq!(full.len(), MAX_FLEET_SLOTS);
+        let over = format!("pim:{},cpu-lanes:2", MAX_FLEET_SLOTS - 1);
+        let err = BackendSpec::parse_list(&over).unwrap_err();
+        assert!(err.contains("cpu-lanes:2"), "{err}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Arbitrary ASCII, spliced with the description's own tokens so
+        /// well-formed prefixes occur, parses to a bounded non-empty
+        /// fleet or an error — never a panic.
+        #[test]
+        fn parse_list_never_panics(
+            pieces in prop::collection::vec((0usize..2 * TOKENS.len(), 0u8..128), 0..12),
+        ) {
+            let text: String = pieces
+                .iter()
+                .map(|&(pick, byte)| match TOKENS.get(pick) {
+                    Some(token) => (*token).to_string(),
+                    None => char::from(byte).to_string(),
+                })
+                .collect();
+            match BackendSpec::parse_list(&text) {
+                Ok(specs) => prop_assert!(
+                    !specs.is_empty() && specs.len() <= MAX_FLEET_SLOTS,
+                    "{text:?} parsed to {} slots",
+                    specs.len()
+                ),
+                Err(reason) => prop_assert!(!reason.is_empty(), "{text:?}"),
+            }
+        }
     }
 }

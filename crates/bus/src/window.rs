@@ -1,8 +1,7 @@
-//! Backend kinds, capability windows, and the shared shape validation.
+//! Backend kinds and capability windows.
 
-use ntt_pim::engine::batch::{JobKind, NttJob};
+use ntt_pim::engine::batch::NttJob;
 use ntt_pim::engine::EngineError;
-use ntt_pim::math::prime;
 use std::fmt;
 
 /// Which family a backend belongs to. Kinds are coarse — routing and
@@ -45,10 +44,10 @@ impl std::str::FromStr for BackendKind {
     }
 }
 
-/// What a backend honestly supports: the bus-level generalization of
-/// [`ntt_pim::engine::EngineCaps`], carried per registered backend so
-/// routers and admission control can reject a job *before* it reaches
-/// the device.
+/// What a backend honestly supports — the workspace's one capability
+/// window type, reported by every [`crate::NttBackend`] and its
+/// [`crate::BusCostModel`] so routers and admission control can reject a
+/// job *before* it reaches the device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CapabilityWindow {
     /// Whether the modulus can vary per job.
@@ -122,44 +121,4 @@ impl fmt::Display for CapabilityWindow {
             self.lanes
         )
     }
-}
-
-/// Backend-independent shape validation: power-of-two length, prime
-/// modulus with a `2N`-th root of unity, reduced coefficients, matching
-/// operand lengths. Every backend's admission runs this first; what
-/// remains after it is genuinely *capability* (window) checking.
-///
-/// # Errors
-///
-/// [`EngineError::Shape`] describing the violation.
-pub fn validate_shape(job: &NttJob) -> Result<(), EngineError> {
-    let shape = |reason: String| EngineError::Shape { reason };
-    let n = job.n();
-    if !n.is_power_of_two() || n < 4 {
-        return Err(shape(format!("length {n} is not a power of two >= 4")));
-    }
-    if !prime::is_prime(job.q) {
-        return Err(shape(format!("q={} is not prime", job.q)));
-    }
-    if (job.q - 1) % (2 * n as u64) != 0 {
-        return Err(shape(format!(
-            "q={} has no 2N-th root of unity (2N does not divide q-1)",
-            job.q
-        )));
-    }
-    if job.coeffs.iter().any(|&c| c >= job.q) {
-        return Err(shape("coefficients not reduced modulo q".into()));
-    }
-    if let JobKind::NegacyclicPolymul { rhs } = &job.kind {
-        if rhs.len() != n {
-            return Err(shape(format!(
-                "operand lengths differ ({n} vs {})",
-                rhs.len()
-            )));
-        }
-        if rhs.iter().any(|&c| c >= job.q) {
-            return Err(shape("rhs coefficients not reduced modulo q".into()));
-        }
-    }
-    Ok(())
 }

@@ -1,12 +1,15 @@
-//! Cross-backend parity: random shapes, moduli, and kinds through the
-//! registry — every backend that admits a job returns results
-//! bit-identical to the golden CPU model, and every rejection is a
-//! typed capability-window error, never a panic. Runs identically on
-//! both feature halves (default and `simd`).
+//! Cross-backend parity over one backend of every `BackendSpec` kind
+//! (PIM, CPU lanes, and both published models): random shapes, moduli,
+//! and kinds — every backend that admits a job returns results
+//! bit-identical to the golden CPU model, and every rejection is a typed
+//! capability-window error, never a panic. The deterministic
+//! N × q grid over the same backends is `tests/engine_parity.rs` at the
+//! repository root. Runs identically on both feature halves (default and
+//! `simd`).
 
-use ntt_bus::{BackendBus, BackendSpec, EngineError, NttJob};
+use ntt_bus::{BackendSpec, EngineError, NttBackend, NttJob};
 use ntt_pim::engine::batch::{JobKind, SchedulePolicy};
-use ntt_pim::engine::{CpuNttEngine, NttEngine};
+use ntt_pim::engine::CpuNttEngine;
 use proptest::prelude::*;
 
 fn poly(n: usize, q: u64, seed: u64) -> Vec<u64> {
@@ -36,31 +39,32 @@ fn job_for(n: usize, q: u64, kind: u8, seed: u64) -> NttJob {
 }
 
 fn golden(job: &NttJob) -> Vec<u64> {
-    let mut cpu = CpuNttEngine::golden();
+    let cpu = CpuNttEngine::golden();
     let mut data = job.coeffs.clone();
     match &job.kind {
-        JobKind::Forward | JobKind::SplitLarge => cpu.forward(&mut data, job.q).unwrap(),
-        JobKind::Inverse => cpu.inverse(&mut data, job.q).unwrap(),
-        JobKind::NegacyclicPolymul { rhs } => {
-            cpu.negacyclic_polymul(&mut data, rhs, job.q).unwrap()
-        }
-    };
+        JobKind::Forward | JobKind::SplitLarge => cpu.forward(&mut data, job.q),
+        JobKind::Inverse => cpu.inverse(&mut data, job.q),
+        JobKind::NegacyclicPolymul { rhs } => cpu.negacyclic_polymul(&mut data, rhs, job.q),
+    }
+    .unwrap();
     data
 }
 
-/// A bus with every backend kind registered: PIM, CPU lanes, and both
-/// published models.
-fn full_bus() -> BackendBus {
-    let mut bus = BackendBus::new();
-    for spec in [
-        BackendSpec::default_pim(),
-        BackendSpec::CpuLanes,
-        BackendSpec::parse("mentt").unwrap(),
-        BackendSpec::parse("bp-ntt").unwrap(),
-    ] {
-        bus.register(spec.build(SchedulePolicy::Lpt, None).unwrap());
-    }
-    bus
+/// One backend of every kind, in fleet-description order.
+fn every_backend() -> Vec<Box<dyn NttBackend>> {
+    BackendSpec::parse_list("pim,cpu-lanes,mentt,bp-ntt")
+        .unwrap()
+        .iter()
+        .map(|spec| spec.build(SchedulePolicy::Lpt, None).unwrap())
+        .collect()
+}
+
+fn by_label<'a>(backends: &'a mut [Box<dyn NttBackend>], label: &str) -> &'a mut dyn NttBackend {
+    backends
+        .iter_mut()
+        .find(|b| b.label() == label)
+        .unwrap_or_else(|| panic!("no {label} backend"))
+        .as_mut()
 }
 
 proptest! {
@@ -80,32 +84,31 @@ proptest! {
         let q = MODULI[q_sel];
         let job = job_for(n, q, kind, seed);
         let shape_valid = (q - 1) % (2 * n as u64) == 0;
-        let mut bus = full_bus();
         let mut admitted_somewhere = false;
-        for handle in bus.handles() {
-            match bus.admit(handle, &job) {
+        for backend in &mut every_backend() {
+            match backend.admit(&job) {
                 Ok(()) => {
                     admitted_somewhere = true;
                     // Cost metadata is queryable for anything admitted.
-                    let quote = bus.quote_ns(handle, &job).unwrap();
+                    let quote = backend.cost_model().job_cost(&job);
                     prop_assert!(
                         quote.is_finite() && quote > 0.0,
                         "{}: bad quote {quote}",
-                        bus.label(handle)
+                        backend.label()
                     );
-                    let out = bus.submit(handle, std::slice::from_ref(&job)).unwrap();
+                    let out = backend.run(std::slice::from_ref(&job)).unwrap();
                     prop_assert_eq!(
                         &out.spectra[0],
                         &golden(&job),
                         "backend {} diverged on n={} q={} kind={}",
-                        bus.label(handle), n, q, kind % 3
+                        backend.label(), n, q, kind % 3
                     );
                 }
                 Err(EngineError::Shape { .. } | EngineError::Unsupported { .. }) => {}
                 Err(other) => {
                     return Err(TestCaseError::fail(format!(
                         "{}: rejection must be a typed window/shape error, got {other:?}",
-                        bus.label(handle)
+                        backend.label()
                     )));
                 }
             }
@@ -134,19 +137,18 @@ proptest! {
             .iter()
             .map(|&(kind, seed)| job_for(n, q, kind, seed))
             .collect();
-        let mut bus = full_bus();
-        for handle in bus.handles() {
-            if jobs.iter().any(|j| bus.admit(handle, j).is_err()) {
+        for backend in &mut every_backend() {
+            if jobs.iter().any(|j| backend.admit(j).is_err()) {
                 continue;
             }
-            let out = bus.submit(handle, &jobs).unwrap();
+            let out = backend.run(&jobs).unwrap();
             prop_assert_eq!(out.spectra.len(), jobs.len());
             for (i, job) in jobs.iter().enumerate() {
                 prop_assert_eq!(
                     &out.spectra[i],
                     &golden(job),
                     "backend {} diverged on batch job {}",
-                    bus.label(handle), i
+                    backend.label(), i
                 );
             }
         }
@@ -157,70 +159,47 @@ proptest! {
 /// window rejects exactly the out-of-range shapes, with typed errors.
 #[test]
 fn capability_windows_are_honest() {
-    let mut bus = full_bus();
-    let pim = bus.by_name("pim").unwrap();
-    let cpu = bus.by_name("cpu-lanes").unwrap();
-    let mentt = bus.by_name("mentt").unwrap();
-    let bp = bus.by_name("bp-ntt").unwrap();
+    let mut backends = every_backend();
 
     // MeNTT stops at N=1024 and its fixed modulus.
     let n2048 = NttJob::forward(poly(2048, 12289, 7), 12289);
     assert!(matches!(
-        bus.admit(mentt, &n2048),
+        by_label(&mut backends, "mentt").admit(&n2048),
         Err(EngineError::Unsupported { .. })
     ));
-    assert!(bus.admit(bp, &n2048).is_ok(), "BP-NTT reaches 4096");
+    assert!(
+        by_label(&mut backends, "bp-ntt").admit(&n2048).is_ok(),
+        "BP-NTT reaches 4096"
+    );
+
+    // Dilithium's 23-bit modulus is outside both fixed-modulus published
+    // models even at a length they reach, and inside the device.
     let dilithium = NttJob::forward(poly(256, 8_380_417, 7), 8_380_417);
-    assert!(matches!(
-        bus.admit(mentt, &dilithium),
-        Err(EngineError::Unsupported { .. })
-    ));
-    assert!(matches!(
-        bus.admit(bp, &dilithium),
-        Err(EngineError::Unsupported { .. })
-    ));
-    assert!(bus.admit(pim, &dilithium).is_ok());
+    for label in ["mentt", "bp-ntt"] {
+        assert!(matches!(
+            by_label(&mut backends, label).admit(&dilithium),
+            Err(EngineError::Unsupported { .. })
+        ));
+    }
+    assert!(by_label(&mut backends, "pim").admit(&dilithium).is_ok());
 
     // A >32-bit modulus is outside the PIM datapath but inside the
     // CPU's 62-bit window — and the CPU result still matches golden.
     let q_big = ntt_pim::math::prime::find_ntt_prime(512, 35).unwrap();
     assert!(q_big > u64::from(u32::MAX));
     let wide = NttJob::forward(poly(256, q_big, 9), q_big);
-    assert!(bus.admit(pim, &wide).is_err());
-    assert!(bus.admit(cpu, &wide).is_ok());
-    let out = bus.submit(cpu, std::slice::from_ref(&wide)).unwrap();
+    assert!(by_label(&mut backends, "pim").admit(&wide).is_err());
+    let cpu = by_label(&mut backends, "cpu-lanes");
+    assert!(cpu.admit(&wide).is_ok());
+    let out = cpu.run(std::slice::from_ref(&wide)).unwrap();
     assert_eq!(out.spectra[0], golden(&wide));
 
     // Malformed jobs are Shape errors on every backend — never panics.
     let bad = NttJob::forward(vec![1; 100], 12289);
-    for handle in bus.handles() {
+    for backend in &backends {
         assert!(matches!(
-            bus.admit(handle, &bad),
+            backend.admit(&bad),
             Err(EngineError::Shape { .. })
         ));
     }
-}
-
-/// Registry mechanics: apertures partition the address space, dispatch
-/// by address reaches the right backend, and unmapped addresses are
-/// typed errors.
-#[test]
-fn aperture_dispatch_reaches_the_named_backend() {
-    let mut bus = full_bus();
-    assert_eq!(bus.len(), 4);
-    let cpu = bus.by_name("cpu-lanes").unwrap();
-    let range = bus.range(cpu);
-    assert_eq!(bus.resolve(range.base), Some(cpu));
-    assert_eq!(bus.resolve(range.base + range.len - 1), Some(cpu));
-    let job = NttJob::forward(poly(256, 12289, 3), 12289);
-    let out = bus
-        .dispatch(range.base + 0x40, std::slice::from_ref(&job))
-        .unwrap();
-    assert_eq!(out.spectra[0], golden(&job));
-    // Past the last aperture: typed Shape error.
-    let past = ntt_bus::BACKEND_APERTURE * bus.len() as u64;
-    assert!(matches!(
-        bus.dispatch(past, std::slice::from_ref(&job)),
-        Err(EngineError::Shape { .. })
-    ));
 }

@@ -3,6 +3,9 @@
 
 use crate::args::ParsedArgs;
 use crate::CliError;
+use ntt_bus::{BackendSpec, EngineError, MAX_FLEET_SLOTS};
+use ntt_pim::engine::batch::{BatchExecutor, NttJob, SchedulePolicy};
+use ntt_pim::engine::CpuNttEngine;
 use ntt_pim_core::config::{PimConfig, Topology};
 use ntt_pim_core::device::{NttDirection, PimDevice};
 use ntt_pim_core::layout::PolyLayout;
@@ -48,10 +51,10 @@ BATCH OPTIONS:
     --split          run job 0 as one large length---n NTT split across
                      the whole topology (four-step column/row sub-jobs
                      with a dependency barrier; requires --schedule lpt)
-    --backend <b>    run the batch through one named backend-bus slot
-                     instead of the raw executor: pim, cpu-lanes,
-                     mentt, or bp-ntt (jobs outside the backend's
-                     capability window are typed errors)
+    --backend <b>    run the batch through one named backend instead of
+                     the raw executor: pim, cpu-lanes, mentt, or bp-ntt
+                     (jobs outside the backend's capability window are
+                     typed errors; reports its window and cost quote)
 
 SERVE OPTIONS:
     --tenants <t>       concurrent closed-loop tenants        [default: 8]
@@ -60,12 +63,12 @@ SERVE OPTIONS:
     --queue-depth <d>   admission bound (then Busy)           [default: 256]
     --tenant-inflight <k>  per-tenant in-flight cap (0 = off) [default: 0]
     --lengths <...>     request lengths, cycled               [default: 256,1024,2048,4096]
-    --devices <n>       simulated fleet size (replicas of the
-                        serve topology, routed by predicted drain) [default: 1]
+    --devices <n>       simulated fleet size, at most 256 (replicas of
+                        the serve topology, routed by predicted drain) [default: 1]
     --backends <list>   mixed backend fleet, name or name:count entries
                         from pim, cpu-lanes, mentt, bp-ntt (for example
-                        pim:2,cpu-lanes:1); overrides --devices, routed
-                        cost-aware per micro-batch shape
+                        pim:2,cpu-lanes:1; at most 256 slots); overrides
+                        --devices, routed cost-aware per micro-batch shape
     --steal-threshold-us <t>  fleet imbalance tolerance before
                         batches split / workers steal, µs     [default: 0]
     --smoke             small verified run (CI): golden-check every response
@@ -287,9 +290,6 @@ fn polymul(args: &ParsedArgs) -> Result<String, CliError> {
 }
 
 fn batch(args: &ParsedArgs) -> Result<String, CliError> {
-    use ntt_pim::engine::batch::{BatchExecutor, NttJob, SchedulePolicy};
-    use ntt_pim::engine::{CpuNttEngine, NttEngine};
-
     let n: usize = args.get_or("n", 1024)?;
     let jobs_n: usize = args.get_or("jobs", 16)?;
     if jobs_n == 0 {
@@ -333,9 +333,9 @@ fn batch(args: &ParsedArgs) -> Result<String, CliError> {
         })
         .collect::<Result<_, CliError>>()?;
 
-    // --backend: drive the same jobs through one registered backend-bus
-    // slot (the registry/dispatch path the serving layer routes over)
-    // instead of the raw executor.
+    // --backend: drive the same jobs through one backend behind the
+    // bus trait (what the serving layer routes over) instead of the raw
+    // executor.
     if let Some(name) = args.options.get("backend") {
         return batch_on_backend(name, &jobs, config, policy, &lengths);
     }
@@ -355,26 +355,14 @@ fn batch(args: &ParsedArgs) -> Result<String, CliError> {
         .run(&jobs)
         .map_err(|e| CliError::runtime(e.to_string()))?;
 
-    // Spot-check the first spectrum against the CPU golden engine.
-    let mut golden = CpuNttEngine::golden();
-    let mut expect = jobs[0].coeffs.clone();
-    golden
-        .forward(&mut expect, jobs[0].q)
-        .map_err(|e| CliError::runtime(e.to_string()))?;
-    if out.spectra[0] != expect {
-        return Err(CliError::runtime("batch verification FAILED".to_string()));
-    }
+    verify_first(&jobs, &out.spectra)?;
 
-    let lengths_str = lengths
-        .iter()
-        .map(ToString::to_string)
-        .collect::<Vec<_>>()
-        .join(",");
     let mut outp = String::new();
     let _ = writeln!(
         outp,
-        "batched NTTs  lengths={lengths_str}  jobs={jobs_n}  topology={topology} \
+        "batched NTTs  lengths={}  jobs={jobs_n}  topology={topology} \
          ({} banks)  Nb={nb}",
+        join(&lengths),
         config.total_banks()
     );
     let _ = writeln!(outp, "  schedule       : {:>12}", policy.to_string());
@@ -436,71 +424,67 @@ fn batch(args: &ParsedArgs) -> Result<String, CliError> {
     Ok(outp)
 }
 
-/// `batch --backend <name>`: registers the named backend on a
-/// [`ntt_bus::BackendBus`], prices every job through the bus's cost
-/// metadata, runs the batch via address-range dispatch, and verifies
-/// job 0 against the golden CPU model.
+/// Checks job 0's result against the golden CPU forward NTT (a split
+/// job is bit-identical to the whole transform).
+fn verify_first(jobs: &[NttJob], spectra: &[Vec<u64>]) -> Result<(), CliError> {
+    let mut expect = jobs[0].coeffs.clone();
+    CpuNttEngine::golden()
+        .forward(&mut expect, jobs[0].q)
+        .map_err(|e| CliError::runtime(e.to_string()))?;
+    if spectra[0] != expect {
+        return Err(CliError::runtime("batch verification FAILED".to_string()));
+    }
+    Ok(())
+}
+
+fn join(lengths: &[usize]) -> String {
+    lengths
+        .iter()
+        .map(ToString::to_string)
+        .collect::<Vec<_>>()
+        .join(",")
+}
+
+/// `batch --backend <name>`: stands up the named backend from its
+/// [`BackendSpec`], admits every job through its capability window,
+/// prices each on its cost model, runs the batch, and verifies job 0
+/// against the golden CPU model.
 fn batch_on_backend(
     name: &str,
-    jobs: &[ntt_pim::engine::batch::NttJob],
+    jobs: &[NttJob],
     config: PimConfig,
-    policy: ntt_pim::engine::batch::SchedulePolicy,
+    policy: SchedulePolicy,
     lengths: &[usize],
 ) -> Result<String, CliError> {
-    use ntt_bus::{BackendBus, BackendSpec};
-    use ntt_pim::engine::{CpuNttEngine, NttEngine};
-
     let mut spec = BackendSpec::parse(name).map_err(CliError::usage)?;
     if matches!(spec, BackendSpec::Pim(_)) {
         // The PIM slot uses the CLI's --channels/--ranks/--banks shape.
         spec = BackendSpec::Pim(config);
     }
-    let backend = spec
+    let runtime = |e: EngineError| CliError::runtime(e.to_string());
+    let mut backend = spec
         .build(policy, None)
         .map_err(|e| CliError::runtime(e.to_string()))?;
-    let mut bus = BackendBus::new();
-    let handle = bus.register(backend);
-    // Cost metadata first: the per-job quotes a router would sum.
+    // Admission first, then the per-job quotes a router would sum.
+    let mut cost = backend.cost_model();
     let mut predicted_ns = 0.0;
     for job in jobs {
-        predicted_ns += bus
-            .quote_ns(handle, job)
-            .map_err(|e| CliError::runtime(e.to_string()))?;
+        backend.admit(job).map_err(runtime)?;
+        predicted_ns += cost.job_cost(job);
     }
-    let aperture = bus.range(handle);
-    let out = bus
-        .dispatch(aperture.base, jobs)
-        .map_err(|e| CliError::runtime(e.to_string()))?;
+    let out = backend.run(jobs).map_err(runtime)?;
+    verify_first(jobs, &out.spectra)?;
 
-    let mut golden = CpuNttEngine::golden();
-    let mut expect = jobs[0].coeffs.clone();
-    golden
-        .forward(&mut expect, jobs[0].q)
-        .map_err(|e| CliError::runtime(e.to_string()))?;
-    if out.spectra[0] != expect {
-        return Err(CliError::runtime("batch verification FAILED".to_string()));
-    }
-
-    let lengths_str = lengths
-        .iter()
-        .map(ToString::to_string)
-        .collect::<Vec<_>>()
-        .join(",");
-    let window = bus.window(handle);
+    let window = backend.window();
     let mut outp = String::new();
     let _ = writeln!(
         outp,
-        "batched NTTs  lengths={lengths_str}  jobs={}  backend={} ({} kind, {} lanes)",
+        "batched NTTs  lengths={}  jobs={}  backend={} ({} kind, {} lanes)",
+        join(lengths),
         jobs.len(),
-        bus.label(handle),
-        bus.kind(handle),
+        backend.label(),
+        backend.kind(),
         window.lanes
-    );
-    let _ = writeln!(
-        outp,
-        "  aperture       : {:#x}..{:#x}",
-        aperture.base,
-        aperture.base + aperture.len
     );
     let _ = writeln!(outp, "  window         : {window}");
     let _ = writeln!(
@@ -533,7 +517,6 @@ fn percentile_us(sorted_ns: &[f64], p: usize) -> f64 {
 }
 
 fn serve(args: &ParsedArgs) -> Result<String, CliError> {
-    use ntt_pim::engine::batch::{NttJob, SchedulePolicy};
     use ntt_service::{NttService, ServiceConfig, ServiceError};
     use std::sync::Mutex;
     use std::time::{Duration, Instant};
@@ -547,7 +530,6 @@ fn serve(args: &ParsedArgs) -> Result<String, CliError> {
     let max_wait_us: u64 = args.get_or("max-wait-us", 500)?;
     let queue_depth: usize = args.get_or("queue-depth", 256)?;
     let tenant_inflight: usize = args.get_or("tenant-inflight", 0)?;
-    let policy: SchedulePolicy = args.get_or("schedule", SchedulePolicy::Lpt)?;
     let lengths: Vec<usize> = args.get_list_or(
         "lengths",
         if smoke {
@@ -570,22 +552,25 @@ fn serve(args: &ParsedArgs) -> Result<String, CliError> {
         .with_refresh(args.has_flag("refresh"));
     pim.validate()?;
     let devices: usize = args.get_or("devices", 1)?;
-    if devices == 0 {
-        return Err(CliError::usage("--devices must be >= 1"));
+    if devices == 0 || devices > MAX_FLEET_SLOTS {
+        return Err(CliError::usage(format!(
+            "--devices must be between 1 and {MAX_FLEET_SLOTS}"
+        )));
     }
     let steal_threshold_us: u64 = args.get_or("steal-threshold-us", 0)?;
     // --backends: a mixed fleet (overrides --devices); PIM slots take
     // the serve topology.
-    let backend_specs: Vec<ntt_service::BackendSpec> = match args.options.get("backends") {
-        Some(list) => ntt_service::BackendSpec::parse_list(list)
+    let mixed = args.options.get("backends");
+    let backend_specs: Vec<BackendSpec> = match mixed {
+        Some(list) => BackendSpec::parse_list(list)
             .map_err(CliError::usage)?
             .into_iter()
             .map(|spec| match spec {
-                ntt_service::BackendSpec::Pim(_) => ntt_service::BackendSpec::Pim(pim),
+                BackendSpec::Pim(_) => BackendSpec::Pim(pim),
                 other => other,
             })
             .collect(),
-        None => Vec::new(),
+        None => vec![BackendSpec::Pim(pim); devices],
     };
 
     // One pre-generated job per request (mixed lengths, the RNS/FHE
@@ -603,18 +588,13 @@ fn serve(args: &ParsedArgs) -> Result<String, CliError> {
         })
         .collect::<Result<_, CliError>>()?;
 
-    let mut service_config = ServiceConfig::new(pim)
-        .with_policy(policy)
+    let service_config = ServiceConfig::new(pim)
+        .with_backends(backend_specs)
         .with_steal_threshold(Duration::from_micros(steal_threshold_us))
         .with_max_wait(Duration::from_micros(max_wait_us))
         .with_queue_depth(queue_depth)
         .with_tenant_inflight(tenant_inflight)
         .with_verify_golden(smoke);
-    service_config = if backend_specs.is_empty() {
-        service_config.with_device_count(devices)
-    } else {
-        service_config.with_backends(backend_specs.clone())
-    };
     let service =
         NttService::start(service_config).map_err(|e| CliError::runtime(e.to_string()))?;
     let max_batch = service.max_batch();
@@ -670,16 +650,12 @@ fn serve(args: &ParsedArgs) -> Result<String, CliError> {
     let mut sim = sim_latencies.into_inner().unwrap();
     sim.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
 
-    let lengths_str = lengths
-        .iter()
-        .map(ToString::to_string)
-        .collect::<Vec<_>>()
-        .join(",");
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "serving layer  lengths={lengths_str}  requests={requests}  tenants={tenants}  \
+        "serving layer  lengths={}  requests={requests}  tenants={tenants}  \
          topology={topology} ({} lanes)  max_batch={max_batch}  max_wait={max_wait_us} µs",
+        join(&lengths),
         topology.total_banks(),
     );
     let _ = writeln!(out, "  completed       : {:>12}", stats.completed);
@@ -731,7 +707,7 @@ fn serve(args: &ParsedArgs) -> Result<String, CliError> {
         ntt_ref::lanes::kernel_label(),
         ntt_ref::lanes::LANE_WIDTH
     );
-    if devices > 1 || !backend_specs.is_empty() {
+    if devices > 1 || mixed.is_some() {
         let _ = writeln!(
             out,
             "  fleet           : {:>12} devices, makespan {:.2} µs, {:.0} jobs/s \
@@ -929,6 +905,13 @@ mod tests {
         assert!(run_line("serve --tenants 2 --requests 0").is_err());
         assert!(run_line("serve --smoke --lengths 100 --requests 2 --tenants 1").is_err());
         assert!(run_line("serve --devices 0 --requests 4").is_err());
+        // Over-large fleets are usage errors, never allocations.
+        for fleet in ["--devices 257", "--devices 18446744073709551615"] {
+            let e = run_line(&format!("serve {fleet} --requests 4")).unwrap_err();
+            assert_eq!(e.exit_code, 2, "{fleet}: {e}");
+        }
+        let e = run_line("serve --backends pim:1000000000 --requests 4").unwrap_err();
+        assert_eq!(e.exit_code, 2, "{e}");
     }
 
     #[test]
@@ -968,14 +951,27 @@ mod tests {
     #[test]
     fn batch_backend_runs_through_the_bus() {
         let out = run_line("batch --n 256 --jobs 6 --backend cpu-lanes").unwrap();
-        assert!(out.contains("backend=cpu-lanes"), "{out}");
-        assert!(out.contains("aperture"), "{out}");
+        assert!(
+            out.contains("backend=cpu-lanes (cpu-lanes kind, 8 lanes)"),
+            "{out}"
+        );
+        assert!(
+            out.contains("window         : 62-bit, modulus arbitrary, max N unbounded"),
+            "{out}"
+        );
+        assert!(out.contains("predicted      :"), "{out}");
         assert!(out.contains("verification   : OK"), "{out}");
         let out = run_line("batch --n 1024 --jobs 2 --q 12289 --backend bp-ntt").unwrap();
-        assert!(out.contains("backend=bp-ntt"), "{out}");
+        assert!(
+            out.contains("backend=bp-ntt (published kind, 1 lanes)"),
+            "{out}"
+        );
+        assert!(out.contains("modulus 12289, max N 4096"), "{out}");
         assert!(out.contains("Published"), "{out}");
+        assert!(out.contains("verification   : OK"), "{out}");
         let out = run_line("batch --n 256 --jobs 4 --banks 4 --backend pim").unwrap();
-        assert!(out.contains("backend=pim"), "{out}");
+        assert!(out.contains("backend=pim (pim kind, 4 lanes)"), "{out}");
+        assert!(out.contains("Simulated"), "{out}");
         // Outside the window: typed error, not a panic; unknown names
         // are usage errors.
         assert!(run_line("batch --n 8192 --jobs 1 --backend bp-ntt").is_err());

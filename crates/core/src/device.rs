@@ -126,27 +126,12 @@ impl NttReport {
     }
 }
 
-/// Result of a bank-parallel batch request.
-#[derive(Debug, Clone)]
-pub struct BatchReport {
-    /// Per-bank timing (parallel to the request's handle/pair order).
-    pub per_bank_ns: Vec<f64>,
-    /// Per-bank energy, nJ (same order as `per_bank_ns`).
-    pub per_bank_energy_nj: Vec<f64>,
-    /// Batch latency (slowest bank), ns.
-    pub latency_ns: f64,
-    /// Total energy across banks, nJ.
-    pub energy_nj: f64,
-    /// Shared command-bus slots the batch consumed.
-    pub bus_slots: u64,
-    /// Rank-level activations (tRRD/tFAW-coupled across banks).
-    pub rank_acts: u64,
-}
-
-/// Result of a per-bank job-queue request ([`PimDevice::schedule_queues`]):
-/// banks drain their queues asynchronously — each advances to its next job
-/// as soon as the previous finishes — coupled only through the shared
-/// command bus and the rank's tRRD/tFAW window, never a full-chip barrier.
+/// Result of a per-bank job-queue request ([`PimDevice::schedule_queues`],
+/// and the one-job-per-bank batches [`PimDevice::ntt_batch`] and
+/// [`PimDevice::polymul_batch`]): banks drain their queues asynchronously
+/// — each advances to its next job as soon as the previous finishes —
+/// coupled only through the shared command bus and the rank's tRRD/tFAW
+/// window, never a full-chip barrier.
 #[derive(Debug, Clone)]
 pub struct QueueReport {
     /// Per-bank completion times, ns (indexed by bank id).
@@ -266,21 +251,6 @@ impl QueueReport {
             per_channel_bus_slots: qt.per_channel_bus_slots.clone(),
             per_rank_acts: qt.per_rank_acts.clone(),
             barrier_ns: qt.barrier_ps.iter().map(|&ps| ps as f64 / 1000.0).collect(),
-        }
-    }
-}
-
-impl BatchReport {
-    fn from_parallel(parallel: &sched::ParallelTimeline) -> Self {
-        let per_bank_energy_nj: Vec<f64> =
-            parallel.banks.iter().map(|t| t.energy.total_nj()).collect();
-        Self {
-            per_bank_ns: parallel.banks.iter().map(|t| t.latency_ns()).collect(),
-            energy_nj: per_bank_energy_nj.iter().sum(),
-            per_bank_energy_nj,
-            latency_ns: parallel.latency_ns(),
-            bus_slots: parallel.bus_slots,
-            rank_acts: parallel.rank_acts,
         }
     }
 }
@@ -742,7 +712,7 @@ impl PimDevice {
     pub fn polymul_batch(
         &mut self,
         pairs: &[(PolyHandle, PolyHandle)],
-    ) -> Result<BatchReport, PimError> {
+    ) -> Result<QueueReport, PimError> {
         let mut seen = std::collections::HashSet::new();
         for (a, b) in pairs {
             if a.bank != b.bank {
@@ -756,15 +726,15 @@ impl PimDevice {
                 });
             }
         }
-        let programs = pairs
+        let queues = pairs
             .iter()
-            .map(|(a, b)| self.polymul_program(a, b))
-            .collect::<Result<Vec<_>, _>>()?;
-        let parallel = sched::schedule_parallel(&self.config, &programs)?;
-        for ((a, _), prog) in pairs.iter().zip(&programs) {
-            self.banks[a.bank].execute(prog)?;
+            .map(|(a, b)| Ok(vec![self.polymul_program(a, b)?]))
+            .collect::<Result<Vec<_>, PimError>>()?;
+        let report = self.schedule_queues(&queues)?;
+        for ((a, _), queue) in pairs.iter().zip(&queues) {
+            self.banks[a.bank].execute(&queue[0])?;
         }
-        Ok(BatchReport::from_parallel(&parallel))
+        Ok(report)
     }
 
     /// Runs one forward NTT per handle, each in its own bank, over the
@@ -774,7 +744,7 @@ impl PimDevice {
     ///
     /// [`PimError::BadConfig`] when handles share a bank; per-handle
     /// errors as in [`Self::ntt`].
-    pub fn ntt_batch(&mut self, handles: &mut [PolyHandle]) -> Result<BatchReport, PimError> {
+    pub fn ntt_batch(&mut self, handles: &mut [PolyHandle]) -> Result<QueueReport, PimError> {
         let mut seen = std::collections::HashSet::new();
         for h in handles.iter() {
             if !seen.insert(h.bank) {
@@ -788,7 +758,7 @@ impl PimDevice {
                 });
             }
         }
-        let mut programs = Vec::with_capacity(handles.len());
+        let mut queues = Vec::with_capacity(handles.len());
         for h in handles.iter() {
             let omega = modmath::prime::root_of_unity(h.n() as u64, h.q as u64)? as u32;
             let opts = MapperOptions {
@@ -796,21 +766,21 @@ impl PimDevice {
                 inverse: false,
                 ..self.opts
             };
-            programs.push(mapper::map_ntt(
+            queues.push(vec![mapper::map_ntt(
                 &self.config,
                 &h.layout,
                 &NttParams { q: h.q, omega },
                 &opts,
-            )?);
+            )?]);
         }
-        let parallel = sched::schedule_parallel(&self.config, &programs)?;
-        for (h, prog) in handles.iter().zip(&programs) {
-            self.banks[h.bank].execute(prog)?;
+        let report = self.schedule_queues(&queues)?;
+        for (h, queue) in handles.iter().zip(&queues) {
+            self.banks[h.bank].execute(&queue[0])?;
         }
         for h in handles.iter_mut() {
             h.order = StoredOrder::Natural;
         }
-        Ok(BatchReport::from_parallel(&parallel))
+        Ok(report)
     }
 }
 

@@ -14,18 +14,17 @@
 //! paper's software-pipelined order, and in-order issue with per-resource
 //! earliest times produces the overlapped timeline of Fig. 6.
 //!
-//! [`schedule_parallel`] runs one program per bank with a *shared* command
-//! bus (banks have private rows, buffers and CUs, but commands serialize on
-//! the bus) — the paper's bank-level parallelism model (§VI.A, §VII).
-//!
-//! [`schedule_queues`] generalizes that to one program *sequence* per bank:
-//! each bank drains its queue back to back and advances to its next program
-//! as soon as the previous one finishes, with no cross-bank barrier — only
+//! [`schedule_queues`] runs one program *sequence* per bank with a
+//! *shared* command bus (banks have private rows, buffers and CUs, but
+//! commands serialize on the bus) — the paper's bank-level parallelism
+//! model (§VI.A, §VII). One program per bank is the paper's case; longer
+//! queues drain back to back, each bank advancing to its next program as
+//! soon as the previous one finishes, with no cross-bank barrier — only
 //! the shared command bus and the rank's tRRD/tFAW window couple the banks.
 //! [`lpt_assign`] is the matching longest-processing-time bin-packing
 //! helper that builds balanced queues from per-job cost estimates.
 //!
-//! Both multi-bank entry points are topology-aware: banks are indexed
+//! The multi-bank entry points are topology-aware: banks are indexed
 //! globally across the config's `channels × ranks × banks` device shape
 //! ([`crate::config::Topology`]), each channel gets its own command bus,
 //! and each rank its own tRRD/tFAW window — so two banks couple through a
@@ -94,19 +93,6 @@ impl PhaseSlice {
     }
 }
 
-/// A multi-bank schedule (one timeline per bank, shared command bus).
-#[derive(Debug, Clone)]
-pub struct ParallelTimeline {
-    /// Per-bank timelines.
-    pub banks: Vec<Timeline>,
-    /// Completion of the slowest bank, ps.
-    pub end_ps: u64,
-    /// Shared-bus slots issued across all banks (one per memory cycle).
-    pub bus_slots: u64,
-    /// Rank-level activation count (tRRD/tFAW-coupled, across banks).
-    pub rank_acts: u64,
-}
-
 /// A multi-bank queue schedule: one program *sequence* per bank, drained
 /// asynchronously over the shared command bus (see [`schedule_queues`]).
 #[derive(Debug, Clone)]
@@ -146,21 +132,6 @@ impl QueueTimeline {
     /// Latency of the slowest bank in nanoseconds.
     pub fn latency_ns(&self) -> f64 {
         self.end_ps as f64 / 1000.0
-    }
-}
-
-impl ParallelTimeline {
-    /// Latency of the slowest bank in nanoseconds.
-    pub fn latency_ns(&self) -> f64 {
-        self.end_ps as f64 / 1000.0
-    }
-
-    /// Shared command-bus utilization over the schedule's span.
-    pub fn bus_utilization(&self, cycle_ps: u64) -> f64 {
-        if self.end_ps == 0 {
-            return 0.0;
-        }
-        (self.bus_slots * cycle_ps) as f64 / self.end_ps as f64
     }
 
     /// Full cross-bank trace for independent validation.
@@ -655,29 +626,8 @@ pub fn schedule(config: &PimConfig, program: &Program) -> Result<Timeline, PimEr
     Ok(engine.finish())
 }
 
-/// Schedules one program per bank over a shared command bus (bank-level
-/// parallelism). Banks round-robin for bus slots; each bank's stream stays
-/// in order.
-///
-/// # Errors
-///
-/// [`PimError::BadConfig`] when more programs than banks are supplied;
-/// otherwise as [`schedule`].
-pub fn schedule_parallel(
-    config: &PimConfig,
-    programs: &[Program],
-) -> Result<ParallelTimeline, PimError> {
-    let queues: Vec<Vec<DagJob>> = programs.iter().map(|p| vec![DagJob::plain(p)]).collect();
-    let qt = schedule_multi(config, &queues)?;
-    Ok(ParallelTimeline {
-        banks: qt.banks,
-        end_ps: qt.end_ps,
-        bus_slots: qt.bus_slots,
-        rank_acts: qt.rank_acts,
-    })
-}
-
 /// Schedules one program *queue* per bank over the shared command bus.
+/// Banks round-robin for bus slots; each bank's stream stays in order.
 ///
 /// Each bank runs its queue front to back and starts its next program the
 /// moment the previous one's commands have drained — there is no
@@ -790,11 +740,10 @@ pub fn schedule_queues_dag(
     schedule_multi(config, queues)
 }
 
-/// Shared issue loop of [`schedule_parallel`], [`schedule_queues`] and
-/// [`schedule_queues_dag`]: round-robin command interleave across banks,
-/// one stateful engine per bank, program-boundary completion times
-/// recorded per queue, barrier-tagged programs held until their
-/// dependencies drain. One command bus per channel, one [`RankTimer`]
+/// Shared issue loop of [`schedule_queues`] and [`schedule_queues_dag`]:
+/// round-robin command interleave across banks, one stateful engine per
+/// bank, program-boundary completion times recorded per queue,
+/// barrier-tagged programs held until their dependencies drain. One command bus per channel, one [`RankTimer`]
 /// per rank — the topology's coupling structure.
 fn schedule_multi(config: &PimConfig, queues: &[Vec<DagJob>]) -> Result<QueueTimeline, PimError> {
     config.validate()?;
@@ -1181,7 +1130,7 @@ mod tests {
         let c = PimConfig::hbm2e(2).with_banks(4);
         let prog = program(&c, 1024, MapperOptions::default());
         let single = schedule(&c, &prog).unwrap();
-        let four = schedule_parallel(&c, &vec![prog.clone(); 4]).unwrap();
+        let four = schedule_queues(&c, &vec![vec![prog.clone()]; 4]).unwrap();
         // 4 NTTs in 4 banks should take well under 2x one NTT's time.
         assert!(
             four.end_ps < 2 * single.end_ps,
@@ -1238,7 +1187,7 @@ mod tests {
     fn parallel_rejects_too_many_programs() {
         let c = PimConfig::hbm2e(2); // 1 bank
         let prog = program(&c, 256, MapperOptions::default());
-        assert!(schedule_parallel(&c, &vec![prog; 2]).is_err());
+        assert!(schedule_queues(&c, &vec![vec![prog]; 2]).is_err());
     }
 
     #[test]
@@ -1261,32 +1210,8 @@ mod tests {
         assert!(qt.banks[0].end_ps < qt.banks[1].end_ps);
         assert_eq!(qt.end_ps, qt.banks[1].end_ps);
         // And the combined trace stays protocol-legal.
-        let all: Vec<_> = qt
-            .banks
-            .iter()
-            .enumerate()
-            .flat_map(|(b, tl)| {
-                tl.bank_trace().into_iter().map(move |mut e| {
-                    e.bank = b as u32;
-                    e
-                })
-            })
-            .collect();
-        let mut sorted = all;
-        sorted.sort_by_key(|e| e.at_ps);
-        validate_trace(c.timing.resolve(), c.geometry, &sorted)
+        validate_trace(c.timing.resolve(), c.geometry, &qt.bank_trace())
             .unwrap_or_else(|(i, e)| panic!("entry {i}: {e}"));
-    }
-
-    #[test]
-    fn queue_schedule_matches_parallel_for_single_program_queues() {
-        let c = PimConfig::hbm2e(2).with_banks(4);
-        let prog = program(&c, 512, MapperOptions::default());
-        let par = schedule_parallel(&c, &vec![prog.clone(); 4]).unwrap();
-        let qt = schedule_queues(&c, &vec![vec![prog]; 4]).unwrap();
-        assert_eq!(qt.end_ps, par.end_ps);
-        assert_eq!(qt.bus_slots, par.bus_slots);
-        assert_eq!(qt.rank_acts, par.rank_acts);
     }
 
     #[test]

@@ -64,7 +64,7 @@ impl CommandBus {
 /// independent streams (one per bank) do not starve each other the way
 /// a strictly monotonic [`CommandBus`] would. This is the bus model
 /// behind bank-parallel batch execution
-/// (`ntt_pim_core::sched::schedule_parallel`).
+/// (`ntt_pim_core::sched::schedule_queues`).
 #[derive(Debug, Clone)]
 pub struct FairBus {
     cycle_ps: u64,

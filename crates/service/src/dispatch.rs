@@ -44,8 +44,8 @@ use crate::fleet::{self, FleetRouter};
 use crate::stats::StatsInner;
 use crate::{BatchSummary, Pending, Response, ServiceError, Shared};
 use ntt_bus::{BackendOutcome, NttBackend};
-use ntt_pim::engine::batch::{self, JobKind, NttJob};
-use ntt_pim::engine::{CpuNttEngine, NttEngine};
+use ntt_pim::engine::batch::{self, NttJob};
+use ntt_pim::engine::CpuNttEngine;
 use ntt_ref::cache::PlanCache;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -323,9 +323,7 @@ impl Worker {
             device: FailingDevice::new(backend, fault),
             shared,
             fleet,
-            verify: verify_cache.map(|cache| {
-                CpuNttEngine::with_cache(ntt_pim::engine::CpuDataflow::IterativeDit, cache)
-            }),
+            verify: verify_cache.map(CpuNttEngine::with_cache),
             healthy: true,
             probe_backoff: 1,
             probe_wait: 0,
@@ -370,7 +368,7 @@ impl Worker {
         }
         let probe = self.device.probe_job();
         let passed = match self.device.run(std::slice::from_ref(&probe)) {
-            Ok(outcome) => match &mut self.verify {
+            Ok(outcome) => match &self.verify {
                 Some(golden) => outcome
                     .spectra
                     .first()
@@ -569,9 +567,9 @@ impl Worker {
         // twiddle load), falling back to job-by-job scalar verification
         // if the batched path rejects the batch.
         let mut verify_lane_jobs = 0u64;
-        let verified: Vec<bool> = match &mut self.verify {
+        let verified: Vec<bool> = match &self.verify {
             Some(golden) => match batch::run_lane_batched(golden, &jobs) {
-                Ok((expected, _, lane_jobs)) => {
+                Ok((expected, lane_jobs)) => {
                     verify_lane_jobs = lane_jobs as u64;
                     expected
                         .iter()
@@ -612,7 +610,6 @@ impl Worker {
             lanes: self.device.lanes(),
             latency_ns: outcome.latency_ns,
             energy_nj: outcome.energy_nj,
-            policy: outcome.policy,
             topology: outcome.topology,
             queue: outcome.queue_report.clone(),
         });
@@ -637,19 +634,12 @@ impl Worker {
     }
 }
 
-/// Recomputes one job on the golden CPU model and compares.
-fn verify_one(golden: &mut CpuNttEngine, job: &NttJob, got: &[u64]) -> bool {
-    let mut expect = job.coeffs.clone();
-    let ok = match &job.kind {
-        // A split large transform is bit-identical to the whole forward
-        // NTT — that is the device path's correctness contract.
-        JobKind::Forward | JobKind::SplitLarge => golden.forward(&mut expect, job.q).is_ok(),
-        JobKind::Inverse => golden.inverse(&mut expect, job.q).is_ok(),
-        JobKind::NegacyclicPolymul { rhs } => {
-            golden.negacyclic_polymul(&mut expect, rhs, job.q).is_ok()
-        }
-    };
-    ok && expect == got
+/// Recomputes one job (a batch of one) on the golden CPU model and
+/// compares. A split large transform is checked against the whole
+/// forward NTT — that is the device path's correctness contract.
+fn verify_one(golden: &CpuNttEngine, job: &NttJob, got: &[u64]) -> bool {
+    batch::run_lane_batched(golden, std::slice::from_ref(job))
+        .is_ok_and(|(expected, _)| expected[0] == got)
 }
 
 #[cfg(test)]

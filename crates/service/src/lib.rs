@@ -18,12 +18,11 @@
 //!   arrives with the result, per-request latency, and the micro-batch's
 //!   merged device report.
 //! * **Dynamic micro-batching.** A dispatcher thread collects queued
-//!   requests and flushes when the batch reaches
-//!   `max_batch` (defaulting to the device's
-//!   [`parallel_lanes`](ntt_pim::engine::EngineCaps::parallel_lanes))
-//!   *or* when the oldest queued request has waited `max_wait` —
-//!   whichever comes first. Full batches ride the cost-model LPT
-//!   scheduler across the whole `channels × ranks × banks` topology.
+//!   requests and flushes when the batch reaches `max_batch` (defaulting
+//!   to the fleet's total lanes, [`NttService::parallel_lanes`]) *or*
+//!   when the oldest queued request has waited `max_wait` — whichever
+//!   comes first. Full batches ride the cost-model LPT scheduler across
+//!   the whole `channels × ranks × banks` topology.
 //! * **Admission control.** The queue is bounded: past `queue_depth`
 //!   in-flight requests, submission fails *fast* with
 //!   [`ServiceError::Busy`] instead of blocking the caller (shed load,
@@ -34,11 +33,11 @@
 //!   [`NttService::plan_cache`]) reads twiddle/Shoup tables through one
 //!   thread-safe [`PlanCache`], so tables are built once per `(n, q)`
 //!   process-wide; hit/miss counters surface in [`ServiceStats`].
-//! * **Fleet tier.** The service drives N co-simulated backends —
-//!   homogeneous PIM replicas ([`ServiceConfig::with_devices`]) or a
-//!   mixed fleet of PIM, CPU-lane, and published-model slots
-//!   ([`ServiceConfig::with_backends`]): a router thread places each
-//!   micro-batch on the backend predicted to drain it cheapest —
+//! * **Fleet tier.** The service drives N co-simulated backends, one
+//!   per [`BackendSpec`] slot of [`ServiceConfig::with_backends`] — PIM
+//!   replicas, CPU lanes, published models, in any mix: a router thread
+//!   places each micro-batch on the backend predicted to drain it
+//!   cheapest —
 //!   per-slot queued backlog plus the batch's makespan under that
 //!   slot's own cost model ([`FleetRouter`]) — re-splitting batches
 //!   across slots when one would back up past the configurable
@@ -168,10 +167,9 @@ impl std::error::Error for ServiceError {}
 /// Serving-layer configuration wrapping the device configuration.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// The simulated PIM device micro-batches execute on.
+    /// The simulated PIM device micro-batches execute on when
+    /// `backends` is empty.
     pub pim: PimConfig,
-    /// Batch scheduling policy (cost-model LPT by default).
-    pub policy: SchedulePolicy,
     /// Flush a micro-batch at this many requests. `0` (the default)
     /// means the device's parallel lane count (total banks), so full
     /// batches exactly fill the topology.
@@ -192,17 +190,12 @@ pub struct ServiceConfig {
     /// The plan cache golden verification reads through. `None` (the
     /// default) uses [`PlanCache::global`].
     pub plan_cache: Option<Arc<PlanCache>>,
-    /// The fleet's device configurations. Empty (the default) means a
-    /// single device built from `pim`; set via [`Self::with_devices`]
-    /// (heterogeneous topologies allowed) or
-    /// [`Self::with_device_count`] (N replicas of `pim`). Ignored when
-    /// `backends` is non-empty.
-    pub devices: Vec<PimConfig>,
-    /// The fleet's backend slots for a *mixed* fleet (PIM, CPU lanes,
-    /// published models). Empty (the default) means every slot is a PIM
-    /// device from `devices`/`pim`; set via [`Self::with_backends`]
+    /// The fleet: one backend per slot (PIM devices of any topology, CPU
+    /// lanes, published models). Empty (the default) means one PIM slot
+    /// built from `pim`; set via [`Self::with_backends`]
     /// ([`BackendSpec::parse_list`] accepts the CLI's
-    /// `pim:2,cpu-lanes:1,bp-ntt:1` syntax).
+    /// `pim:2,cpu-lanes:1,bp-ntt:1` syntax). PIM slots always schedule
+    /// with cost-model LPT.
     pub backends: Vec<BackendSpec>,
     /// Whether a retired backend may rejoin the router after passing a
     /// probe job (on by default). Off makes retirement permanent, the
@@ -226,19 +219,17 @@ pub struct ServiceConfig {
 
 impl ServiceConfig {
     /// Defaults: `max_batch` = fleet lanes, 200 µs `max_wait`, 256-deep
-    /// queue, no tenant caps, LPT scheduling, verification off, one
-    /// device, zero steal threshold.
+    /// queue, no tenant caps, verification off, one PIM device, zero
+    /// steal threshold.
     pub fn new(pim: PimConfig) -> Self {
         Self {
             pim,
-            policy: SchedulePolicy::default(),
             max_batch: 0,
             max_wait: Duration::from_micros(200),
             queue_depth: 256,
             tenant_inflight: 0,
             verify_golden: false,
             plan_cache: None,
-            devices: Vec::new(),
             backends: Vec::new(),
             readmission: true,
             steal_threshold: Duration::ZERO,
@@ -247,8 +238,8 @@ impl ServiceConfig {
         }
     }
 
-    /// Sets an explicit mixed-backend fleet (takes precedence over
-    /// [`Self::with_devices`] when non-empty).
+    /// Sets the fleet, one backend per slot. An empty vector falls back
+    /// to one PIM device built from `pim`.
     #[must_use]
     pub fn with_backends(mut self, backends: Vec<BackendSpec>) -> Self {
         self.backends = backends;
@@ -266,22 +257,6 @@ impl ServiceConfig {
     #[must_use]
     pub fn with_work_stealing(mut self, on: bool) -> Self {
         self.work_stealing = on;
-        self
-    }
-
-    /// Sets an explicit fleet of device configurations (heterogeneous
-    /// topologies allowed). An empty vector falls back to one device
-    /// built from `pim`.
-    #[must_use]
-    pub fn with_devices(mut self, devices: Vec<PimConfig>) -> Self {
-        self.devices = devices;
-        self
-    }
-
-    /// Sets a homogeneous fleet of `count` replicas of `pim`.
-    #[must_use]
-    pub fn with_device_count(mut self, count: usize) -> Self {
-        self.devices = vec![self.pim; count.max(1)];
         self
     }
 
@@ -327,13 +302,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets the batch scheduling policy.
-    #[must_use]
-    pub fn with_policy(mut self, policy: SchedulePolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// Enables golden-model verification of every response.
     #[must_use]
     pub fn with_verify_golden(mut self, on: bool) -> Self {
@@ -369,8 +337,6 @@ pub struct BatchSummary {
     pub latency_ns: f64,
     /// Simulated batch energy, nJ.
     pub energy_nj: f64,
-    /// The policy that scheduled it.
-    pub policy: SchedulePolicy,
     /// The device topology it fanned across.
     pub topology: Topology,
     /// The merged device queue report (per-bank completion, per-channel
@@ -566,24 +532,17 @@ impl NttService {
     ///
     /// Propagates device configuration errors.
     pub fn start(config: ServiceConfig) -> Result<Self, EngineError> {
-        let specs: Vec<BackendSpec> = if !config.backends.is_empty() {
-            config.backends.clone()
-        } else if config.devices.is_empty() {
+        let specs: Vec<BackendSpec> = if config.backends.is_empty() {
             vec![BackendSpec::Pim(config.pim)]
         } else {
-            config
-                .devices
-                .iter()
-                .copied()
-                .map(BackendSpec::Pim)
-                .collect()
+            config.backends.clone()
         };
         let cache = config.plan_cache.unwrap_or_else(PlanCache::global);
         let mut backends: Vec<Box<dyn NttBackend>> = Vec::with_capacity(specs.len());
         let mut models = Vec::with_capacity(specs.len());
         for spec in &specs {
             backends.push(
-                spec.build(config.policy, Some(&cache))
+                spec.build(SchedulePolicy::Lpt, Some(&cache))
                     .map_err(EngineError::from)?,
             );
             models.push(spec.cost_model().map_err(EngineError::from)?);
@@ -730,7 +689,7 @@ impl Drop for NttService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ntt_pim::engine::{CpuNttEngine, NttEngine};
+    use ntt_pim::engine::CpuNttEngine;
 
     const Q: u64 = 12289;
 
@@ -762,7 +721,7 @@ mod tests {
             .iter()
             .map(|j| client.submit("t", j.clone()).unwrap())
             .collect();
-        let mut cpu = CpuNttEngine::golden();
+        let cpu = CpuNttEngine::golden();
         for (job, ticket) in jobs.iter().zip(tickets) {
             let response = ticket.wait().unwrap();
             let mut expect = job.coeffs.clone();
@@ -791,7 +750,7 @@ mod tests {
         let mul = client
             .submit("t", NttJob::negacyclic_polymul(a.clone(), b.clone(), Q))
             .unwrap();
-        let mut cpu = CpuNttEngine::golden();
+        let cpu = CpuNttEngine::golden();
         let mut expect_fwd = a.clone();
         cpu.forward(&mut expect_fwd, Q).unwrap();
         assert_eq!(fwd.wait().unwrap().result, expect_fwd);
@@ -892,7 +851,7 @@ mod tests {
             other => panic!("expected Invalid, got {other:?}"),
         }
         let response = good.wait().unwrap();
-        let mut cpu = CpuNttEngine::golden();
+        let cpu = CpuNttEngine::golden();
         let mut expect = poly(64, Q, 5);
         cpu.forward(&mut expect, Q).unwrap();
         assert_eq!(response.result, expect);
@@ -1027,7 +986,7 @@ mod tests {
         let small =
             ntt_pim::core::config::PimConfig::hbm2e(2).with_topology(Topology::new(1, 1, 2));
         let config = ServiceConfig::new(big)
-            .with_devices(vec![big, small])
+            .with_backends(vec![BackendSpec::Pim(big), BackendSpec::Pim(small)])
             .with_max_wait(Duration::from_millis(2));
         let service = NttService::start(config).unwrap();
         assert_eq!(service.device_count(), 2);

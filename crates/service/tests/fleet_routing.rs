@@ -7,7 +7,7 @@
 
 use ntt_pim::core::config::{PimConfig, Topology};
 use ntt_pim::engine::batch::NttJob;
-use ntt_pim::engine::{CpuNttEngine, NttEngine};
+use ntt_pim::engine::CpuNttEngine;
 use ntt_service::{
     BackendKind, BackendSpec, FaultSwitch, FleetRouter, NttService, PublishedKind, ServiceConfig,
     ServiceError,
@@ -52,7 +52,7 @@ fn valid_job(n: usize, kind: u64, qsel: u64, seed: u64) -> NttJob {
 }
 
 fn expected(job: &NttJob) -> Vec<u64> {
-    let mut cpu = CpuNttEngine::golden();
+    let cpu = CpuNttEngine::golden();
     let mut data = job.coeffs.clone();
     match &job.kind {
         ntt_pim::engine::batch::JobKind::Forward | ntt_pim::engine::batch::JobKind::SplitLarge => {
@@ -188,8 +188,9 @@ proptest! {
         threshold_us in prop::sample::select(vec![0u64, 10_000]),
         max_wait_us in prop::sample::select(vec![200u64, 2000]),
     ) {
-        let config = ServiceConfig::new(PimConfig::hbm2e(2).with_banks(4))
-            .with_device_count(devices)
+        let pim = PimConfig::hbm2e(2).with_banks(4);
+        let config = ServiceConfig::new(pim)
+            .with_backends(vec![BackendSpec::Pim(pim); devices])
             .with_steal_threshold(Duration::from_micros(threshold_us))
             .with_max_wait(Duration::from_micros(max_wait_us));
         let service = NttService::start(config).unwrap();
@@ -274,7 +275,7 @@ fn failed_device_drains_onto_healthy_fleet() {
     // tie-break on an idle fleet) and hits the armed fault. Re-admission
     // off: this test pins permanent retirement.
     let config = ServiceConfig::new(cfg)
-        .with_devices(vec![cfg, cfg])
+        .with_backends(vec![BackendSpec::Pim(cfg); 2])
         .with_max_batch(32)
         .with_max_wait(Duration::from_millis(20))
         .with_steal_threshold(Duration::from_secs(10))
@@ -354,7 +355,7 @@ fn retired_device_rejoins_after_probe_success() {
     let switch = Arc::new(FaultSwitch::new());
     switch.fail_next();
     let config = ServiceConfig::new(cfg)
-        .with_devices(vec![cfg, cfg])
+        .with_backends(vec![BackendSpec::Pim(cfg); 2])
         .with_max_batch(16)
         .with_max_wait(Duration::from_millis(5))
         .with_steal_threshold(Duration::from_secs(10))
@@ -476,7 +477,7 @@ fn stalled_device_tickets_still_resolve() {
     let switch = Arc::new(FaultSwitch::new());
     switch.stall_for(Duration::from_millis(10));
     let config = ServiceConfig::new(cfg)
-        .with_devices(vec![cfg, cfg])
+        .with_backends(vec![BackendSpec::Pim(cfg); 2])
         .with_max_wait(Duration::from_millis(2))
         .with_device_fault(0, switch.clone());
     let service = NttService::start(config).unwrap();
@@ -550,7 +551,12 @@ fn skewed_fleet_completes_everything_with_small_device_occupancy() {
     // small device's group before its worker wakes — the pin is about
     // the *router* not writing the device off.
     let config = ServiceConfig::new(big)
-        .with_devices(vec![big, big, big, small])
+        .with_backends(vec![
+            BackendSpec::Pim(big),
+            BackendSpec::Pim(big),
+            BackendSpec::Pim(big),
+            BackendSpec::Pim(small),
+        ])
         .with_max_batch(96)
         .with_max_wait(Duration::from_millis(200))
         .with_work_stealing(false);

@@ -1,13 +1,13 @@
 //! Concurrency properties of the serving layer: under random
 //! interleavings of tenants, transform sizes, moduli, and job kinds —
 //! with malformed requests mixed in — no request is lost, duplicated, or
-//! cross-wired; every result is bit-identical to a direct [`NttEngine`]
-//! call on the same input; and the bounded queue rejects instead of
-//! blocking past capacity.
+//! cross-wired; every result is bit-identical to a direct golden
+//! [`CpuNttEngine`] call on the same input; and the bounded queue
+//! rejects instead of blocking past capacity.
 
 use ntt_pim::core::config::PimConfig;
 use ntt_pim::engine::batch::NttJob;
-use ntt_pim::engine::{CpuNttEngine, NttEngine};
+use ntt_pim::engine::CpuNttEngine;
 use ntt_service::{NttService, ServiceConfig, ServiceError};
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -56,7 +56,7 @@ fn is_valid(spec: &Spec) -> bool {
 }
 
 fn expected(job: &NttJob) -> Vec<u64> {
-    let mut cpu = CpuNttEngine::golden();
+    let cpu = CpuNttEngine::golden();
     let mut data = job.coeffs.clone();
     match &job.kind {
         // A split large transform answers with the whole forward NTT.

@@ -9,8 +9,8 @@
 //! ```
 
 use ntt_pim::core::config::PimConfig;
+use ntt_pim::core::device::{NttDirection, PimDevice};
 use ntt_pim::engine::batch::{BatchExecutor, NttJob};
-use ntt_pim::engine::{NttEngine, PimDeviceEngine};
 use ntt_pim::fhe::executor::ntt_all_components;
 use ntt_pim::fhe::params::RlweParams;
 use ntt_pim::fhe::rns::RnsPoly;
@@ -45,17 +45,13 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!("system-level investigation the paper leaves as future work.");
 
     // --- BatchExecutor: 16 independent NTTs over 16 banks ----------------
-    // The unified engine layer's executor packs jobs onto per-bank queues
-    // (cost-model LPT by default) and drains them concurrently over the
-    // shared command bus. Aggregate latency for a 16-job batch must land
-    // well under 2x a single NTT — the bank-level scaling the paper's
-    // conclusion projects.
+    // The executor packs jobs onto per-bank queues (cost-model LPT by
+    // default) and drains them concurrently over the shared command bus.
+    // Aggregate latency for a 16-job batch must land well under 2x a
+    // single NTT — the bank-level scaling the paper's conclusion
+    // projects.
     let n = 1024usize;
     let q = 12289u64;
-    let single_ns = PimDeviceEngine::hbm2e(2)?
-        .cost_estimate(n)
-        .expect("cost model covers N=1024")
-        .latency_ns;
     let jobs: Vec<NttJob> = (0..16u64)
         .map(|j| {
             NttJob::new(
@@ -66,8 +62,15 @@ fn main() -> Result<(), Box<dyn Error>> {
             )
         })
         .collect();
+    // One NTT alone on the paper path is the yardstick.
+    let mut device = PimDevice::new(PimConfig::hbm2e(2))?;
+    let words: Vec<u32> = jobs[0].coeffs.iter().map(|&c| c as u32).collect();
+    let mut h = device.load_polynomial_bitrev(0, &words, q as u32)?;
+    let single_ns = device
+        .ntt_in_place(&mut h, NttDirection::Forward)?
+        .latency_ns();
     let mut exec = BatchExecutor::new(PimConfig::hbm2e(2).with_banks(16))?;
-    let out = exec.run_forward(&jobs)?;
+    let out = exec.run(&jobs)?;
     let ratio = out.latency_ns / single_ns;
     println!("\nBatchExecutor: 16 independent N={n} NTTs on 16 banks");
     println!("  single NTT      : {:>10.2} µs", single_ns / 1000.0);

@@ -1,61 +1,53 @@
-//! Unified execution layer: every way this workspace can run an NTT —
-//! the simulated PIM device, the CPU reference dataflows, and the
-//! published-point accelerator models — behind one object-safe trait.
+//! Host-side execution pieces shared by every backend: the golden CPU
+//! engine, the error and provenance types, and the value-free PIM cost
+//! estimate.
 //!
-//! Before this module, each backend had its own ad-hoc entry point
-//! (`PimDevice::ntt`, `NttPlan::forward`, `NttAccelerator::latency_ns`),
-//! which made cross-backend comparison and batching awkward. An
-//! [`NttEngine`] is a uniform facade over all of them:
+//! Jobs reach a device through one trait, `ntt_bus::NttBackend`, whose
+//! unit of work is a batch (a single request is a batch of one). This
+//! module holds what those backends are built from:
 //!
-//! * [`PimDeviceEngine`] — the paper's row-centric PIM architecture,
-//!   functionally simulated and cycle-timed ([`crate::core`]).
-//! * [`CpuNttEngine`] — the golden software dataflows from
-//!   [`crate::reference`] (iterative DIT, Stockham, four-step), timed by
-//!   host wall clock. All three route through the shared Shoup/Harvey
-//!   lazy-reduction datapath ([`modmath::shoup`]) by default — the CPU
-//!   capability window (`q < 2⁶²`) coincides with the lazy bound, so the
-//!   widening kernel only runs when explicitly requested (benches) or
-//!   for out-of-window experiments; [`cpu_kernel_label`] names the
-//!   kernel a given modulus gets. Same-`(n, q)` micro-batches ride the
-//!   lane-batched SoA kernel ([`crate::reference::lanes`]) through the
-//!   inherent `*_batch` methods; [`cpu_batch_kernel_label`] names that
-//!   kernel.
-//! * [`PublishedModelEngine`] — the Table III comparator models from
-//!   [`crate::baselines`], computing functionally via the golden CPU
-//!   path while reporting the device's *published* latency/energy.
+//! * [`CpuNttEngine`] — the golden model: the iterative DIT dataflow
+//!   from [`crate::reference`] on the Shoup/Harvey lazy-reduction
+//!   datapath ([`modmath::shoup`]), with plans served from a shared
+//!   [`PlanCache`]. The engine's window (`q < 2⁶²`) coincides with the
+//!   lazy bound, so the widening kernel only runs when explicitly
+//!   requested (benches) or for out-of-window experiments;
+//!   [`cpu_kernel_label`] names the kernel a given modulus gets.
+//!   Same-`(n, q)` micro-batches ride the lane-batched SoA kernel
+//!   ([`crate::reference::lanes`]) through the `*_batch` methods;
+//!   [`cpu_batch_kernel_label`] names that kernel.
+//! * [`EngineError`] — the typed error every backend, executor and
+//!   admission check returns.
+//! * [`ReportSource`] — where a backend's timing numbers come from.
+//! * [`pim_cost_estimate`] — simulated latency of one transform from a
+//!   device configuration alone (mapping and scheduling, no storage).
 //!
-//! All engines work on natural-order `u64` coefficients and derive the
-//! transform root the same way (`ψ = root_of_unity(2N, q)`, `ω = ψ²`),
-//! so their outputs are bit-identical wherever their capability windows
-//! overlap — the cross-backend parity test relies on exactly that.
+//! Every execution path works on natural-order `u64` coefficients and
+//! derives the transform root the same way (`ψ = root_of_unity(2N, q)`,
+//! `ω = ψ²`), so outputs are bit-identical wherever capability windows
+//! overlap — the cross-backend parity tests rely on exactly that.
 //!
-//! [`batch::BatchExecutor`] builds on the trait (and the PIM device's
-//! bank-level parallel path) to fan mixed batches of forward/inverse/
-//! polymul jobs across a chip's banks under a cost-model-driven
+//! [`batch::BatchExecutor`] fans mixed batches of forward/inverse/
+//! polymul jobs across a PIM device's banks under a cost-model-driven
 //! scheduler; see its module docs.
 
 pub mod batch;
 
-use crate::baselines::{
-    BpNttModel, CryptoPimModel, FpgaModel, MenttModel, NttAccelerator, X86PaperModel,
-};
 use crate::core::config::PimConfig;
-use crate::core::device::{NttDirection, PimDevice};
 use crate::core::PimError;
 use crate::math::prime;
 use crate::reference::cache::{PlanCache, PlanCacheStats};
 use crate::reference::plan::NttPlan;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Instant;
 
-/// Error type of the unified execution layer.
+/// Error type of the execution layer.
 #[derive(Debug)]
 pub enum EngineError {
-    /// The engine cannot run this `(N, q)` combination; consult
-    /// [`NttEngine::caps`] before dispatching.
+    /// The backend cannot run this `(N, q)` combination: it is outside
+    /// the backend's capability window.
     Unsupported {
-        /// Engine display name.
+        /// Backend display name.
         engine: String,
         /// Requested transform length.
         n: usize,
@@ -105,335 +97,30 @@ impl From<modmath::Error> for EngineError {
     }
 }
 
-/// What an engine can run — the flexibility axes of the paper's §VI.E
-/// plus the datapath width.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineCaps {
-    /// Whether the modulus can vary per request (CryptoPIM's cannot).
-    pub arbitrary_modulus: bool,
-    /// For fixed-modulus hardware, the one modulus it is built for
-    /// (`None` when `arbitrary_modulus` is true).
-    pub native_modulus: Option<u64>,
-    /// Largest supported transform length (`None` = unbounded).
-    pub max_n: Option<usize>,
-    /// Coefficient datapath width in bits.
-    pub bitwidth: u32,
-    /// `true` when latency/energy come from simulation or published
-    /// numbers (a device), `false` when measured on the host (software).
-    pub on_device: bool,
-    /// Independent execution lanes one batch can fan across: the total
-    /// bank count of the device's `channels × ranks × banks` topology for
-    /// the PIM engine, 1 for serial backends. Schedulers use this to size
-    /// fan-out without knowing the backend.
-    pub parallel_lanes: u32,
-}
-
-impl EngineCaps {
-    /// Whether a length-`n` transform over `Z_q` is inside this engine's
-    /// window: power-of-two `n` within `max_n`, `q` prime, within the
-    /// datapath width, and matching the native modulus when the device
-    /// is fixed-modulus; `2N | q-1` so the full trait surface
-    /// (including negacyclic products) is available.
-    pub fn supports(&self, n: usize, q: u64) -> bool {
-        n.is_power_of_two()
-            && n >= 4
-            && self.max_n.is_none_or(|m| n <= m)
-            && (self.bitwidth >= 64 || q < (1u64 << self.bitwidth))
-            && (self.arbitrary_modulus || self.native_modulus == Some(q))
-            && q > 2
-            && prime::is_prime(q)
-            && (q - 1) % (2 * n as u64) == 0
-    }
-}
-
-/// Where a report's numbers come from.
+/// Where a backend's timing numbers come from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReportSource {
-    /// Cycle-accurate simulation (the PIM device).
+    /// Simulation: the cycle-approximate PIM device, or the CPU lanes'
+    /// deterministic analytic timing model.
     Simulated,
-    /// Host wall-clock measurement (CPU engines).
-    Measured,
     /// Published datapoints (baseline models).
     Published,
-}
-
-/// Cost/outcome of one engine request.
-#[derive(Debug, Clone)]
-pub struct EngineReport {
-    /// Request latency in nanoseconds.
-    pub latency_ns: f64,
-    /// Energy in nanojoules, when the backend models it.
-    pub energy_nj: Option<f64>,
-    /// DRAM row activations, when the backend counts them.
-    pub activations: Option<u64>,
-    /// Provenance of the numbers above.
-    pub source: ReportSource,
-}
-
-/// An a-priori cost estimate (no data needed), for scheduling decisions.
-#[derive(Debug, Clone, Copy)]
-pub struct CostEstimate {
-    /// Predicted latency in nanoseconds.
-    pub latency_ns: f64,
-    /// Predicted energy in nanojoules, when modeled.
-    pub energy_nj: Option<f64>,
-}
-
-/// One NTT backend. Object-safe: collections of `Box<dyn NttEngine>`
-/// drive cross-backend sweeps and the parity tests.
-///
-/// All methods use natural coefficient order and expect inputs reduced
-/// mod `q`; every engine derives its root of unity from
-/// `ψ = root_of_unity(2N, q)` so outputs agree across backends.
-///
-/// ```
-/// use ntt_pim::engine::{CpuNttEngine, NttEngine, PimDeviceEngine};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// // Any backend behind the same trait: check capability, then run.
-/// let mut engines: Vec<Box<dyn NttEngine>> = vec![
-///     Box::new(CpuNttEngine::golden()),
-///     Box::new(PimDeviceEngine::hbm2e(2)?),
-/// ];
-/// let (n, q) = (256usize, 12289u64);
-/// let input: Vec<u64> = (0..n as u64).map(|i| i * 7 % q).collect();
-/// let mut spectra = Vec::new();
-/// for engine in &mut engines {
-///     assert!(engine.supports(n, q));
-///     let mut data = input.clone();
-///     let report = engine.forward(&mut data, q)?;
-///     assert!(report.latency_ns > 0.0);
-///     // Roundtrip: inverse undoes forward on every backend.
-///     let mut back = data.clone();
-///     engine.inverse(&mut back, q)?;
-///     assert_eq!(back, input);
-///     spectra.push(data);
-/// }
-/// // Backends agree bit-for-bit inside their shared capability window.
-/// assert_eq!(spectra[0], spectra[1]);
-/// # Ok(())
-/// # }
-/// ```
-pub trait NttEngine {
-    /// Display name (stable; used in tables and reports).
-    fn name(&self) -> &str;
-
-    /// The engine's capability window.
-    fn caps(&self) -> EngineCaps;
-
-    /// Whether `(n, q)` is inside the capability window.
-    fn supports(&self, n: usize, q: u64) -> bool {
-        self.caps().supports(n, q)
-    }
-
-    /// Forward cyclic NTT in place (natural order in and out).
-    fn forward(&mut self, data: &mut [u64], q: u64) -> Result<EngineReport, EngineError>;
-
-    /// Inverse cyclic NTT in place, including the `N⁻¹` scaling.
-    fn inverse(&mut self, data: &mut [u64], q: u64) -> Result<EngineReport, EngineError>;
-
-    /// Negacyclic product `a ← a·b mod (X^N + 1, q)`.
-    fn negacyclic_polymul(
-        &mut self,
-        a: &mut [u64],
-        b: &[u64],
-        q: u64,
-    ) -> Result<EngineReport, EngineError>;
-
-    /// Predicted cost of a length-`n` forward NTT, when the backend has
-    /// a cost model (simulated and published backends do; measured CPU
-    /// backends return `None`).
-    fn cost_estimate(&self, n: usize) -> Option<CostEstimate>;
-}
-
-fn check_input(engine: &dyn NttEngine, data: &[u64], q: u64) -> Result<(), EngineError> {
-    let n = data.len();
-    if !engine.supports(n, q) {
-        return Err(EngineError::Unsupported {
-            engine: engine.name().to_string(),
-            n,
-            q,
-            reason: "outside the engine's capability window".into(),
-        });
-    }
-    if data.iter().any(|&c| c >= q) {
-        return Err(EngineError::Shape {
-            reason: "coefficients must be reduced modulo q".into(),
-        });
-    }
-    Ok(())
-}
-
-/// Validates a polymul operand pair: `a` inside the capability window,
-/// `b` the same length and reduced mod `q`.
-fn check_pair(engine: &dyn NttEngine, a: &[u64], b: &[u64], q: u64) -> Result<(), EngineError> {
-    check_input(engine, a, q)?;
-    if a.len() != b.len() {
-        return Err(EngineError::Shape {
-            reason: "operand lengths differ".into(),
-        });
-    }
-    if b.iter().any(|&c| c >= q) {
-        return Err(EngineError::Shape {
-            reason: "coefficients must be reduced modulo q".into(),
-        });
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------
-// PIM device backend
-// ---------------------------------------------------------------------
-
-/// The simulated NTT-PIM device as an [`NttEngine`].
-///
-/// Requests run through the full stack — mapper, scheduler, per-bank
-/// functional simulation — so reports carry cycle-accurate latency,
-/// energy, and activation counts. Host-side bit reversal happens inside
-/// the engine (outside reported latency, matching the paper's
-/// measurement boundary).
-#[derive(Debug, Clone)]
-pub struct PimDeviceEngine {
-    device: PimDevice,
-    name: String,
-}
-
-impl PimDeviceEngine {
-    /// Wraps a device built from `config`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration validation errors.
-    pub fn new(config: PimConfig) -> Result<Self, PimError> {
-        let name = format!("ntt-pim (Nb={})", config.n_bufs);
-        Ok(Self {
-            device: PimDevice::new(config)?,
-            name,
-        })
-    }
-
-    /// Convenience: the paper's HBM2E configuration with `nb` buffers.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::new`].
-    pub fn hbm2e(nb: usize) -> Result<Self, PimError> {
-        Self::new(PimConfig::hbm2e(nb))
-    }
-
-    /// Access to the underlying device (bank loads, mapper options).
-    pub fn device_mut(&mut self) -> &mut PimDevice {
-        &mut self.device
-    }
-
-    fn to_u32(data: &[u64]) -> Result<Vec<u32>, EngineError> {
-        data.iter()
-            .map(|&c| {
-                u32::try_from(c).map_err(|_| EngineError::Shape {
-                    reason: "coefficient exceeds the 32-bit PIM datapath".into(),
-                })
-            })
-            .collect()
-    }
-
-    fn store_back(data: &mut [u64], words: &[u32]) {
-        for (d, &w) in data.iter_mut().zip(words) {
-            *d = u64::from(w);
-        }
-    }
-}
-
-impl NttEngine for PimDeviceEngine {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn caps(&self) -> EngineCaps {
-        EngineCaps {
-            arbitrary_modulus: true,
-            native_modulus: None,
-            max_n: Some(1 << 20), // bounded by bank capacity, not the design
-            bitwidth: 32,
-            on_device: true,
-            parallel_lanes: self.device.config().total_banks() as u32,
-        }
-    }
-
-    fn forward(&mut self, data: &mut [u64], q: u64) -> Result<EngineReport, EngineError> {
-        check_input(self, data, q)?;
-        let words = Self::to_u32(data)?;
-        let mut h = self.device.load_polynomial_bitrev(0, &words, q as u32)?;
-        let rep = self.device.ntt_in_place(&mut h, NttDirection::Forward)?;
-        let out = self.device.read_polynomial(&h)?;
-        Self::store_back(data, &out);
-        Ok(EngineReport {
-            latency_ns: rep.latency_ns(),
-            energy_nj: Some(rep.energy.total_nj),
-            activations: Some(rep.activations()),
-            source: ReportSource::Simulated,
-        })
-    }
-
-    fn inverse(&mut self, data: &mut [u64], q: u64) -> Result<EngineReport, EngineError> {
-        check_input(self, data, q)?;
-        let words = Self::to_u32(data)?;
-        let mut h = self.device.load_polynomial(0, &words, q as u32)?;
-        let rep = self.device.ntt_in_place(&mut h, NttDirection::Inverse)?;
-        let out = self.device.read_polynomial(&h)?;
-        Self::store_back(data, &out);
-        Ok(EngineReport {
-            latency_ns: rep.latency_ns(),
-            energy_nj: Some(rep.energy.total_nj),
-            activations: Some(rep.activations()),
-            source: ReportSource::Simulated,
-        })
-    }
-
-    fn negacyclic_polymul(
-        &mut self,
-        a: &mut [u64],
-        b: &[u64],
-        q: u64,
-    ) -> Result<EngineReport, EngineError> {
-        check_pair(self, a, b, q)?;
-        let n = a.len();
-        let wa = Self::to_u32(a)?;
-        let wb = Self::to_u32(b)?;
-        let ha = self.device.load_polynomial(0, &wa, q as u32)?;
-        let b_base = self.device.config().polymul_rhs_base(n);
-        let hb = self.device.load_polynomial(b_base, &wb, q as u32)?;
-        let rep = self.device.polymul_negacyclic(&ha, &hb)?;
-        let out = self.device.read_polynomial(&ha)?;
-        Self::store_back(a, &out);
-        Ok(EngineReport {
-            latency_ns: rep.latency_ns(),
-            energy_nj: Some(rep.energy.total_nj),
-            activations: Some(rep.activations()),
-            source: ReportSource::Simulated,
-        })
-    }
-
-    fn cost_estimate(&self, n: usize) -> Option<CostEstimate> {
-        if !self.caps().supports(n, PIM_ESTIMATE_Q) {
-            return None;
-        }
-        pim_cost_estimate(self.device.config(), self.device.mapper_options(), n)
-    }
 }
 
 /// Reference modulus for value-independent PIM timing estimates
 /// (`15·2^27 + 1` covers every practical transform length).
 const PIM_ESTIMATE_Q: u64 = 2_013_265_921;
 
-/// Simulated latency/energy of one forward NTT for a configuration —
+/// Simulated latency of one forward NTT for a configuration, ns —
 /// mapping and scheduling only, no device (and no bank storage) needed.
 /// Timing does not depend on coefficient values or the modulus, so one
-/// reference modulus serves every request.
+/// reference modulus serves every request. `None` when the length cannot
+/// be mapped on this configuration.
 pub fn pim_cost_estimate(
     config: &PimConfig,
     opts: &crate::core::mapper::MapperOptions,
     n: usize,
-) -> Option<CostEstimate> {
+) -> Option<f64> {
     let layout = crate::core::layout::PolyLayout::new(config, 0, n).ok()?;
     let omega = prime::root_of_unity(n as u64, PIM_ESTIMATE_Q).ok()? as u32;
     let program = crate::core::mapper::map_ntt(
@@ -451,38 +138,10 @@ pub fn pim_cost_estimate(
     )
     .ok()?;
     let tl = crate::core::sched::schedule(config, &program).ok()?;
-    Some(CostEstimate {
-        latency_ns: tl.latency_ns(),
-        energy_nj: Some(tl.energy.total_nj()),
-    })
+    Some(tl.latency_ns())
 }
 
-// ---------------------------------------------------------------------
-// CPU reference backends
-// ---------------------------------------------------------------------
-
-/// Which software dataflow a [`CpuNttEngine`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CpuDataflow {
-    /// Classic in-place Cooley–Tukey DIT (the golden model).
-    IterativeDit,
-    /// Self-sorting Stockham dataflow.
-    Stockham,
-    /// Cache-friendly four-step decomposition.
-    FourStep,
-}
-
-impl CpuDataflow {
-    fn label(self) -> &'static str {
-        match self {
-            CpuDataflow::IterativeDit => "cpu-iterative-dit",
-            CpuDataflow::Stockham => "cpu-stockham",
-            CpuDataflow::FourStep => "cpu-four-step",
-        }
-    }
-}
-
-/// Which software kernel the CPU engines run for modulus `q`: the
+/// Which software kernel the CPU engine runs for modulus `q`: the
 /// Shoup/Harvey lazy-reduction datapath whenever `q` is inside the lazy
 /// bound (`q < 2⁶²`), the 128-bit widening kernel otherwise. Every
 /// modulus inside [`CpuNttEngine`]'s capability window is lazy.
@@ -510,39 +169,108 @@ pub fn cpu_batch_kernel_label(q: u64, batch: usize) -> &'static str {
     }
 }
 
-/// A CPU reference dataflow as an [`NttEngine`], with `(N, q)` plans
-/// served from a shared thread-safe [`PlanCache`]. Latency is measured
-/// host wall clock (the honest "x86 CPU" comparison point); energy is
-/// not modeled. Transforms run the Shoup-lazy kernel for every modulus
-/// inside the capability window (see [`cpu_kernel_label`]).
+/// Checks one operand against the golden engine's window — power-of-two
+/// `n ≥ 4`, prime `q` inside the lazy bound with `2N | q−1` (so the
+/// negacyclic product is available too) — and that it is reduced.
+fn check_input(data: &[u64], q: u64) -> Result<(), EngineError> {
+    let n = data.len();
+    let in_window = n.is_power_of_two()
+        && n >= 4
+        && modmath::shoup::supports(q)
+        && q > 2
+        && prime::is_prime(q)
+        && (q - 1) % (2 * n as u64) == 0;
+    if !in_window {
+        return Err(EngineError::Unsupported {
+            engine: "cpu-golden".into(),
+            n,
+            q,
+            reason: "outside the engine's capability window".into(),
+        });
+    }
+    if data.iter().any(|&c| c >= q) {
+        return Err(EngineError::Shape {
+            reason: "coefficients must be reduced modulo q".into(),
+        });
+    }
+    Ok(())
+}
+
+/// Validates a polymul's second operand: length `n` (the first operand's)
+/// and reduced mod `q`.
+fn check_rhs(n: usize, b: &[u64], q: u64) -> Result<(), EngineError> {
+    if b.len() != n {
+        return Err(EngineError::Shape {
+            reason: "operand lengths differ".into(),
+        });
+    }
+    if b.iter().any(|&c| c >= q) {
+        return Err(EngineError::Shape {
+            reason: "coefficients must be reduced modulo q".into(),
+        });
+    }
+    Ok(())
+}
+
+/// The golden CPU NTT: the iterative-DIT reference dataflow with
+/// `(N, q)` plans served from a shared thread-safe [`PlanCache`].
+/// Transforms run the Shoup-lazy kernel for every modulus inside the
+/// capability window (see [`cpu_kernel_label`]); every backend's output
+/// is checked against this engine.
 ///
-/// Engines built with [`Self::new`]/[`Self::golden`] share the
-/// process-wide [`PlanCache::global`] cache, so short-lived per-thread
-/// instances (the serving layer's pattern) never rebuild the O(N·log N)
-/// twiddle/Shoup tables another engine already built. Hand
-/// [`Self::with_cache`] an explicit cache to isolate or audit lookups.
+/// Engines built with [`Self::golden`] share the process-wide
+/// [`PlanCache::global`] cache, so short-lived per-thread instances (the
+/// serving layer's pattern) never rebuild the O(N·log N) twiddle/Shoup
+/// tables another engine already built. Hand [`Self::with_cache`] an
+/// explicit cache to isolate or audit lookups.
+///
+/// ```
+/// use ntt_pim::core::config::PimConfig;
+/// use ntt_pim::core::device::{NttDirection, PimDevice};
+/// use ntt_pim::engine::CpuNttEngine;
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let golden = CpuNttEngine::golden();
+/// let (n, q) = (256usize, 12289u64);
+/// let input: Vec<u64> = (0..n as u64).map(|i| i * 7 % q).collect();
+/// let mut spectrum = input.clone();
+/// golden.forward(&mut spectrum, q)?;
+/// // Roundtrip: inverse undoes forward.
+/// let mut back = spectrum.clone();
+/// golden.inverse(&mut back, q)?;
+/// assert_eq!(back, input);
+///
+/// // The PIM device agrees bit-for-bit on the paper path.
+/// let mut device = PimDevice::new(PimConfig::hbm2e(2))?;
+/// let words: Vec<u32> = input.iter().map(|&c| c as u32).collect();
+/// let mut h = device.load_polynomial_bitrev(0, &words, q as u32)?;
+/// device.ntt_in_place(&mut h, NttDirection::Forward)?;
+/// let on_device: Vec<u64> = device.read_polynomial(&h)?.into_iter().map(u64::from).collect();
+/// assert_eq!(on_device, spectrum);
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug, Clone)]
 pub struct CpuNttEngine {
-    dataflow: CpuDataflow,
     cache: Arc<PlanCache>,
 }
 
-impl CpuNttEngine {
-    /// An engine running the given dataflow, sharing the process-wide
-    /// plan cache.
-    pub fn new(dataflow: CpuDataflow) -> Self {
-        Self::with_cache(dataflow, PlanCache::global())
+impl Default for CpuNttEngine {
+    fn default() -> Self {
+        Self::golden()
     }
+}
 
-    /// The golden iterative-DIT engine.
+impl CpuNttEngine {
+    /// The golden engine, sharing the process-wide plan cache.
     pub fn golden() -> Self {
-        Self::new(CpuDataflow::IterativeDit)
+        Self::with_cache(PlanCache::global())
     }
 
     /// An engine serving its plans from `cache` (shared with any number
     /// of sibling engines across threads).
-    pub fn with_cache(dataflow: CpuDataflow, cache: Arc<PlanCache>) -> Self {
-        Self { dataflow, cache }
+    pub fn with_cache(cache: Arc<PlanCache>) -> Self {
+        Self { cache }
     }
 
     /// The plan cache this engine reads through.
@@ -562,30 +290,43 @@ impl CpuNttEngine {
         self.cache.get_or_build(n, q).map_err(EngineError::from)
     }
 
-    fn run<F: FnOnce(&NttPlan, &mut [u64])>(
-        &mut self,
-        data: &mut [u64],
-        q: u64,
-        f: F,
-    ) -> Result<EngineReport, EngineError> {
-        let plan = self.plan(data.len(), q)?;
-        let t0 = Instant::now();
-        f(&plan, data);
-        Ok(EngineReport {
-            latency_ns: t0.elapsed().as_nanos() as f64,
-            energy_nj: None,
-            activations: None,
-            source: ReportSource::Measured,
-        })
+    /// Forward cyclic NTT in place (natural order in and out).
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::Unsupported`] outside the capability window,
+    /// [`EngineError::Shape`] for unreduced coefficients.
+    pub fn forward(&self, data: &mut [u64], q: u64) -> Result<(), EngineError> {
+        check_input(data, q)?;
+        self.plan(data.len(), q)?.forward(data);
+        Ok(())
     }
 
-    fn measured(latency_ns: f64) -> EngineReport {
-        EngineReport {
-            latency_ns,
-            energy_nj: None,
-            activations: None,
-            source: ReportSource::Measured,
-        }
+    /// Inverse cyclic NTT in place, including the `N⁻¹` scaling.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::forward`].
+    pub fn inverse(&self, data: &mut [u64], q: u64) -> Result<(), EngineError> {
+        check_input(data, q)?;
+        self.plan(data.len(), q)?.inverse(data);
+        Ok(())
+    }
+
+    /// Negacyclic product `a ← a·b mod (X^N + 1, q)`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::forward`], plus [`EngineError::Shape`] when the
+    /// operand lengths differ or `b` is unreduced; `a` is untouched on
+    /// any error.
+    pub fn negacyclic_polymul(&self, a: &mut [u64], b: &[u64], q: u64) -> Result<(), EngineError> {
+        check_input(a, q)?;
+        check_rhs(a.len(), b, q)?;
+        let plan = self.plan(a.len(), q)?;
+        let product = crate::reference::poly::mul_negacyclic(&plan, a, b);
+        a.copy_from_slice(&product);
+        Ok(())
     }
 
     /// Validates a same-`(n, q)` batch and fetches its plan (`None` for
@@ -601,23 +342,9 @@ impl CpuNttEngine {
                     reason: "batch polynomial lengths differ".into(),
                 });
             }
-            check_input(self, p, q)?;
+            check_input(p, q)?;
         }
         self.plan(n, q).map(Some)
-    }
-
-    fn run_batch(
-        &mut self,
-        polys: &mut [Vec<u64>],
-        q: u64,
-        f: fn(&NttPlan, &mut [Vec<u64>]) -> usize,
-    ) -> Result<(EngineReport, usize), EngineError> {
-        let Some(plan) = self.batch_plan(polys, q)? else {
-            return Ok((Self::measured(0.0), 0));
-        };
-        let t0 = Instant::now();
-        let lanes_done = f(&plan, polys);
-        Ok((Self::measured(t0.elapsed().as_nanos() as f64), lanes_done))
     }
 
     /// Forward cyclic NTT of a whole same-`(n, q)` batch, in place.
@@ -626,10 +353,8 @@ impl CpuNttEngine {
     /// polynomials ride the lane-batched SoA kernel
     /// ([`crate::reference::lanes`]); the ragged tail — and any batch
     /// over a widening-only modulus — runs the scalar kernel. Outputs
-    /// are bit-identical either way, and identical across CPU dataflows
-    /// (the batch path always runs the iterative-DIT datapath, whose
-    /// values every dataflow agrees on). Returns the measured report
-    /// plus how many polynomials rode the lane kernel; see
+    /// are bit-identical to [`Self::forward`] either way. Returns how
+    /// many polynomials rode the lane kernel; see
     /// [`cpu_batch_kernel_label`] for the kernel-name side of the same
     /// policy.
     ///
@@ -638,315 +363,64 @@ impl CpuNttEngine {
     /// [`EngineError::Shape`] when polynomial lengths differ or any
     /// coefficient is unreduced; [`EngineError::Unsupported`] outside
     /// the capability window.
-    pub fn forward_batch(
-        &mut self,
-        polys: &mut [Vec<u64>],
-        q: u64,
-    ) -> Result<(EngineReport, usize), EngineError> {
-        self.run_batch(polys, q, crate::reference::lanes::forward_batch)
+    pub fn forward_batch(&self, polys: &mut [Vec<u64>], q: u64) -> Result<usize, EngineError> {
+        Ok(match self.batch_plan(polys, q)? {
+            Some(plan) => crate::reference::lanes::forward_batch(&plan, polys),
+            None => 0,
+        })
     }
 
     /// Inverse cyclic NTT of a whole same-`(n, q)` batch (includes the
-    /// `N⁻¹` scaling); lane-batched counterpart of
-    /// [`NttEngine::inverse`]. Same selection policy and return contract
-    /// as [`Self::forward_batch`].
+    /// `N⁻¹` scaling); lane-batched counterpart of [`Self::inverse`].
+    /// Same selection policy and return contract as
+    /// [`Self::forward_batch`].
     ///
     /// # Errors
     ///
     /// As [`Self::forward_batch`].
-    pub fn inverse_batch(
-        &mut self,
-        polys: &mut [Vec<u64>],
-        q: u64,
-    ) -> Result<(EngineReport, usize), EngineError> {
-        self.run_batch(polys, q, crate::reference::lanes::inverse_batch)
+    pub fn inverse_batch(&self, polys: &mut [Vec<u64>], q: u64) -> Result<usize, EngineError> {
+        Ok(match self.batch_plan(polys, q)? {
+            Some(plan) => crate::reference::lanes::inverse_batch(&plan, polys),
+            None => 0,
+        })
     }
 
     /// Negacyclic products `lhs[i] ← lhs[i]·rhs[i] mod (Xᴺ + 1, q)` for
     /// a whole same-`(n, q)` batch; lane-batched counterpart of
-    /// [`NttEngine::negacyclic_polymul`]. Same selection policy and
-    /// return contract as [`Self::forward_batch`].
+    /// [`Self::negacyclic_polymul`]. Same selection policy and return
+    /// contract as [`Self::forward_batch`].
     ///
     /// # Errors
     ///
     /// As [`Self::forward_batch`], plus [`EngineError::Shape`] when
     /// `lhs` and `rhs` differ in batch size or operand length.
     pub fn negacyclic_polymul_batch(
-        &mut self,
+        &self,
         lhs: &mut [Vec<u64>],
         rhs: &[Vec<u64>],
         q: u64,
-    ) -> Result<(EngineReport, usize), EngineError> {
+    ) -> Result<usize, EngineError> {
         if lhs.len() != rhs.len() {
             return Err(EngineError::Shape {
                 reason: "batch lengths differ".into(),
             });
         }
         let Some(plan) = self.batch_plan(lhs, q)? else {
-            return Ok((Self::measured(0.0), 0));
+            return Ok(0);
         };
         for (a, b) in lhs.iter().zip(rhs) {
-            if a.len() != b.len() {
-                return Err(EngineError::Shape {
-                    reason: "operand lengths differ".into(),
-                });
-            }
-            if b.iter().any(|&c| c >= q) {
-                return Err(EngineError::Shape {
-                    reason: "coefficients must be reduced modulo q".into(),
-                });
-            }
+            check_rhs(a.len(), b, q)?;
         }
-        let t0 = Instant::now();
-        let lanes_done = crate::reference::lanes::negacyclic_polymul_batch(&plan, lhs, rhs);
-        Ok((Self::measured(t0.elapsed().as_nanos() as f64), lanes_done))
+        Ok(crate::reference::lanes::negacyclic_polymul_batch(
+            &plan, lhs, rhs,
+        ))
     }
-}
-
-impl NttEngine for CpuNttEngine {
-    fn name(&self) -> &str {
-        self.dataflow.label()
-    }
-
-    fn caps(&self) -> EngineCaps {
-        EngineCaps {
-            arbitrary_modulus: true,
-            native_modulus: None,
-            max_n: None,
-            // Matches the Shoup lazy bound, so every supported modulus
-            // runs the lazy kernel (the widening path has headroom to
-            // 2^63 but is never the default inside this window).
-            bitwidth: 62,
-            on_device: false,
-            parallel_lanes: 1,
-        }
-    }
-
-    fn forward(&mut self, data: &mut [u64], q: u64) -> Result<EngineReport, EngineError> {
-        check_input(self, data, q)?;
-        let dataflow = self.dataflow;
-        self.run(data, q, |plan, data| match dataflow {
-            CpuDataflow::IterativeDit => plan.forward(data),
-            CpuDataflow::Stockham => crate::reference::stockham::forward(plan, data),
-            CpuDataflow::FourStep => {
-                // check_input guarantees a power-of-two n >= 4, so the
-                // single-lane (host-side) split always exists.
-                let split = crate::reference::four_step::plan_split(data.len(), 1)
-                    .expect("validated length always splits");
-                crate::reference::four_step::forward(plan, data, split.rows);
-            }
-        })
-    }
-
-    fn inverse(&mut self, data: &mut [u64], q: u64) -> Result<EngineReport, EngineError> {
-        check_input(self, data, q)?;
-        let dataflow = self.dataflow;
-        self.run(data, q, |plan, data| match dataflow {
-            CpuDataflow::Stockham => crate::reference::stockham::inverse(plan, data),
-            // Four-step has no dedicated inverse; the plan's inverse is
-            // the same transform result by a different dataflow.
-            CpuDataflow::IterativeDit | CpuDataflow::FourStep => plan.inverse(data),
-        })
-    }
-
-    fn negacyclic_polymul(
-        &mut self,
-        a: &mut [u64],
-        b: &[u64],
-        q: u64,
-    ) -> Result<EngineReport, EngineError> {
-        check_pair(self, a, b, q)?;
-        let plan = self.plan(a.len(), q)?;
-        let t0 = Instant::now();
-        let product = crate::reference::poly::mul_negacyclic(&plan, a, b);
-        let latency_ns = t0.elapsed().as_nanos() as f64;
-        a.copy_from_slice(&product);
-        Ok(EngineReport {
-            latency_ns,
-            energy_nj: None,
-            activations: None,
-            source: ReportSource::Measured,
-        })
-    }
-
-    fn cost_estimate(&self, _n: usize) -> Option<CostEstimate> {
-        None // measured backend: no a-priori model
-    }
-}
-
-// ---------------------------------------------------------------------
-// Published-model backends
-// ---------------------------------------------------------------------
-
-/// A Table III comparator as an [`NttEngine`].
-///
-/// These accelerators are closed hardware; the paper compares against
-/// their *published* numbers, and so does this engine: results are
-/// computed functionally through the golden CPU path (so parity tests
-/// still apply), while latency/energy come from
-/// [`crate::baselines::NttAccelerator`]'s published points and scaling
-/// law.
-pub struct PublishedModelEngine {
-    model: Box<dyn NttAccelerator>,
-    golden: CpuNttEngine,
-}
-
-impl fmt::Debug for PublishedModelEngine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PublishedModelEngine")
-            .field("model", &self.model.name())
-            .finish()
-    }
-}
-
-impl PublishedModelEngine {
-    /// Wraps any published-point model.
-    pub fn new(model: Box<dyn NttAccelerator>) -> Self {
-        Self {
-            model,
-            golden: CpuNttEngine::golden(),
-        }
-    }
-
-    /// The MeNTT (6T-SRAM PIM) comparator.
-    pub fn mentt() -> Self {
-        Self::new(Box::new(MenttModel))
-    }
-
-    /// The BP-NTT (bit-parallel in-SRAM) comparator. Post-dates the
-    /// paper's Table III; see [`crate::baselines::BpNttModel`].
-    pub fn bp_ntt() -> Self {
-        Self::new(Box::new(BpNttModel))
-    }
-
-    /// The CryptoPIM (ReRAM) comparator.
-    pub fn cryptopim() -> Self {
-        Self::new(Box::new(CryptoPimModel))
-    }
-
-    /// The paper's x86 software point.
-    pub fn x86_paper() -> Self {
-        Self::new(Box::new(X86PaperModel))
-    }
-
-    /// The FPGA comparator.
-    pub fn fpga() -> Self {
-        Self::new(Box::new(FpgaModel))
-    }
-
-    fn published_report(&self, n: usize) -> Result<EngineReport, EngineError> {
-        let latency_ns = self
-            .model
-            .latency_ns(n)
-            .ok_or_else(|| EngineError::Unsupported {
-                engine: self.model.name().to_string(),
-                n,
-                q: 0,
-                reason: "no published point covers this length".into(),
-            })?;
-        Ok(EngineReport {
-            latency_ns,
-            energy_nj: self.model.energy_nj(n),
-            activations: None,
-            source: ReportSource::Published,
-        })
-    }
-}
-
-impl NttEngine for PublishedModelEngine {
-    fn name(&self) -> &str {
-        self.model.name()
-    }
-
-    fn caps(&self) -> EngineCaps {
-        let flex = self.model.flexibility();
-        EngineCaps {
-            arbitrary_modulus: flex.arbitrary_modulus,
-            // The published evaluations of the fixed-modulus devices use
-            // the NewHope/Falcon modulus; that is the one `q` their
-            // numbers are valid for.
-            native_modulus: if flex.arbitrary_modulus {
-                None
-            } else {
-                Some(12289)
-            },
-            max_n: flex.max_n,
-            bitwidth: flex.bitwidth,
-            on_device: true,
-            // Published points are single-transform figures; no batch
-            // fan-out model exists for the comparators.
-            parallel_lanes: 1,
-        }
-    }
-
-    fn forward(&mut self, data: &mut [u64], q: u64) -> Result<EngineReport, EngineError> {
-        check_input(self, data, q)?;
-        let n = data.len();
-        self.golden.forward(data, q)?;
-        self.published_report(n)
-    }
-
-    fn inverse(&mut self, data: &mut [u64], q: u64) -> Result<EngineReport, EngineError> {
-        check_input(self, data, q)?;
-        let n = data.len();
-        self.golden.inverse(data, q)?;
-        self.published_report(n)
-    }
-
-    fn negacyclic_polymul(
-        &mut self,
-        a: &mut [u64],
-        b: &[u64],
-        q: u64,
-    ) -> Result<EngineReport, EngineError> {
-        // Validate the full operand pair against *this* model's window up
-        // front, so a bad `b` is attributed to the published model rather
-        // than surfacing from the inner golden CPU engine.
-        check_pair(self, a, b, q)?;
-        let n = a.len();
-        self.golden.negacyclic_polymul(a, b, q)?;
-        // A negacyclic product is 3 NTTs plus element-wise work; report
-        // the dominant published cost (3 transforms).
-        let one = self.published_report(n)?;
-        Ok(EngineReport {
-            latency_ns: 3.0 * one.latency_ns,
-            energy_nj: one.energy_nj.map(|e| 3.0 * e),
-            activations: None,
-            source: ReportSource::Published,
-        })
-    }
-
-    fn cost_estimate(&self, n: usize) -> Option<CostEstimate> {
-        Some(CostEstimate {
-            latency_ns: self.model.latency_ns(n)?,
-            energy_nj: self.model.energy_nj(n),
-        })
-    }
-}
-
-/// Every backend the workspace ships, ready for a cross-backend sweep:
-/// the PIM device (with `nb` atom buffers), the three CPU dataflows, and
-/// the four published comparator models.
-///
-/// # Errors
-///
-/// Propagates device construction errors (invalid `nb`).
-pub fn all_engines(nb: usize) -> Result<Vec<Box<dyn NttEngine>>, PimError> {
-    Ok(vec![
-        Box::new(PimDeviceEngine::hbm2e(nb)?),
-        Box::new(CpuNttEngine::new(CpuDataflow::IterativeDit)),
-        Box::new(CpuNttEngine::new(CpuDataflow::Stockham)),
-        Box::new(CpuNttEngine::new(CpuDataflow::FourStep)),
-        Box::new(PublishedModelEngine::mentt()),
-        Box::new(PublishedModelEngine::cryptopim()),
-        Box::new(PublishedModelEngine::x86_paper()),
-        Box::new(PublishedModelEngine::fpga()),
-    ])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::core::device::{NttDirection, PimDevice};
     use crate::math::prime::NttField;
 
     const Q: u64 = 12289;
@@ -963,53 +437,38 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn caps_gate_bad_lengths_and_moduli() {
-        let caps = EngineCaps {
-            arbitrary_modulus: true,
-            native_modulus: None,
-            max_n: Some(1024),
-            bitwidth: 14,
-            on_device: true,
-            parallel_lanes: 1,
-        };
-        assert!(caps.supports(256, 12289));
-        assert!(!caps.supports(2048, 12289), "max_n");
-        assert!(!caps.supports(300, 12289), "power of two");
-        assert!(!caps.supports(256, 1 << 15), "bitwidth and primality");
-        assert!(!caps.supports(1024, 7681), "needs 2N | q-1");
-        let fixed = EngineCaps {
-            arbitrary_modulus: false,
-            native_modulus: Some(12289),
-            ..caps
-        };
-        assert!(fixed.supports(256, 12289), "native modulus accepted");
-        assert!(
-            !fixed.supports(256, 7681),
-            "fixed-modulus device rejects other q"
-        );
+    fn words(v: &[u64]) -> Vec<u32> {
+        v.iter().map(|&c| c as u32).collect()
     }
 
     #[test]
     fn pim_engine_roundtrips_and_reports_simulated_cost() {
-        let mut e = PimDeviceEngine::hbm2e(2).unwrap();
+        // The paper path: bit-reversed load, one write request, readback.
+        let mut dev = PimDevice::new(PimConfig::hbm2e(2)).unwrap();
         let x = poly(256, Q, 1);
-        let mut v = x.clone();
-        let rep = e.forward(&mut v, Q).unwrap();
-        assert_ne!(v, x);
-        assert_eq!(rep.source, ReportSource::Simulated);
-        assert!(rep.latency_ns > 0.0);
-        assert!(rep.energy_nj.unwrap() > 0.0);
-        assert!(rep.activations.unwrap() >= 1);
-        e.inverse(&mut v, Q).unwrap();
-        assert_eq!(v, x);
+        let mut h = dev.load_polynomial_bitrev(0, &words(&x), Q as u32).unwrap();
+        let rep = dev.ntt_in_place(&mut h, NttDirection::Forward).unwrap();
+        let spectrum: Vec<u64> = dev
+            .read_polynomial(&h)
+            .unwrap()
+            .into_iter()
+            .map(u64::from)
+            .collect();
+        assert_ne!(spectrum, x);
+        assert!(rep.latency_ns() > 0.0);
+        assert!(rep.energy.total_nj > 0.0);
+        assert!(rep.activations() >= 1);
+        let mut expect = x.clone();
+        CpuNttEngine::golden().forward(&mut expect, Q).unwrap();
+        assert_eq!(spectrum, expect);
+        dev.ntt_in_place(&mut h, NttDirection::Inverse).unwrap();
+        assert_eq!(dev.read_polynomial(&h).unwrap(), words(&x));
     }
 
     #[test]
     fn cpu_engines_default_to_the_lazy_kernel() {
         // The CPU capability window (q < 2^62) coincides with the Shoup
         // lazy bound, so every supported request runs the lazy datapath.
-        assert_eq!(CpuNttEngine::golden().caps().bitwidth, 62);
         for q in [7681u64, 12289, 8_380_417, 2_013_265_921] {
             assert_eq!(cpu_kernel_label(q), "shoup-lazy");
             let psi = prime::root_of_unity(512, q).unwrap();
@@ -1032,29 +491,28 @@ mod tests {
 
     #[test]
     fn cpu_batch_entry_points_match_scalar_and_count_lanes() {
-        let mut e = CpuNttEngine::golden();
+        let e = CpuNttEngine::golden();
         let lane = crate::reference::lanes::LANE_WIDTH;
         let batch = lane + 3; // one lane group + a ragged scalar tail
         let orig: Vec<Vec<u64>> = (0..batch as u64).map(|i| poly(256, Q, 50 + i)).collect();
 
         let mut fwd = orig.clone();
-        let (rep, lanes) = e.forward_batch(&mut fwd, Q).unwrap();
-        assert_eq!(rep.source, ReportSource::Measured);
-        assert_eq!(lanes, lane);
+        assert_eq!(e.forward_batch(&mut fwd, Q).unwrap(), lane);
         for (i, p) in orig.iter().enumerate() {
             let mut expect = p.clone();
             e.forward(&mut expect, Q).unwrap();
             assert_eq!(fwd[i], expect, "poly {i}");
         }
 
-        let (_, lanes) = e.inverse_batch(&mut fwd, Q).unwrap();
-        assert_eq!(lanes, lane);
+        assert_eq!(e.inverse_batch(&mut fwd, Q).unwrap(), lane);
         assert_eq!(fwd, orig, "batch roundtrip");
 
         let rhs: Vec<Vec<u64>> = (0..batch as u64).map(|i| poly(256, Q, 80 + i)).collect();
         let mut prod = orig.clone();
-        let (_, lanes) = e.negacyclic_polymul_batch(&mut prod, &rhs, Q).unwrap();
-        assert_eq!(lanes, lane);
+        assert_eq!(
+            e.negacyclic_polymul_batch(&mut prod, &rhs, Q).unwrap(),
+            lane
+        );
         for (i, (a, b)) in orig.iter().zip(&rhs).enumerate() {
             let mut expect = a.clone();
             e.negacyclic_polymul(&mut expect, b, Q).unwrap();
@@ -1072,54 +530,65 @@ mod tests {
             e.forward_batch(&mut ragged, Q),
             Err(EngineError::Shape { .. })
         ));
-        let (rep, lanes) = e.forward_batch(&mut [], Q).unwrap();
-        assert_eq!((rep.latency_ns, lanes), (0.0, 0));
+        assert_eq!(e.forward_batch(&mut [], Q).unwrap(), 0);
     }
 
     #[test]
     fn cpu_engines_roundtrip() {
-        for df in [
-            CpuDataflow::IterativeDit,
-            CpuDataflow::Stockham,
-            CpuDataflow::FourStep,
-        ] {
-            let mut e = CpuNttEngine::new(df);
-            let x = poly(1024, Q, 2);
+        let e = CpuNttEngine::golden();
+        for q in [7681u64, Q, 8_380_417] {
+            let n = if q == 7681 { 256 } else { 1024 };
+            let x = poly(n, q, 2);
             let mut v = x.clone();
-            let rep = e.forward(&mut v, Q).unwrap();
-            assert_eq!(rep.source, ReportSource::Measured);
-            e.inverse(&mut v, Q).unwrap();
-            assert_eq!(v, x, "{:?}", df);
+            e.forward(&mut v, q).unwrap();
+            assert_ne!(v, x);
+            e.inverse(&mut v, q).unwrap();
+            assert_eq!(v, x, "q={q}");
         }
     }
 
     #[test]
-    fn published_engine_reports_published_points() {
-        let mut e = PublishedModelEngine::mentt();
-        let mut v = poly(256, Q, 3);
-        let rep = e.forward(&mut v, Q).unwrap();
-        assert_eq!(rep.source, ReportSource::Published);
-        assert_eq!(rep.latency_ns, 23_000.0);
-        // MeNTT caps at 1K.
-        assert!(!e.supports(2048, Q));
-    }
-
-    #[test]
     fn unsupported_requests_are_rejected_not_computed() {
-        let mut e = PublishedModelEngine::fpga();
-        let mut v = poly(4096, 8380417, 4);
-        let err = e.forward(&mut v, 8380417).unwrap_err();
-        assert!(matches!(err, EngineError::Unsupported { .. }));
+        let e = CpuNttEngine::golden();
+        // 7681 has no 2048-th root of unity: N=1024 is outside the window.
+        let x = poly(1024, 7681, 4);
+        let mut v = x.clone();
+        let err = e.forward(&mut v, 7681).unwrap_err();
+        assert!(matches!(err, EngineError::Unsupported { .. }), "{err}");
+        // Beyond the lazy bound, and a non-power-of-two length.
+        let mut wide = vec![1u64; 256];
+        assert!(matches!(
+            e.forward(&mut wide, (1 << 62) + 1),
+            Err(EngineError::Unsupported { .. })
+        ));
+        let mut odd = vec![1u64; 100];
+        assert!(matches!(
+            e.inverse(&mut odd, Q),
+            Err(EngineError::Unsupported { .. })
+        ));
+        assert_eq!(v, x, "rejected input untouched");
     }
 
     #[test]
     fn unreduced_input_is_rejected() {
-        let mut e = CpuNttEngine::golden();
+        let e = CpuNttEngine::golden();
         let mut v = vec![Q; 256];
         assert!(matches!(
             e.forward(&mut v, Q),
             Err(EngineError::Shape { .. })
         ));
+        // A malformed second operand is rejected before anything runs.
+        let a = poly(256, Q, 7);
+        let mut va = a.clone();
+        assert!(matches!(
+            e.negacyclic_polymul(&mut va, &poly(128, Q, 8), Q),
+            Err(EngineError::Shape { .. })
+        ));
+        assert!(matches!(
+            e.negacyclic_polymul(&mut va, &vec![Q; 256], Q),
+            Err(EngineError::Shape { .. })
+        ));
+        assert_eq!(va, a, "operand a untouched on rejection");
     }
 
     #[test]
@@ -1128,51 +597,33 @@ mod tests {
         let a = poly(n, Q, 5);
         let b = poly(n, Q, 6);
         let expect = crate::reference::naive::negacyclic_convolution(&a, &b, Q);
-        let mut cpu = CpuNttEngine::golden();
         let mut va = a.clone();
-        cpu.negacyclic_polymul(&mut va, &b, Q).unwrap();
+        CpuNttEngine::golden()
+            .negacyclic_polymul(&mut va, &b, Q)
+            .unwrap();
         assert_eq!(va, expect);
-        let mut pim = PimDeviceEngine::hbm2e(4).unwrap();
-        let mut pa = a.clone();
-        pim.negacyclic_polymul(&mut pa, &b, Q).unwrap();
-        assert_eq!(pa, expect);
-    }
-
-    #[test]
-    fn published_model_polymul_validates_the_pair_itself() {
-        // A malformed second operand must be rejected by the published
-        // model's own validation, before the inner golden engine runs —
-        // `a` stays untouched either way.
-        let mut e = PublishedModelEngine::mentt();
-        let a = poly(256, Q, 7);
-        let short_b = poly(128, Q, 8);
-        let mut va = a.clone();
-        let err = e.negacyclic_polymul(&mut va, &short_b, Q).unwrap_err();
-        assert!(matches!(err, EngineError::Shape { .. }), "{err}");
-        assert_eq!(va, a, "operand a untouched on rejection");
-        let unreduced_b = vec![Q; 256];
-        let err = e.negacyclic_polymul(&mut va, &unreduced_b, Q).unwrap_err();
-        assert!(matches!(err, EngineError::Shape { .. }), "{err}");
-        assert_eq!(va, a, "operand a untouched on rejection");
+        let config = PimConfig::hbm2e(4);
+        let mut dev = PimDevice::new(config).unwrap();
+        let ha = dev.load_polynomial(0, &words(&a), Q as u32).unwrap();
+        let hb = dev
+            .load_polynomial(config.polymul_rhs_base(n), &words(&b), Q as u32)
+            .unwrap();
+        dev.polymul_negacyclic(&ha, &hb).unwrap();
+        assert_eq!(dev.read_polynomial(&ha).unwrap(), words(&expect));
     }
 
     #[test]
     fn cost_estimates_exist_for_modeled_backends() {
-        let pim = PimDeviceEngine::hbm2e(2).unwrap();
-        let est = pim.cost_estimate(1024).unwrap();
-        assert!(est.latency_ns > 0.0);
-        let mentt = PublishedModelEngine::mentt();
-        assert!(mentt.cost_estimate(512).is_some());
-        assert!(mentt.cost_estimate(4096).is_none(), "beyond max N");
-        assert!(CpuNttEngine::golden().cost_estimate(1024).is_none());
-    }
-
-    #[test]
-    fn registry_spans_all_three_backend_kinds() {
-        let engines = all_engines(2).unwrap();
-        assert!(engines.len() >= 8);
-        let n = engines.iter().filter(|e| e.caps().on_device).count();
-        assert!(n >= 5, "device-modeled backends present");
+        use crate::baselines::{MenttModel, NttAccelerator};
+        let config = PimConfig::hbm2e(2);
+        let est = pim_cost_estimate(&config, &Default::default(), 1024).unwrap();
+        assert!(est > 0.0);
+        assert!(
+            pim_cost_estimate(&config, &Default::default(), 4096).unwrap() > est,
+            "longer transforms cost more"
+        );
+        assert!(MenttModel.latency_ns(512).is_some());
+        assert!(MenttModel.latency_ns(4096).is_none(), "beyond max N");
     }
 
     #[test]
@@ -1181,22 +632,22 @@ mod tests {
         // transforms are all cache hits — the O(N log N) table build
         // happened exactly once.
         let cache = Arc::new(PlanCache::new());
-        let mut w1 = CpuNttEngine::with_cache(CpuDataflow::IterativeDit, cache.clone());
-        let mut w2 = CpuNttEngine::with_cache(CpuDataflow::Stockham, cache.clone());
+        let w1 = CpuNttEngine::with_cache(cache.clone());
+        let w2 = CpuNttEngine::with_cache(cache.clone());
         let x = poly(256, Q, 9);
         let mut a = x.clone();
         w1.forward(&mut a, Q).unwrap();
         assert_eq!(cache.stats().misses, 1);
         let mut b = x.clone();
         w2.forward(&mut b, Q).unwrap();
-        assert_eq!(a, b, "dataflows agree through the shared plan");
+        assert_eq!(a, b, "workers agree through the shared plan");
         let stats = w2.cache_stats();
         assert_eq!(stats.misses, 1, "no rebuild for the second engine");
         assert!(stats.hits >= 1);
         assert_eq!(stats.entries, 1);
         // Default-constructed engines all share the global cache.
         let g1 = CpuNttEngine::golden();
-        let g2 = CpuNttEngine::new(CpuDataflow::FourStep);
+        let g2 = CpuNttEngine::default();
         assert!(Arc::ptr_eq(g1.plan_cache(), g2.plan_cache()));
         assert!(Arc::ptr_eq(g1.plan_cache(), &PlanCache::global()));
     }
@@ -1204,12 +655,15 @@ mod tests {
     #[test]
     fn parallel_lanes_follow_the_device_topology() {
         use crate::core::config::Topology;
-        assert_eq!(CpuNttEngine::golden().caps().parallel_lanes, 1);
-        assert_eq!(PublishedModelEngine::mentt().caps().parallel_lanes, 1);
-        assert_eq!(PimDeviceEngine::hbm2e(2).unwrap().caps().parallel_lanes, 1);
-        let sharded =
-            PimDeviceEngine::new(PimConfig::hbm2e(2).with_topology(Topology::new(2, 2, 4)))
-                .unwrap();
-        assert_eq!(sharded.caps().parallel_lanes, 16);
+        use batch::{BatchExecutor, DeviceCostModel};
+        assert_eq!(
+            BatchExecutor::new(PimConfig::hbm2e(2))
+                .unwrap()
+                .bank_count(),
+            1
+        );
+        let sharded = PimConfig::hbm2e(2).with_topology(Topology::new(2, 2, 4));
+        assert_eq!(BatchExecutor::new(sharded).unwrap().bank_count(), 16);
+        assert_eq!(DeviceCostModel::new(sharded).unwrap().lanes(), 16);
     }
 }

@@ -40,7 +40,7 @@
 //! window, so adding channels or ranks buys real concurrency, not just
 //! more queue slots.
 
-use super::{CpuNttEngine, EngineError, EngineReport, NttEngine, ReportSource};
+use super::{CpuNttEngine, EngineError};
 use crate::core::config::{PimConfig, Topology};
 use crate::core::device::{NttDirection, PimDevice, QueueReport, StoredOrder};
 use crate::core::layout::PolyLayout;
@@ -77,6 +77,19 @@ pub enum JobKind {
     /// serializes on a single bank. Requires [`SchedulePolicy::Lpt`]
     /// (round-robin waves cannot express the stage dependency).
     SplitLarge,
+}
+
+impl JobKind {
+    /// The lane-grouping tag [`group_jobs`] keys on: 0 forward (a split
+    /// job is a forward NTT functionally), 1 inverse, 2 negacyclic
+    /// product.
+    pub fn lane_tag(&self) -> u8 {
+        match self {
+            JobKind::Forward | JobKind::SplitLarge => 0,
+            JobKind::Inverse => 1,
+            JobKind::NegacyclicPolymul { .. } => 2,
+        }
+    }
 }
 
 /// One independent batch request: natural-order coefficients, reduced
@@ -238,7 +251,6 @@ impl DeviceCostModel {
             std::collections::hash_map::Entry::Occupied(e) => *e.get(),
             std::collections::hash_map::Entry::Vacant(v) => *v.insert(
                 super::pim_cost_estimate(&self.config, &self.opts, n)
-                    .map(|c| c.latency_ns)
                     // N log N fallback keeps packing sensible even where
                     // the model has no point.
                     .unwrap_or_else(|| (n as f64) * f64::from(n.trailing_zeros() + 1)),
@@ -584,17 +596,6 @@ impl BatchExecutor {
         Ok(())
     }
 
-    /// Predicted latency of `job` from the device cost model
-    /// ([`DeviceCostModel::job_cost`]).
-    fn job_cost(&mut self, job: &NttJob) -> f64 {
-        self.cost.job_cost(job)
-    }
-
-    /// Predicted single-transform latency at length `n`, memoized.
-    fn transform_cost(&mut self, n: usize) -> f64 {
-        self.cost.transform_cost(n)
-    }
-
     /// Validates the batch and computes the per-bank job queues the
     /// active policy would run, without executing anything.
     ///
@@ -614,25 +615,18 @@ impl BatchExecutor {
             });
         }
         // Expand jobs into schedulable units: ordinary jobs stay whole,
-        // split jobs contribute one unit per column and per row sub-job.
-        let mut units = Vec::with_capacity(jobs.len());
-        let mut costs = Vec::with_capacity(jobs.len());
+        // split jobs contribute one unit per column and per row sub-job —
+        // the same expansion, in the same order, as the cost model's.
+        let costs = self.cost.unit_costs(jobs);
+        let mut units = Vec::with_capacity(costs.len());
         for (i, job) in jobs.iter().enumerate() {
             if job.kind == JobKind::SplitLarge {
                 let split = plan_split(job.n(), banks).expect("validated above");
-                let col_cost = self.transform_cost(split.rows);
-                let row_cost = self.transform_cost(split.cols) * ROW_STAGE_FACTOR;
-                for column in 0..split.cols {
-                    units.push(PlanUnit::SplitColumn { job: i, column });
-                    costs.push(col_cost);
-                }
-                for row in 0..split.rows {
-                    units.push(PlanUnit::SplitRow { job: i, row });
-                    costs.push(row_cost);
-                }
+                units
+                    .extend((0..split.cols).map(|column| PlanUnit::SplitColumn { job: i, column }));
+                units.extend((0..split.rows).map(|row| PlanUnit::SplitRow { job: i, row }));
             } else {
                 units.push(PlanUnit::Job(i));
-                costs.push(self.job_cost(job));
             }
         }
         let mut queues = match self.policy {
@@ -988,21 +982,52 @@ impl BatchExecutor {
             queue_report,
         })
     }
+}
 
-    /// Back-compatible alias of [`Self::run`] from when the executor only
-    /// handled forward NTTs. Accepts any job kinds.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::run`].
-    pub fn run_forward(&mut self, jobs: &[NttJob]) -> Result<BatchOutcome, EngineError> {
-        self.run(jobs)
+/// Backend-independent shape validation: power-of-two length `>= 4`,
+/// prime modulus with a `2N`-th root of unity, reduced coefficients,
+/// matching and reduced polymul operands. Every backend's admission runs
+/// this first; what remains after it is genuinely *capability* (window)
+/// checking.
+///
+/// # Errors
+///
+/// [`EngineError::Shape`] describing the violation.
+pub fn validate_shape(job: &NttJob) -> Result<(), EngineError> {
+    let shape = |reason: String| EngineError::Shape { reason };
+    let n = job.n();
+    if !n.is_power_of_two() || n < 4 {
+        return Err(shape(format!("length {n} is not a power of two >= 4")));
     }
+    if !prime::is_prime(job.q) {
+        return Err(shape(format!("q={} is not prime", job.q)));
+    }
+    if (job.q - 1) % (2 * n as u64) != 0 {
+        return Err(shape(format!(
+            "q={} has no 2N-th root of unity (2N does not divide q-1)",
+            job.q
+        )));
+    }
+    if job.coeffs.iter().any(|&c| c >= job.q) {
+        return Err(shape("coefficients not reduced modulo q".into()));
+    }
+    if let JobKind::NegacyclicPolymul { rhs } = &job.kind {
+        if rhs.len() != n {
+            return Err(shape(format!(
+                "operand lengths differ ({n} vs {})",
+                rhs.len()
+            )));
+        }
+        if rhs.iter().any(|&c| c >= job.q) {
+            return Err(shape("rhs coefficients not reduced modulo q".into()));
+        }
+    }
+    Ok(())
 }
 
 /// Validates one job against a device configuration's capability window:
-/// power-of-two length, prime 32-bit modulus with a 2N-th root of unity,
-/// reduced coefficients, and bank capacity for every operand.
+/// [`validate_shape`], a 32-bit modulus, and bank capacity for every
+/// operand.
 ///
 /// This is the per-job half of [`BatchExecutor`]'s whole-batch
 /// validation, exposed so admission-controlled front-ends (the serving
@@ -1014,23 +1039,12 @@ impl BatchExecutor {
 /// [`EngineError::Shape`] describing the violation (without a job index
 /// — the caller knows which request it is holding).
 pub fn validate_job(config: &PimConfig, job: &NttJob) -> Result<(), EngineError> {
+    validate_shape(job)?;
     let shape = |reason: String| EngineError::Shape { reason };
     let n = job.n();
-    if !n.is_power_of_two() || n < 4 {
-        return Err(shape(format!("length {n} is not a power of two >= 4")));
-    }
     if job.q > u64::from(u32::MAX) {
         return Err(shape(format!(
             "q={} exceeds the 32-bit PIM datapath",
-            job.q
-        )));
-    }
-    if !prime::is_prime(job.q) {
-        return Err(shape(format!("q={} is not prime", job.q)));
-    }
-    if (job.q - 1) % (2 * n as u64) != 0 {
-        return Err(shape(format!(
-            "q={} has no 2N-th root of unity (2N ∤ q-1)",
             job.q
         )));
     }
@@ -1052,80 +1066,11 @@ pub fn validate_job(config: &PimConfig, job: &NttJob) -> Result<(), EngineError>
     } else {
         PolyLayout::new(config, 0, n).map_err(|e| shape(e.to_string()))?;
     }
-    if job.coeffs.iter().any(|&c| c >= job.q) {
-        return Err(shape("coefficients not reduced modulo q".into()));
-    }
-    if let JobKind::NegacyclicPolymul { rhs } = &job.kind {
-        if rhs.len() != n {
-            return Err(shape(format!(
-                "operand lengths differ ({n} vs {})",
-                rhs.len()
-            )));
-        }
-        if rhs.iter().any(|&c| c >= job.q) {
-            return Err(shape("rhs coefficients not reduced modulo q".into()));
-        }
+    if let JobKind::NegacyclicPolymul { .. } = job.kind {
         PolyLayout::new(config, config.polymul_rhs_base(n), n)
             .map_err(|e| shape(format!("second operand: {e}")))?;
     }
     Ok(())
-}
-
-/// Sequential baseline: runs the same jobs one by one on any engine,
-/// summing reported latency — the yardstick bank-level parallelism is
-/// measured against.
-///
-/// The merged report's `source` is the per-job reports' common source;
-/// if a (custom) engine mixes sources within one batch, the merge falls
-/// back to [`ReportSource::Measured`], the conservative catch-all for
-/// numbers with no single provenance. An empty batch reports `Measured`.
-///
-/// # Errors
-///
-/// Propagates the engine's errors.
-pub fn run_sequential(
-    engine: &mut dyn NttEngine,
-    jobs: &[NttJob],
-) -> Result<(Vec<Vec<u64>>, EngineReport), EngineError> {
-    let mut spectra = Vec::with_capacity(jobs.len());
-    let mut total = 0.0;
-    let mut energy: Option<f64> = None;
-    let mut acts: Option<u64> = None;
-    let mut source: Option<ReportSource> = None;
-    for job in jobs {
-        let mut data = job.coeffs.clone();
-        let rep = match &job.kind {
-            // A split job is functionally a forward NTT: engines without
-            // a topology to split across just run the transform whole.
-            JobKind::Forward | JobKind::SplitLarge => engine.forward(&mut data, job.q)?,
-            JobKind::Inverse => engine.inverse(&mut data, job.q)?,
-            JobKind::NegacyclicPolymul { rhs } => {
-                engine.negacyclic_polymul(&mut data, rhs, job.q)?
-            }
-        };
-        spectra.push(data);
-        total += rep.latency_ns;
-        if let Some(e) = rep.energy_nj {
-            energy = Some(energy.unwrap_or(0.0) + e);
-        }
-        if let Some(a) = rep.activations {
-            acts = Some(acts.unwrap_or(0) + a);
-        }
-        source = Some(match source {
-            None => rep.source,
-            Some(s) if s == rep.source => s,
-            Some(_) => ReportSource::Measured,
-        });
-    }
-    Ok((
-        spectra,
-        EngineReport {
-            latency_ns: total,
-            energy_nj: energy,
-            activations: acts,
-            source: source.unwrap_or(ReportSource::Measured),
-        },
-    ))
 }
 
 /// Lane-batched CPU execution of a mixed job batch: groups same-`(kind,
@@ -1135,12 +1080,13 @@ pub fn run_sequential(
 /// back into job order. This is how the serving layer's golden-verify
 /// mode consumes a whole micro-batch in one sweep instead of job by job.
 ///
-/// Returns the job-order spectra, the merged measured report, and how
-/// many jobs' transforms rode the lane kernel (group tails shorter than
+/// Returns the job-order spectra and how many jobs' transforms rode the
+/// lane kernel (group tails shorter than
 /// [`crate::reference::lanes::LANE_WIDTH`] run the scalar kernel —
 /// bit-identical results either way, so the count is a performance
 /// counter, not a correctness signal). Output spectra are bit-identical
-/// to [`run_sequential`] over the same jobs on a CPU engine.
+/// to running each job alone on [`CpuNttEngine`]'s scalar entry points;
+/// a single request is a batch of one.
 ///
 /// # Errors
 ///
@@ -1148,36 +1094,17 @@ pub fn run_sequential(
 /// ([`EngineError::Shape`]/[`EngineError::Unsupported`]); no partial
 /// results are returned.
 pub fn run_lane_batched(
-    cpu: &mut CpuNttEngine,
+    cpu: &CpuNttEngine,
     jobs: &[NttJob],
-) -> Result<(Vec<Vec<u64>>, EngineReport, usize), EngineError> {
-    // Few distinct (kind, n, q) combinations per micro-batch: a linear
-    // scan keeps first-seen group order without hashing.
-    let mut groups: Vec<(u8, usize, u64, Vec<usize>)> = Vec::new();
-    for (i, job) in jobs.iter().enumerate() {
-        let tag = match job.kind {
-            // Split jobs are forward NTTs functionally — same lane group.
-            JobKind::Forward | JobKind::SplitLarge => 0u8,
-            JobKind::Inverse => 1,
-            JobKind::NegacyclicPolymul { .. } => 2,
-        };
-        let (n, q) = (job.n(), job.q);
-        match groups
-            .iter_mut()
-            .find(|g| g.0 == tag && g.1 == n && g.2 == q)
-        {
-            Some(g) => g.3.push(i),
-            None => groups.push((tag, n, q, vec![i])),
-        }
-    }
+) -> Result<(Vec<Vec<u64>>, usize), EngineError> {
     let mut spectra: Vec<Vec<u64>> = vec![Vec::new(); jobs.len()];
-    let mut latency_ns = 0.0;
     let mut lane_jobs = 0usize;
-    for (tag, _, q, idx) in &groups {
+    for group in group_jobs(jobs) {
+        let (idx, q) = (&group.indices, group.q);
         let mut batch: Vec<Vec<u64>> = idx.iter().map(|&i| jobs[i].coeffs.clone()).collect();
-        let (rep, lanes) = match tag {
-            0 => cpu.forward_batch(&mut batch, *q)?,
-            1 => cpu.inverse_batch(&mut batch, *q)?,
+        lane_jobs += match group.tag {
+            0 => cpu.forward_batch(&mut batch, q)?,
+            1 => cpu.inverse_batch(&mut batch, q)?,
             _ => {
                 let rhs: Vec<Vec<u64>> = idx
                     .iter()
@@ -1186,31 +1113,57 @@ pub fn run_lane_batched(
                         _ => unreachable!("group holds only polymul jobs"),
                     })
                     .collect();
-                cpu.negacyclic_polymul_batch(&mut batch, &rhs, *q)?
+                cpu.negacyclic_polymul_batch(&mut batch, &rhs, q)?
             }
         };
-        latency_ns += rep.latency_ns;
-        lane_jobs += lanes;
         for (&i, data) in idx.iter().zip(batch) {
             spectra[i] = data;
         }
     }
-    Ok((
-        spectra,
-        EngineReport {
-            latency_ns,
-            energy_nj: None,
-            activations: None,
-            source: ReportSource::Measured,
-        },
-        lane_jobs,
-    ))
+    Ok((spectra, lane_jobs))
+}
+
+/// One same-`(kind, n, q)` group of a batch: the unit the lane-batched
+/// CPU kernel runs ([`run_lane_batched`]) and the CPU lanes' cost model
+/// prices, so modeled timing follows executed grouping exactly.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JobGroup {
+    /// Kind tag ([`JobKind::lane_tag`]).
+    pub tag: u8,
+    /// Transform length.
+    pub n: usize,
+    /// Modulus.
+    pub q: u64,
+    /// Indices into the batch, in arrival order.
+    pub indices: Vec<usize>,
+}
+
+/// Groups a batch by `(kind, n, q)` in first-seen order. Few distinct
+/// combinations occur per micro-batch, so a linear scan keeps the order
+/// without hashing.
+pub fn group_jobs(jobs: &[NttJob]) -> Vec<JobGroup> {
+    let mut groups: Vec<JobGroup> = Vec::new();
+    for (i, job) in jobs.iter().enumerate() {
+        let (tag, n, q) = (job.kind.lane_tag(), job.n(), job.q);
+        match groups
+            .iter_mut()
+            .find(|g| g.tag == tag && g.n == n && g.q == q)
+        {
+            Some(g) => g.indices.push(i),
+            None => groups.push(JobGroup {
+                tag,
+                n,
+                q,
+                indices: vec![i],
+            }),
+        }
+    }
+    groups
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EngineCaps;
 
     const Q: u64 = 12289;
 
@@ -1230,13 +1183,33 @@ mod tests {
         NttJob::new(poly(n, Q, seed), Q)
     }
 
+    /// The sequential baseline: each job alone on the golden engine's
+    /// scalar entry points.
+    fn golden_each(jobs: &[NttJob]) -> Vec<Vec<u64>> {
+        let cpu = CpuNttEngine::golden();
+        jobs.iter()
+            .map(|job| {
+                let mut data = job.coeffs.clone();
+                match &job.kind {
+                    JobKind::Forward | JobKind::SplitLarge => cpu.forward(&mut data, job.q),
+                    JobKind::Inverse => cpu.inverse(&mut data, job.q),
+                    JobKind::NegacyclicPolymul { rhs } => {
+                        cpu.negacyclic_polymul(&mut data, rhs, job.q)
+                    }
+                }
+                .unwrap();
+                data
+            })
+            .collect()
+    }
+
     #[test]
     fn split_large_matches_golden_forward_bit_exactly() {
         let mut exec = BatchExecutor::new(PimConfig::hbm2e(2).with_banks(4)).unwrap();
         let n = 1024;
         let jobs = vec![NttJob::split_large(poly(n, Q, 77), Q)];
         let out = exec.run(&jobs).unwrap();
-        let mut cpu = CpuNttEngine::golden();
+        let cpu = CpuNttEngine::golden();
         let mut expect = jobs[0].coeffs.clone();
         cpu.forward(&mut expect, Q).unwrap();
         assert_eq!(out.spectra[0], expect, "split result must be bit-identical");
@@ -1258,7 +1231,7 @@ mod tests {
         let mut jobs: Vec<NttJob> = (0..4).map(|i| job(n_small, 800 + i)).collect();
         jobs.push(NttJob::split_large(poly(1024, Q, 801), Q));
         let out = exec.run(&jobs).unwrap();
-        let mut cpu = CpuNttEngine::golden();
+        let cpu = CpuNttEngine::golden();
         for (i, j) in jobs.iter().enumerate() {
             let mut expect = j.coeffs.clone();
             cpu.forward(&mut expect, j.q).unwrap();
@@ -1347,10 +1320,9 @@ mod tests {
             NttJob::split_large(poly(256, Q, 5), Q),
             NttJob::forward(poly(256, Q, 5), Q),
         ];
-        let mut cpu = CpuNttEngine::golden();
-        let (seq, _) = run_sequential(&mut cpu, &jobs).unwrap();
-        assert_eq!(seq[0], seq[1], "split == forward on a CPU engine");
-        let (batched, _, _) = run_lane_batched(&mut cpu, &jobs).unwrap();
+        let seq = golden_each(&jobs);
+        assert_eq!(seq[0], seq[1], "split == forward on the golden engine");
+        let (batched, _) = run_lane_batched(&CpuNttEngine::golden(), &jobs).unwrap();
         assert_eq!(batched, seq);
     }
 
@@ -1360,7 +1332,7 @@ mod tests {
         let jobs: Vec<NttJob> = (0..6).map(|i| job(256, 100 + i)).collect();
         let out = exec.run(&jobs).unwrap();
         assert_eq!(out.waves, 2, "6 jobs over 4 banks: queues are 2 deep");
-        let mut cpu = CpuNttEngine::golden();
+        let cpu = CpuNttEngine::golden();
         for (i, j) in jobs.iter().enumerate() {
             let mut expect = j.coeffs.clone();
             cpu.forward(&mut expect, j.q).unwrap();
@@ -1379,7 +1351,7 @@ mod tests {
             NttJob::negacyclic_polymul(a.clone(), b.clone(), Q),
         ];
         let out = exec.run(&jobs).unwrap();
-        let mut cpu = CpuNttEngine::golden();
+        let cpu = CpuNttEngine::golden();
         let mut fwd = jobs[0].coeffs.clone();
         cpu.forward(&mut fwd, Q).unwrap();
         assert_eq!(out.spectra[0], fwd, "forward");
@@ -1423,7 +1395,7 @@ mod tests {
         j2.coeffs.iter_mut().for_each(|c| *c %= q2);
         let jobs = vec![job(256, 5), j2];
         let out = exec.run(&jobs).unwrap();
-        let mut cpu = CpuNttEngine::golden();
+        let cpu = CpuNttEngine::golden();
         for (i, j) in jobs.iter().enumerate() {
             let mut expect = j.coeffs.clone();
             cpu.forward(&mut expect, j.q).unwrap();
@@ -1475,7 +1447,7 @@ mod tests {
         // Clean state: a valid batch still verifies.
         let jobs: Vec<NttJob> = (0..2).map(|i| job(64, 400 + i)).collect();
         let out = exec.run(&jobs).unwrap();
-        let mut cpu = CpuNttEngine::golden();
+        let cpu = CpuNttEngine::golden();
         let mut expect = jobs[0].coeffs.clone();
         cpu.forward(&mut expect, Q).unwrap();
         assert_eq!(out.spectra[0], expect);
@@ -1625,11 +1597,7 @@ mod tests {
         let jobs: Vec<NttJob> = (0..3).map(|i| job(128, 400 + i)).collect();
         let mut exec = BatchExecutor::new(PimConfig::hbm2e(2).with_banks(4)).unwrap();
         let batch = exec.run(&jobs).unwrap();
-        let mut cpu = CpuNttEngine::golden();
-        let (seq, rep) = run_sequential(&mut cpu, &jobs).unwrap();
-        assert_eq!(batch.spectra, seq);
-        assert!(rep.latency_ns > 0.0);
-        assert_eq!(rep.source, ReportSource::Measured);
+        assert_eq!(batch.spectra, golden_each(&jobs));
     }
 
     #[test]
@@ -1657,11 +1625,12 @@ mod tests {
         // Interleave kinds so the grouping has to reorder and scatter.
         jobs.swap(0, 12);
         jobs.swap(5, 21);
-        let mut cpu = CpuNttEngine::golden();
-        let (seq, _) = run_sequential(&mut cpu, &jobs).unwrap();
-        let (batched, rep, lane_jobs) = run_lane_batched(&mut cpu, &jobs).unwrap();
-        assert_eq!(batched, seq, "lane-batched spectra must be bit-identical");
-        assert_eq!(rep.source, ReportSource::Measured);
+        let (batched, lane_jobs) = run_lane_batched(&CpuNttEngine::golden(), &jobs).unwrap();
+        assert_eq!(
+            batched,
+            golden_each(&jobs),
+            "lane-batched spectra must be bit-identical"
+        );
         let lane = crate::reference::lanes::LANE_WIDTH;
         assert_eq!(
             lane_jobs,
@@ -1672,98 +1641,21 @@ mod tests {
 
     #[test]
     fn lane_batched_handles_empty_and_propagates_errors() {
-        let mut cpu = CpuNttEngine::golden();
-        let (spectra, rep, lane_jobs) = run_lane_batched(&mut cpu, &[]).unwrap();
+        let cpu = CpuNttEngine::golden();
+        let (spectra, lane_jobs) = run_lane_batched(&cpu, &[]).unwrap();
         assert!(spectra.is_empty());
-        assert_eq!(rep.latency_ns, 0.0);
         assert_eq!(lane_jobs, 0);
         // Unreduced coefficients fail validation before anything runs.
         let bad = NttJob::forward(vec![Q; 64], Q);
         assert!(matches!(
-            run_lane_batched(&mut cpu, &[bad]),
+            run_lane_batched(&cpu, &[bad]),
             Err(EngineError::Shape { .. })
         ));
         // Mismatched polymul operands are rejected too.
         let bad = NttJob::negacyclic_polymul(poly(64, Q, 1), poly(128, Q, 2), Q);
         assert!(matches!(
-            run_lane_batched(&mut cpu, &[bad]),
+            run_lane_batched(&cpu, &[bad]),
             Err(EngineError::Shape { .. })
         ));
-    }
-
-    /// Test double whose reports cycle through provenance kinds, to pin
-    /// the sequential merge behavior for mixed sources.
-    struct SourceCycler {
-        calls: usize,
-        sources: Vec<ReportSource>,
-    }
-
-    impl NttEngine for SourceCycler {
-        fn name(&self) -> &str {
-            "source-cycler"
-        }
-
-        fn caps(&self) -> EngineCaps {
-            EngineCaps {
-                arbitrary_modulus: true,
-                native_modulus: None,
-                max_n: None,
-                bitwidth: 62,
-                on_device: true,
-                parallel_lanes: 1,
-            }
-        }
-
-        fn forward(&mut self, _data: &mut [u64], _q: u64) -> Result<EngineReport, EngineError> {
-            let source = self.sources[self.calls % self.sources.len()];
-            self.calls += 1;
-            Ok(EngineReport {
-                latency_ns: 1.0,
-                energy_nj: None,
-                activations: None,
-                source,
-            })
-        }
-
-        fn inverse(&mut self, data: &mut [u64], q: u64) -> Result<EngineReport, EngineError> {
-            self.forward(data, q)
-        }
-
-        fn negacyclic_polymul(
-            &mut self,
-            a: &mut [u64],
-            _b: &[u64],
-            q: u64,
-        ) -> Result<EngineReport, EngineError> {
-            self.forward(a, q)
-        }
-
-        fn cost_estimate(&self, _n: usize) -> Option<super::super::CostEstimate> {
-            None
-        }
-    }
-
-    #[test]
-    fn sequential_merge_reports_common_source_or_conservative_fallback() {
-        let jobs: Vec<NttJob> = (0..3).map(|i| job(64, 600 + i)).collect();
-        // Uniform provenance is preserved...
-        let mut uniform = SourceCycler {
-            calls: 0,
-            sources: vec![ReportSource::Simulated],
-        };
-        let (_, rep) = run_sequential(&mut uniform, &jobs).unwrap();
-        assert_eq!(rep.source, ReportSource::Simulated);
-        // ...mixed provenance merges to the conservative Measured, even
-        // when the *last* job reports Published (the old bug reported
-        // whatever the final job said).
-        let mut mixed = SourceCycler {
-            calls: 0,
-            sources: vec![ReportSource::Simulated, ReportSource::Published],
-        };
-        let (_, rep) = run_sequential(&mut mixed, &jobs).unwrap();
-        assert_eq!(rep.source, ReportSource::Measured);
-        // Empty batches have no provenance to report: Measured.
-        let (_, rep) = run_sequential(&mut mixed, &[]).unwrap();
-        assert_eq!(rep.source, ReportSource::Measured);
     }
 }

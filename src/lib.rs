@@ -11,7 +11,7 @@
 //! | [`math`] | `modmath` | Modular arithmetic, Montgomery/Barrett, primes, roots |
 //! | [`baselines`] | `pim-baselines` | Published-point models of MeNTT / CryptoPIM / x86 / FPGA |
 //! | [`fhe`] | `fhe-lite` | Toy RLWE/BFV workload generator |
-//! | [`engine`] | (this crate) | Unified [`engine::NttEngine`] trait over every backend + [`engine::batch::BatchExecutor`] for bank-parallel job batches |
+//! | [`engine`] | (this crate) | The golden [`engine::CpuNttEngine`], the shared [`engine::EngineError`], and [`engine::batch::BatchExecutor`] for bank-parallel job batches; the one backend trait over all of them is `ntt_bus::NttBackend` |
 //!
 //! ## Quickstart
 //!

@@ -8,7 +8,7 @@
 
 use ntt_pim::core::config::PimConfig;
 use ntt_pim::engine::batch::{BatchExecutor, JobKind, NttJob, SchedulePolicy};
-use ntt_pim::engine::{CpuNttEngine, NttEngine};
+use ntt_pim::engine::CpuNttEngine;
 use proptest::prelude::*;
 
 fn poly(n: usize, q: u64, seed: u64) -> Vec<u64> {
@@ -25,7 +25,7 @@ fn poly(n: usize, q: u64, seed: u64) -> Vec<u64> {
 
 /// Golden-model result of one job.
 fn golden(job: &NttJob) -> Vec<u64> {
-    let mut cpu = CpuNttEngine::golden();
+    let cpu = CpuNttEngine::golden();
     let mut data = job.coeffs.clone();
     match &job.kind {
         // A split large job is bit-identical to the whole forward NTT.

@@ -1,20 +1,27 @@
-//! Cross-backend parity: every engine behind [`ntt_pim::engine::NttEngine`]
-//! must produce the *identical* forward NTT wherever its capability
-//! window covers the request — the PIM device included. The grid spans
-//! the ISSUE's N ∈ {256, 1024, 4096} and q ∈ {7681, 12289, 8380417}
-//! (Kyber-ish, NewHope, and Dilithium moduli); combinations outside a
-//! backend's window (e.g. N=1024 with q=7681, which lacks a 2048-th
-//! root of unity) are skipped *by the capability metadata*, never by
-//! hand-maintained lists.
+//! Cross-backend parity on the deterministic grid N ∈ {256, 1024, 4096}
+//! × q ∈ {7681, 12289, 8380417} (Kyber-ish, NewHope, and Dilithium
+//! moduli). One backend of every `BackendSpec` kind (PIM, CPU lanes, and
+//! both published models) must produce the *identical* forward NTT
+//! wherever its capability window admits the request, and must bring
+//! the inverse back; grid points outside a backend's window are skipped
+//! by its own admission check, never by hand-maintained lists. The
+//! paper-path device (`load_polynomial_bitrev` → `ntt_in_place` →
+//! `read_polynomial`) meets the golden engine directly. Random shapes and
+//! batches run as proptests in `crates/bus/tests/parity.rs`.
 //!
 //! The golden comparisons run on the Shoup/Harvey **lazy-reduction**
 //! kernel: every grid modulus is inside the lazy bound (`q < 2⁶²`), so
 //! `CpuNttEngine`'s plans take the lazy datapath by default (asserted
-//! below) — parity across the PIM device, the CPU dataflows, and the
+//! below) — parity across the PIM device, the CPU lanes, and the
 //! published models therefore proves the lazy kernel against all of
 //! them at once.
 
-use ntt_pim::engine::{all_engines, cpu_kernel_label, CpuNttEngine, NttEngine, PimDeviceEngine};
+use ntt_bus::{BackendSpec, EngineError, NttBackend, NttJob};
+use ntt_pim::core::config::PimConfig;
+use ntt_pim::core::device::{NttDirection, PimDevice};
+use ntt_pim::engine::batch::SchedulePolicy;
+use ntt_pim::engine::{cpu_kernel_label, CpuNttEngine};
+use ntt_pim::reference::{cache::PlanCache, four_step};
 
 const LENGTHS: [usize; 3] = [256, 1024, 4096];
 const MODULI: [u64; 3] = [7681, 12289, 8_380_417];
@@ -31,6 +38,20 @@ fn poly(n: usize, q: u64, seed: u64) -> Vec<u64> {
         .collect()
 }
 
+/// One backend of every kind, in fleet-description order.
+fn every_backend() -> Vec<Box<dyn NttBackend>> {
+    BackendSpec::parse_list("pim,cpu-lanes,mentt,bp-ntt")
+        .unwrap()
+        .iter()
+        .map(|spec| spec.build(SchedulePolicy::Lpt, None).unwrap())
+        .collect()
+}
+
+/// Runs one job on `backend` and returns its single spectrum.
+fn run_one(backend: &mut dyn NttBackend, job: NttJob) -> Vec<u64> {
+    backend.run(&[job]).unwrap().spectra.remove(0)
+}
+
 #[test]
 fn golden_grid_runs_the_lazy_kernel() {
     // Guard for the parity suite's premise: every modulus in the grid is
@@ -43,103 +64,129 @@ fn golden_grid_runs_the_lazy_kernel() {
 
 #[test]
 fn every_backend_matches_the_golden_transform() {
-    let mut golden = CpuNttEngine::golden();
-    let mut engines = all_engines(2).expect("engine registry");
+    let golden = CpuNttEngine::golden();
+    let mut backends = every_backend();
     let mut covered = 0usize;
     for &n in &LENGTHS {
         for &q in &MODULI {
-            if !golden.supports(n, q) {
+            if (q - 1) % (2 * n as u64) != 0 {
                 continue; // grid point without a 2N-th root of unity
             }
             let input = poly(n, q, n as u64 ^ q);
             let mut expect = input.clone();
             golden.forward(&mut expect, q).unwrap();
-            for engine in engines.iter_mut() {
-                if !engine.supports(n, q) {
+            for backend in &mut backends {
+                let job = NttJob::forward(input.clone(), q);
+                if backend.admit(&job).is_err() {
                     continue;
                 }
-                let mut got = input.clone();
-                engine.forward(&mut got, q).unwrap();
+                let got = run_one(backend.as_mut(), job);
                 assert_eq!(
                     got,
                     expect,
                     "{} disagrees with golden at N={n}, q={q}",
-                    engine.name()
+                    backend.label()
                 );
+                if backend.label() == "pim" {
+                    // The PIM backend against the four-step dataflow directly.
+                    let plan = PlanCache::global().get_or_build(n, q).unwrap();
+                    let split = four_step::plan_split(n, 1).unwrap();
+                    let mut by_four_step = input.clone();
+                    four_step::forward(&plan, &mut by_four_step, split.rows);
+                    assert_eq!(got, by_four_step, "pim vs four-step at N={n}, q={q}");
+                }
                 covered += 1;
             }
         }
     }
-    // The PIM device, the CPU dataflows, and at least one published
-    // model must each have contributed comparisons.
-    assert!(covered >= 15, "only {covered} grid points ran");
+    // Six shape-valid grid points on the PIM and CPU backends, two
+    // (q = 12289, N ≤ 1024) on each published model.
+    assert_eq!(covered, 16, "grid coverage");
 }
 
 #[test]
 fn pim_device_matches_every_golden_engine_where_supported() {
-    // The headline ISSUE requirement, stated from the device's side:
-    // PimDevice output == each ntt-ref golden engine, via the trait.
-    let mut pim = PimDeviceEngine::hbm2e(2).expect("device");
-    let cpu_engines = [
-        ntt_pim::engine::CpuDataflow::IterativeDit,
-        ntt_pim::engine::CpuDataflow::Stockham,
-        ntt_pim::engine::CpuDataflow::FourStep,
-    ];
+    let mut device = PimDevice::new(PimConfig::hbm2e(2)).expect("device");
+    let golden = CpuNttEngine::golden();
     let mut checked = 0usize;
     for &n in &LENGTHS {
         for &q in &MODULI {
-            if !pim.supports(n, q) {
-                continue;
+            if (q - 1) % (2 * n as u64) != 0 {
+                continue; // grid point without a 2N-th root of unity
             }
             let input = poly(n, q, 0xA5A5 ^ n as u64 ^ q);
-            let mut device_out = input.clone();
-            pim.forward(&mut device_out, q).unwrap();
-            for df in cpu_engines {
-                let mut cpu = CpuNttEngine::new(df);
-                let mut cpu_out = input.clone();
-                cpu.forward(&mut cpu_out, q).unwrap();
-                assert_eq!(device_out, cpu_out, "{:?} vs device at N={n} q={q}", df);
-            }
+            let words: Vec<u32> = input.iter().map(|&c| c as u32).collect();
+            let mut h = device.load_polynomial_bitrev(0, &words, q as u32).unwrap();
+            device.ntt_in_place(&mut h, NttDirection::Forward).unwrap();
+            let device_out: Vec<u64> = device
+                .read_polynomial(&h)
+                .unwrap()
+                .into_iter()
+                .map(u64::from)
+                .collect();
+            let mut expect = input.clone();
+            golden.forward(&mut expect, q).unwrap();
+            assert_eq!(device_out, expect, "golden vs device at N={n} q={q}");
             checked += 1;
         }
     }
-    assert!(checked >= 5, "device covered only {checked} grid points");
+    assert_eq!(checked, 6, "device covered only {checked} grid points");
 }
 
 #[test]
 fn inverse_roundtrips_through_every_backend() {
-    let mut engines = all_engines(2).expect("engine registry");
-    let (n, q) = (256usize, 12289u64);
-    let input = poly(n, q, 77);
-    for engine in engines.iter_mut() {
+    let mut backends = every_backend();
+    // Every backend kind covers 256/12289, so each one roundtrips there;
+    // the rest of the grid roundtrips wherever a backend admits it.
+    for backend in &backends {
+        let job = NttJob::forward(poly(256, 12289, 77), 12289);
         assert!(
-            engine.supports(n, q),
+            backend.admit(&job).is_ok(),
             "{} should cover 256/12289",
-            engine.name()
+            backend.label()
         );
-        let mut v = input.clone();
-        engine.forward(&mut v, q).unwrap();
-        engine.inverse(&mut v, q).unwrap();
-        assert_eq!(v, input, "{} roundtrip", engine.name());
     }
+    let mut covered = 0usize;
+    for &n in &LENGTHS {
+        for &q in &MODULI {
+            let input = poly(n, q, 77 ^ n as u64 ^ q);
+            for backend in &mut backends {
+                let job = NttJob::forward(input.clone(), q);
+                if backend.admit(&job).is_err() {
+                    continue;
+                }
+                let spectrum = run_one(backend.as_mut(), job);
+                let back = run_one(backend.as_mut(), NttJob::inverse(spectrum, q));
+                assert_eq!(back, input, "{} roundtrip at N={n}, q={q}", backend.label());
+                covered += 1;
+            }
+        }
+    }
+    assert_eq!(covered, 16, "roundtrip coverage");
 }
 
 #[test]
 fn capability_windows_differ_meaningfully_across_backends() {
-    let engines = all_engines(2).expect("engine registry");
-    // Dilithium's 23-bit modulus at N=4096 must be outside every
-    // narrow-datapath published model but inside the device and CPU.
-    let (n, q) = (4096usize, 8_380_417u64);
-    let supported: Vec<&str> = engines
-        .iter()
-        .filter(|e| e.supports(n, q))
-        .map(|e| e.name())
-        .collect();
-    assert!(supported.iter().any(|s| s.starts_with("ntt-pim")));
-    assert!(supported.iter().any(|s| s.starts_with("cpu-")));
-    let unsupported = engines.len() - supported.len();
-    assert!(
-        unsupported >= 3,
-        "narrow models must drop out, got {supported:?}"
+    let backends = every_backend();
+    // Dilithium's 23-bit modulus at N=4096 must be outside both
+    // narrow-datapath published models but inside the device and CPU,
+    // and every rejection is a typed window error.
+    let dilithium = NttJob::forward(poly(4096, 8_380_417, 5), 8_380_417);
+    let mut supported = Vec::new();
+    for backend in &backends {
+        match backend.admit(&dilithium) {
+            Ok(()) => supported.push(backend.label()),
+            Err(e) => assert!(
+                matches!(e, EngineError::Unsupported { .. }),
+                "{}: {e}",
+                backend.label()
+            ),
+        }
+    }
+    assert_eq!(supported, ["pim", "cpu-lanes"]);
+    assert_eq!(
+        backends.len() - supported.len(),
+        2,
+        "narrow models drop out"
     );
 }

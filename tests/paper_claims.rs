@@ -7,7 +7,7 @@ use ntt_pim::core::area;
 use ntt_pim::core::config::PimConfig;
 use ntt_pim::core::layout::PolyLayout;
 use ntt_pim::core::mapper::{map_ntt, MapperOptions, NttParams};
-use ntt_pim::core::sched::{schedule, schedule_parallel};
+use ntt_pim::core::sched::{schedule, schedule_queues};
 
 const Q: u32 = 2_013_265_921;
 
@@ -182,7 +182,7 @@ fn bank_parallelism_near_linear() {
     )
     .unwrap();
     let one = schedule(&config, &program).unwrap().end_ps;
-    let eight = schedule_parallel(&config, &vec![program; 8])
+    let eight = schedule_queues(&config, &vec![vec![program]; 8])
         .unwrap()
         .end_ps;
     let speedup = 8.0 * one as f64 / eight as f64;

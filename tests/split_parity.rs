@@ -16,7 +16,7 @@
 
 use ntt_pim::core::config::{PimConfig, Topology};
 use ntt_pim::engine::batch::{BatchExecutor, NttJob};
-use ntt_pim::engine::{CpuNttEngine, NttEngine};
+use ntt_pim::engine::CpuNttEngine;
 use proptest::prelude::*;
 
 /// 15·2²⁷ + 1: covers every headline length with room to spare.

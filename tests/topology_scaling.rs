@@ -5,7 +5,7 @@
 
 use ntt_pim::core::config::{PimConfig, Topology};
 use ntt_pim::engine::batch::{BatchExecutor, NttJob};
-use ntt_pim::engine::{CpuNttEngine, NttEngine};
+use ntt_pim::engine::CpuNttEngine;
 
 const Q: u64 = 8_380_417; // 2^13 | q-1: supports every length used here
 
@@ -57,7 +57,7 @@ fn sharded_device_is_bit_identical_to_single_rank_and_cpu_golden() {
     );
 
     // And both match the CPU golden engine job by job.
-    let mut cpu = CpuNttEngine::golden();
+    let cpu = CpuNttEngine::golden();
     for (i, job) in jobs.iter().enumerate() {
         let mut expect = job.coeffs.clone();
         match &job.kind {
