@@ -1,0 +1,176 @@
+//! `host_profile` — host wall time of one PIM batch, layer by layer:
+//! sixteen forward N = 4096 transforms (q = 8380417) on a 1 × 1 × 16
+//! device, the batch `serve_saturate` drives. Each layer is timed through
+//! the public `PimDevice` call that performs it, as the minimum of
+//! [`REPS`] runs:
+//!
+//! * map — `build_ntt_program` for every job,
+//! * execute — `execute_program` for every job (functional simulation),
+//! * schedule — one `schedule_queues` over the sixteen bank queues.
+//!
+//! It also reports host nanoseconds per simulated command-bus slot, the
+//! unit the repository benchmark's `host_ns_per_sim_cmd` uses. Written to
+//! `BENCH_host.json` (`--out PATH` to override).
+//!
+//! `--check` gates the scheduler's host cost within the run, as a ratio
+//! that does not depend on the runner's speed: the batch's
+//! `schedule_queues` time against sixteen single-bank `sched::schedule`
+//! runs of the same program. Sixteen programs sharing one bus issue
+//! sixteen programs' worth of commands, so a scheduler whose host cost
+//! grows with the commands it issues reads close to 1×; the gate fails
+//! above [`MAX_SCHEDULE_RATIO`].
+
+use ntt_pim_core::config::{PimConfig, Topology};
+use ntt_pim_core::device::{NttDirection, PimDevice, PolyHandle, StoredOrder};
+use ntt_pim_core::mapper::Program;
+use ntt_pim_core::sched::schedule;
+use std::hint::black_box;
+use std::time::Instant;
+
+/// Transform length of every job.
+const N: usize = 4096;
+/// Dilithium's modulus.
+const Q: u32 = 8_380_417;
+/// Jobs in the batch: one per bank.
+const JOBS: usize = 16;
+/// Timed repetitions per layer; the minimum is reported.
+const REPS: usize = 5;
+/// The gate: the batch may cost at most this many times sixteen
+/// single-bank schedules of the same program.
+const MAX_SCHEDULE_RATIO: f64 = 3.0;
+
+/// Wall time of `f`, in milliseconds.
+fn ms<T>(f: impl FnOnce() -> T) -> f64 {
+    let start = Instant::now();
+    black_box(f());
+    start.elapsed().as_secs_f64() * 1e3
+}
+
+/// The least of `REPS` timings `run` returns.
+fn min_of(run: impl FnMut() -> f64) -> f64 {
+    std::iter::repeat_with(run)
+        .take(REPS)
+        .fold(f64::INFINITY, f64::min)
+}
+
+fn coeffs(job: usize) -> Vec<u32> {
+    (0..N as u32)
+        .map(|i| (i.wrapping_mul(2_654_435_761) ^ job as u32) % Q)
+        .collect()
+}
+
+fn load_all(dev: &mut PimDevice, inputs: &[Vec<u32>]) -> Vec<PolyHandle> {
+    inputs
+        .iter()
+        .enumerate()
+        .map(|(bank, c)| {
+            dev.load_in_bank(bank, 0, c, Q, StoredOrder::BitReversed)
+                .expect("job fits its bank")
+        })
+        .collect()
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut out_path = String::from("BENCH_host.json");
+    let mut check = false;
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--out" => out_path = it.next().expect("--out needs a path").clone(),
+            "--check" => check = true,
+            other => panic!("unknown flag {other}"),
+        }
+    }
+
+    let topology = Topology::new(1, 1, JOBS as u32);
+    let config = PimConfig::hbm2e(2).with_topology(topology);
+    let mut dev = PimDevice::new(config).expect("valid config");
+    let inputs: Vec<Vec<u32>> = (0..JOBS).map(coeffs).collect();
+    let handles = load_all(&mut dev, &inputs);
+
+    let build = |dev: &PimDevice| -> Vec<Program> {
+        handles
+            .iter()
+            .map(|h| {
+                dev.build_ntt_program(h, NttDirection::Forward)
+                    .expect("q has the root")
+            })
+            .collect()
+    };
+    let map_ms = min_of(|| ms(|| build(&dev)));
+    let programs = build(&dev);
+
+    // Each run executes on freshly loaded inputs; loading is not timed.
+    let execute_ms = min_of(|| {
+        load_all(&mut dev, &inputs);
+        ms(|| {
+            for (bank, p) in programs.iter().enumerate() {
+                dev.execute_program(bank, p).expect("program runs");
+            }
+        })
+    });
+
+    let queues: Vec<Vec<Program>> = programs.iter().map(|p| vec![p.clone()]).collect();
+    let schedule_ms = min_of(|| ms(|| dev.schedule_queues(&queues).expect("16 queues")));
+    let report = dev.schedule_queues(&queues).expect("16 queues");
+    let singles_ms = min_of(|| {
+        ms(|| {
+            for p in &programs {
+                black_box(schedule(&config, p).expect("one bank"));
+            }
+        })
+    });
+
+    let total_ms = map_ms + execute_ms + schedule_ms;
+    let per_slot = |ms: f64| ms * 1e6 / report.bus_slots as f64;
+    let ratio = schedule_ms / singles_ms;
+    println!(
+        "{JOBS} x N={N} forward, q={Q}, on {topology}: {:.2} µs simulated, {} bus slots",
+        report.latency_ns / 1000.0,
+        report.bus_slots
+    );
+    println!("host ms (min of {REPS}):");
+    println!("  map      {map_ms:>9.3}");
+    println!("  execute  {execute_ms:>9.3}");
+    println!("  schedule {schedule_ms:>9.3}");
+    println!("  total    {total_ms:>9.3}");
+    println!(
+        "host ns per simulated bus slot: schedule {:.1}, total {:.1}",
+        per_slot(schedule_ms),
+        per_slot(total_ms)
+    );
+    println!(
+        "schedule_queues {schedule_ms:.3} ms vs {JOBS} x sched::schedule {singles_ms:.3} ms: \
+         {ratio:.2}x (gate {MAX_SCHEDULE_RATIO:.1}x)"
+    );
+
+    let json = format!(
+        "{{\n  \"bench\": \"host_profile\",\n  \
+         \"workload\": {{\"topology\": \"{topology}\", \"jobs\": {JOBS}, \"n\": {N}, \"q\": {Q}, \
+         \"kind\": \"forward\", \"stat\": \"min of {REPS}\"}},\n  \
+         \"sim\": {{\"latency_us\": {:.2}, \"bus_slots\": {}}},\n  \
+         \"host_ms\": {{\"map\": {map_ms:.3}, \"execute\": {execute_ms:.3}, \
+         \"schedule\": {schedule_ms:.3}, \"total\": {total_ms:.3}}},\n  \
+         \"host_ns_per_bus_slot\": {{\"schedule\": {:.1}, \"total\": {:.1}}},\n  \
+         \"gate\": {{\"schedule_queues_ms\": {schedule_ms:.3}, \"single_schedules_ms\": {singles_ms:.3}, \
+         \"ratio\": {ratio:.3}, \"max_ratio\": {MAX_SCHEDULE_RATIO}}}\n}}\n",
+        report.latency_ns / 1000.0,
+        report.bus_slots,
+        per_slot(schedule_ms),
+        per_slot(total_ms),
+    );
+    std::fs::write(&out_path, json).expect("write BENCH_host.json");
+    println!("wrote {out_path}");
+
+    if check {
+        if ratio > MAX_SCHEDULE_RATIO {
+            eprintln!(
+                "FAIL: schedule_queues over {JOBS} banks costs {ratio:.2}x {JOBS} single-bank \
+                 schedules of the same program; the gate allows {MAX_SCHEDULE_RATIO:.1}x"
+            );
+            std::process::exit(1);
+        }
+        println!("check ok: {ratio:.2}x <= {MAX_SCHEDULE_RATIO:.1}x");
+    }
+}

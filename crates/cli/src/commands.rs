@@ -125,9 +125,12 @@ fn topology_from(args: &ParsedArgs, default_banks: u32) -> Result<Topology, CliE
 
 fn modulus_for(args: &ParsedArgs, n: usize) -> Result<u32, CliError> {
     match args.options.get("q") {
-        Some(v) => v
-            .parse()
-            .map_err(|_| CliError::usage(format!("bad value for --q: {v}"))),
+        Some(v) => match v.parse() {
+            Ok(q) if q >= 2 => Ok(q),
+            _ => Err(CliError::usage(format!(
+                "bad value for --q: {v} (need a modulus >= 2)"
+            ))),
+        },
         None => Ok(modmath::prime::find_ntt_prime(2 * n as u64, 31)? as u32),
     }
 }
@@ -810,6 +813,21 @@ mod tests {
         assert!(out.contains("speedup"));
         assert!(out.contains("bank   3"));
         assert!(out.contains("verification   : OK"));
+    }
+
+    #[test]
+    fn modulus_below_two_is_a_usage_error() {
+        for line in [
+            "run --n 256 --q 0",
+            "verify --n 256 --q 0",
+            "polymul --n 256 --q 0",
+            "batch --n 256 --jobs 2 --banks 2 --q 0",
+            "run --n 256 --q 1",
+        ] {
+            let err = run_line(line).unwrap_err();
+            assert_eq!(err.exit_code, 2, "{line}: {err}");
+            assert!(err.message.contains("--q"), "{line}: {err}");
+        }
     }
 
     #[test]

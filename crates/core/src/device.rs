@@ -480,14 +480,19 @@ impl PimDevice {
     /// Times one program queue per bank over the shared command bus, with
     /// banks draining asynchronously (no cross-bank barrier) — see
     /// [`crate::sched::schedule_queues`]. Timing only: pair with
-    /// [`Self::execute_program`] for the values.
+    /// [`Self::execute_program`] for the values. The report carries no
+    /// command timeline, so the scheduler keeps no per-command log here;
+    /// call [`crate::sched::schedule_queues`] for the events.
     ///
     /// # Errors
     ///
     /// [`PimError::BadConfig`] when more queues than banks are supplied.
     pub fn schedule_queues(&self, queues: &[Vec<Program>]) -> Result<QueueReport, PimError> {
-        let qt = sched::schedule_queues(&self.config, queues)?;
-        Ok(QueueReport::from_queues(&qt))
+        let plain: Vec<Vec<sched::DagJob>> = queues
+            .iter()
+            .map(|q| q.iter().map(sched::DagJob::plain).collect())
+            .collect();
+        self.schedule_queues_dag(&plain)
     }
 
     /// [`Self::schedule_queues`] with dependency barriers
@@ -504,7 +509,7 @@ impl PimDevice {
         &self,
         queues: &[Vec<sched::DagJob<'_>>],
     ) -> Result<QueueReport, PimError> {
-        let qt = sched::schedule_queues_dag(&self.config, queues)?;
+        let qt = sched::schedule_queues_unlogged(&self.config, queues)?;
         Ok(QueueReport::from_queues(&qt))
     }
 

@@ -32,12 +32,29 @@
 //! only when they share a rank. [`lpt_assign_topology`] is the matching
 //! hierarchical scheduler: LPT across channels first (the scarce, fully
 //! independent resource), then LPT across the banks within each channel.
+//!
+//! [`schedule`] claims slots on a strictly monotonic
+//! [`dram_sim::chip::CommandBus`]; the multi-bank entry points share one
+//! [`dram_sim::chip::FairBus`] per channel, whose claims backfill the
+//! gaps other banks leave (its occupancy bitset costs one bit per bus
+//! cycle up to the latest claim).
+//!
+//! One issue engine serves every entry point. The per-command [`Event`]
+//! log and [`Timeline::logical_issue_ps`] exist only for the callers
+//! that return a timeline — [`schedule`], [`schedule_queues`] and
+//! [`schedule_queues_dag`]. The batch path
+//! ([`crate::device::PimDevice::schedule_queues`] and
+//! [`crate::device::PimDevice::schedule_queues_dag`], hence every PIM
+//! backend) returns only a [`crate::device::QueueReport`], so it runs the
+//! same engine without the log: each bank keeps just its issue cursor
+//! and completion front, and host cost grows with the commands issued.
 
 use crate::cmd::{BufId, PimCommand};
 use crate::config::PimConfig;
 use crate::mapper::Program;
 use crate::PimError;
 use dram_sim::bank::{BankCommand, BankCounters, BankTimer};
+use dram_sim::chip::{CommandBus, FairBus};
 use dram_sim::energy::{EnergyMeter, EnergyParams};
 use dram_sim::rank::RankTimer;
 use dram_sim::timing::ResolvedTiming;
@@ -267,25 +284,17 @@ trait Bus {
     fn claim(&mut self, earliest_ps: u64) -> u64;
 }
 
-/// Strictly monotonic bus: slots are granted in increasing order (the
-/// single-stream in-order model).
-struct MonotonicBus {
-    cycle_ps: u64,
-    next_free: u64,
-}
-
-impl Bus for MonotonicBus {
+/// The single-stream in-order bus of [`schedule`]: slots are granted in
+/// increasing order.
+impl Bus for CommandBus {
     fn claim(&mut self, earliest_ps: u64) -> u64 {
-        let t = earliest_ps.max(self.next_free);
-        let slot = t.div_ceil(self.cycle_ps) * self.cycle_ps;
-        self.next_free = slot + self.cycle_ps;
-        slot
+        CommandBus::claim(self, earliest_ps)
     }
 }
 
-impl Bus for dram_sim::chip::FairBus {
+impl Bus for FairBus {
     fn claim(&mut self, earliest_ps: u64) -> u64 {
-        dram_sim::chip::FairBus::claim(self, earliest_ps)
+        FairBus::claim(self, earliest_ps)
     }
 }
 
@@ -298,10 +307,20 @@ struct Engine<'a> {
     buf_ready: Vec<u64>,
     buf_busy: Vec<u64>,
     open_row: Option<u32>,
+    /// Whether `events` and `logical_issue_ps` are filled: only for
+    /// callers that return a [`Timeline`].
+    keep_log: bool,
     events: Vec<Event>,
+    logical_issue_ps: Vec<u64>,
+    /// Issue time of the command recorded last, ps (0 before the first).
+    last_at_ps: u64,
+    /// Completion front: the latest effect end of any command, ps.
+    end_ps: u64,
+    /// Latest effect end of the commands the current [`Self::issue`]
+    /// call recorded, ps.
+    issue_end_ps: u64,
     energy: EnergyMeter,
     eparams: EnergyParams,
-    logical_issue_ps: Vec<u64>,
     /// Next refresh deadline (ps); `u64::MAX` disables refresh.
     next_ref_ps: u64,
     /// Issue floor, ps: no command may claim a bus slot earlier than
@@ -311,7 +330,7 @@ struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    fn new(config: &'a PimConfig) -> Self {
+    fn new(config: &'a PimConfig, keep_log: bool) -> Self {
         let resolved = config.timing.resolve();
         Self {
             config,
@@ -321,10 +340,14 @@ impl<'a> Engine<'a> {
             buf_ready: vec![0; config.n_bufs],
             buf_busy: vec![0; config.n_bufs],
             open_row: None,
+            keep_log,
             events: Vec::new(),
+            logical_issue_ps: Vec::new(),
+            last_at_ps: 0,
+            end_ps: 0,
+            issue_end_ps: 0,
             energy: EnergyMeter::new(),
             eparams: EnergyParams::hbm2e_pim(),
-            logical_issue_ps: Vec::new(),
             next_ref_ps: if config.refresh {
                 resolved.t_refi
             } else {
@@ -336,8 +359,23 @@ impl<'a> Engine<'a> {
 
     /// Claims a bus slot no earlier than the engine's issue floor (the
     /// DAG-barrier gate; a plain schedule's floor is 0).
-    fn claim(&self, bus: &mut dyn Bus, earliest_ps: u64) -> u64 {
+    fn claim(&self, bus: &mut impl Bus, earliest_ps: u64) -> u64 {
         bus.claim(earliest_ps.max(self.floor))
+    }
+
+    /// Records one issued command: moves the issue cursor and the
+    /// completion fronts, and logs the event when the log is kept.
+    fn record(&mut self, at_ps: u64, end_ps: u64, cmd: &PimCommand) {
+        self.last_at_ps = at_ps;
+        self.end_ps = self.end_ps.max(end_ps);
+        self.issue_end_ps = self.issue_end_ps.max(end_ps);
+        if self.keep_log {
+            self.events.push(Event {
+                at_ps,
+                end_ps,
+                cmd: cmd.clone(),
+            });
+        }
     }
 
     fn check_buf(&self, b: BufId) -> Result<usize, PimError> {
@@ -351,7 +389,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Opens `row`, inserting PRE/ACT as needed.
-    fn open(&mut self, row: u32, bus: &mut dyn Bus, rank: &mut RankTimer) -> Result<(), PimError> {
+    fn open(&mut self, row: u32, bus: &mut impl Bus, rank: &mut RankTimer) -> Result<(), PimError> {
         if self.open_row == Some(row) {
             return Ok(());
         }
@@ -359,11 +397,7 @@ impl<'a> Engine<'a> {
             let e = self.bank.earliest_issue(BankCommand::Pre, 0)?;
             let slot = self.claim(bus, e);
             self.bank.issue_at(BankCommand::Pre, slot)?;
-            self.events.push(Event {
-                at_ps: slot,
-                end_ps: slot + self.resolved.t_rp,
-                cmd: PimCommand::Pre,
-            });
+            self.record(slot, slot + self.resolved.t_rp, &PimCommand::Pre);
         }
         let e = self
             .bank
@@ -373,26 +407,24 @@ impl<'a> Engine<'a> {
         self.bank.issue_at(BankCommand::Act { row }, slot)?;
         rank.record_act(slot);
         self.energy.record_act(&self.eparams);
-        self.events.push(Event {
-            at_ps: slot,
-            end_ps: slot + self.resolved.t_rcd,
-            cmd: PimCommand::Act { row },
-        });
+        self.record(slot, slot + self.resolved.t_rcd, &PimCommand::Act { row });
         self.open_row = Some(row);
         Ok(())
     }
 
     /// Issues one logical command (plus any row-management prefix),
-    /// recording its issue time for phase breakdowns.
+    /// recording its issue time for phase breakdowns. Returns the latest
+    /// effect end among the commands it issued (0 when it issued none).
     fn issue(
         &mut self,
         cmd: &PimCommand,
-        bus: &mut dyn Bus,
+        bus: &mut impl Bus,
         rank: &mut RankTimer,
-    ) -> Result<(), PimError> {
+    ) -> Result<u64, PimError> {
+        self.issue_end_ps = 0;
         // Refresh injection: when the deadline passed, close the row and
         // refresh before the next command (open-bank refresh is illegal).
-        let now = self.events.last().map(|e| e.at_ps).unwrap_or(0);
+        let now = self.last_at_ps;
         if now >= self.next_ref_ps {
             if self.open_row.is_some() {
                 self.issue_inner(&PimCommand::Pre, bus, rank)?;
@@ -404,19 +436,20 @@ impl<'a> Engine<'a> {
             }
         }
         self.issue_inner(cmd, bus, rank)?;
-        // The logical command's own event is the last one pushed (ACT/PRE
-        // prefixes come before it). A no-op PRE pushes nothing and
-        // inherits the previous command's time, which is exactly when it
-        // "happened".
-        let at = self.events.last().map(|e| e.at_ps).unwrap_or(0);
-        self.logical_issue_ps.push(at);
-        Ok(())
+        // The logical command's own event is the last one recorded
+        // (ACT/PRE prefixes come before it). A no-op PRE records nothing
+        // and inherits the previous command's time, which is exactly when
+        // it "happened".
+        if self.keep_log {
+            self.logical_issue_ps.push(self.last_at_ps);
+        }
+        Ok(self.issue_end_ps)
     }
 
     fn issue_inner(
         &mut self,
         cmd: &PimCommand,
-        bus: &mut dyn Bus,
+        bus: &mut impl Bus,
         rank: &mut RankTimer,
     ) -> Result<(), PimError> {
         match cmd {
@@ -425,22 +458,14 @@ impl<'a> Engine<'a> {
                 let e = self.bank.earliest_issue(BankCommand::Ref, 0)?;
                 let slot = self.claim(bus, e);
                 self.bank.issue_at(BankCommand::Ref, slot)?;
-                self.events.push(Event {
-                    at_ps: slot,
-                    end_ps: slot + self.resolved.t_rfc,
-                    cmd: PimCommand::Refresh,
-                });
+                self.record(slot, slot + self.resolved.t_rfc, cmd);
             }
             PimCommand::Pre => {
                 if self.open_row.is_some() {
                     let e = self.bank.earliest_issue(BankCommand::Pre, 0)?;
                     let slot = self.claim(bus, e);
                     self.bank.issue_at(BankCommand::Pre, slot)?;
-                    self.events.push(Event {
-                        at_ps: slot,
-                        end_ps: slot + self.resolved.t_rp,
-                        cmd: PimCommand::Pre,
-                    });
+                    self.record(slot, slot + self.resolved.t_rp, cmd);
                     self.open_row = None;
                 }
             }
@@ -456,11 +481,7 @@ impl<'a> Engine<'a> {
                 let done = slot + self.resolved.cl;
                 self.buf_ready[i] = done;
                 self.buf_busy[i] = done;
-                self.events.push(Event {
-                    at_ps: slot,
-                    end_ps: done,
-                    cmd: cmd.clone(),
-                });
+                self.record(slot, done, cmd);
             }
             PimCommand::CuWrite { row, col, buf } => {
                 let i = self.check_buf(*buf)?;
@@ -473,11 +494,7 @@ impl<'a> Engine<'a> {
                 self.energy.record_wr(&self.eparams);
                 let drained = slot + self.resolved.cl;
                 self.buf_busy[i] = drained;
-                self.events.push(Event {
-                    at_ps: slot,
-                    end_ps: drained,
-                    cmd: cmd.clone(),
-                });
+                self.record(slot, drained, cmd);
             }
             PimCommand::C1 { buf, .. } => {
                 let i = self.check_buf(*buf)?;
@@ -488,11 +505,7 @@ impl<'a> Engine<'a> {
                 self.buf_ready[i] = done;
                 self.buf_busy[i] = done;
                 self.energy.record_c1(&self.eparams);
-                self.events.push(Event {
-                    at_ps: slot,
-                    end_ps: done,
-                    cmd: cmd.clone(),
-                });
+                self.record(slot, done, cmd);
             }
             PimCommand::C2 { p, s, .. } => {
                 self.issue_two_buffer(cmd, *p, *s, self.config.c2_ps(), bus)?;
@@ -509,11 +522,7 @@ impl<'a> Engine<'a> {
                 self.buf_ready[i] = done;
                 self.buf_busy[i] = done;
                 self.energy.record_c2(&self.eparams);
-                self.events.push(Event {
-                    at_ps: slot,
-                    end_ps: done,
-                    cmd: cmd.clone(),
-                });
+                self.record(slot, done, cmd);
             }
             PimCommand::RegLoad { buf, .. } | PimCommand::RegStore { buf, .. } => {
                 let i = self.check_buf(*buf)?;
@@ -525,22 +534,14 @@ impl<'a> Engine<'a> {
                     self.buf_ready[i] = done;
                 }
                 self.buf_busy[i] = self.buf_busy[i].max(done);
-                self.events.push(Event {
-                    at_ps: slot,
-                    end_ps: done,
-                    cmd: cmd.clone(),
-                });
+                self.record(slot, done, cmd);
             }
             PimCommand::RegBu { .. } => {
                 let slot = self.claim(bus, self.cu_free);
                 let done = slot + self.config.reg_bu_ps();
                 self.cu_free = done;
                 self.energy.record_c2(&self.eparams);
-                self.events.push(Event {
-                    at_ps: slot,
-                    end_ps: done,
-                    cmd: cmd.clone(),
-                });
+                self.record(slot, done, cmd);
             }
             PimCommand::SetModulus { .. } | PimCommand::SetTwiddle { .. } => {
                 let beats = match cmd {
@@ -556,11 +557,7 @@ impl<'a> Engine<'a> {
                 }
                 self.cu_free = self.cu_free.max(slot + self.resolved.cycle_ps);
                 self.energy.record_param_beats(&self.eparams, beats);
-                self.events.push(Event {
-                    at_ps: first,
-                    end_ps: slot + self.resolved.cycle_ps,
-                    cmd: cmd.clone(),
-                });
+                self.record(first, slot + self.resolved.cycle_ps, cmd);
             }
         }
         Ok(())
@@ -572,7 +569,7 @@ impl<'a> Engine<'a> {
         p: BufId,
         s: BufId,
         latency_ps: u64,
-        bus: &mut dyn Bus,
+        bus: &mut impl Bus,
     ) -> Result<(), PimError> {
         let pi = self.check_buf(p)?;
         let si = self.check_buf(s)?;
@@ -585,19 +582,14 @@ impl<'a> Engine<'a> {
             self.buf_busy[i] = done;
         }
         self.energy.record_c2(&self.eparams);
-        self.events.push(Event {
-            at_ps: slot,
-            end_ps: done,
-            cmd: cmd.clone(),
-        });
+        self.record(slot, done, cmd);
         Ok(())
     }
 
     fn finish(self) -> Timeline {
-        let end_ps = self.events.iter().map(|e| e.end_ps).max().unwrap_or(0);
         Timeline {
             events: self.events,
-            end_ps,
+            end_ps: self.end_ps,
             counters: self.bank.counters(),
             energy: self.energy,
             logical_issue_ps: self.logical_issue_ps,
@@ -614,12 +606,9 @@ impl<'a> Engine<'a> {
 pub fn schedule(config: &PimConfig, program: &Program) -> Result<Timeline, PimError> {
     config.validate()?;
     let resolved = config.timing.resolve();
-    let mut bus = MonotonicBus {
-        cycle_ps: resolved.cycle_ps,
-        next_free: 0,
-    };
+    let mut bus = CommandBus::new(resolved.cycle_ps);
     let mut rank = RankTimer::new(&resolved);
-    let mut engine = Engine::new(config);
+    let mut engine = Engine::new(config, true);
     for cmd in &program.commands {
         engine.issue(cmd, &mut bus, &mut rank)?;
     }
@@ -676,7 +665,7 @@ pub fn schedule_queues(
         .iter()
         .map(|q| q.iter().map(DagJob::plain).collect())
         .collect();
-    schedule_multi(config, &borrowed)
+    schedule_multi(config, &borrowed, true)
 }
 
 /// One queued program plus its dependency tags for
@@ -737,15 +726,32 @@ pub fn schedule_queues_dag(
     config: &PimConfig,
     queues: &[Vec<DagJob<'_>>],
 ) -> Result<QueueTimeline, PimError> {
-    schedule_multi(config, queues)
+    schedule_multi(config, queues, true)
+}
+
+/// [`schedule_queues_dag`] without the per-command log: every figure of
+/// the returned timeline is the same, but each bank's `events` and
+/// `logical_issue_ps` stay empty and no command is cloned. The timing
+/// path of [`crate::device::PimDevice::schedule_queues_dag`], whose
+/// report reads neither.
+pub(crate) fn schedule_queues_unlogged(
+    config: &PimConfig,
+    queues: &[Vec<DagJob<'_>>],
+) -> Result<QueueTimeline, PimError> {
+    schedule_multi(config, queues, false)
 }
 
 /// Shared issue loop of [`schedule_queues`] and [`schedule_queues_dag`]:
 /// round-robin command interleave across banks, one stateful engine per
 /// bank, program-boundary completion times recorded per queue,
-/// barrier-tagged programs held until their dependencies drain. One command bus per channel, one [`RankTimer`]
-/// per rank — the topology's coupling structure.
-fn schedule_multi(config: &PimConfig, queues: &[Vec<DagJob>]) -> Result<QueueTimeline, PimError> {
+/// barrier-tagged programs held until their dependencies drain. One
+/// command bus per channel, one [`RankTimer`] per rank — the topology's
+/// coupling structure. `keep_log` fills each bank's event log.
+fn schedule_multi(
+    config: &PimConfig,
+    queues: &[Vec<DagJob>],
+    keep_log: bool,
+) -> Result<QueueTimeline, PimError> {
     config.validate()?;
     let topo = config.topology;
     if queues.len() > topo.total_banks() {
@@ -775,11 +781,11 @@ fn schedule_multi(config: &PimConfig, queues: &[Vec<DagJob>]) -> Result<QueueTim
         }
     }
     let mut barrier_ps = vec![0u64; n_barriers];
-    // The fair (slot-map) bus lives in dram-sim so chip-level models and
-    // this scheduler share one definition of "shared command bus"; each
-    // channel gets its own.
-    let mut buses: Vec<dram_sim::chip::FairBus> = (0..topo.channels)
-        .map(|_| dram_sim::chip::FairBus::new(resolved.cycle_ps))
+    // The fair (first-free-slot) bus lives in dram-sim so chip-level
+    // models and this scheduler share one definition of "shared command
+    // bus"; each channel gets its own.
+    let mut buses: Vec<FairBus> = (0..topo.channels)
+        .map(|_| FairBus::new(resolved.cycle_ps))
         .collect();
     // Banks of one rank share that rank's timer: tRRD/tFAW couple their
     // activations. Ranks are independent of each other.
@@ -791,10 +797,14 @@ fn schedule_multi(config: &PimConfig, queues: &[Vec<DagJob>]) -> Result<QueueTim
         .map(|b| topo.location(b).channel as usize)
         .collect();
     let bank_rank: Vec<usize> = (0..queues.len()).map(|b| topo.global_rank(b)).collect();
-    let mut engines: Vec<Engine> = queues.iter().map(|_| Engine::new(config)).collect();
+    let mut engines: Vec<Engine> = queues
+        .iter()
+        .map(|_| Engine::new(config, keep_log))
+        .collect();
     let mut prog_idx = vec![0usize; queues.len()];
     let mut cmd_idx = vec![0usize; queues.len()];
-    let mut seen_events = vec![0usize; queues.len()];
+    // Completion front of each bank's programs so far (the row close
+    // between queued programs does not count toward a program's end).
     let mut max_end = vec![0u64; queues.len()];
     let mut job_end_ps: Vec<Vec<u64>> =
         queues.iter().map(|q| Vec::with_capacity(q.len())).collect();
@@ -843,16 +853,13 @@ fn schedule_multi(config: &PimConfig, queues: &[Vec<DagJob>]) -> Result<QueueTim
                 }
             }
             let prog = job.program;
-            engines[b].issue(
+            let end = engines[b].issue(
                 &prog.commands[cmd_idx[b]],
                 &mut buses[bank_channel[b]],
                 &mut ranks[bank_rank[b]],
             )?;
+            max_end[b] = max_end[b].max(end);
             cmd_idx[b] += 1;
-            for e in &engines[b].events[seen_events[b]..] {
-                max_end[b] = max_end[b].max(e.end_ps);
-            }
-            seen_events[b] = engines[b].events.len();
             if cmd_idx[b] == prog.commands.len() {
                 job_end_ps[b].push(max_end[b]);
                 if let Some(k) = job.signals {
@@ -872,7 +879,6 @@ fn schedule_multi(config: &PimConfig, queues: &[Vec<DagJob>]) -> Result<QueueTim
                         &mut buses[bank_channel[b]],
                         &mut ranks[bank_rank[b]],
                     )?;
-                    seen_events[b] = engines[b].events.len();
                 }
             }
             progressed = true;

@@ -6,6 +6,15 @@
 //! parallelism claim ("near-linear speed up as the number of banks
 //! increases"), and [`Chip`] models exactly it — per-bank timing from
 //! [`BankTimer`] plus a [`CommandBus`] granting one slot per cycle.
+//!
+//! Two bus models grant those slots. [`CommandBus`] is strictly
+//! monotonic: a claim never lands before the previous one, the
+//! single-stream in-order model. [`FairBus`] grants the first *free*
+//! cycle at or after the request, so independent per-bank streams can
+//! backfill each other's gaps. It keeps occupancy in a two-level bitset
+//! (one bit per cycle, one summary bit per full 64-cycle word), which
+//! costs one bit per cycle up to the latest claimed slot — about 150 KB
+//! per simulated millisecond per channel at the 833 ps HBM2E cycle.
 
 use crate::bank::{BankCommand, BankCounters, BankTimer};
 use crate::rank::RankTimer;
@@ -65,10 +74,28 @@ impl CommandBus {
 /// a strictly monotonic [`CommandBus`] would. This is the bus model
 /// behind bank-parallel batch execution
 /// (`ntt_pim_core::sched::schedule_queues`).
+///
+/// Occupancy is a two-level bitset: one bit per bus cycle, and one
+/// summary bit per 64-cycle word that is completely taken. A claim tests
+/// the requested word, then skips full words 64 at a time through the
+/// summary, so a claim behind a long saturated run reads one summary
+/// word per 4096 cycles instead of walking every occupied slot. Both
+/// levels grow on demand up to the latest claimed slot: one bit per
+/// cycle, about 150 KB per simulated millisecond at the HBM2E 833 ps
+/// cycle, plus 1/64 of that for the summary.
 #[derive(Debug, Clone)]
 pub struct FairBus {
     cycle_ps: u64,
-    taken: std::collections::BTreeSet<u64>,
+    /// Bit `s % 64` of `slots[s / 64]` is set when slot `s` is taken.
+    slots: Vec<u64>,
+    /// Bit `w % 64` of `full[w / 64]` is set when `slots[w]` is all ones.
+    full: Vec<u64>,
+    issued: u64,
+}
+
+/// Word index of a bit index, for both levels of [`FairBus`].
+fn word_of(bit: u64) -> usize {
+    usize::try_from(bit / 64).expect("bus horizon exceeds the address space")
 }
 
 impl FairBus {
@@ -81,29 +108,59 @@ impl FairBus {
         assert!(cycle_ps > 0, "bus needs a non-zero cycle");
         Self {
             cycle_ps,
-            taken: std::collections::BTreeSet::new(),
+            slots: Vec::new(),
+            full: Vec::new(),
+            issued: 0,
         }
     }
 
     /// Claims the first free slot `>= at_ps` and returns its time.
     pub fn claim(&mut self, at_ps: u64) -> u64 {
-        let mut slot = at_ps.div_ceil(self.cycle_ps);
-        // One ordered walk over the occupied run, instead of a separate
-        // tree lookup per candidate slot (saturated buses made that
-        // quadratic-with-log over large batch schedules).
-        for &t in self.taken.range(slot..) {
-            if t > slot {
-                break;
-            }
-            slot = t + 1;
+        let slot = self.first_free(at_ps.div_ceil(self.cycle_ps));
+        let w = word_of(slot);
+        if w >= self.slots.len() {
+            self.slots.resize(w + 1, 0);
+            self.full.resize(w / 64 + 1, 0);
         }
-        self.taken.insert(slot);
+        self.slots[w] |= 1 << (slot % 64);
+        if self.slots[w] == u64::MAX {
+            self.full[w / 64] |= 1 << (w % 64);
+        }
+        self.issued += 1;
         slot * self.cycle_ps
+    }
+
+    /// First untaken slot index `>= from`.
+    fn first_free(&self, from: u64) -> u64 {
+        let w = word_of(from);
+        let Some(&bits) = self.slots.get(w) else {
+            return from; // past the horizon: nothing claimed yet
+        };
+        let free = !bits & (u64::MAX << (from % 64));
+        if free != 0 {
+            return w as u64 * 64 + u64::from(free.trailing_zeros());
+        }
+        // The rest of the run: the first word after `w` that is not full.
+        // Summary bits of words past the horizon are clear, so the scan
+        // stops there at the latest.
+        let next = w + 1;
+        let mut s = next / 64;
+        let mut open_mask = u64::MAX << (next % 64);
+        loop {
+            let open = !self.full.get(s).copied().unwrap_or(0) & open_mask;
+            if open != 0 {
+                let w = s * 64 + open.trailing_zeros() as usize;
+                let bits = self.slots.get(w).copied().unwrap_or(0);
+                return w as u64 * 64 + u64::from((!bits).trailing_zeros());
+            }
+            s += 1;
+            open_mask = u64::MAX;
+        }
     }
 
     /// Slots claimed so far.
     pub fn issued(&self) -> u64 {
-        self.taken.len() as u64
+        self.issued
     }
 
     /// Bus utilization over `[0, horizon_ps)`.

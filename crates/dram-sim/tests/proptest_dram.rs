@@ -1,10 +1,12 @@
 //! Property-based tests of the DRAM model: sequences generated through
 //! the timing state machine are always accepted by the independent
 //! validator, storage behaves like a value-faithful memory under random
-//! access patterns, and the earliest-issue function is consistent with
-//! issue legality.
+//! access patterns, the earliest-issue function is consistent with issue
+//! legality, and the bitset [`FairBus`] grants exactly the slots of a
+//! plain ordered-set model.
 
 use dram_sim::bank::{BankCommand, BankTimer};
+use dram_sim::chip::FairBus;
 use dram_sim::storage::BankStorage;
 use dram_sim::timing::{Geometry, TimingParams};
 use dram_sim::validate::{validate_trace, TraceEntry};
@@ -28,8 +30,80 @@ fn step_command(open: bool, pick: u8, row: u32, col: u32) -> BankCommand {
     }
 }
 
+/// The fair-bus rule written the obvious way: walk the ordered set of
+/// taken slots from the requested one to the first gap.
+struct SetBus {
+    cycle_ps: u64,
+    taken: std::collections::BTreeSet<u64>,
+}
+
+impl SetBus {
+    fn claim(&mut self, at_ps: u64) -> u64 {
+        let mut slot = at_ps.div_ceil(self.cycle_ps);
+        while self.taken.contains(&slot) {
+            slot += 1;
+        }
+        self.taken.insert(slot);
+        slot * self.cycle_ps
+    }
+}
+
+/// Slot indices next to the bitset's word (64) and summary-word (4096)
+/// edges.
+const EDGES: [u64; 4] = [63, 64, 4095, 4096];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The bitset bus and the ordered-set model grant the same slot to
+    /// every claim of a random sequence — repeated times, backfills
+    /// behind long saturated runs, jumps far past the horizon, sub-cycle
+    /// times, and times at the word and summary-word edges — and count
+    /// the same number of issued slots.
+    #[test]
+    fn fair_bus_matches_ordered_set_model(
+        ops in prop::collection::vec((0u8..6, any::<u64>()), 1..48),
+    ) {
+        let cycle = TimingParams::hbm2e().resolve().cycle_ps;
+        let mut bus = FairBus::new(cycle);
+        let mut model = SetBus { cycle_ps: cycle, taken: Default::default() };
+        let mut last = 0u64;
+        // One past the latest slot either bus granted.
+        let mut horizon = 0u64;
+        for (kind, a) in ops {
+            let times: Vec<u64> = match kind {
+                // The previous request again.
+                0 => vec![last],
+                // Anywhere up to the horizon, sub-cycle offsets included.
+                1 => vec![a % ((horizon + 1) * cycle)],
+                // Far past the horizon.
+                2 => vec![(horizon + 4096 + a % (1 << 18)) * cycle + a % cycle],
+                // A word or summary-word edge, off by at most one slot,
+                // possibly a fraction of a cycle early.
+                3 => {
+                    let slot = EDGES[(a % 4) as usize] + (a >> 2) % 3;
+                    vec![(slot - 1) * cycle + 1 + (a >> 4) % cycle]
+                }
+                // A saturated run of consecutive slots just past the
+                // horizon, long enough to fill whole summary words.
+                4 => {
+                    let start = horizon + (a % 130);
+                    let len = 1 + (a >> 8) % 4500;
+                    (start..start + len).map(|s| s * cycle).collect()
+                }
+                // Into the most recent run.
+                _ => vec![horizon.saturating_sub(1 + a % 4200) * cycle],
+            };
+            for at in times {
+                let got = bus.claim(at);
+                prop_assert_eq!(got, model.claim(at), "claim at {} ps", at);
+                prop_assert!(got >= at && got % cycle == 0);
+                last = at;
+                horizon = horizon.max(got / cycle + 1);
+            }
+            prop_assert_eq!(bus.issued(), model.taken.len() as u64);
+        }
+    }
 
     /// Any sequence issued at the BankTimer's own earliest times replays
     /// cleanly through the independent validator.
