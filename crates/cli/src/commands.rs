@@ -13,6 +13,15 @@ use ntt_pim_core::mapper::{map_ntt, MapperOptions, NttParams};
 use ntt_pim_core::sched::schedule;
 use std::fmt::Write as _;
 
+/// Most jobs one `batch` run generates: every job's coefficients and
+/// result are held at once (4096 jobs of N = 8192 hold 512 MiB).
+pub const MAX_BATCH_JOBS: usize = 4096;
+/// Most requests one `serve` run pre-generates and holds (16384
+/// requests of N = 4096 hold 512 MiB of coefficients).
+pub const MAX_SERVE_REQUESTS: usize = 16_384;
+/// Most `serve` tenants: each drives its requests from its own thread.
+pub const MAX_SERVE_TENANTS: usize = 256;
+
 /// Usage text for `help` and errors.
 pub const USAGE: &str = "\
 ntt-pim — row-centric DRAM-PIM NTT simulator (DAC'23 reproduction)
@@ -43,7 +52,8 @@ COMMON OPTIONS:
     --lengths <...>  (sweep) list of lengths               [default: 256..8192]
 
 BATCH OPTIONS:
-    --jobs <k>       number of independent NTT jobs        [default: 16]
+    --jobs <k>       number of independent NTT jobs, at most 4096
+                                                           [default: 16]
     --schedule <p>   lpt (cost-model bin-packing, async drain)
                      or round-robin (barrier waves)        [default: lpt]
     --lengths <...>  job lengths, cycled over the batch
@@ -57,8 +67,10 @@ BATCH OPTIONS:
                      typed errors; reports its window and cost quote)
 
 SERVE OPTIONS:
-    --tenants <t>       concurrent closed-loop tenants        [default: 8]
-    --requests <r>      total requests across tenants         [default: 64]
+    --tenants <t>       concurrent closed-loop tenants, at most 256
+                                                              [default: 8]
+    --requests <r>      total requests across tenants, at most 16384
+                                                              [default: 64]
     --max-wait-us <w>   micro-batch flush deadline, µs        [default: 500]
     --queue-depth <d>   admission bound (then Busy)           [default: 256]
     --tenant-inflight <k>  per-tenant in-flight cap (0 = off) [default: 0]
@@ -295,8 +307,10 @@ fn polymul(args: &ParsedArgs) -> Result<String, CliError> {
 fn batch(args: &ParsedArgs) -> Result<String, CliError> {
     let n: usize = args.get_or("n", 1024)?;
     let jobs_n: usize = args.get_or("jobs", 16)?;
-    if jobs_n == 0 {
-        return Err(CliError::usage("--jobs must be at least 1"));
+    if jobs_n == 0 || jobs_n > MAX_BATCH_JOBS {
+        return Err(CliError::usage(format!(
+            "--jobs must be between 1 and {MAX_BATCH_JOBS}"
+        )));
     }
     let topology = topology_from(args, 16)?;
     let nb: usize = args.get_or("nb", 2)?;
@@ -527,8 +541,15 @@ fn serve(args: &ParsedArgs) -> Result<String, CliError> {
     let smoke = args.has_flag("smoke");
     let tenants: usize = args.get_or("tenants", if smoke { 4 } else { 8 })?;
     let requests: usize = args.get_or("requests", if smoke { 16 } else { 64 })?;
-    if tenants == 0 || requests == 0 {
-        return Err(CliError::usage("--tenants and --requests must be >= 1"));
+    if tenants == 0 || tenants > MAX_SERVE_TENANTS {
+        return Err(CliError::usage(format!(
+            "--tenants must be between 1 and {MAX_SERVE_TENANTS}"
+        )));
+    }
+    if requests == 0 || requests > MAX_SERVE_REQUESTS {
+        return Err(CliError::usage(format!(
+            "--requests must be between 1 and {MAX_SERVE_REQUESTS}"
+        )));
     }
     let max_wait_us: u64 = args.get_or("max-wait-us", 500)?;
     let queue_depth: usize = args.get_or("queue-depth", 256)?;
@@ -836,6 +857,12 @@ mod tests {
         assert!(run_line("batch --n 256 --jobs 2 --banks 0").is_err());
         assert!(run_line("batch --n 1000 --jobs 2 --banks 2").is_err());
         assert!(run_line("batch --n 256 --jobs 2 --banks 2 --schedule frob").is_err());
+        // Counts past the cap are usage errors, never allocations.
+        for jobs in ["4097", "4000000000"] {
+            let e = run_line(&format!("batch --n 256 --jobs {jobs} --banks 2")).unwrap_err();
+            assert_eq!(e.exit_code, 2, "--jobs {jobs}: {e}");
+            assert!(e.message.contains("4096"), "{e}");
+        }
     }
 
     #[test]
@@ -921,6 +948,17 @@ mod tests {
     fn serve_rejects_degenerate_requests() {
         assert!(run_line("serve --tenants 0 --requests 4").is_err());
         assert!(run_line("serve --tenants 2 --requests 0").is_err());
+        // Counts past the caps are usage errors, never allocations or
+        // thread storms.
+        for line in [
+            "serve --smoke --requests 4000000000",
+            "serve --smoke --requests 16385",
+            "serve --smoke --tenants 257 --requests 4",
+            "serve --tenants 4000000000 --requests 4",
+        ] {
+            let e = run_line(line).unwrap_err();
+            assert_eq!(e.exit_code, 2, "{line}: {e}");
+        }
         assert!(run_line("serve --smoke --lengths 100 --requests 2 --tenants 1").is_err());
         assert!(run_line("serve --devices 0 --requests 4").is_err());
         // Over-large fleets are usage errors, never allocations.

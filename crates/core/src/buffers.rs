@@ -12,7 +12,11 @@ use crate::PimError;
 #[derive(Debug, Clone)]
 pub struct BufferFile {
     atom_words: usize,
-    bufs: Vec<Option<Vec<u32>>>,
+    /// Every buffer's words back to back, `atom_words` each, allocated
+    /// once: a fill copies into its buffer's slice.
+    words: Vec<u32>,
+    /// Which buffers hold valid data (filled at least once).
+    filled: Vec<bool>,
 }
 
 impl BufferFile {
@@ -20,18 +24,19 @@ impl BufferFile {
     pub fn new(n_bufs: usize, atom_words: usize) -> Self {
         Self {
             atom_words,
-            bufs: vec![None; n_bufs],
+            words: vec![0; n_bufs * atom_words],
+            filled: vec![false; n_bufs],
         }
     }
 
     /// Number of buffers (`Nb`).
     pub fn len(&self) -> usize {
-        self.bufs.len()
+        self.filled.len()
     }
 
     /// True when there are no buffers (never for a validated config).
     pub fn is_empty(&self) -> bool {
-        self.bufs.is_empty()
+        self.filled.is_empty()
     }
 
     /// Words per buffer (`Na`).
@@ -39,12 +44,12 @@ impl BufferFile {
         self.atom_words
     }
 
-    /// Fills `buf` with an atom (a CU-read landing).
+    /// Fills `buf` with a copy of an atom (a CU-read landing).
     ///
     /// # Errors
     ///
     /// [`PimError::BufferMisuse`] for an unknown buffer or wrong length.
-    pub fn fill(&mut self, buf: BufId, data: Vec<u32>) -> Result<(), PimError> {
+    pub fn fill(&mut self, buf: BufId, data: &[u32]) -> Result<(), PimError> {
         if data.len() != self.atom_words {
             return Err(PimError::BufferMisuse {
                 reason: format!(
@@ -54,8 +59,9 @@ impl BufferFile {
                 ),
             });
         }
-        let slot = self.slot_mut(buf)?;
-        *slot = Some(data);
+        let range = self.range(buf)?;
+        self.words[range].copy_from_slice(data);
+        self.filled[buf.0 as usize] = true;
         Ok(())
     }
 
@@ -66,13 +72,8 @@ impl BufferFile {
     /// [`PimError::BufferMisuse`] for an unknown or invalid (never filled)
     /// buffer.
     pub fn contents(&self, buf: BufId) -> Result<&[u32], PimError> {
-        self.bufs
-            .get(buf.0 as usize)
-            .ok_or_else(|| Self::unknown(buf))?
-            .as_deref()
-            .ok_or_else(|| PimError::BufferMisuse {
-                reason: format!("buffer {buf} read before being filled"),
-            })
+        let range = self.valid_range(buf, "read")?;
+        Ok(&self.words[range])
     }
 
     /// Mutably borrows the valid contents of `buf` (compute in place).
@@ -81,13 +82,8 @@ impl BufferFile {
     ///
     /// Same conditions as [`Self::contents`].
     pub fn contents_mut(&mut self, buf: BufId) -> Result<&mut [u32], PimError> {
-        self.bufs
-            .get_mut(buf.0 as usize)
-            .ok_or_else(|| Self::unknown(buf))?
-            .as_deref_mut()
-            .ok_or_else(|| PimError::BufferMisuse {
-                reason: format!("buffer {buf} written before being filled"),
-            })
+        let range = self.valid_range(buf, "written")?;
+        Ok(&mut self.words[range])
     }
 
     /// Mutably borrows two *distinct* buffers (the C2 operand pair).
@@ -102,46 +98,38 @@ impl BufferFile {
                 reason: format!("C2 operands must be distinct buffers (both {a})"),
             });
         }
-        // Validate both exist and are filled before splitting.
-        self.contents(a)?;
-        self.contents(b)?;
-        let (lo_id, hi_id, swap) = if a.0 < b.0 {
-            (a, b, false)
+        let ra = self.valid_range(a, "read")?;
+        let rb = self.valid_range(b, "read")?;
+        if ra.start < rb.start {
+            let (lo, hi) = self.words.split_at_mut(rb.start);
+            Ok((&mut lo[ra], &mut hi[..self.atom_words]))
         } else {
-            (b, a, true)
-        };
-        let (lo_half, hi_half) = self.bufs.split_at_mut(hi_id.0 as usize);
-        let lo = lo_half[lo_id.0 as usize]
-            .as_deref_mut()
-            .expect("validated above");
-        let hi = hi_half[0].as_deref_mut().expect("validated above");
-        if swap {
-            Ok((hi, lo))
-        } else {
-            Ok((lo, hi))
+            let (lo, hi) = self.words.split_at_mut(ra.start);
+            Ok((&mut hi[..self.atom_words], &mut lo[rb]))
         }
     }
 
-    /// Copies the contents out (a CU-write departing). The buffer stays
-    /// valid (writes do not consume).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Self::contents`].
-    pub fn snapshot(&self, buf: BufId) -> Result<Vec<u32>, PimError> {
-        Ok(self.contents(buf)?.to_vec())
-    }
-
-    fn slot_mut(&mut self, buf: BufId) -> Result<&mut Option<Vec<u32>>, PimError> {
-        self.bufs
-            .get_mut(buf.0 as usize)
-            .ok_or_else(|| Self::unknown(buf))
-    }
-
-    fn unknown(buf: BufId) -> PimError {
-        PimError::BufferMisuse {
-            reason: format!("buffer {buf} does not exist in this configuration"),
+    /// The word range of `buf`.
+    fn range(&self, buf: BufId) -> Result<std::ops::Range<usize>, PimError> {
+        let i = buf.0 as usize;
+        if i >= self.filled.len() {
+            return Err(PimError::BufferMisuse {
+                reason: format!("buffer {buf} does not exist in this configuration"),
+            });
         }
+        Ok(i * self.atom_words..(i + 1) * self.atom_words)
+    }
+
+    /// The word range of `buf`, which must hold valid data; `access`
+    /// names the attempted use in the error.
+    fn valid_range(&self, buf: BufId, access: &str) -> Result<std::ops::Range<usize>, PimError> {
+        let range = self.range(buf)?;
+        if !self.filled[buf.0 as usize] {
+            return Err(PimError::BufferMisuse {
+                reason: format!("buffer {buf} {access} before being filled"),
+            });
+        }
+        Ok(range)
     }
 }
 
@@ -153,7 +141,7 @@ mod tests {
     fn fill_and_read_back() {
         let mut f = BufferFile::new(2, 8);
         assert_eq!(f.len(), 2);
-        f.fill(BufId(1), vec![5; 8]).unwrap();
+        f.fill(BufId(1), &[5; 8]).unwrap();
         assert_eq!(f.contents(BufId(1)).unwrap(), &[5; 8]);
         assert!(f.contents(BufId(0)).is_err(), "unfilled buffer");
         assert!(f.contents(BufId(2)).is_err(), "unknown buffer");
@@ -162,14 +150,14 @@ mod tests {
     #[test]
     fn wrong_atom_size_rejected() {
         let mut f = BufferFile::new(1, 8);
-        assert!(f.fill(BufId(0), vec![0; 4]).is_err());
+        assert!(f.fill(BufId(0), &[0; 4]).is_err());
     }
 
     #[test]
     fn pair_mut_orders_operands_correctly() {
         let mut f = BufferFile::new(3, 8);
-        f.fill(BufId(0), vec![1; 8]).unwrap();
-        f.fill(BufId(2), vec![2; 8]).unwrap();
+        f.fill(BufId(0), &[1; 8]).unwrap();
+        f.fill(BufId(2), &[2; 8]).unwrap();
         {
             let (p, s) = f.pair_mut(BufId(2), BufId(0)).unwrap();
             assert_eq!(p[0], 2);

@@ -302,7 +302,7 @@ mod tests {
     fn compute_before_setmodulus_fails() {
         let c = ComputeUnit::new();
         let mut bufs = BufferFile::new(1, 8);
-        bufs.fill(BufId(0), vec![0; 8]).unwrap();
+        bufs.fill(BufId(0), &[0; 8]).unwrap();
         let params = C1Params {
             points: 8,
             stage_steps_mont: vec![1, 1, 1],
@@ -323,7 +323,7 @@ mod tests {
         let input: Vec<u64> = (1..=8u64).collect();
         let mut br = input.clone();
         modmath::bitrev::bitrev_permute(&mut br);
-        bufs.fill(BufId(0), br.iter().map(|&x| x as u32).collect())
+        bufs.fill(BufId(0), &br.iter().map(|&x| x as u32).collect::<Vec<_>>())
             .unwrap();
         // Stage steps: ω^(N/2^(s+1)) for N=8: s=0 → ω^4, s=1 → ω^2, s=2 → ω.
         let steps: Vec<u32> = (0..3)
@@ -355,8 +355,11 @@ mod tests {
         let c = cu();
         let mut bufs = BufferFile::new(1, 8);
         let input: Vec<u64> = vec![5, 1, 4, 2, 8, 6, 3, 7];
-        bufs.fill(BufId(0), input.iter().map(|&x| x as u32).collect())
-            .unwrap();
+        bufs.fill(
+            BufId(0),
+            &input.iter().map(|&x| x as u32).collect::<Vec<_>>(),
+        )
+        .unwrap();
         let steps: Vec<u32> = (0..3)
             .map(|s| m.to_mont(pow_mod(w, 8 >> (s + 1), Q as u64) as u32))
             .collect();
@@ -388,7 +391,7 @@ mod tests {
         modmath::bitrev::bitrev_permute(&mut br);
         let mut atom: Vec<u32> = br.iter().map(|&x| x as u32).collect();
         atom.extend_from_slice(&[77; 4]); // untouched tail lanes
-        bufs.fill(BufId(0), atom).unwrap();
+        bufs.fill(BufId(0), &atom).unwrap();
         let steps: Vec<u32> = (0..2)
             .map(|s| m.to_mont(pow_mod(w, 4 >> (s + 1), Q as u64) as u32))
             .collect();
@@ -413,8 +416,8 @@ mod tests {
         let mut bufs = BufferFile::new(2, 8);
         let a: Vec<u32> = (1..=8).collect();
         let b: Vec<u32> = (11..=18).collect();
-        bufs.fill(BufId(0), a.clone()).unwrap();
-        bufs.fill(BufId(1), b.clone()).unwrap();
+        bufs.fill(BufId(0), &a).unwrap();
+        bufs.fill(BufId(1), &b).unwrap();
         let (omega0, r) = (3u32, 62u32);
         let tw = crate::tfg::params_to_mont(&m, omega0, r);
         c.exec_c2(&mut bufs, BufId(0), BufId(1), tw, BuOrder::Ct)
@@ -444,7 +447,7 @@ mod tests {
         let m = mont();
         let c = cu();
         let mut bufs = BufferFile::new(1, 8);
-        bufs.fill(BufId(0), vec![100; 8]).unwrap();
+        bufs.fill(BufId(0), &[100; 8]).unwrap();
         let tw = crate::tfg::params_to_mont(&m, 2, 3);
         c.exec_scale(&mut bufs, BufId(0), tw).unwrap();
         let out = bufs.contents(BufId(0)).unwrap();
@@ -463,8 +466,8 @@ mod tests {
         let mut bufs = BufferFile::new(2, 8);
         let a: Vec<u32> = vec![1, 2, 3, 4, 5, 6, 7, 7680];
         let b: Vec<u32> = vec![7680, 100, 200, 300, 400, 500, 600, 7680];
-        bufs.fill(BufId(0), a.clone()).unwrap();
-        bufs.fill(BufId(1), b.clone()).unwrap();
+        bufs.fill(BufId(0), &a).unwrap();
+        bufs.fill(BufId(1), &b).unwrap();
         c.exec_pointwise(&mut bufs, BufId(0), BufId(1)).unwrap();
         let p = bufs.contents(BufId(0)).unwrap();
         for l in 0..8 {
@@ -482,7 +485,7 @@ mod tests {
         let m = mont();
         let mut c = cu();
         let mut bufs = BufferFile::new(1, 8);
-        bufs.fill(BufId(0), vec![10, 20, 0, 0, 0, 0, 0, 0]).unwrap();
+        bufs.fill(BufId(0), &[10, 20, 0, 0, 0, 0, 0, 0]).unwrap();
         c.exec_reg_load(&bufs, BufId(0), 0, OperandReg::A).unwrap();
         c.exec_reg_load(&bufs, BufId(0), 1, OperandReg::B).unwrap();
         c.exec_reg_bu(m.to_mont(5), BuOrder::Ct).unwrap();

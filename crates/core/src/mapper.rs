@@ -41,7 +41,7 @@ use modmath::montgomery::Montgomery32;
 use modmath::prime::is_primitive_root_of_unity;
 
 /// Which butterfly graph the stream implements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Dataflow {
     /// Bit-reversed input → natural output; CT butterflies; stages run
     /// span 1 → N/2 (intra-atom first). The paper's primary mapping.
@@ -54,7 +54,7 @@ pub enum Dataflow {
 }
 
 /// Mapping options (the ablation switches of DESIGN.md).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MapperOptions {
     /// Graph direction.
     pub dataflow: Dataflow,

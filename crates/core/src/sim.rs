@@ -92,13 +92,11 @@ impl FunctionalSim {
             PimCommand::Pre | PimCommand::Refresh => self.storage.precharge(),
             PimCommand::CuRead { row, col, buf } => {
                 self.open(*row)?;
-                let atom = self.storage.read_atom(*col)?;
-                self.bufs.fill(*buf, atom)?;
+                self.bufs.fill(*buf, self.storage.read_atom(*col)?)?;
             }
             PimCommand::CuWrite { row, col, buf } => {
                 self.open(*row)?;
-                let atom = self.bufs.snapshot(*buf)?;
-                self.storage.write_atom(*col, &atom)?;
+                self.storage.write_atom(*col, self.bufs.contents(*buf)?)?;
             }
             PimCommand::C1 { buf, params } => {
                 self.cu.exec_c1(&mut self.bufs, *buf, params)?;

@@ -24,8 +24,11 @@ use crate::TimingError;
 pub struct BankStorage {
     geometry: Geometry,
     words: Vec<u32>,
-    /// Open-row image (the sense amplifiers); `None` when precharged.
-    row_buffer: Option<(u32, Vec<u32>)>,
+    /// Open-row image (the sense amplifiers): one row's worth of words,
+    /// allocated once and overwritten by every activation.
+    row_image: Vec<u32>,
+    /// The row the image holds; `None` when precharged.
+    open: Option<u32>,
 }
 
 impl BankStorage {
@@ -34,7 +37,8 @@ impl BankStorage {
         Self {
             geometry,
             words: vec![0u32; geometry.bank_words()],
-            row_buffer: None,
+            row_image: vec![0u32; geometry.row_words()],
+            open: None,
         }
     }
 
@@ -56,7 +60,7 @@ impl BankStorage {
             .expect("address overflow");
         assert!(end <= self.words.len(), "span exceeds bank");
         assert!(
-            self.row_buffer.is_none(),
+            self.open.is_none(),
             "host DMA with an open row would race the sense amplifiers"
         );
         self.words[start_word..end].copy_from_slice(data);
@@ -72,7 +76,7 @@ impl BankStorage {
         let end = start_word.checked_add(len).expect("address overflow");
         assert!(end <= self.words.len(), "span exceeds bank");
         assert!(
-            self.row_buffer.is_none(),
+            self.open.is_none(),
             "host read with an open row would miss unrestored data"
         );
         self.words[start_word..end].to_vec()
@@ -85,9 +89,9 @@ impl BankStorage {
     /// * [`TimingError::RowAlreadyOpen`] if a row is open.
     /// * [`TimingError::AddressOutOfRange`] for a bad row index.
     pub fn activate(&mut self, row: u32) -> Result<(), TimingError> {
-        if let Some((open, _)) = &self.row_buffer {
+        if let Some(open) = self.open {
             return Err(TimingError::RowAlreadyOpen {
-                open: *open,
+                open,
                 requested: row,
             });
         }
@@ -100,17 +104,18 @@ impl BankStorage {
         }
         let rw = self.geometry.row_words();
         let base = row as usize * rw;
-        self.row_buffer = Some((row, self.words[base..base + rw].to_vec()));
+        self.row_image.copy_from_slice(&self.words[base..base + rw]);
+        self.open = Some(row);
         Ok(())
     }
 
     /// Precharges: restores the row buffer into the array and closes it.
     /// Precharging a closed bank is a no-op (as in real DRAM).
     pub fn precharge(&mut self) {
-        if let Some((row, buf)) = self.row_buffer.take() {
+        if let Some(row) = self.open.take() {
             let rw = self.geometry.row_words();
             let base = row as usize * rw;
-            self.words[base..base + rw].copy_from_slice(&buf);
+            self.words[base..base + rw].copy_from_slice(&self.row_image);
         }
     }
 
@@ -120,15 +125,14 @@ impl BankStorage {
     ///
     /// * [`TimingError::RowNotOpen`] with no open row.
     /// * [`TimingError::AddressOutOfRange`] for a bad column.
-    pub fn read_atom(&self, col: u32) -> Result<Vec<u32>, TimingError> {
-        let (_, buf) = self
-            .row_buffer
-            .as_ref()
-            .ok_or(TimingError::RowNotOpen { cmd: "RD" })?;
+    pub fn read_atom(&self, col: u32) -> Result<&[u32], TimingError> {
+        if self.open.is_none() {
+            return Err(TimingError::RowNotOpen { cmd: "RD" });
+        }
         self.check_col(col)?;
         let aw = self.geometry.atom_words();
         let base = col as usize * aw;
-        Ok(buf[base..base + aw].to_vec())
+        Ok(&self.row_image[base..base + aw])
     }
 
     /// Writes one atom into the open row (visible to later reads of the
@@ -149,18 +153,17 @@ impl BankStorage {
             });
         }
         self.check_col(col)?;
-        let (_, buf) = self
-            .row_buffer
-            .as_mut()
-            .ok_or(TimingError::RowNotOpen { cmd: "WR" })?;
+        if self.open.is_none() {
+            return Err(TimingError::RowNotOpen { cmd: "WR" });
+        }
         let base = col as usize * aw;
-        buf[base..base + aw].copy_from_slice(data);
+        self.row_image[base..base + aw].copy_from_slice(data);
         Ok(())
     }
 
     /// The currently open row, if any.
     pub fn open_row(&self) -> Option<u32> {
-        self.row_buffer.as_ref().map(|(r, _)| *r)
+        self.open
     }
 
     fn check_col(&self, col: u32) -> Result<(), TimingError> {

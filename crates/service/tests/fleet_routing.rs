@@ -411,6 +411,68 @@ fn retired_device_rejoins_after_probe_success() {
     assert_eq!(stats.devices[1].jobs, 16);
 }
 
+/// A backend that panics mid-batch is retired like a failing one: its
+/// group re-routes and every ticket resolves, the one-shot panic clears,
+/// the probe re-admits the device, and shutdown returns while a client
+/// is still alive. Every wait is bounded, and the service is kept out of
+/// reach of unwinding (its `Drop` waits for every admitted ticket), so a
+/// panic that killed the worker fails this test instead of hanging it.
+#[test]
+fn panicking_device_is_retired_and_readmitted_without_hanging() {
+    const Q: u64 = 12289;
+    let bound = Duration::from_secs(20);
+    let cfg = device((2, 2, 4));
+    let switch = Arc::new(FaultSwitch::new());
+    switch.panic_next();
+    // The first wave lands on device 0 (idle-fleet argmin tie-break;
+    // the huge steal threshold keeps it whole) and hits the panic.
+    let config = ServiceConfig::new(cfg)
+        .with_backends(vec![BackendSpec::Pim(cfg); 2])
+        .with_max_batch(16)
+        .with_max_wait(Duration::from_millis(5))
+        .with_steal_threshold(Duration::from_secs(10))
+        .with_device_fault(0, switch);
+    let service = std::mem::ManuallyDrop::new(NttService::start(config).unwrap());
+    let client = service.client();
+    let jobs: Vec<NttJob> = (0..16)
+        .map(|i| NttJob::new(poly(256, Q, 600 + i), Q))
+        .collect();
+    let tickets: Vec<_> = jobs
+        .iter()
+        .map(|j| client.submit("t", j.clone()).unwrap())
+        .collect();
+    for (i, (job, ticket)) in jobs.iter().zip(&tickets).enumerate() {
+        match ticket.wait_timeout(bound) {
+            Some(Ok(response)) => assert_eq!(response.result, expected(job), "job {i}"),
+            Some(Err(ServiceError::Exec { .. })) => {}
+            other => panic!("job {i}: no result or typed error within {bound:?}: {other:?}"),
+        }
+    }
+    let deadline = std::time::Instant::now() + bound;
+    while !service.stats().devices[0].healthy {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "device 0 never re-admitted"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let stats = service.stats();
+    assert_eq!(stats.devices[0].exec_failures, 1, "the panic retired it");
+    assert_eq!(stats.devices[0].readmissions, 1);
+
+    let service = std::mem::ManuallyDrop::into_inner(service);
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(service.shutdown());
+    });
+    let stats = rx
+        .recv_timeout(bound)
+        .expect("shutdown returns while a client is alive");
+    assert_eq!(stats.accepted, 16);
+    assert_eq!(stats.completed, 16, "the healthy device served the group");
+    drop(client);
+}
+
 /// End to end on a mixed fleet (PIM + CPU lanes + a published model):
 /// every response is bit-identical to the golden model whichever
 /// backend served it, and the stats rows carry each slot's identity.

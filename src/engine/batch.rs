@@ -42,7 +42,7 @@
 
 use super::{CpuNttEngine, EngineError};
 use crate::core::config::{PimConfig, Topology};
-use crate::core::device::{NttDirection, PimDevice, QueueReport, StoredOrder};
+use crate::core::device::{NttDirection, PimDevice, PolyHandle, QueueReport, StoredOrder};
 use crate::core::layout::PolyLayout;
 use crate::core::mapper::{MapperOptions, Program};
 use crate::core::sched::{lpt_assign_topology, lpt_makespan, DagJob};
@@ -52,6 +52,8 @@ use crate::math::prime;
 use crate::reference::four_step::{plan_split, SplitPlan};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::Hash;
+use std::sync::Arc;
 
 /// What a batched job computes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -512,6 +514,153 @@ pub struct BatchExecutor {
     /// Cost model mirroring the device (shared shape with the fleet
     /// router's per-device models).
     cost: DeviceCostModel,
+    /// Mapped programs by unit shape, shared across banks and batches.
+    programs: BoundedMemo<ProgramKey, Arc<Program>>,
+    /// Plan and queue report by LPT batch shape.
+    batches: BoundedMemo<BatchKey, Arc<MemoBatch>>,
+    /// The device configuration both memos were filled under.
+    memo_config: PimConfig,
+}
+
+/// Upper bound on the mapped commands one executor's program memo
+/// holds: 2²⁰ commands, about 40 MiB at 40 bytes per command. The
+/// largest working set measured is ≈0.46 M commands, on one executor of
+/// the repository benchmark's replay workload (every length from 256 to
+/// 8192, three kinds, two moduli, plus the row and column sub-jobs of
+/// split transforms), so the cap holds it with room to spare.
+pub const PROGRAM_MEMO_CAP_COMMANDS: usize = 1 << 20;
+
+/// Upper bound on the plan units (jobs, or split sub-jobs) across the
+/// batch shapes one executor's batch memo holds: 2¹⁶ units, a few MiB
+/// of plans, queue reports and keys at roughly 100 bytes per unit.
+pub const BATCH_MEMO_CAP_UNITS: usize = 1 << 16;
+
+/// Occupancy and hit counters of a [`BatchExecutor`]'s two memos.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemoStats {
+    /// Program lookups served from the memo.
+    pub program_hits: u64,
+    /// Program lookups that mapped a fresh program.
+    pub program_misses: u64,
+    /// Mapped programs held.
+    pub programs: usize,
+    /// Commands across the held programs (at most
+    /// [`PROGRAM_MEMO_CAP_COMMANDS`]).
+    pub program_commands: usize,
+    /// LPT batches whose plan and queue report came from the memo.
+    pub batch_hits: u64,
+    /// LPT batches planned and scheduled afresh.
+    pub batch_misses: u64,
+    /// Batch shapes held.
+    pub batches: usize,
+    /// Plan units across the held batch shapes (at most
+    /// [`BATCH_MEMO_CAP_UNITS`]).
+    pub batch_units: usize,
+}
+
+/// A memo whose entries carry a weight (mapped commands, plan units)
+/// and whose total weight stays at or below a constant cap. Eviction is
+/// wholesale: an insert that would pass the cap clears the memo first,
+/// and an entry heavier than the cap on its own is never kept.
+#[derive(Debug, Clone)]
+struct BoundedMemo<K, V> {
+    map: HashMap<K, V>,
+    weight: usize,
+    cap: usize,
+    hits: u64,
+    misses: u64,
+}
+
+impl<K: Hash + Eq, V: Clone> BoundedMemo<K, V> {
+    fn new(cap: usize) -> Self {
+        Self {
+            map: HashMap::new(),
+            weight: 0,
+            cap,
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    /// Looks `key` up, counting the hit or miss.
+    fn get(&mut self, key: &K) -> Option<V> {
+        let found = self.map.get(key).cloned();
+        match found {
+            Some(_) => self.hits += 1,
+            None => self.misses += 1,
+        }
+        found
+    }
+
+    fn insert(&mut self, key: K, value: V, weight: usize) {
+        if weight > self.cap || self.map.contains_key(&key) {
+            return;
+        }
+        if self.weight + weight > self.cap {
+            self.clear();
+        }
+        self.weight += weight;
+        self.map.insert(key, value);
+    }
+
+    fn clear(&mut self) {
+        self.map.clear();
+        self.weight = 0;
+    }
+}
+
+/// Which mapped program a unit runs, with the roots it was mapped over
+/// when the caller supplies them (split sub-jobs; whole jobs derive
+/// theirs from `(n, q)`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum UnitProgram {
+    Forward,
+    Inverse,
+    Polymul,
+    Column { root: u32 },
+    Row { root: u32, twiddle: u32 },
+}
+
+/// Everything a unit's program is a function of, given the device
+/// configuration: every unit loads at word 0 (a polymul's second
+/// operand at the configuration's fixed offset), so the layout follows
+/// from `n`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct ProgramKey {
+    unit: UnitProgram,
+    n: usize,
+    q: u32,
+    opts: MapperOptions,
+}
+
+/// Everything an LPT batch's plan and queue report are a function of,
+/// given the device configuration and cost model: the mapper options
+/// and the ordered `(kind, n, q)` list of its jobs (a split job keyed
+/// apart from a forward one).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct BatchKey {
+    opts: MapperOptions,
+    jobs: Vec<(u8, usize, u64)>,
+}
+
+impl BatchKey {
+    fn new(opts: MapperOptions, jobs: &[NttJob]) -> Self {
+        let kind = |job: &NttJob| match job.kind {
+            JobKind::SplitLarge => 3,
+            ref other => other.lane_tag(),
+        };
+        Self {
+            opts,
+            jobs: jobs.iter().map(|j| (kind(j), j.n(), j.q)).collect(),
+        }
+    }
+}
+
+/// The value-independent half of one LPT batch.
+#[derive(Debug)]
+struct MemoBatch {
+    plan: Arc<BatchPlan>,
+    report: QueueReport,
 }
 
 impl BatchExecutor {
@@ -529,16 +678,35 @@ impl BatchExecutor {
     pub fn from_device(device: PimDevice) -> Self {
         let cost = DeviceCostModel::with_options(*device.config(), *device.mapper_options());
         Self {
+            memo_config: *device.config(),
             device,
             policy: SchedulePolicy::default(),
             cost,
+            programs: BoundedMemo::new(PROGRAM_MEMO_CAP_COMMANDS),
+            batches: BoundedMemo::new(BATCH_MEMO_CAP_UNITS),
         }
     }
 
     /// The executor's device cost model (the same predictions the
-    /// planner packs by).
+    /// planner packs by). Handing it out mutably drops the memoized
+    /// batch plans, which were packed by the model as it stood.
     pub fn cost_model(&mut self) -> &mut DeviceCostModel {
+        self.batches.clear();
         &mut self.cost
+    }
+
+    /// Occupancy and hit counters of the executor's memos.
+    pub fn memo_stats(&self) -> MemoStats {
+        MemoStats {
+            program_hits: self.programs.hits,
+            program_misses: self.programs.misses,
+            programs: self.programs.map.len(),
+            program_commands: self.programs.weight,
+            batch_hits: self.batches.hits,
+            batch_misses: self.batches.misses,
+            batches: self.batches.map.len(),
+            batch_units: self.batches.weight,
+        }
     }
 
     /// Same executor with a different scheduling policy.
@@ -604,6 +772,11 @@ impl BatchExecutor {
     /// [`EngineError::Shape`] naming the first offending job.
     pub fn plan(&mut self, jobs: &[NttJob]) -> Result<BatchPlan, EngineError> {
         self.validate(jobs)?;
+        self.plan_validated(jobs)
+    }
+
+    /// [`Self::plan`] of a batch [`Self::validate`] already accepted.
+    fn plan_validated(&mut self, jobs: &[NttJob]) -> Result<BatchPlan, EngineError> {
         let banks = self.bank_count();
         if self.policy == SchedulePolicy::RoundRobin
             && jobs.iter().any(|j| j.kind == JobKind::SplitLarge)
@@ -656,53 +829,88 @@ impl BatchExecutor {
         })
     }
 
-    /// Loads one job into `bank`, maps its program, executes it
-    /// functionally, and reads the result back — the per-job work shared
-    /// by both drain strategies. Timing happens separately, over the
-    /// returned program.
-    fn run_one(&mut self, bank: usize, job: &NttJob) -> Result<(Program, Vec<u64>), EngineError> {
+    /// Loads `words` into `bank` in `stored` order, runs the unit's
+    /// program over them, and reads back the result the program leaves
+    /// in `result` order. The program comes from the memo when the
+    /// unit's key was mapped before; otherwise `build` maps it over the
+    /// loaded handle and the memo keeps it.
+    fn run_unit(
+        &mut self,
+        bank: usize,
+        words: &[u32],
+        q: u32,
+        (stored, result): (StoredOrder, StoredOrder),
+        unit: UnitProgram,
+        build: impl FnOnce(&PimDevice, &PolyHandle) -> Result<Program, PimError>,
+    ) -> Result<(Arc<Program>, Vec<u64>), EngineError> {
+        let mut h = self.device.load_in_bank(bank, 0, words, q, stored)?;
+        let key = ProgramKey {
+            unit,
+            n: words.len(),
+            q,
+            opts: *self.device.mapper_options(),
+        };
+        let program = match self.programs.get(&key) {
+            Some(program) => program,
+            None => {
+                let program = Arc::new(build(&self.device, &h)?);
+                self.programs.insert(key, program.clone(), program.len());
+                program
+            }
+        };
+        self.device.execute_program(bank, &program)?;
+        h.assume_order(result);
+        let out = self.device.read_polynomial(&h)?;
+        Ok((program, out.into_iter().map(u64::from).collect()))
+    }
+
+    /// Runs one whole job in `bank` ([`Self::run_unit`]) — the per-job
+    /// work shared by both drain strategies. Timing happens separately,
+    /// over the returned program.
+    fn run_one(
+        &mut self,
+        bank: usize,
+        job: &NttJob,
+    ) -> Result<(Arc<Program>, Vec<u64>), EngineError> {
+        use StoredOrder::{BitReversed, Natural};
         let q = job.q as u32;
         let words: Vec<u32> = job.coeffs.iter().map(|&c| c as u32).collect();
-        let dev = &mut self.device;
-        let (program, handle) = match &job.kind {
-            JobKind::Forward => {
-                let mut h = dev.load_in_bank(bank, 0, &words, q, StoredOrder::BitReversed)?;
-                let program = dev.build_ntt_program(&h, NttDirection::Forward)?;
-                dev.execute_program(bank, &program)?;
-                h.assume_order(StoredOrder::Natural);
-                (program, h)
-            }
-            JobKind::Inverse => {
-                let mut h = dev.load_in_bank(bank, 0, &words, q, StoredOrder::Natural)?;
-                let program = dev.build_ntt_program(&h, NttDirection::Inverse)?;
-                dev.execute_program(bank, &program)?;
-                h.assume_order(StoredOrder::BitReversed);
-                (program, h)
-            }
+        match &job.kind {
+            JobKind::Forward => self.run_unit(
+                bank,
+                &words,
+                q,
+                (BitReversed, Natural),
+                UnitProgram::Forward,
+                |dev, h| dev.build_ntt_program(h, NttDirection::Forward),
+            ),
+            JobKind::Inverse => self.run_unit(
+                bank,
+                &words,
+                q,
+                (Natural, BitReversed),
+                UnitProgram::Inverse,
+                |dev, h| dev.build_ntt_program(h, NttDirection::Inverse),
+            ),
             JobKind::NegacyclicPolymul { rhs } => {
                 let wb: Vec<u32> = rhs.iter().map(|&c| c as u32).collect();
-                let ha = dev.load_in_bank(bank, 0, &words, q, StoredOrder::Natural)?;
-                let hb = dev.load_in_bank(
+                let rhs_base = self.device.config().polymul_rhs_base(job.n());
+                let hb = self.device.load_in_bank(bank, rhs_base, &wb, q, Natural)?;
+                self.run_unit(
                     bank,
-                    dev.config().polymul_rhs_base(job.n()),
-                    &wb,
+                    &words,
                     q,
-                    StoredOrder::Natural,
-                )?;
-                let program = dev.polymul_program(&ha, &hb)?;
-                dev.execute_program(bank, &program)?;
-                (program, ha)
+                    (Natural, Natural),
+                    UnitProgram::Polymul,
+                    |dev, ha| dev.polymul_program(ha, &hb),
+                )
             }
             // Split jobs are expanded into column/row units by `plan` and
             // executed via `run_column_unit`/`run_row_unit`, never whole.
-            JobKind::SplitLarge => {
-                return Err(EngineError::Shape {
-                    reason: "split large jobs cannot run as a single program".into(),
-                })
-            }
-        };
-        let out = dev.read_polynomial(&handle)?;
-        Ok((program, out.into_iter().map(u64::from).collect()))
+            JobKind::SplitLarge => Err(EngineError::Shape {
+                reason: "split large jobs cannot run as a single program".into(),
+            }),
+        }
     }
 
     /// Runs one stage-1 column sub-job of a split transform in `bank`:
@@ -716,17 +924,15 @@ impl BatchExecutor {
         split: &SplitPlan,
         col_root: u32,
         column: usize,
-    ) -> Result<(Program, Vec<u64>), EngineError> {
+    ) -> Result<(Arc<Program>, Vec<u64>), EngineError> {
         let col: Vec<u32> = (0..split.rows)
             .map(|r| job.coeffs[r * split.cols + column] as u32)
             .collect();
-        let dev = &mut self.device;
-        let mut h = dev.load_in_bank(bank, 0, &col, job.q as u32, StoredOrder::BitReversed)?;
-        let program = dev.build_column_program(&h, col_root)?;
-        dev.execute_program(bank, &program)?;
-        h.assume_order(StoredOrder::Natural);
-        let out = dev.read_polynomial(&h)?;
-        Ok((program, out.into_iter().map(u64::from).collect()))
+        let orders = (StoredOrder::BitReversed, StoredOrder::Natural);
+        let unit = UnitProgram::Column { root: col_root };
+        self.run_unit(bank, &col, job.q as u32, orders, unit, |dev, h| {
+            dev.build_column_program(h, col_root)
+        })
     }
 
     /// Runs one stage-2 row sub-job in `bank`: the gathered matrix row is
@@ -740,15 +946,16 @@ impl BatchExecutor {
         row_vec: &[u64],
         row_root: u32,
         tw: u32,
-    ) -> Result<(Program, Vec<u64>), EngineError> {
+    ) -> Result<(Arc<Program>, Vec<u64>), EngineError> {
         let words: Vec<u32> = row_vec.iter().map(|&c| c as u32).collect();
-        let dev = &mut self.device;
-        let mut h = dev.load_in_bank(bank, 0, &words, q as u32, StoredOrder::Natural)?;
-        let program = dev.build_twiddle_row_program(&h, row_root, tw)?;
-        dev.execute_program(bank, &program)?;
-        h.assume_order(StoredOrder::BitReversed);
-        let out = dev.read_polynomial(&h)?;
-        Ok((program, out.into_iter().map(u64::from).collect()))
+        let orders = (StoredOrder::Natural, StoredOrder::BitReversed);
+        let unit = UnitProgram::Row {
+            root: row_root,
+            twiddle: tw,
+        };
+        self.run_unit(bank, &words, q as u32, orders, unit, |dev, h| {
+            dev.build_twiddle_row_program(h, row_root, tw)
+        })
     }
 
     /// Runs every job under the active policy and merges the reports.
@@ -757,12 +964,45 @@ impl BatchExecutor {
     /// job is malformed); results land in [`BatchOutcome::spectra`] in
     /// job order regardless of bank assignment.
     ///
+    /// Mapping and timing never read the values, so the executor
+    /// memoizes them: each unit's mapped program by its shape (shared
+    /// across banks and batches), and under [`SchedulePolicy::Lpt`] each
+    /// batch's plan and queue report by the batch's shape. A repeated
+    /// shape still validates, loads, executes and reads back every job;
+    /// it skips only the mapper and the scheduler, whose results it
+    /// would reproduce exactly.
+    ///
     /// # Errors
     ///
     /// [`EngineError::Shape`] naming the offending job on malformed
     /// batches; device errors otherwise.
     pub fn run(&mut self, jobs: &[NttJob]) -> Result<BatchOutcome, EngineError> {
-        let plan = self.plan(jobs)?;
+        // A device replaced through `device_mut` maps and times
+        // differently: start both memos afresh.
+        if self.memo_config != *self.device.config() {
+            self.programs.clear();
+            self.batches.clear();
+            self.memo_config = *self.device.config();
+        }
+        // An LPT batch whose shape ran before reuses its plan and queue
+        // report; round-robin batches are planned and timed every time.
+        let mut hit = None;
+        let mut miss = None;
+        let plan = match self.policy {
+            SchedulePolicy::Lpt => {
+                self.validate(jobs)?;
+                let key = BatchKey::new(*self.device.mapper_options(), jobs);
+                hit = self.batches.get(&key);
+                match &hit {
+                    Some(memo) => memo.plan.clone(),
+                    None => {
+                        miss = Some(key);
+                        Arc::new(self.plan_validated(jobs)?)
+                    }
+                }
+            }
+            SchedulePolicy::RoundRobin => Arc::new(self.plan(jobs)?),
+        };
         let banks = self.bank_count();
         let mut spectra: Vec<Vec<u64>> = vec![Vec::new(); jobs.len()];
         let mut usage: Vec<BankUsage> = vec![BankUsage::default(); banks];
@@ -813,7 +1053,7 @@ impl BatchExecutor {
                 // matches queue order).
                 // One scheduled program plus its DAG tags, per bank:
                 // `(program, waits_on, signals)`.
-                type TaggedProgram = (Program, Option<usize>, Option<usize>);
+                type TaggedProgram = (Arc<Program>, Option<usize>, Option<usize>);
                 let mut programs: Vec<Vec<TaggedProgram>> = vec![Vec::new(); banks];
                 for (bank, queue) in plan.queues.iter().enumerate() {
                     for &ui in queue {
@@ -859,20 +1099,34 @@ impl BatchExecutor {
                         }
                     }
                 }
-                let dag: Vec<Vec<DagJob<'_>>> = programs
-                    .iter()
-                    .map(|queue| {
-                        queue
+                let report = match hit {
+                    Some(memo) => memo.report.clone(),
+                    None => {
+                        let dag: Vec<Vec<DagJob<'_>>> = programs
                             .iter()
-                            .map(|(program, waits_on, signals)| DagJob {
-                                program,
-                                waits_on: *waits_on,
-                                signals: *signals,
+                            .map(|queue| {
+                                queue
+                                    .iter()
+                                    .map(|(program, waits_on, signals)| DagJob {
+                                        program,
+                                        waits_on: *waits_on,
+                                        signals: *signals,
+                                    })
+                                    .collect()
                             })
-                            .collect()
-                    })
-                    .collect();
-                let report = self.device.schedule_queues_dag(&dag)?;
+                            .collect();
+                        let report = self.device.schedule_queues_dag(&dag)?;
+                        if let Some(key) = miss {
+                            let memo = MemoBatch {
+                                plan: plan.clone(),
+                                report: report.clone(),
+                            };
+                            self.batches
+                                .insert(key, Arc::new(memo), plan.units.len().max(1));
+                        }
+                        report
+                    }
+                };
                 let mut split_end: HashMap<usize, f64> = HashMap::new();
                 for (bank, ends) in report.job_end_ns.iter().enumerate() {
                     let mut prev = 0.0;
@@ -918,7 +1172,7 @@ impl BatchExecutor {
                     (topology.channels * topology.ranks) as usize,
                 );
                 for w in 0..depth {
-                    let mut wave_programs: Vec<Vec<Program>> = vec![Vec::new(); banks];
+                    let mut wave_programs: Vec<Vec<Arc<Program>>> = vec![Vec::new(); banks];
                     let wave_jobs: Vec<(usize, usize)> = plan
                         .queues
                         .iter()
@@ -932,7 +1186,11 @@ impl BatchExecutor {
                         spectra[ji] = out;
                         wave_programs[bank].push(program);
                     }
-                    let report = self.device.schedule_queues(&wave_programs)?;
+                    let wave: Vec<Vec<DagJob<'_>>> = wave_programs
+                        .iter()
+                        .map(|queue| queue.iter().map(|p| DagJob::plain(p)).collect())
+                        .collect();
+                    let report = self.device.schedule_queues_dag(&wave)?;
                     for (bank, ends) in report.job_end_ns.iter().enumerate() {
                         if let Some(&end) = ends.first() {
                             job_latency_ns[plan.units[plan.queues[bank][w]].job()] = end;
@@ -1201,6 +1459,58 @@ mod tests {
                 data
             })
             .collect()
+    }
+
+    #[test]
+    fn bounded_memo_stays_within_its_cap() {
+        let weight = |k: u32| (k % 4) as usize + 1;
+        let mut memo: BoundedMemo<u32, u32> = BoundedMemo::new(10);
+        for k in 0..100 {
+            memo.insert(k, k, weight(k));
+            assert!(memo.weight <= 10, "weight {} after key {k}", memo.weight);
+            let held: usize = memo.map.keys().map(|&k| weight(k)).sum();
+            assert_eq!(memo.weight, held, "weight accounting after key {k}");
+        }
+        // The last insert fit, so the memo still holds it; an entry
+        // heavier than the cap is never kept and evicts nothing.
+        assert_eq!(memo.get(&99), Some(99));
+        let before = memo.map.len();
+        memo.insert(1000, 0, 11);
+        assert_eq!(memo.get(&1000), None);
+        assert_eq!(memo.map.len(), before);
+        // Re-inserting a held key changes nothing.
+        let weight_before = memo.weight;
+        memo.insert(99, 7, 3);
+        assert_eq!((memo.get(&99), memo.weight), (Some(99), weight_before));
+        assert_eq!((memo.hits, memo.misses), (2, 1));
+        memo.clear();
+        assert_eq!((memo.map.len(), memo.weight), (0, 0));
+    }
+
+    #[test]
+    fn replacing_the_device_or_cost_model_drops_memoized_artifacts() {
+        let jobs: Vec<NttJob> = (0..4).map(|i| job(256, 60 + i)).collect();
+        let config = PimConfig::hbm2e(2).with_banks(2);
+        let mut exec = BatchExecutor::new(config).unwrap();
+        exec.run(&jobs).unwrap();
+        // A replaced cost model may pack differently: the plans go.
+        *exec.cost_model() = DeviceCostModel::new(config).unwrap();
+        exec.run(&jobs).unwrap();
+        let stats = exec.memo_stats();
+        assert_eq!((stats.batch_hits, stats.batch_misses), (0, 2));
+        assert_eq!((stats.program_hits, stats.program_misses), (7, 1));
+        // A replaced device maps and times differently: everything goes.
+        let other = PimConfig::hbm2e(4).with_banks(2);
+        *exec.device_mut() = PimDevice::new(other).unwrap();
+        let out = exec.run(&jobs).unwrap();
+        let stats = exec.memo_stats();
+        assert_eq!((stats.batch_hits, stats.batch_misses), (0, 3));
+        assert_eq!(stats.programs, 1, "one program, mapped for the new device");
+        let mut fresh = BatchExecutor::new(other).unwrap();
+        let want = fresh.run(&jobs).unwrap();
+        assert_eq!(out.spectra, want.spectra);
+        assert_eq!(out.latency_ns, want.latency_ns);
+        assert_eq!(out.bus_slots, want.bus_slots);
     }
 
     #[test]

@@ -1,0 +1,280 @@
+//! The batch executor's memo is invisible: mapped programs and LPT
+//! queue reports are reused only where they are exactly what a fresh
+//! mapping and schedule would produce.
+//!
+//! The proptest runs random batches (forward, inverse and negacyclic
+//! jobs at N = 4…8192 over both benchmark moduli, plus split transforms
+//! where the topology admits them) on random topologies up to 4×2×4,
+//! refresh on and off, three times each: on a fresh executor, again on
+//! the same executor (a memo hit), and on an executor warmed by
+//! same-shaped batches with other values and by an unrelated batch.
+//! Every `BatchOutcome` field must agree. The deterministic tests pin
+//! the key: new mapper options, another modulus, and an unreduced
+//! coefficient in a memoized shape.
+
+use ntt_pim::core::config::{PimConfig, Topology};
+use ntt_pim::core::mapper::MapperOptions;
+use ntt_pim::engine::batch::{
+    validate_job, BatchExecutor, BatchOutcome, NttJob, BATCH_MEMO_CAP_UNITS,
+    PROGRAM_MEMO_CAP_COMMANDS,
+};
+use ntt_pim::engine::{CpuNttEngine, EngineError};
+use proptest::prelude::*;
+
+/// The moduli the repository benchmark draws from.
+const MODULI: [u64; 2] = [8_380_417, 2_013_265_921];
+
+fn poly(n: usize, q: u64, seed: u64) -> Vec<u64> {
+    let mut state = seed | 1;
+    (0..n)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) % q
+        })
+        .collect()
+}
+
+/// A job of kind `kind % 4` (forward, inverse, negacyclic product,
+/// split) and length `2^log_n`.
+fn job(kind: u8, log_n: u32, q: u64, seed: u64) -> NttJob {
+    let n = 1usize << log_n;
+    let coeffs = poly(n, q, seed);
+    match kind % 4 {
+        0 => NttJob::forward(coeffs, q),
+        1 => NttJob::inverse(coeffs, q),
+        2 => NttJob::negacyclic_polymul(coeffs, poly(n, q, seed ^ 0x5a5a), q),
+        _ => NttJob::split_large(coeffs, q),
+    }
+}
+
+/// The jobs of `spec` the device admits (each `(kind, log_n, q index,
+/// seed)`), values drawn from `salt`.
+fn batch(config: &PimConfig, spec: &[(u8, u32, usize, u64)], salt: u64) -> Vec<NttJob> {
+    spec.iter()
+        .map(|&(kind, log_n, qi, seed)| job(kind, log_n, MODULI[qi % 2], seed ^ salt))
+        .filter(|j| validate_job(config, j).is_ok())
+        .collect()
+}
+
+/// Same shapes as `jobs`, other values.
+fn revalued(jobs: &[NttJob], salt: u64) -> Vec<NttJob> {
+    jobs.iter()
+        .enumerate()
+        .map(|(i, j)| {
+            let mut other = j.clone();
+            other.coeffs = poly(j.n(), j.q, salt ^ i as u64);
+            if let ntt_pim::engine::batch::JobKind::NegacyclicPolymul { rhs } = &mut other.kind {
+                *rhs = poly(j.n(), j.q, salt ^ !(i as u64));
+            }
+            other
+        })
+        .collect()
+}
+
+/// Every field of two outcomes agrees (simulated numbers bit for bit).
+fn assert_same(a: &BatchOutcome, b: &BatchOutcome, what: &str) {
+    assert_eq!(a.spectra, b.spectra, "{what}: spectra");
+    let (qa, qb) = (&a.queue_report, &b.queue_report);
+    assert_eq!(qa.per_bank_ns, qb.per_bank_ns, "{what}: per_bank_ns");
+    assert_eq!(
+        qa.per_bank_energy_nj, qb.per_bank_energy_nj,
+        "{what}: energy"
+    );
+    assert_eq!(qa.job_end_ns, qb.job_end_ns, "{what}: job_end_ns");
+    assert_eq!(qa.latency_ns, qb.latency_ns, "{what}: latency");
+    assert_eq!(qa.energy_nj, qb.energy_nj, "{what}: energy_nj");
+    assert_eq!(qa.bus_slots, qb.bus_slots, "{what}: bus_slots");
+    assert_eq!(qa.rank_acts, qb.rank_acts, "{what}: rank_acts");
+    assert_eq!(
+        qa.per_channel_bus_slots, qb.per_channel_bus_slots,
+        "{what}: per_channel_bus_slots"
+    );
+    assert_eq!(qa.per_rank_acts, qb.per_rank_acts, "{what}: per_rank_acts");
+    assert_eq!(qa.barrier_ns, qb.barrier_ns, "{what}: barrier_ns");
+    assert_eq!(a.job_latency_ns, b.job_latency_ns, "{what}: job latency");
+    assert_eq!(a.splits.len(), b.splits.len(), "{what}: splits");
+    for (sa, sb) in a.splits.iter().zip(&b.splits) {
+        assert_eq!(
+            (sa.job, sa.rows, sa.cols, sa.column_stage_ns, sa.latency_ns),
+            (sb.job, sb.rows, sb.cols, sb.column_stage_ns, sb.latency_ns),
+            "{what}: split report"
+        );
+    }
+    assert_eq!(a.assignment, b.assignment, "{what}: assignment");
+    assert_eq!(a.waves, b.waves, "{what}: waves");
+    assert_eq!(a.latency_ns, b.latency_ns, "{what}: summary latency");
+    assert_eq!(a.energy_nj, b.energy_nj, "{what}: summary energy");
+    assert_eq!(a.bus_slots, b.bus_slots, "{what}: summary bus slots");
+    assert_eq!(a.rank_acts, b.rank_acts, "{what}: summary ACTs");
+    for (ua, ub) in a.banks.iter().zip(&b.banks) {
+        assert_eq!(
+            (ua.jobs, ua.busy_ns, ua.energy_nj),
+            (ub.jobs, ub.busy_ns, ub.energy_nj),
+            "{what}: bank usage"
+        );
+    }
+}
+
+fn golden(job: &NttJob) -> Vec<u64> {
+    let cpu = CpuNttEngine::golden();
+    let mut data = job.coeffs.clone();
+    match &job.kind {
+        ntt_pim::engine::batch::JobKind::Inverse => cpu.inverse(&mut data, job.q),
+        ntt_pim::engine::batch::JobKind::NegacyclicPolymul { rhs } => {
+            cpu.negacyclic_polymul(&mut data, rhs, job.q)
+        }
+        _ => cpu.forward(&mut data, job.q),
+    }
+    .expect("golden transform");
+    data
+}
+
+fn assert_within_caps(exec: &BatchExecutor) {
+    let stats = exec.memo_stats();
+    assert!(
+        stats.program_commands <= PROGRAM_MEMO_CAP_COMMANDS,
+        "{stats:?}"
+    );
+    assert!(stats.batch_units <= BATCH_MEMO_CAP_UNITS, "{stats:?}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn memoized_runs_match_fresh_runs(
+        channels in 1u32..=4,
+        ranks in 1u32..=2,
+        banks in 1u32..=4,
+        refresh in any::<bool>(),
+        spec in prop::collection::vec(
+            (0u8..4, 2u32..=13, 0usize..2, any::<u64>()),
+            1..6,
+        ),
+        other in prop::collection::vec(
+            (0u8..4, 2u32..=10, 0usize..2, any::<u64>()),
+            1..4,
+        ),
+    ) {
+        let config = PimConfig::hbm2e(2)
+            .with_topology(Topology::new(channels, ranks, banks))
+            .with_refresh(refresh);
+        let jobs = batch(&config, &spec, 0);
+        prop_assume!(!jobs.is_empty());
+
+        let mut exec = BatchExecutor::new(config).unwrap();
+        let fresh = exec.run(&jobs).unwrap();
+        for (j, got) in jobs.iter().zip(&fresh.spectra) {
+            prop_assert_eq!(got, &golden(j));
+        }
+        let before = exec.memo_stats();
+        let again = exec.run(&jobs).unwrap();
+        prop_assert_eq!(exec.memo_stats().batch_hits, before.batch_hits + 1);
+        assert_same(&fresh, &again, "repeat on the same executor");
+
+        let mut warmed = BatchExecutor::new(config).unwrap();
+        warmed.run(&revalued(&jobs, 0xfeed)).unwrap();
+        let unrelated = batch(&config, &other, 1);
+        if !unrelated.is_empty() {
+            warmed.run(&unrelated).unwrap();
+        }
+        let late = warmed.run(&jobs).unwrap();
+        assert_same(&fresh, &late, "executor warmed by other batches");
+        assert_within_caps(&exec);
+        assert_within_caps(&warmed);
+    }
+}
+
+/// A small mixed batch: every kind, both moduli, and a split transform
+/// (N = 1024 on 4 banks factors 32 × 32).
+fn mixed(salt: u64) -> Vec<NttJob> {
+    let [q1, q2] = MODULI;
+    vec![
+        NttJob::forward(poly(256, q1, salt), q1),
+        NttJob::inverse(poly(512, q2, salt + 1), q2),
+        NttJob::negacyclic_polymul(poly(128, q1, salt + 2), poly(128, q1, salt + 3), q1),
+        NttJob::split_large(poly(1024, q2, salt + 4), q2),
+        NttJob::forward(poly(256, q1, salt + 5), q1),
+    ]
+}
+
+#[test]
+fn new_mapper_options_never_reuse_stale_artifacts() {
+    // Same-row grouping needs four buffers to change the command order
+    // (and so the timing) of a mapped program.
+    let config = PimConfig::hbm2e(4).with_banks(4);
+    let ungrouped = MapperOptions {
+        group_same_row: false,
+        ..MapperOptions::default()
+    };
+    let jobs = mixed(10);
+    let mut exec = BatchExecutor::new(config).unwrap();
+    let grouped = exec.run(&jobs).unwrap();
+    exec.device_mut().set_mapper_options(ungrouped);
+    let switched = exec.run(&jobs).unwrap();
+
+    let mut fresh = BatchExecutor::new(config).unwrap();
+    fresh.device_mut().set_mapper_options(ungrouped);
+    assert_same(
+        &fresh.run(&jobs).unwrap(),
+        &switched,
+        "after set_mapper_options",
+    );
+    assert_ne!(
+        grouped.queue_report.rank_acts, switched.queue_report.rank_acts,
+        "the options must change the schedule for this test to mean anything"
+    );
+
+    // Back to the defaults: the first artifacts apply again.
+    exec.device_mut()
+        .set_mapper_options(MapperOptions::default());
+    assert_same(&grouped, &exec.run(&jobs).unwrap(), "options restored");
+}
+
+#[test]
+fn same_shape_under_another_modulus_maps_afresh() {
+    let config = PimConfig::hbm2e(2).with_banks(2);
+    let [q1, q2] = MODULI;
+    let mut exec = BatchExecutor::new(config).unwrap();
+    for q in [q1, q2, q1] {
+        let jobs: Vec<NttJob> = (0..3)
+            .map(|i| NttJob::forward(poly(1024, q, 40 + i), q))
+            .chain([NttJob::inverse(poly(1024, q, 50), q)])
+            .collect();
+        let out = exec.run(&jobs).unwrap();
+        for (i, j) in jobs.iter().enumerate() {
+            assert_eq!(out.spectra[i], golden(j), "q={q} job {i}");
+        }
+        let mut fresh = BatchExecutor::new(config).unwrap();
+        assert_same(&fresh.run(&jobs).unwrap(), &out, "another modulus");
+    }
+}
+
+#[test]
+fn memoized_shape_still_validates_every_job() {
+    let config = PimConfig::hbm2e(2).with_banks(4);
+    let mut exec = BatchExecutor::new(config).unwrap();
+    let jobs = mixed(20);
+    exec.run(&jobs).unwrap();
+    let hits = exec.memo_stats().batch_hits;
+
+    let mut bad = revalued(&jobs, 7);
+    bad[2].coeffs[5] = bad[2].q;
+    let err = exec.run(&bad).unwrap_err();
+    assert!(
+        matches!(&err, EngineError::Shape { reason }
+            if reason.contains("job 2") && reason.contains("not reduced")),
+        "{err}"
+    );
+    assert_eq!(exec.memo_stats().batch_hits, hits, "validation runs first");
+
+    // The memoized shape still serves a valid batch with new values.
+    let good = revalued(&jobs, 8);
+    let out = exec.run(&good).unwrap();
+    assert_eq!(exec.memo_stats().batch_hits, hits + 1);
+    for (i, j) in good.iter().enumerate() {
+        assert_eq!(out.spectra[i], golden(j), "job {i}");
+    }
+}
