@@ -5,15 +5,20 @@
 //! [`REPS`] runs:
 //!
 //! * map — `build_ntt_program` for every job,
-//! * execute — `execute_program` for every job (functional simulation),
+//! * decode — `decode_program` for every job: the functional
+//!   simulator's one pass of buffer and address checks, which a memo
+//!   miss pays,
+//! * execute — `run_decoded` for every job: the functional simulation
+//!   itself, which a memo hit pays,
 //! * schedule — one `schedule_queues` over the sixteen bank queues.
 //!
 //! It also reports host nanoseconds per simulated command-bus slot, the
 //! unit the repository benchmark's `host_ns_per_sim_cmd` uses, and the
 //! whole batch through `BatchExecutor::run`: once on a fresh executor
-//! (cold: it maps and schedules) and the minimum of [`REPS`] repeats on
-//! the same executor (warm: the programs and the queue report come from
-//! its memo; validation, functional execution and read-back still run).
+//! (cold: it maps, decodes and schedules) and the minimum of [`REPS`]
+//! repeats on the same executor (warm: the decoded programs and the queue
+//! report come from its memo; validation, functional execution and
+//! read-back still run).
 //! Written to `BENCH_host.json` (`--out PATH` to override).
 //!
 //! `--check` applies two gates, each a ratio taken within the run so it
@@ -25,14 +30,16 @@
 //!   whose host cost grows with the commands it issues reads close to
 //!   1×; the gate fails above [`MAX_SCHEDULE_RATIO`].
 //! * the warm executor run against the cold one. Without the memo a
-//!   repeat costs what the first run did (≈0.95×); the gate fails above
-//!   [`MAX_WARM_RATIO`].
+//!   repeat costs what the first run did (≈0.95×); with it, what is left
+//!   is the functional run, loading and read-back (≈0.13× on a 2-vCPU
+//!   x86-64 VM). The gate fails above [`MAX_WARM_RATIO`].
 
 use ntt_pim::engine::batch::{BatchExecutor, NttJob};
 use ntt_pim_core::config::{PimConfig, Topology};
 use ntt_pim_core::device::{NttDirection, PimDevice, PolyHandle, StoredOrder};
 use ntt_pim_core::mapper::Program;
 use ntt_pim_core::sched::schedule;
+use ntt_pim_core::sim::DecodedProgram;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -49,7 +56,7 @@ const REPS: usize = 5;
 const MAX_SCHEDULE_RATIO: f64 = 3.0;
 /// The gate: a repeat of the batch on the same executor may cost at most
 /// this fraction of its first run.
-const MAX_WARM_RATIO: f64 = 0.6;
+const MAX_WARM_RATIO: f64 = 0.25;
 
 /// Wall time of `f`, in milliseconds.
 fn ms<T>(f: impl FnOnce() -> T) -> f64 {
@@ -113,12 +120,21 @@ fn main() {
     let map_ms = min_of(|| ms(|| build(&dev)));
     let programs = build(&dev);
 
+    let decode = |dev: &PimDevice| -> Vec<DecodedProgram> {
+        programs
+            .iter()
+            .map(|p| dev.decode_program(p).expect("program decodes"))
+            .collect()
+    };
+    let decode_ms = min_of(|| ms(|| decode(&dev)));
+    let decoded = decode(&dev);
+
     // Each run executes on freshly loaded inputs; loading is not timed.
     let execute_ms = min_of(|| {
         load_all(&mut dev, &inputs);
         ms(|| {
-            for (bank, p) in programs.iter().enumerate() {
-                dev.execute_program(bank, p).expect("program runs");
+            for (bank, d) in decoded.iter().enumerate() {
+                dev.run_decoded(bank, d).expect("program runs");
             }
         })
     });
@@ -143,7 +159,7 @@ fn main() {
     let warm_ms = min_of(|| ms(|| exec.run(&jobs).expect("batch runs")));
     let warm_ratio = warm_ms / cold_ms;
 
-    let total_ms = map_ms + execute_ms + schedule_ms;
+    let total_ms = map_ms + decode_ms + execute_ms + schedule_ms;
     let per_slot = |ms: f64| ms * 1e6 / report.bus_slots as f64;
     let ratio = schedule_ms / singles_ms;
     println!(
@@ -153,6 +169,7 @@ fn main() {
     );
     println!("host ms (min of {REPS}):");
     println!("  map      {map_ms:>9.3}");
+    println!("  decode   {decode_ms:>9.3}");
     println!("  execute  {execute_ms:>9.3}");
     println!("  schedule {schedule_ms:>9.3}");
     println!("  total    {total_ms:>9.3}");
@@ -167,7 +184,7 @@ fn main() {
     );
     println!(
         "BatchExecutor::run cold {cold_ms:.3} ms, warm {warm_ms:.3} ms (min of {REPS}): \
-         {warm_ratio:.2}x (gate {MAX_WARM_RATIO:.1}x)"
+         {warm_ratio:.2}x (gate {MAX_WARM_RATIO:.2}x)"
     );
 
     let json = format!(
@@ -175,7 +192,7 @@ fn main() {
          \"workload\": {{\"topology\": \"{topology}\", \"jobs\": {JOBS}, \"n\": {N}, \"q\": {Q}, \
          \"kind\": \"forward\", \"stat\": \"min of {REPS}\"}},\n  \
          \"sim\": {{\"latency_us\": {:.2}, \"bus_slots\": {}}},\n  \
-         \"host_ms\": {{\"map\": {map_ms:.3}, \"execute\": {execute_ms:.3}, \
+         \"host_ms\": {{\"map\": {map_ms:.3}, \"decode\": {decode_ms:.3}, \"execute\": {execute_ms:.3}, \
          \"schedule\": {schedule_ms:.3}, \"total\": {total_ms:.3}}},\n  \
          \"host_ns_per_bus_slot\": {{\"schedule\": {:.1}, \"total\": {:.1}}},\n  \
          \"gate\": {{\"schedule_queues_ms\": {schedule_ms:.3}, \"single_schedules_ms\": {singles_ms:.3}, \
@@ -202,7 +219,7 @@ fn main() {
         if warm_ratio > MAX_WARM_RATIO {
             eprintln!(
                 "FAIL: a repeated BatchExecutor::run costs {warm_ratio:.2}x its first run; \
-                 the gate allows {MAX_WARM_RATIO:.1}x"
+                 the gate allows {MAX_WARM_RATIO:.2}x"
             );
             failed = true;
         }
@@ -211,7 +228,7 @@ fn main() {
         }
         println!(
             "check ok: {ratio:.2}x <= {MAX_SCHEDULE_RATIO:.1}x, \
-             {warm_ratio:.2}x <= {MAX_WARM_RATIO:.1}x"
+             {warm_ratio:.2}x <= {MAX_WARM_RATIO:.2}x"
         );
     }
 }

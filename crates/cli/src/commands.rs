@@ -4,7 +4,7 @@
 use crate::args::ParsedArgs;
 use crate::CliError;
 use ntt_bus::{BackendSpec, EngineError, MAX_FLEET_SLOTS};
-use ntt_pim::engine::batch::{BatchExecutor, NttJob, SchedulePolicy};
+use ntt_pim::engine::batch::{validate_capacity, BatchExecutor, JobKind, NttJob, SchedulePolicy};
 use ntt_pim::engine::CpuNttEngine;
 use ntt_pim_core::config::{PimConfig, Topology};
 use ntt_pim_core::device::{NttDirection, PimDevice};
@@ -145,6 +145,13 @@ fn modulus_for(args: &ParsedArgs, n: usize) -> Result<u32, CliError> {
         },
         None => Ok(modmath::prime::find_ntt_prime(2 * n as u64, 31)? as u32),
     }
+}
+
+/// Rejects, before any coefficient is allocated, a length `kind` cannot
+/// have on `config`'s banks: the capacity rule [`validate_capacity`]
+/// (and so every PIM admission) applies.
+fn check_capacity(config: &PimConfig, kind: &JobKind, n: usize) -> Result<(), CliError> {
+    validate_capacity(config, kind, n).map_err(|e| CliError::usage(format!("length {n}: {e}")))
 }
 
 fn test_poly(n: usize, q: u32) -> Vec<u32> {
@@ -333,11 +340,12 @@ fn batch(args: &ParsedArgs) -> Result<String, CliError> {
     let split = args.has_flag("split");
     let jobs: Vec<NttJob> = (0..jobs_n)
         .map(|j| {
-            let nj = if split && j == 0 {
-                n
+            let (nj, kind) = if split && j == 0 {
+                (n, JobKind::SplitLarge)
             } else {
-                lengths[j % lengths.len()]
+                (lengths[j % lengths.len()], JobKind::Forward)
             };
+            check_capacity(&config, &kind, nj)?;
             let q = modulus_for(args, nj)?;
             let coeffs = (0..nj as u64)
                 .map(|i| (i.wrapping_mul(2654435761) ^ j as u64) % q as u64)
@@ -599,9 +607,12 @@ fn serve(args: &ParsedArgs) -> Result<String, CliError> {
 
     // One pre-generated job per request (mixed lengths, the RNS/FHE
     // traffic shape); Dilithium's modulus supports every default length.
+    // Every length must fit one bank of the serve topology's PIM device,
+    // whatever the fleet.
     let jobs: Vec<NttJob> = (0..requests)
         .map(|j| {
             let n = lengths[j % lengths.len()];
+            check_capacity(&pim, &JobKind::Forward, n)?;
             let q = modulus_for(args, n)?;
             Ok(NttJob::new(
                 (0..n as u64)
@@ -863,6 +874,19 @@ mod tests {
             assert_eq!(e.exit_code, 2, "--jobs {jobs}: {e}");
             assert!(e.message.contains("4096"), "{e}");
         }
+        // Lengths no bank can hold are usage errors, caught before any
+        // coefficient is allocated: whole jobs past the bank, a batch
+        // whose second length is too long, and a split whose sub-jobs
+        // (2^25 × 2^25 here) would not fit.
+        for line in [
+            "batch --n 67108864 --q 2013265921 --jobs 16",
+            "batch --n 256 --q 2013265921 --jobs 16 --lengths 256,67108864",
+            "batch --n 1125899906842624 --q 2013265921 --jobs 2 --banks 2 --split",
+        ] {
+            let e = run_line(line).unwrap_err();
+            assert_eq!(e.exit_code, 2, "{line}: {e}");
+            assert!(e.message.contains("length"), "{line}: {e}");
+        }
     }
 
     #[test]
@@ -960,6 +984,12 @@ mod tests {
             assert_eq!(e.exit_code, 2, "{line}: {e}");
         }
         assert!(run_line("serve --smoke --lengths 100 --requests 2 --tenants 1").is_err());
+        // A length no bank can hold is refused before it is allocated.
+        for lengths in ["67108864", "256,67108864"] {
+            let line = format!("serve --smoke --lengths {lengths} --q 2013265921 --requests 16");
+            let e = run_line(&line).unwrap_err();
+            assert_eq!(e.exit_code, 2, "{line}: {e}");
+        }
         assert!(run_line("serve --devices 0 --requests 4").is_err());
         // Over-large fleets are usage errors, never allocations.
         for fleet in ["--devices 257", "--devices 18446744073709551615"] {

@@ -1,171 +1,183 @@
 //! The atom-buffer file: primary (GSA) plus secondary buffers (Fig. 2).
 //!
 //! Each buffer holds one DRAM atom (`Na` words). Buffers are single-ported;
-//! a small crossbar gives the butterfly unit full connectivity (§IV.A). The
-//! functional model here tracks contents and validity; *timing* ownership
-//! (who may touch a buffer when) lives in the scheduler.
+//! a small crossbar gives the butterfly unit full connectivity (§IV.A).
+//! The buffer *contents* live in the functional simulator's runner
+//! ([`crate::sim`]); this module models what the decoder checks about
+//! them while it walks a program: which buffers exist and which hold
+//! valid data. Every program starts with all buffers empty, so a program
+//! that reads a buffer it never filled is rejected no matter what an
+//! earlier program left behind. *Timing* ownership (who may touch a
+//! buffer when) lives in the scheduler.
 
 use crate::cmd::BufId;
 use crate::PimError;
 
-/// Functional state of the `Nb` atom buffers.
+/// Which of the `Nb` atom buffers hold valid data, at one point of a
+/// program being decoded.
 #[derive(Debug, Clone)]
-pub struct BufferFile {
-    atom_words: usize,
-    /// Every buffer's words back to back, `atom_words` each, allocated
-    /// once: a fill copies into its buffer's slice.
-    words: Vec<u32>,
-    /// Which buffers hold valid data (filled at least once).
+pub(crate) struct BufferState {
+    /// Whether each buffer has been filled since the program began.
     filled: Vec<bool>,
 }
 
-impl BufferFile {
-    /// Creates `n_bufs` empty buffers of `atom_words` words each.
-    pub fn new(n_bufs: usize, atom_words: usize) -> Self {
+impl BufferState {
+    /// `n_bufs` empty buffers.
+    pub(crate) fn new(n_bufs: usize) -> Self {
         Self {
-            atom_words,
-            words: vec![0; n_bufs * atom_words],
             filled: vec![false; n_bufs],
         }
     }
 
-    /// Number of buffers (`Nb`).
-    pub fn len(&self) -> usize {
-        self.filled.len()
-    }
-
-    /// True when there are no buffers (never for a validated config).
-    pub fn is_empty(&self) -> bool {
-        self.filled.is_empty()
-    }
-
-    /// Words per buffer (`Na`).
-    pub fn atom_words(&self) -> usize {
-        self.atom_words
-    }
-
-    /// Fills `buf` with a copy of an atom (a CU-read landing).
+    /// Marks `buf` filled (a CU-read landing) and returns its index.
     ///
     /// # Errors
     ///
-    /// [`PimError::BufferMisuse`] for an unknown buffer or wrong length.
-    pub fn fill(&mut self, buf: BufId, data: &[u32]) -> Result<(), PimError> {
-        if data.len() != self.atom_words {
+    /// [`PimError::BufferMisuse`] for a buffer the configuration lacks.
+    pub(crate) fn fill(&mut self, buf: BufId) -> Result<u8, PimError> {
+        let i = self.index(buf)?;
+        self.filled[i as usize] = true;
+        Ok(i)
+    }
+
+    /// The index of `buf`, which must hold valid data; `access` names the
+    /// attempted use in the error.
+    ///
+    /// # Errors
+    ///
+    /// [`PimError::BufferMisuse`] for an unknown or never-filled buffer.
+    pub(crate) fn valid(&self, buf: BufId, access: &str) -> Result<u8, PimError> {
+        let i = self.index(buf)?;
+        if !self.filled[i as usize] {
             return Err(PimError::BufferMisuse {
-                reason: format!(
-                    "atom of {} words filled into buffer expecting {}",
-                    data.len(),
-                    self.atom_words
-                ),
+                reason: format!("buffer {buf} {access} before being filled"),
             });
         }
-        let range = self.range(buf)?;
-        self.words[range].copy_from_slice(data);
-        self.filled[buf.0 as usize] = true;
-        Ok(())
+        Ok(i)
     }
 
-    /// Borrows the valid contents of `buf`.
+    /// The indices of a C2/Pointwise operand pair: two *distinct* valid
+    /// buffers.
     ///
     /// # Errors
     ///
-    /// [`PimError::BufferMisuse`] for an unknown or invalid (never filled)
-    /// buffer.
-    pub fn contents(&self, buf: BufId) -> Result<&[u32], PimError> {
-        let range = self.valid_range(buf, "read")?;
-        Ok(&self.words[range])
-    }
-
-    /// Mutably borrows the valid contents of `buf` (compute in place).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Self::contents`].
-    pub fn contents_mut(&mut self, buf: BufId) -> Result<&mut [u32], PimError> {
-        let range = self.valid_range(buf, "written")?;
-        Ok(&mut self.words[range])
-    }
-
-    /// Mutably borrows two *distinct* buffers (the C2 operand pair).
-    ///
-    /// # Errors
-    ///
-    /// [`PimError::BufferMisuse`] when `a == b`, either is unknown, or
-    /// either holds no valid data.
-    pub fn pair_mut(&mut self, a: BufId, b: BufId) -> Result<(&mut [u32], &mut [u32]), PimError> {
+    /// [`PimError::BufferMisuse`] when `a == b`, or either is unknown or
+    /// holds no valid data.
+    pub(crate) fn pair(&self, a: BufId, b: BufId) -> Result<(u8, u8), PimError> {
         if a == b {
             return Err(PimError::BufferMisuse {
                 reason: format!("C2 operands must be distinct buffers (both {a})"),
             });
         }
-        let ra = self.valid_range(a, "read")?;
-        let rb = self.valid_range(b, "read")?;
-        if ra.start < rb.start {
-            let (lo, hi) = self.words.split_at_mut(rb.start);
-            Ok((&mut lo[ra], &mut hi[..self.atom_words]))
-        } else {
-            let (lo, hi) = self.words.split_at_mut(ra.start);
-            Ok((&mut hi[..self.atom_words], &mut lo[rb]))
-        }
+        Ok((self.valid(a, "read")?, self.valid(b, "read")?))
     }
 
-    /// The word range of `buf`.
-    fn range(&self, buf: BufId) -> Result<std::ops::Range<usize>, PimError> {
-        let i = buf.0 as usize;
-        if i >= self.filled.len() {
+    fn index(&self, buf: BufId) -> Result<u8, PimError> {
+        if buf.0 as usize >= self.filled.len() {
             return Err(PimError::BufferMisuse {
                 reason: format!("buffer {buf} does not exist in this configuration"),
             });
         }
-        Ok(i * self.atom_words..(i + 1) * self.atom_words)
-    }
-
-    /// The word range of `buf`, which must hold valid data; `access`
-    /// names the attempted use in the error.
-    fn valid_range(&self, buf: BufId, access: &str) -> Result<std::ops::Range<usize>, PimError> {
-        let range = self.range(buf)?;
-        if !self.filled[buf.0 as usize] {
-            return Err(PimError::BufferMisuse {
-                reason: format!("buffer {buf} {access} before being filled"),
-            });
-        }
-        Ok(range)
+        Ok(buf.0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cmd::PimCommand;
+    use crate::config::PimConfig;
+    use crate::mapper::Program;
+    use crate::sim::FunctionalSim;
+
+    fn program(commands: Vec<PimCommand>) -> Program {
+        Program {
+            commands,
+            final_base: 0,
+            c2_ops: 0,
+            c1_ops: 0,
+            marks: Vec::new(),
+        }
+    }
 
     #[test]
     fn fill_and_read_back() {
-        let mut f = BufferFile::new(2, 8);
-        assert_eq!(f.len(), 2);
-        f.fill(BufId(1), &[5; 8]).unwrap();
-        assert_eq!(f.contents(BufId(1)).unwrap(), &[5; 8]);
-        assert!(f.contents(BufId(0)).is_err(), "unfilled buffer");
-        assert!(f.contents(BufId(2)).is_err(), "unknown buffer");
+        let mut f = BufferState::new(2);
+        assert_eq!(f.fill(BufId(1)).unwrap(), 1);
+        assert_eq!(f.valid(BufId(1), "read").unwrap(), 1);
+        assert!(f.valid(BufId(0), "read").is_err(), "unfilled buffer");
+        assert!(f.valid(BufId(2), "read").is_err(), "unknown buffer");
+        assert!(f.fill(BufId(2)).is_err(), "unknown buffer");
+        // A filled buffer reads back the atom that landed in it.
+        let c = PimConfig::hbm2e(2);
+        let mut sim = FunctionalSim::new(&c).unwrap();
+        sim.load_words(8, &[5; 8]);
+        let (rd, wr) = (
+            PimCommand::CuRead {
+                row: 0,
+                col: 1,
+                buf: BufId(1),
+            },
+            PimCommand::CuWrite {
+                row: 3,
+                col: 0,
+                buf: BufId(1),
+            },
+        );
+        sim.execute(&program(vec![rd, wr])).unwrap();
+        assert_eq!(sim.read_words(3 * c.row_words(), 8), vec![5; 8]);
     }
 
     #[test]
     fn wrong_atom_size_rejected() {
-        let mut f = BufferFile::new(1, 8);
-        assert!(f.fill(BufId(0), &[0; 4]).is_err());
+        // The datapath is `Na` = 8 lanes wide (Table I); any other atom
+        // size is a configuration error, not a narrower or wider kernel.
+        for atom_bytes in [16, 64] {
+            let mut c = PimConfig::hbm2e(2);
+            c.geometry.atom_bytes = atom_bytes;
+            assert!(matches!(
+                FunctionalSim::new(&c),
+                Err(PimError::BadConfig { .. })
+            ));
+        }
     }
 
     #[test]
     fn pair_mut_orders_operands_correctly() {
-        let mut f = BufferFile::new(3, 8);
-        f.fill(BufId(0), &[1; 8]).unwrap();
-        f.fill(BufId(2), &[2; 8]).unwrap();
-        {
-            let (p, s) = f.pair_mut(BufId(2), BufId(0)).unwrap();
-            assert_eq!(p[0], 2);
-            assert_eq!(s[0], 1);
-            p[0] = 9;
-        }
-        assert_eq!(f.contents(BufId(2)).unwrap()[0], 9);
-        assert!(f.pair_mut(BufId(0), BufId(0)).is_err());
-        assert!(f.pair_mut(BufId(0), BufId(1)).is_err(), "S1 unfilled");
+        let mut f = BufferState::new(3);
+        f.fill(BufId(0)).unwrap();
+        f.fill(BufId(2)).unwrap();
+        assert_eq!(f.pair(BufId(2), BufId(0)).unwrap(), (2, 0));
+        assert!(f.pair(BufId(0), BufId(0)).is_err());
+        assert!(f.pair(BufId(0), BufId(1)).is_err(), "S1 unfilled");
+        // `p` is the left operand and the only one written: p ← p·s.
+        let c = PimConfig::hbm2e(3);
+        let mut sim = FunctionalSim::new(&c).unwrap();
+        sim.load_words(0, &[2; 8]);
+        sim.load_words(8, &[3; 8]);
+        let rd = |col, buf| PimCommand::CuRead {
+            row: 0,
+            col,
+            buf: BufId(buf),
+        };
+        let wr = |col, buf| PimCommand::CuWrite {
+            row: 0,
+            col,
+            buf: BufId(buf),
+        };
+        let prog = program(vec![
+            PimCommand::SetModulus { q: 7681 },
+            rd(0, 0),
+            rd(1, 2),
+            PimCommand::Pointwise {
+                p: BufId(2),
+                s: BufId(0),
+            },
+            wr(2, 2),
+            wr(3, 0),
+        ]);
+        sim.execute(&prog).unwrap();
+        assert_eq!(sim.read_words(16, 8), vec![6; 8]);
+        assert_eq!(sim.read_words(24, 8), vec![2; 8]);
     }
 }

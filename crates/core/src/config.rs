@@ -156,7 +156,8 @@ impl PimConfig {
     ///
     /// Returns [`PimError::BadConfig`] when the configuration cannot
     /// describe real hardware (no buffers, zero clock, or an atom that
-    /// holds no whole words).
+    /// holds no whole words) or the model (an atom other than `Na` = 8
+    /// words, or a bank past 2³² words).
     pub fn validate(&self) -> Result<(), PimError> {
         if self.n_bufs == 0 {
             return Err(PimError::BadConfig {
@@ -176,6 +177,21 @@ impl PimConfig {
         if !self.na().is_power_of_two() || !self.row_words().is_power_of_two() {
             return Err(PimError::BadConfig {
                 reason: "atom and row word counts must be powers of two".into(),
+            });
+        }
+        if self.na() != crate::cu::NA {
+            return Err(PimError::BadConfig {
+                reason: format!(
+                    "atoms of {} words are not supported; the datapath is {} lanes wide",
+                    self.na(),
+                    crate::cu::NA
+                ),
+            });
+        }
+        let bank_words = (self.geometry.rows_per_bank as u64).checked_mul(self.row_words() as u64);
+        if bank_words.is_none_or(|words| words > 1 << 32) {
+            return Err(PimError::BadConfig {
+                reason: "a bank holds at most 2^32 words".into(),
             });
         }
         if self.n_bufs > 256 {
@@ -359,6 +375,12 @@ mod tests {
         assert!(c.validate().is_err());
         let mut c = PimConfig::hbm2e(2);
         c.n_bufs = 1000;
+        assert!(c.validate().is_err());
+        let mut c = PimConfig::hbm2e(2);
+        c.geometry.atom_bytes = 16;
+        assert!(c.validate().is_err());
+        let mut c = PimConfig::hbm2e(2);
+        c.geometry.rows_per_bank = u32::MAX;
         assert!(c.validate().is_err());
     }
 }

@@ -17,7 +17,7 @@ use crate::energy::EnergyReport;
 use crate::layout::PolyLayout;
 use crate::mapper::{self, Dataflow, MapperOptions, NttParams, Program};
 use crate::sched::{self, Timeline};
-use crate::sim::FunctionalSim;
+use crate::sim::{DecodedProgram, FunctionalSim};
 use crate::PimError;
 use modmath::bitrev::bitrev_permute;
 
@@ -458,7 +458,8 @@ impl PimDevice {
         Ok(NttReport::from_parts(timeline, &program))
     }
 
-    /// Functionally executes a mapped program in `bank` (no timing).
+    /// Functionally executes a mapped program in `bank` (no timing):
+    /// [`Self::decode_program`] then [`Self::run_decoded`].
     ///
     /// Pairs with [`Self::build_ntt_program`] / [`Self::polymul_program`]
     /// and [`Self::schedule_queues`] for batch workloads where many
@@ -466,15 +467,40 @@ impl PimDevice {
     ///
     /// # Errors
     ///
-    /// [`PimError::BadConfig`] for a bad bank index; functional-simulation
-    /// errors otherwise.
+    /// [`PimError::BadConfig`] for a bad bank index; decoding errors
+    /// otherwise (the bank is then untouched).
     pub fn execute_program(&mut self, bank: usize, program: &Program) -> Result<(), PimError> {
-        let Some(sim) = self.banks.get_mut(bank) else {
-            return Err(PimError::BadConfig {
-                reason: format!("bank {bank} out of range ({} banks)", self.banks.len()),
-            });
-        };
-        sim.execute(program)
+        self.bank_mut(bank)?.execute(program)
+    }
+
+    /// Decodes a mapped program for this device's banks
+    /// ([`DecodedProgram::decode`]): every buffer and address check, done
+    /// once, so the program can then run any number of times through
+    /// [`Self::run_decoded`].
+    ///
+    /// # Errors
+    ///
+    /// Buffer misuse, address and datapath errors — each one a mapper bug.
+    pub fn decode_program(&self, program: &Program) -> Result<DecodedProgram, PimError> {
+        DecodedProgram::decode(&self.config, program)
+    }
+
+    /// Runs a program [`Self::decode_program`] decoded, in `bank` (no
+    /// timing).
+    ///
+    /// # Errors
+    ///
+    /// [`PimError::BadConfig`] for a bad bank index or a program decoded
+    /// for another bank geometry or buffer count.
+    pub fn run_decoded(&mut self, bank: usize, program: &DecodedProgram) -> Result<(), PimError> {
+        self.bank_mut(bank)?.run(program)
+    }
+
+    fn bank_mut(&mut self, bank: usize) -> Result<&mut FunctionalSim, PimError> {
+        let banks = self.banks.len();
+        self.banks.get_mut(bank).ok_or_else(|| PimError::BadConfig {
+            reason: format!("bank {bank} out of range ({banks} banks)"),
+        })
     }
 
     /// Times one program queue per bank over the shared command bus, with

@@ -24,6 +24,13 @@ pub enum PimError {
         /// What was wrong.
         reason: String,
     },
+    /// A result and its reference differ in length.
+    LengthMismatch {
+        /// Words the PIM model produced.
+        got: usize,
+        /// Words the reference holds.
+        expected: usize,
+    },
     /// Functional verification against the reference NTT failed.
     VerificationFailed {
         /// First mismatching element index.
@@ -43,6 +50,9 @@ impl fmt::Display for PimError {
             PimError::BadConfig { reason } => write!(f, "bad configuration: {reason}"),
             PimError::BadRegion { reason } => write!(f, "bad region: {reason}"),
             PimError::BufferMisuse { reason } => write!(f, "buffer misuse: {reason}"),
+            PimError::LengthMismatch { got, expected } => {
+                write!(f, "result has {got} words, expected {expected}")
+            }
             PimError::VerificationFailed {
                 index,
                 got,

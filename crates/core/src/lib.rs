@@ -9,7 +9,7 @@
 //! host request (N, q, ω, addr)            [`device::PimDevice`]
 //!   → three-regime mapping                [`mapper`]
 //!   → pipelined command schedule          [`sched`]
-//!   → DRAM bank + compute unit execution  [`sim`], [`cu`], dram-sim crate
+//!   → DRAM bank + compute unit execution  [`sim`], dram-sim crate
 //! ```
 //!
 //! Architectural pieces (paper section in parentheses):
@@ -23,9 +23,6 @@
 //!   used by the single-buffer strawman (§III.D, §IV.A).
 //! * [`tfg`] — on-the-fly twiddle factor generation `ω ← ω·rω` in
 //!   Montgomery form (§IV.A).
-//! * [`cu`] — the functional compute unit: butterfly unit with Montgomery
-//!   datapath, crossbar-connected atom buffers (Fig. 2, Algorithms 1–2).
-//! * [`buffers`] — the atom-buffer file (primary = GSA, secondaries).
 //! * [`layout`] — polynomial ↔ row/column/atom addressing.
 //! * [`mapper`] — the three-regime mapping: intra-atom, intra-row,
 //!   inter-row, with in-place update, pipelined interleaving, and same-row
@@ -35,7 +32,13 @@
 //!   multi-bank entry points give every channel its own command bus and
 //!   every rank its own tRRD/tFAW window.
 //! * [`sim`] — functional co-simulation (the paper's front-end-driver
-//!   verification loop, §VI.A).
+//!   verification loop, §VI.A): each program is decoded once, checking
+//!   buffer and address legality from empty buffers (the atom-buffer
+//!   model lives in the private `buffers` module), then run as a flat
+//!   loop over the bank's cells through the compute unit's datapath
+//!   (Fig. 2, Algorithms 1–2: the Montgomery butterfly and the
+//!   C1/C2/element-wise kernels over one 8-lane atom, in the private
+//!   `cu` module).
 //! * [`area`] — the Table II area model.
 //! * [`energy`] — the Table III energy model.
 //! * [`device`] — the host-visible API, including on-device polynomial
@@ -64,10 +67,10 @@
 #![warn(missing_docs)]
 
 pub mod area;
-pub mod buffers;
+mod buffers;
 pub mod cmd;
 pub mod config;
-pub mod cu;
+mod cu;
 pub mod device;
 pub mod energy;
 pub mod layout;

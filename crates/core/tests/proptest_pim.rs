@@ -1,18 +1,26 @@
 //! Property-based tests of the PIM model: for arbitrary polynomial
-//! lengths, buffer counts, mapper options, and inputs, the mapped command
-//! stream must (1) compute exactly the reference transform and (2) yield
-//! a schedule that passes the independent DRAM-protocol validator.
+//! lengths, buffer counts, moduli, mapper options, and inputs, the mapped
+//! command stream must (1) compute exactly the reference transform and
+//! (2) yield a schedule that passes the independent DRAM-protocol
+//! validator. Functional storage must also behave like a plain array
+//! under arbitrary CU-read/CU-write programs.
 
 use dram_sim::validate::validate_trace;
 use modmath::bitrev::bitrev_permute;
+use ntt_pim_core::cmd::{BufId, PimCommand};
 use ntt_pim_core::config::PimConfig;
 use ntt_pim_core::layout::PolyLayout;
-use ntt_pim_core::mapper::{map_ntt, Dataflow, MapperOptions, NttParams};
+use ntt_pim_core::mapper::{map_ntt, Dataflow, MapperOptions, NttParams, Program};
 use ntt_pim_core::sched::schedule;
 use ntt_pim_core::sim::FunctionalSim;
+use ntt_pim_core::PimError;
 use proptest::prelude::*;
 
 const Q: u32 = 2_013_265_921; // 15 * 2^27 + 1
+
+/// Moduli across the datapath's range: Kyber-era 7681 (N ≤ 256 cyclic),
+/// NewHope's 12289 (N ≤ 2048), Dilithium's 8380417 and the 31-bit Q.
+const MODULI: [u32; 4] = [7681, 12289, 8_380_417, Q];
 
 fn reference_ntt(x: &[u64], w: u64, q: u64) -> Vec<u64> {
     // O(N log N) reference via the ntt-ref plan seeded with a matching ψ.
@@ -29,14 +37,28 @@ fn reference_ntt(x: &[u64], w: u64, q: u64) -> Vec<u64> {
     v
 }
 
+/// The `qi`-th (cyclically) of the [`MODULI`] that have the `2N`-th
+/// roots a length-`n` transform needs.
+fn modulus_for(n: usize, qi: usize) -> u32 {
+    let usable: Vec<u32> = MODULI
+        .into_iter()
+        .filter(|&q| (q as u64 - 1) % (2 * n as u64) == 0)
+        .collect();
+    usable[qi % usable.len()]
+}
+
 fn random_poly(n: usize, seed: u64) -> Vec<u32> {
+    random_poly_mod(n, seed, Q)
+}
+
+fn random_poly_mod(n: usize, seed: u64, q: u32) -> Vec<u32> {
     let mut state = seed;
     (0..n)
         .map(|_| {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            ((state >> 33) % Q as u64) as u32
+            ((state >> 33) % q as u64) as u32
         })
         .collect()
 }
@@ -45,31 +67,38 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The headline invariant: map → execute == reference NTT, for any
-    /// (N, Nb, options) combination, and the schedule is protocol-legal.
+    /// (N, Nb, q, options) combination, and the schedule is
+    /// protocol-legal. The single-buffer strawman (Nb = 1) supports only
+    /// in-place update and, at ten commands a butterfly, stays at
+    /// N ≤ 256.
     #[test]
     fn mapped_ntt_is_correct_and_schedulable(
-        log_n in 2u32..=11,
-        nb in prop::sample::select(vec![2usize, 3, 4, 6, 8]),
+        log_n in 2u32..=13,
+        nb in prop::sample::select(vec![1usize, 2, 3, 4, 6, 8]),
+        qi in 0usize..4,
         in_place in any::<bool>(),
         grouping in any::<bool>(),
         dif in any::<bool>(),
         refresh in any::<bool>(),
         seed in any::<u64>(),
     ) {
+        let log_n = if nb == 1 { log_n.min(8) } else { log_n };
+        let in_place = in_place || nb == 1;
         let n = 1usize << log_n;
+        let q = modulus_for(n, qi);
         let config = PimConfig::hbm2e(nb).with_refresh(refresh);
         let layout = PolyLayout::new(&config, 0, n).unwrap();
-        let omega = modmath::prime::root_of_unity(n as u64, Q as u64).unwrap() as u32;
+        let omega = modmath::prime::root_of_unity(n as u64, q as u64).unwrap() as u32;
         let opts = MapperOptions {
             dataflow: if dif { Dataflow::DifToBitrev } else { Dataflow::DitFromBitrev },
             inverse: false,
             in_place_update: in_place,
             group_same_row: grouping,
         };
-        let program = map_ntt(&config, &layout, &NttParams { q: Q, omega }, &opts).unwrap();
+        let program = map_ntt(&config, &layout, &NttParams { q, omega }, &opts).unwrap();
 
         // (1) Functional equivalence.
-        let poly = random_poly(n, seed);
+        let poly = random_poly_mod(n, seed, q);
         let mut sim = FunctionalSim::new(&config).unwrap();
         let mut image: Vec<u32> = poly.clone();
         if !dif {
@@ -84,7 +113,7 @@ proptest! {
         let expect = reference_ntt(
             &poly.iter().map(|&v| v as u64).collect::<Vec<_>>(),
             omega as u64,
-            Q as u64,
+            q as u64,
         );
         for i in 0..n {
             prop_assert_eq!(got[i] as u64, expect[i], "element {}", i);
@@ -137,6 +166,63 @@ proptest! {
         sim.execute(&map_scale(&config, &layout, Q, 1, r).unwrap()).unwrap();
         sim.execute(&map_scale(&config, &layout, Q, 1, r_inv).unwrap()).unwrap();
         prop_assert_eq!(sim.read_region(&layout), poly);
+    }
+
+    /// Storage is value-faithful: arbitrary programs of CU-reads,
+    /// CU-writes, activations and precharges over eight rows leave
+    /// exactly what a plain array model holds — every write lands in the
+    /// array, a read later in the program sees it, and a program that
+    /// writes a buffer it never filled is rejected without touching the
+    /// bank.
+    #[test]
+    fn storage_matches_shadow_array(
+        ops in prop::collection::vec((0u8..4, 0u32..8, 0u32..32, 0u8..4), 1..60),
+        seed in any::<u64>(),
+    ) {
+        let config = PimConfig::hbm2e(4);
+        let (row_words, na) = (config.row_words(), config.na());
+        let initial = random_poly(8 * row_words, seed);
+        let mut shadow = initial.clone();
+        let mut bufs: [Option<Vec<u32>>; 4] = Default::default();
+        let mut commands = Vec::new();
+        let mut legal = true;
+        for (kind, row, col, buf) in ops {
+            let base = row as usize * row_words + col as usize * na;
+            let b = BufId(buf);
+            commands.push(match kind {
+                0 => {
+                    bufs[buf as usize] = Some(shadow[base..base + na].to_vec());
+                    PimCommand::CuRead { row, col, buf: b }
+                }
+                1 => {
+                    match &bufs[buf as usize] {
+                        Some(atom) => shadow[base..base + na].copy_from_slice(atom),
+                        None => legal = false,
+                    }
+                    PimCommand::CuWrite { row, col, buf: b }
+                }
+                2 => PimCommand::Act { row },
+                _ => PimCommand::Pre,
+            });
+        }
+        let program = Program {
+            commands,
+            final_base: 0,
+            c2_ops: 0,
+            c1_ops: 0,
+            marks: Vec::new(),
+        };
+        let mut sim = FunctionalSim::new(&config).unwrap();
+        sim.load_words(0, &initial);
+        match sim.execute(&program) {
+            Ok(()) => prop_assert!(legal),
+            Err(e) => {
+                prop_assert!(!legal);
+                prop_assert!(matches!(e, PimError::BufferMisuse { .. }), "{}", e);
+                shadow = initial;
+            }
+        }
+        prop_assert_eq!(sim.read_words(0, shadow.len()), shadow);
     }
 
     /// More buffers never hurt latency (for the same mapping options).

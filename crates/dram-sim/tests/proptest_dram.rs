@@ -1,13 +1,13 @@
 //! Property-based tests of the DRAM model: sequences generated through
 //! the timing state machine are always accepted by the independent
-//! validator, storage behaves like a value-faithful memory under random
-//! access patterns, the earliest-issue function is consistent with issue
+//! validator, the earliest-issue function is consistent with issue
 //! legality, and the bitset [`FairBus`] grants exactly the slots of a
-//! plain ordered-set model.
+//! plain ordered-set model. (Value-faithful storage under random access
+//! patterns is checked where values move, in `ntt-pim-core`'s
+//! `proptest_pim.rs`.)
 
 use dram_sim::bank::{BankCommand, BankTimer};
 use dram_sim::chip::FairBus;
-use dram_sim::storage::BankStorage;
 use dram_sim::timing::{Geometry, TimingParams};
 use dram_sim::validate::{validate_trace, TraceEntry};
 use proptest::prelude::*;
@@ -151,35 +151,6 @@ proptest! {
             let r = bank.issue_at(act, act_at);
             prop_assert!(r.is_ok());
         }
-    }
-
-    /// Storage is value-faithful: after arbitrary interleavings of atom
-    /// writes in an open row and precharges, reading back gives exactly
-    /// what a plain array model holds.
-    #[test]
-    fn storage_matches_shadow_array(
-        ops in prop::collection::vec((0u32..8, 0u32..32, any::<u32>()), 1..60),
-    ) {
-        let geometry = Geometry::hbm2e_single_bank();
-        let mut storage = BankStorage::new(geometry);
-        let mut shadow = vec![0u32; 8 * geometry.row_words()];
-        let mut open: Option<u32> = None;
-        for (row, col, value) in ops {
-            if open != Some(row) {
-                storage.precharge();
-                storage.activate(row).unwrap();
-                open = Some(row);
-            }
-            let atom = vec![value; geometry.atom_words()];
-            storage.write_atom(col, &atom).unwrap();
-            let base = row as usize * geometry.row_words()
-                + col as usize * geometry.atom_words();
-            shadow[base..base + geometry.atom_words()].fill(value);
-            // Read-after-write within the open row sees the new data.
-            prop_assert_eq!(storage.read_atom(col).unwrap(), atom);
-        }
-        storage.precharge();
-        prop_assert_eq!(storage.read_words(0, shadow.len()), shadow);
     }
 
     /// The validator rejects any trace whose single perturbed entry moves

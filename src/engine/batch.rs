@@ -41,11 +41,13 @@
 //! more queue slots.
 
 use super::{CpuNttEngine, EngineError};
+use crate::core::cmd::PimCommand;
 use crate::core::config::{PimConfig, Topology};
 use crate::core::device::{NttDirection, PimDevice, PolyHandle, QueueReport, StoredOrder};
 use crate::core::layout::PolyLayout;
 use crate::core::mapper::{MapperOptions, Program};
 use crate::core::sched::{lpt_assign_topology, lpt_makespan, DagJob};
+use crate::core::sim::DecodedProgram;
 use crate::core::PimError;
 use crate::math::arith::pow_mod;
 use crate::math::prime;
@@ -514,20 +516,28 @@ pub struct BatchExecutor {
     /// Cost model mirroring the device (shared shape with the fleet
     /// router's per-device models).
     cost: DeviceCostModel,
-    /// Mapped programs by unit shape, shared across banks and batches.
-    programs: BoundedMemo<ProgramKey, Arc<Program>>,
+    /// Mapped and decoded programs by unit shape, shared across banks
+    /// and batches.
+    programs: BoundedMemo<ProgramKey, Arc<MappedUnit>>,
     /// Plan and queue report by LPT batch shape.
     batches: BoundedMemo<BatchKey, Arc<MemoBatch>>,
     /// The device configuration both memos were filled under.
     memo_config: PimConfig,
 }
 
-/// Upper bound on the mapped commands one executor's program memo
-/// holds: 2²⁰ commands, about 40 MiB at 40 bytes per command. The
-/// largest working set measured is ≈0.46 M commands, on one executor of
-/// the repository benchmark's replay workload (every length from 256 to
-/// 8192, three kinds, two moduli, plus the row and column sub-jobs of
-/// split transforms), so the cap holds it with room to spare.
+/// Upper bound on the weight one executor's program memo holds, in
+/// units of one mapped command (40 bytes): an entry weighs its commands
+/// plus its decoded form rounded up to whole units (8-byte ops, about
+/// one per command, plus 32-byte twiddle rows and the C1 kernels), so
+/// 2²⁰ units bound the memo at about 40 MiB. The decoded form adds
+/// about a quarter to an entry: an N = 4096 forward program is 13,067
+/// commands, and 13,056 ops, 511 twiddle rows and one C1 kernel
+/// (≈118 KiB) decoded, 16,089 units in all. The largest
+/// working set measured is ≈0.46 M commands, ≈0.57 M units, on one
+/// executor of the repository benchmark's replay workload (every length
+/// from 256 to 8192, three kinds, two moduli, plus the row and column
+/// sub-jobs of split transforms), so the cap holds it with room to
+/// spare.
 pub const PROGRAM_MEMO_CAP_COMMANDS: usize = 1 << 20;
 
 /// Upper bound on the plan units (jobs, or split sub-jobs) across the
@@ -544,7 +554,8 @@ pub struct MemoStats {
     pub program_misses: u64,
     /// Mapped programs held.
     pub programs: usize,
-    /// Commands across the held programs (at most
+    /// Weight of the held programs, in units of one mapped command:
+    /// their commands plus their decoded forms (at most
     /// [`PROGRAM_MEMO_CAP_COMMANDS`]).
     pub program_commands: usize,
     /// LPT batches whose plan and queue report came from the memo.
@@ -653,6 +664,22 @@ impl BatchKey {
             opts,
             jobs: jobs.iter().map(|j| (kind(j), j.n(), j.q)).collect(),
         }
+    }
+}
+
+/// One unit's mapped program — what the scheduler times — and its
+/// decoded form — what the functional simulator runs.
+#[derive(Debug)]
+struct MappedUnit {
+    program: Program,
+    decoded: DecodedProgram,
+}
+
+impl MappedUnit {
+    /// Memo weight in units of one mapped command's size.
+    fn weight(&self) -> usize {
+        let command = std::mem::size_of::<PimCommand>();
+        self.program.len() + self.decoded.heap_bytes().div_ceil(command)
     }
 }
 
@@ -831,9 +858,10 @@ impl BatchExecutor {
 
     /// Loads `words` into `bank` in `stored` order, runs the unit's
     /// program over them, and reads back the result the program leaves
-    /// in `result` order. The program comes from the memo when the
-    /// unit's key was mapped before; otherwise `build` maps it over the
-    /// loaded handle and the memo keeps it.
+    /// in `result` order. The mapped and decoded program comes from the
+    /// memo when the unit's key was mapped before; otherwise `build` maps
+    /// it over the loaded handle, the device decodes it, and the memo
+    /// keeps both.
     fn run_unit(
         &mut self,
         bank: usize,
@@ -842,7 +870,7 @@ impl BatchExecutor {
         (stored, result): (StoredOrder, StoredOrder),
         unit: UnitProgram,
         build: impl FnOnce(&PimDevice, &PolyHandle) -> Result<Program, PimError>,
-    ) -> Result<(Arc<Program>, Vec<u64>), EngineError> {
+    ) -> Result<(Arc<MappedUnit>, Vec<u64>), EngineError> {
         let mut h = self.device.load_in_bank(bank, 0, words, q, stored)?;
         let key = ProgramKey {
             unit,
@@ -850,18 +878,20 @@ impl BatchExecutor {
             q,
             opts: *self.device.mapper_options(),
         };
-        let program = match self.programs.get(&key) {
-            Some(program) => program,
+        let unit = match self.programs.get(&key) {
+            Some(unit) => unit,
             None => {
-                let program = Arc::new(build(&self.device, &h)?);
-                self.programs.insert(key, program.clone(), program.len());
-                program
+                let program = build(&self.device, &h)?;
+                let decoded = self.device.decode_program(&program)?;
+                let unit = Arc::new(MappedUnit { program, decoded });
+                self.programs.insert(key, unit.clone(), unit.weight());
+                unit
             }
         };
-        self.device.execute_program(bank, &program)?;
+        self.device.run_decoded(bank, &unit.decoded)?;
         h.assume_order(result);
         let out = self.device.read_polynomial(&h)?;
-        Ok((program, out.into_iter().map(u64::from).collect()))
+        Ok((unit, out.into_iter().map(u64::from).collect()))
     }
 
     /// Runs one whole job in `bank` ([`Self::run_unit`]) — the per-job
@@ -871,7 +901,7 @@ impl BatchExecutor {
         &mut self,
         bank: usize,
         job: &NttJob,
-    ) -> Result<(Arc<Program>, Vec<u64>), EngineError> {
+    ) -> Result<(Arc<MappedUnit>, Vec<u64>), EngineError> {
         use StoredOrder::{BitReversed, Natural};
         let q = job.q as u32;
         let words: Vec<u32> = job.coeffs.iter().map(|&c| c as u32).collect();
@@ -924,7 +954,7 @@ impl BatchExecutor {
         split: &SplitPlan,
         col_root: u32,
         column: usize,
-    ) -> Result<(Arc<Program>, Vec<u64>), EngineError> {
+    ) -> Result<(Arc<MappedUnit>, Vec<u64>), EngineError> {
         let col: Vec<u32> = (0..split.rows)
             .map(|r| job.coeffs[r * split.cols + column] as u32)
             .collect();
@@ -946,7 +976,7 @@ impl BatchExecutor {
         row_vec: &[u64],
         row_root: u32,
         tw: u32,
-    ) -> Result<(Arc<Program>, Vec<u64>), EngineError> {
+    ) -> Result<(Arc<MappedUnit>, Vec<u64>), EngineError> {
         let words: Vec<u32> = row_vec.iter().map(|&c| c as u32).collect();
         let orders = (StoredOrder::Natural, StoredOrder::BitReversed);
         let unit = UnitProgram::Row {
@@ -964,13 +994,13 @@ impl BatchExecutor {
     /// job is malformed); results land in [`BatchOutcome::spectra`] in
     /// job order regardless of bank assignment.
     ///
-    /// Mapping and timing never read the values, so the executor
-    /// memoizes them: each unit's mapped program by its shape (shared
-    /// across banks and batches), and under [`SchedulePolicy::Lpt`] each
-    /// batch's plan and queue report by the batch's shape. A repeated
-    /// shape still validates, loads, executes and reads back every job;
-    /// it skips only the mapper and the scheduler, whose results it
-    /// would reproduce exactly.
+    /// Mapping, decoding and timing never read the values, so the
+    /// executor memoizes them: each unit's mapped and decoded program by
+    /// its shape (shared across banks and batches), and under
+    /// [`SchedulePolicy::Lpt`] each batch's plan and queue report by the
+    /// batch's shape. A repeated shape still validates, loads, executes
+    /// and reads back every job; it skips only the mapper, the decoder
+    /// and the scheduler, whose results it would reproduce exactly.
     ///
     /// # Errors
     ///
@@ -1053,7 +1083,7 @@ impl BatchExecutor {
                 // matches queue order).
                 // One scheduled program plus its DAG tags, per bank:
                 // `(program, waits_on, signals)`.
-                type TaggedProgram = (Arc<Program>, Option<usize>, Option<usize>);
+                type TaggedProgram = (Arc<MappedUnit>, Option<usize>, Option<usize>);
                 let mut programs: Vec<Vec<TaggedProgram>> = vec![Vec::new(); banks];
                 for (bank, queue) in plan.queues.iter().enumerate() {
                     for &ui in queue {
@@ -1107,8 +1137,8 @@ impl BatchExecutor {
                             .map(|queue| {
                                 queue
                                     .iter()
-                                    .map(|(program, waits_on, signals)| DagJob {
-                                        program,
+                                    .map(|(unit, waits_on, signals)| DagJob {
+                                        program: &unit.program,
                                         waits_on: *waits_on,
                                         signals: *signals,
                                     })
@@ -1172,7 +1202,7 @@ impl BatchExecutor {
                     (topology.channels * topology.ranks) as usize,
                 );
                 for w in 0..depth {
-                    let mut wave_programs: Vec<Vec<Arc<Program>>> = vec![Vec::new(); banks];
+                    let mut wave_programs: Vec<Vec<Arc<MappedUnit>>> = vec![Vec::new(); banks];
                     let wave_jobs: Vec<(usize, usize)> = plan
                         .queues
                         .iter()
@@ -1188,7 +1218,7 @@ impl BatchExecutor {
                     }
                     let wave: Vec<Vec<DagJob<'_>>> = wave_programs
                         .iter()
-                        .map(|queue| queue.iter().map(|p| DagJob::plain(p)).collect())
+                        .map(|queue| queue.iter().map(|u| DagJob::plain(&u.program)).collect())
                         .collect();
                     let report = self.device.schedule_queues_dag(&wave)?;
                     for (bank, ends) in report.job_end_ns.iter().enumerate() {
@@ -1298,18 +1328,26 @@ pub fn validate_shape(job: &NttJob) -> Result<(), EngineError> {
 /// — the caller knows which request it is holding).
 pub fn validate_job(config: &PimConfig, job: &NttJob) -> Result<(), EngineError> {
     validate_shape(job)?;
-    let shape = |reason: String| EngineError::Shape { reason };
-    let n = job.n();
     if job.q > u64::from(u32::MAX) {
-        return Err(shape(format!(
-            "q={} exceeds the 32-bit PIM datapath",
-            job.q
-        )));
+        return Err(EngineError::Shape {
+            reason: format!("q={} exceeds the 32-bit PIM datapath", job.q),
+        });
     }
-    // Capacity: the operand(s) must fit the bank. A split job only ever
-    // materializes its column/row sub-vectors in a bank, so *those* must
-    // fit — the full transform may exceed any single bank.
-    if let JobKind::SplitLarge = job.kind {
+    validate_capacity(config, &job.kind, job.n())
+}
+
+/// The bank-capacity half of [`validate_job`], from a job's kind and
+/// length alone, so a front-end can reject a length before it allocates
+/// the coefficients: the operand(s) must fit one bank. A split job only
+/// ever materializes its column/row sub-vectors in a bank, so *those*
+/// must fit — the full transform may exceed any single bank.
+///
+/// # Errors
+///
+/// [`EngineError::Shape`] describing what does not fit.
+pub fn validate_capacity(config: &PimConfig, kind: &JobKind, n: usize) -> Result<(), EngineError> {
+    let shape = |reason: String| EngineError::Shape { reason };
+    if let JobKind::SplitLarge = kind {
         let split = plan_split(n, config.total_banks())
             .map_err(|e| shape(format!("cannot split length {n}: {e}")))?;
         if split.rows < 4 || split.cols < 4 {
@@ -1324,7 +1362,7 @@ pub fn validate_job(config: &PimConfig, job: &NttJob) -> Result<(), EngineError>
     } else {
         PolyLayout::new(config, 0, n).map_err(|e| shape(e.to_string()))?;
     }
-    if let JobKind::NegacyclicPolymul { .. } = job.kind {
+    if let JobKind::NegacyclicPolymul { .. } = kind {
         PolyLayout::new(config, config.polymul_rhs_base(n), n)
             .map_err(|e| shape(format!("second operand: {e}")))?;
     }

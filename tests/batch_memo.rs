@@ -3,14 +3,17 @@
 //! mapping and schedule would produce.
 //!
 //! The proptest runs random batches (forward, inverse and negacyclic
-//! jobs at N = 4…8192 over both benchmark moduli, plus split transforms
-//! where the topology admits them) on random topologies up to 4×2×4,
-//! refresh on and off, three times each: on a fresh executor, again on
-//! the same executor (a memo hit), and on an executor warmed by
-//! same-shaped batches with other values and by an unrelated batch.
-//! Every `BatchOutcome` field must agree. The deterministic tests pin
-//! the key: new mapper options, another modulus, and an unreduced
-//! coefficient in a memoized shape.
+//! jobs at N = 4…8192 over four moduli wherever they have the roots,
+//! plus split transforms where the topology admits them) on random
+//! topologies up to 4×2×4 with 1, 2, 4 or 6 atom buffers, same-row
+//! grouping and refresh on and off, three times each: on a fresh
+//! executor, again on the same executor (a memo hit), and on an executor
+//! warmed by same-shaped batches with other values and by an unrelated
+//! batch. The fresh run must match the golden model — forward, inverse
+//! and product units, the column (DIT) and row (DIF) sub-jobs of a
+//! split — and every `BatchOutcome` field must agree. The deterministic
+//! tests pin the key: new mapper options, another modulus, and an
+//! unreduced coefficient in a memoized shape.
 
 use ntt_pim::core::config::{PimConfig, Topology};
 use ntt_pim::core::mapper::MapperOptions;
@@ -23,6 +26,11 @@ use proptest::prelude::*;
 
 /// The moduli the repository benchmark draws from.
 const MODULI: [u64; 2] = [8_380_417, 2_013_265_921];
+
+/// The moduli the proptest draws from: the benchmark's, plus 7681
+/// (N ≤ 256) and 12289 (N ≤ 2048); a job whose modulus lacks the roots
+/// is dropped by admission.
+const GOLDEN_MODULI: [u64; 4] = [7681, 12289, 8_380_417, 2_013_265_921];
 
 fn poly(n: usize, q: u64, seed: u64) -> Vec<u64> {
     let mut state = seed | 1;
@@ -50,10 +58,13 @@ fn job(kind: u8, log_n: u32, q: u64, seed: u64) -> NttJob {
 }
 
 /// The jobs of `spec` the device admits (each `(kind, log_n, q index,
-/// seed)`), values drawn from `salt`.
+/// seed)`), values drawn from `salt`. The single-buffer strawman has no
+/// operand pair for a pointwise product and, at ten commands a
+/// butterfly, runs lengths up to 1024 only.
 fn batch(config: &PimConfig, spec: &[(u8, u32, usize, u64)], salt: u64) -> Vec<NttJob> {
     spec.iter()
-        .map(|&(kind, log_n, qi, seed)| job(kind, log_n, MODULI[qi % 2], seed ^ salt))
+        .filter(|&&(kind, log_n, _, _)| config.n_bufs > 1 || (kind % 4 != 2 && log_n <= 10))
+        .map(|&(kind, log_n, qi, seed)| job(kind, log_n, GOLDEN_MODULI[qi % 4], seed ^ salt))
         .filter(|j| validate_job(config, j).is_ok())
         .collect()
 }
@@ -148,23 +159,34 @@ proptest! {
         channels in 1u32..=4,
         ranks in 1u32..=2,
         banks in 1u32..=4,
+        nb in prop::sample::select(vec![1usize, 2, 4, 6]),
+        grouping in any::<bool>(),
         refresh in any::<bool>(),
         spec in prop::collection::vec(
-            (0u8..4, 2u32..=13, 0usize..2, any::<u64>()),
+            (0u8..4, 2u32..=13, 0usize..4, any::<u64>()),
             1..6,
         ),
         other in prop::collection::vec(
-            (0u8..4, 2u32..=10, 0usize..2, any::<u64>()),
+            (0u8..4, 2u32..=10, 0usize..4, any::<u64>()),
             1..4,
         ),
     ) {
-        let config = PimConfig::hbm2e(2)
+        let config = PimConfig::hbm2e(nb)
             .with_topology(Topology::new(channels, ranks, banks))
             .with_refresh(refresh);
+        let opts = MapperOptions {
+            group_same_row: grouping,
+            ..MapperOptions::default()
+        };
+        let executor = || {
+            let mut exec = BatchExecutor::new(config).unwrap();
+            exec.device_mut().set_mapper_options(opts);
+            exec
+        };
         let jobs = batch(&config, &spec, 0);
         prop_assume!(!jobs.is_empty());
 
-        let mut exec = BatchExecutor::new(config).unwrap();
+        let mut exec = executor();
         let fresh = exec.run(&jobs).unwrap();
         for (j, got) in jobs.iter().zip(&fresh.spectra) {
             prop_assert_eq!(got, &golden(j));
@@ -174,7 +196,7 @@ proptest! {
         prop_assert_eq!(exec.memo_stats().batch_hits, before.batch_hits + 1);
         assert_same(&fresh, &again, "repeat on the same executor");
 
-        let mut warmed = BatchExecutor::new(config).unwrap();
+        let mut warmed = executor();
         warmed.run(&revalued(&jobs, 0xfeed)).unwrap();
         let unrelated = batch(&config, &other, 1);
         if !unrelated.is_empty() {
