@@ -82,6 +82,8 @@ impl BankStorage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bank::{BankCommand, BankTimer};
+    use crate::timing::TimingParams;
 
     fn storage() -> BankStorage {
         BankStorage::new(Geometry::hbm2e_single_bank())
@@ -96,17 +98,59 @@ mod tests {
         assert_eq!(s.read_words(99, 1), vec![0]);
     }
 
+    /// Issues `cmd` on `bank` at its earliest legal time from `now`.
+    fn issue(bank: &mut BankTimer, cmd: BankCommand, now: &mut u64) {
+        *now = bank.earliest_issue(cmd, *now).unwrap();
+        bank.issue_at(cmd, *now).unwrap();
+    }
+
+    /// A row cycle with its values moved in place: the atom a column
+    /// command addresses is the `row · row_words + col · atom_words` span
+    /// of the cells, so a read sees what DMA loaded and a write is in the
+    /// array — and visible to DMA — from the moment it is made.
     #[test]
-    fn cells_are_the_array_dma_sees() {
+    fn activate_read_write_precharge_cycle() {
         let mut s = storage();
-        let row1_base = s.geometry().row_words(); // row 1 starts here
+        let g = *s.geometry();
+        let (row_words, atom) = (g.row_words(), g.atom_words());
+        let row1_base = row_words; // row 1 starts here
         s.load_words(row1_base, &[7u32; 8]);
-        let atom = s.geometry().atom_words();
-        assert_eq!(&s.cells_mut()[row1_base..row1_base + atom], &[7u32; 8]);
-        // Atom 3 of row 1, written in place, is what DMA reads back.
-        s.cells_mut()[row1_base + 3 * atom..row1_base + 4 * atom].fill(9);
+        let at = |row: usize, col: usize| row * row_words + col * atom;
+        assert_eq!(g.word_addr(at(1, 3)), (1, 3, 0));
+        assert_eq!(s.cells_mut().len(), g.bank_words());
+
+        let mut bank = BankTimer::new(TimingParams::hbm2e().resolve());
+        let mut now = 0;
+        issue(&mut bank, BankCommand::Act { row: 1 }, &mut now);
+        issue(&mut bank, BankCommand::Rd { col: 0 }, &mut now);
+        assert_eq!(&s.cells_mut()[at(1, 0)..at(1, 1)], &[7u32; 8]);
+        issue(&mut bank, BankCommand::Wr { col: 3 }, &mut now);
+        s.cells_mut()[at(1, 3)..at(1, 4)].fill(9);
+        // Visible in the open row immediately, and already in the array.
+        issue(&mut bank, BankCommand::Rd { col: 3 }, &mut now);
+        assert_eq!(&s.cells_mut()[at(1, 3)..at(1, 4)], &[9u32; 8]);
         assert_eq!(s.read_words(row1_base + 24, 8), vec![9u32; 8]);
-        assert_eq!(s.cells_mut().len(), s.geometry().bank_words());
+        issue(&mut bank, BankCommand::Pre, &mut now);
+        assert_eq!(bank.open_row(), None);
+        assert_eq!(s.read_words(row1_base + 24, 8), vec![9u32; 8]);
+        assert_eq!(s.read_words(row1_base + 8, 16), vec![0u32; 16], "untouched");
+    }
+
+    /// There is no row-buffer image to restore at precharge, so a write
+    /// is never lost: a snapshot of the bank taken while its row is still
+    /// open — never precharged — already holds it.
+    #[test]
+    fn write_is_lost_only_if_never_restored() {
+        let mut s = storage();
+        let mut bank = BankTimer::new(TimingParams::hbm2e().resolve());
+        let mut now = 0;
+        issue(&mut bank, BankCommand::Act { row: 0 }, &mut now);
+        issue(&mut bank, BankCommand::Wr { col: 0 }, &mut now);
+        s.cells_mut()[..8].fill(1);
+        assert_eq!(bank.open_row(), Some(0));
+        let snapshot = s.clone();
+        assert_eq!(snapshot.read_words(0, 8), vec![1u32; 8]);
+        assert_eq!(snapshot.read_words(8, 8), vec![0u32; 8]);
     }
 
     #[test]
