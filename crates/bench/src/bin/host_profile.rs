@@ -28,7 +28,10 @@
 //!   `sched::schedule` runs of the same program. Sixteen programs sharing
 //!   one bus issue sixteen programs' worth of commands, so a scheduler
 //!   whose host cost grows with the commands it issues reads close to
-//!   1×; the gate fails above [`MAX_SCHEDULE_RATIO`].
+//!   1×. It reads below that (≈0.76× on a 2-vCPU x86-64 VM) because
+//!   `sched::schedule` runs the same queue engine with its per-command
+//!   log, which the batch path skips. The gate fails above
+//!   [`MAX_SCHEDULE_RATIO`].
 //! * the warm executor run against the cold one. Without the memo a
 //!   repeat costs what the first run did (≈0.95×); with it, what is left
 //!   is the functional run, loading and read-back (≈0.13× on a 2-vCPU

@@ -845,6 +845,9 @@ mod tests {
         assert!(out.contains("speedup"));
         assert!(out.contains("bank   3"));
         assert!(out.contains("verification   : OK"));
+        // One job on one bank is the paper path: no speedup over itself.
+        let one = run_line("batch --n 4096 --jobs 1 --banks 1").unwrap();
+        assert!(one.contains("speedup        :        1.00x"), "{one}");
     }
 
     #[test]

@@ -33,32 +33,39 @@
 //! hierarchical scheduler: LPT across channels first (the scarce, fully
 //! independent resource), then LPT across the banks within each channel.
 //!
-//! [`schedule`] claims slots on a strictly monotonic
-//! [`dram_sim::chip::CommandBus`]; the multi-bank entry points share one
-//! [`dram_sim::chip::FairBus`] per channel, whose claims backfill the
-//! gaps other banks leave (its occupancy bitset costs one bit per bus
-//! cycle up to the latest claim).
+//! One bus model and one issue rule serve every entry point. Each channel
+//! has one [`dram_sim::chip::FairBus`], which grants the first free slot
+//! at or after a request (its occupancy bitset costs one bit per bus
+//! cycle up to the latest claim). Each bank issues in order: its next
+//! claim asks for no slot before the one after its previous claim, so
+//! a bank never overtakes its own program and only *other* banks'
+//! commands backfill the gaps it leaves. [`schedule`], the paper's
+//! single-transform path, is the one-bank case of the same queue engine,
+//! where the rule reduces to a strictly monotonic stream of slots.
+//! [`dram_sim::validate::validate_queues`] checks finished schedules
+//! against that rule, the topology's timing and the DAG barriers
+//! ([`QueueTimeline::bank_schedules`] builds its input).
 //!
-//! One issue engine serves every entry point. The per-command [`Event`]
-//! log and [`Timeline::logical_issue_ps`] exist only for the callers
-//! that return a timeline — [`schedule`], [`schedule_queues`] and
-//! [`schedule_queues_dag`]. The batch path
-//! ([`crate::device::PimDevice::schedule_queues`] and
+//! The per-command [`Event`] log, [`Timeline::logical_issue_ps`] and the
+//! claimed slots exist only for the callers that return a timeline —
+//! [`schedule`], [`schedule_queues`] and [`schedule_queues_dag`]. The
+//! batch path ([`crate::device::PimDevice::schedule_queues`] and
 //! [`crate::device::PimDevice::schedule_queues_dag`], hence every PIM
-//! backend) returns only a [`crate::device::QueueReport`], so it runs the
-//! same engine without the log: each bank keeps just its issue cursor
-//! and completion front, and host cost grows with the commands issued.
+//! backend) and the cost estimates need only times, so they call
+//! [`schedule_queues_unlogged`]: the same engine without the log, where
+//! each bank keeps just its issue cursor and completion front, and host
+//! cost grows with the commands issued.
 
 use crate::cmd::{BufId, PimCommand};
 use crate::config::PimConfig;
 use crate::mapper::Program;
 use crate::PimError;
 use dram_sim::bank::{BankCommand, BankCounters, BankTimer};
-use dram_sim::chip::{CommandBus, FairBus};
+use dram_sim::chip::FairBus;
 use dram_sim::energy::{EnergyMeter, EnergyParams};
 use dram_sim::rank::RankTimer;
 use dram_sim::timing::ResolvedTiming;
-use dram_sim::validate::TraceEntry;
+use dram_sim::validate::{BankSchedule, BusClaim, QueuedJob, TraceEntry};
 
 /// One scheduled command.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,6 +93,15 @@ pub struct Timeline {
     /// `Program::commands`; inserted ACT/PRE excluded) — lets callers map
     /// [`crate::mapper::StageMark`]s to wall-clock phases.
     pub logical_issue_ps: Vec<u64>,
+    /// Every bus slot the bank claimed, ps, in issue order: one per
+    /// event, plus one per further beat of a `SetModulus`/`SetTwiddle`
+    /// broadcast, whose event records only its first slot. On a shared
+    /// bus other banks' commands may take slots between the beats.
+    pub slots_ps: Vec<u64>,
+    /// Index into `slots_ps` of each queued program's first claim, in
+    /// queue order (an empty program's is that of the next claim): the
+    /// row close between two programs counts toward the earlier one.
+    pub program_first_slot: Vec<usize>,
 }
 
 /// One phase of a schedule, resolved to wall-clock time (see
@@ -151,21 +167,52 @@ impl QueueTimeline {
         self.end_ps as f64 / 1000.0
     }
 
-    /// Full cross-bank trace for independent validation.
-    pub fn bank_trace(&self) -> Vec<TraceEntry> {
-        let mut all: Vec<TraceEntry> = self
-            .banks
+    /// The schedule as [`dram_sim::validate::validate_queues`] replays
+    /// it: each bank's bus claims in issue order, with their program and
+    /// DRAM command, and each program's barrier tags (from `queues`, the
+    /// input this timeline was scheduled from) and completion time. A
+    /// timeline from [`schedule_queues_unlogged`] has no claims.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `queues` is not the shape of the schedule (a queue or
+    /// program count differs).
+    pub fn bank_schedules(&self, queues: &[Vec<DagJob<'_>>]) -> Vec<BankSchedule> {
+        assert_eq!(queues.len(), self.banks.len(), "one queue per bank");
+        self.banks
             .iter()
-            .enumerate()
-            .flat_map(|(b, tl)| {
-                tl.bank_trace().into_iter().map(move |mut e| {
-                    e.bank = b as u32;
-                    e
-                })
+            .zip(queues)
+            .zip(&self.job_end_ps)
+            .map(|((tl, queue), ends)| {
+                assert_eq!(queue.len(), ends.len(), "one end per program");
+                // Each event claimed the slot it records; the slots in
+                // between are its further broadcast beats.
+                let mut events = tl.events.iter().peekable();
+                let claims = tl
+                    .slots_ps
+                    .iter()
+                    .enumerate()
+                    .map(|(s, &at_ps)| BusClaim {
+                        at_ps,
+                        job: tl.program_first_slot.partition_point(|&f| f <= s) - 1,
+                        cmd: events
+                            .next_if(|e| e.at_ps == at_ps)
+                            .and_then(|e| bank_command(&e.cmd)),
+                    })
+                    .collect();
+                assert!(events.next().is_none(), "an event without a claim");
+                let jobs = queue
+                    .iter()
+                    .zip(ends)
+                    .map(|(job, &end_ps)| QueuedJob {
+                        waits_on: job.waits_on,
+                        signals: job.signals,
+                        end_ps,
+                    })
+                    .collect();
+                BankSchedule { claims, jobs }
             })
-            .collect();
-        all.sort_by_key(|e| e.at_ps);
-        all
+            .collect()
     }
 }
 
@@ -229,15 +276,7 @@ impl Timeline {
         self.events
             .iter()
             .filter_map(|e| {
-                let cmd = match e.cmd {
-                    PimCommand::Act { row } => BankCommand::Act { row },
-                    PimCommand::Pre => BankCommand::Pre,
-                    PimCommand::CuRead { col, .. } => BankCommand::Rd { col },
-                    PimCommand::CuWrite { col, .. } => BankCommand::Wr { col },
-                    PimCommand::Refresh => BankCommand::Ref,
-                    _ => return None,
-                };
-                Some(TraceEntry {
+                bank_command(&e.cmd).map(|cmd| TraceEntry {
                     at_ps: e.at_ps,
                     bank: 0,
                     cmd,
@@ -278,24 +317,16 @@ impl Timeline {
     }
 }
 
-/// Command-bus abstraction: grants one slot per memory cycle.
-trait Bus {
-    /// Claims the first available slot at or after `earliest_ps`.
-    fn claim(&mut self, earliest_ps: u64) -> u64;
-}
-
-/// The single-stream in-order bus of [`schedule`]: slots are granted in
-/// increasing order.
-impl Bus for CommandBus {
-    fn claim(&mut self, earliest_ps: u64) -> u64 {
-        CommandBus::claim(self, earliest_ps)
-    }
-}
-
-impl Bus for FairBus {
-    fn claim(&mut self, earliest_ps: u64) -> u64 {
-        FairBus::claim(self, earliest_ps)
-    }
+/// The DRAM command a PIM command puts on the bank, if any.
+fn bank_command(cmd: &PimCommand) -> Option<BankCommand> {
+    Some(match *cmd {
+        PimCommand::Act { row } => BankCommand::Act { row },
+        PimCommand::Pre => BankCommand::Pre,
+        PimCommand::CuRead { col, .. } => BankCommand::Rd { col },
+        PimCommand::CuWrite { col, .. } => BankCommand::Wr { col },
+        PimCommand::Refresh => BankCommand::Ref,
+        _ => return None,
+    })
 }
 
 /// Per-bank scheduling state.
@@ -307,11 +338,14 @@ struct Engine<'a> {
     buf_ready: Vec<u64>,
     buf_busy: Vec<u64>,
     open_row: Option<u32>,
-    /// Whether `events` and `logical_issue_ps` are filled: only for
-    /// callers that return a [`Timeline`].
+    /// Whether `events`, `logical_issue_ps`, `slots_ps` and
+    /// `program_first_slot` are filled: only for callers that return a
+    /// [`Timeline`].
     keep_log: bool,
     events: Vec<Event>,
     logical_issue_ps: Vec<u64>,
+    slots_ps: Vec<u64>,
+    program_first_slot: Vec<usize>,
     /// Issue time of the command recorded last, ps (0 before the first).
     last_at_ps: u64,
     /// Completion front: the latest effect end of any command, ps.
@@ -324,8 +358,9 @@ struct Engine<'a> {
     /// Next refresh deadline (ps); `u64::MAX` disables refresh.
     next_ref_ps: u64,
     /// Issue floor, ps: no command may claim a bus slot earlier than
-    /// this. Raised to a DAG barrier's completion time while the engine
-    /// issues a program that waits on that barrier; 0 otherwise.
+    /// this. One cycle past the bank's latest claim (in-order issue; 0
+    /// before the first), raised to a DAG barrier's completion time when
+    /// the bank starts a program that waits on that barrier.
     floor: u64,
 }
 
@@ -343,6 +378,8 @@ impl<'a> Engine<'a> {
             keep_log,
             events: Vec::new(),
             logical_issue_ps: Vec::new(),
+            slots_ps: Vec::new(),
+            program_first_slot: Vec::new(),
             last_at_ps: 0,
             end_ps: 0,
             issue_end_ps: 0,
@@ -357,10 +394,23 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Claims a bus slot no earlier than the engine's issue floor (the
-    /// DAG-barrier gate; a plain schedule's floor is 0).
-    fn claim(&self, bus: &mut impl Bus, earliest_ps: u64) -> u64 {
-        bus.claim(earliest_ps.max(self.floor))
+    /// Claims the first free bus slot at or after `earliest_ps` and the
+    /// issue floor. Banks issue in order, so only other banks' commands
+    /// backfill this bank's gaps.
+    fn claim(&mut self, bus: &mut FairBus, earliest_ps: u64) -> u64 {
+        let slot = bus.claim(earliest_ps.max(self.floor));
+        self.floor = slot + self.resolved.cycle_ps;
+        if self.keep_log {
+            self.slots_ps.push(slot);
+        }
+        slot
+    }
+
+    /// Marks the start of the bank's next queued program in the log.
+    fn begin_program(&mut self) {
+        if self.keep_log {
+            self.program_first_slot.push(self.slots_ps.len());
+        }
     }
 
     /// Records one issued command: moves the issue cursor and the
@@ -389,7 +439,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Opens `row`, inserting PRE/ACT as needed.
-    fn open(&mut self, row: u32, bus: &mut impl Bus, rank: &mut RankTimer) -> Result<(), PimError> {
+    fn open(&mut self, row: u32, bus: &mut FairBus, rank: &mut RankTimer) -> Result<(), PimError> {
         if self.open_row == Some(row) {
             return Ok(());
         }
@@ -418,7 +468,7 @@ impl<'a> Engine<'a> {
     fn issue(
         &mut self,
         cmd: &PimCommand,
-        bus: &mut impl Bus,
+        bus: &mut FairBus,
         rank: &mut RankTimer,
     ) -> Result<u64, PimError> {
         self.issue_end_ps = 0;
@@ -449,7 +499,7 @@ impl<'a> Engine<'a> {
     fn issue_inner(
         &mut self,
         cmd: &PimCommand,
-        bus: &mut impl Bus,
+        bus: &mut FairBus,
         rank: &mut RankTimer,
     ) -> Result<(), PimError> {
         match cmd {
@@ -548,12 +598,13 @@ impl<'a> Engine<'a> {
                     PimCommand::SetTwiddle { beats } => *beats as u64,
                     _ => self.config.cu.param_beats as u64,
                 };
-                // Broadcast beats occupy consecutive bus slots; the CU
-                // latches parameters when idle.
-                let mut slot = self.claim(bus, self.cu_free);
-                let first = slot;
+                // The beats take the bank's next `beats` claims; on a
+                // shared bus other banks' commands may land between them.
+                // The CU latches parameters when idle.
+                let first = self.claim(bus, self.cu_free);
+                let mut slot = first;
                 for _ in 1..beats {
-                    slot = self.claim(bus, slot + 1);
+                    slot = self.claim(bus, slot);
                 }
                 self.cu_free = self.cu_free.max(slot + self.resolved.cycle_ps);
                 self.energy.record_param_beats(&self.eparams, beats);
@@ -569,7 +620,7 @@ impl<'a> Engine<'a> {
         p: BufId,
         s: BufId,
         latency_ps: u64,
-        bus: &mut impl Bus,
+        bus: &mut FairBus,
     ) -> Result<(), PimError> {
         let pi = self.check_buf(p)?;
         let si = self.check_buf(s)?;
@@ -593,26 +644,22 @@ impl<'a> Engine<'a> {
             counters: self.bank.counters(),
             energy: self.energy,
             logical_issue_ps: self.logical_issue_ps,
+            slots_ps: self.slots_ps,
+            program_first_slot: self.program_first_slot,
         }
     }
 }
 
-/// Schedules a program on one bank.
+/// Schedules a program on one bank: the one-bank, one-program case of
+/// [`schedule_queues`], with the event log kept.
 ///
 /// # Errors
 ///
 /// Propagates configuration and DRAM state errors; a correct mapper output
 /// never triggers the latter.
 pub fn schedule(config: &PimConfig, program: &Program) -> Result<Timeline, PimError> {
-    config.validate()?;
-    let resolved = config.timing.resolve();
-    let mut bus = CommandBus::new(resolved.cycle_ps);
-    let mut rank = RankTimer::new(&resolved);
-    let mut engine = Engine::new(config, true);
-    for cmd in &program.commands {
-        engine.issue(cmd, &mut bus, &mut rank)?;
-    }
-    Ok(engine.finish())
+    let mut qt = schedule_multi(config, &[vec![DagJob::plain(program)]], true)?;
+    Ok(qt.banks.swap_remove(0))
 }
 
 /// Schedules one program *queue* per bank over the shared command bus.
@@ -730,23 +777,28 @@ pub fn schedule_queues_dag(
 }
 
 /// [`schedule_queues_dag`] without the per-command log: every figure of
-/// the returned timeline is the same, but each bank's `events` and
-/// `logical_issue_ps` stay empty and no command is cloned. The timing
-/// path of [`crate::device::PimDevice::schedule_queues_dag`], whose
-/// report reads neither.
-pub(crate) fn schedule_queues_unlogged(
+/// the returned timeline is the same, but each bank's `events`,
+/// `logical_issue_ps`, `slots_ps` and `program_first_slot` stay empty and
+/// no command is cloned. The timing path of
+/// [`crate::device::PimDevice::schedule_queues_dag`], whose report reads
+/// none of them, and of latency-only estimates.
+///
+/// # Errors
+///
+/// As [`schedule_queues_dag`].
+pub fn schedule_queues_unlogged(
     config: &PimConfig,
     queues: &[Vec<DagJob<'_>>],
 ) -> Result<QueueTimeline, PimError> {
     schedule_multi(config, queues, false)
 }
 
-/// Shared issue loop of [`schedule_queues`] and [`schedule_queues_dag`]:
-/// round-robin command interleave across banks, one stateful engine per
-/// bank, program-boundary completion times recorded per queue,
-/// barrier-tagged programs held until their dependencies drain. One
-/// command bus per channel, one [`RankTimer`] per rank — the topology's
-/// coupling structure. `keep_log` fills each bank's event log.
+/// The issue loop of every entry point: round-robin command interleave
+/// across banks, one stateful engine per bank, program-boundary
+/// completion times recorded per queue, barrier-tagged programs held
+/// until their dependencies drain. One command bus per channel, one
+/// [`RankTimer`] per rank — the topology's coupling structure.
+/// `keep_log` fills each bank's event log.
 fn schedule_multi(
     config: &PimConfig,
     queues: &[Vec<DagJob>],
@@ -781,7 +833,7 @@ fn schedule_multi(
         }
     }
     let mut barrier_ps = vec![0u64; n_barriers];
-    // The fair (first-free-slot) bus lives in dram-sim so chip-level
+    // The fair (first-free-slot) bus lives in dram-sim so channel-level
     // models and this scheduler share one definition of "shared command
     // bus"; each channel gets its own.
     let mut buses: Vec<FairBus> = (0..topo.channels)
@@ -824,6 +876,7 @@ fn schedule_multi(
                 if !job.program.commands.is_empty() {
                     break;
                 }
+                engines[b].begin_program();
                 let end = job
                     .waits_on
                     .map(|k| barrier_ps[k])
@@ -849,8 +902,11 @@ fn schedule_multi(
                 if cmd_idx[b] == 0 {
                     // First command of a gated program: floor every issue
                     // at the barrier's completion (the stage boundary).
-                    engines[b].floor = barrier_ps[k];
+                    engines[b].floor = engines[b].floor.max(barrier_ps[k]);
                 }
+            }
+            if cmd_idx[b] == 0 {
+                engines[b].begin_program();
             }
             let prog = job.program;
             let end = engines[b].issue(
@@ -866,7 +922,6 @@ fn schedule_multi(
                     barrier_left[k] -= 1;
                     barrier_ps[k] = barrier_ps[k].max(max_end[b]);
                 }
-                engines[b].floor = 0;
                 prog_idx[b] += 1;
                 cmd_idx[b] = 0;
                 // Between queued jobs the host stages the next job's data
@@ -988,10 +1043,9 @@ pub fn lpt_assign_topology(costs: &[f64], topology: &crate::config::Topology) ->
 /// load of the heaviest bank queue [`lpt_assign_topology`] would
 /// produce, in the same unit as `costs`.
 ///
-/// This is the per-device half of the fleet router's cost model
-/// (ROADMAP item 1): a device's *predicted drain time* for a batch is
-/// its already-queued work plus this makespan on the device's own
-/// topology — so a 1×1×2 device and a 4×2×2 device quote honestly
+/// This is the per-device half of the fleet router's cost model: a
+/// device's *predicted drain time* for a batch is its already-queued
+/// work plus this makespan on the device's own topology — so a 1×1×2 device and a 4×2×2 device quote honestly
 /// different prices for the same batch, and the router can compare
 /// them. Queue-drain overlap (bus contention, tRRD/tFAW) is not
 /// modeled; the figure is the same packing bound LPT itself optimizes,
@@ -1013,7 +1067,7 @@ mod tests {
     use super::*;
     use crate::layout::PolyLayout;
     use crate::mapper::{map_ntt, MapperOptions, NttParams};
-    use dram_sim::validate::validate_trace;
+    use dram_sim::validate::{validate_queues, validate_trace};
 
     const Q: u32 = 2_013_265_921; // 15 * 2^27 + 1
 
@@ -1028,6 +1082,21 @@ mod tests {
         let prog = program(&c, n, opts);
         let tl = schedule(&c, &prog).unwrap();
         (c, tl)
+    }
+
+    fn untagged(queues: &[Vec<Program>]) -> Vec<Vec<DagJob<'_>>> {
+        queues
+            .iter()
+            .map(|q| q.iter().map(DagJob::plain).collect())
+            .collect()
+    }
+
+    /// Replays `qt`, scheduled from `queues`, through the independent
+    /// topology validator.
+    fn assert_legal(c: &PimConfig, qt: &QueueTimeline, queues: &[Vec<DagJob>]) {
+        let banks = qt.bank_schedules(queues);
+        validate_queues(c.timing.resolve(), c.geometry, c.topology, &banks)
+            .unwrap_or_else(|v| panic!("{v}"));
     }
 
     #[test]
@@ -1136,7 +1205,8 @@ mod tests {
         let c = PimConfig::hbm2e(2).with_banks(4);
         let prog = program(&c, 1024, MapperOptions::default());
         let single = schedule(&c, &prog).unwrap();
-        let four = schedule_queues(&c, &vec![vec![prog.clone()]; 4]).unwrap();
+        let queues = vec![vec![prog.clone()]; 4];
+        let four = schedule_queues(&c, &queues).unwrap();
         // 4 NTTs in 4 banks should take well under 2x one NTT's time.
         assert!(
             four.end_ps < 2 * single.end_ps,
@@ -1144,9 +1214,8 @@ mod tests {
             four.end_ps,
             single.end_ps
         );
-        // And the combined trace must be globally legal.
-        validate_trace(c.timing.resolve(), c.geometry, &four.bank_trace())
-            .unwrap_or_else(|(i, e)| panic!("entry {i}: {e}"));
+        // And the combined schedule must be globally legal.
+        assert_legal(&c, &four, &untagged(&queues));
     }
 
     #[test]
@@ -1164,13 +1233,19 @@ mod tests {
             overhead < 1.15,
             "refresh should cost a few percent, got {overhead:.3}x"
         );
-        // The refreshed trace is still protocol-legal.
-        validate_trace(
-            with_ref.timing.resolve(),
-            with_ref.geometry,
-            &refreshed.bank_trace(),
-        )
-        .unwrap_or_else(|(i, e)| panic!("entry {i}: {e}"));
+        // The refreshed schedule is still protocol-legal, alone and with
+        // two ranks of two banks refreshing behind one bus.
+        let alone = vec![vec![prog.clone()]];
+        assert_legal(
+            &with_ref,
+            &schedule_queues(&with_ref, &alone).unwrap(),
+            &untagged(&alone),
+        );
+        let shared = with_ref.with_topology(crate::config::Topology::new(1, 2, 2));
+        let queues = vec![vec![prog]; 4];
+        let qt = schedule_queues(&shared, &queues).unwrap();
+        assert!(qt.banks.iter().all(|tl| tl.counters.refreshes > 0));
+        assert_legal(&shared, &qt, &untagged(&queues));
     }
 
     #[test]
@@ -1215,9 +1290,8 @@ mod tests {
         // would charge it 3x the big program's latency).
         assert!(qt.banks[0].end_ps < qt.banks[1].end_ps);
         assert_eq!(qt.end_ps, qt.banks[1].end_ps);
-        // And the combined trace stays protocol-legal.
-        validate_trace(c.timing.resolve(), c.geometry, &qt.bank_trace())
-            .unwrap_or_else(|(i, e)| panic!("entry {i}: {e}"));
+        // And the combined schedule stays protocol-legal.
+        assert_legal(&c, &qt, &untagged(&queues));
     }
 
     #[test]
@@ -1461,11 +1535,7 @@ mod tests {
             vec![mk(None, Some(0)), mk(Some(0), None)],
         ];
         let qt = schedule_queues_dag(&c, &queues).unwrap();
-        let resolved = c.timing.resolve();
-        for (b, tl) in qt.banks.iter().enumerate() {
-            validate_trace(resolved, c.geometry, &tl.bank_trace())
-                .unwrap_or_else(|(i, e)| panic!("bank {b}: entry {i}: {e}"));
-        }
+        assert_legal(&c, &qt, &queues);
         // Stage 2 on every bank starts only after the slowest stage 1.
         let stage1_max = (0..4).map(|b| qt.job_end_ps[b][0]).max().unwrap();
         assert_eq!(qt.barrier_ps[0], stage1_max);

@@ -2,8 +2,13 @@
 //! topologies, queue sets and DAG fan-in barriers, with refresh on and
 //! off, `PimDevice::schedule_queues_dag` (which runs the scheduler
 //! without its per-command log) reports exactly what the logged
-//! `sched::schedule_queues_dag` timeline says, field by field.
+//! `sched::schedule_queues_dag` timeline says, field by field. The
+//! logged timeline itself must pass the independent topology validator
+//! (`dram_sim::validate::validate_queues`): one claim per bus slot per
+//! channel, tRRD/tFAW per rank, bank timing and refresh, in-order issue
+//! per bank and the DAG barriers.
 
+use dram_sim::validate::validate_queues;
 use ntt_pim_core::config::{PimConfig, Topology};
 use ntt_pim_core::device::{NttDirection, PimDevice, QueueReport, StoredOrder};
 use ntt_pim_core::mapper::Program;
@@ -115,13 +120,29 @@ proptest! {
         prop_assert_eq!(&got.per_channel_bus_slots, &want.per_channel_bus_slots);
         prop_assert_eq!(&got.per_rank_acts, &want.per_rank_acts);
         prop_assert_eq!(&got.barrier_ns, &want.barrier_ns);
-        // The logged banks are the whole story: at most one event per
-        // bus slot, and each bank's end is its latest event's end.
-        let events: usize = timeline.banks.iter().map(|t| t.events.len()).sum();
-        prop_assert!(events as u64 <= timeline.bus_slots);
+        // The logged banks are the whole story: each bank's end is its
+        // latest event's end, and its claims are the bus slots its
+        // channel counted.
         for tl in &timeline.banks {
             let last_end = tl.events.iter().map(|e| e.end_ps).max().unwrap_or(0);
             prop_assert_eq!(tl.end_ps, last_end);
+        }
+        let banks = timeline.bank_schedules(&dag);
+        let mut per_channel = vec![0u64; channels as usize];
+        for (b, bank) in banks.iter().enumerate() {
+            per_channel[config.topology.location(b).channel as usize] += bank.claims.len() as u64;
+        }
+        prop_assert_eq!(&per_channel, &timeline.per_channel_bus_slots);
+        if let Err(v) = validate_queues(
+            config.timing.resolve(),
+            config.geometry,
+            config.topology,
+            &banks,
+        ) {
+            return Err(TestCaseError::fail(format!(
+                "{} refresh={refresh}: {v}",
+                config.topology
+            )));
         }
     }
 }

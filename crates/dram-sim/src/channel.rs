@@ -11,8 +11,8 @@
 //!   activation windows: tRRD/tFAW are per-rank current limits, so an ACT
 //!   on rank 0 never delays an ACT on rank 1.
 //! * **Banks in one rank** share both the bus and the rank's tRRD/tFAW
-//!   window — the single-rank model the rest of this crate ([`crate::chip`])
-//!   and the paper's single-chip evaluation use.
+//!   window — the single-rank model the paper's single-chip evaluation
+//!   uses.
 //!
 //! [`Topology`] is the shape descriptor threaded through the whole stack
 //! (`ntt_pim_core::config::PimConfig` carries one); [`Channel`] is the
@@ -20,10 +20,10 @@
 //! primitives the PIM scheduler wires up per channel ([`FairBus`] for
 //! the bus, [`RankTimer`] per rank — the scheduler owns bank state
 //! itself, so it composes the primitives directly rather than through
-//! this struct). Like [`crate::chip::Chip`] for the single-rank case,
-//! `Channel` exists for standalone channel-level studies and as the
-//! executable specification of the coupling rules, pinned by this
-//! module's tests.
+//! this struct). `Channel` exists for standalone channel-level studies
+//! (a one-rank channel is the single-rank chip) and as the executable
+//! specification of the coupling rules, pinned by this module's tests
+//! and, for one rank, by [`crate::chip`]'s.
 //!
 //! See the DRAM timing glossary in [`crate::timing`] for the constraint
 //! definitions (tRRD, tFAW, …) referenced here.

@@ -39,6 +39,24 @@ pub enum TimingError {
         /// The contested bus slot time (ps).
         at_ps: u64,
     },
+    /// A bank issued a command out of its program order: no later than
+    /// the bank's previous command, or for an earlier queued program.
+    OutOfOrder {
+        /// The offending issue time (ps).
+        at_ps: u64,
+        /// Issue time of the bank's previous command (ps).
+        previous_ps: u64,
+    },
+    /// A command of a program gated on a barrier issued before the last
+    /// program signaling that barrier finished.
+    BeforeBarrier {
+        /// The offending issue time (ps).
+        at_ps: u64,
+        /// The barrier id.
+        barrier: usize,
+        /// When the barrier's last contributor finished (ps).
+        barrier_ps: u64,
+    },
 }
 
 impl fmt::Display for TimingError {
@@ -65,6 +83,20 @@ impl fmt::Display for TimingError {
             TimingError::BusConflict { at_ps } => {
                 write!(f, "command bus slot at {at_ps} ps already occupied")
             }
+            TimingError::OutOfOrder { at_ps, previous_ps } => write!(
+                f,
+                "command at {at_ps} ps issued out of program order \
+                 (the bank's previous command issued at {previous_ps} ps)"
+            ),
+            TimingError::BeforeBarrier {
+                at_ps,
+                barrier,
+                barrier_ps,
+            } => write!(
+                f,
+                "command at {at_ps} ps issued before barrier {barrier} \
+                 completed at {barrier_ps} ps"
+            ),
         }
     }
 }

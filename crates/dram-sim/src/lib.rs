@@ -11,8 +11,9 @@
 //!   ([`bank::BankTimer`]),
 //! * functional storage ([`storage::BankStorage`]) so command streams can
 //!   be executed for *values*, not just times,
-//! * a shared command bus and multi-bank chip ([`chip`]) for bank-level
-//!   parallelism studies,
+//! * the shared command bus ([`chip::FairBus`]) behind bank-level
+//!   parallelism: one command per cycle per channel, backfilled across
+//!   banks while each bank issues in order,
 //! * a multi-channel, multi-rank topology model ([`channel`]) — per-channel
 //!   command buses, per-rank tRRD/tFAW windows — for device-level scaling
 //!   studies beyond the paper's single chip, and
@@ -28,10 +29,13 @@
 //! Traces serialize to a textual format ([`trace`]) for inspection and
 //! replay, mirroring the paper's trace-driven methodology (its Fig. 1).
 //!
-//! An independent trace validator ([`validate::validate_trace`]) replays
-//! finished schedules against fresh state machines; the PIM scheduler's
-//! tests use it so that the component that *builds* schedules is never the
-//! component that *checks* them.
+//! An independent protocol validator replays finished schedules against
+//! fresh state machines: [`validate::validate_trace`] for one bank's DRAM
+//! trace, [`validate::validate_queues`] for a multi-bank queue schedule on
+//! a whole topology (bus slots per channel, tRRD/tFAW per rank, bank
+//! timing and refresh, per-bank program order, DAG barriers). The PIM
+//! scheduler's tests use it so that the component that *builds*
+//! schedules is never the component that *checks* them.
 //!
 //! # Example
 //!

@@ -26,6 +26,10 @@
 //! modeled by [`crate::chip::FairBus`], of which a
 //! [`crate::channel::Topology`]-shaped device gets one per channel
 //! (see [`crate::channel::Channel`] for the standalone composition).
+//! Banks issue in order: each bank's commands take strictly increasing
+//! bus slots, and only another bank's command can fill a gap a bank
+//! leaves. [`crate::validate::validate_queues`] checks all three scopes
+//! plus that order.
 
 /// Raw timing parameters in memory-clock cycles, plus the clock they are
 /// specified at. This mirrors the paper's Table I exactly.

@@ -137,8 +137,9 @@ pub fn pim_cost_estimate(
         },
     )
     .ok()?;
-    let tl = crate::core::sched::schedule(config, &program).ok()?;
-    Some(tl.latency_ns())
+    let job = crate::core::sched::DagJob::plain(&program);
+    let qt = crate::core::sched::schedule_queues_unlogged(config, &[vec![job]]).ok()?;
+    Some(qt.latency_ns())
 }
 
 /// Which software kernel the CPU engine runs for modulus `q`: the

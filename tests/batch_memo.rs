@@ -16,6 +16,7 @@
 //! unreduced coefficient in a memoized shape.
 
 use ntt_pim::core::config::{PimConfig, Topology};
+use ntt_pim::core::device::{NttDirection, PimDevice};
 use ntt_pim::core::mapper::MapperOptions;
 use ntt_pim::engine::batch::{
     validate_job, BatchExecutor, BatchOutcome, NttJob, BATCH_MEMO_CAP_UNITS,
@@ -299,4 +300,29 @@ fn memoized_shape_still_validates_every_job() {
     for (i, j) in good.iter().enumerate() {
         assert_eq!(out.spectra[i], golden(j), "job {i}");
     }
+}
+
+#[test]
+fn one_job_on_one_bank_reports_the_paper_path_latency() {
+    // The batch path and the paper's single-transform path run one
+    // scheduler under one issue rule: one forward N = 4096 job on a
+    // 1x1x1 device takes exactly what `PimDevice::ntt` reports, on a
+    // fresh executor and on a memo hit.
+    let [q, _] = MODULI;
+    let config = PimConfig::hbm2e(2);
+    let coeffs = poly(4096, q, 30);
+    let mut dev = PimDevice::new(config).unwrap();
+    let words: Vec<u32> = coeffs.iter().map(|&c| c as u32).collect();
+    let h = dev.load_polynomial_bitrev(0, &words, q as u32).unwrap();
+    let paper = dev.ntt(&h, NttDirection::Forward).unwrap().latency_ns();
+    assert_eq!(format!("{:.2}", paper / 1e3), "181.76");
+
+    let mut exec = BatchExecutor::new(config).unwrap();
+    let jobs = [NttJob::forward(coeffs, q)];
+    let fresh = exec.run(&jobs).unwrap();
+    assert_eq!(fresh.latency_ns, paper, "fresh executor");
+    let hits = exec.memo_stats().batch_hits;
+    let again = exec.run(&revalued(&jobs, 31)).unwrap();
+    assert_eq!(exec.memo_stats().batch_hits, hits + 1);
+    assert_eq!(again.latency_ns, paper, "memo hit");
 }
