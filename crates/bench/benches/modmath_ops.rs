@@ -1,11 +1,10 @@
 //! Criterion benches of the scalar arithmetic kernels — the software
 //! analogue of the CU datapath choice (§VI.B uses Montgomery reduction;
-//! this quantifies Montgomery vs Barrett vs Shoup vs 128-bit widening
-//! on the host).
+//! this quantifies the CU's 32-bit Montgomery vs the host's Shoup-lazy
+//! vs 128-bit widening ground truth on the host).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use modmath::barrett::Barrett64;
-use modmath::montgomery::{Montgomery32, Montgomery64};
+use modmath::montgomery::Montgomery32;
 use modmath::shoup;
 use std::hint::black_box;
 
@@ -14,19 +13,10 @@ const Q32: u32 = 2_013_265_921;
 fn bench_mul(c: &mut Criterion) {
     let mut group = c.benchmark_group("modmul");
     let m32 = Montgomery32::new(Q32).unwrap();
-    let m64 = Montgomery64::new(0x1000_0000_0000_01C3).unwrap(); // odd 61-bit
-    let b64 = Barrett64::new(Q32 as u64).unwrap();
     let (x32, y32) = (m32.to_mont(123_456_789), m32.to_mont(987_654_321));
-    let (x64, y64) = (m64.to_mont(123_456_789_012), m64.to_mont(987_654_321_098));
 
     group.bench_function("montgomery32", |b| {
         b.iter(|| m32.mul(black_box(x32), black_box(y32)))
-    });
-    group.bench_function("montgomery64", |b| {
-        b.iter(|| m64.mul(black_box(x64), black_box(y64)))
-    });
-    group.bench_function("barrett64", |b| {
-        b.iter(|| b64.mul(black_box(123_456_789u64), black_box(987_654_321u64)))
     });
     group.bench_function("widening128", |b| {
         b.iter(|| {

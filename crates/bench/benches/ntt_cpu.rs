@@ -1,6 +1,7 @@
 //! Criterion benches of the CPU reference NTTs — the measured "x86
-//! software" baseline of Figs. 7–8 / Table III, plus the alternative
-//! dataflows of §II.B, so the choice of iterative Cooley–Tukey for the
+//! software" baseline of Figs. 7–8 / Table III (`NttPlan::forward`), next
+//! to the self-sorting Stockham dataflow of §II.B and the four-step
+//! decomposition, so the choice of iterative Cooley–Tukey for the
 //! baseline is itself justified by data.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -36,13 +37,6 @@ fn bench_forward(c: &mut Criterion) {
             b.iter(|| {
                 let mut v = data.clone();
                 ntt_ref::stockham::forward(p, black_box(&mut v));
-                v
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("pease", n), &plan, |b, p| {
-            b.iter(|| {
-                let mut v = data.clone();
-                ntt_ref::pease::forward(p, black_box(&mut v));
                 v
             })
         });

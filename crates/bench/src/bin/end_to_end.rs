@@ -43,7 +43,7 @@ fn main() {
         let bitrev = measured_bitrev_ns(n);
         let dma = 2.0 * dma_ns(n); // in + out
         let total = pim + bitrev + dma;
-        let cpu = ntt_ref::baseline::measure_forward_fast32(n, 9).best_ns() as f64;
+        let cpu = ntt_ref::baseline::measure_forward(n, 9).best_ns() as f64;
         rows.push(vec![
             n.to_string(),
             fmt_sig(pim / 1000.0),
@@ -63,7 +63,7 @@ fn main() {
             "+bitrev".into(),
             "+DMA".into(),
             "total".into(),
-            "CPU (fast32)".into(),
+            "CPU (shoup-lazy)".into(),
             "kernel speedup".into(),
             "e2e speedup".into(),
         ],

@@ -25,7 +25,7 @@ fn main() {
                 .latency_ns(n)
                 .map_or("-".into(), |l| fmt_sig(l / 1000.0)),
         );
-        let cpu = ntt_ref::baseline::measure_forward_fast32(n, 9);
+        let cpu = ntt_ref::baseline::measure_forward(n, 9);
         row.push(fmt_sig(cpu.best_ns() as f64 / 1000.0));
         rows.push(row);
     }
@@ -38,7 +38,7 @@ fn main() {
             "Nb=4".into(),
             "Nb=6".into(),
             "x86 (paper)".into(),
-            "x86 (measured, fast32)".into(),
+            "x86 (measured, shoup-lazy)".into(),
         ],
         &rows,
     );

@@ -1,5 +1,6 @@
-//! `ntt_kernels` — machine-readable kernel face-off: widening vs
-//! Shoup-lazy vs fast32 vs lane-batched forward NTT, per
+//! `ntt_kernels` — machine-readable kernel face-off: widening (the
+//! ground-truth kernel) vs Shoup-lazy (the one tuned scalar kernel,
+//! [`NttPlan::forward`]) vs lane-batched forward NTT, per
 //! `N ∈ {256, 1024, 4096, 8192}` and per modulus, written to
 //! `BENCH_ntt.json` so the perf trajectory is tracked across PRs.
 //!
@@ -30,7 +31,6 @@
 
 use modmath::bitrev::bitrev_permute;
 use modmath::prime::NttField;
-use ntt_ref::fast32::Fast32Plan;
 use ntt_ref::plan::NttPlan;
 use std::hint::black_box;
 use std::time::Instant;
@@ -121,21 +121,6 @@ fn measure_grid() -> Vec<Point> {
                 kernel: "shoup-lazy",
                 ns_per_transform: shoup,
             });
-
-            if q < 1 << 31 {
-                let fast = Fast32Plan::new(&field).expect("q < 2^31");
-                let mut v32: Vec<u32> = pseudo_poly(n, q, n as u64 ^ q)
-                    .iter()
-                    .map(|&x| x as u32)
-                    .collect();
-                let fast32 = time_ns(|| fast.forward(black_box(&mut v32)));
-                points.push(Point {
-                    n,
-                    q,
-                    kernel: "fast32",
-                    ns_per_transform: fast32,
-                });
-            }
 
             // Lane-batched: a whole LANE_BATCH through the SoA kernel,
             // amortized per transform. Outputs stay reduced, so the

@@ -37,7 +37,7 @@ fn main() {
         for m in &models {
             row.push(m.latency_ns(n).map_or("-".into(), |l| fmt_sig(l / 1000.0)));
         }
-        let cpu = ntt_ref::baseline::measure_forward_fast32(n, 9);
+        let cpu = ntt_ref::baseline::measure_forward(n, 9);
         row.push(fmt_sig(cpu.best_ns() as f64 / 1000.0));
         rows.push(row);
     }

@@ -2,14 +2,19 @@
 //! (PIM, CPU lanes, and both published models): random shapes, moduli,
 //! and kinds — every backend that admits a job returns results
 //! bit-identical to the golden CPU model, and every rejection is a typed
-//! capability-window error, never a panic. The deterministic
+//! capability-window error, never a panic. Malformed jobs (bad lengths
+//! and moduli, unreduced or short operands, undersized splits) get the
+//! same treatment from admission, execution and the cost quote. The
+//! deterministic
 //! N × q grid over the same backends is `tests/engine_parity.rs` at the
 //! repository root. Runs identically on both feature halves (default and
 //! `simd`).
 
 use ntt_bus::{BackendSpec, EngineError, NttBackend, NttJob};
+use ntt_pim::core::config::{PimConfig, Topology};
 use ntt_pim::engine::batch::{JobKind, SchedulePolicy};
 use ntt_pim::engine::CpuNttEngine;
+use ntt_pim::math::prime::find_ntt_prime;
 use proptest::prelude::*;
 
 fn poly(n: usize, q: u64, seed: u64) -> Vec<u64> {
@@ -57,6 +62,55 @@ fn every_backend() -> Vec<Box<dyn NttBackend>> {
         .iter()
         .map(|spec| spec.build(SchedulePolicy::Lpt, None).unwrap())
         .collect()
+}
+
+/// Lengths no backend transforms: empty, below the device minimum of
+/// 4, or not a power of two.
+const BAD_LENGTHS: [usize; 7] = [0, 1, 2, 3, 5, 6, 12];
+
+/// [`every_backend`] plus PIM devices at the smallest (1×1×1) and a
+/// sharded (2×2×2) topology, where split planning differs.
+fn fuzz_backends() -> Vec<Box<dyn NttBackend>> {
+    let mut backends = every_backend();
+    for topology in [Topology::new(1, 1, 1), Topology::new(2, 2, 2)] {
+        let spec = BackendSpec::Pim(PimConfig::hbm2e(2).with_topology(topology));
+        backends.push(spec.build(SchedulePolicy::Lpt, None).unwrap());
+    }
+    backends
+}
+
+/// A length-`n` job (`n` a power of two, 4..=64) over q = 12289 with
+/// one defect, chosen by `defect`; `pick < BAD_LENGTHS.len()` selects
+/// among the defect's variants. Defects 4 (a prime `q ≥ 2³²`) and 9 (a split at or below
+/// the 4×4 sub-job floor) fall inside some backend's window; the rest
+/// fall inside none.
+fn malformed_job(defect: u8, n: usize, pick: usize, kind: u8, seed: u64) -> NttJob {
+    const Q: u64 = 12289;
+    let unreduced = [Q, Q + 1, u64::MAX][pick % 3];
+    match defect {
+        0 => job_for(BAD_LENGTHS[pick], Q, kind, seed),
+        // Even, composite, and prime without a 2N-th root of unity.
+        1 => job_for(n, [2, Q - 1, 1 << 20][pick % 3], kind, seed),
+        2 => job_for(n, [Q * 7681, 65_535, 561][pick % 3], kind, seed),
+        3 => job_for(n, [3, 5, (1 << 31) - 1][pick % 3], kind, seed),
+        4 => job_for(n, find_ntt_prime(2 * n as u64, 35).unwrap(), kind, seed),
+        5 => job_for(n, find_ntt_prime(2 * n as u64, 63).unwrap(), kind, seed),
+        6 => {
+            let mut job = job_for(n, Q, kind, seed);
+            job.coeffs[pick % n] = unreduced;
+            job
+        }
+        7 => {
+            let mut rhs = poly(n, Q, seed ^ 0xabc);
+            rhs[pick % n] = unreduced;
+            NttJob::negacyclic_polymul(poly(n, Q, seed), rhs, Q)
+        }
+        8 => NttJob::negacyclic_polymul(poly(n, Q, seed), poly(n - 1, Q, seed ^ 0xabc), Q),
+        _ => {
+            let m = [4, 8, 16][pick % 3];
+            NttJob::split_large(poly(m, Q, seed), Q)
+        }
+    }
 }
 
 fn by_label<'a>(backends: &'a mut [Box<dyn NttBackend>], label: &str) -> &'a mut dyn NttBackend {
@@ -150,6 +204,55 @@ proptest! {
                     "backend {} diverged on batch job {}",
                     backend.label(), i
                 );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Malformed jobs through every backend's admission, execution and
+    /// cost quote: admission and execution agree, a rejection is a
+    /// typed shape/window error, an admitted job returns golden spectra,
+    /// and no call panics.
+    #[test]
+    fn malformed_jobs_fail_typed_on_every_backend(
+        defect in 0u8..10,
+        log_n in 2u32..7,
+        pick in 0usize..BAD_LENGTHS.len(),
+        kind in 0u8..3,
+        seed in 1u64..1_000_000,
+    ) {
+        let job = malformed_job(defect, 1 << log_n, pick, kind, seed);
+        let in_some_window = matches!(defect, 4 | 9);
+        for backend in &mut fuzz_backends() {
+            // The quote is value-free arithmetic on the shape; any number
+            // will do, as long as computing it returns.
+            let _ = backend.cost_model().job_cost(&job);
+            let admitted = backend.admit(&job);
+            let ran = backend.run(std::slice::from_ref(&job));
+            match (admitted, ran) {
+                (Ok(()), Ok(out)) => {
+                    prop_assert!(in_some_window, "{} admitted defect {defect}", backend.label());
+                    prop_assert_eq!(
+                        &out.spectra[0],
+                        &golden(&job),
+                        "backend {} diverged on defect {}",
+                        backend.label(), defect
+                    );
+                }
+                (
+                    Err(EngineError::Shape { .. } | EngineError::Unsupported { .. }),
+                    Err(EngineError::Shape { .. } | EngineError::Unsupported { .. }),
+                ) => {}
+                (admitted, ran) => {
+                    return Err(TestCaseError::fail(format!(
+                        "{} on defect {defect}: admit {admitted:?}, run {:?}",
+                        backend.label(),
+                        ran.map(|out| out.spectra.len())
+                    )));
+                }
             }
         }
     }

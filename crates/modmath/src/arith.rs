@@ -1,8 +1,8 @@
 //! Plain widening modular arithmetic on `u64` operands.
 //!
 //! These are the "obviously correct" scalar routines used as ground truth by
-//! the Montgomery/Barrett fast paths and by the hardware model's functional
-//! checks. All functions require operands already reduced modulo `q` unless
+//! the Montgomery and Shoup-lazy fast paths and by the hardware model's
+//! functional checks. All functions require operands already reduced modulo `q` unless
 //! noted otherwise, and all require `q >= 2`.
 
 use crate::Error;

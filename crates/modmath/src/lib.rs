@@ -2,12 +2,11 @@
 //!
 //! This crate provides the finite-field machinery that both the software
 //! reference NTTs ([`ntt-ref`]) and the hardware compute-unit model
-//! ([`ntt-pim-core`]) are built on:
+//! ([`ntt-pim-core`]) are built on, with one implementation per role:
 //!
-//! * plain widening modular arithmetic ([`arith`]),
-//! * Montgomery reduction in 32-bit and 64-bit flavours ([`montgomery`]) —
-//!   the paper's CU uses Montgomery multiplication (its reference \[23\]),
-//! * Barrett reduction for moduli that are not NTT-internal ([`barrett`]),
+//! * plain widening modular arithmetic ([`arith`]) — the ground truth,
+//! * 32-bit Montgomery reduction ([`montgomery`]) — the paper's CU
+//!   multiplies with Montgomery's method (its reference \[23\]),
 //! * Shoup constant-multiplication with Harvey lazy reduction ([`shoup`])
 //!   — the tuned datapath every software NTT kernel runs on,
 //! * bound-typed lazy residues ([`bound`]) — `Lazy<B>` newtypes that move
@@ -20,19 +19,18 @@
 //!
 //! # Choosing a reduction strategy
 //!
-//! Four ways to compute `a·b mod q` live in this crate; they trade setup
-//! cost against per-multiply cost differently:
+//! Three ways to compute `a·b mod q` live in this crate, one per role;
+//! they trade setup cost against per-multiply cost differently:
 //!
-//! | Strategy | Per-multiply cost | Precomputation | Constraint | Use when |
+//! | Strategy | Per-multiply cost | Precomputation | Constraint | Role |
 //! |---|---|---|---|---|
 //! | Widening ([`arith::mul_mod`]) | `u128` multiply + `u128` remainder (a hardware divide) | none | `q < 2⁶³` | Ground truth, cold paths, table building — anywhere clarity beats speed. |
-//! | Barrett ([`barrett::Barrett64`]) | 2 wide multiplies + 1–2 subtracts | one `⌊2ᵏ/q⌋` per modulus | `q < 2⁶³` | Both operands vary and the *modulus* repeats (CRT reconstruction, hashing into a field). |
-//! | Montgomery ([`montgomery::Montgomery32`]) | 1 multiply + REDC | per-modulus `q⁻¹ mod 2ʳ`, operands converted into Montgomery form | odd `q` | Long chains staying in Montgomery domain — hardware datapaths (the paper's CU), exponentiation ladders. |
+//! | Montgomery ([`montgomery::Montgomery32`]) | 1 multiply + REDC | per-modulus `q⁻¹ mod 2³²`, operands converted into Montgomery form | odd `q < 2³¹` | The PIM compute unit's datapath model. |
 //! | Shoup-lazy ([`shoup`]) | 1 `mulhi` + 2 wrapping multiplies + 1 subtract; add/sub legs unreduced in `[0, 4q)` | one quotient per *constant* `w` | `q < 2⁶²`, one operand fixed | NTT butterflies: twiddles are precomputed constants, so this is the fastest software path; normalize once at the end. |
 //!
 //! Shoup only pays off when the multiplier is a known constant (the
-//! quotient costs a division to set up). For two variable operands under
-//! a repeating modulus use Barrett; for one-off products use widening.
+//! quotient costs a division to set up); for products of two variable
+//! operands use widening.
 //!
 //! # Example
 //!
@@ -56,7 +54,6 @@
 #![warn(missing_docs)]
 
 pub mod arith;
-pub mod barrett;
 pub mod bitrev;
 pub mod bound;
 pub mod montgomery;

@@ -1,14 +1,13 @@
-//! Montgomery modular multiplication, in the two widths the system needs.
+//! Montgomery modular multiplication on the paper's 32-bit datapath.
 //!
-//! * [`Montgomery32`] models the paper's compute-unit datapath: 32-bit
-//!   coefficients, `R = 2^32`, a single multiply-high/multiply-low REDC step.
-//!   The PIM butterfly unit performs `ModMult` with exactly this algorithm
-//!   (the paper cites Montgomery's 1985 method for supporting *arbitrary*
-//!   odd moduli, unlike the fixed-modulus comparators).
-//! * [`Montgomery64`] is the wider variant used by the software reference
-//!   paths when the modulus exceeds 32 bits.
+//! [`Montgomery32`] models the paper's compute-unit datapath: 32-bit
+//! coefficients, `R = 2^32`, a single multiply-high/multiply-low REDC step.
+//! The PIM butterfly unit performs `ModMult` with exactly this algorithm
+//! (the paper cites Montgomery's 1985 method for supporting *arbitrary*
+//! odd moduli, unlike the fixed-modulus comparators). Software transforms
+//! do not use it: they run the Shoup-lazy datapath ([`crate::shoup`]).
 //!
-//! Both keep values in Montgomery form (`x · R mod q`) between operations;
+//! Values stay in Montgomery form (`x · R mod q`) between operations;
 //! [`Montgomery32::redc_trace`] exposes the intermediate values of one REDC
 //! step so hardware-oriented tests can check bit-width claims.
 
@@ -217,138 +216,6 @@ impl Montgomery32 {
     }
 }
 
-/// Montgomery context for odd moduli `q < 2^62` with `R = 2^64`.
-///
-/// # Example
-///
-/// ```
-/// # fn main() -> Result<(), modmath::Error> {
-/// let q = (1u64 << 50) + 4867; // a 51-bit odd number (primality irrelevant)
-/// let m = modmath::montgomery::Montgomery64::new(q)?;
-/// let x = m.to_mont(123_456_789);
-/// assert_eq!(m.from_mont(m.mul(x, m.one())), 123_456_789);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Montgomery64 {
-    q: u64,
-    q_inv_neg: u64,
-    r2: u64,
-    one: u64,
-}
-
-impl Montgomery64 {
-    /// Creates a context for an odd modulus `2 < q < 2^62`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::BadModulus`] for even, trivial, or oversized moduli.
-    pub fn new(q: u64) -> Result<Self, Error> {
-        if q < 3 {
-            return Err(Error::BadModulus {
-                q,
-                reason: "modulus must be at least 3",
-            });
-        }
-        if q % 2 == 0 {
-            return Err(Error::BadModulus {
-                q,
-                reason: "Montgomery reduction requires an odd modulus",
-            });
-        }
-        if q >= 1 << 62 {
-            return Err(Error::BadModulus {
-                q,
-                reason: "modulus must fit in 62 bits",
-            });
-        }
-        let mut inv: u64 = q;
-        for _ in 0..6 {
-            inv = inv.wrapping_mul(2u64.wrapping_sub(q.wrapping_mul(inv)));
-        }
-        debug_assert_eq!(q.wrapping_mul(inv), 1);
-        let q_inv_neg = inv.wrapping_neg();
-        let r = ((1u128 << 64) % q as u128) as u64;
-        let r2 = (r as u128 * r as u128 % q as u128) as u64;
-        Ok(Self {
-            q,
-            q_inv_neg,
-            r2,
-            one: r,
-        })
-    }
-
-    /// The modulus `q`.
-    #[inline]
-    pub fn modulus(&self) -> u64 {
-        self.q
-    }
-
-    /// Montgomery form of 1.
-    #[inline]
-    pub fn one(&self) -> u64 {
-        self.one
-    }
-
-    /// REDC for `t < q * 2^64`.
-    #[inline]
-    pub fn redc(&self, t: u128) -> u64 {
-        let m = (t as u64).wrapping_mul(self.q_inv_neg);
-        let u = ((t + m as u128 * self.q as u128) >> 64) as u64;
-        if u >= self.q {
-            u - self.q
-        } else {
-            u
-        }
-    }
-
-    /// Converts a plain residue into Montgomery form.
-    #[inline]
-    pub fn to_mont(&self, a: u64) -> u64 {
-        debug_assert!(a < self.q);
-        self.redc(a as u128 * self.r2 as u128)
-    }
-
-    /// Converts back to a plain residue.
-    #[inline]
-    pub fn from_mont(&self, a: u64) -> u64 {
-        self.redc(a as u128)
-    }
-
-    /// Multiplies two Montgomery-form values.
-    #[inline]
-    pub fn mul(&self, a: u64, b: u64) -> u64 {
-        self.redc(a as u128 * b as u128)
-    }
-
-    /// Adds two residues.
-    #[inline]
-    pub fn add(&self, a: u64, b: u64) -> u64 {
-        arith::add_mod(a, b, self.q)
-    }
-
-    /// Subtracts two residues.
-    #[inline]
-    pub fn sub(&self, a: u64, b: u64) -> u64 {
-        arith::sub_mod(a, b, self.q)
-    }
-
-    /// Raises a Montgomery-form base to a plain exponent.
-    pub fn pow(&self, base_mont: u64, mut exp: u64) -> u64 {
-        let mut base = base_mont;
-        let mut acc = self.one;
-        while exp > 0 {
-            if exp & 1 == 1 {
-                acc = self.mul(acc, base);
-            }
-            base = self.mul(base, base);
-            exp >>= 1;
-        }
-        acc
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,8 +229,6 @@ mod tests {
         assert!(Montgomery32::new(2).is_err());
         assert!(Montgomery32::new(10).is_err());
         assert!(Montgomery32::new(1 << 31).is_err());
-        assert!(Montgomery64::new(1 << 62).is_err());
-        assert!(Montgomery64::new(6).is_err());
     }
 
     #[test]
@@ -401,20 +266,6 @@ mod tests {
         let gi = m.inv(g).unwrap();
         assert_eq!(m.from_mont(m.mul(g, gi)), 1);
         assert!(m.inv(0).is_err());
-    }
-
-    #[test]
-    fn mont64_matches_widening() {
-        let q = 0x1fff_ffff_ffc0_0001u64; // 61-bit NTT prime
-        let m = Montgomery64::new(q).unwrap();
-        let vals = [0u64, 1, q - 1, 0x1234_5678_9abc_def0 % q, 42];
-        for &a in &vals {
-            for &b in &vals {
-                let expect = arith::mul_mod(a, b, q);
-                let got = m.from_mont(m.mul(m.to_mont(a), m.to_mont(b)));
-                assert_eq!(got, expect);
-            }
-        }
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! widening fallback.
 //!
 //! See the [crate-level comparison](crate#choosing-a-reduction-strategy)
-//! of widening, Barrett, Montgomery, and Shoup-lazy reduction for
-//! when to use which.
+//! of widening, Montgomery, and Shoup-lazy reduction for when to use
+//! which.
 
 use crate::Error;
 

@@ -3,19 +3,13 @@
 //! algebraic laws of `Z_q` must hold.
 
 use modmath::arith::{add_mod, inv_mod, mul_mod, neg_mod, pow_mod, sub_mod};
-use modmath::barrett::Barrett64;
 use modmath::bitrev::{bit_reverse, bitrev_permute};
-use modmath::montgomery::{Montgomery32, Montgomery64};
+use modmath::montgomery::Montgomery32;
 use proptest::prelude::*;
 
 /// An arbitrary odd modulus in the 32-bit datapath range.
 fn odd_q32() -> impl Strategy<Value = u32> {
     (3u32..(1 << 31)).prop_map(|q| q | 1)
-}
-
-/// An arbitrary odd modulus for Montgomery64.
-fn odd_q64() -> impl Strategy<Value = u64> {
-    (3u64..(1 << 62)).prop_map(|q| q | 1)
 }
 
 proptest! {
@@ -75,20 +69,6 @@ proptest! {
         let m = Montgomery32::new(q).expect("odd q in range");
         let a = a % q;
         prop_assert_eq!(m.from_mont(m.to_mont(a)), a);
-    }
-
-    #[test]
-    fn montgomery64_matches_widening(q in odd_q64(), a in any::<u64>(), b in any::<u64>()) {
-        let m = Montgomery64::new(q).expect("odd q in range");
-        let (a, b) = (a % q, b % q);
-        let got = m.from_mont(m.mul(m.to_mont(a), m.to_mont(b)));
-        prop_assert_eq!(got, mul_mod(a, b, q));
-    }
-
-    #[test]
-    fn barrett_matches_rem(q in 2u64..(1 << 63), x in any::<u128>()) {
-        let b = Barrett64::new(q).expect("q in range");
-        prop_assert_eq!(b.reduce(x) as u128, x % q as u128);
     }
 
     #[test]

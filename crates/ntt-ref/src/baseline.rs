@@ -1,10 +1,12 @@
 //! Timed CPU baseline — the "x86 CPU (software)" column of the paper's
 //! Figs. 7–8 and Table III.
 //!
-//! The paper compares PIM latency against a software NTT; these helpers run
-//! the iterative transform repeatedly on the host and report best-of-k wall
-//! time. Absolute values depend on the machine, so the experiment harness
-//! prints them next to (not instead of) the paper's published numbers.
+//! The paper compares PIM latency against a software NTT;
+//! [`measure_forward`] runs [`NttPlan::forward`] (the Shoup-lazy kernel
+//! every host transform uses) repeatedly on the host and reports best-of-k
+//! wall time. Absolute values depend on the machine, so the experiment
+//! harness prints them next to (not instead of) the paper's published
+//! numbers.
 
 use crate::plan::NttPlan;
 use modmath::prime::NttField;
@@ -59,48 +61,6 @@ pub fn measure_forward(n: usize, iterations: u32) -> CpuMeasurement {
         total += dt;
         // Keep the data bounded without branching on values: the transform
         // output is already reduced mod q, so nothing to do.
-    }
-    CpuMeasurement {
-        n,
-        best,
-        mean: total / iterations,
-        iterations,
-    }
-}
-
-/// Convenience sweep over the paper's polynomial lengths.
-pub fn sweep(lengths: &[usize], iterations: u32) -> Vec<CpuMeasurement> {
-    lengths
-        .iter()
-        .map(|&n| measure_forward(n, iterations))
-        .collect()
-}
-
-/// Times the 32-bit plan ([`crate::fast32`], now backed by the shared
-/// Shoup-lazy datapath) — the strongest software baseline this crate
-/// offers.
-///
-/// # Panics
-///
-/// Panics if no suitable 30-bit prime exists (never for `n <= 2^20`) or if
-/// `iterations == 0`.
-pub fn measure_forward_fast32(n: usize, iterations: u32) -> CpuMeasurement {
-    assert!(iterations > 0, "need at least one iteration");
-    let field = NttField::with_bits(n, 30).expect("30-bit NTT prime exists");
-    let plan = crate::fast32::Fast32Plan::new(&field).expect("q < 2^31");
-    let q = plan.modulus();
-    let mut data: Vec<u32> = (0..n as u32) // analyzer: allow(raw_residue_op) — index widening for input generation only.
-        .map(|i| i.wrapping_mul(2654435761) % q) // analyzer: allow(raw_residue_op) — deterministic input generator, not datapath math.
-        .collect();
-    plan.forward(&mut data);
-    let mut best = Duration::MAX;
-    let mut total = Duration::ZERO;
-    for _ in 0..iterations {
-        let t0 = Instant::now();
-        plan.forward(&mut data);
-        let dt = t0.elapsed();
-        best = best.min(dt);
-        total += dt;
     }
     CpuMeasurement {
         n,

@@ -7,41 +7,43 @@
 //!    starting from the naive O(N²) DFT ([`naive`]) that anchors the whole
 //!    chain of trust.
 //! 2. **The "x86 CPU" baseline.** The paper's Figs. 7–8 and Table III
-//!    compare PIM latency against a software NTT; [`baseline`] times the
-//!    iterative transform on the host machine.
+//!    compare PIM latency against a software NTT; [`baseline`] times
+//!    [`plan::NttPlan::forward`] on the host machine.
 //!
-//! Implemented dataflows (all radix-2, power-of-two lengths):
+//! Each host-side role has exactly one implementation:
 //!
-//! * [`iterative`] — the classic in-place Cooley–Tukey DIT (bit-reversed
-//!   input → natural output) and Gentleman–Sande DIF (natural → bit-reversed),
-//!   forward and inverse. The DIT graph with its geometric per-group twiddle
-//!   sequences is exactly what the PIM compute unit executes. Both graphs
-//!   run on the Shoup/Harvey lazy-reduction datapath
-//!   ([`modmath::shoup`]) whenever `q < 2⁶²`, with the 128-bit widening
-//!   kernel as the fallback above that bound.
-//! * [`blocked`] — the same DIT transform reorganized into the paper's
-//!   row-centric decomposition (§III.A): independent block-local stages
-//!   followed by cross-block stages. This is the software mirror of the
-//!   intra-row / inter-row mapping split.
-//! * [`pease`] — constant-geometry dataflow (paper §II.B's discussion of
-//!   parallel FFT algorithms \[17\]).
-//! * [`stockham`] — self-sorting dataflow \[18\].
-//! * [`four_step`] — cache-friendly four-step decomposition (extension).
+//! * [`plan`] — [`plan::NttPlan`], the one tuned host kernel: forward and
+//!   inverse, cyclic and negacyclic transforms on the Shoup/Harvey
+//!   lazy-reduction datapath ([`modmath::shoup`]) whenever `q < 2⁶²`,
+//!   with the 128-bit widening kernel as the fallback above that bound.
+//!   Its lane-batched entry points ride [`lanes`].
+//! * [`iterative`] — the in-place Cooley–Tukey DIT (bit-reversed input →
+//!   natural output) and Gentleman–Sande DIF (natural → bit-reversed)
+//!   stage loops the plan runs, plus the widening DIT kernel the
+//!   `ntt_kernels` gate measures the lazy datapath against. The DIT graph
+//!   with its geometric per-group twiddle sequences is exactly what the
+//!   PIM compute unit executes.
 //! * [`lanes`] — the lane-batched structure-of-arrays datapath: `L`
 //!   polynomials per butterfly in lockstep, each twiddle (and Shoup
 //!   quotient) loaded once per `L` residues. The throughput kernel for
 //!   batched service traffic, with an optional AVX2 backend behind the
 //!   `simd` feature.
-//! * [`fast32`] — a 32-bit façade over the shared Shoup-lazy datapath,
-//!   the *tuned* software baseline used for honest measured-CPU
-//!   comparisons.
+//! * [`naive`] — O(N²) evaluation over widening [`modmath::arith`], the
+//!   ground truth.
+//! * [`blocked`] — the DIT transform reorganized into the paper's
+//!   row-centric decomposition (§III.A): independent block-local stages
+//!   followed by cross-block stages, with [`blocked::BlockedStats`]
+//!   counting the intra-row / inter-row traffic split.
+//! * [`stockham`] — self-sorting dataflow \[18\], an independent
+//!   cross-check that shares no stage loop with [`iterative`].
+//! * [`four_step`] — the four-step decomposition: the split planner
+//!   ([`four_step::plan_split`]) and the CPU oracle of split transforms.
 //! * [`cache`] — the shared, thread-safe `(n, q) → NttPlan` cache, so
 //!   concurrent workers build each twiddle/Shoup table set once.
-//! * [`radix4`] — mixed radix-4/2 DIT, the classic compute-bound
-//!   optimization the memory-bound PIM mapping deliberately skips.
-//! * [`naive`] — O(N²) evaluation, the ground truth.
 //! * [`poly`] — cyclic and negacyclic polynomial multiplication built on the
 //!   transforms, exercising the convolution theorem end to end.
+//! * [`baseline`] — the timed host transform of the paper's "x86 CPU"
+//!   column.
 //!
 //! # Example
 //!
@@ -73,13 +75,10 @@
 pub mod baseline;
 pub mod blocked;
 pub mod cache;
-pub mod fast32;
 pub mod four_step;
 pub mod iterative;
 pub mod lanes;
 pub mod naive;
-pub mod pease;
 pub mod plan;
 pub mod poly;
-pub mod radix4;
 pub mod stockham;

@@ -8,7 +8,7 @@
 //! | [`core`] | `ntt-pim-core` | The PIM architecture: device, mapper, scheduler, compute unit, area/energy models |
 //! | [`dram`] | `dram-sim` | The DRAM bank timing/functional simulator (DRAMsim3 substitute) |
 //! | [`mod@reference`] | `ntt-ref` | CPU golden models and the software baseline |
-//! | [`math`] | `modmath` | Modular arithmetic, Montgomery/Barrett, primes, roots |
+//! | [`math`] | `modmath` | Modular arithmetic: widening ground truth, the CU's 32-bit Montgomery, Shoup-lazy reduction; primes, roots |
 //! | [`baselines`] | `pim-baselines` | Published-point models of MeNTT / CryptoPIM / x86 / FPGA |
 //! | [`fhe`] | `fhe-lite` | Toy RLWE/BFV workload generator |
 //! | [`engine`] | (this crate) | The golden [`engine::CpuNttEngine`], the shared [`engine::EngineError`], and [`engine::batch::BatchExecutor`] for bank-parallel job batches; the one backend trait over all of them is `ntt_bus::NttBackend` |
