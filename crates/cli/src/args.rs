@@ -24,7 +24,8 @@ impl ParsedArgs {
     /// # Errors
     ///
     /// [`CliError::usage`] on a missing subcommand, stray positionals, or
-    /// a dangling `--key` without value.
+    /// a key given twice (in any mix of the `--key value`, `--key=value`
+    /// and `--flag` forms).
     pub fn parse<I: IntoIterator<Item = String>>(raw: I) -> Result<Self, CliError> {
         let mut it = raw.into_iter().peekable();
         let command = it
@@ -36,17 +37,26 @@ impl ParsedArgs {
             )));
         }
         let mut options = BTreeMap::new();
-        let mut flags = Vec::new();
+        let mut flags: Vec<String> = Vec::new();
         while let Some(tok) = it.next() {
             let Some(stripped) = tok.strip_prefix("--") else {
                 return Err(CliError::usage(format!("unexpected positional {tok}")));
             };
-            if let Some((k, v)) = stripped.split_once('=') {
-                options.insert(k.to_string(), v.to_string());
-            } else if it.peek().is_some_and(|nxt| !nxt.starts_with("--")) {
-                options.insert(stripped.to_string(), it.next().expect("peeked"));
-            } else {
-                flags.push(stripped.to_string());
+            let (key, value) = match stripped.split_once('=') {
+                Some((k, v)) => (k.to_string(), Some(v.to_string())),
+                None => {
+                    let value = it.next_if(|nxt| !nxt.starts_with("--"));
+                    (stripped.to_string(), value)
+                }
+            };
+            if options.contains_key(&key) || flags.contains(&key) {
+                return Err(CliError::usage(format!("--{key} given twice")));
+            }
+            match value {
+                Some(v) => {
+                    options.insert(key, v);
+                }
+                None => flags.push(key),
             }
         }
         Ok(Self {
@@ -54,6 +64,38 @@ impl ParsedArgs {
             options,
             flags,
         })
+    }
+
+    /// Accepts only the named options (each with a value) and flags
+    /// (each without one).
+    ///
+    /// # Errors
+    ///
+    /// [`CliError::usage`] for an option or flag outside the lists, a
+    /// flag given a value, or an option given none.
+    pub fn expect_only(&self, options: &[&str], flags: &[&str]) -> Result<(), CliError> {
+        let command = &self.command;
+        for (key, value) in &self.options {
+            if flags.contains(&key.as_str()) {
+                return Err(CliError::usage(format!(
+                    "--{key} is a flag and takes no value (got `{value}`)"
+                )));
+            }
+            if !options.contains(&key.as_str()) {
+                return Err(CliError::usage(format!(
+                    "`{command}` has no option --{key}"
+                )));
+            }
+        }
+        for flag in &self.flags {
+            if options.contains(&flag.as_str()) {
+                return Err(CliError::usage(format!("--{flag} needs a value")));
+            }
+            if !flags.contains(&flag.as_str()) {
+                return Err(CliError::usage(format!("`{command}` has no flag --{flag}")));
+            }
+        }
+        Ok(())
     }
 
     /// Typed option lookup with default.
@@ -132,6 +174,44 @@ mod tests {
         assert!(parse("run stray").is_err());
         let a = parse("run --n x").unwrap();
         assert!(a.get_or("n", 0usize).is_err());
+    }
+
+    #[test]
+    fn repeated_keys_are_usage_errors() {
+        for line in [
+            "batch --n 1024 --n 2048",
+            "batch --n=1024 --n 2048",
+            "batch --split --split",
+            "batch --split --split=yes",
+        ] {
+            let e = parse(line).unwrap_err();
+            assert_eq!(e.exit_code, 2, "{line}");
+            assert!(e.message.contains("twice"), "{line}: {e}");
+        }
+    }
+
+    #[test]
+    fn only_the_named_options_and_flags_pass() {
+        let (options, flags) = (&["n", "q"][..], &["split"][..]);
+        assert!(parse("batch --n 8 --split")
+            .unwrap()
+            .expect_only(options, flags)
+            .is_ok());
+        for (line, says) in [
+            ("batch --bogus 3", "no option --bogus"),
+            ("batch --frob", "no flag --frob"),
+            ("batch --split yes --n 8", "takes no value"),
+            ("batch --split=yes", "takes no value"),
+            ("batch --n", "needs a value"),
+            ("batch --q --n 8", "needs a value"),
+        ] {
+            let e = parse(line)
+                .unwrap()
+                .expect_only(options, flags)
+                .unwrap_err();
+            assert_eq!(e.exit_code, 2, "{line}");
+            assert!(e.message.contains(says), "{line}: {e}");
+        }
     }
 
     #[test]

@@ -39,7 +39,7 @@ COMMANDS:
     serve    closed-loop load test of the concurrent serving layer
     help     show this message
 
-COMMON OPTIONS:
+COMMON OPTIONS (run, trace, verify, polymul, batch):
     --n <len>        polynomial length, power of two       [default: 1024]
     --nb <count>     atom buffers incl. primary            [default: 2]
     --clock <mhz>    CU clock in MHz                       [default: 1200]
@@ -47,9 +47,11 @@ COMMON OPTIONS:
     --refresh        enable tREFI/tRFC refresh modeling
     --channels <c>   independent channels (private bus each) [default: 1]
     --ranks <r>      ranks per channel (own tRRD/tFAW window) [default: 1]
-    --banks <k>      banks per rank (sweep/batch)          [default: 1]
-    --nb <a,b,c>     (sweep) list of buffer counts         [default: 1,2,4,6]
-    --lengths <...>  (sweep) list of lengths               [default: 256..8192]
+    --banks <k>      banks per rank                        [default: 1]
+
+SWEEP OPTIONS (with --clock, --q and --refresh):
+    --nb <a,b,c>     list of buffer counts                 [default: 1,2,4,6]
+    --lengths <...>  list of lengths                       [default: 256..8192]
 
 BATCH OPTIONS:
     --jobs <k>       number of independent NTT jobs, at most 4096
@@ -66,7 +68,7 @@ BATCH OPTIONS:
                      (jobs outside the backend's capability window are
                      typed errors; reports its window and cost quote)
 
-SERVE OPTIONS:
+SERVE OPTIONS (with --nb, --q, --refresh, --channels, --ranks, --banks):
     --tenants <t>       concurrent closed-loop tenants, at most 256
                                                               [default: 8]
     --requests <r>      total requests across tenants, at most 16384
@@ -90,27 +92,130 @@ SERVE OPTIONS:
 The device topology is channels x ranks x banks: jobs fan across the
 product (e.g. --channels 2 --ranks 2 --banks 4 = 16-way), with LPT
 balancing channels first, then the banks within each channel.
+
+Each command accepts only the options and flags listed for it, each at
+most once; anything else, or a value after a flag, is a usage error
+(exit code 2).
 ";
+
+/// One subcommand: its name, what runs it, and every option (taking a
+/// value) and flag it reads. Anything else on its command line is a
+/// usage error.
+struct Command {
+    name: &'static str,
+    run: fn(&ParsedArgs) -> Result<String, CliError>,
+    options: &'static [&'static str],
+    flags: &'static [&'static str],
+}
+
+/// The options the single-request commands read: the transform length,
+/// the device configuration and the modulus.
+const DEVICE_OPTIONS: &[&str] = &["n", "nb", "clock", "q", "channels", "ranks", "banks"];
+
+/// Every subcommand.
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "run",
+        run,
+        options: DEVICE_OPTIONS,
+        flags: &["refresh"],
+    },
+    Command {
+        name: "sweep",
+        run: sweep,
+        options: &["nb", "lengths", "clock", "q"],
+        flags: &["refresh"],
+    },
+    Command {
+        name: "trace",
+        run: trace,
+        options: DEVICE_OPTIONS,
+        flags: &["refresh"],
+    },
+    Command {
+        name: "verify",
+        run: verify,
+        options: DEVICE_OPTIONS,
+        flags: &["refresh"],
+    },
+    Command {
+        name: "polymul",
+        run: polymul,
+        options: DEVICE_OPTIONS,
+        flags: &["refresh"],
+    },
+    Command {
+        name: "batch",
+        run: batch,
+        options: &[
+            "n", "nb", "clock", "q", "channels", "ranks", "banks", "jobs", "schedule", "lengths",
+            "backend",
+        ],
+        flags: &["refresh", "split"],
+    },
+    Command {
+        name: "serve",
+        run: serve,
+        options: &[
+            "nb",
+            "q",
+            "channels",
+            "ranks",
+            "banks",
+            "tenants",
+            "requests",
+            "max-wait-us",
+            "queue-depth",
+            "tenant-inflight",
+            "lengths",
+            "devices",
+            "backends",
+            "steal-threshold-us",
+        ],
+        flags: &["refresh", "smoke"],
+    },
+    Command {
+        name: "help",
+        run: |_| Ok(USAGE.to_string()),
+        options: &[],
+        flags: &[],
+    },
+];
+
+/// Checks a parsed command line against its subcommand's options and
+/// flags ([`ParsedArgs::expect_only`]) without running anything.
+///
+/// # Errors
+///
+/// [`CliError::usage`] for an unknown subcommand, or an option or flag
+/// it does not read, a flag given a value, or an option given none.
+pub fn check(args: &ParsedArgs) -> Result<(), CliError> {
+    command(args)?;
+    Ok(())
+}
+
+fn command(args: &ParsedArgs) -> Result<&'static Command, CliError> {
+    let command = COMMANDS
+        .iter()
+        .find(|c| c.name == args.command)
+        .ok_or_else(|| {
+            CliError::usage(format!(
+                "unknown command `{}`; try `ntt-pim help`",
+                args.command
+            ))
+        })?;
+    args.expect_only(command.options, command.flags)?;
+    Ok(command)
+}
 
 /// Dispatches a parsed command line.
 ///
 /// # Errors
 ///
-/// [`CliError`] with a usage or runtime classification.
+/// [`CliError`] with a usage or runtime classification; every
+/// [`check`] failure is a usage error, raised before anything runs.
 pub fn dispatch(args: &ParsedArgs) -> Result<String, CliError> {
-    match args.command.as_str() {
-        "run" => run(args),
-        "sweep" => sweep(args),
-        "trace" => trace(args),
-        "verify" => verify(args),
-        "polymul" => polymul(args),
-        "batch" => batch(args),
-        "serve" => serve(args),
-        "help" | "--help" | "-h" => Ok(USAGE.to_string()),
-        other => Err(CliError::usage(format!(
-            "unknown command `{other}`; try `ntt-pim help`"
-        ))),
-    }
+    (command(args)?.run)(args)
 }
 
 fn config_from(args: &ParsedArgs) -> Result<PimConfig, CliError> {
@@ -800,7 +905,7 @@ mod tests {
     use super::*;
 
     fn run_line(s: &str) -> Result<String, CliError> {
-        dispatch(&ParsedArgs::parse(s.split_whitespace().map(String::from)).unwrap())
+        dispatch(&ParsedArgs::parse(s.split_whitespace().map(String::from))?)
     }
 
     #[test]
@@ -1071,6 +1176,24 @@ mod tests {
     fn unknown_command_is_usage_error() {
         let e = run_line("frobnicate").unwrap_err();
         assert_eq!(e.exit_code, 2);
+    }
+
+    #[test]
+    fn arguments_no_command_reads_are_usage_errors() {
+        for line in [
+            "batch --bogus 3",
+            "batch --chanels 2",
+            "batch --split yes --n 8192 --q 2013265921",
+            "batch --n 1024 --n 2048",
+            "sweep --banks 4",
+            "serve --clock 1000 --smoke",
+            "run --split",
+            "run --n",
+            "help --n 4",
+        ] {
+            let e = run_line(line).unwrap_err();
+            assert_eq!(e.exit_code, 2, "{line}: {e}");
+        }
     }
 
     #[test]

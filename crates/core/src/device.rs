@@ -11,9 +11,17 @@
 //! / [`PimDevice::read_polynomial`] and is excluded from reported latency,
 //! matching the paper's measurement boundary ("except the bit reversal,
 //! which is common in all the compared works").
+//!
+//! Banks share no values, so [`PimDevice::run_banks`] executes one list
+//! of (operand loads, decoded program, read-back) per bank with the banks
+//! on concurrent host threads from the process-wide budget in
+//! [`crate::helpers`]; the batch paths ([`PimDevice::ntt_batch`],
+//! [`PimDevice::polymul_batch`] and the facade's `BatchExecutor`) all run
+//! through it.
 
 use crate::config::PimConfig;
 use crate::energy::EnergyReport;
+use crate::helpers;
 use crate::layout::PolyLayout;
 use crate::mapper::{self, Dataflow, MapperOptions, NttParams, Program};
 use crate::sched::{self, Timeline};
@@ -80,6 +88,55 @@ impl PolyHandle {
     pub fn assume_order(&mut self, order: StoredOrder) {
         self.order = order;
     }
+}
+
+/// Natural-order coefficients bound for one bank region, checked when
+/// made ([`PimDevice::operand`]) so that writing them cannot fail: the
+/// bank exists, the region fits it, and every word is reduced.
+#[derive(Debug, Clone)]
+pub struct Operand {
+    handle: PolyHandle,
+    words: Vec<u32>,
+}
+
+impl Operand {
+    /// Where the words go, and the order they are stored in.
+    pub fn handle(&self) -> &PolyHandle {
+        &self.handle
+    }
+}
+
+/// One program in a bank's list for [`PimDevice::run_banks`]: operands
+/// written first, then the program, then the read-back.
+#[derive(Debug, Clone)]
+pub struct BankStep<'p> {
+    /// Operands written into the bank, in order, before the program runs
+    /// (empty when the operands are already resident).
+    pub loads: Vec<Operand>,
+    /// The program, decoded for this device ([`PimDevice::decode_program`]).
+    pub program: &'p DecodedProgram,
+    /// The polynomial read back, in logical order, after the program ran;
+    /// `None` reads nothing.
+    pub read: Option<PolyHandle>,
+}
+
+/// Host DMA of a checked operand: bit-reverses the image if the handle
+/// says so, then writes it.
+fn write(sim: &mut FunctionalSim, operand: Operand) {
+    let Operand { handle, mut words } = operand;
+    if handle.order == StoredOrder::BitReversed {
+        bitrev_permute(&mut words);
+    }
+    sim.load_words(handle.layout.base_word(), &words);
+}
+
+/// Host DMA of a polynomial back in logical order.
+fn read(sim: &FunctionalSim, handle: &PolyHandle) -> Vec<u32> {
+    let mut data = sim.read_region(&handle.layout);
+    if handle.order == StoredOrder::BitReversed {
+        bitrev_permute(&mut data);
+    }
+    data
 }
 
 /// Timing/energy/accounting result of one device request.
@@ -256,6 +313,10 @@ impl QueueReport {
 }
 
 /// The PIM device: configuration, mapper defaults, and per-bank state.
+///
+/// Each bank has its own functional simulator. Single requests run in
+/// one bank on the calling thread; [`Self::run_banks`] runs many banks'
+/// programs at once, each bank on one host thread.
 #[derive(Debug, Clone)]
 pub struct PimDevice {
     config: PimConfig,
@@ -343,6 +404,28 @@ impl PimDevice {
         q: u32,
         order: StoredOrder,
     ) -> Result<PolyHandle, PimError> {
+        let operand = self.operand(bank, base_word, coeffs.to_vec(), q, order)?;
+        let handle = operand.handle;
+        write(&mut self.banks[bank], operand);
+        Ok(handle)
+    }
+
+    /// Checks natural-order `coeffs` for the region at `base_word` of
+    /// `bank`, stored in `order`, without writing them: the operand
+    /// [`Self::run_banks`] loads. Its handle maps programs before the
+    /// words are in the bank.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::load_in_bank`].
+    pub fn operand(
+        &self,
+        bank: usize,
+        base_word: usize,
+        coeffs: Vec<u32>,
+        q: u32,
+        order: StoredOrder,
+    ) -> Result<Operand, PimError> {
         if bank >= self.banks.len() {
             return Err(PimError::BadConfig {
                 reason: format!("bank {bank} out of range ({} banks)", self.banks.len()),
@@ -354,16 +437,14 @@ impl PimDevice {
             });
         }
         let layout = PolyLayout::new(&self.config, base_word, coeffs.len())?;
-        let mut image = coeffs.to_vec();
-        if order == StoredOrder::BitReversed {
-            bitrev_permute(&mut image);
-        }
-        self.banks[bank].load_words(base_word, &image);
-        Ok(PolyHandle {
-            layout,
-            bank,
-            q,
-            order,
+        Ok(Operand {
+            handle: PolyHandle {
+                layout,
+                bank,
+                q,
+                order,
+            },
+            words: coeffs,
         })
     }
 
@@ -372,13 +453,10 @@ impl PimDevice {
     ///
     /// # Errors
     ///
-    /// None in practice; kept fallible for future region variants.
+    /// [`PimError::BadConfig`] for a handle naming a bank this device
+    /// lacks.
     pub fn read_polynomial(&mut self, handle: &PolyHandle) -> Result<Vec<u32>, PimError> {
-        let mut data = self.banks[handle.bank].read_region(&handle.layout);
-        if handle.order == StoredOrder::BitReversed {
-            bitrev_permute(&mut data);
-        }
-        Ok(data)
+        Ok(read(self.bank_mut(handle.bank)?, handle))
     }
 
     /// Maps the full command program of one NTT request without
@@ -501,6 +579,75 @@ impl PimDevice {
         self.banks.get_mut(bank).ok_or_else(|| PimError::BadConfig {
             reason: format!("bank {bank} out of range ({banks} banks)"),
         })
+    }
+
+    /// Runs one ordered list of steps per bank — `lists[b]` in bank `b` —
+    /// and returns each step's read-back words, `out[b][i]` for step `i`
+    /// of bank `b` (empty where the step reads nothing back). Each step
+    /// writes its operands, runs its decoded program and reads back, on
+    /// that bank's own simulator, so a bank's list behaves exactly as
+    /// [`Self::load_in_bank`], [`Self::run_decoded`] and
+    /// [`Self::read_polynomial`] called in turn.
+    ///
+    /// Banks share no values, so they run concurrently: the calling
+    /// thread and helper threads from the process-wide budget
+    /// ([`crate::helpers`]) take busy banks one at a time until none is
+    /// left. A call with one busy bank, or one that finds the budget
+    /// spent, runs on the calling thread. Results do not depend on which
+    /// thread ran a bank.
+    ///
+    /// Everything is checked before any bank is touched, so a rejected
+    /// call changes nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`PimError::BadConfig`] for more lists than banks, a program
+    /// decoded for another bank geometry or buffer count, or an operand or
+    /// read-back handle naming a bank other than its list's;
+    /// [`PimError::BadRegion`] for a handle whose region does not fit
+    /// this device's banks.
+    pub fn run_banks(
+        &mut self,
+        lists: Vec<Vec<BankStep<'_>>>,
+    ) -> Result<Vec<Vec<Vec<u32>>>, PimError> {
+        if lists.len() > self.banks.len() {
+            return Err(PimError::BadConfig {
+                reason: format!("{} bank lists for {} banks", lists.len(), self.banks.len()),
+            });
+        }
+        for (bank, (sim, list)) in self.banks.iter().zip(&lists).enumerate() {
+            for step in list {
+                sim.check(step.program)?;
+                for h in step.loads.iter().map(Operand::handle).chain(&step.read) {
+                    if h.bank != bank {
+                        return Err(PimError::BadConfig {
+                            reason: format!("a handle of bank {} in bank {bank}'s list", h.bank),
+                        });
+                    }
+                    // A handle another device made may not fit this one.
+                    PolyLayout::new(&self.config, h.layout.base_word(), h.n())?;
+                }
+            }
+        }
+        let mut out: Vec<Vec<Vec<u32>>> = vec![Vec::new(); lists.len()];
+        let busy: Vec<_> = self
+            .banks
+            .iter_mut()
+            .zip(lists)
+            .zip(out.iter_mut())
+            .filter(|((_, list), _)| !list.is_empty())
+            .collect();
+        helpers::for_each(busy, |((sim, list), out)| {
+            *out = list
+                .into_iter()
+                .map(|step| {
+                    step.loads.into_iter().for_each(|op| write(sim, op));
+                    sim.run_checked(step.program);
+                    step.read.map_or_else(Vec::new, |h| read(sim, &h))
+                })
+                .collect();
+        });
+        Ok(out)
     }
 
     /// Times one program queue per bank over the shared command bus, with
@@ -734,7 +881,8 @@ impl PimDevice {
     /// RNS-form ring multiplication in one batch (the FHE op the paper's
     /// introduction motivates, on-device end to end).
     ///
-    /// Results land in each pair's first operand.
+    /// Results land in each pair's first operand. The products execute
+    /// through [`Self::run_banks`], the banks concurrently.
     ///
     /// # Errors
     ///
@@ -762,14 +910,38 @@ impl PimDevice {
             .map(|(a, b)| Ok(vec![self.polymul_program(a, b)?]))
             .collect::<Result<Vec<_>, PimError>>()?;
         let report = self.schedule_queues(&queues)?;
-        for ((a, _), queue) in pairs.iter().zip(&queues) {
-            self.banks[a.bank].execute(&queue[0])?;
-        }
+        let banks: Vec<usize> = pairs.iter().map(|(a, _)| a.bank).collect();
+        self.run_resident(&banks, &queues)?;
         Ok(report)
     }
 
+    /// Decodes the one program of `queues[i]` and runs it in bank
+    /// `banks[i]` over operands already resident there, every bank
+    /// concurrently ([`Self::run_banks`]).
+    fn run_resident(&mut self, banks: &[usize], queues: &[Vec<Program>]) -> Result<(), PimError> {
+        let decoded = queues
+            .iter()
+            .map(|queue| self.decode_program(&queue[0]))
+            .collect::<Result<Vec<_>, PimError>>()?;
+        let mut lists: Vec<Vec<BankStep<'_>>> = vec![Vec::new(); self.banks.len()];
+        for (&bank, program) in banks.iter().zip(&decoded) {
+            let list = lists.get_mut(bank).ok_or_else(|| PimError::BadConfig {
+                reason: format!("bank {bank} out of range ({} banks)", self.banks.len()),
+            })?;
+            list.push(BankStep {
+                loads: Vec::new(),
+                program,
+                read: None,
+            });
+        }
+        self.run_banks(lists)?;
+        Ok(())
+    }
+
     /// Runs one forward NTT per handle, each in its own bank, over the
-    /// shared command bus (bank-level parallelism, §VI.A/§VII).
+    /// shared command bus (bank-level parallelism, §VI.A/§VII). The
+    /// transforms execute through [`Self::run_banks`], the banks
+    /// concurrently.
     ///
     /// # Errors
     ///
@@ -805,9 +977,8 @@ impl PimDevice {
             )?]);
         }
         let report = self.schedule_queues(&queues)?;
-        for (h, queue) in handles.iter().zip(&queues) {
-            self.banks[h.bank].execute(&queue[0])?;
-        }
+        let banks: Vec<usize> = handles.iter().map(|h| h.bank).collect();
+        self.run_resident(&banks, &queues)?;
         for h in handles.iter_mut() {
             h.order = StoredOrder::Natural;
         }

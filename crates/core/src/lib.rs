@@ -43,6 +43,8 @@
 //! * [`energy`] — the Table III energy model.
 //! * [`device`] — the host-visible API, including on-device polynomial
 //!   multiplication and bank-level parallel NTT batches.
+//! * [`helpers`] — the process-wide budget of helper threads that run a
+//!   batch's banks concurrently ([`device::PimDevice::run_banks`]).
 //!
 //! # Quickstart
 //!
@@ -73,6 +75,7 @@ pub mod config;
 mod cu;
 pub mod device;
 pub mod energy;
+pub mod helpers;
 pub mod layout;
 pub mod mapper;
 pub mod sched;

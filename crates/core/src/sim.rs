@@ -51,8 +51,16 @@ pub struct FunctionalSim {
     storage: BankStorage,
     /// Atom-buffer contents, reused by every run: the decoder guarantees
     /// a program fills a buffer before reading it.
-    bufs: Vec<Atom>,
+    bufs: Vec<BufAtom>,
 }
+
+/// One atom buffer on a cache line of its own. Banks run on different
+/// threads ([`crate::device::PimDevice::run_banks`]), and a bank's
+/// buffers, written by nearly every op, would otherwise share lines with
+/// the next bank's small allocation and bounce them between cores.
+#[derive(Debug, Clone, Copy)]
+#[repr(align(64))]
+struct BufAtom(Atom);
 
 impl FunctionalSim {
     /// Creates a zeroed bank with the configuration's buffer file.
@@ -65,7 +73,7 @@ impl FunctionalSim {
         Ok(Self {
             config: *config,
             storage: BankStorage::new(config.geometry),
-            bufs: vec![[0; NA]; config.n_bufs],
+            bufs: vec![BufAtom([0; NA]); config.n_bufs],
         })
     }
 
@@ -109,6 +117,18 @@ impl FunctionalSim {
     /// [`PimError::BadConfig`] when `program` was decoded for a different
     /// bank geometry or buffer count; nothing runs then.
     pub fn run(&mut self, program: &DecodedProgram) -> Result<(), PimError> {
+        self.check(program)?;
+        self.run_checked(program);
+        Ok(())
+    }
+
+    /// Checks that `program` was decoded for banks of this one's geometry
+    /// and buffer count.
+    ///
+    /// # Errors
+    ///
+    /// [`PimError::BadConfig`] naming both shapes.
+    pub(crate) fn check(&self, program: &DecodedProgram) -> Result<(), PimError> {
         if program.shape != BankShape::of(&self.config) {
             return Err(PimError::BadConfig {
                 reason: format!(
@@ -118,8 +138,12 @@ impl FunctionalSim {
                 ),
             });
         }
-        program.run_on(self.storage.cells_mut(), &mut self.bufs);
         Ok(())
+    }
+
+    /// Runs a program [`Self::check`] accepted.
+    pub(crate) fn run_checked(&mut self, program: &DecodedProgram) {
+        program.run_on(self.storage.cells_mut(), &mut self.bufs);
     }
 }
 
@@ -400,45 +424,49 @@ impl DecodedProgram {
     /// The flat loop: every op on fixed 8-lane atoms, reading and writing
     /// `cells` in place. Decoding checked every offset, buffer and
     /// modulus, so nothing here can fail.
-    fn run_on(&self, cells: &mut [u32], bufs: &mut [Atom]) {
+    fn run_on(&self, cells: &mut [u32], bufs: &mut [BufAtom]) {
         let mut mont = self.moduli[0];
         let (mut reg_a, mut reg_b) = (0u32, 0u32);
         for &op in &self.ops {
             match op {
                 Op::Read { buf, word } => {
                     let w = word as usize;
-                    bufs[buf as usize].copy_from_slice(&cells[w..w + NA]);
+                    bufs[buf as usize].0.copy_from_slice(&cells[w..w + NA]);
                 }
                 Op::Write { buf, word } => {
                     let w = word as usize;
-                    cells[w..w + NA].copy_from_slice(&bufs[buf as usize]);
+                    cells[w..w + NA].copy_from_slice(&bufs[buf as usize].0);
                 }
                 Op::C1 { buf, kernel } => {
-                    self.kernels[kernel as usize].run(&mont, &mut bufs[buf as usize]);
+                    self.kernels[kernel as usize].run(&mont, &mut bufs[buf as usize].0);
                 }
                 Op::C2 { p, s, order, row } => {
-                    let (mut x, mut y) = (bufs[p as usize], bufs[s as usize]);
+                    let (mut x, mut y) = (bufs[p as usize].0, bufs[s as usize].0);
                     cu::c2(&mont, &mut x, &mut y, &self.twiddles[row as usize], order);
-                    bufs[p as usize] = x;
-                    bufs[s as usize] = y;
+                    bufs[p as usize].0 = x;
+                    bufs[s as usize].0 = y;
                 }
                 Op::Scale { buf, row } => {
-                    cu::scale(&mont, &mut bufs[buf as usize], &self.twiddles[row as usize]);
+                    cu::scale(
+                        &mont,
+                        &mut bufs[buf as usize].0,
+                        &self.twiddles[row as usize],
+                    );
                 }
                 Op::Pointwise { p, s } => {
-                    let rhs = bufs[s as usize];
-                    cu::pointwise(&mont, &mut bufs[p as usize], &rhs);
+                    let rhs = bufs[s as usize].0;
+                    cu::pointwise(&mont, &mut bufs[p as usize].0, &rhs);
                 }
                 Op::Modulus { ctx } => mont = self.moduli[ctx as usize],
                 Op::RegLoad { buf, lane, reg } => {
-                    let v = bufs[buf as usize][lane as usize];
+                    let v = bufs[buf as usize].0[lane as usize];
                     match reg {
                         OperandReg::A => reg_a = v,
                         OperandReg::B => reg_b = v,
                     }
                 }
                 Op::RegStore { buf, lane, reg } => {
-                    bufs[buf as usize][lane as usize] = match reg {
+                    bufs[buf as usize].0[lane as usize] = match reg {
                         OperandReg::A => reg_a,
                         OperandReg::B => reg_b,
                     };

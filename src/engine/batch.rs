@@ -30,6 +30,13 @@
 //! merged [`BatchOutcome`] reports wall-clock latency, energy, shared-bus
 //! pressure, rank activations, and per-bank/per-job accounting.
 //!
+//! On the host, [`BatchExecutor::run`] works in two steps: a serial
+//! prepare step (validate, plan, gather operands, map and decode on a
+//! memo miss), then one execute step that runs every bank's queue through
+//! [`PimDevice::run_banks`], the banks on concurrent host threads. Banks
+//! share no values and results are scattered back in plan order, so the
+//! outcome never depends on the thread count.
+//!
 //! The executor is topology-aware: on a sharded
 //! `channels × ranks × banks` device
 //! ([`crate::core::config::Topology`]), LPT packing happens
@@ -43,7 +50,9 @@
 use super::{CpuNttEngine, EngineError};
 use crate::core::cmd::PimCommand;
 use crate::core::config::{PimConfig, Topology};
-use crate::core::device::{NttDirection, PimDevice, PolyHandle, QueueReport, StoredOrder};
+use crate::core::device::{
+    BankStep, NttDirection, Operand, PimDevice, PolyHandle, QueueReport, StoredOrder,
+};
 use crate::core::layout::PolyLayout;
 use crate::core::mapper::{MapperOptions, Program};
 use crate::core::sched::{lpt_assign_topology, lpt_makespan, DagJob};
@@ -632,6 +641,83 @@ enum UnitProgram {
     Row { root: u32, twiddle: u32 },
 }
 
+impl UnitProgram {
+    /// The order the unit's operand is stored in, and the order the
+    /// program leaves its result in: forward DIT transforms (whole jobs
+    /// and split columns) take bit-reversed storage to natural, inverse
+    /// and row transforms run DIF the other way, and a polymul keeps its
+    /// operands natural.
+    fn orders(self) -> (StoredOrder, StoredOrder) {
+        use StoredOrder::{BitReversed, Natural};
+        match self {
+            UnitProgram::Forward | UnitProgram::Column { .. } => (BitReversed, Natural),
+            UnitProgram::Inverse | UnitProgram::Row { .. } => (Natural, BitReversed),
+            UnitProgram::Polymul => (Natural, Natural),
+        }
+    }
+
+    /// Maps the unit's program over its operands' handles.
+    fn map(self, device: &PimDevice, loads: &[Operand]) -> Result<Program, PimError> {
+        let handle = |i: usize| {
+            loads
+                .get(i)
+                .map(Operand::handle)
+                .ok_or_else(|| PimError::BadRegion {
+                    reason: format!("{self:?} unit without operand {i}"),
+                })
+        };
+        match self {
+            UnitProgram::Forward => device.build_ntt_program(handle(0)?, NttDirection::Forward),
+            UnitProgram::Inverse => device.build_ntt_program(handle(0)?, NttDirection::Inverse),
+            UnitProgram::Polymul => device.polymul_program(handle(0)?, handle(1)?),
+            UnitProgram::Column { root } => device.build_column_program(handle(0)?, root),
+            UnitProgram::Row { root, twiddle } => {
+                device.build_twiddle_row_program(handle(0)?, root, twiddle)
+            }
+        }
+    }
+}
+
+/// What one plan unit runs on: its program, modulus and natural-order
+/// operand words (a polymul's second operand in `rhs`).
+#[derive(Debug)]
+struct UnitInput {
+    program: UnitProgram,
+    q: u32,
+    words: Vec<u32>,
+    rhs: Option<Vec<u32>>,
+}
+
+impl UnitInput {
+    /// A whole job's input. A split job's whole form is a forward NTT
+    /// (the planner expands split jobs into column and row units, so
+    /// only a caller bypassing it would run one whole).
+    fn job(job: &NttJob) -> Self {
+        let words = |coeffs: &[u64]| coeffs.iter().map(|&c| c as u32).collect::<Vec<u32>>();
+        let (program, rhs) = match &job.kind {
+            JobKind::Forward | JobKind::SplitLarge => (UnitProgram::Forward, None),
+            JobKind::Inverse => (UnitProgram::Inverse, None),
+            JobKind::NegacyclicPolymul { rhs } => (UnitProgram::Polymul, Some(words(rhs))),
+        };
+        Self {
+            program,
+            q: job.q as u32,
+            words: words(&job.coeffs),
+            rhs,
+        }
+    }
+}
+
+/// One unit's outcome from [`BatchExecutor::run_units`]: where it ran,
+/// which plan unit it was, the program it ran and the words it read back.
+#[derive(Debug)]
+struct Ran {
+    bank: usize,
+    unit: usize,
+    mapped: Arc<MappedUnit>,
+    out: Vec<u32>,
+}
+
 /// Everything a unit's program is a function of, given the device
 /// configuration: every unit loads at word 0 (a polymul's second
 /// operand at the configuration's fixed offset), so the layout follows
@@ -856,136 +942,111 @@ impl BatchExecutor {
         })
     }
 
-    /// Loads `words` into `bank` in `stored` order, runs the unit's
-    /// program over them, and reads back the result the program leaves
-    /// in `result` order. The mapped and decoded program comes from the
-    /// memo when the unit's key was mapped before; otherwise `build` maps
-    /// it over the loaded handle, the device decodes it, and the memo
-    /// keeps both.
-    fn run_unit(
+    /// The prepare half of one unit: checks its operands against `bank`
+    /// (nothing is written yet) and takes its mapped and decoded program
+    /// from the memo, mapping it over the operands' handles and decoding
+    /// it on a miss. Returns the operands, the handle the result is read
+    /// back through, and the program.
+    fn prepare(
         &mut self,
         bank: usize,
-        words: &[u32],
-        q: u32,
-        (stored, result): (StoredOrder, StoredOrder),
-        unit: UnitProgram,
-        build: impl FnOnce(&PimDevice, &PolyHandle) -> Result<Program, PimError>,
-    ) -> Result<(Arc<MappedUnit>, Vec<u64>), EngineError> {
-        let mut h = self.device.load_in_bank(bank, 0, words, q, stored)?;
+        input: UnitInput,
+    ) -> Result<(Vec<Operand>, PolyHandle, Arc<MappedUnit>), EngineError> {
+        let UnitInput {
+            program,
+            q,
+            words,
+            rhs,
+        } = input;
+        let (stored, result) = program.orders();
+        let n = words.len();
+        let mut loads = vec![self.device.operand(bank, 0, words, q, stored)?];
+        if let Some(rhs) = rhs {
+            let base = self.device.config().polymul_rhs_base(n);
+            loads.push(
+                self.device
+                    .operand(bank, base, rhs, q, StoredOrder::Natural)?,
+            );
+        }
         let key = ProgramKey {
-            unit,
-            n: words.len(),
+            unit: program,
+            n,
             q,
             opts: *self.device.mapper_options(),
         };
-        let unit = match self.programs.get(&key) {
-            Some(unit) => unit,
+        let mapped = match self.programs.get(&key) {
+            Some(mapped) => mapped,
             None => {
-                let program = build(&self.device, &h)?;
+                let program = program.map(&self.device, &loads)?;
                 let decoded = self.device.decode_program(&program)?;
-                let unit = Arc::new(MappedUnit { program, decoded });
-                self.programs.insert(key, unit.clone(), unit.weight());
-                unit
+                let mapped = Arc::new(MappedUnit { program, decoded });
+                self.programs.insert(key, mapped.clone(), mapped.weight());
+                mapped
             }
         };
-        self.device.run_decoded(bank, &unit.decoded)?;
-        h.assume_order(result);
-        let out = self.device.read_polynomial(&h)?;
-        Ok((unit, out.into_iter().map(u64::from).collect()))
+        let mut read = *loads[0].handle();
+        read.assume_order(result);
+        Ok((loads, read, mapped))
     }
 
-    /// Runs one whole job in `bank` ([`Self::run_unit`]) — the per-job
-    /// work shared by both drain strategies. Timing happens separately,
-    /// over the returned program.
-    fn run_one(
+    /// Runs the plan units `input` picks (`None` skips a unit), in queue
+    /// order per bank, in two steps. Prepare, serially: every picked
+    /// unit's operands are gathered and checked and its program comes
+    /// from the memo ([`Self::prepare`]). Execute: one
+    /// [`PimDevice::run_banks`] call loads, runs and reads back every
+    /// bank's list, the banks concurrently. Outcomes come back bank by
+    /// bank in queue order, whichever thread ran each bank.
+    fn run_units(
         &mut self,
-        bank: usize,
-        job: &NttJob,
-    ) -> Result<(Arc<MappedUnit>, Vec<u64>), EngineError> {
-        use StoredOrder::{BitReversed, Natural};
-        let q = job.q as u32;
-        let words: Vec<u32> = job.coeffs.iter().map(|&c| c as u32).collect();
-        match &job.kind {
-            JobKind::Forward => self.run_unit(
-                bank,
-                &words,
-                q,
-                (BitReversed, Natural),
-                UnitProgram::Forward,
-                |dev, h| dev.build_ntt_program(h, NttDirection::Forward),
-            ),
-            JobKind::Inverse => self.run_unit(
-                bank,
-                &words,
-                q,
-                (Natural, BitReversed),
-                UnitProgram::Inverse,
-                |dev, h| dev.build_ntt_program(h, NttDirection::Inverse),
-            ),
-            JobKind::NegacyclicPolymul { rhs } => {
-                let wb: Vec<u32> = rhs.iter().map(|&c| c as u32).collect();
-                let rhs_base = self.device.config().polymul_rhs_base(job.n());
-                let hb = self.device.load_in_bank(bank, rhs_base, &wb, q, Natural)?;
-                self.run_unit(
-                    bank,
-                    &words,
-                    q,
-                    (Natural, Natural),
-                    UnitProgram::Polymul,
-                    |dev, ha| dev.polymul_program(ha, &hb),
-                )
+        plan: &BatchPlan,
+        mut input: impl FnMut(PlanUnit) -> Option<UnitInput>,
+    ) -> Result<Vec<Ran>, EngineError> {
+        let mut units: Vec<Vec<(usize, Arc<MappedUnit>)>> = Vec::new();
+        let mut operands: Vec<Vec<(Vec<Operand>, PolyHandle)>> = Vec::new();
+        for (bank, queue) in plan.queues.iter().enumerate() {
+            let (mut bank_units, mut bank_operands) = (Vec::new(), Vec::new());
+            for &ui in queue {
+                if let Some(unit_input) = input(plan.units[ui]) {
+                    let (loads, read, mapped) = self.prepare(bank, unit_input)?;
+                    bank_units.push((ui, mapped));
+                    bank_operands.push((loads, read));
+                }
             }
-            // Split jobs are expanded into column/row units by `plan` and
-            // executed via `run_column_unit`/`run_row_unit`, never whole.
-            JobKind::SplitLarge => Err(EngineError::Shape {
-                reason: "split large jobs cannot run as a single program".into(),
-            }),
+            units.push(bank_units);
+            operands.push(bank_operands);
         }
-    }
-
-    /// Runs one stage-1 column sub-job of a split transform in `bank`:
-    /// gathers the column (stride `cols`) from the job's coefficients,
-    /// transforms it over `ω^cols`, and returns the natural-order column
-    /// spectrum for the host to scatter into the twiddle matrix.
-    fn run_column_unit(
-        &mut self,
-        bank: usize,
-        job: &NttJob,
-        split: &SplitPlan,
-        col_root: u32,
-        column: usize,
-    ) -> Result<(Arc<MappedUnit>, Vec<u64>), EngineError> {
-        let col: Vec<u32> = (0..split.rows)
-            .map(|r| job.coeffs[r * split.cols + column] as u32)
+        let lists: Vec<Vec<BankStep<'_>>> = units
+            .iter()
+            .zip(operands)
+            .map(|(bank_units, bank_operands)| {
+                bank_units
+                    .iter()
+                    .zip(bank_operands)
+                    .map(|((_, mapped), (loads, read))| BankStep {
+                        loads,
+                        program: &mapped.decoded,
+                        read: Some(read),
+                    })
+                    .collect()
+            })
             .collect();
-        let orders = (StoredOrder::BitReversed, StoredOrder::Natural);
-        let unit = UnitProgram::Column { root: col_root };
-        self.run_unit(bank, &col, job.q as u32, orders, unit, |dev, h| {
-            dev.build_column_program(h, col_root)
-        })
-    }
-
-    /// Runs one stage-2 row sub-job in `bank`: the gathered matrix row is
-    /// twiddle-scaled by the powers of `tw = ω^row` and transformed over
-    /// `ω^rows`, returning the natural-order row spectrum for the final
-    /// transpose scatter.
-    fn run_row_unit(
-        &mut self,
-        bank: usize,
-        q: u64,
-        row_vec: &[u64],
-        row_root: u32,
-        tw: u32,
-    ) -> Result<(Arc<MappedUnit>, Vec<u64>), EngineError> {
-        let words: Vec<u32> = row_vec.iter().map(|&c| c as u32).collect();
-        let orders = (StoredOrder::Natural, StoredOrder::BitReversed);
-        let unit = UnitProgram::Row {
-            root: row_root,
-            twiddle: tw,
-        };
-        self.run_unit(bank, &words, q as u32, orders, unit, |dev, h| {
-            dev.build_twiddle_row_program(h, row_root, tw)
-        })
+        let words = self.device.run_banks(lists)?;
+        Ok(units
+            .into_iter()
+            .zip(words)
+            .enumerate()
+            .flat_map(|(bank, (bank_units, outs))| {
+                bank_units
+                    .into_iter()
+                    .zip(outs)
+                    .map(move |((unit, mapped), out)| Ran {
+                        bank,
+                        unit,
+                        mapped,
+                        out,
+                    })
+            })
+            .collect())
     }
 
     /// Runs every job under the active policy and merges the reports.
@@ -993,6 +1054,15 @@ impl BatchExecutor {
     /// The whole batch is validated up front (nothing executes when any
     /// job is malformed); results land in [`BatchOutcome::spectra`] in
     /// job order regardless of bank assignment.
+    ///
+    /// Functional execution has two steps. Prepare, on the calling
+    /// thread: gather every unit's operands and take its decoded program
+    /// from the memo. Execute: one [`PimDevice::run_banks`] call loads,
+    /// runs and reads back every bank's queue, the banks on helper
+    /// threads from the process-wide budget
+    /// ([`crate::core::helpers`]). A split job's row units need its
+    /// column units' outputs, so they prepare and execute in a second
+    /// pass. Outcomes are bit-identical whatever the thread count.
     ///
     /// Mapping, decoding and timing never read the values, so the
     /// executor memoizes them: each unit's mapped and decoded program by
@@ -1055,7 +1125,7 @@ impl BatchExecutor {
                     col_root: u32,
                     row_root: u32,
                     barrier: usize,
-                    matrix: Vec<Vec<u64>>,
+                    matrix: Vec<Vec<u32>>,
                 }
                 let mut ctxs: HashMap<usize, SplitCtx> = HashMap::new();
                 for (i, job) in jobs.iter().enumerate() {
@@ -1071,7 +1141,7 @@ impl BatchExecutor {
                                 col_root: pow_mod(omega, split.cols as u64, job.q) as u32,
                                 row_root: pow_mod(omega, split.rows as u64, job.q) as u32,
                                 barrier,
-                                matrix: vec![vec![0u64; split.cols]; split.rows],
+                                matrix: vec![vec![0u32; split.cols]; split.rows],
                             },
                         );
                         spectra[i] = vec![0u64; job.n()];
@@ -1085,48 +1155,76 @@ impl BatchExecutor {
                 // `(program, waits_on, signals)`.
                 type TaggedProgram = (Arc<MappedUnit>, Option<usize>, Option<usize>);
                 let mut programs: Vec<Vec<TaggedProgram>> = vec![Vec::new(); banks];
-                for (bank, queue) in plan.queues.iter().enumerate() {
-                    for &ui in queue {
-                        match plan.units[ui] {
-                            PlanUnit::Job(ji) => {
-                                let (program, out) = self.run_one(bank, &jobs[ji])?;
-                                spectra[ji] = out;
-                                programs[bank].push((program, None, None));
-                            }
-                            PlanUnit::SplitColumn { job: ji, column } => {
-                                let ctx = &ctxs[&ji];
-                                let (split, col_root, barrier) =
-                                    (ctx.split, ctx.col_root, ctx.barrier);
-                                let (program, out) = self
-                                    .run_column_unit(bank, &jobs[ji], &split, col_root, column)?;
-                                let ctx = ctxs.get_mut(&ji).expect("context exists");
-                                for (r, &v) in out.iter().enumerate() {
-                                    ctx.matrix[r][column] = v;
-                                }
-                                programs[bank].push((program, None, Some(barrier)));
-                            }
-                            PlanUnit::SplitRow { .. } => {} // pass B
+                let pass_a = self.run_units(&plan, |unit| match unit {
+                    PlanUnit::Job(ji) => Some(UnitInput::job(&jobs[ji])),
+                    PlanUnit::SplitColumn { job: ji, column } => {
+                        let (job, ctx) = (&jobs[ji], &ctxs[&ji]);
+                        let words = (0..ctx.split.rows)
+                            .map(|r| job.coeffs[r * ctx.split.cols + column] as u32)
+                            .collect();
+                        Some(UnitInput {
+                            program: UnitProgram::Column { root: ctx.col_root },
+                            q: job.q as u32,
+                            words,
+                            rhs: None,
+                        })
+                    }
+                    PlanUnit::SplitRow { .. } => None, // pass B
+                })?;
+                for Ran {
+                    bank,
+                    unit,
+                    mapped,
+                    out,
+                } in pass_a
+                {
+                    match plan.units[unit] {
+                        PlanUnit::Job(ji) => {
+                            spectra[ji] = out.into_iter().map(u64::from).collect();
+                            programs[bank].push((mapped, None, None));
                         }
+                        PlanUnit::SplitColumn { job: ji, column } => {
+                            let ctx = ctxs.get_mut(&ji).expect("context exists");
+                            for (r, v) in out.into_iter().enumerate() {
+                                ctx.matrix[r][column] = v;
+                            }
+                            programs[bank].push((mapped, None, Some(ctx.barrier)));
+                        }
+                        PlanUnit::SplitRow { .. } => {}
                     }
                 }
                 // Pass B: row sub-jobs — each consumes one gathered
                 // matrix row, so it runs after every column drained.
-                for (bank, queue) in plan.queues.iter().enumerate() {
-                    for &ui in queue {
-                        if let PlanUnit::SplitRow { job: ji, row } = plan.units[ui] {
-                            let ctx = &ctxs[&ji];
-                            let (rows, row_root, barrier, q) =
-                                (ctx.split.rows, ctx.row_root, ctx.barrier, jobs[ji].q);
-                            let tw = pow_mod(ctx.omega, row as u64, q) as u32;
-                            let row_vec = ctx.matrix[row].clone();
-                            let (program, out) =
-                                self.run_row_unit(bank, q, &row_vec, row_root, tw)?;
-                            // Step 4 transpose: out[k₂·rows + k₁] = Y_{k₁}[k₂].
-                            for (c, &v) in out.iter().enumerate() {
-                                spectra[ji][c * rows + row] = v;
-                            }
-                            programs[bank].push((program, Some(barrier), None));
+                let pass_b = self.run_units(&plan, |unit| {
+                    let PlanUnit::SplitRow { job: ji, row } = unit else {
+                        return None;
+                    };
+                    let q = jobs[ji].q;
+                    let ctx = ctxs.get_mut(&ji).expect("context exists");
+                    Some(UnitInput {
+                        program: UnitProgram::Row {
+                            root: ctx.row_root,
+                            twiddle: pow_mod(ctx.omega, row as u64, q) as u32,
+                        },
+                        q: q as u32,
+                        words: std::mem::take(&mut ctx.matrix[row]),
+                        rhs: None,
+                    })
+                })?;
+                for Ran {
+                    bank,
+                    unit,
+                    mapped,
+                    out,
+                } in pass_b
+                {
+                    if let PlanUnit::SplitRow { job: ji, row } = plan.units[unit] {
+                        let (rows, barrier) = (ctxs[&ji].split.rows, ctxs[&ji].barrier);
+                        // Step 4 transpose: out[k₂·rows + k₁] = Y_{k₁}[k₂].
+                        for (c, v) in out.into_iter().enumerate() {
+                            spectra[ji][c * rows + row] = u64::from(v);
                         }
+                        programs[bank].push((mapped, Some(barrier), None));
                     }
                 }
                 let report = match hit {
@@ -1195,6 +1293,20 @@ impl BatchExecutor {
                 // The per-wave reports merge into one batch-level report
                 // with the barrier semantics of `absorb_serial`. Split
                 // jobs never reach this branch (`plan` rejects them).
+                // Values do not see the barriers: each bank runs its
+                // whole queue in one concurrent execute step.
+                let mut programs: Vec<Vec<Arc<MappedUnit>>> = vec![Vec::new(); banks];
+                let ran = self.run_units(&plan, |unit| Some(UnitInput::job(&jobs[unit.job()])))?;
+                for Ran {
+                    bank,
+                    unit,
+                    mapped,
+                    out,
+                } in ran
+                {
+                    spectra[plan.units[unit].job()] = out.into_iter().map(u64::from).collect();
+                    programs[bank].push(mapped);
+                }
                 let topology = self.topology();
                 let mut merged = QueueReport::empty(
                     banks,
@@ -1202,23 +1314,15 @@ impl BatchExecutor {
                     (topology.channels * topology.ranks) as usize,
                 );
                 for w in 0..depth {
-                    let mut wave_programs: Vec<Vec<Arc<MappedUnit>>> = vec![Vec::new(); banks];
-                    let wave_jobs: Vec<(usize, usize)> = plan
-                        .queues
+                    let wave: Vec<Vec<DagJob<'_>>> = programs
                         .iter()
-                        .enumerate()
-                        .filter_map(|(bank, queue)| {
-                            queue.get(w).map(|&ui| (bank, plan.units[ui].job()))
+                        .map(|queue| {
+                            queue
+                                .get(w)
+                                .map(|u| DagJob::plain(&u.program))
+                                .into_iter()
+                                .collect()
                         })
-                        .collect();
-                    for &(bank, ji) in &wave_jobs {
-                        let (program, out) = self.run_one(bank, &jobs[ji])?;
-                        spectra[ji] = out;
-                        wave_programs[bank].push(program);
-                    }
-                    let wave: Vec<Vec<DagJob<'_>>> = wave_programs
-                        .iter()
-                        .map(|queue| queue.iter().map(|u| DagJob::plain(&u.program)).collect())
                         .collect();
                     let report = self.device.schedule_queues_dag(&wave)?;
                     for (bank, ends) in report.job_end_ns.iter().enumerate() {
