@@ -51,6 +51,13 @@
 //!   memory-free arithmetic loop on one thread and on two, measures
 //!   that. Below [`MIN_PROBE_SPEEDUP`] the host is not giving a second
 //!   core, and the gate is skipped and says so, as on one core.
+//!
+//! Whatever the control reads, `--check` also fails when the helper
+//! budget allows a thread (`helpers::budget() ≥ 1`) and none ever ran
+//! (`helpers::peak() == 0`) after the concurrent execute. That check
+//! does not depend on timing: a call gets no helper only while other
+//! calls hold the whole budget, and then the peak is already at least
+//! one. The peak is written to `BENCH_host.json` as `helpers_peak`.
 
 use ntt_pim::engine::batch::{BatchExecutor, NttJob};
 use ntt_pim_core::config::{PimConfig, Topology};
@@ -208,6 +215,7 @@ fn main() {
     }
     let concurrent_ratio = concurrent_ms / execute_ms;
     let cores = helpers::budget() + 1;
+    let helpers_peak = helpers::peak();
     let probe_speedup = one_thread_ms / two_threads_ms;
     let gated = cores >= 2 && probe_speedup >= MIN_PROBE_SPEEDUP;
 
@@ -262,7 +270,9 @@ fn main() {
     println!(
         "run_banks {concurrent_ms:.3} ms vs {JOBS} x run_decoded {execute_ms:.3} ms on {cores} \
          cores: {concurrent_ratio:.2}x (gate {MAX_CONCURRENT_RATIO:.2}x where two threads run \
-         at once; control: two threads {probe_speedup:.2}x one)"
+         at once; control: two threads {probe_speedup:.2}x one); helper threads at once: \
+         {helpers_peak} of {}",
+        helpers::budget()
     );
 
     let json = format!(
@@ -282,7 +292,7 @@ fn main() {
          \"serial_ms\": {execute_ms:.3}, \
          \"concurrent_ms\": {concurrent_ms:.3}, \"concurrent_over_serial\": {concurrent_ratio:.3}, \
          \"two_thread_control_speedup\": {probe_speedup:.3}, \"min_control_speedup\": {MIN_PROBE_SPEEDUP}, \
-         \"max_ratio\": {MAX_CONCURRENT_RATIO}, \"gated\": {gated}}}\n}}\n",
+         \"max_ratio\": {MAX_CONCURRENT_RATIO}, \"gated\": {gated}, \"helpers_peak\": {helpers_peak}}}\n}}\n",
         report.latency_ns / 1000.0,
         report.bus_slots,
         per_slot(schedule_ms),
@@ -304,6 +314,14 @@ fn main() {
             eprintln!(
                 "FAIL: a repeated BatchExecutor::run costs {warm_ratio:.2}x its first run; \
                  the gate allows {MAX_WARM_RATIO:.2}x"
+            );
+            failed = true;
+        }
+        if cores >= 2 && helpers_peak == 0 {
+            eprintln!(
+                "FAIL: run_banks over {JOBS} banks started no helper thread although the \
+                 budget allows {}",
+                helpers::budget()
             );
             failed = true;
         }

@@ -222,11 +222,21 @@ fn config_from(args: &ParsedArgs) -> Result<PimConfig, CliError> {
     let nb: usize = args.get_or("nb", 2)?;
     let clock: u32 = args.get_or("clock", 1200)?;
     let topology = topology_from(args, 1)?;
-    let config = PimConfig::hbm2e(nb)
-        .with_cu_clock_mhz(clock)
-        .with_topology(topology)
-        .with_refresh(args.has_flag("refresh"));
-    config.validate()?;
+    validated(
+        PimConfig::hbm2e(nb)
+            .with_cu_clock_mhz(clock)
+            .with_topology(topology)
+            .with_refresh(args.has_flag("refresh")),
+    )
+}
+
+/// `config`, if the device can have it: a configuration
+/// [`PimConfig::validate`] rejects comes from bad argument values
+/// (`--nb 0`, `--banks 0`, `--clock 0`), so it is a usage error.
+fn validated(config: PimConfig) -> Result<PimConfig, CliError> {
+    config
+        .validate()
+        .map_err(|e| CliError::usage(e.to_string()))?;
     Ok(config)
 }
 
@@ -240,15 +250,23 @@ fn topology_from(args: &ParsedArgs, default_banks: u32) -> Result<Topology, CliE
     ))
 }
 
+/// The modulus of length-`n` transforms: `--q`, which must have a
+/// `2n`-th root of unity (a prime with `2n | q − 1`), or else the largest
+/// 31-bit prime that has one. Either failing is a usage error.
 fn modulus_for(args: &ParsedArgs, n: usize) -> Result<u32, CliError> {
+    let order = (n as u64).saturating_mul(2);
     match args.options.get("q") {
-        Some(v) => match v.parse() {
-            Ok(q) if q >= 2 => Ok(q),
-            _ => Err(CliError::usage(format!(
-                "bad value for --q: {v} (need a modulus >= 2)"
-            ))),
-        },
-        None => Ok(modmath::prime::find_ntt_prime(2 * n as u64, 31)? as u32),
+        Some(v) => {
+            let q: u32 = v.parse().ok().filter(|&q| q >= 2).ok_or_else(|| {
+                CliError::usage(format!("bad value for --q: {v} (need a modulus >= 2)"))
+            })?;
+            modmath::prime::root_of_unity(order, q.into())
+                .map_err(|e| CliError::usage(format!("bad value for --q: {e}")))?;
+            Ok(q)
+        }
+        None => modmath::prime::find_ntt_prime(order, 31)
+            .map(|q| q as u32)
+            .map_err(|e| CliError::usage(format!("no modulus for length {n}: {e}"))),
     }
 }
 
@@ -268,6 +286,7 @@ fn test_poly(n: usize, q: u32) -> Vec<u32> {
 fn run(args: &ParsedArgs) -> Result<String, CliError> {
     let n: usize = args.get_or("n", 1024)?;
     let config = config_from(args)?;
+    check_capacity(&config, &JobKind::Forward, n)?;
     let q = modulus_for(args, n)?;
     let mut dev = PimDevice::new(config)?;
     let mut h = dev.load_polynomial_bitrev(0, &test_poly(n, q), q)?;
@@ -313,9 +332,12 @@ fn sweep(args: &ParsedArgs) -> Result<String, CliError> {
                 let _ = write!(out, " {:>12}", "-");
                 continue;
             }
-            let config = PimConfig::hbm2e(nb)
-                .with_cu_clock_mhz(clock)
-                .with_refresh(args.has_flag("refresh"));
+            let config = validated(
+                PimConfig::hbm2e(nb)
+                    .with_cu_clock_mhz(clock)
+                    .with_refresh(args.has_flag("refresh")),
+            )?;
+            check_capacity(&config, &JobKind::Forward, n)?;
             let layout = PolyLayout::new(&config, 0, n)?;
             let omega = modmath::prime::root_of_unity(n as u64, q as u64)? as u32;
             let program = map_ntt(
@@ -335,6 +357,7 @@ fn sweep(args: &ParsedArgs) -> Result<String, CliError> {
 fn trace(args: &ParsedArgs) -> Result<String, CliError> {
     let n: usize = args.get_or("n", 256)?;
     let config = config_from(args)?;
+    check_capacity(&config, &JobKind::Forward, n)?;
     let q = modulus_for(args, n)?;
     let layout = PolyLayout::new(&config, 0, n)?;
     let omega = modmath::prime::root_of_unity(n as u64, q as u64)? as u32;
@@ -354,6 +377,7 @@ fn trace(args: &ParsedArgs) -> Result<String, CliError> {
 fn verify(args: &ParsedArgs) -> Result<String, CliError> {
     let n: usize = args.get_or("n", 1024)?;
     let config = config_from(args)?;
+    check_capacity(&config, &JobKind::Forward, n)?;
     let q = modulus_for(args, n)?;
     let mut dev = PimDevice::new(config)?;
     let poly = test_poly(n, q);
@@ -392,6 +416,9 @@ fn verify(args: &ParsedArgs) -> Result<String, CliError> {
 fn polymul(args: &ParsedArgs) -> Result<String, CliError> {
     let n: usize = args.get_or("n", 1024)?;
     let config = config_from(args)?;
+    // Both operands must fit: the second sits at `polymul_rhs_base(n)`.
+    let kind = JobKind::NegacyclicPolymul { rhs: Vec::new() };
+    check_capacity(&config, &kind, n)?;
     let q = modulus_for(args, n)?;
     let mut dev = PimDevice::new(config)?;
     let a = test_poly(n, q);
@@ -433,11 +460,12 @@ fn batch(args: &ParsedArgs) -> Result<String, CliError> {
     if lengths.is_empty() {
         return Err(CliError::usage("--lengths must name at least one length"));
     }
-    let config = PimConfig::hbm2e(nb)
-        .with_cu_clock_mhz(clock)
-        .with_topology(topology)
-        .with_refresh(args.has_flag("refresh"));
-    config.validate()?;
+    let config = validated(
+        PimConfig::hbm2e(nb)
+            .with_cu_clock_mhz(clock)
+            .with_topology(topology)
+            .with_refresh(args.has_flag("refresh")),
+    )?;
 
     // One job per seed; all independent (the RNS/FHE pattern). With
     // --split, job 0 is the one large transform fanned across the
@@ -684,10 +712,11 @@ fn serve(args: &ParsedArgs) -> Result<String, CliError> {
         args.get_or("ranks", 2)?,
         args.get_or("banks", 4)?,
     );
-    let pim = PimConfig::hbm2e(nb)
-        .with_topology(topology)
-        .with_refresh(args.has_flag("refresh"));
-    pim.validate()?;
+    let pim = validated(
+        PimConfig::hbm2e(nb)
+            .with_topology(topology)
+            .with_refresh(args.has_flag("refresh")),
+    )?;
     let devices: usize = args.get_or("devices", 1)?;
     if devices == 0 || devices > MAX_FLEET_SLOTS {
         return Err(CliError::usage(format!(
@@ -967,6 +996,29 @@ mod tests {
             let err = run_line(line).unwrap_err();
             assert_eq!(err.exit_code, 2, "{line}: {err}");
             assert!(err.message.contains("--q"), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn invalid_argument_values_are_usage_errors() {
+        // Each is refused before the device runs: a length that is no
+        // power of two, a device configuration `validate` rejects, a
+        // modulus without the 2N-th root, and a product whose second
+        // operand (at word N) would pass the end of the bank.
+        for line in [
+            "run --n 1000",
+            "verify --n 0",
+            "polymul --n 1000",
+            "trace --n 3",
+            "run --nb 0",
+            "run --banks 0",
+            "run --clock 0",
+            "sweep --nb 0 --lengths 256",
+            "run --n 512 --q 7681",
+            "polymul --n 8388608",
+        ] {
+            let e = run_line(line).unwrap_err();
+            assert_eq!(e.exit_code, 2, "{line}: {e}");
         }
     }
 

@@ -15,9 +15,9 @@
 //! Banks share no values, so [`PimDevice::run_banks`] executes one list
 //! of (operand loads, decoded program, read-back) per bank with the banks
 //! on concurrent host threads from the process-wide budget in
-//! [`crate::helpers`]; the batch paths ([`PimDevice::ntt_batch`],
-//! [`PimDevice::polymul_batch`] and the facade's `BatchExecutor`) all run
-//! through it.
+//! [`crate::helpers`]. The facade's `BatchExecutor`, the one batch path,
+//! runs through it; this module serves single requests (the paper path)
+//! and the primitives that executor is built from.
 
 use crate::config::PimConfig;
 use crate::energy::EnergyReport;
@@ -183,12 +183,12 @@ impl NttReport {
     }
 }
 
-/// Result of a per-bank job-queue request ([`PimDevice::schedule_queues`],
-/// and the one-job-per-bank batches [`PimDevice::ntt_batch`] and
-/// [`PimDevice::polymul_batch`]): banks drain their queues asynchronously
-/// — each advances to its next job as soon as the previous finishes —
-/// coupled only through the shared command bus and the rank's tRRD/tFAW
-/// window, never a full-chip barrier.
+/// Result of a per-bank job-queue request ([`PimDevice::schedule_queues`];
+/// the facade's `BatchExecutor` reports every batch in this form): banks
+/// drain their queues asynchronously — each advances to its next job as
+/// soon as the previous finishes — coupled only through the shared
+/// command bus and the rank's tRRD/tFAW window, never a full-chip
+/// barrier.
 #[derive(Debug, Clone)]
 pub struct QueueReport {
     /// Per-bank completion times, ns (indexed by bank id).
@@ -801,12 +801,12 @@ impl PimDevice {
     /// combined `N⁻¹·ψ⁻ⁱ` unweighting.
     ///
     /// Both operands must be naturally stored in the same bank with the
-    /// same modulus. Returns one report covering the whole fused schedule.
+    /// same modulus, in regions that do not overlap. Returns one report
+    /// covering the whole fused schedule.
     ///
     /// # Errors
     ///
-    /// [`PimError::BadRegion`] on mismatched operands; math errors when
-    /// `q` lacks a `2N`-th root of unity.
+    /// As [`Self::polymul_program`].
     pub fn polymul_negacyclic(
         &mut self,
         a: &PolyHandle,
@@ -819,19 +819,32 @@ impl PimDevice {
     }
 
     /// Builds the fused negacyclic-polymul program for one operand pair
-    /// without scheduling or executing it — shared by
-    /// [`Self::polymul_negacyclic`] and [`Self::polymul_batch`], and the
-    /// polymul counterpart of [`Self::build_ntt_program`] for queue-based
-    /// batch execution.
+    /// without scheduling or executing it — what
+    /// [`Self::polymul_negacyclic`] runs, and the polymul counterpart of
+    /// [`Self::build_ntt_program`] for queue-based batch execution.
+    ///
+    /// The program transforms both operands in place before it
+    /// multiplies them, so they must not share a word: squaring takes a
+    /// copy of the operand in its own region.
     ///
     /// # Errors
     ///
-    /// [`PimError::BadRegion`] on mismatched operands; math errors when
-    /// `q` lacks a `2N`-th root of unity.
+    /// [`PimError::BadRegion`] on mismatched or overlapping operands;
+    /// math errors when `q` lacks a `2N`-th root of unity.
     pub fn polymul_program(&self, a: &PolyHandle, b: &PolyHandle) -> Result<Program, PimError> {
         if a.bank != b.bank || a.q != b.q || a.n() != b.n() {
             return Err(PimError::BadRegion {
                 reason: "polymul operands must share bank, modulus, and length".into(),
+            });
+        }
+        let (a_base, b_base) = (a.layout.base_word(), b.layout.base_word());
+        if a_base < b_base + b.n() && b_base < a_base + a.n() {
+            return Err(PimError::BadRegion {
+                reason: format!(
+                    "polymul operands at words {a_base} and {b_base} overlap \
+                     (each spans {} words)",
+                    a.n()
+                ),
             });
         }
         if a.order != StoredOrder::Natural || b.order != StoredOrder::Natural {
@@ -874,115 +887,6 @@ impl PimDevice {
         let unweight = mapper::map_scale(&self.config, &a.layout, a.q, n_inv as u32, psi_inv)?;
         program.commands.extend(unweight.commands);
         Ok(program)
-    }
-
-    /// Runs one full negacyclic polynomial product per operand pair, each
-    /// pair in its own bank, over the shared command bus — an entire
-    /// RNS-form ring multiplication in one batch (the FHE op the paper's
-    /// introduction motivates, on-device end to end).
-    ///
-    /// Results land in each pair's first operand. The products execute
-    /// through [`Self::run_banks`], the banks concurrently.
-    ///
-    /// # Errors
-    ///
-    /// [`PimError::BadConfig`] when pairs share a bank; per-pair errors as
-    /// in [`Self::polymul_negacyclic`].
-    pub fn polymul_batch(
-        &mut self,
-        pairs: &[(PolyHandle, PolyHandle)],
-    ) -> Result<QueueReport, PimError> {
-        let mut seen = std::collections::HashSet::new();
-        for (a, b) in pairs {
-            if a.bank != b.bank {
-                return Err(PimError::BadRegion {
-                    reason: "operand pair split across banks".into(),
-                });
-            }
-            if !seen.insert(a.bank) {
-                return Err(PimError::BadConfig {
-                    reason: format!("bank {} used by two batch entries", a.bank),
-                });
-            }
-        }
-        let queues = pairs
-            .iter()
-            .map(|(a, b)| Ok(vec![self.polymul_program(a, b)?]))
-            .collect::<Result<Vec<_>, PimError>>()?;
-        let report = self.schedule_queues(&queues)?;
-        let banks: Vec<usize> = pairs.iter().map(|(a, _)| a.bank).collect();
-        self.run_resident(&banks, &queues)?;
-        Ok(report)
-    }
-
-    /// Decodes the one program of `queues[i]` and runs it in bank
-    /// `banks[i]` over operands already resident there, every bank
-    /// concurrently ([`Self::run_banks`]).
-    fn run_resident(&mut self, banks: &[usize], queues: &[Vec<Program>]) -> Result<(), PimError> {
-        let decoded = queues
-            .iter()
-            .map(|queue| self.decode_program(&queue[0]))
-            .collect::<Result<Vec<_>, PimError>>()?;
-        let mut lists: Vec<Vec<BankStep<'_>>> = vec![Vec::new(); self.banks.len()];
-        for (&bank, program) in banks.iter().zip(&decoded) {
-            let list = lists.get_mut(bank).ok_or_else(|| PimError::BadConfig {
-                reason: format!("bank {bank} out of range ({} banks)", self.banks.len()),
-            })?;
-            list.push(BankStep {
-                loads: Vec::new(),
-                program,
-                read: None,
-            });
-        }
-        self.run_banks(lists)?;
-        Ok(())
-    }
-
-    /// Runs one forward NTT per handle, each in its own bank, over the
-    /// shared command bus (bank-level parallelism, §VI.A/§VII). The
-    /// transforms execute through [`Self::run_banks`], the banks
-    /// concurrently.
-    ///
-    /// # Errors
-    ///
-    /// [`PimError::BadConfig`] when handles share a bank; per-handle
-    /// errors as in [`Self::ntt`].
-    pub fn ntt_batch(&mut self, handles: &mut [PolyHandle]) -> Result<QueueReport, PimError> {
-        let mut seen = std::collections::HashSet::new();
-        for h in handles.iter() {
-            if !seen.insert(h.bank) {
-                return Err(PimError::BadConfig {
-                    reason: format!("bank {} used by two batch entries", h.bank),
-                });
-            }
-            if h.order != StoredOrder::BitReversed {
-                return Err(PimError::BadRegion {
-                    reason: "batch forward NTT expects bit-reversed storage".into(),
-                });
-            }
-        }
-        let mut queues = Vec::with_capacity(handles.len());
-        for h in handles.iter() {
-            let omega = modmath::prime::root_of_unity(h.n() as u64, h.q as u64)? as u32;
-            let opts = MapperOptions {
-                dataflow: Dataflow::DitFromBitrev,
-                inverse: false,
-                ..self.opts
-            };
-            queues.push(vec![mapper::map_ntt(
-                &self.config,
-                &h.layout,
-                &NttParams { q: h.q, omega },
-                &opts,
-            )?]);
-        }
-        let report = self.schedule_queues(&queues)?;
-        let banks: Vec<usize> = handles.iter().map(|h| h.bank).collect();
-        self.run_resident(&banks, &queues)?;
-        for h in handles.iter_mut() {
-            h.order = StoredOrder::Natural;
-        }
-        Ok(report)
     }
 }
 
@@ -1142,83 +1046,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_runs_in_parallel_banks() {
-        let mut dev = PimDevice::new(PimConfig::hbm2e(2).with_banks(4)).unwrap();
-        let n = 256;
-        let mut handles = Vec::new();
-        for bank in 0..4 {
-            let x = poly(n, bank as u64 + 10);
-            handles.push(
-                dev.load_in_bank(bank, 0, &x, Q, StoredOrder::BitReversed)
-                    .unwrap(),
-            );
-        }
-        let single = {
-            let mut d2 = PimDevice::new(PimConfig::hbm2e(2)).unwrap();
-            let x = poly(n, 10);
-            let h = d2.load_polynomial_bitrev(0, &x, Q).unwrap();
-            d2.ntt(&h, NttDirection::Forward).unwrap().latency_ns()
-        };
-        let batch = dev.ntt_batch(&mut handles).unwrap();
-        assert_eq!(batch.per_bank_ns.len(), 4);
-        // 4 banks work concurrently: far less than 4x a single NTT.
-        assert!(batch.latency_ns < 2.5 * single);
-        // All four banks actually hold transformed data.
-        for h in &handles {
-            assert_eq!(h.order(), StoredOrder::Natural);
-        }
-    }
-
-    #[test]
-    fn polymul_batch_matches_sequential_products() {
-        let banks = 3;
-        let n = 256;
-        let mut dev = PimDevice::new(PimConfig::hbm2e(4).with_banks(banks)).unwrap();
-        let mut pairs = Vec::new();
-        let mut expects = Vec::new();
-        for bank in 0..banks as usize {
-            let a = poly(n, 50 + bank as u64);
-            let b = poly(n, 70 + bank as u64);
-            let ha = dev
-                .load_in_bank(bank, 0, &a, Q, StoredOrder::Natural)
-                .unwrap();
-            let hb = dev
-                .load_in_bank(bank, n, &b, Q, StoredOrder::Natural)
-                .unwrap();
-            let a64: Vec<u64> = a.iter().map(|&v| v as u64).collect();
-            let b64: Vec<u64> = b.iter().map(|&v| v as u64).collect();
-            expects.push(ntt_ref::naive::negacyclic_convolution(&a64, &b64, Q as u64));
-            pairs.push((ha, hb));
-        }
-        let report = dev.polymul_batch(&pairs).unwrap();
-        assert_eq!(report.per_bank_ns.len(), banks as usize);
-        // Batch of 3 products takes much less than 3x one product.
-        let single = {
-            let mut d = PimDevice::new(PimConfig::hbm2e(4)).unwrap();
-            let a = poly(n, 50);
-            let b = poly(n, 70);
-            let ha = d.load_polynomial(0, &a, Q).unwrap();
-            let hb = d.load_polynomial(n, &b, Q).unwrap();
-            d.polymul_negacyclic(&ha, &hb).unwrap().latency_ns()
-        };
-        assert!(report.latency_ns < 2.0 * single);
-        for (bank, (ha, _)) in pairs.iter().enumerate() {
-            let got = dev.read_polynomial(ha).unwrap();
-            let got64: Vec<u64> = got.iter().map(|&v| v as u64).collect();
-            assert_eq!(got64, expects[bank], "bank {bank}");
-        }
-    }
-
-    #[test]
-    fn polymul_batch_rejects_cross_bank_pairs() {
-        let mut dev = PimDevice::new(PimConfig::hbm2e(4).with_banks(2)).unwrap();
-        let a = poly(64, 1);
-        let ha = dev.load_in_bank(0, 0, &a, Q, StoredOrder::Natural).unwrap();
-        let hb = dev.load_in_bank(1, 0, &a, Q, StoredOrder::Natural).unwrap();
-        assert!(dev.polymul_batch(&[(ha, hb)]).is_err());
-    }
-
-    #[test]
     fn queue_primitives_compose_into_async_batches() {
         // Bank 0 runs two forward NTTs back to back, bank 1 one; programs
         // execute functionally as they are built, then one queue schedule
@@ -1315,15 +1142,35 @@ mod tests {
     }
 
     #[test]
-    fn batch_rejects_shared_bank() {
-        let mut dev = PimDevice::new(PimConfig::hbm2e(2).with_banks(2)).unwrap();
-        let x = poly(64, 1);
-        let h1 = dev
-            .load_in_bank(0, 0, &x, Q, StoredOrder::BitReversed)
-            .unwrap();
-        let h2 = dev
-            .load_in_bank(0, 512, &x, Q, StoredOrder::BitReversed)
-            .unwrap();
-        assert!(dev.ntt_batch(&mut [h1, h2]).is_err());
+    fn overlapping_polymul_operands_are_rejected() {
+        // N = 1024 on Nb = 4: the second operand overlaps the first when
+        // it is the same handle (squaring) or starts one or two rows in;
+        // at word 1024 the regions are disjoint and the product is right.
+        let (n, q) = (1024usize, 12289u32);
+        let mut dev = PimDevice::new(PimConfig::hbm2e(4)).unwrap();
+        // `poly` draws below 7681, so the words are reduced mod q too.
+        let (a, b) = (poly(n, 8), poly(n, 9));
+        let ha = dev.load_polynomial(0, &a, q).unwrap();
+        let squared = dev.polymul_negacyclic(&ha, &ha);
+        assert!(
+            matches!(squared, Err(PimError::BadRegion { .. })),
+            "{squared:?}"
+        );
+        for base in [256usize, 512] {
+            let hb = dev.load_polynomial(base, &b, q).unwrap();
+            let err = dev.polymul_negacyclic(&ha, &hb);
+            assert!(
+                matches!(err, Err(PimError::BadRegion { .. })),
+                "{base}: {err:?}"
+            );
+            // Rejected before anything ran: the operand is as loaded.
+            assert_eq!(dev.read_polynomial(&hb).unwrap(), b, "{base}");
+        }
+        let ha = dev.load_polynomial(0, &a, q).unwrap();
+        let hb = dev.load_polynomial(n, &b, q).unwrap();
+        dev.polymul_negacyclic(&ha, &hb).unwrap();
+        let wide = |v: &[u32]| v.iter().map(|&c| c as u64).collect::<Vec<u64>>();
+        let expect = ntt_ref::naive::negacyclic_convolution(&wide(&a), &wide(&b), q as u64);
+        assert_eq!(wide(&dev.read_polynomial(&ha).unwrap()), expect);
     }
 }

@@ -13,8 +13,6 @@ pub enum FheError {
     ParamMismatch,
     /// An underlying modular-arithmetic error.
     Math(modmath::Error),
-    /// An underlying PIM error (offload path).
-    Pim(ntt_pim_core::PimError),
 }
 
 impl fmt::Display for FheError {
@@ -23,7 +21,6 @@ impl fmt::Display for FheError {
             FheError::BadParams { reason } => write!(f, "bad parameters: {reason}"),
             FheError::ParamMismatch => write!(f, "operands use different parameter sets"),
             FheError::Math(e) => write!(f, "modular arithmetic: {e}"),
-            FheError::Pim(e) => write!(f, "pim: {e}"),
         }
     }
 }
@@ -32,7 +29,6 @@ impl std::error::Error for FheError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             FheError::Math(e) => Some(e),
-            FheError::Pim(e) => Some(e),
             _ => None,
         }
     }
@@ -41,11 +37,5 @@ impl std::error::Error for FheError {
 impl From<modmath::Error> for FheError {
     fn from(e: modmath::Error) -> Self {
         FheError::Math(e)
-    }
-}
-
-impl From<ntt_pim_core::PimError> for FheError {
-    fn from(e: ntt_pim_core::PimError) -> Self {
-        FheError::Pim(e)
     }
 }

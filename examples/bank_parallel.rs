@@ -8,10 +8,10 @@
 //! cargo run --release --example bank_parallel
 //! ```
 
-use ntt_pim::core::config::PimConfig;
+use ntt_pim::core::config::{PimConfig, Topology};
 use ntt_pim::core::device::{NttDirection, PimDevice};
 use ntt_pim::engine::batch::{BatchExecutor, NttJob};
-use ntt_pim::fhe::executor::ntt_all_components;
+use ntt_pim::engine::CpuNttEngine;
 use ntt_pim::fhe::params::RlweParams;
 use ntt_pim::fhe::rns::RnsPoly;
 use ntt_pim::fhe::sampler;
@@ -30,14 +30,30 @@ fn main() -> Result<(), Box<dyn Error>> {
         for i in 0..k {
             poly.set_residues(i, sampler::uniform(n, params.moduli()[i], 7 + i as u64));
         }
+        // One forward NTT per residue, one bank per component.
+        let jobs: Vec<NttJob> = (0..k)
+            .map(|i| NttJob::forward(poly.residues(i).to_vec(), params.moduli()[i]))
+            .collect();
         let config = PimConfig::hbm2e(2).with_banks(k as u32);
-        let report = ntt_all_components(&params, &poly, &config)?;
+        let batch = BatchExecutor::new(config)?.run(&jobs)?;
+        // The sequential yardstick: the same transforms one at a time on
+        // the paper path of a one-bank device.
+        let mut sequential_ns = 0.0;
+        for (job, spectrum) in jobs.iter().zip(&batch.spectra) {
+            let mut expect = job.coeffs.clone();
+            CpuNttEngine::golden().forward(&mut expect, job.q)?;
+            assert_eq!(spectrum, &expect, "PIM spectrum matches the CPU NTT");
+            let mut single = PimDevice::new(config.with_topology(Topology::single_rank(1)))?;
+            let words: Vec<u32> = job.coeffs.iter().map(|&c| c as u32).collect();
+            let h = single.load_polynomial_bitrev(0, &words, job.q as u32)?;
+            sequential_ns += single.ntt(&h, NttDirection::Forward)?.latency_ns();
+        }
         println!(
             "{:>6} {:>14.2} {:>16.2} {:>8.2}x",
             k,
-            report.batch_ns / 1000.0,
-            report.sequential_ns / 1000.0,
-            report.speedup()
+            batch.latency_ns / 1000.0,
+            sequential_ns / 1000.0,
+            sequential_ns / batch.latency_ns
         );
     }
     println!("\nSpeedup stays near-linear until the shared command bus and the");

@@ -78,7 +78,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
 
     // --- Part 3: a full RNS ring multiplication offloaded to PIM ---------
-    use ntt_pim::fhe::executor::polymul_all_components;
+    use ntt_pim::engine::batch::{BatchExecutor, NttJob};
     use ntt_pim::fhe::rns::RnsPoly;
     let mut ra = RnsPoly::zero(&params);
     let mut rb = RnsPoly::zero(&params);
@@ -92,15 +92,27 @@ fn main() -> Result<(), Box<dyn Error>> {
             sampler::uniform(params.n(), params.moduli()[i], 47 + i as u64),
         );
     }
-    let config =
-        ntt_pim::core::config::PimConfig::hbm2e(4).with_banks(params.moduli().len() as u32);
-    let (product, report) = polymul_all_components(&params, &ra, &rb, &config)?;
+    // One negacyclic product per modulus, one bank per component.
+    let jobs: Vec<NttJob> = params
+        .moduli()
+        .iter()
+        .enumerate()
+        .map(|(i, &q)| {
+            NttJob::negacyclic_polymul(ra.residues(i).to_vec(), rb.residues(i).to_vec(), q)
+        })
+        .collect();
+    let config = PimConfig::hbm2e(4).with_banks(params.moduli().len() as u32);
+    let out = BatchExecutor::new(config)?.run(&jobs)?;
+    let mut product = RnsPoly::zero(&params);
+    for (i, residues) in out.spectra.into_iter().enumerate() {
+        product.set_residues(i, residues);
+    }
     assert_eq!(product, ra.mul(&rb, &params)?, "PIM product matches CPU");
     println!(
         "\nfull RNS ring multiplication on PIM ({} banks): {:.2} µs, {:.1} nJ",
         params.moduli().len(),
-        report.latency_ns / 1000.0,
-        report.energy_nj
+        out.latency_ns / 1000.0,
+        out.energy_nj
     );
 
     // --- Part 4: noise budget across homomorphic operations --------------

@@ -423,4 +423,13 @@ fn threads_share_one_helper_budget_and_match_a_serial_run() {
         helpers::peak(),
         helpers::budget()
     );
+    // Every batch above has several busy banks, so each `run_banks` call
+    // claims helpers. A claim gets none only while other claims hold the
+    // whole budget, and then a helper has run: with any budget at all,
+    // the peak is at least one.
+    assert!(
+        helpers::budget() == 0 || helpers::peak() >= 1,
+        "no helper ever ran; the budget is {}",
+        helpers::budget()
+    );
 }

@@ -2,8 +2,13 @@
 //! verified memory contents, exercised through the facade crate exactly
 //! as a downstream user would.
 
-use ntt_pim::core::config::PimConfig;
-use ntt_pim::core::device::{NttDirection, PimDevice, StoredOrder};
+use ntt_pim::core::config::{PimConfig, Topology};
+use ntt_pim::core::device::{NttDirection, PimDevice};
+use ntt_pim::engine::batch::{BatchExecutor, BatchOutcome, NttJob};
+use ntt_pim::engine::CpuNttEngine;
+use ntt_pim::fhe::params::RlweParams;
+use ntt_pim::fhe::rns::RnsPoly;
+use ntt_pim::fhe::sampler;
 use ntt_pim::math::prime::{find_ntt_prime, root_of_unity, NttField};
 use ntt_pim::reference::plan::NttPlan;
 
@@ -105,48 +110,163 @@ fn two_polynomials_in_one_bank_do_not_interfere() {
 #[test]
 fn batch_results_match_individual_transforms() {
     let n = 256;
-    let banks = 3;
-    let mut dev = PimDevice::new(PimConfig::hbm2e(2).with_banks(banks)).unwrap();
-    let mut handles = Vec::new();
-    let mut inputs = Vec::new();
-    let mut moduli = Vec::new();
-    for b in 0..banks as usize {
-        // Different modulus per bank — the RNS pattern.
-        let q = find_ntt_prime(2 * n as u64, (28 + b) as u32).unwrap() as u32;
-        let x = poly(n, q, 100 + b as u64);
-        handles.push(
-            dev.load_in_bank(b, 0, &x, q, StoredOrder::BitReversed)
-                .unwrap(),
-        );
-        inputs.push(x);
-        moduli.push(q);
-    }
-    dev.ntt_batch(&mut handles).unwrap();
-    for b in 0..banks as usize {
-        let got = dev.read_polynomial(&handles[b]).unwrap();
+    let banks = 4;
+    // Different modulus per job — the RNS pattern.
+    let jobs: Vec<NttJob> = (0..banks)
+        .map(|b| {
+            let q = find_ntt_prime(2 * n as u64, 28 + b).unwrap();
+            let x = poly(n, q as u32, 100 + u64::from(b));
+            NttJob::forward(x.into_iter().map(u64::from).collect(), q)
+        })
+        .collect();
+    let config = PimConfig::hbm2e(2).with_banks(banks);
+    let out = BatchExecutor::new(config).unwrap().run(&jobs).unwrap();
+    // Equal lengths cost the same, so LPT deals one job to each bank.
+    assert!(out.banks.iter().all(|b| b.jobs == 1), "{:?}", out.banks);
+    for (b, job) in jobs.iter().enumerate() {
         let mut single = PimDevice::new(PimConfig::hbm2e(2)).unwrap();
+        let words: Vec<u32> = job.coeffs.iter().map(|&c| c as u32).collect();
         let mut h = single
-            .load_polynomial_bitrev(0, &inputs[b], moduli[b])
+            .load_polynomial_bitrev(0, &words, job.q as u32)
             .unwrap();
-        single.ntt_in_place(&mut h, NttDirection::Forward).unwrap();
-        assert_eq!(got, single.read_polynomial(&h).unwrap(), "bank {b}");
+        let one_ns = single
+            .ntt_in_place(&mut h, NttDirection::Forward)
+            .unwrap()
+            .latency_ns();
+        let expect: Vec<u64> = single
+            .read_polynomial(&h)
+            .unwrap()
+            .into_iter()
+            .map(u64::from)
+            .collect();
+        assert_eq!(out.spectra[b], expect, "bank {b}");
+        // Four banks work concurrently: far less than four NTTs back to
+        // back.
+        assert!(
+            out.latency_ns < 2.5 * one_ns,
+            "{} ns vs one NTT {one_ns} ns",
+            out.latency_ns
+        );
     }
+}
+
+/// A random RNS polynomial, component `i` drawn with seed `seed + i`.
+fn random_rns(params: &RlweParams, seed: u64) -> RnsPoly {
+    let mut poly = RnsPoly::zero(params);
+    for (i, &q) in params.moduli().iter().enumerate() {
+        poly.set_residues(i, sampler::uniform(params.n(), q, seed + i as u64));
+    }
+    poly
+}
+
+/// Runs one forward NTT per RNS component of `poly` in one batch, checks
+/// every spectrum against the golden CPU transform, and returns the
+/// batch's speedup over the same transforms one at a time on the paper
+/// path of a one-bank device.
+fn offload_speedup(params: &RlweParams, poly: &RnsPoly, config: PimConfig) -> f64 {
+    let jobs: Vec<NttJob> = params
+        .moduli()
+        .iter()
+        .enumerate()
+        .map(|(i, &q)| NttJob::forward(poly.residues(i).to_vec(), q))
+        .collect();
+    let out = BatchExecutor::new(config).unwrap().run(&jobs).unwrap();
+    assert_eq!(out.spectra.len(), jobs.len());
+    let mut sequential_ns = 0.0;
+    for (job, spectrum) in jobs.iter().zip(&out.spectra) {
+        let mut expect = job.coeffs.clone();
+        CpuNttEngine::golden().forward(&mut expect, job.q).unwrap();
+        assert_eq!(spectrum, &expect, "q = {}", job.q);
+        let mut dev = PimDevice::new(config.with_topology(Topology::single_rank(1))).unwrap();
+        let words: Vec<u32> = job.coeffs.iter().map(|&c| c as u32).collect();
+        let h = dev.load_polynomial_bitrev(0, &words, job.q as u32).unwrap();
+        sequential_ns += dev.ntt(&h, NttDirection::Forward).unwrap().latency_ns();
+    }
+    sequential_ns / out.latency_ns
 }
 
 #[test]
 fn fhe_pipeline_runs_on_simulated_device() {
-    use ntt_pim::fhe::executor::ntt_all_components;
-    use ntt_pim::fhe::params::RlweParams;
-    use ntt_pim::fhe::rns::RnsPoly;
-    use ntt_pim::fhe::sampler;
-
     let params = RlweParams::new(512, 2, 16).unwrap();
-    let mut rns = RnsPoly::zero(&params);
-    for i in 0..2 {
-        rns.set_residues(i, sampler::uniform(512, params.moduli()[i], 5 + i as u64));
+    let rns = random_rns(&params, 5);
+    let speedup = offload_speedup(&params, &rns, PimConfig::hbm2e(2).with_banks(2));
+    assert!(speedup > 1.5, "{speedup:.2}x");
+}
+
+#[test]
+fn batched_offload_is_faster_than_sequential() {
+    let params = RlweParams::new(256, 3, 16).unwrap();
+    let poly = random_rns(&params, 42);
+    let speedup = offload_speedup(&params, &poly, PimConfig::hbm2e(2).with_banks(4));
+    assert!(
+        speedup > 2.0,
+        "3 banks should be >2x sequential, got {speedup:.2}"
+    );
+}
+
+/// The RNS product `a · b`, one negacyclic product per modulus in one
+/// batch.
+fn multiply_components(
+    params: &RlweParams,
+    a: &RnsPoly,
+    b: &RnsPoly,
+    config: PimConfig,
+) -> (RnsPoly, BatchOutcome) {
+    let jobs: Vec<NttJob> = params
+        .moduli()
+        .iter()
+        .enumerate()
+        .map(|(i, &q)| {
+            NttJob::negacyclic_polymul(a.residues(i).to_vec(), b.residues(i).to_vec(), q)
+        })
+        .collect();
+    let out = BatchExecutor::new(config).unwrap().run(&jobs).unwrap();
+    let mut product = RnsPoly::zero(params);
+    for (i, residues) in out.spectra.iter().enumerate() {
+        product.set_residues(i, residues.clone());
     }
-    let config = PimConfig::hbm2e(2).with_banks(2);
-    let report = ntt_all_components(&params, &rns, &config).unwrap();
-    assert_eq!(report.transforms, 2);
-    assert!(report.speedup() > 1.5);
+    (product, out)
+}
+
+#[test]
+fn on_device_rns_multiplication_matches_cpu() {
+    let params = RlweParams::new(256, 3, 16).unwrap();
+    let (a, b) = (random_rns(&params, 1), random_rns(&params, 9));
+    let config = PimConfig::hbm2e(4).with_banks(3);
+    let (got, out) = multiply_components(&params, &a, &b, config);
+    assert!(out.latency_ns > 0.0);
+    assert_eq!(got, a.mul(&b, &params).unwrap());
+    // Three products on three banks take much less than three back to
+    // back: under 2x one product on the paper path.
+    let mut dev = PimDevice::new(PimConfig::hbm2e(4)).unwrap();
+    let words = |v: &[u64]| v.iter().map(|&c| c as u32).collect::<Vec<u32>>();
+    let (n, q) = (params.n(), params.moduli()[0] as u32);
+    let ha = dev.load_polynomial(0, &words(a.residues(0)), q).unwrap();
+    let hb = dev
+        .load_polynomial(config.polymul_rhs_base(n), &words(b.residues(0)), q)
+        .unwrap();
+    let single = dev.polymul_negacyclic(&ha, &hb).unwrap().latency_ns();
+    assert!(
+        out.latency_ns < 2.0 * single,
+        "{} ns vs one product {single} ns",
+        out.latency_ns
+    );
+}
+
+#[test]
+fn more_components_than_banks_queue_up() {
+    // 5 RNS components on a 2-bank device: the executor packs 3+2 and
+    // still matches the CPU product exactly.
+    let params = RlweParams::new(128, 5, 16).unwrap();
+    let (a, b) = (random_rns(&params, 3), random_rns(&params, 11));
+    let config = PimConfig::hbm2e(4).with_banks(2);
+    let (got, out) = multiply_components(&params, &a, &b, config);
+    assert_eq!(got, a.mul(&b, &params).unwrap());
+    let report = &out.queue_report;
+    assert_eq!(report.job_end_ns[0].len(), 3);
+    assert_eq!(report.job_end_ns[1].len(), 2);
+    // Asynchronous drain: the deeper queue finishes later, and the
+    // batch ends with the slowest bank.
+    assert!(report.per_bank_ns[0] > report.per_bank_ns[1]);
+    assert!((out.latency_ns - report.per_bank_ns[0]).abs() < 1e-9);
 }
