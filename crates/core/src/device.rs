@@ -1046,6 +1046,130 @@ mod tests {
     }
 
     #[test]
+    fn batch_runs_in_parallel_banks() {
+        // One forward NTT per bank over resident operands, the way the
+        // facade's executor runs a batch: one queue schedule for the
+        // timing, one `run_banks` call for the values.
+        let mut dev = PimDevice::new(PimConfig::hbm2e(2).with_banks(4)).unwrap();
+        let n = 256;
+        let mut handles = Vec::new();
+        for bank in 0..4 {
+            let x = poly(n, bank as u64 + 10);
+            handles.push(
+                dev.load_in_bank(bank, 0, &x, Q, StoredOrder::BitReversed)
+                    .unwrap(),
+            );
+        }
+        let single = {
+            let mut d2 = PimDevice::new(PimConfig::hbm2e(2)).unwrap();
+            let x = poly(n, 10);
+            let h = d2.load_polynomial_bitrev(0, &x, Q).unwrap();
+            d2.ntt(&h, NttDirection::Forward).unwrap().latency_ns()
+        };
+        let queues: Vec<Vec<Program>> = handles
+            .iter()
+            .map(|h| vec![dev.build_ntt_program(h, NttDirection::Forward).unwrap()])
+            .collect();
+        let batch = dev.schedule_queues(&queues).unwrap();
+        assert_eq!(batch.per_bank_ns.len(), 4);
+        // 4 banks work concurrently: far less than 4x a single NTT.
+        assert!(batch.latency_ns < 2.5 * single);
+        let decoded = queues
+            .iter()
+            .map(|queue| dev.decode_program(&queue[0]).unwrap())
+            .collect::<Vec<_>>();
+        for h in &mut handles {
+            h.assume_order(StoredOrder::Natural);
+        }
+        let lists = handles
+            .iter()
+            .zip(&decoded)
+            .map(|(h, program)| {
+                vec![BankStep {
+                    loads: Vec::new(),
+                    program,
+                    read: Some(*h),
+                }]
+            })
+            .collect();
+        let spectra = dev.run_banks(lists).unwrap();
+        // All four banks actually hold transformed data.
+        for (bank, h) in handles.iter().enumerate() {
+            assert_eq!(h.order(), StoredOrder::Natural);
+            let mut one = PimDevice::new(PimConfig::hbm2e(2)).unwrap();
+            let mut hs = one
+                .load_polynomial_bitrev(0, &poly(n, bank as u64 + 10), Q)
+                .unwrap();
+            one.ntt_in_place(&mut hs, NttDirection::Forward).unwrap();
+            assert_eq!(spectra[bank][0], one.read_polynomial(&hs).unwrap());
+            assert_eq!(dev.read_polynomial(h).unwrap(), spectra[bank][0]);
+        }
+    }
+
+    #[test]
+    fn polymul_batch_matches_sequential_products() {
+        // One negacyclic product per bank, operands resident, scheduled as
+        // one queue per bank and executed by one `run_banks` call.
+        let banks = 3;
+        let n = 256;
+        let mut dev = PimDevice::new(PimConfig::hbm2e(4).with_banks(banks)).unwrap();
+        let mut pairs = Vec::new();
+        let mut expects = Vec::new();
+        for bank in 0..banks as usize {
+            let a = poly(n, 50 + bank as u64);
+            let b = poly(n, 70 + bank as u64);
+            let ha = dev
+                .load_in_bank(bank, 0, &a, Q, StoredOrder::Natural)
+                .unwrap();
+            let hb = dev
+                .load_in_bank(bank, n, &b, Q, StoredOrder::Natural)
+                .unwrap();
+            let a64: Vec<u64> = a.iter().map(|&v| v as u64).collect();
+            let b64: Vec<u64> = b.iter().map(|&v| v as u64).collect();
+            expects.push(ntt_ref::naive::negacyclic_convolution(&a64, &b64, Q as u64));
+            pairs.push((ha, hb));
+        }
+        let queues: Vec<Vec<Program>> = pairs
+            .iter()
+            .map(|(a, b)| vec![dev.polymul_program(a, b).unwrap()])
+            .collect();
+        let report = dev.schedule_queues(&queues).unwrap();
+        assert_eq!(report.per_bank_ns.len(), banks as usize);
+        // Batch of 3 products takes much less than 3x one product.
+        let single = {
+            let mut d = PimDevice::new(PimConfig::hbm2e(4)).unwrap();
+            let a = poly(n, 50);
+            let b = poly(n, 70);
+            let ha = d.load_polynomial(0, &a, Q).unwrap();
+            let hb = d.load_polynomial(n, &b, Q).unwrap();
+            d.polymul_negacyclic(&ha, &hb).unwrap().latency_ns()
+        };
+        assert!(report.latency_ns < 2.0 * single);
+        let decoded = queues
+            .iter()
+            .map(|queue| dev.decode_program(&queue[0]).unwrap())
+            .collect::<Vec<_>>();
+        let lists = pairs
+            .iter()
+            .zip(&decoded)
+            .map(|((ha, _), program)| {
+                vec![BankStep {
+                    loads: Vec::new(),
+                    program,
+                    read: Some(*ha),
+                }]
+            })
+            .collect();
+        let products = dev.run_banks(lists).unwrap();
+        for (bank, (ha, _)) in pairs.iter().enumerate() {
+            let got = dev.read_polynomial(ha).unwrap();
+            assert_eq!(got, products[bank][0], "bank {bank}");
+            let got64: Vec<u64> = got.iter().map(|&v| v as u64).collect();
+            assert_eq!(got64, expects[bank], "bank {bank}");
+        }
+    }
+
+    #[test]
     fn queue_primitives_compose_into_async_batches() {
         // Bank 0 runs two forward NTTs back to back, bank 1 one; programs
         // execute functionally as they are built, then one queue schedule
