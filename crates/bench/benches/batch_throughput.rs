@@ -1,12 +1,11 @@
 //! Throughput of batched, bank-parallel NTT execution:
 //! `BatchExecutor` fanning a fixed 16-job batch
-//! across 1, 4, and 16 banks; the scheduling-policy comparison on a
-//! skewed mixed-size batch (LPT bin-packing + async drain vs round-robin
-//! waves); and the sequential CPU yardstick, each job alone on the golden
+//! across 1, 4, and 16 banks; the LPT schedule of a skewed mixed-size
+//! batch; and the sequential CPU yardstick, each job alone on the golden
 //! `CpuNttEngine`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ntt_pim::engine::batch::{BatchExecutor, NttJob, SchedulePolicy};
+use ntt_pim::engine::batch::{BatchExecutor, NttJob};
 use ntt_pim::engine::CpuNttEngine;
 use ntt_pim_core::config::PimConfig;
 
@@ -62,32 +61,25 @@ fn bench_batch_across_banks(c: &mut Criterion) {
     group.finish();
 }
 
-/// Scheduling-policy face-off on the skewed batch (12 jobs, N ∈ {256,
-/// 4096}, 4 banks). Criterion times the host-side simulation; the
-/// *simulated* batch latency — the number the policies actually compete
-/// on — is printed once per policy so the speedup is measured, not
-/// asserted (the regression test lives in `tests/batch_scheduler.rs`).
-fn bench_skewed_schedule_policies(c: &mut Criterion) {
+/// The LPT schedule of the skewed batch (12 jobs, N ∈ {256, 4096}, 4
+/// banks). Criterion times the host-side simulation; the *simulated*
+/// batch latency is printed once. Its comparison against a round-robin
+/// deal drained in barrier-separated waves is the regression test
+/// `tests/batch_scheduler.rs::lpt_async_drain_beats_round_robin_waves_on_skewed_batch`.
+fn bench_skewed_lpt_schedule(c: &mut Criterion) {
     let mut group = c.benchmark_group("batch_throughput/skewed_12jobs_n256_n4096_4banks");
     group.sample_size(10);
     let batch = skewed_jobs();
-    for (label, policy) in [
-        ("lpt", SchedulePolicy::Lpt),
-        ("round-robin", SchedulePolicy::RoundRobin),
-    ] {
-        let mut exec = BatchExecutor::new(PimConfig::hbm2e(2).with_banks(4))
-            .unwrap()
-            .with_policy(policy);
-        let modeled = exec.run(&batch).unwrap();
-        println!(
-            "skewed batch, {label:>11}: simulated latency {:>9.2} µs, {} waves",
-            modeled.latency_us(),
-            modeled.waves
-        );
-        group.bench_with_input(BenchmarkId::new("policy", label), &(), |b, ()| {
-            b.iter(|| exec.run(&batch).unwrap().latency_ns)
-        });
-    }
+    let mut exec = BatchExecutor::new(PimConfig::hbm2e(2).with_banks(4)).unwrap();
+    let modeled = exec.run(&batch).unwrap();
+    println!(
+        "skewed batch, lpt: simulated latency {:>9.2} µs, {} waves",
+        modeled.latency_us(),
+        modeled.waves
+    );
+    group.bench_with_input(BenchmarkId::new("policy", "lpt"), &(), |b, ()| {
+        b.iter(|| exec.run(&batch).unwrap().latency_ns)
+    });
     group.finish();
 }
 
@@ -116,7 +108,7 @@ fn bench_sequential_cpu_yardstick(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_batch_across_banks,
-    bench_skewed_schedule_policies,
+    bench_skewed_lpt_schedule,
     bench_sequential_cpu_yardstick
 );
 criterion_main!(benches);

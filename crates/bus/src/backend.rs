@@ -15,11 +15,11 @@ use crate::window::{BackendKind, CapabilityWindow};
 use ntt_pim::core::config::{PimConfig, Topology};
 use ntt_pim::core::device::QueueReport;
 use ntt_pim::core::PimError;
-use ntt_pim::engine::batch::{group_jobs, run_lane_batched, BatchExecutor, NttJob, SchedulePolicy};
+use ntt_pim::engine::batch::{group_jobs, run_lane_batched, BatchExecutor, NttJob};
 use ntt_pim::engine::{CpuNttEngine, EngineError, ReportSource};
 use ntt_pim::reference::cache::PlanCache;
 use ntt_pim::reference::lanes::LANE_WIDTH;
-use pim_baselines::{BpNttModel, MenttModel, NttAccelerator};
+use pim_baselines::NttAccelerator;
 use std::fmt;
 use std::sync::Arc;
 
@@ -146,13 +146,6 @@ impl PimBackend {
         Ok(Self {
             exec: BatchExecutor::new(config)?,
         })
-    }
-
-    /// Same backend with a different scheduling policy.
-    #[must_use]
-    pub fn with_policy(mut self, policy: SchedulePolicy) -> Self {
-        self.exec.set_policy(policy);
-        self
     }
 
     /// The underlying executor.
@@ -322,16 +315,6 @@ impl PublishedBackend {
             golden: CpuNttEngine::golden(),
         }
     }
-
-    /// The MeNTT (6T-SRAM bit-serial PIM) comparator.
-    pub fn mentt() -> Self {
-        Self::new("mentt", Arc::new(MenttModel))
-    }
-
-    /// The BP-NTT (bit-parallel in-SRAM) comparator.
-    pub fn bp_ntt() -> Self {
-        Self::new("bp-ntt", Arc::new(BpNttModel))
-    }
 }
 
 impl NttBackend for PublishedBackend {
@@ -382,6 +365,7 @@ impl NttBackend for PublishedBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pim_baselines::MenttModel;
 
     const Q: u64 = 12289;
 
@@ -399,7 +383,7 @@ mod tests {
 
     #[test]
     fn published_backend_reports_published_points() {
-        let mut mentt = PublishedBackend::mentt();
+        let mut mentt = PublishedBackend::new("mentt", Arc::new(MenttModel));
         let job = NttJob::forward(poly(256, 3), Q);
         let out = mentt.run(std::slice::from_ref(&job)).unwrap();
         assert_eq!(out.source, ReportSource::Published);
@@ -421,7 +405,7 @@ mod tests {
         // A malformed second operand is rejected by the published
         // backend's own admission, naming the job, before the golden
         // path runs.
-        let mut mentt = PublishedBackend::mentt();
+        let mut mentt = PublishedBackend::new("mentt", Arc::new(MenttModel));
         for rhs in [poly(128, 8), vec![Q; 256]] {
             let job = NttJob::negacyclic_polymul(poly(256, 7), rhs, Q);
             let err = mentt.run(&[job]).unwrap_err();

@@ -46,10 +46,10 @@ pub mod window;
 
 pub use backend::{BackendOutcome, CpuLanesBackend, NttBackend, PimBackend, PublishedBackend};
 pub use cost::{BusCostModel, CpuLaneCostModel, PublishedCostModel};
-pub use spec::{BackendSpec, PublishedKind, MAX_FLEET_SLOTS};
+pub use spec::{BackendSpec, PublishedKind, SchedulePolicy, MAX_FLEET_SLOTS};
 pub use window::{BackendKind, CapabilityWindow};
 
 // Re-exported so bus consumers (service, bench, CLI) name job and error
 // types through one crate.
-pub use ntt_pim::engine::batch::{NttJob, SchedulePolicy};
+pub use ntt_pim::engine::batch::NttJob;
 pub use ntt_pim::engine::EngineError;

@@ -11,7 +11,7 @@ use crate::cost::{BusCostModel, CpuLaneCostModel, PublishedCostModel};
 use crate::window::BackendKind;
 use ntt_pim::core::config::{PimConfig, Topology};
 use ntt_pim::core::PimError;
-use ntt_pim::engine::batch::{DeviceCostModel, SchedulePolicy};
+use ntt_pim::engine::batch::DeviceCostModel;
 use ntt_pim::reference::cache::PlanCache;
 use pim_baselines::{BpNttModel, MenttModel, NttAccelerator};
 use std::sync::Arc;
@@ -21,6 +21,19 @@ use std::sync::Arc;
 /// (and the CLI's `serve --devices`) reject larger fleets up front
 /// instead of trying to allocate them.
 pub const MAX_FLEET_SLOTS: usize = 256;
+
+/// The type of [`BackendSpec::build`]'s first parameter, which `build`
+/// ignores: every PIM backend schedules its batches one way, by LPT
+/// packing with an asynchronous per-bank drain
+/// ([`ntt_pim::engine::batch::BatchExecutor`]). The parameter stays
+/// only until the repository benchmark stops passing it (ROADMAP item
+/// 2(d)); then it goes, and this type with it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum SchedulePolicy {
+    /// Longest-processing-time packing, banks draining asynchronously.
+    #[default]
+    Lpt,
+}
 
 /// Which published comparator a `published` slot models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,20 +158,20 @@ impl BackendSpec {
         }
     }
 
-    /// Stands up the backend this slot describes. PIM slots take the
-    /// scheduling `policy`; CPU slots share `cache` when given (one
-    /// plan cache across a fleet's CPU slots and verifiers).
+    /// Stands up the backend this slot describes. CPU slots share
+    /// `cache` when given (one plan cache across a fleet's CPU slots and
+    /// verifiers). The [`SchedulePolicy`] is ignored.
     ///
     /// # Errors
     ///
     /// Propagates PIM configuration validation errors.
     pub fn build(
         &self,
-        policy: SchedulePolicy,
+        _policy: SchedulePolicy,
         cache: Option<&Arc<PlanCache>>,
     ) -> Result<Box<dyn NttBackend>, PimError> {
         Ok(match self {
-            BackendSpec::Pim(config) => Box::new(PimBackend::new(*config)?.with_policy(policy)),
+            BackendSpec::Pim(config) => Box::new(PimBackend::new(*config)?),
             BackendSpec::CpuLanes => Box::new(match cache {
                 Some(cache) => CpuLanesBackend::with_cache(Arc::clone(cache)),
                 None => CpuLanesBackend::new(),

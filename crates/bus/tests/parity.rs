@@ -10,9 +10,9 @@
 //! repository root. Runs identically on both feature halves (default and
 //! `simd`).
 
-use ntt_bus::{BackendSpec, EngineError, NttBackend, NttJob};
+use ntt_bus::{BackendSpec, EngineError, NttBackend, NttJob, SchedulePolicy};
 use ntt_pim::core::config::{PimConfig, Topology};
-use ntt_pim::engine::batch::{JobKind, SchedulePolicy};
+use ntt_pim::engine::batch::JobKind;
 use ntt_pim::engine::CpuNttEngine;
 use ntt_pim::math::prime::find_ntt_prime;
 use proptest::prelude::*;

@@ -3,8 +3,8 @@
 
 use crate::args::ParsedArgs;
 use crate::CliError;
-use ntt_bus::{BackendSpec, EngineError, MAX_FLEET_SLOTS};
-use ntt_pim::engine::batch::{validate_capacity, BatchExecutor, JobKind, NttJob, SchedulePolicy};
+use ntt_bus::{BackendSpec, EngineError, SchedulePolicy, MAX_FLEET_SLOTS};
+use ntt_pim::engine::batch::{validate_capacity, BatchExecutor, JobKind, NttJob};
 use ntt_pim::engine::CpuNttEngine;
 use ntt_pim_core::config::{PimConfig, Topology};
 use ntt_pim_core::device::{NttDirection, PimDevice};
@@ -56,13 +56,11 @@ SWEEP OPTIONS (with --clock, --q and --refresh):
 BATCH OPTIONS:
     --jobs <k>       number of independent NTT jobs, at most 4096
                                                            [default: 16]
-    --schedule <p>   lpt (cost-model bin-packing, async drain)
-                     or round-robin (barrier waves)        [default: lpt]
     --lengths <...>  job lengths, cycled over the batch
                      (mixed sizes show the LPT gain)       [default: --n]
     --split          run job 0 as one large length---n NTT split across
                      the whole topology (four-step column/row sub-jobs
-                     with a dependency barrier; requires --schedule lpt)
+                     with a dependency barrier)
     --backend <b>    run the batch through one named backend instead of
                      the raw executor: pim, cpu-lanes, mentt, or bp-ntt
                      (jobs outside the backend's capability window are
@@ -148,8 +146,7 @@ const COMMANDS: &[Command] = &[
         name: "batch",
         run: batch,
         options: &[
-            "n", "nb", "clock", "q", "channels", "ranks", "banks", "jobs", "schedule", "lengths",
-            "backend",
+            "n", "nb", "clock", "q", "channels", "ranks", "banks", "jobs", "lengths", "backend",
         ],
         flags: &["refresh", "split"],
     },
@@ -426,11 +423,14 @@ fn polymul(args: &ParsedArgs) -> Result<String, CliError> {
     let ha = dev.load_polynomial(0, &a, q)?;
     let hb = dev.load_polynomial(config.polymul_rhs_base(n), &b, q)?;
     let rep = dev.polymul_negacyclic(&ha, &hb)?;
-    // Spot-check against the schoolbook product.
+    // Check against the golden engine's product (an `NttPlan` product
+    // on the host, sharing no code with the device).
     let got = dev.read_polynomial(&ha)?;
-    let a64: Vec<u64> = a.iter().map(|&v| v as u64).collect();
+    let mut expect: Vec<u64> = a.iter().map(|&v| v as u64).collect();
     let b64: Vec<u64> = b.iter().map(|&v| v as u64).collect();
-    let expect = ntt_ref::naive::negacyclic_convolution(&a64, &b64, q as u64);
+    CpuNttEngine::golden()
+        .negacyclic_polymul(&mut expect, &b64, q as u64)
+        .map_err(|e| CliError::runtime(e.to_string()))?;
     if !got.iter().zip(&expect).all(|(&g, &e)| g as u64 == e) {
         return Err(CliError::runtime("polymul verification FAILED".to_string()));
     }
@@ -454,7 +454,6 @@ fn batch(args: &ParsedArgs) -> Result<String, CliError> {
     let topology = topology_from(args, 16)?;
     let nb: usize = args.get_or("nb", 2)?;
     let clock: u32 = args.get_or("clock", 1200)?;
-    let policy: SchedulePolicy = args.get_or("schedule", SchedulePolicy::Lpt)?;
     // Mixed-size batches (the RNS workload): job j gets lengths[j % len].
     let lengths: Vec<usize> = args.get_list_or("lengths", vec![n])?;
     if lengths.is_empty() {
@@ -495,12 +494,10 @@ fn batch(args: &ParsedArgs) -> Result<String, CliError> {
     // bus trait (what the serving layer routes over) instead of the raw
     // executor.
     if let Some(name) = args.options.get("backend") {
-        return batch_on_backend(name, &jobs, config, policy, &lengths);
+        return batch_on_backend(name, &jobs, config, &lengths);
     }
 
-    let mut exec = BatchExecutor::new(config)
-        .map_err(|e| CliError::runtime(e.to_string()))?
-        .with_policy(policy);
+    let mut exec = BatchExecutor::new(config).map_err(|e| CliError::runtime(e.to_string()))?;
     // Sequential yardstick: the scheduler's own memoized per-job cost
     // estimates (single-bank simulated latency), summed.
     let sequential_ns: f64 = exec
@@ -523,7 +520,6 @@ fn batch(args: &ParsedArgs) -> Result<String, CliError> {
         join(&lengths),
         config.total_banks()
     );
-    let _ = writeln!(outp, "  schedule       : {:>12}", policy.to_string());
     let _ = writeln!(outp, "  waves          : {:>12}", out.waves);
     let _ = writeln!(outp, "  batch latency  : {:>12.2} µs", out.latency_us());
     let _ = writeln!(
@@ -611,7 +607,6 @@ fn batch_on_backend(
     name: &str,
     jobs: &[NttJob],
     config: PimConfig,
-    policy: SchedulePolicy,
     lengths: &[usize],
 ) -> Result<String, CliError> {
     let mut spec = BackendSpec::parse(name).map_err(CliError::usage)?;
@@ -621,7 +616,7 @@ fn batch_on_backend(
     }
     let runtime = |e: EngineError| CliError::runtime(e.to_string());
     let mut backend = spec
-        .build(policy, None)
+        .build(SchedulePolicy::Lpt, None)
         .map_err(|e| CliError::runtime(e.to_string()))?;
     // Admission first, then the per-job quotes a router would sum.
     let mut cost = backend.cost_model();
@@ -1027,7 +1022,6 @@ mod tests {
         assert!(run_line("batch --n 256 --jobs 0 --banks 2").is_err());
         assert!(run_line("batch --n 256 --jobs 2 --banks 0").is_err());
         assert!(run_line("batch --n 1000 --jobs 2 --banks 2").is_err());
-        assert!(run_line("batch --n 256 --jobs 2 --banks 2 --schedule frob").is_err());
         // Counts past the cap are usage errors, never allocations.
         for jobs in ["4097", "4000000000"] {
             let e = run_line(&format!("batch --n 256 --jobs {jobs} --banks 2")).unwrap_err();
@@ -1050,21 +1044,23 @@ mod tests {
     }
 
     #[test]
-    fn batch_supports_both_scheduling_policies() {
-        let lpt = run_line("batch --jobs 4 --banks 2 --lengths 64,256 --schedule lpt").unwrap();
-        assert!(lpt.contains("schedule       :          lpt"), "{lpt}");
-        assert!(lpt.contains("verification   : OK"));
-        let rr =
-            run_line("batch --jobs 4 --banks 2 --lengths 64,256 --schedule round-robin").unwrap();
-        assert!(rr.contains("schedule       :  round-robin"), "{rr}");
-        assert!(rr.contains("verification   : OK"));
+    fn batch_rejects_the_retired_schedule_option() {
+        // Batches have one scheduling rule and no option selects it:
+        // `--schedule` is an unknown option whatever its value.
+        for policy in ["lpt", "round-robin", "frob"] {
+            let line = format!("batch --jobs 4 --banks 2 --lengths 64,256 --schedule {policy}");
+            let e = run_line(&line).unwrap_err();
+            assert_eq!(e.exit_code, 2, "{line}: {e}");
+        }
+        let out = run_line("batch --jobs 4 --banks 2 --lengths 64,256").unwrap();
+        assert!(!out.contains("schedule"), "{out}");
+        assert!(out.contains("verification   : OK"), "{out}");
     }
 
     #[test]
     fn batch_defaults_to_lpt_and_cycles_mixed_lengths() {
         let out = run_line("batch --jobs 4 --banks 4 --lengths 64,128").unwrap();
         assert!(out.contains("lengths=64,128"), "{out}");
-        assert!(out.contains("schedule       :          lpt"), "{out}");
     }
 
     #[test]
@@ -1079,9 +1075,13 @@ mod tests {
 
     #[test]
     fn batch_split_requires_lpt_and_a_splittable_length() {
-        let e = run_line("batch --n 1024 --jobs 1 --banks 4 --split --schedule round-robin")
-            .unwrap_err();
-        assert!(e.to_string().contains("lpt"), "{e}");
+        // A split always runs under LPT, the one scheduling rule: no
+        // option selects another.
+        for policy in ["lpt", "round-robin"] {
+            let line = format!("batch --n 1024 --jobs 1 --banks 4 --split --schedule {policy}");
+            let e = run_line(&line).unwrap_err();
+            assert_eq!(e.exit_code, 2, "{line}: {e}");
+        }
         assert!(run_line("batch --n 8 --jobs 1 --banks 4 --split").is_err());
     }
 

@@ -28,7 +28,6 @@ const OPTIONS: &[(&str, &[&str])] = &[
     ("ranks", &["1", "2", "0"]),
     ("banks", &["1", "2", "4", "0"]),
     ("jobs", &["1", "3", "0", "5000", "x"]),
-    ("schedule", &["lpt", "round-robin", "frob"]),
     ("lengths", &["64", "64,256", "128,", "0", "x"]),
     ("backend", &["pim", "cpu-lanes", "mentt", "bp-ntt", "frob"]),
     ("tenants", &["1", "2", "0", "300"]),
@@ -56,6 +55,8 @@ const JUNK: &[&str] = &[
     "--q=-1",
     "--bogus",
     "--chanels",
+    "--schedule",
+    "--schedule=lpt",
     "7",
 ];
 

@@ -291,12 +291,6 @@ impl PimConfig {
     pub fn reg_bu_ps(&self) -> u64 {
         self.cu.reg_bu_cycles as u64 * self.cu_cycle_ps()
     }
-
-    /// Parameter broadcast latency in picoseconds (`param_beats` beats on
-    /// the global buffer at the CU clock).
-    pub fn param_ps(&self) -> u64 {
-        self.cu.param_beats as u64 * self.cu_cycle_ps()
-    }
 }
 
 impl Default for PimConfig {

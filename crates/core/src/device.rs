@@ -221,9 +221,8 @@ pub struct QueueReport {
 
 impl QueueReport {
     /// An all-zero report shaped for a `channels × ranks × banks` device:
-    /// the identity for [`Self::absorb_serial`], used to merge the
-    /// barrier-separated wave reports of round-robin batch execution
-    /// into one batch-level report.
+    /// the starting point of a backend that fills its report in by hand
+    /// (the bus crate's CPU-lane and published-model backends).
     pub fn empty(total_banks: usize, channels: usize, total_ranks: usize) -> Self {
         Self {
             per_bank_ns: vec![0.0; total_banks],
@@ -237,53 +236,6 @@ impl QueueReport {
             per_rank_acts: vec![0; total_ranks],
             barrier_ns: Vec::new(),
         }
-    }
-
-    /// Appends `other` *after* a full-chip barrier at `self.latency_ns`
-    /// (the round-robin wave semantics): batch latency and per-bank busy
-    /// times add, job completion times shift by the barrier, and bus/ACT
-    /// counters accumulate element-wise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two reports describe differently-shaped devices.
-    pub fn absorb_serial(&mut self, other: &QueueReport) {
-        assert_eq!(self.per_bank_ns.len(), other.per_bank_ns.len());
-        assert_eq!(
-            self.per_channel_bus_slots.len(),
-            other.per_channel_bus_slots.len()
-        );
-        assert_eq!(self.per_rank_acts.len(), other.per_rank_acts.len());
-        let barrier = self.latency_ns;
-        for (mine, theirs) in self.job_end_ns.iter_mut().zip(&other.job_end_ns) {
-            mine.extend(theirs.iter().map(|&end| barrier + end));
-        }
-        self.barrier_ns
-            .extend(other.barrier_ns.iter().map(|&end| barrier + end));
-        for (mine, &theirs) in self.per_bank_ns.iter_mut().zip(&other.per_bank_ns) {
-            *mine += theirs;
-        }
-        for (mine, &theirs) in self
-            .per_bank_energy_nj
-            .iter_mut()
-            .zip(&other.per_bank_energy_nj)
-        {
-            *mine += theirs;
-        }
-        for (mine, &theirs) in self
-            .per_channel_bus_slots
-            .iter_mut()
-            .zip(&other.per_channel_bus_slots)
-        {
-            *mine += theirs;
-        }
-        for (mine, &theirs) in self.per_rank_acts.iter_mut().zip(&other.per_rank_acts) {
-            *mine += theirs;
-        }
-        self.latency_ns += other.latency_ns;
-        self.energy_nj += other.energy_nj;
-        self.bus_slots += other.bus_slots;
-        self.rank_acts += other.rank_acts;
     }
 
     /// Jobs timed across all banks.
@@ -1201,59 +1153,6 @@ mod tests {
         assert!(report.job_end_ns[0][0] < report.job_end_ns[0][1]);
         assert!(report.latency_ns >= report.per_bank_ns[1]);
         assert!(report.energy_nj > 0.0 && report.bus_slots > 0 && report.rank_acts >= 3);
-    }
-
-    #[test]
-    fn queue_reports_merge_serially_with_a_barrier() {
-        // Two waves on the same 2-bank device: merging their reports with
-        // absorb_serial must match what a batch-level consumer expects —
-        // latencies add, job ends shift past the barrier, counters sum.
-        let mut dev = PimDevice::new(PimConfig::hbm2e(2).with_banks(2)).unwrap();
-        let mut wave_reports = Vec::new();
-        for seed in [1u64, 2] {
-            let mut queues: Vec<Vec<crate::mapper::Program>> = Vec::new();
-            for bank in 0..2usize {
-                let x = poly(128, seed * 10 + bank as u64);
-                let h = dev
-                    .load_in_bank(bank, 0, &x, Q, StoredOrder::BitReversed)
-                    .unwrap();
-                let program = dev.build_ntt_program(&h, NttDirection::Forward).unwrap();
-                dev.execute_program(bank, &program).unwrap();
-                queues.push(vec![program]);
-            }
-            wave_reports.push(dev.schedule_queues(&queues).unwrap());
-        }
-        let mut merged = QueueReport::empty(2, 1, 1);
-        assert_eq!(merged.job_count(), 0);
-        for wave in &wave_reports {
-            merged.absorb_serial(wave);
-        }
-        assert_eq!(merged.job_count(), 4);
-        let lat_sum: f64 = wave_reports.iter().map(|w| w.latency_ns).sum();
-        assert!((merged.latency_ns - lat_sum).abs() < 1e-9);
-        assert_eq!(
-            merged.bus_slots,
-            wave_reports.iter().map(|w| w.bus_slots).sum::<u64>()
-        );
-        assert_eq!(
-            merged.rank_acts,
-            wave_reports.iter().map(|w| w.rank_acts).sum::<u64>()
-        );
-        // Wave 2's jobs end after the wave-1 barrier.
-        assert!(merged.job_end_ns[0][1] > wave_reports[0].latency_ns);
-        assert!(
-            (merged.job_end_ns[0][1]
-                - (wave_reports[0].latency_ns + wave_reports[1].job_end_ns[0][0]))
-                .abs()
-                < 1e-9
-        );
-        // Shape mismatches are programming errors, caught loudly.
-        let skinny = QueueReport::empty(1, 1, 1);
-        let result = std::panic::catch_unwind(move || {
-            let mut merged = QueueReport::empty(2, 1, 1);
-            merged.absorb_serial(&skinny);
-        });
-        assert!(result.is_err());
     }
 
     #[test]

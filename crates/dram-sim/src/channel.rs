@@ -179,11 +179,6 @@ impl Channel {
         }
     }
 
-    /// Number of ranks on the channel.
-    pub fn rank_count(&self) -> usize {
-        self.ranks.len()
-    }
-
     /// Immutable access to a rank's activation-window timer.
     ///
     /// # Panics

@@ -63,7 +63,6 @@ pub mod channel;
 pub mod chip;
 pub mod energy;
 pub mod rank;
-pub mod stats;
 pub mod storage;
 pub mod timing;
 pub mod trace;

@@ -180,11 +180,6 @@ impl FleetRouter {
         self.models[device].lanes()
     }
 
-    /// Parallel lanes across the whole fleet.
-    pub fn total_lanes(&self) -> usize {
-        self.models.iter().map(BusCostModel::lanes).sum()
-    }
-
     /// One backend's (possibly synthetic `1×1×lanes`) topology.
     pub fn topology(&self, device: usize) -> Topology {
         self.models[device].topology()
@@ -228,14 +223,6 @@ impl FleetRouter {
     /// Whether one backend is in the placement set.
     pub fn is_healthy(&self, device: usize) -> bool {
         self.health[device] == DeviceHealth::Healthy
-    }
-
-    /// Number of backends still in the placement set.
-    pub fn healthy_devices(&self) -> usize {
-        self.health
-            .iter()
-            .filter(|&&h| h == DeviceHealth::Healthy)
-            .count()
     }
 
     /// The imbalance threshold, ns (see the module docs).

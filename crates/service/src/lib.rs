@@ -95,10 +95,10 @@ pub use fleet::{DeviceHealth, FleetRouter, Placement, RouteDecision, Routing};
 pub use ntt_bus::{BackendKind, BackendSpec, PublishedKind};
 pub use stats::{percentile, DeviceStats, ServiceStats};
 
-use ntt_bus::NttBackend;
+use ntt_bus::{NttBackend, SchedulePolicy};
 use ntt_pim::core::config::{PimConfig, Topology};
 use ntt_pim::core::device::QueueReport;
-use ntt_pim::engine::batch::{NttJob, SchedulePolicy};
+use ntt_pim::engine::batch::NttJob;
 use ntt_pim::engine::EngineError;
 use ntt_ref::cache::PlanCache;
 use std::collections::HashMap;

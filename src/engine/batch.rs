@@ -8,23 +8,18 @@
 //! per-bank queues and drains the queues concurrently over the shared
 //! command bus.
 //!
-//! Two scheduling policies are available ([`SchedulePolicy`]):
-//!
-//! * [`SchedulePolicy::Lpt`] (default) — longest-processing-time
-//!   bin-packing: every job's latency is predicted from the device cost
-//!   model ([`crate::engine::pim_cost_estimate`], memoized per transform
-//!   length so a thousand-job batch maps each distinct length once), jobs
-//!   are dealt to the least-loaded bank biggest-first, and the queues
-//!   drain *asynchronously* — each bank starts its next job the moment
-//!   the previous one finishes ([`crate::core::sched::schedule_queues`]).
-//!   Only the shared command bus and the rank's tRRD/tFAW window couple
-//!   the banks.
-//! * [`SchedulePolicy::RoundRobin`] — the legacy comparison point: jobs
-//!   dealt round-robin and drained in bank-parallel *waves* with a
-//!   full-chip barrier after each, so every wave pays for its slowest
-//!   bank. On mixed-size batches (the RNS workload the device's
-//!   modulus-agnostic design targets, §VI.E) this loses exactly the time
-//!   LPT recovers.
+//! Every batch is scheduled by one rule, longest-processing-time (LPT)
+//! bin-packing with an asynchronous drain: every job's latency is
+//! predicted from the device cost model
+//! ([`crate::engine::pim_cost_estimate`], memoized per transform length
+//! so a thousand-job batch maps each distinct length once), jobs are
+//! dealt to the least-loaded bank biggest-first, and the queues drain
+//! *asynchronously* — each bank starts its next job the moment the
+//! previous one finishes ([`crate::core::sched::schedule_queues`]), with
+//! no full-chip barrier between them. Only the shared command bus and the
+//! rank's tRRD/tFAW window couple the banks. On mixed-size batches (the
+//! RNS workload the device's modulus-agnostic design targets, §VI.E) no
+//! bank waits for a slower one, as it would behind a per-wave barrier.
 //!
 //! Jobs may use different lengths, moduli, and kinds in one batch; the
 //! merged [`BatchOutcome`] reports wall-clock latency, energy, shared-bus
@@ -62,7 +57,6 @@ use crate::math::arith::pow_mod;
 use crate::math::prime;
 use crate::reference::four_step::{plan_split, SplitPlan};
 use std::collections::HashMap;
-use std::fmt;
 use std::hash::Hash;
 use std::sync::Arc;
 
@@ -87,8 +81,7 @@ pub enum JobKind {
     /// ([`crate::reference::four_step::plan_split`] picks the
     /// factorization). Bit-identical to [`JobKind::Forward`] on the same
     /// input; the point is latency — one huge transform no longer
-    /// serializes on a single bank. Requires [`SchedulePolicy::Lpt`]
-    /// (round-robin waves cannot express the stage dependency).
+    /// serializes on a single bank.
     SplitLarge,
 }
 
@@ -163,41 +156,6 @@ impl NttJob {
     /// Transform length.
     pub fn n(&self) -> usize {
         self.coeffs.len()
-    }
-}
-
-/// How [`BatchExecutor`] packs jobs onto bank queues and drains them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulePolicy {
-    /// Cost-model-driven longest-processing-time bin-packing with
-    /// asynchronous per-bank queue drain (no cross-bank barrier).
-    #[default]
-    Lpt,
-    /// Round-robin dealing drained in bank-parallel waves with a
-    /// full-chip barrier per wave (the legacy comparison point).
-    RoundRobin,
-}
-
-impl fmt::Display for SchedulePolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            SchedulePolicy::Lpt => "lpt",
-            SchedulePolicy::RoundRobin => "round-robin",
-        })
-    }
-}
-
-impl std::str::FromStr for SchedulePolicy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "lpt" => Ok(SchedulePolicy::Lpt),
-            "round-robin" | "rr" => Ok(SchedulePolicy::RoundRobin),
-            other => Err(format!(
-                "unknown schedule policy `{other}` (expected `lpt` or `round-robin`)"
-            )),
-        }
     }
 }
 
@@ -374,8 +332,6 @@ pub struct BatchPlan {
     /// Every schedulable unit of the batch, in job order with each split
     /// job expanded into its column units then its row units.
     pub units: Vec<PlanUnit>,
-    /// The policy that produced the assignment.
-    pub policy: SchedulePolicy,
 }
 
 /// Per-bank slice of a batch report.
@@ -397,15 +353,12 @@ pub struct BatchOutcome {
     /// spectrum for forward jobs, the time-domain polynomial for inverse
     /// jobs, the product for polymul jobs.
     pub spectra: Vec<Vec<u64>>,
-    /// End-to-end batch latency, ns. Under [`SchedulePolicy::Lpt`] this
-    /// is the completion of the slowest bank queue (banks drain
-    /// concurrently, no barrier); under [`SchedulePolicy::RoundRobin`] it
-    /// is the sum over waves of each wave's slowest bank.
+    /// End-to-end batch latency, ns: the completion of the slowest bank
+    /// queue (banks drain concurrently, no barrier).
     pub latency_ns: f64,
     /// Total energy across all banks, nJ.
     pub energy_nj: f64,
-    /// Depth of the schedule: barrier-separated waves under round-robin,
-    /// the deepest bank queue under LPT (where no barrier exists).
+    /// Depth of the schedule: the deepest bank queue, in plan units.
     pub waves: usize,
     /// Command-bus slots issued across the whole batch (shared-bus
     /// pressure; one slot per memory-clock cycle).
@@ -420,8 +373,6 @@ pub struct BatchOutcome {
     pub per_channel_bus_slots: Vec<u64>,
     /// Per-bank accounting, indexed by global bank id.
     pub banks: Vec<BankUsage>,
-    /// The policy that scheduled the batch.
-    pub policy: SchedulePolicy,
     /// The job-index queues the batch actually ran (`assignment[b]` =
     /// bank `b`'s jobs, in order; a split job appears once per bank that
     /// ran any of its sub-jobs).
@@ -437,10 +388,8 @@ pub struct BatchOutcome {
     pub splits: Vec<SplitReport>,
     /// The full device-level queue report behind the summary fields above
     /// (per-bank completion/energy, per-job end times, per-channel bus
-    /// slots, per-rank ACTs). Under round-robin this is the
-    /// barrier-merged report across waves
-    /// ([`QueueReport::absorb_serial`]); under LPT it is the single async
-    /// drain. Serving-layer front-ends attach it to every response of a
+    /// slots, per-rank ACTs): the one asynchronous drain of the whole
+    /// batch. Serving-layer front-ends attach it to every response of a
     /// micro-batch.
     pub queue_report: QueueReport,
 }
@@ -477,8 +426,8 @@ impl BatchOutcome {
     }
 }
 
-/// Fans independent jobs across a PIM device's banks under a scheduling
-/// policy (cost-model-driven LPT by default).
+/// Fans independent jobs across a PIM device's banks by cost-model-driven
+/// LPT packing, each bank draining its queue asynchronously.
 ///
 /// ```
 /// use ntt_pim::core::config::PimConfig;
@@ -521,14 +470,13 @@ impl BatchOutcome {
 #[derive(Debug, Clone)]
 pub struct BatchExecutor {
     device: PimDevice,
-    policy: SchedulePolicy,
     /// Cost model mirroring the device (shared shape with the fleet
     /// router's per-device models).
     cost: DeviceCostModel,
     /// Mapped and decoded programs by unit shape, shared across banks
     /// and batches.
     programs: BoundedMemo<ProgramKey, Arc<MappedUnit>>,
-    /// Plan and queue report by LPT batch shape.
+    /// Plan and queue report by batch shape.
     batches: BoundedMemo<BatchKey, Arc<MemoBatch>>,
     /// The device configuration both memos were filled under.
     memo_config: PimConfig,
@@ -567,9 +515,9 @@ pub struct MemoStats {
     /// their commands plus their decoded forms (at most
     /// [`PROGRAM_MEMO_CAP_COMMANDS`]).
     pub program_commands: usize,
-    /// LPT batches whose plan and queue report came from the memo.
+    /// Batches whose plan and queue report came from the memo.
     pub batch_hits: u64,
-    /// LPT batches planned and scheduled afresh.
+    /// Batches planned and scheduled afresh.
     pub batch_misses: u64,
     /// Batch shapes held.
     pub batches: usize,
@@ -730,7 +678,7 @@ struct ProgramKey {
     opts: MapperOptions,
 }
 
-/// Everything an LPT batch's plan and queue report are a function of,
+/// Everything a batch's plan and queue report are a function of,
 /// given the device configuration and cost model: the mapper options
 /// and the ordered `(kind, n, q)` list of its jobs (a split job keyed
 /// apart from a forward one).
@@ -769,7 +717,7 @@ impl MappedUnit {
     }
 }
 
-/// The value-independent half of one LPT batch.
+/// The value-independent half of one batch.
 #[derive(Debug)]
 struct MemoBatch {
     plan: Arc<BatchPlan>,
@@ -777,8 +725,7 @@ struct MemoBatch {
 }
 
 impl BatchExecutor {
-    /// Builds an executor over a fresh device with `config`, using the
-    /// default [`SchedulePolicy::Lpt`].
+    /// Builds an executor over a fresh device with `config`.
     ///
     /// # Errors
     ///
@@ -793,7 +740,6 @@ impl BatchExecutor {
         Self {
             memo_config: *device.config(),
             device,
-            policy: SchedulePolicy::default(),
             cost,
             programs: BoundedMemo::new(PROGRAM_MEMO_CAP_COMMANDS),
             batches: BoundedMemo::new(BATCH_MEMO_CAP_UNITS),
@@ -820,23 +766,6 @@ impl BatchExecutor {
             batches: self.batches.map.len(),
             batch_units: self.batches.weight,
         }
-    }
-
-    /// Same executor with a different scheduling policy.
-    #[must_use]
-    pub fn with_policy(mut self, policy: SchedulePolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Switches the scheduling policy in place.
-    pub fn set_policy(&mut self, policy: SchedulePolicy) {
-        self.policy = policy;
-    }
-
-    /// The active scheduling policy.
-    pub fn policy(&self) -> SchedulePolicy {
-        self.policy
     }
 
     /// Number of banks jobs can fan across — total across the device's
@@ -877,8 +806,8 @@ impl BatchExecutor {
         Ok(())
     }
 
-    /// Validates the batch and computes the per-bank job queues the
-    /// active policy would run, without executing anything.
+    /// Validates the batch and computes the per-bank job queues
+    /// [`Self::run`] would run, without executing anything.
     ///
     /// # Errors
     ///
@@ -891,15 +820,6 @@ impl BatchExecutor {
     /// [`Self::plan`] of a batch [`Self::validate`] already accepted.
     fn plan_validated(&mut self, jobs: &[NttJob]) -> Result<BatchPlan, EngineError> {
         let banks = self.bank_count();
-        if self.policy == SchedulePolicy::RoundRobin
-            && jobs.iter().any(|j| j.kind == JobKind::SplitLarge)
-        {
-            return Err(EngineError::Shape {
-                reason: "split large jobs require the lpt policy \
-                         (round-robin waves cannot express the stage dependency)"
-                    .into(),
-            });
-        }
         // Expand jobs into schedulable units: ordinary jobs stay whole,
         // split jobs contribute one unit per column and per row sub-job —
         // the same expansion, in the same order, as the cost model's.
@@ -915,18 +835,9 @@ impl BatchExecutor {
                 units.push(PlanUnit::Job(i));
             }
         }
-        let mut queues = match self.policy {
-            // Hierarchical: channels first (private buses), then banks.
-            // Degenerates to flat LPT on a single-channel topology.
-            SchedulePolicy::Lpt => lpt_assign_topology(&costs, &self.topology()),
-            SchedulePolicy::RoundRobin => {
-                let mut queues: Vec<Vec<usize>> = vec![Vec::new(); banks];
-                for i in 0..units.len() {
-                    queues[i % banks].push(i);
-                }
-                queues
-            }
-        };
+        // Hierarchical: channels first (private buses), then banks.
+        // Degenerates to flat LPT on a single-channel topology.
+        let mut queues = lpt_assign_topology(&costs, &self.topology());
         // Barrier-gated row units go last in every bank queue: the bank
         // keeps draining ordinary jobs and column units while the stage
         // barrier is pending, instead of idling behind a gated head (and
@@ -938,7 +849,6 @@ impl BatchExecutor {
             queues,
             costs,
             units,
-            policy: self.policy,
         })
     }
 
@@ -1049,7 +959,7 @@ impl BatchExecutor {
             .collect())
     }
 
-    /// Runs every job under the active policy and merges the reports.
+    /// Runs every job and merges the reports.
     ///
     /// The whole batch is validated up front (nothing executes when any
     /// job is malformed); results land in [`BatchOutcome::spectra`] in
@@ -1066,11 +976,11 @@ impl BatchExecutor {
     ///
     /// Mapping, decoding and timing never read the values, so the
     /// executor memoizes them: each unit's mapped and decoded program by
-    /// its shape (shared across banks and batches), and under
-    /// [`SchedulePolicy::Lpt`] each batch's plan and queue report by the
-    /// batch's shape. A repeated shape still validates, loads, executes
-    /// and reads back every job; it skips only the mapper, the decoder
-    /// and the scheduler, whose results it would reproduce exactly.
+    /// its shape (shared across banks and batches), and each batch's
+    /// plan and queue report by the batch's shape. A repeated shape still
+    /// validates, loads, executes and reads back every job; it skips only
+    /// the mapper, the decoder and the scheduler, whose results it would
+    /// reproduce exactly.
     ///
     /// # Errors
     ///
@@ -1084,261 +994,193 @@ impl BatchExecutor {
             self.batches.clear();
             self.memo_config = *self.device.config();
         }
-        // An LPT batch whose shape ran before reuses its plan and queue
-        // report; round-robin batches are planned and timed every time.
-        let mut hit = None;
-        let mut miss = None;
-        let plan = match self.policy {
-            SchedulePolicy::Lpt => {
-                self.validate(jobs)?;
-                let key = BatchKey::new(*self.device.mapper_options(), jobs);
-                hit = self.batches.get(&key);
-                match &hit {
-                    Some(memo) => memo.plan.clone(),
-                    None => {
-                        miss = Some(key);
-                        Arc::new(self.plan_validated(jobs)?)
-                    }
-                }
-            }
-            SchedulePolicy::RoundRobin => Arc::new(self.plan(jobs)?),
+        // A batch whose shape ran before reuses its plan and queue report.
+        self.validate(jobs)?;
+        let key = BatchKey::new(*self.device.mapper_options(), jobs);
+        let hit = self.batches.get(&key);
+        let plan = match &hit {
+            Some(memo) => memo.plan.clone(),
+            None => Arc::new(self.plan_validated(jobs)?),
         };
         let banks = self.bank_count();
         let mut spectra: Vec<Vec<u64>> = vec![Vec::new(); jobs.len()];
-        let mut usage: Vec<BankUsage> = vec![BankUsage::default(); banks];
-        let mut job_latency_ns = vec![0.0f64; jobs.len()];
-        let mut splits: Vec<SplitReport> = Vec::new();
-        for (bank, queue) in plan.queues.iter().enumerate() {
-            usage[bank].jobs = queue.len();
-        }
-        let depth = plan.queues.iter().map(Vec::len).max().unwrap_or(0);
 
-        let queue_report = match self.policy {
-            SchedulePolicy::Lpt => {
-                // Per split job: factorization, the parent root's powers,
-                // a dense barrier id, and the host-side twiddle matrix
-                // the column stage gathers into (the inter-stage
-                // transpose — host data movement, like every load).
-                struct SplitCtx {
-                    split: SplitPlan,
-                    omega: u64,
-                    col_root: u32,
-                    row_root: u32,
-                    barrier: usize,
-                    matrix: Vec<Vec<u32>>,
+        // Per split job: factorization, the parent root's powers, a dense
+        // barrier id, and the host-side twiddle matrix the column stage
+        // gathers into (the inter-stage transpose — host data movement,
+        // like every load).
+        struct SplitCtx {
+            split: SplitPlan,
+            omega: u64,
+            col_root: u32,
+            row_root: u32,
+            barrier: usize,
+            matrix: Vec<Vec<u32>>,
+        }
+        let mut ctxs: HashMap<usize, SplitCtx> = HashMap::new();
+        for (i, job) in jobs.iter().enumerate() {
+            if job.kind == JobKind::SplitLarge {
+                let split = plan_split(job.n(), banks).expect("validated");
+                let omega = prime::root_of_unity(job.n() as u64, job.q)?;
+                let barrier = ctxs.len();
+                ctxs.insert(
+                    i,
+                    SplitCtx {
+                        split,
+                        omega,
+                        col_root: pow_mod(omega, split.cols as u64, job.q) as u32,
+                        row_root: pow_mod(omega, split.rows as u64, job.q) as u32,
+                        barrier,
+                        matrix: vec![vec![0u32; split.cols]; split.rows],
+                    },
+                );
+                spectra[i] = vec![0u64; job.n()];
+            }
+        }
+        // Async drain, two functional passes. Pass A: ordinary jobs and
+        // column sub-jobs, in queue order (row units sort last in every
+        // queue, so program order still matches queue order).
+        // One scheduled program plus its DAG tags, per bank:
+        // `(program, waits_on, signals)`.
+        type TaggedProgram = (Arc<MappedUnit>, Option<usize>, Option<usize>);
+        let mut programs: Vec<Vec<TaggedProgram>> = vec![Vec::new(); banks];
+        let pass_a = self.run_units(&plan, |unit| match unit {
+            PlanUnit::Job(ji) => Some(UnitInput::job(&jobs[ji])),
+            PlanUnit::SplitColumn { job: ji, column } => {
+                let (job, ctx) = (&jobs[ji], &ctxs[&ji]);
+                let words = (0..ctx.split.rows)
+                    .map(|r| job.coeffs[r * ctx.split.cols + column] as u32)
+                    .collect();
+                Some(UnitInput {
+                    program: UnitProgram::Column { root: ctx.col_root },
+                    q: job.q as u32,
+                    words,
+                    rhs: None,
+                })
+            }
+            PlanUnit::SplitRow { .. } => None, // pass B
+        })?;
+        for Ran {
+            bank,
+            unit,
+            mapped,
+            out,
+        } in pass_a
+        {
+            match plan.units[unit] {
+                PlanUnit::Job(ji) => {
+                    spectra[ji] = out.into_iter().map(u64::from).collect();
+                    programs[bank].push((mapped, None, None));
                 }
-                let mut ctxs: HashMap<usize, SplitCtx> = HashMap::new();
-                for (i, job) in jobs.iter().enumerate() {
-                    if job.kind == JobKind::SplitLarge {
-                        let split = plan_split(job.n(), banks).expect("validated");
-                        let omega = prime::root_of_unity(job.n() as u64, job.q)?;
-                        let barrier = ctxs.len();
-                        ctxs.insert(
-                            i,
-                            SplitCtx {
-                                split,
-                                omega,
-                                col_root: pow_mod(omega, split.cols as u64, job.q) as u32,
-                                row_root: pow_mod(omega, split.rows as u64, job.q) as u32,
-                                barrier,
-                                matrix: vec![vec![0u32; split.cols]; split.rows],
-                            },
-                        );
-                        spectra[i] = vec![0u64; job.n()];
-                    }
-                }
-                // Async drain, two functional passes. Pass A: ordinary
-                // jobs and column sub-jobs, in queue order (row units
-                // sort last in every queue, so program order still
-                // matches queue order).
-                // One scheduled program plus its DAG tags, per bank:
-                // `(program, waits_on, signals)`.
-                type TaggedProgram = (Arc<MappedUnit>, Option<usize>, Option<usize>);
-                let mut programs: Vec<Vec<TaggedProgram>> = vec![Vec::new(); banks];
-                let pass_a = self.run_units(&plan, |unit| match unit {
-                    PlanUnit::Job(ji) => Some(UnitInput::job(&jobs[ji])),
-                    PlanUnit::SplitColumn { job: ji, column } => {
-                        let (job, ctx) = (&jobs[ji], &ctxs[&ji]);
-                        let words = (0..ctx.split.rows)
-                            .map(|r| job.coeffs[r * ctx.split.cols + column] as u32)
-                            .collect();
-                        Some(UnitInput {
-                            program: UnitProgram::Column { root: ctx.col_root },
-                            q: job.q as u32,
-                            words,
-                            rhs: None,
-                        })
-                    }
-                    PlanUnit::SplitRow { .. } => None, // pass B
-                })?;
-                for Ran {
-                    bank,
-                    unit,
-                    mapped,
-                    out,
-                } in pass_a
-                {
-                    match plan.units[unit] {
-                        PlanUnit::Job(ji) => {
-                            spectra[ji] = out.into_iter().map(u64::from).collect();
-                            programs[bank].push((mapped, None, None));
-                        }
-                        PlanUnit::SplitColumn { job: ji, column } => {
-                            let ctx = ctxs.get_mut(&ji).expect("context exists");
-                            for (r, v) in out.into_iter().enumerate() {
-                                ctx.matrix[r][column] = v;
-                            }
-                            programs[bank].push((mapped, None, Some(ctx.barrier)));
-                        }
-                        PlanUnit::SplitRow { .. } => {}
-                    }
-                }
-                // Pass B: row sub-jobs — each consumes one gathered
-                // matrix row, so it runs after every column drained.
-                let pass_b = self.run_units(&plan, |unit| {
-                    let PlanUnit::SplitRow { job: ji, row } = unit else {
-                        return None;
-                    };
-                    let q = jobs[ji].q;
+                PlanUnit::SplitColumn { job: ji, column } => {
                     let ctx = ctxs.get_mut(&ji).expect("context exists");
-                    Some(UnitInput {
-                        program: UnitProgram::Row {
-                            root: ctx.row_root,
-                            twiddle: pow_mod(ctx.omega, row as u64, q) as u32,
-                        },
-                        q: q as u32,
-                        words: std::mem::take(&mut ctx.matrix[row]),
-                        rhs: None,
-                    })
-                })?;
-                for Ran {
-                    bank,
-                    unit,
-                    mapped,
-                    out,
-                } in pass_b
-                {
-                    if let PlanUnit::SplitRow { job: ji, row } = plan.units[unit] {
-                        let (rows, barrier) = (ctxs[&ji].split.rows, ctxs[&ji].barrier);
-                        // Step 4 transpose: out[k₂·rows + k₁] = Y_{k₁}[k₂].
-                        for (c, v) in out.into_iter().enumerate() {
-                            spectra[ji][c * rows + row] = u64::from(v);
-                        }
-                        programs[bank].push((mapped, Some(barrier), None));
+                    for (r, v) in out.into_iter().enumerate() {
+                        ctx.matrix[r][column] = v;
                     }
+                    programs[bank].push((mapped, None, Some(ctx.barrier)));
                 }
-                let report = match hit {
-                    Some(memo) => memo.report.clone(),
-                    None => {
-                        let dag: Vec<Vec<DagJob<'_>>> = programs
+                PlanUnit::SplitRow { .. } => {}
+            }
+        }
+        // Pass B: row sub-jobs — each consumes one gathered matrix row,
+        // so it runs after every column drained.
+        let pass_b = self.run_units(&plan, |unit| {
+            let PlanUnit::SplitRow { job: ji, row } = unit else {
+                return None;
+            };
+            let q = jobs[ji].q;
+            let ctx = ctxs.get_mut(&ji).expect("context exists");
+            Some(UnitInput {
+                program: UnitProgram::Row {
+                    root: ctx.row_root,
+                    twiddle: pow_mod(ctx.omega, row as u64, q) as u32,
+                },
+                q: q as u32,
+                words: std::mem::take(&mut ctx.matrix[row]),
+                rhs: None,
+            })
+        })?;
+        for Ran {
+            bank,
+            unit,
+            mapped,
+            out,
+        } in pass_b
+        {
+            if let PlanUnit::SplitRow { job: ji, row } = plan.units[unit] {
+                let (rows, barrier) = (ctxs[&ji].split.rows, ctxs[&ji].barrier);
+                // Step 4 transpose: out[k₂·rows + k₁] = Y_{k₁}[k₂].
+                for (c, v) in out.into_iter().enumerate() {
+                    spectra[ji][c * rows + row] = u64::from(v);
+                }
+                programs[bank].push((mapped, Some(barrier), None));
+            }
+        }
+        let queue_report = match hit {
+            Some(memo) => memo.report.clone(),
+            None => {
+                let dag: Vec<Vec<DagJob<'_>>> = programs
+                    .iter()
+                    .map(|queue| {
+                        queue
                             .iter()
-                            .map(|queue| {
-                                queue
-                                    .iter()
-                                    .map(|(unit, waits_on, signals)| DagJob {
-                                        program: &unit.program,
-                                        waits_on: *waits_on,
-                                        signals: *signals,
-                                    })
-                                    .collect()
+                            .map(|(unit, waits_on, signals)| DagJob {
+                                program: &unit.program,
+                                waits_on: *waits_on,
+                                signals: *signals,
                             })
-                            .collect();
-                        let report = self.device.schedule_queues_dag(&dag)?;
-                        if let Some(key) = miss {
-                            let memo = MemoBatch {
-                                plan: plan.clone(),
-                                report: report.clone(),
-                            };
-                            self.batches
-                                .insert(key, Arc::new(memo), plan.units.len().max(1));
-                        }
-                        report
-                    }
+                            .collect()
+                    })
+                    .collect();
+                let report = self.device.schedule_queues_dag(&dag)?;
+                let memo = MemoBatch {
+                    plan: plan.clone(),
+                    report: report.clone(),
                 };
-                let mut split_end: HashMap<usize, f64> = HashMap::new();
-                for (bank, ends) in report.job_end_ns.iter().enumerate() {
-                    let mut prev = 0.0;
-                    for (slot, &end) in ends.iter().enumerate() {
-                        match plan.units[plan.queues[bank][slot]] {
-                            PlanUnit::Job(ji) => job_latency_ns[ji] = end - prev,
-                            PlanUnit::SplitColumn { job: ji, .. }
-                            | PlanUnit::SplitRow { job: ji, .. } => {
-                                let e = split_end.entry(ji).or_insert(0.0);
-                                *e = e.max(end);
-                            }
-                        }
-                        prev = end;
-                    }
-                }
-                let mut tagged: Vec<(usize, &SplitCtx)> =
-                    ctxs.iter().map(|(&ji, ctx)| (ji, ctx)).collect();
-                tagged.sort_by_key(|&(ji, _)| ji);
-                for (ji, ctx) in tagged {
-                    let end = split_end.get(&ji).copied().unwrap_or(0.0);
-                    job_latency_ns[ji] = end;
-                    splits.push(SplitReport {
-                        job: ji,
-                        rows: ctx.split.rows,
-                        cols: ctx.split.cols,
-                        column_stage_ns: report.barrier_ns[ctx.barrier],
-                        latency_ns: end,
-                    });
-                }
+                self.batches
+                    .insert(key, Arc::new(memo), plan.units.len().max(1));
                 report
             }
-            SchedulePolicy::RoundRobin => {
-                // Wave drain: queue position w across all banks forms wave
-                // w; a full-chip barrier separates waves, so each wave is
-                // timed alone and the batch pays the sum of wave maxima.
-                // The per-wave reports merge into one batch-level report
-                // with the barrier semantics of `absorb_serial`. Split
-                // jobs never reach this branch (`plan` rejects them).
-                // Values do not see the barriers: each bank runs its
-                // whole queue in one concurrent execute step.
-                let mut programs: Vec<Vec<Arc<MappedUnit>>> = vec![Vec::new(); banks];
-                let ran = self.run_units(&plan, |unit| Some(UnitInput::job(&jobs[unit.job()])))?;
-                for Ran {
-                    bank,
-                    unit,
-                    mapped,
-                    out,
-                } in ran
-                {
-                    spectra[plan.units[unit].job()] = out.into_iter().map(u64::from).collect();
-                    programs[bank].push(mapped);
-                }
-                let topology = self.topology();
-                let mut merged = QueueReport::empty(
-                    banks,
-                    topology.channels as usize,
-                    (topology.channels * topology.ranks) as usize,
-                );
-                for w in 0..depth {
-                    let wave: Vec<Vec<DagJob<'_>>> = programs
-                        .iter()
-                        .map(|queue| {
-                            queue
-                                .get(w)
-                                .map(|u| DagJob::plain(&u.program))
-                                .into_iter()
-                                .collect()
-                        })
-                        .collect();
-                    let report = self.device.schedule_queues_dag(&wave)?;
-                    for (bank, ends) in report.job_end_ns.iter().enumerate() {
-                        if let Some(&end) = ends.first() {
-                            job_latency_ns[plan.units[plan.queues[bank][w]].job()] = end;
-                        }
-                    }
-                    merged.absorb_serial(&report);
-                }
-                merged
-            }
         };
-        for (bank, usage) in usage.iter_mut().enumerate() {
-            usage.busy_ns = queue_report.per_bank_ns[bank];
-            usage.energy_nj = queue_report.per_bank_energy_nj[bank];
+        let mut job_latency_ns = vec![0.0f64; jobs.len()];
+        let mut split_end: HashMap<usize, f64> = HashMap::new();
+        for (bank, ends) in queue_report.job_end_ns.iter().enumerate() {
+            let mut prev = 0.0;
+            for (slot, &end) in ends.iter().enumerate() {
+                match plan.units[plan.queues[bank][slot]] {
+                    PlanUnit::Job(ji) => job_latency_ns[ji] = end - prev,
+                    PlanUnit::SplitColumn { job: ji, .. } | PlanUnit::SplitRow { job: ji, .. } => {
+                        let e = split_end.entry(ji).or_insert(0.0);
+                        *e = e.max(end);
+                    }
+                }
+                prev = end;
+            }
         }
+        let mut tagged: Vec<(usize, &SplitCtx)> = ctxs.iter().map(|(&ji, ctx)| (ji, ctx)).collect();
+        tagged.sort_by_key(|&(ji, _)| ji);
+        let mut splits = Vec::with_capacity(tagged.len());
+        for (ji, ctx) in tagged {
+            let end = split_end.get(&ji).copied().unwrap_or(0.0);
+            job_latency_ns[ji] = end;
+            splits.push(SplitReport {
+                job: ji,
+                rows: ctx.split.rows,
+                cols: ctx.split.cols,
+                column_stage_ns: queue_report.barrier_ns[ctx.barrier],
+                latency_ns: end,
+            });
+        }
+        let usage: Vec<BankUsage> = plan
+            .queues
+            .iter()
+            .enumerate()
+            .map(|(bank, queue)| BankUsage {
+                jobs: queue.len(),
+                busy_ns: queue_report.per_bank_ns[bank],
+                energy_nj: queue_report.per_bank_energy_nj[bank],
+            })
+            .collect();
 
         // Job-level assignment view: each bank's distinct jobs in queue
         // order (a split job shows up on every bank that ran sub-jobs).
@@ -1361,13 +1203,12 @@ impl BatchExecutor {
             spectra,
             latency_ns: queue_report.latency_ns,
             energy_nj: queue_report.energy_nj,
-            waves: depth,
+            waves: plan.queues.iter().map(Vec::len).max().unwrap_or(0),
             bus_slots: queue_report.bus_slots,
             rank_acts: queue_report.rank_acts,
             topology: self.topology(),
             per_channel_bus_slots: queue_report.per_channel_bus_slots.clone(),
             banks: usage,
-            policy: self.policy,
             assignment,
             job_latency_ns,
             splits,
@@ -1735,19 +1576,6 @@ mod tests {
     }
 
     #[test]
-    fn split_requires_lpt_policy() {
-        let mut exec = BatchExecutor::new(PimConfig::hbm2e(2).with_banks(4))
-            .unwrap()
-            .with_policy(SchedulePolicy::RoundRobin);
-        let jobs = vec![NttJob::split_large(poly(1024, Q, 3), Q)];
-        let err = exec.run(&jobs).unwrap_err();
-        assert!(
-            matches!(&err, EngineError::Shape { reason } if reason.contains("lpt")),
-            "{err}"
-        );
-    }
-
-    #[test]
     fn split_validation_reports_bad_lengths() {
         let config = PimConfig::hbm2e(2).with_banks(4);
         // Not a power of two: caught by the generic length check.
@@ -1934,42 +1762,10 @@ mod tests {
     }
 
     #[test]
-    fn lpt_packs_skewed_batches_tighter_than_round_robin() {
-        // 8 jobs, alternating small/large: round-robin waves pay the
-        // large latency every wave; LPT isolates the large jobs.
-        let q = 8380417u64; // 2^13 | q-1: supports N up to 4096
-        let jobs: Vec<NttJob> = (0..8)
-            .map(|i| {
-                let n = if i % 2 == 0 { 256 } else { 2048 };
-                NttJob::new(poly(n, q, 500 + i as u64), q)
-            })
-            .collect();
-        let config = PimConfig::hbm2e(2).with_banks(4);
-        let mut rr = BatchExecutor::new(config)
-            .unwrap()
-            .with_policy(SchedulePolicy::RoundRobin);
-        let mut lpt = BatchExecutor::new(config).unwrap();
-        assert_eq!(lpt.policy(), SchedulePolicy::Lpt);
-        let out_rr = rr.run(&jobs).unwrap();
-        let out_lpt = lpt.run(&jobs).unwrap();
-        assert_eq!(
-            out_rr.spectra, out_lpt.spectra,
-            "results policy-independent"
-        );
-        assert!(
-            out_lpt.latency_ns < out_rr.latency_ns,
-            "LPT {:.0} ns !< round-robin {:.0} ns",
-            out_lpt.latency_ns,
-            out_rr.latency_ns
-        );
-    }
-
-    #[test]
     fn plan_exposes_costs_and_respects_policy() {
         let mut exec = BatchExecutor::new(PimConfig::hbm2e(2).with_banks(2)).unwrap();
         let jobs = vec![job(256, 1), job(1024, 2), job(256, 3)];
         let plan = exec.plan(&jobs).unwrap();
-        assert_eq!(plan.policy, SchedulePolicy::Lpt);
         assert_eq!(plan.costs.len(), 3);
         assert!(plan.costs[1] > plan.costs[0], "bigger job costs more");
         // The N=1024 job runs alone; the two N=256 jobs share a bank.
@@ -1996,37 +1792,24 @@ mod tests {
         // with the same total bank count computes identical spectra.
         let mut flat = BatchExecutor::new(PimConfig::hbm2e(2).with_banks(8)).unwrap();
         assert_eq!(out.spectra, flat.run(&jobs).unwrap().spectra);
-        // Round-robin on the sharded device reports per-channel slots too.
-        let mut rr = BatchExecutor::new(config)
-            .unwrap()
-            .with_policy(SchedulePolicy::RoundRobin);
-        let rr_out = rr.run(&jobs).unwrap();
-        assert_eq!(rr_out.spectra, out.spectra);
-        assert_eq!(rr_out.per_channel_bus_slots.len(), 2);
-        assert_eq!(
-            rr_out.per_channel_bus_slots.iter().sum::<u64>(),
-            rr_out.bus_slots
-        );
     }
 
     #[test]
     fn queue_report_backs_the_summary_under_both_policies() {
         let config = PimConfig::hbm2e(2).with_topology(Topology::new(2, 1, 2));
         let jobs: Vec<NttJob> = (0..6).map(|i| job(256, 700 + i)).collect();
-        for policy in [SchedulePolicy::Lpt, SchedulePolicy::RoundRobin] {
-            let mut exec = BatchExecutor::new(config).unwrap().with_policy(policy);
-            let out = exec.run(&jobs).unwrap();
-            let qr = &out.queue_report;
-            assert_eq!(qr.latency_ns, out.latency_ns, "{policy}");
-            assert_eq!(qr.bus_slots, out.bus_slots, "{policy}");
-            assert_eq!(qr.rank_acts, out.rank_acts, "{policy}");
-            assert_eq!(qr.per_channel_bus_slots, out.per_channel_bus_slots);
-            assert_eq!(qr.job_count(), jobs.len(), "{policy}");
-            assert_eq!(qr.per_rank_acts.iter().sum::<u64>(), out.rank_acts);
-            for (bank, u) in out.banks.iter().enumerate() {
-                assert_eq!(u.busy_ns, qr.per_bank_ns[bank], "{policy} bank {bank}");
-                assert_eq!(u.energy_nj, qr.per_bank_energy_nj[bank]);
-            }
+        let mut exec = BatchExecutor::new(config).unwrap();
+        let out = exec.run(&jobs).unwrap();
+        let qr = &out.queue_report;
+        assert_eq!(qr.latency_ns, out.latency_ns);
+        assert_eq!(qr.bus_slots, out.bus_slots);
+        assert_eq!(qr.rank_acts, out.rank_acts);
+        assert_eq!(qr.per_channel_bus_slots, out.per_channel_bus_slots);
+        assert_eq!(qr.job_count(), jobs.len());
+        assert_eq!(qr.per_rank_acts.iter().sum::<u64>(), out.rank_acts);
+        for (bank, u) in out.banks.iter().enumerate() {
+            assert_eq!(u.busy_ns, qr.per_bank_ns[bank], "bank {bank}");
+            assert_eq!(u.energy_nj, qr.per_bank_energy_nj[bank]);
         }
     }
 

@@ -16,10 +16,9 @@
 //! published models therefore proves the lazy kernel against all of
 //! them at once.
 
-use ntt_bus::{BackendSpec, EngineError, NttBackend, NttJob};
+use ntt_bus::{BackendSpec, EngineError, NttBackend, NttJob, SchedulePolicy};
 use ntt_pim::core::config::PimConfig;
 use ntt_pim::core::device::{NttDirection, PimDevice};
-use ntt_pim::engine::batch::SchedulePolicy;
 use ntt_pim::engine::{cpu_kernel_label, CpuNttEngine};
 use ntt_pim::reference::{cache::PlanCache, four_step};
 
