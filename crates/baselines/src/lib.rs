@@ -16,8 +16,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod table;
-
 use std::fmt;
 
 /// Flexibility properties the paper contrasts in §VI.E.

@@ -75,7 +75,7 @@ fn bench_skewed_lpt_schedule(c: &mut Criterion) {
     println!(
         "skewed batch, lpt: simulated latency {:>9.2} µs, {} waves",
         modeled.latency_us(),
-        modeled.waves
+        modeled.queue_report.depth()
     );
     group.bench_with_input(BenchmarkId::new("policy", "lpt"), &(), |b, ()| {
         b.iter(|| exec.run(&batch).unwrap().latency_ns)

@@ -80,7 +80,7 @@ fn run_topology(topology: Topology, jobs: &[NttJob]) -> Point {
         latency_ns: out.latency_ns,
         energy_nj: out.energy_nj,
         bus_slots: out.bus_slots,
-        rank_acts: out.rank_acts,
+        rank_acts: out.queue_report.rank_acts,
         throughput_jobs_per_s: out.throughput_jobs_per_s(),
     }
 }

@@ -4,68 +4,44 @@
 //! micro-batch to. All backends compute **bit-identical** results for
 //! any job they admit — they differ only in which jobs they admit
 //! (capability window) and what timing they report (and its
-//! provenance, [`BackendOutcome::source`]). That is the contract the
+//! provenance, [`BatchOutcome::source`]). That is the contract the
 //! cross-backend parity tests pin, and what makes cost-aware routing a
 //! pure performance decision.
 
-use crate::cost::{
-    kind_factor, kind_factor_tag, BusCostModel, CpuLaneCostModel, PublishedCostModel,
-};
+use crate::cost::{BusCostModel, CpuLaneCostModel, PublishedCostModel};
 use crate::window::{BackendKind, CapabilityWindow};
 use ntt_pim::core::config::{PimConfig, Topology};
-use ntt_pim::core::device::QueueReport;
 use ntt_pim::core::PimError;
-use ntt_pim::engine::batch::{group_jobs, run_lane_batched, BatchExecutor, NttJob};
-use ntt_pim::engine::{CpuNttEngine, EngineError, ReportSource};
+use ntt_pim::engine::batch::{run_lane_batched, BatchExecutor, BatchOutcome, NttJob};
+use ntt_pim::engine::{CpuNttEngine, EngineError};
 use ntt_pim::reference::cache::PlanCache;
-use ntt_pim::reference::lanes::LANE_WIDTH;
 use pim_baselines::NttAccelerator;
 use std::fmt;
 use std::sync::Arc;
 
-/// Merged result of one batch on one backend: the bus-level analogue of
-/// [`ntt_pim::engine::batch::BatchOutcome`], uniform across backend
-/// kinds so the serving layer consumes every backend the same way.
-#[derive(Debug, Clone)]
-pub struct BackendOutcome {
-    /// Per-job results in job order (natural coefficient order).
-    pub spectra: Vec<Vec<u64>>,
-    /// End-to-end batch latency, ns.
-    pub latency_ns: f64,
-    /// Total energy, nJ (0 when the backend does not model energy).
-    pub energy_nj: f64,
-    /// Simulated per-job latency, ns, in job order.
-    pub job_latency_ns: Vec<f64>,
-    /// Shared command-bus slots issued (PIM only; 0 elsewhere).
-    pub bus_slots: u64,
-    /// Rank-level row activations (PIM only; 0 elsewhere).
-    pub rank_acts: u64,
-    /// The (possibly synthetic `1×1×lanes`) topology the batch ran on.
-    pub topology: Topology,
-    /// Per-lane completion/energy accounting; non-PIM backends
-    /// synthesize one so fleet accounting stays uniform.
-    pub queue_report: QueueReport,
-    /// Provenance of the timing numbers.
-    pub source: ReportSource,
-}
-
 /// One co-simulated device behind the bus.
 ///
-/// Implementations must keep the parity contract: for any job that
-/// passes [`Self::admit`], [`Self::run`] returns results bit-identical
-/// to [`CpuNttEngine::golden`] on the same input. The window, admission
-/// check and topology come from [`Self::cost_model`], so a backend is
-/// admitted and priced by the same model the fleet router holds.
+/// A backend is described once, by its cost model: its label, kind,
+/// window, admission check and topology all come from
+/// [`Self::cost_model`], so a backend is named, admitted and priced by
+/// the same model the fleet router holds. Implementations must keep the
+/// parity contract: for any job that passes [`Self::admit`],
+/// [`Self::run`] returns results bit-identical to
+/// [`CpuNttEngine::golden`] on the same input.
 pub trait NttBackend: Send {
-    /// Short routing label (`"pim"`, `"cpu-lanes"`, `"bp-ntt"`, …).
-    fn label(&self) -> &str;
-
-    /// The backend family.
-    fn kind(&self) -> BackendKind;
-
     /// A fresh cost model pricing this backend (the router holds one
     /// per fleet slot).
     fn cost_model(&self) -> BusCostModel;
+
+    /// Short routing label (`"pim"`, `"cpu-lanes"`, `"bp-ntt"`, …).
+    fn label(&self) -> &str {
+        self.cost_model().label()
+    }
+
+    /// The backend family.
+    fn kind(&self) -> BackendKind {
+        self.cost_model().kind()
+    }
 
     /// The honest capability window.
     fn window(&self) -> CapabilityWindow {
@@ -99,7 +75,7 @@ pub trait NttBackend: Send {
     ///
     /// Admission errors naming the offending job index, or execution
     /// errors from the underlying device.
-    fn run(&mut self, jobs: &[NttJob]) -> Result<BackendOutcome, EngineError>;
+    fn run(&mut self, jobs: &[NttJob]) -> Result<BatchOutcome, EngineError>;
 
     /// A minimal job every healthy backend must serve — used by the
     /// re-admission probe. Length 256 over the NewHope/Falcon modulus
@@ -160,14 +136,6 @@ impl PimBackend {
 }
 
 impl NttBackend for PimBackend {
-    fn label(&self) -> &str {
-        "pim"
-    }
-
-    fn kind(&self) -> BackendKind {
-        BackendKind::Pim
-    }
-
     fn cost_model(&self) -> BusCostModel {
         // Built infallibly: the executor's config already validated.
         BusCostModel::Pim(ntt_pim::engine::batch::DeviceCostModel::with_options(
@@ -176,19 +144,8 @@ impl NttBackend for PimBackend {
         ))
     }
 
-    fn run(&mut self, jobs: &[NttJob]) -> Result<BackendOutcome, EngineError> {
-        let out = self.exec.run(jobs)?;
-        Ok(BackendOutcome {
-            spectra: out.spectra,
-            latency_ns: out.latency_ns,
-            energy_nj: out.energy_nj,
-            job_latency_ns: out.job_latency_ns,
-            bus_slots: out.bus_slots,
-            rank_acts: out.rank_acts,
-            topology: out.topology,
-            queue_report: out.queue_report,
-            source: ReportSource::Simulated,
-        })
+    fn run(&mut self, jobs: &[NttJob]) -> Result<BatchOutcome, EngineError> {
+        self.exec.run(jobs)
     }
 }
 
@@ -236,50 +193,16 @@ impl Default for CpuLanesBackend {
 }
 
 impl NttBackend for CpuLanesBackend {
-    fn label(&self) -> &str {
-        "cpu-lanes"
-    }
-
-    fn kind(&self) -> BackendKind {
-        BackendKind::CpuLanes
-    }
-
     fn cost_model(&self) -> BusCostModel {
         BusCostModel::CpuLanes(CpuLaneCostModel::new())
     }
 
-    fn run(&mut self, jobs: &[NttJob]) -> Result<BackendOutcome, EngineError> {
+    fn run(&mut self, jobs: &[NttJob]) -> Result<BatchOutcome, EngineError> {
         admit_batch(self, jobs)?;
         let (spectra, _lane_jobs) = run_lane_batched(&self.cpu, jobs)?;
-        // Deterministic lane-wave co-simulation: groups run serially,
-        // each group in LANE_WIDTH-wide waves, all lanes of a wave
-        // finishing together (the SoA kernel's real shape).
-        let lanes = LANE_WIDTH;
-        let mut queue = QueueReport::empty(lanes, 1, 1);
-        let mut job_latency_ns = vec![0.0; jobs.len()];
-        let mut now = 0.0f64;
-        for group in group_jobs(jobs) {
-            let unit = kind_factor_tag(group.tag) * self.cost.transform_cost(group.n);
-            for wave in group.indices.chunks(lanes) {
-                now += unit;
-                for (lane, &i) in wave.iter().enumerate() {
-                    queue.job_end_ns[lane].push(now);
-                    queue.per_bank_ns[lane] = now;
-                    job_latency_ns[i] = unit;
-                }
-            }
-        }
-        queue.latency_ns = now;
-        Ok(BackendOutcome {
+        Ok(BatchOutcome {
             spectra,
-            latency_ns: now,
-            energy_nj: 0.0,
-            job_latency_ns,
-            bus_slots: 0,
-            rank_acts: 0,
-            topology: self.topology(),
-            queue_report: queue,
-            source: ReportSource::Simulated,
+            ..self.cost.batch_outcome(jobs)
         })
     }
 }
@@ -289,19 +212,18 @@ impl NttBackend for CpuLanesBackend {
 // ---------------------------------------------------------------------
 
 /// A published accelerator model as a bus backend: results computed
-/// through the golden CPU path (parity holds), timing taken from the
-/// published datapoints, serial (one transform at a time — published
-/// numbers are single-transform figures).
+/// through the golden CPU path (parity holds), timing and energy taken
+/// from the published datapoints, serial (one transform at a time —
+/// published numbers are single-transform figures).
 pub struct PublishedBackend {
-    label: &'static str,
-    model: Arc<dyn NttAccelerator + Send + Sync>,
+    cost: PublishedCostModel,
     golden: CpuNttEngine,
 }
 
 impl fmt::Debug for PublishedBackend {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PublishedBackend")
-            .field("label", &self.label)
+            .field("label", &self.cost.label())
             .finish_non_exhaustive()
     }
 }
@@ -310,54 +232,23 @@ impl PublishedBackend {
     /// Wraps any published model under a short routing label.
     pub fn new(label: &'static str, model: Arc<dyn NttAccelerator + Send + Sync>) -> Self {
         Self {
-            label,
-            model,
+            cost: PublishedCostModel::new(label, model),
             golden: CpuNttEngine::golden(),
         }
     }
 }
 
 impl NttBackend for PublishedBackend {
-    fn label(&self) -> &str {
-        self.label
-    }
-
-    fn kind(&self) -> BackendKind {
-        BackendKind::Published
-    }
-
     fn cost_model(&self) -> BusCostModel {
-        BusCostModel::Published(PublishedCostModel::new(self.label, Arc::clone(&self.model)))
+        BusCostModel::Published(self.cost.clone())
     }
 
-    fn run(&mut self, jobs: &[NttJob]) -> Result<BackendOutcome, EngineError> {
+    fn run(&mut self, jobs: &[NttJob]) -> Result<BatchOutcome, EngineError> {
         admit_batch(self, jobs)?;
         let (spectra, _lane_jobs) = run_lane_batched(&self.golden, jobs)?;
-        let mut queue = QueueReport::empty(1, 1, 1);
-        let mut job_latency_ns = Vec::with_capacity(jobs.len());
-        let mut energy_nj = 0.0;
-        let mut now = 0.0f64;
-        for job in jobs {
-            let factor = kind_factor(&job.kind);
-            // Admission guarantees a published point exists.
-            let unit = factor * self.model.latency_ns(job.n()).unwrap_or(0.0);
-            energy_nj += factor * self.model.energy_nj(job.n()).unwrap_or(0.0);
-            now += unit;
-            queue.job_end_ns[0].push(now);
-            job_latency_ns.push(unit);
-        }
-        queue.per_bank_ns[0] = now;
-        queue.latency_ns = now;
-        Ok(BackendOutcome {
+        Ok(BatchOutcome {
             spectra,
-            latency_ns: now,
-            energy_nj,
-            job_latency_ns,
-            bus_slots: 0,
-            rank_acts: 0,
-            topology: self.topology(),
-            queue_report: queue,
-            source: ReportSource::Published,
+            ..self.cost.batch_outcome(jobs)
         })
     }
 }
@@ -365,6 +256,7 @@ impl NttBackend for PublishedBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ntt_pim::engine::ReportSource;
     use pim_baselines::MenttModel;
 
     const Q: u64 = 12289;

@@ -21,10 +21,11 @@
 
 use crate::window::{BackendKind, CapabilityWindow};
 use ntt_pim::core::config::Topology;
+use ntt_pim::core::device::QueueReport;
 use ntt_pim::engine::batch::{
-    group_jobs, validate_job, validate_shape, DeviceCostModel, JobKind, NttJob,
+    group_jobs, validate_job, validate_shape, BatchOutcome, DeviceCostModel, JobKind, NttJob,
 };
-use ntt_pim::engine::EngineError;
+use ntt_pim::engine::{EngineError, ReportSource};
 use ntt_pim::reference::lanes::LANE_WIDTH;
 use pim_baselines::NttAccelerator;
 use std::collections::HashMap;
@@ -86,17 +87,36 @@ impl CpuLaneCostModel {
         kind_factor(&job.kind) * self.transform_cost(job.n())
     }
 
-    /// Predicted makespan of a batch, ns: same-`(kind, n, q)` jobs are
-    /// grouped into [`LANE_WIDTH`]-wide waves (the lane kernel's shape),
-    /// groups run serially.
+    /// The timing of a batch on the lanes, as the backend reports it
+    /// (no spectra): same-`(kind, n, q)` groups run serially, each in
+    /// [`LANE_WIDTH`]-wide waves whose lanes all finish together (the
+    /// SoA kernel's shape). The report has one bank per lane and no
+    /// energy; every job's latency is its wave's.
+    pub fn batch_outcome(&mut self, jobs: &[NttJob]) -> BatchOutcome {
+        let mut queue = QueueReport::empty(LANE_WIDTH, 1, 1);
+        let mut assignment = vec![Vec::new(); LANE_WIDTH];
+        let mut job_latency_ns = vec![0.0; jobs.len()];
+        let mut now = 0.0f64;
+        for group in group_jobs(jobs) {
+            let unit = kind_factor_tag(group.tag) * self.transform_cost(group.n);
+            for wave in group.indices.chunks(LANE_WIDTH) {
+                now += unit;
+                for (lane, &i) in wave.iter().enumerate() {
+                    queue.job_end_ns[lane].push(now);
+                    queue.per_bank_ns[lane] = now;
+                    assignment[lane].push(i);
+                    job_latency_ns[i] = unit;
+                }
+            }
+        }
+        queue.latency_ns = now;
+        BatchOutcome::timed(queue, job_latency_ns, assignment, ReportSource::Simulated)
+    }
+
+    /// Predicted makespan of a batch, ns: the latency
+    /// [`Self::batch_outcome`] reports.
     pub fn batch_makespan_ns(&mut self, jobs: &[NttJob]) -> f64 {
-        group_jobs(jobs)
-            .iter()
-            .map(|g| {
-                let waves = g.indices.len().div_ceil(LANE_WIDTH) as f64;
-                waves * kind_factor_tag(g.tag) * self.transform_cost(g.n)
-            })
-            .sum()
+        self.batch_outcome(jobs).latency_ns
     }
 }
 
@@ -104,6 +124,7 @@ impl CpuLaneCostModel {
 /// law of one [`NttAccelerator`], serial execution (published numbers
 /// are single-transform figures; no batch fan-out model exists for the
 /// comparators).
+#[derive(Clone)]
 pub struct PublishedCostModel {
     label: &'static str,
     model: std::sync::Arc<dyn NttAccelerator + Send + Sync>,
@@ -146,9 +167,32 @@ impl PublishedCostModel {
         }
     }
 
-    /// Serial batch latency, ns.
+    /// The timing of a batch, as the backend reports it (no spectra):
+    /// the jobs run one at a time in job order, each taking its
+    /// published latency and energy. The report has one bank.
+    pub fn batch_outcome(&self, jobs: &[NttJob]) -> BatchOutcome {
+        let mut queue = QueueReport::empty(1, 1, 1);
+        let mut job_latency_ns = Vec::with_capacity(jobs.len());
+        let mut now = 0.0f64;
+        for job in jobs {
+            let unit = self.job_cost(job);
+            now += unit;
+            queue.energy_nj +=
+                kind_factor(&job.kind) * self.model.energy_nj(job.n()).unwrap_or(0.0);
+            queue.job_end_ns[0].push(now);
+            job_latency_ns.push(unit);
+        }
+        queue.per_bank_ns[0] = now;
+        queue.per_bank_energy_nj[0] = queue.energy_nj;
+        queue.latency_ns = now;
+        let assignment = vec![(0..jobs.len()).collect()];
+        BatchOutcome::timed(queue, job_latency_ns, assignment, ReportSource::Published)
+    }
+
+    /// Serial batch latency, ns: the latency [`Self::batch_outcome`]
+    /// reports.
     pub fn batch_makespan_ns(&self, jobs: &[NttJob]) -> f64 {
-        jobs.iter().map(|j| self.job_cost(j)).sum()
+        self.batch_outcome(jobs).latency_ns
     }
 }
 

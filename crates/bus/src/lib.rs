@@ -32,7 +32,7 @@
 //!
 //! Every backend computes bit-identical results for any admitted job —
 //! the published models and the CPU lanes run the same golden kernels;
-//! only the *timing* provenance differs ([`BackendOutcome::source`]).
+//! only the *timing* provenance differs ([`BatchOutcome::source`]).
 //! That invariant is what lets the serving layer route a job to
 //! whichever backend is predicted cheapest without changing a single
 //! output bit; the parity tests in this crate pin it.
@@ -44,12 +44,12 @@ pub mod cost;
 pub mod spec;
 pub mod window;
 
-pub use backend::{BackendOutcome, CpuLanesBackend, NttBackend, PimBackend, PublishedBackend};
+pub use backend::{CpuLanesBackend, NttBackend, PimBackend, PublishedBackend};
 pub use cost::{BusCostModel, CpuLaneCostModel, PublishedCostModel};
 pub use spec::{BackendSpec, PublishedKind, SchedulePolicy, MAX_FLEET_SLOTS};
 pub use window::{BackendKind, CapabilityWindow};
 
-// Re-exported so bus consumers (service, bench, CLI) name job and error
-// types through one crate.
-pub use ntt_pim::engine::batch::NttJob;
+// Re-exported so bus consumers (service, bench, CLI) name job, outcome
+// and error types through one crate.
+pub use ntt_pim::engine::batch::{BatchOutcome, NttJob};
 pub use ntt_pim::engine::EngineError;

@@ -4,13 +4,17 @@
 //! bit-identical to the golden CPU model, and every rejection is a typed
 //! capability-window error, never a panic. Malformed jobs (bad lengths
 //! and moduli, unreduced or short operands, undersized splits) get the
-//! same treatment from admission, execution and the cost quote. The
-//! deterministic
-//! N × q grid over the same backends is `tests/engine_parity.rs` at the
-//! repository root. Runs identically on both feature halves (default and
-//! `simd`).
+//! same treatment from admission, execution and the cost quote. Each
+//! batch is described once: an outcome's summary figures are its queue
+//! report's, and a non-PIM backend's cost quote is the latency it
+//! reports, bit for bit. The deterministic N × q grid over the same
+//! backends is `tests/engine_parity.rs` at the repository root. Runs
+//! identically on both feature halves (default and `simd`).
 
-use ntt_bus::{BackendSpec, EngineError, NttBackend, NttJob, SchedulePolicy};
+use ntt_bus::{
+    BackendKind, BackendSpec, BatchOutcome, CpuLanesBackend, EngineError, NttBackend, NttJob,
+    SchedulePolicy,
+};
 use ntt_pim::core::config::{PimConfig, Topology};
 use ntt_pim::engine::batch::JobKind;
 use ntt_pim::engine::CpuNttEngine;
@@ -113,6 +117,22 @@ fn malformed_job(defect: u8, n: usize, pick: usize, kind: u8, seed: u64) -> NttJ
     }
 }
 
+/// The one-description invariants of a batch's outcome on `backend`:
+/// the summary figures are the queue report's bit for bit, every job
+/// has a latency, and a non-PIM backend's quote is its reported latency.
+fn check_one_description(backend: &dyn NttBackend, jobs: &[NttJob], out: &BatchOutcome) {
+    let qr = &out.queue_report;
+    let label = backend.label();
+    assert_eq!(out.latency_ns.to_bits(), qr.latency_ns.to_bits(), "{label}");
+    assert_eq!(out.energy_nj.to_bits(), qr.energy_nj.to_bits(), "{label}");
+    assert_eq!(out.bus_slots, qr.bus_slots, "{label}");
+    assert_eq!(out.job_latency_ns.len(), jobs.len(), "{label}");
+    if backend.kind() != BackendKind::Pim {
+        let quote = backend.cost_model().batch_makespan_ns(jobs);
+        assert_eq!(out.latency_ns.to_bits(), quote.to_bits(), "{label}");
+    }
+}
+
 fn by_label<'a>(backends: &'a mut [Box<dyn NttBackend>], label: &str) -> &'a mut dyn NttBackend {
     backends
         .iter_mut()
@@ -197,6 +217,7 @@ proptest! {
             }
             let out = backend.run(&jobs).unwrap();
             prop_assert_eq!(out.spectra.len(), jobs.len());
+            check_one_description(backend.as_ref(), &jobs, &out);
             for (i, job) in jobs.iter().enumerate() {
                 prop_assert_eq!(
                     &out.spectra[i],
@@ -255,6 +276,29 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// 48 same-shape jobs on the CPU lanes run as six 8-wide waves: the
+/// reported latency, its queue report and the router's quote are one
+/// figure, the six waves summed in order.
+#[test]
+fn cpu_lanes_quote_is_the_reported_latency_of_48_jobs() {
+    let q = 12289;
+    let jobs: Vec<NttJob> = (0..48)
+        .map(|seed| NttJob::forward(poly(256, q, seed + 1), q))
+        .collect();
+    let mut backend = CpuLanesBackend::new();
+    let out = backend.run(&jobs).unwrap();
+    check_one_description(&backend, &jobs, &out);
+    let wave = backend.cost_model().job_cost(&jobs[0]);
+    assert_eq!(out.queue_report.depth(), 6);
+    assert_eq!(
+        out.latency_ns.to_bits(),
+        (0..6).fold(0.0, |t, _| t + wave).to_bits()
+    );
+    for (i, spectrum) in out.spectra.iter().enumerate() {
+        assert_eq!(spectrum, &golden(&jobs[i]), "job {i}");
     }
 }
 

@@ -45,15 +45,16 @@ COMMON OPTIONS (run, trace, verify, polymul, batch):
     --clock <mhz>    CU clock in MHz                       [default: 1200]
     --q <modulus>    odd prime with 2N | q-1               [default: auto]
     --refresh        enable tREFI/tRFC refresh modeling
-    --channels <c>   independent channels (private bus each) [default: 1]
-    --ranks <r>      ranks per channel (own tRRD/tFAW window) [default: 1]
-    --banks <k>      banks per rank                        [default: 1]
+    (run, trace, verify and polymul run on one bank)
 
 SWEEP OPTIONS (with --clock, --q and --refresh):
     --nb <a,b,c>     list of buffer counts                 [default: 1,2,4,6]
     --lengths <...>  list of lengths                       [default: 256..8192]
 
 BATCH OPTIONS:
+    --channels <c>   independent channels (private bus each) [default: 1]
+    --ranks <r>      ranks per channel (own tRRD/tFAW window) [default: 1]
+    --banks <k>      banks per rank                        [default: 16]
     --jobs <k>       number of independent NTT jobs, at most 4096
                                                            [default: 16]
     --lengths <...>  job lengths, cycled over the batch
@@ -107,8 +108,9 @@ struct Command {
 }
 
 /// The options the single-request commands read: the transform length,
-/// the device configuration and the modulus.
-const DEVICE_OPTIONS: &[&str] = &["n", "nb", "clock", "q", "channels", "ranks", "banks"];
+/// the device configuration and the modulus. They run on one bank, so
+/// no topology option applies.
+const DEVICE_OPTIONS: &[&str] = &["n", "nb", "clock", "q"];
 
 /// Every subcommand.
 const COMMANDS: &[Command] = &[
@@ -215,14 +217,13 @@ pub fn dispatch(args: &ParsedArgs) -> Result<String, CliError> {
     (command(args)?.run)(args)
 }
 
+/// The one-bank device the single-request commands run on.
 fn config_from(args: &ParsedArgs) -> Result<PimConfig, CliError> {
     let nb: usize = args.get_or("nb", 2)?;
     let clock: u32 = args.get_or("clock", 1200)?;
-    let topology = topology_from(args, 1)?;
     validated(
         PimConfig::hbm2e(nb)
             .with_cu_clock_mhz(clock)
-            .with_topology(topology)
             .with_refresh(args.has_flag("refresh")),
     )
 }
@@ -235,16 +236,6 @@ fn validated(config: PimConfig) -> Result<PimConfig, CliError> {
         .validate()
         .map_err(|e| CliError::usage(e.to_string()))?;
     Ok(config)
-}
-
-/// The `--channels/--ranks/--banks` device shape (banks defaulting per
-/// subcommand: 1 for single-bank commands, 16 for `batch`).
-fn topology_from(args: &ParsedArgs, default_banks: u32) -> Result<Topology, CliError> {
-    Ok(Topology::new(
-        args.get_or("channels", 1)?,
-        args.get_or("ranks", 1)?,
-        args.get_or("banks", default_banks)?,
-    ))
 }
 
 /// The modulus of length-`n` transforms: `--q`, which must have a
@@ -451,7 +442,11 @@ fn batch(args: &ParsedArgs) -> Result<String, CliError> {
             "--jobs must be between 1 and {MAX_BATCH_JOBS}"
         )));
     }
-    let topology = topology_from(args, 16)?;
+    let topology = Topology::new(
+        args.get_or("channels", 1)?,
+        args.get_or("ranks", 1)?,
+        args.get_or("banks", 16)?,
+    );
     let nb: usize = args.get_or("nb", 2)?;
     let clock: u32 = args.get_or("clock", 1200)?;
     // Mixed-size batches (the RNS workload): job j gets lengths[j % len].
@@ -520,7 +515,8 @@ fn batch(args: &ParsedArgs) -> Result<String, CliError> {
         join(&lengths),
         config.total_banks()
     );
-    let _ = writeln!(outp, "  waves          : {:>12}", out.waves);
+    let qr = &out.queue_report;
+    let _ = writeln!(outp, "  waves          : {:>12}", qr.depth());
     let _ = writeln!(outp, "  batch latency  : {:>12.2} µs", out.latency_us());
     let _ = writeln!(
         outp,
@@ -534,8 +530,8 @@ fn batch(args: &ParsedArgs) -> Result<String, CliError> {
     );
     let _ = writeln!(outp, "  energy         : {:>12.2} nJ", out.energy_nj);
     let _ = writeln!(outp, "  bus slots      : {:>12}", out.bus_slots);
-    if out.per_channel_bus_slots.len() > 1 {
-        let per_channel = out
+    if qr.per_channel_bus_slots.len() > 1 {
+        let per_channel = qr
             .per_channel_bus_slots
             .iter()
             .map(ToString::to_string)
@@ -543,20 +539,20 @@ fn batch(args: &ParsedArgs) -> Result<String, CliError> {
             .join(" / ");
         let _ = writeln!(outp, "  per channel    : {per_channel:>12}");
     }
-    let _ = writeln!(outp, "  rank ACTs      : {:>12}", out.rank_acts);
+    let _ = writeln!(outp, "  rank ACTs      : {:>12}", qr.rank_acts);
     let _ = writeln!(
         outp,
         "  throughput     : {:>12.0} jobs/s",
         out.throughput_jobs_per_s()
     );
     let _ = writeln!(outp, "  per-bank       :       jobs   busy (µs)     nJ");
-    for (bank, u) in out.banks.iter().enumerate() {
+    for (bank, ends) in qr.job_end_ns.iter().enumerate() {
         let _ = writeln!(
             outp,
             "    bank {bank:>3}     : {:>10} {:>11.2} {:>6.1}",
-            u.jobs,
-            u.busy_ns / 1000.0,
-            u.energy_nj
+            ends.len(),
+            qr.per_bank_ns[bank] / 1000.0,
+            qr.per_bank_energy_nj[bank]
         );
     }
     for sr in &out.splits {
@@ -1006,11 +1002,15 @@ mod tests {
             "polymul --n 1000",
             "trace --n 3",
             "run --nb 0",
-            "run --banks 0",
+            "batch --n 256 --jobs 1 --banks 0",
             "run --clock 0",
             "sweep --nb 0 --lengths 256",
             "run --n 512 --q 7681",
             "polymul --n 8388608",
+            // 2^22 x 2^21 x 2^21 banks: the product wraps a 64-bit
+            // count to 0, and must still be refused by its size.
+            "batch --n 256 --jobs 1 --channels 4194304 --ranks 2097152 --banks 2097152",
+            "serve --smoke --channels 4194304 --ranks 2097152 --banks 2097152",
         ] {
             let e = run_line(line).unwrap_err();
             assert_eq!(e.exit_code, 2, "{line}: {e}");
@@ -1098,11 +1098,16 @@ mod tests {
     }
 
     #[test]
-    fn run_accepts_topology_flags_without_changing_results() {
-        // Single-request commands only use bank 0; extra channels/ranks
-        // must parse and not disturb the report.
-        let out = run_line("run --n 256 --nb 2 --channels 2 --ranks 2 --banks 2").unwrap();
-        assert!(out.contains("N=256"));
+    fn single_bank_commands_reject_topology_options() {
+        // run, trace, verify and polymul run on one bank, so they read
+        // no topology option: each is a usage error there.
+        for command in ["run", "trace", "verify", "polymul"] {
+            for option in ["--channels 2", "--ranks 2", "--banks 2"] {
+                let line = format!("{command} --n 256 --nb 2 {option}");
+                let e = run_line(&line).unwrap_err();
+                assert_eq!(e.exit_code, 2, "{line}: {e}");
+            }
+        }
     }
 
     #[test]

@@ -24,9 +24,9 @@ const OPTIONS: &[(&str, &[&str])] = &[
     ("nb", &["2", "4", "0", "x"]),
     ("clock", &["1200", "600", "0", "x"]),
     ("q", &["12289", "7681", "2013265921", "4", "1", "x"]),
-    ("channels", &["1", "2", "0", "x"]),
-    ("ranks", &["1", "2", "0"]),
-    ("banks", &["1", "2", "4", "0"]),
+    ("channels", &["1", "2", "0", "x", "4194304", "2097152"]),
+    ("ranks", &["1", "2", "0", "4194304", "2097152"]),
+    ("banks", &["1", "2", "4", "0", "4194304", "2097152"]),
     ("jobs", &["1", "3", "0", "5000", "x"]),
     ("lengths", &["64", "64,256", "128,", "0", "x"]),
     ("backend", &["pim", "cpu-lanes", "mentt", "bp-ntt", "frob"]),

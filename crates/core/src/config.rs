@@ -221,13 +221,15 @@ impl PimConfig {
                 ),
             });
         }
-        if self.total_banks() > 4096 {
+        // Checked: three 32-bit levels can wrap a 64-bit product (to 0
+        // at 2^22 x 2^21 x 2^21), and callers size vectors by it.
+        let t = self.topology;
+        let banks = (t.channels as usize)
+            .checked_mul(t.ranks as usize)
+            .and_then(|banks| banks.checked_mul(t.banks as usize));
+        if banks.is_none_or(|banks| banks > 4096) {
             return Err(PimError::BadConfig {
-                reason: format!(
-                    "topology {} has {} banks; the model caps the device at 4096",
-                    self.topology,
-                    self.total_banks()
-                ),
+                reason: format!("topology {t} has more than 4096 banks, the model's cap"),
             });
         }
         Ok(())
@@ -358,6 +360,24 @@ mod tests {
         assert!(zero.validate().is_err());
         let huge = PimConfig::hbm2e(2).with_topology(Topology::new(64, 64, 64));
         assert!(huge.validate().is_err());
+    }
+
+    #[test]
+    fn rejects_topologies_whose_bank_count_overflows() {
+        // 2^22 x 2^21 x 2^21 = 2^64 banks: the product wraps to 0.
+        let wrapped = Topology::new(1 << 22, 1 << 21, 1 << 21);
+        let err = PimConfig::hbm2e(2)
+            .with_topology(wrapped)
+            .validate()
+            .unwrap_err();
+        assert!(err.to_string().contains("4096"), "{err}");
+        // 968973220 x 49477 x 384773 = 2^64 + 4 wraps to 4 banks, a
+        // count inside the cap: refused by its real size all the same.
+        let small = Topology::new(968_973_220, 49_477, 384_773);
+        assert!(PimConfig::hbm2e(2).with_topology(small).validate().is_err());
+        // The cap itself is allowed.
+        let cap = Topology::new(4, 4, 256);
+        PimConfig::hbm2e(2).with_topology(cap).validate().unwrap();
     }
 
     #[test]

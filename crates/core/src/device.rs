@@ -243,6 +243,11 @@ impl QueueReport {
         self.job_end_ns.iter().map(Vec::len).sum()
     }
 
+    /// Depth of the schedule: the most jobs any one bank ran.
+    pub fn depth(&self) -> usize {
+        self.job_end_ns.iter().map(Vec::len).max().unwrap_or(0)
+    }
+
     fn from_queues(qt: &sched::QueueTimeline) -> Self {
         let per_bank_energy_nj: Vec<f64> = qt.banks.iter().map(|t| t.energy.total_nj()).collect();
         Self {

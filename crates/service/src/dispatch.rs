@@ -43,7 +43,7 @@ use crate::fault::{FailingDevice, FaultSwitch};
 use crate::fleet::{self, FleetRouter};
 use crate::stats::StatsInner;
 use crate::{BatchSummary, Pending, Response, ServiceError, Shared};
-use ntt_bus::{BackendOutcome, NttBackend};
+use ntt_bus::{BatchOutcome, NttBackend};
 use ntt_pim::engine::batch::{self, NttJob};
 use ntt_pim::engine::CpuNttEngine;
 use ntt_ref::cache::PlanCache;
@@ -116,6 +116,87 @@ impl FleetState {
             .lock()
             .expect("queue poisoned")
             .push_back(batch);
+    }
+
+    /// Routes tickets (`pending`, parallel with `jobs`) onto the device
+    /// queues, each placed group carrying `attempts`. A ticket no healthy
+    /// device can take is answered at once: with `failure` as its
+    /// [`ServiceError::Exec`] reason when the tickets are re-placed after
+    /// their device failed, or as [`Self::classify_unroutable`] decides
+    /// for a fresh batch (`failure: None`).
+    fn place(
+        &self,
+        shared: &Shared,
+        pending: Vec<Pending>,
+        jobs: Vec<NttJob>,
+        attempts: usize,
+        failure: Option<&str>,
+    ) {
+        let routing = self.router.lock().expect("router poisoned").route(&jobs);
+        let mut pending: Vec<Option<Pending>> = pending.into_iter().map(Some).collect();
+        let mut jobs: Vec<Option<NttJob>> = jobs.into_iter().map(Some).collect();
+        for &j in &routing.unroutable {
+            let job = jobs[j].take().expect("unroutable job routed twice");
+            let p = pending[j].take().expect("unroutable ticket routed twice");
+            let error = match failure {
+                Some(reason) => ServiceError::Exec {
+                    reason: reason.to_string(),
+                },
+                None => self.classify_unroutable(&job),
+            };
+            if matches!(error, ServiceError::Invalid { .. }) {
+                stat(shared, |s| s.rejected_invalid += 1);
+            }
+            respond(shared, p, Err(error));
+        }
+        for placement in routing.placements {
+            let group_pending: Vec<Pending> = placement
+                .jobs
+                .iter()
+                .map(|&j| pending[j].take().expect("job placed twice"))
+                .collect();
+            let group_jobs: Vec<NttJob> = placement
+                .jobs
+                .iter()
+                .map(|&j| jobs[j].take().expect("job placed twice"))
+                .collect();
+            self.push(
+                placement.device,
+                RoutedBatch {
+                    pending: group_pending,
+                    jobs: group_jobs,
+                    predicted_ns: placement.predicted_ns,
+                    attempts,
+                },
+            );
+        }
+    }
+
+    /// Why could no healthy backend take this job? Admitted nowhere
+    /// (malformed, or outside every capability window) ⇒ `Invalid`
+    /// (with the first backend's typed reason); admitted by some
+    /// retired backend ⇒ `Exec`.
+    fn classify_unroutable(&self, job: &NttJob) -> ServiceError {
+        let router = self.router.lock().expect("router poisoned");
+        let mut first_reason = None;
+        let mut valid_somewhere = false;
+        for d in 0..router.device_count() {
+            match router.admit(d, job) {
+                Ok(()) => valid_somewhere = true,
+                Err(e) => {
+                    first_reason.get_or_insert_with(|| e.to_string());
+                }
+            }
+        }
+        if valid_somewhere {
+            ServiceError::Exec {
+                reason: "no healthy device can serve this request".into(),
+            }
+        } else {
+            ServiceError::Invalid {
+                reason: first_reason.unwrap_or_else(|| "fleet has no devices".into()),
+            }
+        }
     }
 }
 
@@ -216,77 +297,14 @@ impl Router {
 
     /// Routes one micro-batch onto the fleet's queues, rejecting jobs no
     /// device can serve on their own ticket.
-    fn place(&mut self, batch: Vec<Pending>) {
-        let mut pending: Vec<Option<Pending>> = Vec::with_capacity(batch.len());
-        let mut jobs: Vec<NttJob> = Vec::with_capacity(batch.len());
+    fn place(&self, batch: Vec<Pending>) {
+        let mut pending = Vec::with_capacity(batch.len());
+        let mut jobs = Vec::with_capacity(batch.len());
         for mut p in batch {
             jobs.push(std::mem::replace(&mut p.job, NttJob::new(Vec::new(), 0)));
-            pending.push(Some(p));
+            pending.push(p);
         }
-        let routing = self
-            .fleet
-            .router
-            .lock()
-            .expect("router poisoned")
-            .route(&jobs);
-        let mut jobs: Vec<Option<NttJob>> = jobs.into_iter().map(Some).collect();
-        for &j in &routing.unroutable {
-            let job = jobs[j].take().expect("unroutable job routed twice");
-            let p = pending[j].take().expect("unroutable ticket routed twice");
-            let error = self.classify_unroutable(&job);
-            if matches!(error, ServiceError::Invalid { .. }) {
-                stat(&self.shared, |s| s.rejected_invalid += 1);
-            }
-            respond(&self.shared, p, Err(error));
-        }
-        for placement in routing.placements {
-            let group_pending: Vec<Pending> = placement
-                .jobs
-                .iter()
-                .map(|&j| pending[j].take().expect("job placed twice"))
-                .collect();
-            let group_jobs: Vec<NttJob> = placement
-                .jobs
-                .iter()
-                .map(|&j| jobs[j].take().expect("job placed twice"))
-                .collect();
-            self.fleet.push(
-                placement.device,
-                RoutedBatch {
-                    pending: group_pending,
-                    jobs: group_jobs,
-                    predicted_ns: placement.predicted_ns,
-                    attempts: 0,
-                },
-            );
-        }
-    }
-
-    /// Why could no healthy backend take this job? Admitted nowhere
-    /// (malformed, or outside every capability window) ⇒ `Invalid`
-    /// (with the first backend's typed reason); admitted by some
-    /// retired backend ⇒ `Exec`.
-    fn classify_unroutable(&self, job: &NttJob) -> ServiceError {
-        let router = self.fleet.router.lock().expect("router poisoned");
-        let mut first_reason = None;
-        let mut valid_somewhere = false;
-        for d in 0..router.device_count() {
-            match router.admit(d, job) {
-                Ok(()) => valid_somewhere = true,
-                Err(e) => {
-                    first_reason.get_or_insert_with(|| e.to_string());
-                }
-            }
-        }
-        if valid_somewhere {
-            ServiceError::Exec {
-                reason: "no healthy device can serve this request".into(),
-            }
-        } else {
-            ServiceError::Invalid {
-                reason: first_reason.unwrap_or_else(|| "fleet has no devices".into()),
-            }
-        }
+        self.fleet.place(&self.shared, pending, jobs, 0, None);
     }
 }
 
@@ -512,50 +530,18 @@ impl Worker {
             }
             return;
         }
-        let routing = self
-            .fleet
-            .router
-            .lock()
-            .expect("router poisoned")
-            .route(&batch.jobs);
-        let mut pending: Vec<Option<Pending>> = batch.pending.into_iter().map(Some).collect();
-        let mut jobs: Vec<Option<NttJob>> = batch.jobs.into_iter().map(Some).collect();
-        for &j in &routing.unroutable {
-            let p = pending[j].take().expect("unroutable ticket routed twice");
-            respond(
-                &self.shared,
-                p,
-                Err(ServiceError::Exec {
-                    reason: reason.to_string(),
-                }),
-            );
-        }
-        for placement in routing.placements {
-            let group_pending: Vec<Pending> = placement
-                .jobs
-                .iter()
-                .map(|&j| pending[j].take().expect("job placed twice"))
-                .collect();
-            let group_jobs: Vec<NttJob> = placement
-                .jobs
-                .iter()
-                .map(|&j| jobs[j].take().expect("job placed twice"))
-                .collect();
-            self.fleet.push(
-                placement.device,
-                RoutedBatch {
-                    pending: group_pending,
-                    jobs: group_jobs,
-                    predicted_ns: placement.predicted_ns,
-                    attempts,
-                },
-            );
-        }
+        self.fleet.place(
+            &self.shared,
+            batch.pending,
+            batch.jobs,
+            attempts,
+            Some(reason),
+        );
     }
 
     /// Verifies (optionally) and answers every ticket of one executed
     /// group, then releases the group's backlog accounting.
-    fn respond_batch(&mut self, batch: RoutedBatch, mut outcome: BackendOutcome) {
+    fn respond_batch(&mut self, batch: RoutedBatch, mut outcome: BatchOutcome) {
         let RoutedBatch {
             pending,
             jobs,
@@ -594,7 +580,7 @@ impl Worker {
             s.sim_busy_ns += outcome.latency_ns;
             s.energy_nj += outcome.energy_nj;
             s.bus_slots += outcome.bus_slots;
-            s.rank_acts += outcome.rank_acts;
+            s.rank_acts += outcome.queue_report.rank_acts;
             s.verify_failures += verified.iter().filter(|&&ok| !ok).count() as u64;
             s.verify_lane_jobs += verify_lane_jobs;
             s.completed += verified.iter().filter(|&&ok| ok).count() as u64;
@@ -610,7 +596,7 @@ impl Worker {
             lanes: self.device.lanes(),
             latency_ns: outcome.latency_ns,
             energy_nj: outcome.energy_nj,
-            topology: outcome.topology,
+            topology: self.device.topology(),
             queue: outcome.queue_report.clone(),
         });
         for (i, p) in pending.into_iter().enumerate() {

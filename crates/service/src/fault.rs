@@ -4,15 +4,17 @@
 //! ticket — result or typed error, never a hang — and, once the fault
 //! clears, re-admit the backend through the probe path).
 //!
-//! Every fleet worker drives its backend through a [`FailingDevice`];
-//! without a [`FaultSwitch`] attached it is a pass-through, so the
-//! production and fault-injected paths are the same code. It also turns
+//! Every fleet worker drives its backend through a [`FailingDevice`],
+//! itself an [`NttBackend`] described by the wrapped backend's cost
+//! model; without a [`FaultSwitch`] attached it is a pass-through, so
+//! the production and fault-injected paths are the same code. It also
+//! turns
 //! a panic inside the backend into a typed error, so a panicking backend
 //! is retired like a failing one instead of killing its worker thread
 //! (whose dropped tickets would never release their admission slots,
 //! leaving shutdown waiting for them forever).
 
-use ntt_bus::{BackendKind, BackendOutcome, EngineError, NttBackend, NttJob};
+use ntt_bus::{BatchOutcome, BusCostModel, EngineError, NttBackend, NttJob};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
@@ -70,7 +72,9 @@ impl FaultSwitch {
     }
 }
 
-/// One fleet backend with an optional fault switch in front of it.
+/// One fleet backend with an optional fault switch in front of it: a
+/// backend itself, named, admitted and priced by the wrapped backend's
+/// cost model, whose [`NttBackend::run`] applies the armed faults.
 pub struct FailingDevice {
     inner: Box<dyn NttBackend>,
     switch: Option<std::sync::Arc<FaultSwitch>>,
@@ -90,34 +94,11 @@ impl FailingDevice {
     pub fn new(inner: Box<dyn NttBackend>, switch: Option<std::sync::Arc<FaultSwitch>>) -> Self {
         Self { inner, switch }
     }
+}
 
-    /// The wrapped backend's routing label.
-    pub fn label(&self) -> &str {
-        self.inner.label()
-    }
-
-    /// The wrapped backend's family.
-    pub fn kind(&self) -> BackendKind {
-        self.inner.kind()
-    }
-
-    /// Lanes of the wrapped backend.
-    pub fn lanes(&self) -> usize {
-        self.inner.lanes()
-    }
-
-    /// Whether the wrapped backend admits one job.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::Shape`] or [`EngineError::Unsupported`].
-    pub fn admit(&self, job: &NttJob) -> Result<(), EngineError> {
-        self.inner.admit(job)
-    }
-
-    /// The wrapped backend's re-admission probe job.
-    pub fn probe_job(&self) -> NttJob {
-        self.inner.probe_job()
+impl NttBackend for FailingDevice {
+    fn cost_model(&self) -> BusCostModel {
+        self.inner.cost_model()
     }
 
     /// Runs one batch, applying any armed fault first: an armed stall
@@ -133,7 +114,7 @@ impl FailingDevice {
     ///
     /// The injected fault, whatever the wrapped backend reports, or a
     /// typed error carrying the message of a panic in the backend.
-    pub fn run(&mut self, jobs: &[NttJob]) -> Result<BackendOutcome, EngineError> {
+    fn run(&mut self, jobs: &[NttJob]) -> Result<BatchOutcome, EngineError> {
         if let Some(switch) = &self.switch {
             let stall = switch.stall();
             if !stall.is_zero() {

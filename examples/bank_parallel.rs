@@ -98,7 +98,10 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!("  throughput gain : {:>9.2}x over sequential", 16.0 / ratio);
     println!(
         "  bus slots {} | rank ACTs {} | energy {:.1} nJ | {} wave(s)",
-        out.bus_slots, out.rank_acts, out.energy_nj, out.waves
+        out.bus_slots,
+        out.queue_report.rank_acts,
+        out.energy_nj,
+        out.queue_report.depth()
     );
     assert!(
         ratio < 2.0,

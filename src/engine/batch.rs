@@ -42,7 +42,7 @@
 //! window, so adding channels or ranks buys real concurrency, not just
 //! more queue slots.
 
-use super::{CpuNttEngine, EngineError};
+use super::{CpuNttEngine, EngineError, ReportSource};
 use crate::core::cmd::PimCommand;
 use crate::core::config::{PimConfig, Topology};
 use crate::core::device::{
@@ -334,64 +334,43 @@ pub struct BatchPlan {
     pub units: Vec<PlanUnit>,
 }
 
-/// Per-bank slice of a batch report.
-#[derive(Debug, Clone, Default)]
-pub struct BankUsage {
-    /// Jobs this bank executed.
-    pub jobs: usize,
-    /// Time until the bank finished its queue, ns.
-    pub busy_ns: f64,
-    /// Energy this bank consumed, nJ.
-    pub energy_nj: f64,
-}
-
-/// Merged outcome of a batch: results plus a combined latency/energy
-/// report across banks.
+/// The one result of a batch, on every backend: per-job results, the
+/// queue report that times them, and where the timing comes from.
+/// [`BatchExecutor::run`] and every bus backend's `run` return it.
 #[derive(Debug, Clone)]
 pub struct BatchOutcome {
     /// Per-job results, in job order (natural coefficient order): the
     /// spectrum for forward jobs, the time-domain polynomial for inverse
     /// jobs, the product for polymul jobs.
     pub spectra: Vec<Vec<u64>>,
-    /// End-to-end batch latency, ns: the completion of the slowest bank
-    /// queue (banks drain concurrently, no barrier).
+    /// End-to-end batch latency, ns: [`QueueReport::latency_ns`],
+    /// restated.
     pub latency_ns: f64,
-    /// Total energy across all banks, nJ.
+    /// Total energy, nJ: [`QueueReport::energy_nj`], restated.
     pub energy_nj: f64,
-    /// Depth of the schedule: the deepest bank queue, in plan units.
-    pub waves: usize,
-    /// Command-bus slots issued across the whole batch (shared-bus
-    /// pressure; one slot per memory-clock cycle).
+    /// Command-bus slots issued: [`QueueReport::bus_slots`], restated.
     pub bus_slots: u64,
-    /// Rank-level row activations across the whole batch (the tRRD/tFAW
-    /// coupling between banks of one rank), summed over ranks.
-    pub rank_acts: u64,
-    /// The device topology the batch ran on.
-    pub topology: Topology,
-    /// Command-bus slots per channel (indexed by channel id) — how evenly
-    /// the hierarchical scheduler spread bus pressure.
-    pub per_channel_bus_slots: Vec<u64>,
-    /// Per-bank accounting, indexed by global bank id.
-    pub banks: Vec<BankUsage>,
     /// The job-index queues the batch actually ran (`assignment[b]` =
-    /// bank `b`'s jobs, in order; a split job appears once per bank that
-    /// ran any of its sub-jobs).
+    /// bank or lane `b`'s jobs, in order; a split job appears once per
+    /// bank that ran any of its sub-jobs).
     pub assignment: Vec<Vec<usize>>,
     /// Simulated per-job latency, ns, in job order: each job's completion
-    /// minus its bank-queue predecessor's completion. For a split job it
-    /// is the completion time of the job's *last sub-job*, measured from
+    /// minus its queue predecessor's completion. For a split job it is
+    /// the completion time of the job's *last sub-job*, measured from
     /// batch start (the sub-jobs span many banks, so there is no single
     /// predecessor).
     pub job_latency_ns: Vec<f64>,
     /// Per-stage accounting of every split large transform in the batch,
     /// in job order (empty when no job was split).
     pub splits: Vec<SplitReport>,
-    /// The full device-level queue report behind the summary fields above
-    /// (per-bank completion/energy, per-job end times, per-channel bus
-    /// slots, per-rank ACTs): the one asynchronous drain of the whole
-    /// batch. Serving-layer front-ends attach it to every response of a
-    /// micro-batch.
+    /// The batch's timing: per-bank (or per-lane) completion and energy,
+    /// per-job end times, per-channel bus slots, per-rank ACTs and
+    /// barrier times. Backends without a DRAM model fill in a
+    /// `1 × 1 × lanes` report. Serving-layer front-ends attach it to
+    /// every response of a micro-batch.
     pub queue_report: QueueReport,
+    /// Where the timing numbers come from.
+    pub source: ReportSource,
 }
 
 /// Per-stage latency of one split large transform inside a batch.
@@ -412,6 +391,27 @@ pub struct SplitReport {
 }
 
 impl BatchOutcome {
+    /// An outcome timed by `queue_report`, its summary fields restated
+    /// from the report; no spectra and no splits yet.
+    pub fn timed(
+        queue_report: QueueReport,
+        job_latency_ns: Vec<f64>,
+        assignment: Vec<Vec<usize>>,
+        source: ReportSource,
+    ) -> Self {
+        Self {
+            spectra: Vec::new(),
+            latency_ns: queue_report.latency_ns,
+            energy_nj: queue_report.energy_nj,
+            bus_slots: queue_report.bus_slots,
+            assignment,
+            job_latency_ns,
+            splits: Vec::new(),
+            queue_report,
+            source,
+        }
+    }
+
     /// Batch latency in microseconds.
     pub fn latency_us(&self) -> f64 {
         self.latency_ns / 1000.0
@@ -441,7 +441,7 @@ impl BatchOutcome {
 ///     .collect();
 /// let out = exec.run(&jobs)?;
 /// assert_eq!(out.spectra.len(), 8);
-/// assert_eq!(out.waves, 2); // 8 jobs over 4 banks: queues are 2 deep
+/// assert_eq!(out.queue_report.depth(), 2); // 8 jobs over 4 banks: queues are 2 deep
 /// # Ok(())
 /// # }
 /// ```
@@ -463,7 +463,7 @@ impl BatchOutcome {
 ///     .map(|j| NttJob::new((0..256).map(|i| (i * 5 + j) % q).collect(), q))
 ///     .collect();
 /// let out = exec.run(&jobs)?;
-/// assert_eq!(out.per_channel_bus_slots.len(), 2); // one bus per channel
+/// assert_eq!(out.queue_report.per_channel_bus_slots.len(), 2); // one bus per channel
 /// # Ok(())
 /// # }
 /// ```
@@ -1171,17 +1171,6 @@ impl BatchExecutor {
                 latency_ns: end,
             });
         }
-        let usage: Vec<BankUsage> = plan
-            .queues
-            .iter()
-            .enumerate()
-            .map(|(bank, queue)| BankUsage {
-                jobs: queue.len(),
-                busy_ns: queue_report.per_bank_ns[bank],
-                energy_nj: queue_report.per_bank_energy_nj[bank],
-            })
-            .collect();
-
         // Job-level assignment view: each bank's distinct jobs in queue
         // order (a split job shows up on every bank that ran sub-jobs).
         let assignment: Vec<Vec<usize>> = plan
@@ -1201,18 +1190,13 @@ impl BatchExecutor {
 
         Ok(BatchOutcome {
             spectra,
-            latency_ns: queue_report.latency_ns,
-            energy_nj: queue_report.energy_nj,
-            waves: plan.queues.iter().map(Vec::len).max().unwrap_or(0),
-            bus_slots: queue_report.bus_slots,
-            rank_acts: queue_report.rank_acts,
-            topology: self.topology(),
-            per_channel_bus_slots: queue_report.per_channel_bus_slots.clone(),
-            banks: usage,
-            assignment,
-            job_latency_ns,
             splits,
-            queue_report,
+            ..BatchOutcome::timed(
+                queue_report,
+                job_latency_ns,
+                assignment,
+                ReportSource::Simulated,
+            )
         })
     }
 }
@@ -1611,7 +1595,11 @@ mod tests {
         let mut exec = BatchExecutor::new(PimConfig::hbm2e(2).with_banks(4)).unwrap();
         let jobs: Vec<NttJob> = (0..6).map(|i| job(256, 100 + i)).collect();
         let out = exec.run(&jobs).unwrap();
-        assert_eq!(out.waves, 2, "6 jobs over 4 banks: queues are 2 deep");
+        assert_eq!(
+            out.queue_report.depth(),
+            2,
+            "6 jobs over 4 banks: queues are 2 deep"
+        );
         let cpu = CpuNttEngine::golden();
         for (i, j) in jobs.iter().enumerate() {
             let mut expect = j.coeffs.clone();
@@ -1651,16 +1639,15 @@ mod tests {
         let mut exec = BatchExecutor::new(PimConfig::hbm2e(2).with_banks(4)).unwrap();
         let jobs: Vec<NttJob> = (0..8).map(|i| job(256, 200 + i)).collect();
         let out = exec.run(&jobs).unwrap();
-        assert_eq!(out.banks.len(), 4);
-        assert!(out.banks.iter().all(|b| b.jobs == 2));
-        assert!(out
-            .banks
-            .iter()
-            .all(|b| b.busy_ns > 0.0 && b.energy_nj > 0.0));
-        let bank_energy: f64 = out.banks.iter().map(|b| b.energy_nj).sum();
+        let qr = &out.queue_report;
+        assert_eq!(qr.job_end_ns.len(), 4);
+        assert!(qr.job_end_ns.iter().all(|ends| ends.len() == 2));
+        assert!(qr.per_bank_ns.iter().all(|&busy| busy > 0.0));
+        assert!(qr.per_bank_energy_nj.iter().all(|&nj| nj > 0.0));
+        let bank_energy: f64 = qr.per_bank_energy_nj.iter().sum();
         assert!((bank_energy - out.energy_nj).abs() < 1e-6 * out.energy_nj.max(1.0));
         assert!(out.bus_slots > 0);
-        assert!(out.rank_acts >= 8, "at least one ACT per job");
+        assert!(qr.rank_acts >= 8, "at least one ACT per job");
         assert!(out.throughput_jobs_per_s() > 0.0);
         assert!(out.job_latency_ns.iter().all(|&l| l > 0.0));
     }
@@ -1688,9 +1675,13 @@ mod tests {
         let mut exec = BatchExecutor::new(PimConfig::hbm2e(2).with_banks(2)).unwrap();
         let jobs: Vec<NttJob> = (0..5).map(|i| job(64, 300 + i)).collect();
         let out = exec.run(&jobs).unwrap();
-        assert_eq!(out.waves, 3, "5 equal jobs over 2 banks: 3+2");
-        assert_eq!(out.banks[0].jobs, 3);
-        assert_eq!(out.banks[1].jobs, 2);
+        assert_eq!(
+            out.queue_report.depth(),
+            3,
+            "5 equal jobs over 2 banks: 3+2"
+        );
+        assert_eq!(out.queue_report.job_end_ns[0].len(), 3);
+        assert_eq!(out.queue_report.job_end_ns[1].len(), 2);
     }
 
     #[test]
@@ -1784,33 +1775,14 @@ mod tests {
         assert_eq!(exec.topology(), Topology::new(2, 2, 2));
         let jobs: Vec<NttJob> = (0..10).map(|i| job(256, 900 + i)).collect();
         let out = exec.run(&jobs).unwrap();
-        assert_eq!(out.topology, Topology::new(2, 2, 2));
-        assert_eq!(out.per_channel_bus_slots.len(), 2);
-        assert_eq!(out.per_channel_bus_slots.iter().sum::<u64>(), out.bus_slots);
-        assert_eq!(out.banks.len(), 8);
+        let qr = &out.queue_report;
+        assert_eq!(qr.per_channel_bus_slots.len(), 2);
+        assert_eq!(qr.per_channel_bus_slots.iter().sum::<u64>(), out.bus_slots);
+        assert_eq!(qr.per_bank_ns.len(), 8);
         // Values are topology-independent: the flat single-rank device
         // with the same total bank count computes identical spectra.
         let mut flat = BatchExecutor::new(PimConfig::hbm2e(2).with_banks(8)).unwrap();
         assert_eq!(out.spectra, flat.run(&jobs).unwrap().spectra);
-    }
-
-    #[test]
-    fn queue_report_backs_the_summary_under_both_policies() {
-        let config = PimConfig::hbm2e(2).with_topology(Topology::new(2, 1, 2));
-        let jobs: Vec<NttJob> = (0..6).map(|i| job(256, 700 + i)).collect();
-        let mut exec = BatchExecutor::new(config).unwrap();
-        let out = exec.run(&jobs).unwrap();
-        let qr = &out.queue_report;
-        assert_eq!(qr.latency_ns, out.latency_ns);
-        assert_eq!(qr.bus_slots, out.bus_slots);
-        assert_eq!(qr.rank_acts, out.rank_acts);
-        assert_eq!(qr.per_channel_bus_slots, out.per_channel_bus_slots);
-        assert_eq!(qr.job_count(), jobs.len());
-        assert_eq!(qr.per_rank_acts.iter().sum::<u64>(), out.rank_acts);
-        for (bank, u) in out.banks.iter().enumerate() {
-            assert_eq!(u.busy_ns, qr.per_bank_ns[bank], "bank {bank}");
-            assert_eq!(u.energy_nj, qr.per_bank_energy_nj[bank]);
-        }
     }
 
     #[test]

@@ -122,7 +122,8 @@ fn batch_results_match_individual_transforms() {
     let config = PimConfig::hbm2e(2).with_banks(banks);
     let out = BatchExecutor::new(config).unwrap().run(&jobs).unwrap();
     // Equal lengths cost the same, so LPT deals one job to each bank.
-    assert!(out.banks.iter().all(|b| b.jobs == 1), "{:?}", out.banks);
+    let per_bank = &out.queue_report.job_end_ns;
+    assert!(per_bank.iter().all(|ends| ends.len() == 1), "{per_bank:?}");
     for (b, job) in jobs.iter().enumerate() {
         let mut single = PimDevice::new(PimConfig::hbm2e(2)).unwrap();
         let words: Vec<u32> = job.coeffs.iter().map(|&c| c as u32).collect();

@@ -92,17 +92,17 @@ fn two_channels_strictly_beat_one_on_the_64_job_batch() {
     );
     // The win comes from splitting contention, not from doing less work.
     assert_eq!(sharded.bus_slots, flat.bus_slots);
-    assert_eq!(sharded.rank_acts, flat.rank_acts);
+    assert_eq!(sharded.queue_report.rank_acts, flat.queue_report.rank_acts);
     // Both channels carry real traffic (hierarchical LPT balances them).
-    assert_eq!(sharded.per_channel_bus_slots.len(), 2);
-    for (ch, &slots) in sharded.per_channel_bus_slots.iter().enumerate() {
+    let per_channel = &sharded.queue_report.per_channel_bus_slots;
+    assert_eq!(per_channel.len(), 2);
+    for (ch, &slots) in per_channel.iter().enumerate() {
         assert!(slots > 0, "channel {ch} idle");
     }
-    let imbalance = sharded.per_channel_bus_slots[0].abs_diff(sharded.per_channel_bus_slots[1]);
+    let imbalance = per_channel[0].abs_diff(per_channel[1]);
     assert!(
         (imbalance as f64) < 0.2 * sharded.bus_slots as f64,
-        "channel loads should be roughly balanced: {:?}",
-        sharded.per_channel_bus_slots
+        "channel loads should be roughly balanced: {per_channel:?}"
     );
 }
 
