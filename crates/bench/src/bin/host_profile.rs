@@ -24,9 +24,28 @@
 //! repeats on the same executor (warm: the decoded programs and the queue
 //! report come from its memo; validation, functional execution and
 //! read-back still run).
+//!
+//! Every timed run of the execute rows and of the executor gets operands
+//! drawn fresh from a seeded generator (loading them is not timed); the
+//! warm runs keep the batch's shape, so they still hit the memo. Replaying
+//! one set of operands would let the branch predictor learn the
+//! residues and time a run no caller sees.
+//!
+//! The `data_independence` block times two kernels on fresh random
+//! operands against all-zero ones, the two sides interleaved, each the
+//! minimum of [`EXECUTE_REPS`]: the serial functional run of the sixteen
+//! programs, and the lane-batched forward NTT
+//! (`ntt_ref::lanes::forward_batch`, the portable kernel unless built
+//! with `ntt-ref/simd`) of eight N = 4096 polynomials. The modular
+//! reductions both run (`Montgomery32` in the CU model, the Shoup legs
+//! on the host) subtract `q` without a branch, so their time does not
+//! depend on the residues and both ratios read ≈1.0×. A data-dependent
+//! `if x >= q` reads ≈2× and ≈1.5×: zeros never take the subtraction,
+//! random residues mispredict it.
+//!
 //! Written to `BENCH_host.json` (`--out PATH` to override).
 //!
-//! `--check` applies three gates, each a ratio taken within the run so it
+//! `--check` applies four gates, each a ratio taken within the run so it
 //! does not depend on the runner's speed:
 //!
 //! * the batch's `schedule_queues` time against sixteen single-bank
@@ -41,6 +60,8 @@
 //!   repeat costs what the first run did (≈0.95×); with it, what is left
 //!   is the functional run, loading and read-back (≈0.13× on a 2-vCPU
 //!   x86-64 VM). The gate fails above [`MAX_WARM_RATIO`].
+//! * each `data_independence` row, random operands against zeros. The
+//!   gate fails above [`MAX_DATA_RATIO`].
 //! * the concurrent execute against the serial one. Sixteen banks on
 //!   two cores read ≈0.5–0.7× on a 2-vCPU x86-64 VM; the gate fails
 //!   above [`MAX_CONCURRENT_RATIO`]. It applies only where two threads
@@ -59,6 +80,7 @@
 //! calls hold the whole budget, and then the peak is already at least
 //! one. The peak is written to `BENCH_host.json` as `helpers_peak`.
 
+use modmath::prime::NttField;
 use ntt_pim::engine::batch::{BatchExecutor, NttJob};
 use ntt_pim_core::config::{PimConfig, Topology};
 use ntt_pim_core::device::{BankStep, NttDirection, PimDevice, PolyHandle, StoredOrder};
@@ -66,6 +88,8 @@ use ntt_pim_core::helpers;
 use ntt_pim_core::mapper::Program;
 use ntt_pim_core::sched::schedule;
 use ntt_pim_core::sim::DecodedProgram;
+use ntt_ref::lanes::{self, LANE_WIDTH};
+use ntt_ref::plan::NttPlan;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -86,6 +110,9 @@ const MAX_SCHEDULE_RATIO: f64 = 3.0;
 /// The gate: a repeat of the batch on the same executor may cost at most
 /// this fraction of its first run.
 const MAX_WARM_RATIO: f64 = 0.25;
+/// The gate: a kernel may cost at most this many times as much on random
+/// operands as on all-zero ones.
+const MAX_DATA_RATIO: f64 = 1.25;
 /// The gate, on a host with at least two cores: the concurrent execute
 /// may cost at most this fraction of the serial one.
 const MAX_CONCURRENT_RATIO: f64 = 0.75;
@@ -122,10 +149,35 @@ fn min_of(run: impl FnMut() -> f64) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-fn coeffs(job: usize) -> Vec<u32> {
-    (0..N as u32)
-        .map(|i| (i.wrapping_mul(2_654_435_761) ^ job as u32) % Q)
-        .collect()
+/// Seeded operands, drawn fresh for every timed run: a 64-bit LCG
+/// stream, its high bits reduced mod `Q`.
+struct Operands(u64);
+
+impl Operands {
+    fn poly(&mut self) -> Vec<u32> {
+        (0..N)
+            .map(|_| {
+                self.0 = self
+                    .0
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                ((self.0 >> 32) % u64::from(Q)) as u32
+            })
+            .collect()
+    }
+
+    /// One operand vector per job.
+    fn batch(&mut self) -> Vec<Vec<u32>> {
+        (0..JOBS).map(|_| self.poly()).collect()
+    }
+
+    /// The batch as executor jobs.
+    fn jobs(&mut self) -> Vec<NttJob> {
+        self.batch()
+            .into_iter()
+            .map(|c| NttJob::forward(c.into_iter().map(u64::from).collect(), u64::from(Q)))
+            .collect()
+    }
 }
 
 fn load_all(dev: &mut PimDevice, inputs: &[Vec<u32>]) -> Vec<PolyHandle> {
@@ -155,8 +207,8 @@ fn main() {
     let topology = Topology::new(1, 1, JOBS as u32);
     let config = PimConfig::hbm2e(2).with_topology(topology);
     let mut dev = PimDevice::new(config).expect("valid config");
-    let inputs: Vec<Vec<u32>> = (0..JOBS).map(coeffs).collect();
-    let handles = load_all(&mut dev, &inputs);
+    let mut operands = Operands(1);
+    let handles = load_all(&mut dev, &operands.batch());
 
     let build = |dev: &PimDevice| -> Vec<Program> {
         handles
@@ -179,12 +231,20 @@ fn main() {
     let decode_ms = min_of(|| ms(|| decode(&dev)));
     let decoded = decode(&dev);
 
-    // The serial and the concurrent execute, interleaved so both see the
-    // same host state, each on freshly loaded inputs (loading is not
-    // timed). The concurrent one hands the same programs to `run_banks`,
-    // one bank per helper-thread work item. The control runs two units
-    // of arithmetic on one thread, then one on each of two.
-    let (mut execute_ms, mut concurrent_ms) = (f64::INFINITY, f64::INFINITY);
+    // The serial execute on random operands and on zeros, and the
+    // concurrent execute, interleaved so all see the same host state,
+    // each on freshly loaded operands (loading is not timed). The
+    // concurrent one hands the same programs to `run_banks`, one bank per
+    // helper-thread work item. The control runs two units of arithmetic
+    // on one thread, then one on each of two.
+    let zeros = vec![vec![0; N]; JOBS];
+    let run_serial = |dev: &mut PimDevice| {
+        for (bank, d) in decoded.iter().enumerate() {
+            dev.run_decoded(bank, d).expect("program runs");
+        }
+    };
+    let (mut execute_ms, mut execute_zero_ms) = (f64::INFINITY, f64::INFINITY);
+    let mut concurrent_ms = f64::INFINITY;
     let (mut one_thread_ms, mut two_threads_ms) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..EXECUTE_REPS {
         one_thread_ms = one_thread_ms.min(ms(|| spin(1) ^ spin(2)));
@@ -194,13 +254,11 @@ fn main() {
                 spin(2) ^ other.join().expect("control thread ran")
             })
         }));
-        load_all(&mut dev, &inputs);
-        execute_ms = execute_ms.min(ms(|| {
-            for (bank, d) in decoded.iter().enumerate() {
-                dev.run_decoded(bank, d).expect("program runs");
-            }
-        }));
-        load_all(&mut dev, &inputs);
+        load_all(&mut dev, &operands.batch());
+        execute_ms = execute_ms.min(ms(|| run_serial(&mut dev)));
+        load_all(&mut dev, &zeros);
+        execute_zero_ms = execute_zero_ms.min(ms(|| run_serial(&mut dev)));
+        load_all(&mut dev, &operands.batch());
         let lists: Vec<Vec<BankStep>> = decoded
             .iter()
             .map(|program| {
@@ -218,6 +276,21 @@ fn main() {
     let helpers_peak = helpers::peak();
     let probe_speedup = one_thread_ms / two_threads_ms;
     let gated = cores >= 2 && probe_speedup >= MIN_PROBE_SPEEDUP;
+    let execute_data_ratio = execute_ms / execute_zero_ms;
+
+    // One lane group of the host's lane-batched forward NTT, random
+    // operands against zeros, interleaved.
+    let plan = NttPlan::new(NttField::new(N, u64::from(Q)).expect("q has the root"));
+    let (mut lanes_ms, mut lanes_zero_ms) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..EXECUTE_REPS {
+        let mut polys: Vec<Vec<u64>> = (0..LANE_WIDTH)
+            .map(|_| operands.poly().into_iter().map(u64::from).collect())
+            .collect();
+        lanes_ms = lanes_ms.min(ms(|| lanes::forward_batch(&plan, &mut polys)));
+        let mut polys = vec![vec![0; N]; LANE_WIDTH];
+        lanes_zero_ms = lanes_zero_ms.min(ms(|| lanes::forward_batch(&plan, &mut polys)));
+    }
+    let lanes_data_ratio = lanes_ms / lanes_zero_ms;
 
     let queues: Vec<Vec<Program>> = programs.iter().map(|p| vec![p.clone()]).collect();
     let schedule_ms = min_of(|| ms(|| dev.schedule_queues(&queues).expect("16 queues")));
@@ -230,13 +303,13 @@ fn main() {
         })
     });
 
-    let jobs: Vec<NttJob> = inputs
-        .iter()
-        .map(|c| NttJob::forward(c.iter().map(|&v| u64::from(v)).collect(), u64::from(Q)))
-        .collect();
     let mut exec = BatchExecutor::new(config).expect("valid config");
+    let jobs = operands.jobs();
     let cold_ms = ms(|| exec.run(&jobs).expect("batch runs"));
-    let warm_ms = min_of(|| ms(|| exec.run(&jobs).expect("batch runs")));
+    let warm_ms = min_of(|| {
+        let jobs = operands.jobs();
+        ms(|| exec.run(&jobs).expect("batch runs"))
+    });
     let warm_ratio = warm_ms / cold_ms;
 
     let total_ms = map_ms + decode_ms + execute_ms + schedule_ms;
@@ -274,6 +347,15 @@ fn main() {
          {helpers_peak} of {}",
         helpers::budget()
     );
+    println!(
+        "data independence (min of {EXECUTE_REPS}, random vs zero operands, gate \
+         {MAX_DATA_RATIO:.2}x): {JOBS} x run_decoded {execute_ms:.3} vs {execute_zero_ms:.3} ms \
+         ({execute_data_ratio:.2}x); {LANE_WIDTH} x {} forward {:.1} vs {:.1} µs \
+         ({lanes_data_ratio:.2}x)",
+        lanes::kernel_label(),
+        lanes_ms * 1e3,
+        lanes_zero_ms * 1e3
+    );
 
     let json = format!(
         "{{\n  \"bench\": \"host_profile\",\n  \
@@ -292,11 +374,19 @@ fn main() {
          \"serial_ms\": {execute_ms:.3}, \
          \"concurrent_ms\": {concurrent_ms:.3}, \"concurrent_over_serial\": {concurrent_ratio:.3}, \
          \"two_thread_control_speedup\": {probe_speedup:.3}, \"min_control_speedup\": {MIN_PROBE_SPEEDUP}, \
-         \"max_ratio\": {MAX_CONCURRENT_RATIO}, \"gated\": {gated}, \"helpers_peak\": {helpers_peak}}}\n}}\n",
+         \"max_ratio\": {MAX_CONCURRENT_RATIO}, \"gated\": {gated}, \"helpers_peak\": {helpers_peak}}},\n  \
+         \"data_independence\": {{\"stat\": \"min of {EXECUTE_REPS}\", \"max_ratio\": {MAX_DATA_RATIO}, \
+         \"serial_execute\": {{\"random_ms\": {execute_ms:.3}, \"zero_ms\": {execute_zero_ms:.3}, \
+         \"random_over_zero\": {execute_data_ratio:.3}}}, \
+         \"lanes_forward_batch\": {{\"kernel\": \"{}\", \"polys\": {LANE_WIDTH}, \"n\": {N}, \
+         \"random_us\": {:.1}, \"zero_us\": {:.1}, \"random_over_zero\": {lanes_data_ratio:.3}}}}}\n}}\n",
         report.latency_ns / 1000.0,
         report.bus_slots,
         per_slot(schedule_ms),
         per_slot(total_ms),
+        lanes::kernel_label(),
+        lanes_ms * 1e3,
+        lanes_zero_ms * 1e3,
     );
     std::fs::write(&out_path, json).expect("write BENCH_host.json");
     println!("wrote {out_path}");
@@ -316,6 +406,21 @@ fn main() {
                  the gate allows {MAX_WARM_RATIO:.2}x"
             );
             failed = true;
+        }
+        for (what, data_ratio) in [
+            (format!("{JOBS} x run_decoded"), execute_data_ratio),
+            (
+                format!("{LANE_WIDTH} x {} forward", lanes::kernel_label()),
+                lanes_data_ratio,
+            ),
+        ] {
+            if data_ratio > MAX_DATA_RATIO {
+                eprintln!(
+                    "FAIL: {what} costs {data_ratio:.2}x as much on random operands as on \
+                     zeros; the gate allows {MAX_DATA_RATIO:.2}x"
+                );
+                failed = true;
+            }
         }
         if cores >= 2 && helpers_peak == 0 {
             eprintln!(
@@ -349,7 +454,8 @@ fn main() {
         println!(
             "check ok: {ratio:.2}x <= {MAX_SCHEDULE_RATIO:.1}x, \
              {warm_ratio:.2}x <= {MAX_WARM_RATIO:.2}x, \
-             concurrent execute {concurrent_ratio:.2}x"
+             random/zero {execute_data_ratio:.2}x and {lanes_data_ratio:.2}x <= \
+             {MAX_DATA_RATIO:.2}x, concurrent execute {concurrent_ratio:.2}x"
         );
     }
 }

@@ -597,8 +597,8 @@ fn join(lengths: &[usize]) -> String {
 
 /// `batch --backend <name>`: stands up the named backend from its
 /// [`BackendSpec`], admits every job through its capability window,
-/// prices each on its cost model, runs the batch, and verifies job 0
-/// against the golden CPU model.
+/// prices the batch on its cost model (the quote a router places by),
+/// runs it, and verifies job 0 against the golden CPU model.
 fn batch_on_backend(
     name: &str,
     jobs: &[NttJob],
@@ -614,13 +614,10 @@ fn batch_on_backend(
     let mut backend = spec
         .build(SchedulePolicy::Lpt, None)
         .map_err(|e| CliError::runtime(e.to_string()))?;
-    // Admission first, then the per-job quotes a router would sum.
-    let mut cost = backend.cost_model();
-    let mut predicted_ns = 0.0;
     for job in jobs {
         backend.admit(job).map_err(runtime)?;
-        predicted_ns += cost.job_cost(job);
     }
+    let predicted_ns = backend.cost_model().batch_makespan_ns(jobs);
     let out = backend.run(jobs).map_err(runtime)?;
     verify_first(jobs, &out.spectra)?;
 
@@ -643,7 +640,7 @@ fn batch_on_backend(
     );
     let _ = writeln!(
         outp,
-        "  predicted      : {:>12.2} µs (summed per-job cost quotes)",
+        "  predicted      : {:>12.2} µs (the batch's cost quote)",
         predicted_ns / 1000.0
     );
     let _ = writeln!(outp, "  energy         : {:>12.2} nJ", out.energy_nj);
@@ -1212,6 +1209,14 @@ mod tests {
         );
         assert!(out.contains("predicted      :"), "{out}");
         assert!(out.contains("verification   : OK"), "{out}");
+        // The printed quote is the batch makespan the router places by,
+        // which for the CPU lanes is the batch latency they report.
+        let out = run_line("batch --n 256 --jobs 48 --q 12289 --backend cpu-lanes").unwrap();
+        assert!(out.contains("batch latency  :         7.37 µs"), "{out}");
+        assert!(
+            out.contains("predicted      :         7.37 µs (the batch's cost quote)"),
+            "{out}"
+        );
         let out = run_line("batch --n 1024 --jobs 2 --q 12289 --backend bp-ntt").unwrap();
         assert!(
             out.contains("backend=bp-ntt (published kind, 1 lanes)"),

@@ -16,6 +16,16 @@
 //! transform planners consult before choosing this datapath over the
 //! widening fallback.
 //!
+//! The butterfly legs never branch on the residues: [`reduce_once`] and
+//! [`reduce_twice`] subtract without a branch (`x.min(x.wrapping_sub(q))`:
+//! the difference wraps to a larger value exactly when `x < q`),
+//! bit-identical to the `if x >= q` form. A data-dependent branch there
+//! is mispredicted about half the time on random residues, which made a
+//! transform's cost depend on its input.
+//! `host_profile --check` gates this on the lane-batched forward NTT:
+//! eight N = 4096 polynomials may cost at most 1.25× as much on random
+//! operands as on all-zero ones.
+//!
 //! See the [crate-level comparison](crate#choosing-a-reduction-strategy)
 //! of widening, Montgomery, and Shoup-lazy reduction for when to use
 //! which.
@@ -160,29 +170,21 @@ pub fn sub_lazy(a: u64, b: u64, q: u64) -> u64 {
     a + 2 * q - b
 }
 
-/// One conditional subtraction: maps `[0, 2q) → [0, q)`.
+/// One branch-free conditional subtraction: maps `[0, 2q) → [0, q)`.
 #[inline]
 #[must_use]
 pub fn reduce_once(x: u64, q: u64) -> u64 {
     debug_assert!(x < 2 * q || q >= 1 << 63);
-    if x >= q {
-        x - q
-    } else {
-        x
-    }
+    x.min(x.wrapping_sub(q))
 }
 
-/// One conditional subtraction of `2q`: maps `[0, 4q) → [0, 2q)`.
+/// One branch-free conditional subtraction of `2q`: maps
+/// `[0, 4q) → [0, 2q)`.
 #[inline]
 #[must_use]
 pub fn reduce_twice(x: u64, q: u64) -> u64 {
     debug_assert!(x < 4 * q);
-    let two_q = 2 * q;
-    if x >= two_q {
-        x - two_q
-    } else {
-        x
-    }
+    x.min(x.wrapping_sub(2 * q))
 }
 
 /// The single final-normalization pass of a lazy transform: maps every
