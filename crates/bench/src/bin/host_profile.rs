@@ -43,9 +43,15 @@
 //! `if x >= q` reads ≈2× and ≈1.5×: zeros never take the subtraction,
 //! random residues mispredict it.
 //!
+//! The `cu_datapath` block times the serial functional run of the
+//! sixteen programs against sixteen scalar `NttPlan::forward` calls on
+//! the same operands, interleaved with it, min of [`EXECUTE_REPS`]: the
+//! same sixteen transforms, once through the compute unit's 32-bit
+//! Montgomery lanes and once through the host's 64-bit Shoup kernel.
+//!
 //! Written to `BENCH_host.json` (`--out PATH` to override).
 //!
-//! `--check` applies four gates, each a ratio taken within the run so it
+//! `--check` applies five gates, each a ratio taken within the run so it
 //! does not depend on the runner's speed:
 //!
 //! * the batch's `schedule_queues` time against sixteen single-bank
@@ -62,6 +68,13 @@
 //!   x86-64 VM). The gate fails above [`MAX_WARM_RATIO`].
 //! * each `data_independence` row, random operands against zeros. The
 //!   gate fails above [`MAX_DATA_RATIO`].
+//! * the `cu_datapath` row, the serial functional run against
+//!   `NttPlan::forward`. With sign-mask Montgomery corrections and
+//!   straight-line C1/C2 kernels the optimizer runs the lanes' adds,
+//!   subtracts and corrections as vector code, and the ratio reads
+//!   ≈0.6× on a 2-vCPU x86-64 VM; with `min` corrections, which have
+//!   no SSE2 vector form, it read ≈0.9–1.0×. The gate fails above
+//!   [`MAX_EXECUTE_OVER_PLAN`].
 //! * the concurrent execute against the serial one. Sixteen banks on
 //!   two cores read ≈0.5–0.7× on a 2-vCPU x86-64 VM; the gate fails
 //!   above [`MAX_CONCURRENT_RATIO`]. It applies only where two threads
@@ -113,6 +126,10 @@ const MAX_WARM_RATIO: f64 = 0.25;
 /// The gate: a kernel may cost at most this many times as much on random
 /// operands as on all-zero ones.
 const MAX_DATA_RATIO: f64 = 1.25;
+/// The gate: the serial functional execute of the sixteen programs may
+/// cost at most this fraction of sixteen scalar `NttPlan::forward` calls
+/// on the same operands.
+const MAX_EXECUTE_OVER_PLAN: f64 = 0.8;
 /// The gate, on a host with at least two cores: the concurrent execute
 /// may cost at most this fraction of the serial one.
 const MAX_CONCURRENT_RATIO: f64 = 0.75;
@@ -243,6 +260,9 @@ fn main() {
             dev.run_decoded(bank, d).expect("program runs");
         }
     };
+    // The host's scalar transform, timed on the serial execute's operands.
+    let plan = NttPlan::new(NttField::new(N, u64::from(Q)).expect("q has the root"));
+    let mut plan_ms = f64::INFINITY;
     let (mut execute_ms, mut execute_zero_ms) = (f64::INFINITY, f64::INFINITY);
     let mut concurrent_ms = f64::INFINITY;
     let (mut one_thread_ms, mut two_threads_ms) = (f64::INFINITY, f64::INFINITY);
@@ -254,8 +274,14 @@ fn main() {
                 spin(2) ^ other.join().expect("control thread ran")
             })
         }));
-        load_all(&mut dev, &operands.batch());
+        let batch = operands.batch();
+        load_all(&mut dev, &batch);
         execute_ms = execute_ms.min(ms(|| run_serial(&mut dev)));
+        let mut polys: Vec<Vec<u64>> = batch
+            .iter()
+            .map(|c| c.iter().map(|&x| u64::from(x)).collect())
+            .collect();
+        plan_ms = plan_ms.min(ms(|| polys.iter_mut().for_each(|p| plan.forward(p))));
         load_all(&mut dev, &zeros);
         execute_zero_ms = execute_zero_ms.min(ms(|| run_serial(&mut dev)));
         load_all(&mut dev, &operands.batch());
@@ -277,10 +303,10 @@ fn main() {
     let probe_speedup = one_thread_ms / two_threads_ms;
     let gated = cores >= 2 && probe_speedup >= MIN_PROBE_SPEEDUP;
     let execute_data_ratio = execute_ms / execute_zero_ms;
+    let execute_plan_ratio = execute_ms / plan_ms;
 
     // One lane group of the host's lane-batched forward NTT, random
     // operands against zeros, interleaved.
-    let plan = NttPlan::new(NttField::new(N, u64::from(Q)).expect("q has the root"));
     let (mut lanes_ms, mut lanes_zero_ms) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..EXECUTE_REPS {
         let mut polys: Vec<Vec<u64>> = (0..LANE_WIDTH)
@@ -348,6 +374,11 @@ fn main() {
         helpers::budget()
     );
     println!(
+        "CU datapath (min of {EXECUTE_REPS}, same operands): {JOBS} x run_decoded \
+         {execute_ms:.3} ms vs {JOBS} x NttPlan::forward {plan_ms:.3} ms: \
+         {execute_plan_ratio:.2}x (gate {MAX_EXECUTE_OVER_PLAN:.2}x)"
+    );
+    println!(
         "data independence (min of {EXECUTE_REPS}, random vs zero operands, gate \
          {MAX_DATA_RATIO:.2}x): {JOBS} x run_decoded {execute_ms:.3} vs {execute_zero_ms:.3} ms \
          ({execute_data_ratio:.2}x); {LANE_WIDTH} x {} forward {:.1} vs {:.1} µs \
@@ -375,6 +406,9 @@ fn main() {
          \"concurrent_ms\": {concurrent_ms:.3}, \"concurrent_over_serial\": {concurrent_ratio:.3}, \
          \"two_thread_control_speedup\": {probe_speedup:.3}, \"min_control_speedup\": {MIN_PROBE_SPEEDUP}, \
          \"max_ratio\": {MAX_CONCURRENT_RATIO}, \"gated\": {gated}, \"helpers_peak\": {helpers_peak}}},\n  \
+         \"cu_datapath\": {{\"stat\": \"min of {EXECUTE_REPS}\", \"serial_execute_ms\": {execute_ms:.3}, \
+         \"plan_forward_ms\": {plan_ms:.3}, \"execute_over_plan\": {execute_plan_ratio:.3}, \
+         \"max_ratio\": {MAX_EXECUTE_OVER_PLAN}}},\n  \
          \"data_independence\": {{\"stat\": \"min of {EXECUTE_REPS}\", \"max_ratio\": {MAX_DATA_RATIO}, \
          \"serial_execute\": {{\"random_ms\": {execute_ms:.3}, \"zero_ms\": {execute_zero_ms:.3}, \
          \"random_over_zero\": {execute_data_ratio:.3}}}, \
@@ -422,6 +456,14 @@ fn main() {
                 failed = true;
             }
         }
+        if execute_plan_ratio > MAX_EXECUTE_OVER_PLAN {
+            eprintln!(
+                "FAIL: {JOBS} x run_decoded costs {execute_plan_ratio:.2}x {JOBS} scalar \
+                 NttPlan::forward on the same operands; the gate allows \
+                 {MAX_EXECUTE_OVER_PLAN:.2}x"
+            );
+            failed = true;
+        }
         if cores >= 2 && helpers_peak == 0 {
             eprintln!(
                 "FAIL: run_banks over {JOBS} banks started no helper thread although the \
@@ -455,7 +497,8 @@ fn main() {
             "check ok: {ratio:.2}x <= {MAX_SCHEDULE_RATIO:.1}x, \
              {warm_ratio:.2}x <= {MAX_WARM_RATIO:.2}x, \
              random/zero {execute_data_ratio:.2}x and {lanes_data_ratio:.2}x <= \
-             {MAX_DATA_RATIO:.2}x, concurrent execute {concurrent_ratio:.2}x"
+             {MAX_DATA_RATIO:.2}x, execute/NttPlan {execute_plan_ratio:.2}x <= \
+             {MAX_EXECUTE_OVER_PLAN:.2}x, concurrent execute {concurrent_ratio:.2}x"
         );
     }
 }

@@ -5,8 +5,19 @@
 //! the paper synthesized — with twiddles in Montgomery form and data in
 //! plain form (see [`crate::tfg`]). The kernels run on a fixed [`Atom`]
 //! of [`NA`] = 8 lanes, Table I's 32 B atom of 32-bit words and the only
-//! size [`crate::config::PimConfig::validate`] accepts, so a C2 is eight
-//! independent butterflies the compiler can vectorize.
+//! size [`crate::config::PimConfig::validate`] accepts. The butterfly
+//! order is chosen once per command, so a C2 is eight copies of one
+//! butterfly, and each C1 shape (2, 4 or 8 points, either order) is a
+//! straight-line function of fixed stages, a full atom three stages of
+//! four butterflies.
+//!
+//! With [`Montgomery32`]'s sign-mask corrections the optimizer runs the
+//! lanes' additions, subtractions and corrections as SSE2 vector code on
+//! the default x86-64 target; the 32 × 32 → 64-bit products stay scalar
+//! multiplies. The `x.min(x − q)` corrections these replaced have no
+//! SSE2 vector form, and with them every lane stayed scalar. No `unsafe`
+//! code, target feature or second kernel path is involved: this is the
+//! one datapath, and debug builds run it unvectorized.
 //!
 //! The hardware generates each C2's lane twiddles `ω0·rω^l` by a serial
 //! chain of multiplies ([`crate::tfg::TwiddleGen`]). Here the decoder
@@ -33,20 +44,27 @@ const LOG_NA: usize = NA.trailing_zeros() as usize;
 /// One atom: the contents of an atom buffer, one word per lane.
 pub(crate) type Atom = [u32; NA];
 
+/// The Cooley–Tukey butterfly: `t = b·w; (a + t, a − t)`. `a` and `b`
+/// are plain form, `w` is the Montgomery-form twiddle.
+#[inline(always)]
+fn ct(mont: &Montgomery32, a: u32, b: u32, w: u32) -> (u32, u32) {
+    let t = mont.redc(b as u64 * w as u64);
+    (mont.add(a, t), mont.sub(a, t))
+}
+
+/// The Gentleman–Sande butterfly: `(a + b, (a − b)·w)`.
+#[inline(always)]
+fn gs(mont: &Montgomery32, a: u32, b: u32, w: u32) -> (u32, u32) {
+    (mont.add(a, b), mont.redc(mont.sub(a, b) as u64 * w as u64))
+}
+
 /// One butterfly in the selected order; `a` and `b` are plain form, `w`
 /// is the Montgomery-form twiddle.
 #[inline]
 pub(crate) fn butterfly(mont: &Montgomery32, a: u32, b: u32, w: u32, order: BuOrder) -> (u32, u32) {
     match order {
-        BuOrder::Ct => {
-            let t = mont.redc(b as u64 * w as u64);
-            (mont.add(a, t), mont.sub(a, t))
-        }
-        BuOrder::Gs => {
-            let sum = mont.add(a, b);
-            let diff = mont.sub(a, b);
-            (sum, mont.redc(diff as u64 * w as u64))
-        }
+        BuOrder::Ct => ct(mont, a, b, w),
+        BuOrder::Gs => gs(mont, a, b, w),
     }
 }
 
@@ -62,12 +80,22 @@ pub(crate) fn lane_twiddles(mont: &Montgomery32, tw: TwiddleParams) -> Atom {
     powers.map(|p| mont.mul(tw.omega0_mont, p))
 }
 
+/// `bu` on every lane: lane `l` computes `bu(p[l], s[l], tw[l])`.
+#[inline(always)]
+fn lanes(p: &mut Atom, s: &mut Atom, tw: &Atom, bu: impl Fn(u32, u32, u32) -> (u32, u32)) {
+    for l in 0..NA {
+        (p[l], s[l]) = bu(p[l], s[l], tw[l]);
+    }
+}
+
 /// C2 (Algorithm 2): lane `l` computes `BU(p[l], s[l])` with twiddle
-/// `tw[l]`, in place.
+/// `tw[l]`, in place. The order is chosen once for the atom, so each arm
+/// is eight copies of one butterfly.
 #[inline]
 pub(crate) fn c2(mont: &Montgomery32, p: &mut Atom, s: &mut Atom, tw: &Atom, order: BuOrder) {
-    for l in 0..NA {
-        (p[l], s[l]) = butterfly(mont, p[l], s[l], tw[l], order);
+    match order {
+        BuOrder::Ct => lanes(p, s, tw, |a, b, w| ct(mont, a, b, w)),
+        BuOrder::Gs => lanes(p, s, tw, |a, b, w| gs(mont, a, b, w)),
     }
 }
 
@@ -93,16 +121,64 @@ pub(crate) fn pointwise(mont: &Montgomery32, p: &mut Atom, s: &Atom) {
     }
 }
 
+/// Stage twiddles of a C1: `tw[s][j] = step[s]^j` (Montgomery form) for
+/// `j < 2^s`.
+type StageTwiddles = [[u32; NA / 2]; LOG_NA];
+
+/// One C1 stage of span `M` over the first `P` lanes: butterfly
+/// `(k + j, k + j + M)`, for each group start `k` and `j < M`, takes
+/// twiddle `tw[j]`. Both bounds are constants, so the stage compiles to
+/// `P / 2` butterflies of straight-line code.
+#[inline(always)]
+fn stage<const P: usize, const M: usize>(
+    x: &mut Atom,
+    tw: &[u32; NA / 2],
+    bu: impl Fn(u32, u32, u32) -> (u32, u32),
+) {
+    for g in 0..P / (2 * M) {
+        for (j, &w) in tw[..M].iter().enumerate() {
+            let (a, b) = (2 * M * g + j, 2 * M * g + j + M);
+            (x[a], x[b]) = bu(x[a], x[b], w);
+        }
+    }
+}
+
+/// A `P`-point DIT C1 in `Ct` order: stages span 1 → P/2.
+fn dit<const P: usize>(mont: &Montgomery32, x: &mut Atom, tw: &StageTwiddles) {
+    let bu = |a, b, w| ct(mont, a, b, w);
+    stage::<P, 1>(x, &tw[0], bu);
+    if P >= 4 {
+        stage::<P, 2>(x, &tw[1], bu);
+    }
+    if P >= 8 {
+        stage::<P, 4>(x, &tw[2], bu);
+    }
+}
+
+/// A `P`-point DIF C1 in `Gs` order: stages span P/2 → 1.
+fn dif<const P: usize>(mont: &Montgomery32, x: &mut Atom, tw: &StageTwiddles) {
+    let bu = |a, b, w| gs(mont, a, b, w);
+    if P >= 8 {
+        stage::<P, 4>(x, &tw[2], bu);
+    }
+    if P >= 4 {
+        stage::<P, 2>(x, &tw[1], bu);
+    }
+    stage::<P, 1>(x, &tw[0], bu);
+}
+
 /// C1 (Algorithm 1): the intra-atom NTT over the first `points` lanes,
 /// with every stage's twiddles precomputed. Stage `s` (span `2^s`) uses
 /// `1, step[s], step[s]², …` within each butterfly group, resetting at
 /// group boundaries, so one row of `2^s` twiddles serves every group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///
+/// Each accepted shape — 2, 4 or 8 points in either order — is its own
+/// straight-line function, picked once when the kernel is built; a full
+/// atom is three fixed stages of four butterflies.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct C1Kernel {
-    points: usize,
-    order: BuOrder,
-    /// `tw[s][j] = step[s]^j` (Montgomery form) for `j < 2^s`.
-    tw: [[u32; NA / 2]; LOG_NA],
+    stages: fn(&Montgomery32, &mut Atom, &StageTwiddles),
+    tw: StageTwiddles,
 }
 
 impl C1Kernel {
@@ -110,15 +186,23 @@ impl C1Kernel {
     ///
     /// # Errors
     ///
-    /// [`PimError::BufferMisuse`] for lane counts that are not powers of
-    /// two within the atom, or a step-count mismatch.
+    /// [`PimError::BufferMisuse`] for a point count other than 2, 4 or
+    /// 8, or a step-count mismatch.
     pub(crate) fn new(mont: &Montgomery32, params: &C1Params) -> Result<Self, PimError> {
-        let points = params.points as usize;
-        if !points.is_power_of_two() || !(2..=NA).contains(&points) {
-            return Err(PimError::BufferMisuse {
-                reason: format!("C1 over {points} points is not supported"),
-            });
-        }
+        let points = params.points;
+        let stages = match (points, params.order) {
+            (2, BuOrder::Ct) => dit::<2>,
+            (4, BuOrder::Ct) => dit::<4>,
+            (8, BuOrder::Ct) => dit::<8>,
+            (2, BuOrder::Gs) => dif::<2>,
+            (4, BuOrder::Gs) => dif::<4>,
+            (8, BuOrder::Gs) => dif::<8>,
+            _ => {
+                return Err(PimError::BufferMisuse {
+                    reason: format!("C1 over {points} points is not supported"),
+                })
+            }
+        };
         let log_p = points.trailing_zeros() as usize;
         if params.stage_steps_mont.len() != log_p {
             return Err(PimError::BufferMisuse {
@@ -139,11 +223,7 @@ impl C1Kernel {
             );
             tw[s].copy_from_slice(&powers[..NA / 2]);
         }
-        Ok(Self {
-            points,
-            order: params.order,
-            tw,
-        })
+        Ok(Self { stages, tw })
     }
 
     /// Transforms the first `points` lanes of `x` in place; the rest are
@@ -151,20 +231,7 @@ impl C1Kernel {
     /// reverse (DIF).
     #[inline]
     pub(crate) fn run(&self, mont: &Montgomery32, x: &mut Atom) {
-        let log_p = self.points.trailing_zeros() as usize;
-        let stage = |x: &mut Atom, s: usize| {
-            let m = 1 << s;
-            for k in (0..self.points).step_by(2 * m) {
-                for j in 0..m {
-                    (x[k + j], x[k + j + m]) =
-                        butterfly(mont, x[k + j], x[k + j + m], self.tw[s][j], self.order);
-                }
-            }
-        };
-        match self.order {
-            BuOrder::Ct => (0..log_p).for_each(|s| stage(x, s)),
-            BuOrder::Gs => (0..log_p).rev().for_each(|s| stage(x, s)),
-        }
+        (self.stages)(mont, x, &self.tw)
     }
 }
 
@@ -418,5 +485,166 @@ mod tests {
             sim.execute(&program(commands)),
             Err(PimError::BufferMisuse { .. })
         ));
+    }
+
+    /// Moduli of the kernel property tests: the smallest the datapath
+    /// accepts, four NTT primes, and the largest odd modulus under 2³¹,
+    /// where the sign mask of each correction has the least room.
+    const KERNEL_MODULI: [u32; 6] = [3, 7681, 12289, 8_380_417, 2_013_265_921, (1 << 31) - 1];
+
+    /// The widening butterfly on a plain twiddle.
+    fn butterfly_ref(q: u32, a: u32, b: u32, w: u32, order: BuOrder) -> (u32, u32) {
+        use modmath::arith::{add_mod, mul_mod, sub_mod};
+        let (a, b, w, q) = (a as u64, b as u64, w as u64, q as u64);
+        let (x, y) = match order {
+            BuOrder::Ct => {
+                let t = mul_mod(b, w, q);
+                (add_mod(a, t, q), sub_mod(a, t, q))
+            }
+            BuOrder::Gs => (add_mod(a, b, q), mul_mod(sub_mod(a, b, q), w, q)),
+        };
+        (x as u32, y as u32)
+    }
+
+    /// The C1 butterfly network, widening: stage `s` (span `m = 2^s`)
+    /// gives butterfly `(k + j, k + j + m)` the twiddle `steps[s]^j`;
+    /// `Ct` runs the stages upwards, `Gs` downwards.
+    fn c1_ref(q: u32, x: &mut Atom, points: usize, steps: &[u32], order: BuOrder) {
+        let log_p = points.trailing_zeros() as usize;
+        let stages: Vec<usize> = match order {
+            BuOrder::Ct => (0..log_p).collect(),
+            BuOrder::Gs => (0..log_p).rev().collect(),
+        };
+        for s in stages {
+            let m = 1 << s;
+            for k in (0..points).step_by(2 * m) {
+                for j in 0..m {
+                    let w = pow_mod(steps[s] as u64, j as u64, q as u64) as u32;
+                    (x[k + j], x[k + j + m]) = butterfly_ref(q, x[k + j], x[k + j + m], w, order);
+                }
+            }
+        }
+    }
+
+    /// Seeded residues mod `q`: random ones, and corner ones drawn from
+    /// `{0, 1, q − 2, q − 1}`, where each correction just fires or just
+    /// does not.
+    struct Residues(u64);
+
+    impl Residues {
+        fn next(&mut self, bound: u32) -> u32 {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((self.0 >> 32) % bound as u64) as u32
+        }
+
+        /// A random residue (`corner` false) or a corner one.
+        fn residue(&mut self, q: u32, corner: bool) -> u32 {
+            if corner {
+                [0, 1, q - 2, q - 1][self.next(4) as usize]
+            } else {
+                self.next(q)
+            }
+        }
+
+        fn atom(&mut self, q: u32, corner: bool) -> Atom {
+            std::array::from_fn(|_| self.residue(q, corner))
+        }
+    }
+
+    /// Cases per modulus and kind (random, corner).
+    const CASES: usize = 48;
+
+    /// Runs `check(q, mont, residues, corner)` on every modulus, for
+    /// random and corner inputs.
+    fn for_each_case(mut check: impl FnMut(u32, &Montgomery32, &mut Residues, bool)) {
+        let mut residues = Residues(0x2545_f491_4f6c_dd1d);
+        for q in KERNEL_MODULI {
+            let m = Montgomery32::new(q).unwrap();
+            for corner in [false, true] {
+                for _ in 0..CASES {
+                    check(q, &m, &mut residues, corner);
+                }
+            }
+        }
+    }
+
+    /// Every C1 shape — 2, 4 and 8 points, `Ct` and `Gs` — against the
+    /// widening network on the same atom and stage steps; a partial
+    /// atom's tail lanes stay untouched.
+    ///
+    /// The compiler vectorizes these kernels only in optimized builds. A
+    /// debug `cargo test` checks them unvectorized; CI's test step under
+    /// the release-shaped `test-overflow` profile, which runs the whole
+    /// workspace, is the one that checks the vector code.
+    #[test]
+    fn c1_kernels_match_the_widening_network() {
+        for_each_case(|q, m, residues, corner| {
+            for points in [2usize, 4, 8] {
+                for order in [BuOrder::Ct, BuOrder::Gs] {
+                    let log_p = points.trailing_zeros() as usize;
+                    let steps: Vec<u32> = (0..log_p).map(|_| residues.residue(q, corner)).collect();
+                    let params = C1Params {
+                        points: points as u8,
+                        stage_steps_mont: steps.iter().map(|&w| m.to_mont(w)).collect(),
+                        order,
+                    };
+                    let atom = residues.atom(q, corner);
+                    let mut got = atom;
+                    C1Kernel::new(m, &params).unwrap().run(m, &mut got);
+                    let mut want = atom;
+                    c1_ref(q, &mut want, points, &steps, order);
+                    assert_eq!(
+                        got, want,
+                        "q={q} {points} points {order:?} {atom:?} {steps:?}"
+                    );
+                    assert_eq!(&got[points..], &atom[points..], "tail lanes untouched");
+                }
+            }
+        });
+    }
+
+    /// C2 in both orders, Scale and Pointwise against widening
+    /// arithmetic, lane by lane. As for C1, CI's `test-overflow` step
+    /// (release-shaped) is the run that checks the vectorized code.
+    #[test]
+    fn lane_kernels_match_widening_arithmetic() {
+        use modmath::arith::mul_mod;
+        for_each_case(|q, m, residues, corner| {
+            let (a, b) = (residues.atom(q, corner), residues.atom(q, corner));
+            let w = residues.atom(q, corner);
+            let w_mont = w.map(|w| m.to_mont(w));
+            for order in [BuOrder::Ct, BuOrder::Gs] {
+                let (mut p, mut s) = (a, b);
+                c2(m, &mut p, &mut s, &w_mont, order);
+                for l in 0..NA {
+                    assert_eq!(
+                        (p[l], s[l]),
+                        butterfly_ref(q, a[l], b[l], w[l], order),
+                        "q={q} C2 {order:?} lane {l}: a={} b={} w={}",
+                        a[l],
+                        b[l],
+                        w[l]
+                    );
+                }
+            }
+            let mul = |x: u32, y: u32| mul_mod(x as u64, y as u64, q as u64) as u32;
+            let mut x = a;
+            scale(m, &mut x, &w_mont);
+            assert_eq!(
+                x,
+                std::array::from_fn(|l| mul(a[l], w[l])),
+                "q={q} Scale {a:?} {w:?}"
+            );
+            let mut p = a;
+            pointwise(m, &mut p, &b);
+            assert_eq!(
+                p,
+                std::array::from_fn(|l| mul(a[l], b[l])),
+                "q={q} Pointwise {a:?} {b:?}"
+            );
+        });
     }
 }

@@ -32,7 +32,7 @@
 //! — the mapping whose cost the paper summarizes as "no performance
 //! advantage even compared with a software execution".
 
-use crate::cmd::{BuOrder, BufId, C1Params, OperandReg, PimCommand};
+use crate::cmd::{BuOrder, BufId, C1Params, OperandReg, PimCommand, TwiddleParams};
 use crate::config::PimConfig;
 use crate::layout::PolyLayout;
 use crate::PimError;
@@ -385,6 +385,18 @@ impl<'a> Mapping<'a> {
         ) as u32
     }
 
+    /// `base^(i·stride)` for `i < count`, Montgomery form, by repeated
+    /// multiplication: one power for the stride, then one product per
+    /// entry. Montgomery products are canonical residues, so entry `i`
+    /// is exactly `to_mont(pow_mod(base, i·stride, q))`.
+    fn powers_mont(&self, base: u32, stride: usize, count: usize) -> Vec<u32> {
+        let factor = pow_mod(base as u64, stride as u64, self.q as u64) as u32;
+        let factor = self.mont.to_mont(factor);
+        std::iter::successors(Some(self.mont.one()), |&p| Some(self.mont.mul(p, factor)))
+            .take(count)
+            .collect()
+    }
+
     /// (row, col) of the atom holding element `e` counted from `base`.
     fn atom_at(&self, base: usize, e: usize) -> (u32, u32) {
         let word = base + e;
@@ -467,19 +479,23 @@ impl<'a> Mapping<'a> {
         if self.config.n_bufs == 1 {
             return self.emit_stage_scalar(s, order);
         }
+        // The op at offset `j0` within its group starts its lanes at
+        // `ω0 = step^j0`; every group repeats the same `m / Na` seeds.
+        let omega0s = self.powers_mont(step, na, m / na);
+        let step_mont = self.mont.to_mont(step);
         // Vector ops of this stage in natural (group, lane) order.
         struct Op {
             a_elem: usize,
             b_elem: usize,
-            omega0: u32,
+            omega0_mont: u32,
         }
         let mut ops = Vec::with_capacity(n / (2 * na));
         for k in (0..n).step_by(2 * m) {
-            for j0 in (0..m).step_by(na) {
+            for (j0, &omega0_mont) in (0..m).step_by(na).zip(&omega0s) {
                 ops.push(Op {
                     a_elem: k + j0,
                     b_elem: k + j0 + m,
-                    omega0: pow_mod(step as u64, j0 as u64, self.q as u64) as u32,
+                    omega0_mont,
                 });
             }
         }
@@ -531,7 +547,10 @@ impl<'a> Mapping<'a> {
                 self.commands.push(PimCommand::C2 {
                     p: BufId((2 * i) as u8),
                     s: BufId((2 * i + 1) as u8),
-                    tw: crate::tfg::params_to_mont(&self.mont, op.omega0, step),
+                    tw: TwiddleParams {
+                        omega0_mont: op.omega0_mont,
+                        r_omega_mont: step_mont,
+                    },
                     order,
                 });
                 self.c2_ops += 1;
@@ -573,16 +592,16 @@ impl<'a> Mapping<'a> {
             });
         }
         let p = BufId::PRIMARY;
+        // Butterfly `j` of every group takes `step^j`.
+        let w_monts = self.powers_mont(step, 1, m);
         for k in (0..n).step_by(2 * m) {
-            for j in 0..m {
+            for (j, &w_mont) in w_monts.iter().enumerate() {
                 let a_elem = k + j;
                 let b_elem = k + j + m;
                 let (ar, ac) = self.atom_at(src, a_elem);
                 let (br, bc) = self.atom_at(src, b_elem);
                 let a_lane = (a_elem % na) as u8;
                 let b_lane = (b_elem % na) as u8;
-                let w = pow_mod(step as u64, j as u64, self.q as u64) as u32;
-                let w_mont = self.mont.to_mont(w);
                 self.commands.extend([
                     PimCommand::CuRead {
                         row: ar,

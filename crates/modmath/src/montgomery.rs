@@ -14,16 +14,26 @@
 //! # Data independence
 //!
 //! The final correction of [`Montgomery32::redc`], [`Montgomery32::add`]
-//! and [`Montgomery32::sub`] is branch-free: `x.min(x.wrapping_sub(q))`
-//! keeps `x − q` exactly when it did not wrap, which is `x ≥ q`. In the
-//! synthesized datapath this correction is a multiplexer whose cost does
-//! not depend on the residues, and so is the model's: a data-dependent
-//! `if x >= q` would make the functional simulator's host time depend
-//! on the operands (about 2× slower on random residues than on zeros,
-//! from mispredicted branches). The results are bit-identical to the
-//! `if` form. `host_profile --check` gates this: the serial functional
-//! run of sixteen N = 4096 programs may cost at most 1.25× as much on
-//! random operands as on all-zero ones.
+//! and [`Montgomery32::sub`] is a sign mask: with `d = x − q` (or
+//! `a − b` for `sub`) in `[−q, q)`, the result is `d + (q & (d >> 31))`,
+//! the shift arithmetic, so `q` is added back exactly when `d` went
+//! negative. In the synthesized datapath this correction is a
+//! multiplexer whose cost does not depend on the residues, and so is the
+//! model's: a data-dependent `if x >= q` would make the functional
+//! simulator's host time depend on the operands (about 2× slower on
+//! random residues than on zeros, from mispredicted branches). The
+//! results are bit-identical to the `if` form, because `q < 2³¹` keeps
+//! `d`'s sign in its top bit. `host_profile --check` gates this: the
+//! serial functional run of sixteen N = 4096 programs may cost at most
+//! 1.25× as much on random operands as on all-zero ones.
+//!
+//! The mask form also lets the compiler run the eight lanes of the
+//! functional compute unit (`ntt-pim-core`'s `cu` kernels) as vector
+//! code on the default x86-64 target, with no `unsafe` and no target
+//! feature. The equivalent `x.min(x − q)` has no SSE2 vector form
+//! (unsigned 32-bit `pminud` arrives with SSE4.1), so it kept every lane
+//! scalar; the mask is an arithmetic shift, an `and` and an add, which
+//! SSE2 has for 32-bit lanes.
 
 use crate::arith;
 use crate::Error;
@@ -140,7 +150,16 @@ impl Montgomery32 {
         let m = (t as u32).wrapping_mul(self.q_inv_neg);
         let u = (t + m as u64 * self.q as u64) >> 32;
         let u = u as u32; // fits: u < 2q < 2^32
-        u.min(u.wrapping_sub(self.q))
+        self.add_q_if_negative(u.wrapping_sub(self.q))
+    }
+
+    /// The final correction of every reduction: `d` is a difference in
+    /// `[−q, q)` held in two's complement, and `q` comes back exactly
+    /// when it is negative. `q < 2³¹` keeps the sign in the top bit, so
+    /// an arithmetic shift makes the mask.
+    #[inline]
+    fn add_q_if_negative(&self, d: u32) -> u32 {
+        d.wrapping_add(self.q & ((d as i32 >> 31) as u32))
     }
 
     /// REDC with all intermediate values exposed, for datapath tests.
@@ -182,17 +201,15 @@ impl Montgomery32 {
     pub fn add(&self, a: u32, b: u32) -> u32 {
         debug_assert!(a < self.q && b < self.q);
         let s = a + b; // no overflow: q < 2^31
-        s.min(s.wrapping_sub(self.q))
+        self.add_q_if_negative(s.wrapping_sub(self.q))
     }
 
     /// Subtracts two residues (works identically in either form),
-    /// branch-free: `a − b` wraps exactly when `a < b`, and then adding
-    /// `q` gives the smaller value.
+    /// branch-free: `q` is added back when `a − b` is negative.
     #[inline]
     pub fn sub(&self, a: u32, b: u32) -> u32 {
         debug_assert!(a < self.q && b < self.q);
-        let d = a.wrapping_sub(b);
-        d.min(d.wrapping_add(self.q))
+        self.add_q_if_negative(a.wrapping_sub(b))
     }
 
     /// Raises a Montgomery-form base to a plain exponent.

@@ -1,8 +1,9 @@
 //! The final reductions of both datapaths against their definitions:
 //! Montgomery REDC, add and sub on the 32-bit CU datapath, and the Shoup
 //! legs' `reduce_once`, `reduce_twice` and `normalize`. Each subtracts
-//! `q` (or `2q`) without a branch, so these pin the results at the
-//! corners where the subtraction just fires or just does not, on small,
+//! `q` (or `2q`) without a branch — Montgomery's with a sign mask, the
+//! Shoup legs with a `min` — so these pin the results at the corners
+//! where the subtraction just fires or just does not, on small,
 //! NTT-sized and boundary moduli.
 
 use modmath::arith::{inv_mod, mul_mod};
@@ -11,9 +12,11 @@ use modmath::prime::NttField;
 use modmath::shoup;
 use proptest::prelude::*;
 
-/// Moduli of the 32-bit datapath: the smallest it accepts, two NTT
-/// primes, and the largest odd modulus under its `2³¹` bound.
-const MONT_MODULI: [u32; 4] = [3, 7681, 8_380_417, (1 << 31) - 1];
+/// Moduli of the 32-bit datapath: the smallest it accepts, four NTT
+/// primes, and the largest odd modulus under its `2³¹` bound. There the
+/// Montgomery corrections' difference `x − q` reaches `−(2³¹ − 1)`, one
+/// above `i32::MIN`: the least room the sign mask's top bit has.
+const MONT_MODULI: [u32; 6] = [3, 7681, 12289, 8_380_417, 2_013_265_921, (1 << 31) - 1];
 
 /// The Shoup moduli: the 32-bit ones and the largest NTT prime under the
 /// lazy datapath's `2⁶²` bound.
@@ -49,6 +52,19 @@ proptest! {
     ) {
         let m = Montgomery32::new(q).expect("odd q in range");
         check_redc(&m, t % (u64::from(q) << 32))?;
+    }
+
+    #[test]
+    fn add_and_sub_match_widening(
+        q in prop::sample::select(MONT_MODULI.to_vec()),
+        a in any::<u32>(),
+        b in any::<u32>(),
+    ) {
+        let m = Montgomery32::new(q).expect("odd q in range");
+        let (a, b) = (a % q, b % q);
+        let (a64, b64, q64) = (u64::from(a), u64::from(b), u64::from(q));
+        prop_assert_eq!(u64::from(m.add(a, b)), (a64 + b64) % q64, "q={} {}+{}", q, a, b);
+        prop_assert_eq!(u64::from(m.sub(a, b)), (a64 + q64 - b64) % q64, "q={} {}-{}", q, a, b);
     }
 }
 
