@@ -1,5 +1,5 @@
-//! A snapshot of the mapper's output: one digest over every program a
-//! grid of shapes maps to, pinned in the source.
+//! A snapshot of the mapper's output: digests over every program a grid
+//! of shapes maps to, pinned in the source.
 //!
 //! The grid is every buffer count Nb ∈ {1, 2, 4, 6}; the moduli 7681,
 //! 12289, 8380417 and 2013265921; every length N from 4 to 16384 that the
@@ -10,17 +10,26 @@
 //! (ping-pong on one buffer once an inter-atom stage runs) are counted
 //! apart.
 //!
-//! The digest is a hand-written 64-bit FNV-1a over each command's fields
+//! A second digest covers the element-wise passes over the same buffer
+//! counts, moduli and lengths (with no single-buffer cap): `map_scale`
+//! with the multipliers the device maps — the negacyclic weights
+//! `(1, ψ)` and `(N⁻¹, ψ⁻¹)`, the inverse transform's `(N⁻¹, 1)` and the
+//! four-step row twiddles `(1, ω^r)` — and `map_pointwise` over two
+//! regions, which needs at least two buffers.
+//!
+//! Each digest is a hand-written 64-bit FNV-1a over each command's fields
 //! and each program's `final_base`, so it does not depend on
 //! `std::hash`'s algorithm, which may change between Rust releases. A
 //! change to the mapper that is meant to emit the same programs must
-//! leave it unchanged; one that is meant to change them must say so and
-//! pin the new value.
+//! leave them unchanged; one that is meant to change them must say so and
+//! pin the new values.
 
 use ntt_pim_core::cmd::{BuOrder, BufId, OperandReg, PimCommand, TwiddleParams};
 use ntt_pim_core::config::PimConfig;
 use ntt_pim_core::layout::PolyLayout;
-use ntt_pim_core::mapper::{map_ntt, Dataflow, MapperOptions, NttParams};
+use ntt_pim_core::mapper::{
+    map_ntt, map_pointwise, map_scale, Dataflow, MapperOptions, NttParams, Program,
+};
 
 const MODULI: [u32; 4] = [7681, 12289, 8_380_417, 2_013_265_921];
 const BUFFER_COUNTS: [usize; 4] = [1, 2, 4, 6];
@@ -33,6 +42,10 @@ const PROGRAMS: usize = 2304;
 const REFUSED: usize = 208;
 /// The digest of every mapped program, in grid order.
 const DIGEST: u64 = 0x1432_6355_ee8a_7c95;
+
+/// Scale and pointwise programs mapped over the grid, and their digest.
+const PASS_PROGRAMS: usize = 1107;
+const PASS_DIGEST: u64 = 0x33bc_54f7_cd83_59c9;
 
 /// 64-bit FNV-1a.
 struct Fnv(u64);
@@ -77,6 +90,14 @@ impl Fnv {
             OperandReg::A => 0,
             OperandReg::B => 1,
         });
+    }
+
+    fn program(&mut self, program: &Program) {
+        self.u64(program.commands.len() as u64);
+        for cmd in &program.commands {
+            self.command(cmd);
+        }
+        self.u64(program.final_base as u64);
     }
 
     fn twiddles(&mut self, tw: TwiddleParams) {
@@ -198,11 +219,7 @@ fn mapped_programs_match_the_snapshot() {
                                 continue;
                             };
                             programs += 1;
-                            h.u64(program.commands.len() as u64);
-                            for cmd in &program.commands {
-                                h.command(cmd);
-                            }
-                            h.u64(program.final_base as u64);
+                            h.program(&program);
                         }
                     }
                 }
@@ -211,4 +228,51 @@ fn mapped_programs_match_the_snapshot() {
     }
     assert_eq!((programs, refused), (PROGRAMS, REFUSED));
     assert_eq!(h.0, DIGEST, "digest {:#018x}", h.0);
+}
+
+#[test]
+fn scale_and_pointwise_programs_match_the_snapshot() {
+    use modmath::arith::{inv_mod, mul_mod, pow_mod};
+    let mut h = Fnv::new();
+    let mut programs = 0;
+    for nb in BUFFER_COUNTS {
+        let config = PimConfig::hbm2e(nb);
+        for q in MODULI {
+            let q64 = u64::from(q);
+            for log_n in 2..=MAX_LOG_N {
+                let n = 1usize << log_n;
+                if (q64 - 1) % (2 * n as u64) != 0 {
+                    continue;
+                }
+                let psi =
+                    modmath::prime::root_of_unity(2 * n as u64, q64).expect("2N divides q - 1");
+                let omega = mul_mod(psi, psi, q64);
+                let psi_inv = inv_mod(psi, q64).expect("q is prime");
+                let n_inv = inv_mod(n as u64, q64).expect("q is prime");
+                let mut multipliers = vec![(1, psi), (n_inv, psi_inv), (n_inv, 1)];
+                for r in [1, 3, n as u64 - 1] {
+                    multipliers.push((1, pow_mod(omega, r, q64)));
+                }
+                let a = PolyLayout::new(&config, 0, n).expect("region fits the bank");
+                for (omega0, r_omega) in multipliers {
+                    let program = map_scale(&config, &a, q, omega0 as u32, r_omega as u32)
+                        .expect("scale maps");
+                    programs += 1;
+                    h.program(&program);
+                }
+                // The second operand starts on the row after the first's.
+                let b_base = a.row_count() * config.row_words();
+                let b = PolyLayout::new(&config, b_base, n).expect("region fits the bank");
+                match map_pointwise(&config, &a, &b, q) {
+                    Ok(program) => {
+                        programs += 1;
+                        h.program(&program);
+                    }
+                    Err(e) => assert_eq!(nb, 1, "pointwise refused on {nb} buffers: {e}"),
+                }
+            }
+        }
+    }
+    assert_eq!(programs, PASS_PROGRAMS);
+    assert_eq!(h.0, PASS_DIGEST, "digest {:#018x}", h.0);
 }
