@@ -36,7 +36,7 @@ use crate::cmd::{BuOrder, BufId, C1Params, OperandReg, PimCommand, TwiddleParams
 use crate::config::PimConfig;
 use crate::layout::PolyLayout;
 use crate::PimError;
-use modmath::arith::{inv_mod, mul_mod, pow_mod};
+use modmath::arith::{inv_mod, pow_mod};
 use modmath::montgomery::Montgomery32;
 use modmath::prime::is_primitive_root_of_unity;
 
@@ -196,19 +196,18 @@ pub fn map_scale(
         PimCommand::SetModulus { q },
         PimCommand::SetTwiddle { beats: 4 },
     ];
-    let na = config.na();
     let nb = config.n_bufs;
+    // Atom a covers elements a·Na .. a·Na+Na: seed ω0·rω^(a·Na), kept in
+    // Montgomery form and advanced by one product with rω^Na per atom.
+    // Montgomery products are canonical residues, so each seed is exactly
+    // `to_mont` of the plain power. (For N < Na the scale touches the
+    // whole atom; regions own whole atoms by construction.)
+    let r_omega_mont = mont.to_mont(r_omega);
+    let atom_step = mont.to_mont(pow_mod(r_omega as u64, config.na() as u64, q as u64) as u32);
+    let mut seed = mont.to_mont(omega0 % q);
     for a in 0..layout.atom_count() {
         let loc = layout.atom(a);
         let buf = BufId((a % nb) as u8);
-        // Atom a covers elements a·Na .. a·Na+Na: seed ω0·rω^(a·Na).
-        // (For N < Na the scale touches the whole atom; regions own whole
-        // atoms by construction.)
-        let seed = mul_mod(
-            omega0 as u64,
-            pow_mod(r_omega as u64, (a * na) as u64, q as u64),
-            q as u64,
-        ) as u32;
         commands.push(PimCommand::CuRead {
             row: loc.row,
             col: loc.col,
@@ -216,13 +215,17 @@ pub fn map_scale(
         });
         commands.push(PimCommand::Scale {
             buf,
-            tw: crate::tfg::params_to_mont(&mont, seed, r_omega),
+            tw: TwiddleParams {
+                omega0_mont: seed,
+                r_omega_mont,
+            },
         });
         commands.push(PimCommand::CuWrite {
             row: loc.row,
             col: loc.col,
             buf,
         });
+        seed = mont.mul(seed, atom_step);
     }
     Ok(Program {
         commands,
