@@ -35,13 +35,12 @@
 //! operands against all-zero ones, the two sides interleaved, each the
 //! minimum of [`EXECUTE_REPS`]: the serial functional run of the sixteen
 //! programs, and the lane-batched forward NTT
-//! (`ntt_ref::lanes::forward_batch`, the portable kernel unless built
-//! with `ntt-ref/simd`) of eight N = 4096 polynomials. The modular
-//! reductions both run (`Montgomery32` in the CU model, the Shoup legs
-//! on the host) subtract `q` without a branch, so their time does not
-//! depend on the residues and both ratios read ≈1.0×. A data-dependent
-//! `if x >= q` reads ≈2× and ≈1.5×: zeros never take the subtraction,
-//! random residues mispredict it.
+//! (`ntt_ref::lanes::forward_batch`) of eight N = 4096 polynomials. The
+//! modular reductions both run (`Montgomery32` in the CU model, the
+//! Shoup legs on the host) subtract `q` without a branch, so their time
+//! does not depend on the residues and both ratios read ≈1.0×. A
+//! data-dependent `if x >= q` reads ≈2× and ≈1.5×: zeros never take the
+//! subtraction, random residues mispredict it.
 //!
 //! The `cu_datapath` block times the serial functional run of the
 //! sixteen programs against sixteen scalar `NttPlan::forward` calls on

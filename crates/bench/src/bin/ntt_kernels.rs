@@ -4,11 +4,14 @@
 //! `N ∈ {256, 1024, 4096, 8192}` and per modulus, written to
 //! `BENCH_ntt.json` so the perf trajectory is tracked across PRs.
 //!
-//! The lane-batched column (`lanes8`, or `lanes8-avx2` with the `simd`
-//! feature on an AVX2 host) times a whole [`LANE_BATCH`]-polynomial
-//! batch through [`NttPlan::forward_batch`] and reports the amortized
-//! per-transform cost — the number a batch-rich serving workload
-//! actually pays.
+//! The lane-batched column (`lanes8`) times a whole
+//! [`LANE_BATCH`]-polynomial batch through [`NttPlan::forward_batch`] and
+//! reports the amortized per-transform cost — the number a batch-rich
+//! serving workload actually pays.
+//!
+//! At each grid point the three kernels are timed in rotation
+//! ([`time_interleaved`]), so a change in machine speed while the point
+//! runs reaches all three alike instead of biasing their ratios.
 //!
 //! Modes:
 //!
@@ -63,25 +66,32 @@ fn pseudo_poly(n: usize, q: u64, seed: u64) -> Vec<u64> {
         .collect()
 }
 
-/// Best-case ns per call of `f` (in-place transform; calibrated inner
-/// loop targeting ~2 ms per sample, 7 samples, minimum kept). The
-/// minimum — not the median — estimates the kernel's true cost on a
+/// Best-case ns per call of each kernel (in-place transforms). Each
+/// kernel's inner loop is calibrated once to ~2 ms per sample; then 7
+/// rounds time every kernel once in turn, and each keeps its minimum.
+/// The minimum — not the median — estimates a kernel's true cost on a
 /// shared machine: interference only ever *adds* time, so the smallest
-/// sample is the least-perturbed one. `--reps` min-merges whole grid
-/// passes on top for longer-lived noise.
-fn time_ns(mut f: impl FnMut()) -> f64 {
-    let t0 = Instant::now();
-    f();
-    let once = t0.elapsed().as_nanos().max(100) as f64;
-    let inner = ((2.0e6 / once) as u64).clamp(1, 1_000_000);
+/// sample is the least-perturbed one. Taking the samples in rotation
+/// spreads a slow period over every kernel rather than over whichever
+/// one was being sampled. `--reps` min-merges whole grid passes on top
+/// for longer-lived noise.
+fn time_interleaved<const K: usize>(mut kernels: [&mut dyn FnMut(); K]) -> [f64; K] {
     const SAMPLES: usize = 7;
-    let mut best = f64::INFINITY;
-    for _ in 0..SAMPLES {
+    let inner = kernels.each_mut().map(|f| {
         let t0 = Instant::now();
-        for _ in 0..inner {
-            f();
+        f();
+        let once = t0.elapsed().as_nanos().max(100) as f64;
+        ((2.0e6 / once) as u64).clamp(1, 1_000_000)
+    });
+    let mut best = [f64::INFINITY; K];
+    for _ in 0..SAMPLES {
+        for ((f, &inner), best) in kernels.iter_mut().zip(&inner).zip(&mut best) {
+            let t0 = Instant::now();
+            for _ in 0..inner {
+                f();
+            }
+            *best = best.min(t0.elapsed().as_nanos() as f64 / inner as f64);
         }
-        best = best.min(t0.elapsed().as_nanos() as f64 / inner as f64);
     }
     best
 }
@@ -101,42 +111,36 @@ fn measure_grid() -> Vec<Point> {
 
             // In-place forward transforms: output is reduced mod q, so it
             // is a valid input for the next iteration — no clone in the
-            // timed region.
-            let mut v = pseudo_poly(n, q, n as u64 ^ q);
-            let widening = time_ns(|| {
-                bitrev_permute(black_box(&mut v));
-                ntt_ref::iterative::dit_from_bitrev_widening(&plan, &mut v, false);
-            });
-            let mut v = pseudo_poly(n, q, n as u64 ^ q);
-            let shoup = time_ns(|| plan.forward(black_box(&mut v)));
-            points.push(Point {
-                n,
-                q,
-                kernel: "widening",
-                ns_per_transform: widening,
-            });
-            points.push(Point {
-                n,
-                q,
-                kernel: "shoup-lazy",
-                ns_per_transform: shoup,
-            });
-
-            // Lane-batched: a whole LANE_BATCH through the SoA kernel,
-            // amortized per transform. Outputs stay reduced, so the
-            // batch feeds itself across iterations like the others.
+            // timed region. Lane-batched: a whole LANE_BATCH through the
+            // SoA kernel, amortized per transform; its batch feeds itself
+            // across iterations the same way.
+            let mut wide = pseudo_poly(n, q, n as u64 ^ q);
+            let mut lazy = wide.clone();
             let mut batch: Vec<Vec<u64>> = (0..LANE_BATCH as u64)
                 .map(|i| pseudo_poly(n, q, (n as u64 ^ q).wrapping_add(i)))
                 .collect();
-            let lanes = time_ns(|| {
-                plan.forward_batch(black_box(&mut batch));
-            }) / LANE_BATCH as f64;
-            points.push(Point {
-                n,
-                q,
-                kernel: ntt_ref::lanes::kernel_label(),
-                ns_per_transform: lanes,
-            });
+            let [widening, shoup, lanes] = time_interleaved([
+                &mut || {
+                    bitrev_permute(black_box(&mut wide));
+                    ntt_ref::iterative::dit_from_bitrev_widening(&plan, &mut wide, false);
+                },
+                &mut || plan.forward(black_box(&mut lazy)),
+                &mut || {
+                    plan.forward_batch(black_box(&mut batch));
+                },
+            ]);
+            for (kernel, ns_per_transform) in [
+                ("widening", widening),
+                ("shoup-lazy", shoup),
+                (ntt_ref::lanes::kernel_label(), lanes / LANE_BATCH as f64),
+            ] {
+                points.push(Point {
+                    n,
+                    q,
+                    kernel,
+                    ns_per_transform,
+                });
+            }
         }
     }
     points

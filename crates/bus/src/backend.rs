@@ -156,8 +156,8 @@ impl NttBackend for PimBackend {
 /// The host CPU's lane-batched kernels as a bus backend.
 ///
 /// Results come from the real kernels
-/// ([`ntt_pim::engine::batch::run_lane_batched`], AVX2 under the `simd`
-/// half) so parity is exact; *timing* comes from the deterministic
+/// ([`ntt_pim::engine::batch::run_lane_batched`]) so parity is exact;
+/// *timing* comes from the deterministic
 /// [`CpuLaneCostModel`] — a co-simulation, not a wall-clock measurement
 /// — so routed latencies are reproducible across runs and machines.
 pub struct CpuLanesBackend {

@@ -11,8 +11,7 @@ use std::fmt;
 pub enum BackendKind {
     /// The bank-parallel DRAM PIM device simulator.
     Pim,
-    /// The host CPU running the lane-batched (SoA, optionally AVX2)
-    /// kernels.
+    /// The host CPU running the lane-batched (SoA) kernels.
     CpuLanes,
     /// A published accelerator model: golden-path compute, published
     /// datapoint timing.

@@ -8,8 +8,7 @@
 //! batch is described once: an outcome's summary figures are its queue
 //! report's, and a non-PIM backend's cost quote is the latency it
 //! reports, bit for bit. The deterministic N × q grid over the same
-//! backends is `tests/engine_parity.rs` at the repository root. Runs
-//! identically on both feature halves (default and `simd`).
+//! backends is `tests/engine_parity.rs` at the repository root.
 
 use ntt_bus::{
     BackendKind, BackendSpec, BatchOutcome, CpuLanesBackend, EngineError, NttBackend, NttJob,

@@ -16,7 +16,6 @@
 //! | [`add_lazy`] | `Lazy<2> + Lazy<2>` | `Lazy<4>` |
 //! | [`sub_lazy`] | `Lazy<2> − Lazy<2>` (plus `2q`) | `Lazy<4>` |
 //! | [`mul_lazy`] | `Lazy<4>` (any lazy value) | `Lazy<2>` |
-//! | [`mul_lazy_narrow`] | `Lazy<2>`, `q < 2³¹` | `Lazy<2>` |
 //! | [`reduce_twice`] | `Lazy<4>` | `Lazy<2>` |
 //! | [`reduce_once`] | `Lazy<2>` | `Lazy<1>` |
 //! | [`normalize`] | `Lazy<4>` | `Lazy<1>` |
@@ -50,12 +49,6 @@
 //! // the const assertion inside `relax` fails to evaluate.
 //! let x = Lazy::reduced(1, q).relax::<5>();
 //! ```
-//!
-//! The narrow (32-bit) datapath has its own headroom: with
-//! `q <` [`crate::shoup::NARROW_MODULUS_BOUND`]` = 2³¹`, a `Lazy<2>`
-//! value fits 32 bits, which is exactly the operand contract of
-//! [`mul_lazy_narrow`] — so its signature admits only `Lazy<2>`, and
-//! passing an unreduced `Lazy<4>` leg is again a type error.
 //!
 //! All ops are `#[inline(always)]` wrappers over the raw [`crate::shoup`]
 //! primitives: zero runtime cost in release builds, bit-identical
@@ -162,16 +155,6 @@ pub fn mul_lazy(x: Lazy<4>, w: u64, w_shoup: u64, q: u64) -> Lazy<2> {
     Lazy::assume(shoup::mul_lazy(x.get(), w, w_shoup, q), q)
 }
 
-/// Narrow (32-bit) lazy Shoup multiply, `Lazy<2> → Lazy<2>`: the operand
-/// contract `x < 2³²` is implied by the type under the narrow capability
-/// gate (`q < 2³¹` ⇒ `2q < 2³²`), so only an already-reduced `Lazy<2>`
-/// leg is admissible — feeding a raw `[0, 4q)` leg is a type error.
-#[inline(always)]
-#[must_use]
-pub fn mul_lazy_narrow(x: Lazy<2>, w: u64, w_shoup: u64, q: u64) -> Lazy<2> {
-    Lazy::assume(shoup::mul_lazy_narrow(x.get(), w, w_shoup, q), q)
-}
-
 /// One conditional subtraction of `2q`, `Lazy<4> → Lazy<2>`.
 #[inline(always)]
 #[must_use]
@@ -228,21 +211,6 @@ mod tests {
                 assert_eq!(reduce_twice(x4, q).get(), shoup::reduce_twice(x4.get(), q));
                 assert_eq!(reduce_once(a2, q).get(), shoup::reduce_once(a2.get(), q));
                 assert_eq!(normalize(x4, q).get(), x4.get() % q);
-            }
-        }
-    }
-
-    #[test]
-    fn narrow_op_matches_raw_primitive() {
-        for q in [12289u64, 8380417, (1 << 31) - 1] {
-            let w = q / 3 + 1;
-            let ws = shoup::precompute(w, q);
-            for x in [0, 1, q, 2 * q - 1] {
-                let t = Lazy::<2>::assume(x, q);
-                assert_eq!(
-                    mul_lazy_narrow(t, w, ws, q).get(),
-                    shoup::mul_lazy_narrow(x, w, ws, q)
-                );
             }
         }
     }

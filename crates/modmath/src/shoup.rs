@@ -100,51 +100,6 @@ pub fn mul_lazy(x: u64, w: u64, w_shoup: u64, q: u64) -> u64 {
     r
 }
 
-/// Exclusive upper bound on moduli the *narrow* Shoup datapath accepts:
-/// with `q < 2³¹` every operand reduced to `[0, 2q)` fits in 32 bits, so
-/// [`mul_lazy_narrow`] can assemble the quotient estimate from 32×32→64
-/// multiplies — a single `vpmuludq` each on AVX2, instead of emulating a
-/// full 64×64→128 product.
-pub const NARROW_MODULUS_BOUND: u64 = 1 << 31;
-
-/// Whether modulus `q` qualifies for the narrow (32-bit Shoup) datapath.
-///
-/// # Example
-///
-/// ```
-/// assert!(modmath::shoup::narrow(8380417));
-/// assert!(!modmath::shoup::narrow(1 << 31));
-/// ```
-#[inline]
-#[must_use]
-pub fn narrow(q: u64) -> bool {
-    (2..NARROW_MODULUS_BOUND).contains(&q)
-}
-
-/// Narrow lazy Shoup multiply: `x·w mod q` up to one redundant `q`, i.e.
-/// a value in `[0, 2q)` — the same contract as [`mul_lazy`], restricted
-/// to `q <` [`NARROW_MODULUS_BOUND`] and `x < 2³²`, computed entirely in
-/// 32×32→64 multiplies.
-///
-/// The quotient estimate reuses the standard 64-bit Shoup constant: its
-/// top half is exactly the base-2³² quotient,
-/// `⌊⌊w·2⁶⁴/q⌋ / 2³²⌋ = ⌊w·2³²/q⌋`, so no separate table is needed. The
-/// returned *representative* may differ from [`mul_lazy`]'s by `q` (the
-/// two quotient estimates can disagree by one), so the two datapaths are
-/// congruent mod `q` but not bit-identical leg for leg — callers that
-/// normalize at the end produce identical `[0, q)` outputs either way.
-#[inline]
-#[must_use]
-pub fn mul_lazy_narrow(x: u64, w: u64, w_shoup: u64, q: u64) -> u64 {
-    debug_assert!(narrow(q), "narrow datapath requires q < 2^31");
-    debug_assert!(x >> 32 == 0, "narrow operand out of range");
-    debug_assert!(w < q, "Shoup constants must be reduced");
-    let hi = (x * (w_shoup >> 32)) >> 32;
-    let r = x * w - hi * q;
-    debug_assert!(r < 2 * q, "lazy product out of range");
-    r
-}
-
 /// Fully reduced Shoup multiply: `x·w mod q` in `[0, q)`, any `u64` `x`.
 #[inline]
 #[must_use]
@@ -396,30 +351,6 @@ mod tests {
         assert!(!supports(1));
         assert!(check_modulus(12289).is_ok());
         assert!(check_modulus(LAZY_MODULUS_BOUND).is_err());
-    }
-
-    #[test]
-    fn narrow_bound_is_exactly_two_to_the_31() {
-        assert!(narrow(NARROW_MODULUS_BOUND - 1));
-        assert!(!narrow(NARROW_MODULUS_BOUND));
-        assert!(!narrow(1));
-    }
-
-    #[test]
-    fn mul_lazy_narrow_matches_widening_up_to_one_q() {
-        for q in [7681u64, 12289, 8380417, 2_013_265_921, (1 << 31) - 1] {
-            let mut w = 1u64;
-            for i in 0..200u64 {
-                w = w.wrapping_mul(6364136223846793005).wrapping_add(i) % q;
-                let ws = precompute(w, q);
-                // Exercise x across the full narrow operand range [0, 2³²)
-                // (a superset of the reduced lazy range [0, 2q)).
-                let x = i.wrapping_mul(0x9E3779B97F4A7C15) & 0xffff_ffff;
-                let lazy = mul_lazy_narrow(x, w, ws, q);
-                assert!(lazy < 2 * q, "q={q} w={w} x={x}");
-                assert_eq!(lazy % q, mulmod_u128(x, w, q), "q={q} w={w} x={x}");
-            }
-        }
     }
 
     #[test]

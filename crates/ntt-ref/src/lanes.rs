@@ -15,14 +15,10 @@
 //!
 //! Outputs of the whole-batch transforms are bit-identical to the scalar
 //! entry points ([`NttPlan::forward`] and friends) — the proptests in
-//! `tests/proptest_lanes.rs` pin this. For wide moduli the kernel performs
-//! per lane *exactly* the scalar operation sequence of
-//! [`crate::iterative::dit_from_bitrev_lazy`]; on the AVX2 backend,
-//! narrow moduli (`q <` [`modmath::shoup::NARROW_MODULUS_BOUND`]) switch
-//! the butterfly multiply to the 32-bit Shoup datapath
-//! ([`modmath::shoup::mul_lazy_narrow`]), whose lazy representatives may
-//! differ from the scalar legs by multiples of `q` but normalize to the
-//! same `[0, q)` values.
+//! `tests/proptest_lanes.rs` pin this. Per lane the kernel performs
+//! *exactly* the scalar operation sequence of
+//! [`crate::iterative::dit_from_bitrev_lazy`], so even the unnormalized
+//! lazy legs match the scalar kernel's bit for bit.
 //!
 //! Two levels of API:
 //!
@@ -45,10 +41,8 @@
 //! 512-row block (`BLOCK_ROWS`, 32 KiB of SoA data) run back to back per
 //! block before the cross-block stages sweep the full buffer.
 //!
-//! The butterfly itself is the portable fixed-width loop by default
-//! (autovectorized by the compiler); building with `--features simd` on
-//! `x86_64` adds an AVX2 intrinsics backend selected at runtime —
-//! [`kernel_label`] reports which one is live.
+//! The butterfly is one portable fixed-width loop in plain Rust; the
+//! compiler unrolls and vectorizes it for the build's target.
 
 use core::cell::RefCell;
 
@@ -59,10 +53,6 @@ use modmath::shoup;
 
 use crate::plan::NttPlan;
 use crate::poly;
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[allow(unsafe_code)]
-mod simd;
 
 /// Number of polynomials processed in lockstep per butterfly — one SoA
 /// row is exactly one 64-byte cache line of `u64` residues.
@@ -85,15 +75,10 @@ thread_local! {
     static SOA_B: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// The lane kernel the current build/host actually runs: `"lanes8"` for
-/// the portable SoA-scalar path, `"lanes8-avx2"` when the `simd` feature
-/// is compiled in and the CPU reports AVX2.
+/// The lane kernel's name in reports and benchmark rows: `"lanes8"`, the
+/// lane width it runs.
 #[must_use]
 pub fn kernel_label() -> &'static str {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd::available() {
-        return "lanes8-avx2";
-    }
     "lanes8"
 }
 
@@ -133,64 +118,37 @@ pub fn inverse_batch_lazy(plan: &NttPlan, soa: &mut [u64]) {
     dit_stages_soa(plan, soa, true);
 }
 
-/// One butterfly stage over a row range: `pass(range, stage_pairs, q)`.
-type StagePass = fn(&mut [u64], &[u64], u64);
-/// Two consecutive stages fused into one sweep:
-/// `pass(range, lower_stage_pairs, upper_stage_pairs, q)`.
-type StagePairPass = fn(&mut [u64], &[u64], &[u64], u64);
-
+/// Runs all butterfly stages. Small transforms sweep the full buffer; at
+/// [`BLOCKED_MIN_N`] and above the first `log2(BLOCK_ROWS)` stages run
+/// block-local (their butterfly groups span ≤ [`BLOCK_ROWS`] rows, so each
+/// 32 KiB block is finished while still cache-hot) before the cross-block
+/// stages sweep the full buffer.
 fn dit_stages_soa(plan: &NttPlan, soa: &mut [u64], inverse: bool) {
     assert_eq!(soa.len(), plan.n() * LANE_WIDTH, "SoA length mismatch");
     assert!(
         plan.uses_lazy(),
         "modulus exceeds the Shoup lazy bound (q < 2^62)"
     );
-    // On the AVX2 backend, narrow moduli (q < 2³¹) take the 32-bit Shoup
-    // multiply: congruent mod q to the generic legs (and identical once
-    // normalized), with the quotient assembled from 32×32 products — one
-    // `vpmuludq` each instead of an emulated 64×64 multiply. The portable
-    // path always runs the generic legs: scalar-wise the narrow multiply
-    // is no cheaper (same three multiplies plus an extra reduction), and
-    // the generic fixed-width loop autovectorizes well.
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd::available() {
-        if shoup::narrow(plan.modulus()) {
-            drive_stages(
-                plan,
-                soa,
-                inverse,
-                simd::stage_pass_narrow,
-                simd::stage_pair_pass_narrow,
-            );
-        } else {
-            drive_stages(plan, soa, inverse, simd::stage_pass, simd::stage_pair_pass);
+    let log_n = plan.log_n();
+    if plan.n() >= BLOCKED_MIN_N {
+        let local = BLOCK_ROWS.trailing_zeros().min(log_n);
+        for block in soa.chunks_exact_mut(BLOCK_ROWS * LANE_WIDTH) {
+            run_stage_range(plan, block, (0, local), inverse);
         }
-        return;
+        run_stage_range(plan, soa, (local, log_n), inverse);
+    } else {
+        run_stage_range(plan, soa, (0, log_n), inverse);
     }
-    drive_stages(
-        plan,
-        soa,
-        inverse,
-        portable_stage_pass::<false>,
-        portable_stage_pair_pass::<false>,
-    );
 }
 
 /// Runs the butterfly stages `stages.0..stages.1` over one row range,
 /// fusing consecutive stages pairwise (each fused sweep loads and stores
 /// every row once instead of twice); a trailing odd stage runs single.
-fn run_stage_range(
-    plan: &NttPlan,
-    region: &mut [u64],
-    stages: (u32, u32),
-    inverse: bool,
-    single: StagePass,
-    pair: StagePairPass,
-) {
+fn run_stage_range(plan: &NttPlan, region: &mut [u64], stages: (u32, u32), inverse: bool) {
     let q = plan.modulus();
     let mut s = stages.0;
     while s + 1 < stages.1 {
-        pair(
+        stage_pair_pass(
             region,
             plan.dit_stage_twiddle_pairs(s, inverse),
             plan.dit_stage_twiddle_pairs(s + 1, inverse),
@@ -199,90 +157,32 @@ fn run_stage_range(
         s += 2;
     }
     if s < stages.1 {
-        single(region, plan.dit_stage_twiddle_pairs(s, inverse), q);
-    }
-}
-
-/// Runs all butterfly stages. Small transforms sweep the full buffer; at
-/// [`BLOCKED_MIN_N`] and above the first `log2(BLOCK_ROWS)` stages run
-/// block-local (their butterfly groups span ≤ [`BLOCK_ROWS`] rows, so each
-/// 32 KiB block is finished while still cache-hot) before the cross-block
-/// stages sweep the full buffer.
-fn drive_stages(
-    plan: &NttPlan,
-    soa: &mut [u64],
-    inverse: bool,
-    single: StagePass,
-    pair: StagePairPass,
-) {
-    let log_n = plan.log_n();
-    if plan.n() >= BLOCKED_MIN_N {
-        let local = BLOCK_ROWS.trailing_zeros().min(log_n);
-        for block in soa.chunks_exact_mut(BLOCK_ROWS * LANE_WIDTH) {
-            run_stage_range(plan, block, (0, local), inverse, single, pair);
-        }
-        run_stage_range(plan, soa, (local, log_n), inverse, single, pair);
-    } else {
-        run_stage_range(plan, soa, (0, log_n), inverse, single, pair);
+        stage_pass(region, plan.dit_stage_twiddle_pairs(s, inverse), q);
     }
 }
 
 /// One Harvey lazy butterfly on a single lane element, returned as values
-/// so the fused two-stage pass can chain butterflies in registers. The
-/// generic path is exactly the scalar leg sequence of
-/// [`shoup::butterfly_lazy_lanes`]; the `NARROW` path first reduces the
-/// odd leg under 2³² and multiplies through the narrow Shoup datapath —
-/// same `[0, 4q)` leg bounds, congruent mod `q`. The composition runs on
-/// the bound-typed ops of [`modmath::bound`] (`Lazy<4>` legs in and out),
-/// so the stage invariant is enforced by the type system.
+/// so the fused two-stage pass can chain butterflies in registers: exactly
+/// the scalar leg sequence of [`shoup::butterfly_lazy_lanes`]. The
+/// composition runs on the bound-typed ops of [`modmath::bound`]
+/// (`Lazy<4>` legs in and out), so the stage invariant is enforced by the
+/// type system.
 #[inline(always)]
-fn butterfly_one<const NARROW: bool>(
-    e: Lazy<4>,
-    o: Lazy<4>,
-    w: u64,
-    ws: u64,
-    q: u64,
-) -> (Lazy<4>, Lazy<4>) {
+fn butterfly_one(e: Lazy<4>, o: Lazy<4>, w: u64, ws: u64, q: u64) -> (Lazy<4>, Lazy<4>) {
     let u = bound::reduce_twice(e, q);
-    let t = if NARROW {
-        bound::mul_lazy_narrow(bound::reduce_twice(o, q), w, ws, q)
-    } else {
-        bound::mul_lazy(o, w, ws, q)
-    };
+    let t = bound::mul_lazy(o, w, ws, q);
     (bound::add_lazy(u, t, q), bound::sub_lazy(u, t, q))
 }
 
-/// [`butterfly_one`] over one full SoA row pair; the generic path is
-/// [`shoup::butterfly_lazy_lanes`] verbatim.
-#[inline(always)]
-fn butterfly_row<const NARROW: bool>(
-    e: &mut [u64; LANE_WIDTH],
-    o: &mut [u64; LANE_WIDTH],
-    w: u64,
-    ws: u64,
-    q: u64,
-) {
-    if NARROW {
-        for l in 0..LANE_WIDTH {
-            let (a, b) =
-                butterfly_one::<true>(Lazy::assume(e[l], q), Lazy::assume(o[l], q), w, ws, q);
-            e[l] = a.get();
-            o[l] = b.get();
-        }
-    } else {
-        shoup::butterfly_lazy_lanes(e, o, w, ws, q);
-    }
-}
-
-/// Two consecutive butterfly stages fused into one sweep, portable path.
-/// `lo` is stage `s`'s interleaved `(w, w')` table (`m = lo.len() / 2`),
-/// `hi` stage `s+1`'s (`2m` pairs). A supergroup of `4m` rows
-/// `[Q0|Q1|Q2|Q3]` holds two stage-`s` groups (`Q0/Q1` and `Q2/Q3`, both
-/// using `lo[j]`) feeding one stage-`s+1` group (pairs `(Q0, Q2)[j]` with
-/// `hi[j]` and `(Q1, Q3)[j]` with `hi[j+m]`). Chaining the two stages in
-/// registers performs the identical per-element operation sequence as two
-/// separate passes — bit-identical results with half the loads/stores.
-fn portable_stage_pair_pass<const NARROW: bool>(soa: &mut [u64], lo: &[u64], hi: &[u64], q: u64) {
+/// Two consecutive butterfly stages fused into one sweep. `lo` is stage
+/// `s`'s interleaved `(w, w')` table (`m = lo.len() / 2`), `hi` stage
+/// `s+1`'s (`2m` pairs). A supergroup of `4m` rows `[Q0|Q1|Q2|Q3]` holds
+/// two stage-`s` groups (`Q0/Q1` and `Q2/Q3`, both using `lo[j]`) feeding
+/// one stage-`s+1` group (pairs `(Q0, Q2)[j]` with `hi[j]` and
+/// `(Q1, Q3)[j]` with `hi[j+m]`). Chaining the two stages in registers
+/// performs the identical per-element operation sequence as two separate
+/// passes — bit-identical results with half the loads/stores.
+fn stage_pair_pass(soa: &mut [u64], lo: &[u64], hi: &[u64], q: u64) {
     let m = lo.len() / 2;
     debug_assert_eq!(hi.len(), 2 * lo.len(), "upper stage has 2m twiddles");
     let band = m * LANE_WIDTH;
@@ -306,22 +206,12 @@ fn portable_stage_pair_pass<const NARROW: bool>(soa: &mut [u64], lo: &[u64], hi:
             let c: &mut [u64; LANE_WIDTH] = c.try_into().expect("lane-width row");
             let d: &mut [u64; LANE_WIDTH] = d.try_into().expect("lane-width row");
             for i in 0..LANE_WIDTH {
-                let (x0, x1) = butterfly_one::<NARROW>(
-                    Lazy::assume(a[i], q),
-                    Lazy::assume(b[i], q),
-                    wl,
-                    wls,
-                    q,
-                );
-                let (x2, x3) = butterfly_one::<NARROW>(
-                    Lazy::assume(c[i], q),
-                    Lazy::assume(d[i], q),
-                    wl,
-                    wls,
-                    q,
-                );
-                let (y0, y2) = butterfly_one::<NARROW>(x0, x2, wa, was, q);
-                let (y1, y3) = butterfly_one::<NARROW>(x1, x3, wb, wbs, q);
+                let (x0, x1) =
+                    butterfly_one(Lazy::assume(a[i], q), Lazy::assume(b[i], q), wl, wls, q);
+                let (x2, x3) =
+                    butterfly_one(Lazy::assume(c[i], q), Lazy::assume(d[i], q), wl, wls, q);
+                let (y0, y2) = butterfly_one(x0, x2, wa, was, q);
+                let (y1, y3) = butterfly_one(x1, x3, wb, wbs, q);
                 a[i] = y0.get();
                 b[i] = y1.get();
                 c[i] = y2.get();
@@ -331,13 +221,12 @@ fn portable_stage_pair_pass<const NARROW: bool>(soa: &mut [u64], lo: &[u64], hi:
     }
 }
 
-/// One butterfly stage over a row range, portable path. `pairs` is the
-/// stage's interleaved `(w, w')` table
-/// ([`NttPlan::dit_stage_twiddle_pairs`]); the stage's butterfly span `m`
-/// is `pairs.len() / 2`, and the range must hold a whole number of
-/// `2m`-row butterfly groups (always true for full buffers and for the
-/// block-local ranges of [`drive_stages`]).
-fn portable_stage_pass<const NARROW: bool>(soa: &mut [u64], pairs: &[u64], q: u64) {
+/// One butterfly stage over a row range. `pairs` is the stage's
+/// interleaved `(w, w')` table ([`NttPlan::dit_stage_twiddle_pairs`]); the
+/// stage's butterfly span `m` is `pairs.len() / 2`, and the range must
+/// hold a whole number of `2m`-row butterfly groups (always true for full
+/// buffers and for the block-local ranges of [`dit_stages_soa`]).
+fn stage_pass(soa: &mut [u64], pairs: &[u64], q: u64) {
     if let [w, ws] = *pairs {
         // Stage 0 (m = 1): one butterfly per group, so the per-group
         // band-splitting below would dominate — hoist the single twiddle
@@ -346,7 +235,7 @@ fn portable_stage_pass<const NARROW: bool>(soa: &mut [u64], pairs: &[u64], q: u6
             let (e, o) = group.split_at_mut(LANE_WIDTH);
             let e: &mut [u64; LANE_WIDTH] = e.try_into().expect("lane-width row");
             let o: &mut [u64; LANE_WIDTH] = o.try_into().expect("lane-width row");
-            butterfly_row::<NARROW>(e, o, w, ws, q);
+            shoup::butterfly_lazy_lanes(e, o, w, ws, q);
         }
         return;
     }
@@ -359,7 +248,7 @@ fn portable_stage_pass<const NARROW: bool>(soa: &mut [u64], pairs: &[u64], q: u6
         ) {
             let e: &mut [u64; LANE_WIDTH] = e.try_into().expect("lane-width row");
             let o: &mut [u64; LANE_WIDTH] = o.try_into().expect("lane-width row");
-            butterfly_row::<NARROW>(e, o, pair[0], pair[1], q);
+            shoup::butterfly_lazy_lanes(e, o, pair[0], pair[1], q);
         }
     }
 }
@@ -812,53 +701,29 @@ mod tests {
 
     #[test]
     fn raw_legs_match_scalar_lazy_kernel_per_lane() {
-        // A 50-bit modulus stays on the generic (wide) datapath, where
-        // the lane kernel's lazy legs are bit-identical to the scalar
-        // kernel's — not just congruent.
-        let p = plan(512, 50);
-        let q = p.modulus();
-        assert!(!shoup::narrow(q));
-        let polys = random_polys(LANE_WIDTH, 512, q, 37);
-        let mut soa = vec![0u64; 512 * LANE_WIDTH];
-        pack_bitrev(&polys, p.log_n(), &mut soa);
-        forward_batch_lazy(&p, &mut soa);
-        assert!(soa.iter().all(|&x| x < 4 * q), "raw outputs stay < 4q");
-        for (l, poly) in polys.iter().enumerate() {
-            let mut expect = poly.clone();
-            modmath::bitrev::bitrev_permute(&mut expect);
-            crate::iterative::dit_from_bitrev_lazy(&p, &mut expect, false);
-            let lane: Vec<u64> = (0..512).map(|r| soa[r * LANE_WIDTH + l]).collect();
-            assert_eq!(lane, expect, "lane {l}");
-        }
-    }
-
-    #[test]
-    fn narrow_raw_legs_stay_bounded_and_congruent() {
-        // A 31-bit modulus rides the narrow (32-bit Shoup) datapath: the
-        // lazy representatives may differ from the scalar legs by
-        // multiples of q, but every leg stays < 4q and congruent — so
-        // normalization gives identical [0, q) outputs.
-        let p = plan(512, 31);
-        let q = p.modulus();
-        assert!(shoup::narrow(q));
-        let polys = random_polys(LANE_WIDTH, 512, q, 37);
-        let mut soa = vec![0u64; 512 * LANE_WIDTH];
-        pack_bitrev(&polys, p.log_n(), &mut soa);
-        forward_batch_lazy(&p, &mut soa);
-        assert!(soa.iter().all(|&x| x < 4 * q), "raw outputs stay < 4q");
-        for (l, poly) in polys.iter().enumerate() {
-            let mut expect = poly.clone();
-            modmath::bitrev::bitrev_permute(&mut expect);
-            crate::iterative::dit_from_bitrev_lazy(&p, &mut expect, false);
-            for (r, &want) in expect.iter().enumerate() {
-                let got = soa[r * LANE_WIDTH + l];
-                assert_eq!(got % q, want % q, "lane {l} row {r}");
+        // Per lane the kernel runs the scalar kernel's leg sequence, so
+        // its lazy legs are bit-identical to the scalar kernel's, not just
+        // congruent, for a 31-bit and a 50-bit modulus alike.
+        for bits in [31u32, 50] {
+            let p = plan(512, bits);
+            let q = p.modulus();
+            let polys = random_polys(LANE_WIDTH, 512, q, 37);
+            let mut soa = vec![0u64; 512 * LANE_WIDTH];
+            pack_bitrev(&polys, p.log_n(), &mut soa);
+            forward_batch_lazy(&p, &mut soa);
+            assert!(soa.iter().all(|&x| x < 4 * q), "raw outputs stay < 4q");
+            for (l, poly) in polys.iter().enumerate() {
+                let mut expect = poly.clone();
+                modmath::bitrev::bitrev_permute(&mut expect);
+                crate::iterative::dit_from_bitrev_lazy(&p, &mut expect, false);
+                let lane: Vec<u64> = (0..512).map(|r| soa[r * LANE_WIDTH + l]).collect();
+                assert_eq!(lane, expect, "{bits}-bit q, lane {l}");
             }
         }
     }
 
     #[test]
     fn kernel_label_names_the_lane_width() {
-        assert!(kernel_label().starts_with(&format!("lanes{LANE_WIDTH}")));
+        assert_eq!(kernel_label(), format!("lanes{LANE_WIDTH}"));
     }
 }

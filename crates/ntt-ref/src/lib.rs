@@ -26,8 +26,8 @@
 //! * [`lanes`] — the lane-batched structure-of-arrays datapath: `L`
 //!   polynomials per butterfly in lockstep, each twiddle (and Shoup
 //!   quotient) loaded once per `L` residues. The throughput kernel for
-//!   batched service traffic, with an optional AVX2 backend behind the
-//!   `simd` feature.
+//!   batched service traffic: one portable kernel, bit-identical to
+//!   [`plan::NttPlan`]'s scalar legs.
 //! * [`naive`] — O(N²) evaluation over widening [`modmath::arith`], the
 //!   ground truth.
 //! * [`blocked`] — the DIT transform reorganized into the paper's
@@ -65,11 +65,7 @@
 //!
 //! [`ntt-pim-core`]: ../ntt_pim_core/index.html
 
-// The crate is unsafe-free except for the optional AVX2 intrinsics of the
-// lane-batched kernel, so the blanket `forbid` relaxes to `deny` (with one
-// scoped `allow` on `lanes::simd`) only when the `simd` feature is on.
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
-#![cfg_attr(feature = "simd", deny(unsafe_code))]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod baseline;

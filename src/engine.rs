@@ -157,9 +157,8 @@ pub fn cpu_kernel_label(q: u64) -> &'static str {
 /// Which software kernel a *batch* of `batch` same-`(n, q)` transforms
 /// runs on the CPU backend: the lane-batched SoA kernel
 /// ([`crate::reference::lanes`]) once the batch fills at least one lane
-/// group, the scalar kernels below that. The label names the active lane
-/// backend (`"lanes8"` portable, `"lanes8-avx2"` with the `simd` feature
-/// on an AVX2 host).
+/// group, the scalar kernels below that (`"lanes8"`, `"shoup-lazy"` or
+/// `"widening"`).
 pub fn cpu_batch_kernel_label(q: u64, batch: usize) -> &'static str {
     if !modmath::shoup::supports(q) {
         "widening"
