@@ -197,14 +197,13 @@ pub fn map_scale(
         PimCommand::SetTwiddle { beats: 4 },
     ];
     let nb = config.n_bufs;
-    // Atom a covers elements a·Na .. a·Na+Na: seed ω0·rω^(a·Na), kept in
-    // Montgomery form and advanced by one product with rω^Na per atom.
-    // Montgomery products are canonical residues, so each seed is exactly
-    // `to_mont` of the plain power. (For N < Na the scale touches the
-    // whole atom; regions own whole atoms by construction.)
-    let r_omega_mont = mont.to_mont(r_omega);
+    // Atom a covers elements a·Na .. a·Na+Na: seed ω0·rω^(a·Na), advanced
+    // in Montgomery form by one product with rω^Na per atom. Montgomery
+    // products are canonical residues, so each seed is exactly `to_mont`
+    // of the plain power. (For N < Na the scale touches the whole atom;
+    // regions own whole atoms by construction.)
     let atom_step = mont.to_mont(pow_mod(r_omega as u64, config.na() as u64, q as u64) as u32);
-    let mut seed = mont.to_mont(omega0 % q);
+    let mut tw = crate::tfg::params_to_mont(&mont, omega0 % q, r_omega);
     for a in 0..layout.atom_count() {
         let loc = layout.atom(a);
         let buf = BufId((a % nb) as u8);
@@ -213,19 +212,13 @@ pub fn map_scale(
             col: loc.col,
             buf,
         });
-        commands.push(PimCommand::Scale {
-            buf,
-            tw: TwiddleParams {
-                omega0_mont: seed,
-                r_omega_mont,
-            },
-        });
+        commands.push(PimCommand::Scale { buf, tw });
         commands.push(PimCommand::CuWrite {
             row: loc.row,
             col: loc.col,
             buf,
         });
-        seed = mont.mul(seed, atom_step);
+        tw.omega0_mont = mont.mul(tw.omega0_mont, atom_step);
     }
     Ok(Program {
         commands,
