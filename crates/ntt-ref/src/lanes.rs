@@ -699,27 +699,41 @@ mod tests {
         forward_batch_lazy(&p, &mut soa);
     }
 
+    /// Runs the lane kernel's lazy forward legs over one full batch and
+    /// checks every leg stays < 4q and equals, bit for bit, the scalar
+    /// lazy kernel's leg for the same lane.
+    fn assert_raw_legs_match_scalar(bits: u32) {
+        let p = plan(512, bits);
+        let q = p.modulus();
+        let polys = random_polys(LANE_WIDTH, 512, q, 37);
+        let mut soa = vec![0u64; 512 * LANE_WIDTH];
+        pack_bitrev(&polys, p.log_n(), &mut soa);
+        forward_batch_lazy(&p, &mut soa);
+        assert!(soa.iter().all(|&x| x < 4 * q), "raw outputs stay < 4q");
+        for (l, poly) in polys.iter().enumerate() {
+            let mut expect = poly.clone();
+            modmath::bitrev::bitrev_permute(&mut expect);
+            crate::iterative::dit_from_bitrev_lazy(&p, &mut expect, false);
+            let lane: Vec<u64> = (0..512).map(|r| soa[r * LANE_WIDTH + l]).collect();
+            assert_eq!(lane, expect, "{bits}-bit q, lane {l}");
+        }
+    }
+
     #[test]
     fn raw_legs_match_scalar_lazy_kernel_per_lane() {
         // Per lane the kernel runs the scalar kernel's leg sequence, so
         // its lazy legs are bit-identical to the scalar kernel's, not just
-        // congruent, for a 31-bit and a 50-bit modulus alike.
-        for bits in [31u32, 50] {
-            let p = plan(512, bits);
-            let q = p.modulus();
-            let polys = random_polys(LANE_WIDTH, 512, q, 37);
-            let mut soa = vec![0u64; 512 * LANE_WIDTH];
-            pack_bitrev(&polys, p.log_n(), &mut soa);
-            forward_batch_lazy(&p, &mut soa);
-            assert!(soa.iter().all(|&x| x < 4 * q), "raw outputs stay < 4q");
-            for (l, poly) in polys.iter().enumerate() {
-                let mut expect = poly.clone();
-                modmath::bitrev::bitrev_permute(&mut expect);
-                crate::iterative::dit_from_bitrev_lazy(&p, &mut expect, false);
-                let lane: Vec<u64> = (0..512).map(|r| soa[r * LANE_WIDTH + l]).collect();
-                assert_eq!(lane, expect, "{bits}-bit q, lane {l}");
-            }
-        }
+        // congruent.
+        assert_raw_legs_match_scalar(50);
+    }
+
+    #[test]
+    fn narrow_raw_legs_stay_bounded_and_congruent() {
+        // A 31-bit modulus runs the same single datapath as a wide one:
+        // its legs stay < 4q and, being bit-identical to the scalar
+        // legs, are congruent to them.
+        assert!(plan(512, 31).modulus() < 1 << 31);
+        assert_raw_legs_match_scalar(31);
     }
 
     #[test]
