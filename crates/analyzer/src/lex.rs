@@ -4,8 +4,8 @@
 //! streams and at comments, never at a full AST. That keeps the crate
 //! std-only (no `syn`/`proc-macro2`, which this offline workspace does not
 //! vendor) while still being precise enough for the invariants it guards —
-//! everything it needs to see (an `unsafe` keyword, a `%` next to `q`, a
-//! `wrapping_mul` call, a `cfg` attribute) survives tokenization intact.
+//! everything it needs to see (a `%` next to `q`, a `wrapping_mul` call, a
+//! `cfg` attribute, an `analyzer:` comment) survives tokenization intact.
 //!
 //! The scanner understands the parts of Rust's grammar that would otherwise
 //! produce false tokens: line and (nested) block comments, string / raw
@@ -17,7 +17,7 @@
 /// Kind of a lexed token.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TokKind {
-    /// Identifier or keyword (`unsafe`, `fn`, `q`, `wrapping_mul`, ...).
+    /// Identifier or keyword (`fn`, `q`, `wrapping_mul`, ...).
     Ident,
     /// A single punctuation character (`%`, `#`, `[`, `{`, ...).
     Punct,
@@ -66,14 +66,6 @@ impl Scan {
     /// All comments that start on `line`.
     pub fn comments_on_line(&self, line: usize) -> impl Iterator<Item = &Comment> {
         self.comments.iter().filter(move |c| c.line == line)
-    }
-
-    /// True if any comment *covers* `line` (a block comment spanning it
-    /// counts, not just one starting there).
-    pub fn comment_covers_line(&self, line: usize) -> bool {
-        self.comments
-            .iter()
-            .any(|c| c.line <= line && line <= c.end_line)
     }
 }
 
@@ -424,7 +416,5 @@ mod tests {
         assert_eq!(s.comments[0].line, 1);
         assert_eq!(s.comments[0].end_line, 3);
         assert_eq!(s.tokens[0].line, 4);
-        assert!(s.comment_covers_line(2));
-        assert!(!s.comment_covers_line(4));
     }
 }

@@ -3,10 +3,11 @@
 //! The lazy Shoup/Harvey datapath rests on a magnitude contract — residues
 //! stay in `[0, B·q)` with `B ≤ 4` and `q < 2⁶²` — that the type system now
 //! carries (`modmath::bound`'s `Lazy<B>`) and that this crate audits
-//! lexically across the whole workspace: `unsafe` sites must justify
-//! themselves, raw residue arithmetic must not leak out of `modmath`, lazy
-//! legs must replay their bounds in debug builds, and every SIMD-gated item
-//! needs a portable sibling. See `docs/ANALYSIS.md` for the catalogue.
+//! lexically across the whole workspace: raw residue arithmetic must not
+//! leak out of `modmath`, lazy legs must replay their bounds in debug
+//! builds, and every SIMD-gated item needs a portable sibling. `unsafe`
+//! code is the compiler's to reject: `[workspace.lints.rust]` forbids it in
+//! every member. See `docs/ANALYSIS.md` for the catalogue.
 //!
 //! Run it as `cargo run -p analyzer -- --check`; the library entry point is
 //! [`analyze_workspace`] (used by the self-check test) and

@@ -1,11 +1,10 @@
 //! The lint catalogue and the engine that applies it to one source file.
 //!
-//! Five lints guard the datapath invariants (see `docs/ANALYSIS.md` for the
-//! full catalogue with rationale):
+//! Four lints guard the datapath invariants (see `docs/ANALYSIS.md` for the
+//! full catalogue with rationale). `unsafe` code needs no lint: the
+//! workspace forbids it through `[workspace.lints.rust]`, so the compiler
+//! rejects it in every target of every member.
 //!
-//! * `missing_safety_comment` — every `unsafe` keyword must be preceded by a
-//!   `// SAFETY:` comment (same line, or directly above across blank /
-//!   comment / attribute lines).
 //! * `raw_residue_op` — inside the residue scope (`crates/ntt-ref/src`,
 //!   non-test code) no raw `% q` reduction, `wrapping_*` arithmetic, or
 //!   `as u128` / `as u32` cast may touch residue data; such operations
@@ -27,7 +26,6 @@ use crate::lex::{Scan, TokKind, Token};
 
 /// Names of every lint the analyzer knows, in catalogue order.
 pub const LINT_NAMES: &[&str] = &[
-    "missing_safety_comment",
     "raw_residue_op",
     "missing_bound_assert",
     "missing_portable_sibling",
@@ -84,7 +82,6 @@ pub fn analyze_file(path: &str, src: &str) -> FileAnalysis {
     let toks = &scan.tokens;
 
     let attrs = find_attrs(toks);
-    let in_attr = attr_membership(toks.len(), &attrs);
     let test_lines = cfg_test_lines(toks, &attrs);
     let token_lines: std::collections::BTreeSet<usize> = toks.iter().map(|t| t.line).collect();
 
@@ -98,7 +95,6 @@ pub fn analyze_file(path: &str, src: &str) -> FileAnalysis {
     let (markers, mut marker_findings) = parse_markers(path, &scan, &token_lines);
     raw.append(&mut marker_findings);
 
-    lint_missing_safety_comment(path, &scan, &attrs, &in_attr, &mut raw);
     if path.starts_with("crates/ntt-ref/src") {
         lint_raw_residue_op(path, toks, &in_test, &mut raw);
     }
@@ -160,17 +156,6 @@ fn find_attrs(toks: &[Token]) -> Vec<Attr> {
         i += 1;
     }
     attrs
-}
-
-/// For each token, whether it belongs to an attribute.
-fn attr_membership(n: usize, attrs: &[Attr]) -> Vec<bool> {
-    let mut v = vec![false; n];
-    for a in attrs {
-        for f in v.iter_mut().take(a.end).skip(a.start) {
-            *f = true;
-        }
-    }
-    v
 }
 
 /// Does the attribute's token slice contain this identifier?
@@ -311,59 +296,6 @@ fn parse_markers(
         }
     }
     (markers, findings)
-}
-
-/// `missing_safety_comment`: each `unsafe` token needs a `SAFETY:` comment
-/// on its line or directly above (across blank / comment / attribute lines).
-fn lint_missing_safety_comment(
-    path: &str,
-    scan: &Scan,
-    attrs: &[Attr],
-    in_attr: &[bool],
-    out: &mut Vec<Finding>,
-) {
-    let attr_lines: std::collections::BTreeSet<usize> =
-        attrs.iter().flat_map(|a| a.lines.0..=a.lines.1).collect();
-    // Lines that contain at least one non-attribute code token.
-    let code_lines: std::collections::BTreeSet<usize> = scan
-        .tokens
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| !in_attr[i])
-        .map(|(_, t)| t.line)
-        .collect();
-    let has_safety = |line: usize| {
-        scan.comments
-            .iter()
-            .any(|c| c.line <= line && line <= c.end_line && c.text.contains("SAFETY:"))
-    };
-    for (i, t) in scan.tokens.iter().enumerate() {
-        if t.kind != TokKind::Ident || t.text != "unsafe" || in_attr[i] {
-            continue;
-        }
-        let mut ok = has_safety(t.line);
-        let mut l = t.line;
-        while !ok && l > 1 {
-            l -= 1;
-            if has_safety(l) {
-                ok = true;
-                break;
-            }
-            let skippable =
-                !code_lines.contains(&l) || attr_lines.contains(&l) || scan.comment_covers_line(l);
-            if !skippable {
-                break;
-            }
-        }
-        if !ok {
-            out.push(Finding {
-                lint: "missing_safety_comment",
-                path: path.to_string(),
-                line: t.line,
-                message: "`unsafe` without a preceding `// SAFETY:` comment".to_string(),
-            });
-        }
-    }
 }
 
 /// `raw_residue_op`: raw `% q`, `wrapping_*`, `as u128` / `as u32` in the
@@ -564,28 +496,6 @@ mod tests {
     }
 
     #[test]
-    fn safety_comment_directly_above_passes() {
-        let src = "// SAFETY: guarded by is_x86_feature_detected.\nunsafe fn f() {}\n";
-        assert!(lints_of("crates/x/src/lib.rs", src).is_empty());
-    }
-
-    #[test]
-    fn safety_comment_across_attribute_passes() {
-        let src =
-            "// SAFETY: register-only.\n#[target_feature(enable = \"avx2\")]\nunsafe fn f() {}\n";
-        assert!(lints_of("crates/x/src/lib.rs", src).is_empty());
-    }
-
-    #[test]
-    fn missing_safety_comment_fails() {
-        let src = "fn g() {}\nunsafe fn f() {}\n";
-        assert_eq!(
-            lints_of("crates/x/src/lib.rs", src),
-            ["missing_safety_comment"]
-        );
-    }
-
-    #[test]
     fn residue_ops_flag_only_in_scope_and_outside_tests() {
         let src = "fn f(x: u64, q: u64) -> u64 { x % q }\n#[cfg(test)]\nmod tests { fn g(x: u64, q: u64) -> u64 { x % q } }\n";
         assert_eq!(lints_of("crates/ntt-ref/src/a.rs", src), ["raw_residue_op"]);
@@ -668,10 +578,10 @@ mod tests {
 
     #[test]
     fn marker_does_not_suppress_a_different_lint() {
-        let src = "// analyzer: allow(raw_residue_op) \u{2014} wrong lint\nunsafe fn f() {}\n";
+        let src = "// analyzer: allow(raw_residue_op) \u{2014} wrong lint\nfn add_lazy_raw(x: u64) -> u64 { x }\n";
         assert_eq!(
-            lints_of("crates/x/src/lib.rs", src),
-            ["missing_safety_comment"]
+            lints_of("crates/ntt-ref/src/a.rs", src),
+            ["missing_bound_assert"]
         );
     }
 }

@@ -20,12 +20,6 @@ fn lint_names(findings: &[Finding]) -> Vec<&'static str> {
 }
 
 #[test]
-fn missing_safety_fixture_fails_with_the_right_lint() {
-    let f = analyze_fixture("missing_safety.rs");
-    assert_eq!(lint_names(&f), ["missing_safety_comment"], "{f:?}");
-}
-
-#[test]
 fn raw_residue_fixture_fails_with_the_right_lint() {
     let f = analyze_fixture("raw_residue.rs");
     assert!(!f.is_empty());

@@ -1,12 +1,6 @@
-//! Fixture: a file that exercises every lint's *passing* shape — justified
-//! unsafe, marker-suppressed residue math, an asserting lazy leg, and a
-//! SIMD item with its portable sibling.
-
-// SAFETY: caller must pass a valid, aligned pointer; this fixture is never
-// compiled, only lexed.
-unsafe fn justified(p: *const u64) -> u64 {
-    *p
-}
+//! Fixture: a file that exercises every lint's *passing* shape —
+//! marker-suppressed residue math, an asserting lazy leg, and a SIMD item
+//! with its portable sibling.
 
 pub fn generator(i: u64, q: u64) -> u64 {
     // analyzer: allow(raw_residue_op) — deterministic input generator for a fixture.

@@ -13,7 +13,6 @@
 //! (who wins, by what factor, where the crossovers fall) next to our
 //! simulated NTT-PIM numbers.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt;

@@ -28,6 +28,7 @@ use ntt_bus::{BackendKind, BackendSpec, NttBackend, NttJob, PublishedKind, Sched
 use ntt_pim::core::config::{PimConfig, Topology};
 use ntt_pim::engine::batch::JobKind;
 use ntt_pim::engine::CpuNttEngine;
+use ntt_pim_bench::pseudo_poly;
 use ntt_service::FleetRouter;
 
 /// Request lengths, cycled (with 12289 every length keeps `2N | q-1`).
@@ -50,18 +51,6 @@ const MIN_SPEEDUP_VS_WORST_SINGLE: f64 = 1.2;
 /// Gate: cost-aware routing vs shape-blind round-robin on the same
 /// mixed fleet.
 const MIN_SPEEDUP_VS_NAIVE: f64 = 1.2;
-
-fn pseudo_poly(n: usize, q: u64, seed: u64) -> Vec<u64> {
-    let mut state = seed;
-    (0..n)
-        .map(|_| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 11) % q
-        })
-        .collect()
-}
 
 fn burst() -> Vec<NttJob> {
     (0..JOBS)

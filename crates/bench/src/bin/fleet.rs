@@ -31,6 +31,7 @@
 
 use ntt_pim::core::config::{PimConfig, Topology};
 use ntt_pim::engine::batch::{BatchExecutor, NttJob};
+use ntt_pim_bench::pseudo_poly;
 use ntt_service::{BackendSpec, FleetRouter, NttService, ServiceConfig, ServiceError};
 use std::sync::{Barrier, Mutex};
 use std::time::Duration;
@@ -56,18 +57,6 @@ const HEADLINE_MIN_SPEEDUP: f64 = 3.0;
 const SMOKE_CONCURRENCY: usize = 32;
 /// Devices in the threaded service smoke.
 const SMOKE_DEVICES: usize = 4;
-
-fn pseudo_poly(n: usize, q: u64, seed: u64) -> Vec<u64> {
-    let mut state = seed;
-    (0..n)
-        .map(|_| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 11) % q
-        })
-        .collect()
-}
 
 fn burst(count: usize) -> Vec<NttJob> {
     (0..count)

@@ -34,6 +34,7 @@
 
 use modmath::bitrev::bitrev_permute;
 use modmath::prime::NttField;
+use ntt_pim_bench::pseudo_poly;
 use ntt_ref::plan::NttPlan;
 use std::hint::black_box;
 use std::time::Instant;
@@ -52,18 +53,6 @@ struct Point {
     q: u64,
     kernel: &'static str,
     ns_per_transform: f64,
-}
-
-fn pseudo_poly(n: usize, q: u64, seed: u64) -> Vec<u64> {
-    let mut state = seed;
-    (0..n)
-        .map(|_| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 11) % q
-        })
-        .collect()
 }
 
 /// Best-case ns per call of each kernel (in-place transforms). Each

@@ -20,6 +20,7 @@
 
 use ntt_pim::core::config::{PimConfig, Topology};
 use ntt_pim::engine::batch::{BatchExecutor, NttJob};
+use ntt_pim_bench::pseudo_poly;
 
 /// 64 independent jobs with RNS-style mixed lengths.
 const JOBS: usize = 64;
@@ -48,18 +49,6 @@ struct Point {
     bus_slots: u64,
     rank_acts: u64,
     throughput_jobs_per_s: f64,
-}
-
-fn pseudo_poly(n: usize, q: u64, seed: u64) -> Vec<u64> {
-    let mut state = seed;
-    (0..n)
-        .map(|_| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 11) % q
-        })
-        .collect()
 }
 
 fn batch() -> Vec<NttJob> {

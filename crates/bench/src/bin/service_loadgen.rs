@@ -25,6 +25,7 @@
 use ntt_pim::core::config::{PimConfig, Topology};
 use ntt_pim::core::device::{NttDirection, PimDevice};
 use ntt_pim::engine::batch::{BatchExecutor, NttJob};
+use ntt_pim_bench::pseudo_poly;
 use ntt_service::{NttService, ServiceConfig, ServiceError};
 use std::sync::{Barrier, Mutex};
 use std::time::Duration;
@@ -48,18 +49,6 @@ const HEADLINE_MIN_SPEEDUP: f64 = 1.3;
 const LARGE_N: usize = 16384;
 /// 15·2²⁷ + 1 — [`LARGE_N`] is outside Dilithium's `2N | q-1` window.
 const Q_LARGE: u64 = 2_013_265_921;
-
-fn pseudo_poly(n: usize, q: u64, seed: u64) -> Vec<u64> {
-    let mut state = seed;
-    (0..n)
-        .map(|_| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 11) % q
-        })
-        .collect()
-}
 
 fn request_jobs(count: usize) -> Vec<NttJob> {
     (0..count)

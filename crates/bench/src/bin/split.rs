@@ -19,6 +19,7 @@
 
 use ntt_pim::core::config::{PimConfig, Topology};
 use ntt_pim::engine::batch::{BatchExecutor, NttJob};
+use ntt_pim_bench::pseudo_poly;
 
 /// The headline transform length (the issue's target).
 const N: usize = 32768;
@@ -42,18 +43,6 @@ struct Point {
     column_stage_ns: f64,
     energy_nj: f64,
     bus_slots: u64,
-}
-
-fn pseudo_poly(n: usize, q: u64, seed: u64) -> Vec<u64> {
-    let mut state = seed;
-    (0..n)
-        .map(|_| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 11) % q
-        })
-        .collect()
 }
 
 /// The whole transform on one bank: the datapath a split must beat.

@@ -18,8 +18,8 @@ fn main() {
             vec!["DRAM atom size".into(), format!("{} B", g.atom_bytes)],
             vec!["# of columns per row".into(), g.cols_per_row.to_string()],
             vec!["# of rows per bank".into(), format!("{}", g.rows_per_bank)],
-            vec!["# of ranks".into(), "1".into()],
-            vec!["# of banks".into(), g.banks.to_string()],
+            vec!["# of ranks".into(), c.topology.ranks.to_string()],
+            vec!["# of banks".into(), c.topology.banks.to_string()],
             vec!["word width".into(), format!("{} b", g.word_bits)],
             vec!["atom words (Na)".into(), c.na().to_string()],
             vec!["row words (R)".into(), c.row_words().to_string()],

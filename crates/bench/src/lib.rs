@@ -4,7 +4,6 @@
 //! paper (see DESIGN.md's per-experiment index); this library holds the
 //! common simulation drivers so the binaries stay declarative.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use ntt_pim_core::config::PimConfig;
@@ -73,6 +72,22 @@ pub fn simulate_ntt(
 /// As [`simulate_ntt`].
 pub fn simulate_default(nb: usize, n: usize) -> Result<SimPoint, PimError> {
     simulate_ntt(&PimConfig::hbm2e(nb), n, &MapperOptions::default())
+}
+
+/// A seeded pseudo-random polynomial of `n` coefficients in `[0, q)`: one
+/// 64-bit LCG step per coefficient, whose top 53 bits are reduced mod `q`.
+/// The gate binaries draw their inputs from it, so a BENCH file's inputs
+/// are fixed by its seeds.
+pub fn pseudo_poly(n: usize, q: u64, seed: u64) -> Vec<u64> {
+    let mut state = seed;
+    (0..n)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) % q
+        })
+        .collect()
 }
 
 /// Formats a number with engineering-style precision for table cells.

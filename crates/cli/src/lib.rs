@@ -3,7 +3,6 @@
 //! All functionality lives here (the binary is a thin `main`) so the
 //! argument parser and every subcommand are unit-testable.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod args;

@@ -3,7 +3,7 @@
 use crate::PimError;
 use dram_sim::timing::{Geometry, TimingParams};
 
-pub use dram_sim::channel::{BankLocation, Topology};
+pub use dram_sim::channel::Topology;
 
 /// Compute-unit latencies, in CU-clock cycles.
 ///
@@ -70,12 +70,10 @@ impl Default for CuTiming {
 pub struct PimConfig {
     /// DRAM timing (fixed in nanoseconds regardless of CU clock).
     pub timing: TimingParams,
-    /// Bank geometry.
+    /// Geometry of one bank.
     pub geometry: Geometry,
-    /// Device topology: `channels × ranks × banks`. `topology.banks`
-    /// mirrors `geometry.banks` (banks per rank); use
-    /// [`PimConfig::with_banks`] / [`PimConfig::with_topology`] so the
-    /// two stay consistent ([`PimConfig::validate`] rejects a mismatch).
+    /// Device topology: `channels × ranks × banks`, the device's bank
+    /// count.
     pub topology: Topology,
     /// Total number of atom buffers `Nb`, *including* the primary (GSA).
     /// `Nb = 1` is the single-buffer strawman; `Nb = 2` the dual-buffer
@@ -114,16 +112,14 @@ impl PimConfig {
     /// Same configuration with `banks` banks *per rank* (bank-level
     /// parallelism); channels and ranks are unchanged.
     pub fn with_banks(mut self, banks: u32) -> Self {
-        self.geometry.banks = banks;
         self.topology.banks = banks;
         self
     }
 
     /// Same configuration with a full `channels × ranks × banks` device
-    /// topology (`geometry.banks` follows `topology.banks`).
+    /// topology.
     pub fn with_topology(mut self, topology: Topology) -> Self {
         self.topology = topology;
-        self.geometry.banks = topology.banks;
         self
     }
 
@@ -132,16 +128,6 @@ impl PimConfig {
     /// scheduler.
     pub fn total_banks(&self) -> usize {
         self.topology.total_banks()
-    }
-
-    /// Decodes a global bank id into its `(channel, rank, bank)` place in
-    /// the topology.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `global_bank >= total_banks()`.
-    pub fn bank_location(&self, global_bank: usize) -> BankLocation {
-        self.topology.location(global_bank)
     }
 
     /// Same configuration with refresh modeling switched on or off.
@@ -199,25 +185,11 @@ impl PimConfig {
                 reason: "buffer ids are 8-bit; at most 256 buffers".into(),
             });
         }
-        if self.geometry.banks == 0 {
-            return Err(PimError::BadConfig {
-                reason: "a chip needs at least one bank".into(),
-            });
-        }
         if !self.topology.is_valid() {
             return Err(PimError::BadConfig {
                 reason: format!(
                     "topology {} needs at least one channel, rank, and bank",
                     self.topology
-                ),
-            });
-        }
-        if self.topology.banks != self.geometry.banks {
-            return Err(PimError::BadConfig {
-                reason: format!(
-                    "topology says {} banks per rank but geometry says {}; \
-                     use with_banks/with_topology to keep them in sync",
-                    self.topology.banks, self.geometry.banks
                 ),
             });
         }
@@ -341,11 +313,8 @@ mod tests {
         // Full sharding: 2 channels × 2 ranks × 4 banks.
         let sharded = c.with_topology(Topology::new(2, 2, 4));
         assert_eq!(sharded.total_banks(), 16);
-        assert_eq!(sharded.geometry.banks, 4);
         sharded.validate().unwrap();
-        let loc = sharded.bank_location(13);
-        assert_eq!((loc.channel, loc.rank, loc.bank), (1, 1, 1));
-        // Ordering of the builders does not matter for consistency.
+        // with_banks after with_topology changes only banks per rank.
         let reordered = c.with_topology(Topology::new(2, 2, 1)).with_banks(4);
         assert_eq!(reordered.topology, Topology::new(2, 2, 4));
         reordered.validate().unwrap();
@@ -353,9 +322,8 @@ mod tests {
 
     #[test]
     fn rejects_inconsistent_or_degenerate_topologies() {
-        let mut c = PimConfig::hbm2e(2).with_topology(Topology::new(2, 2, 4));
-        c.geometry.banks = 16; // desynced by hand
-        assert!(c.validate().is_err());
+        // Zero banks per rank is an empty level of the topology.
+        assert!(PimConfig::hbm2e(2).with_banks(0).validate().is_err());
         let zero = PimConfig::hbm2e(2).with_topology(Topology::new(0, 1, 1));
         assert!(zero.validate().is_err());
         let huge = PimConfig::hbm2e(2).with_topology(Topology::new(64, 64, 64));

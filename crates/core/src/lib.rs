@@ -65,7 +65,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod area;

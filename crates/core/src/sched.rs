@@ -65,7 +65,8 @@ use dram_sim::chip::FairBus;
 use dram_sim::energy::{EnergyMeter, EnergyParams};
 use dram_sim::rank::RankTimer;
 use dram_sim::timing::ResolvedTiming;
-use dram_sim::validate::{BankSchedule, BusClaim, QueuedJob, TraceEntry};
+use dram_sim::trace::TraceEntry;
+use dram_sim::validate::{BankSchedule, BusClaim, QueuedJob};
 
 /// One scheduled command.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -270,8 +271,11 @@ impl Timeline {
         out
     }
 
-    /// The DRAM-visible part of the schedule, for independent validation
-    /// with [`dram_sim::validate::validate_trace`].
+    /// The DRAM-visible part of the schedule as entries of the text
+    /// trace format ([`dram_sim::trace::to_text`] writes them one command
+    /// per line, [`dram_sim::trace::from_text`] reads them back), all on
+    /// bank 0. Compute-unit commands and broadcast beats claim bus slots
+    /// but put no command on the bank, so they are not in the trace.
     pub fn bank_trace(&self) -> Vec<TraceEntry> {
         self.events
             .iter()
@@ -1065,11 +1069,13 @@ pub fn lpt_makespan(costs: &[f64], topology: &crate::config::Topology) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Topology;
     use crate::layout::PolyLayout;
     use crate::mapper::{map_ntt, MapperOptions, NttParams};
-    use dram_sim::validate::{validate_queues, validate_trace};
+    use dram_sim::validate::validate_queues;
 
     const Q: u32 = 2_013_265_921; // 15 * 2^27 + 1
+    const C: u64 = 833; // ps per memory cycle at 1200 MHz
 
     fn program(c: &PimConfig, n: usize, opts: MapperOptions) -> Program {
         let layout = PolyLayout::new(c, 0, n).unwrap();
@@ -1099,15 +1105,127 @@ mod tests {
             .unwrap_or_else(|v| panic!("{v}"));
     }
 
+    /// A hand-built program of `commands`.
+    fn hand_built(commands: Vec<PimCommand>) -> Program {
+        Program {
+            commands,
+            final_base: 0,
+            c2_ops: 0,
+            c1_ops: 0,
+            marks: Vec::new(),
+        }
+    }
+
+    fn act(row: u32) -> PimCommand {
+        PimCommand::Act { row }
+    }
+
+    fn rd(row: u32) -> PimCommand {
+        PimCommand::CuRead {
+            row,
+            col: 0,
+            buf: BufId::PRIMARY,
+        }
+    }
+
+    /// Schedules one hand-built program per bank on `topology`, replays
+    /// the schedule through the independent validator, and returns it
+    /// with each bank's command issue cycles.
+    fn coupled(topology: Topology, programs: &[Vec<PimCommand>]) -> (QueueTimeline, Vec<Vec<u64>>) {
+        let c = PimConfig::hbm2e(2).with_topology(topology);
+        let queues: Vec<Vec<Program>> = programs
+            .iter()
+            .map(|commands| vec![hand_built(commands.clone())])
+            .collect();
+        let qt = schedule_queues(&c, &queues).unwrap();
+        assert_legal(&c, &qt, &untagged(&queues));
+        let cycles = qt
+            .banks
+            .iter()
+            .map(|tl| tl.events.iter().map(|e| e.at_ps / C).collect())
+            .collect();
+        (qt, cycles)
+    }
+
     #[test]
     fn schedules_validate_against_independent_checker() {
         for nb in [1usize, 2, 4, 6] {
+            let c = PimConfig::hbm2e(nb);
             for n in [8usize, 64, 256, 512] {
-                let (c, tl) = run(nb, n, MapperOptions::default());
-                validate_trace(c.timing.resolve(), c.geometry, &tl.bank_trace())
-                    .unwrap_or_else(|(i, e)| panic!("nb={nb} n={n}: entry {i}: {e}"));
+                let queues = vec![vec![program(&c, n, MapperOptions::default())]];
+                let qt = schedule_queues(&c, &queues).unwrap();
+                let banks = qt.bank_schedules(&untagged(&queues));
+                validate_queues(c.timing.resolve(), c.geometry, c.topology, &banks)
+                    .unwrap_or_else(|v| panic!("nb={nb} n={n}: {v}"));
             }
         }
+    }
+
+    #[test]
+    fn bus_serializes_commands_across_banks() {
+        // All four banks are ready at cycle 0; tRRD (5 cycles) spaces the
+        // activations, dominating the 1-cycle bus slots.
+        let (_, at) = coupled(Topology::single_rank(4), &vec![vec![act(0)]; 4]);
+        assert_eq!(at, [[0], [5], [10], [15]]);
+    }
+
+    #[test]
+    fn bank_constraint_dominates_when_later_than_bus() {
+        // The RD waits tRCD after its ACT, not for the next bus slot.
+        let (_, at) = coupled(Topology::single_rank(1), &[vec![act(0), rd(0)]]);
+        assert_eq!(at, [[0, 14]]);
+    }
+
+    #[test]
+    fn interleaving_banks_hides_trcd() {
+        // Bank 1 activates tRRD after bank 0, inside bank 0's tRCD
+        // shadow; each RD waits tRCD after its own bank's ACT.
+        let programs = [vec![act(0), rd(0)], vec![act(5), rd(5)]];
+        let (_, at) = coupled(Topology::single_rank(2), &programs);
+        assert_eq!(at, [[0, 14], [5, 19]]);
+    }
+
+    #[test]
+    fn tfaw_limits_activation_bursts() {
+        // The first four ACTs pace at tRRD; the fifth waits for the tFAW
+        // window (20 cycles), and the rest continue at tRRD.
+        let (qt, at) = coupled(Topology::single_rank(8), &vec![vec![act(0)]; 8]);
+        assert_eq!(at.concat(), [0, 5, 10, 15, 20, 25, 30, 35]);
+        assert_eq!(qt.per_rank_acts, [8]);
+    }
+
+    #[test]
+    fn cross_rank_activations_are_independent() {
+        // Two ranks of one bank each: back-to-back ACTs on different
+        // ranks pace at the 1-cycle bus slot, not tRRD.
+        let (qt, at) = coupled(Topology::new(1, 2, 1), &vec![vec![act(0)]; 2]);
+        assert_eq!(at, [[0], [1]], "only the shared bus separates them");
+        assert_eq!(qt.per_rank_acts, [1, 1]);
+        // Same-rank ACTs on a sibling bank still pay tRRD.
+        let (_, same) = coupled(Topology::single_rank(2), &vec![vec![act(0)]; 2]);
+        assert_eq!(same, [[0], [5]], "same-rank ACTs pay tRRD");
+    }
+
+    #[test]
+    fn tfaw_applies_per_rank_not_per_channel() {
+        // 1 channel x 2 ranks x 4 banks: each rank sees four ACTs, so
+        // all eight issue before the 20-cycle tFAW stall that a fifth ACT
+        // on one rank waits for (see tfaw_limits_activation_bursts).
+        // Rank 1's ACTs take the bus slots after rank 0's.
+        let (qt, at) = coupled(Topology::new(1, 2, 4), &vec![vec![act(0)]; 8]);
+        assert_eq!(at.concat(), [0, 5, 10, 15, 1, 6, 11, 16]);
+        assert_eq!(qt.per_rank_acts, [4, 4]);
+    }
+
+    #[test]
+    fn ranks_contend_for_the_shared_channel_bus() {
+        // Both ranks want cycle 0 for their ACTs and the bus grants
+        // consecutive cycles; each RD waits tRCD after its own ACT, so
+        // the RDs also land one bus cycle apart.
+        let (qt, at) = coupled(Topology::new(1, 2, 1), &vec![vec![act(0), rd(0)]; 2]);
+        assert_eq!(at, [[0, 14], [1, 15]]);
+        assert_eq!(qt.bus_slots, 4);
+        assert_eq!(qt.per_channel_bus_slots, [4]);
     }
 
     #[test]
@@ -1241,7 +1359,7 @@ mod tests {
             &schedule_queues(&with_ref, &alone).unwrap(),
             &untagged(&alone),
         );
-        let shared = with_ref.with_topology(crate::config::Topology::new(1, 2, 2));
+        let shared = with_ref.with_topology(Topology::new(1, 2, 2));
         let queues = vec![vec![prog]; 4];
         let qt = schedule_queues(&shared, &queues).unwrap();
         assert!(qt.banks.iter().all(|tl| tl.counters.refreshes > 0));
@@ -1336,7 +1454,6 @@ mod tests {
 
     #[test]
     fn hierarchical_lpt_degenerates_to_flat_on_single_channel() {
-        use crate::config::Topology;
         let costs = [8.0, 1.0, 7.0, 3.0, 3.0, 2.0, 2.0, 9.0];
         for banks in [1u32, 2, 3, 4] {
             assert_eq!(
@@ -1349,7 +1466,6 @@ mod tests {
 
     #[test]
     fn hierarchical_lpt_balances_channels_before_banks() {
-        use crate::config::Topology;
         // Two heavy jobs and six light ones on 2 channels × 1 rank × 2
         // banks: the heavies must land on different channels, and every
         // job must appear exactly once across the global queues.
@@ -1376,7 +1492,6 @@ mod tests {
 
     #[test]
     fn lpt_makespan_matches_heaviest_queue_and_scales_with_lanes() {
-        use crate::config::Topology;
         let costs = [10.0, 10.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0];
         let topo = Topology::new(2, 1, 2);
         let queues = lpt_assign_topology(&costs, &topo);
@@ -1403,7 +1518,6 @@ mod tests {
         // c channels × 1 rank × 1 bank running identical programs: no
         // shared resource exists, so every bank finishes exactly when a
         // lone single-bank schedule would.
-        use crate::config::Topology;
         let c = PimConfig::hbm2e(2).with_topology(Topology::new(4, 1, 1));
         let prog = program(&c, 512, MapperOptions::default());
         // Yardstick: the same queue alone on a 1×1×1 device.
@@ -1423,7 +1537,6 @@ mod tests {
         // 16 banks behind one bus/one rank vs the same 16 banks as
         // 2 channels × 2 ranks × 4 banks: splitting the bus and the
         // tRRD/tFAW windows must strictly reduce the makespan.
-        use crate::config::Topology;
         let flat = PimConfig::hbm2e(2).with_banks(16);
         let sharded = PimConfig::hbm2e(2).with_topology(Topology::new(2, 2, 4));
         let prog = program(&flat, 1024, MapperOptions::default());
@@ -1447,7 +1560,6 @@ mod tests {
 
     #[test]
     fn queue_error_names_the_topology() {
-        use crate::config::Topology;
         let c = PimConfig::hbm2e(2).with_topology(Topology::new(2, 1, 2));
         let prog = program(&c, 256, MapperOptions::default());
         let err = schedule_queues(&c, &vec![vec![prog]; 5]).unwrap_err();

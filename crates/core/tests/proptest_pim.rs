@@ -5,13 +5,13 @@
 //! validator. Functional storage must also behave like a plain array
 //! under arbitrary CU-read/CU-write programs.
 
-use dram_sim::validate::validate_trace;
+use dram_sim::validate::validate_queues;
 use modmath::bitrev::bitrev_permute;
 use ntt_pim_core::cmd::{BufId, PimCommand};
 use ntt_pim_core::config::PimConfig;
 use ntt_pim_core::layout::PolyLayout;
 use ntt_pim_core::mapper::{map_ntt, Dataflow, MapperOptions, NttParams, Program};
-use ntt_pim_core::sched::schedule;
+use ntt_pim_core::sched::{schedule, schedule_queues_dag, DagJob};
 use ntt_pim_core::sim::FunctionalSim;
 use ntt_pim_core::PimError;
 use proptest::prelude::*;
@@ -120,9 +120,11 @@ proptest! {
         }
 
         // (2) Protocol legality, checked by the independent validator.
-        let timeline = schedule(&config, &program).unwrap();
-        validate_trace(config.timing.resolve(), config.geometry, &timeline.bank_trace())
-            .map_err(|(i, e)| TestCaseError::fail(format!("trace entry {i}: {e}")))?;
+        let queues = [vec![DagJob::plain(&program)]];
+        let timeline = schedule_queues_dag(&config, &queues).unwrap();
+        let banks = timeline.bank_schedules(&queues);
+        validate_queues(config.timing.resolve(), config.geometry, config.topology, &banks)
+            .map_err(|v| TestCaseError::fail(v.to_string()))?;
 
         // (3) Sanity: latency positive and monotone with N handled elsewhere.
         prop_assert!(timeline.end_ps > 0);

@@ -13,10 +13,11 @@
 //!
 //! The issue rule on top of it is in-order per bank: a bank's next claim
 //! asks for no slot before the one after its previous claim, so a bank
-//! never overtakes its own program. [`crate::channel::Channel`] composes
-//! the bus with per-bank and per-rank timers; this module's tests pin the
-//! single-rank coupling rules (tRRD spacing, tRCD against the bus, the
-//! tFAW stall, backfilling) through a one-rank channel.
+//! never overtakes its own program. The PIM scheduler
+//! (`ntt_pim_core::sched`) composes one bus per channel with per-bank and
+//! per-rank timers, and its tests pin the coupling rules (tRRD spacing,
+//! tRCD against the bus, the tFAW stall); this module's tests pin the
+//! backfilling.
 
 /// A fair multi-stream command bus: each claim takes the first
 /// *unoccupied* cycle at or after the requested time, so interleaved
@@ -113,84 +114,13 @@ impl FairBus {
     pub fn issued(&self) -> u64 {
         self.issued
     }
-
-    /// Bus utilization over `[0, horizon_ps)`.
-    pub fn utilization(&self, horizon_ps: u64) -> f64 {
-        if horizon_ps == 0 {
-            return 0.0;
-        }
-        (self.issued() * self.cycle_ps) as f64 / horizon_ps as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bank::BankCommand;
-    use crate::channel::Channel;
-    use crate::timing::TimingParams;
-
-    /// One rank of `banks` banks behind one bus.
-    fn chip(banks: u32) -> Channel {
-        Channel::new(TimingParams::hbm2e().resolve(), 1, banks)
-    }
 
     const C: u64 = 833;
-
-    #[test]
-    fn bus_serializes_commands_across_banks() {
-        let mut chip = chip(4);
-        let mut slots = Vec::new();
-        for b in 0..4 {
-            slots.push(chip.issue(0, b, BankCommand::Act { row: 0 }, 0).unwrap());
-        }
-        // All four banks were ready at t=0; tRRD (5 cycles) spaces the
-        // activations, dominating the 1-cycle bus slots.
-        assert_eq!(slots, vec![0, 5 * C, 10 * C, 15 * C]);
-    }
-
-    #[test]
-    fn bank_constraint_dominates_when_later_than_bus() {
-        let mut chip = chip(2);
-        chip.issue(0, 0, BankCommand::Act { row: 0 }, 0).unwrap();
-        let t = chip.issue(0, 0, BankCommand::Rd { col: 0 }, 0).unwrap();
-        assert_eq!(t, 14 * C); // tRCD, not the next bus slot
-    }
-
-    #[test]
-    fn interleaving_banks_hides_trcd() {
-        let mut chip = chip(2);
-        chip.issue(0, 0, BankCommand::Act { row: 0 }, 0).unwrap();
-        let t1 = chip.issue(0, 1, BankCommand::Act { row: 5 }, 0).unwrap();
-        assert_eq!(t1, 5 * C); // tRRD after bank 0's ACT, inside tRCD's shadow
-        let r0 = chip.issue(0, 0, BankCommand::Rd { col: 0 }, 0).unwrap();
-        let r1 = chip.issue(0, 1, BankCommand::Rd { col: 0 }, 0).unwrap();
-        assert_eq!(r0, 14 * C);
-        assert_eq!(r1, 19 * C); // tRCD after its own ACT
-    }
-
-    #[test]
-    fn utilization_reflects_issued_commands() {
-        let mut chip = chip(1);
-        chip.issue(0, 0, BankCommand::Act { row: 0 }, 0).unwrap();
-        chip.issue(0, 0, BankCommand::Rd { col: 0 }, 0).unwrap();
-        let horizon = 100 * C;
-        let u = chip.bus().utilization(horizon);
-        assert!((u - 2.0 / 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn tfaw_limits_activation_bursts() {
-        let mut chip = chip(8);
-        let mut slots = Vec::new();
-        for b in 0..8 {
-            slots.push(chip.issue(0, b, BankCommand::Act { row: 0 }, 0).unwrap());
-        }
-        // First four pace at tRRD (0,5,10,15); the fifth waits for the
-        // tFAW window (20), and the rest continue at tRRD.
-        assert_eq!(slots[4], 20 * C);
-        assert!(slots[7] >= 35 * C);
-    }
 
     #[test]
     fn fair_bus_fills_gaps_monotonic_bus_cannot() {
@@ -206,6 +136,5 @@ mod tests {
         // cannot take the free slots before its own 10-cycle claim.
         assert_eq!(fair.claim(11 * C), 11 * C);
         assert_eq!(fair.issued(), 4);
-        assert!((fair.utilization(100 * C) - 4.0 / 100.0).abs() < 1e-9);
     }
 }

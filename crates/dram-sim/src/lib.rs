@@ -14,10 +14,14 @@
 //! * the shared command bus ([`chip::FairBus`]) behind bank-level
 //!   parallelism: one command per cycle per channel, backfilled across
 //!   banks while each bank issues in order,
-//! * a multi-channel, multi-rank topology model ([`channel`]) — per-channel
-//!   command buses, per-rank tRRD/tFAW windows — for device-level scaling
-//!   studies beyond the paper's single chip, and
+//! * the per-rank activation window ([`rank::RankTimer`]: tRRD, tFAW),
+//! * the device shape ([`channel::Topology`]: channels × ranks × banks)
+//!   for device-level scaling studies beyond the paper's single chip, and
 //! * per-command energy accounting ([`energy`]).
+//!
+//! These are primitives. The PIM scheduler (`ntt_pim_core::sched`) is
+//! the one place that composes them into a device: one bus per channel,
+//! one rank timer per rank, one bank timer per bank.
 //!
 //! A glossary of every modeled DRAM timing constraint, with the
 //! simulator's HBM2E defaults, lives in the [`timing`] module docs.
@@ -29,13 +33,13 @@
 //! Traces serialize to a textual format ([`trace`]) for inspection and
 //! replay, mirroring the paper's trace-driven methodology (its Fig. 1).
 //!
-//! An independent protocol validator replays finished schedules against
-//! fresh state machines: [`validate::validate_trace`] for one bank's DRAM
-//! trace, [`validate::validate_queues`] for a multi-bank queue schedule on
-//! a whole topology (bus slots per channel, tRRD/tFAW per rank, bank
-//! timing and refresh, per-bank program order, DAG barriers). The PIM
-//! scheduler's tests use it so that the component that *builds*
-//! schedules is never the component that *checks* them.
+//! An independent protocol validator, [`validate::validate_queues`],
+//! replays finished schedules against fresh state machines on a whole
+//! topology (bus slots per channel, tRRD/tFAW per rank, bank timing and
+//! refresh, per-bank program order, DAG barriers); a single bank's trace
+//! is its `1 × 1 × 1` case. The PIM scheduler's tests use it so that the
+//! component that *builds* schedules is never the component that
+//! *checks* them.
 //!
 //! # Example
 //!
@@ -55,7 +59,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bank;

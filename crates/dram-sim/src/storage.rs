@@ -19,8 +19,9 @@
 //! Storage is strictly per-bank: a multi-channel, multi-rank device
 //! ([`crate::channel::Topology`]) is simply
 //! `channels × ranks × banks` independent [`BankStorage`] values —
-//! values never cross the hierarchy, only timing couples it
-//! ([`crate::channel::Channel`]).
+//! values never cross the hierarchy, only timing couples it (the shared
+//! [`crate::chip::FairBus`] per channel and [`crate::rank::RankTimer`]
+//! per rank).
 
 use crate::timing::Geometry;
 

@@ -24,8 +24,8 @@
 //! ones in [`crate::rank::RankTimer`]. The command bus adds one more
 //! implicit constraint — one command per memory cycle per **channel** —
 //! modeled by [`crate::chip::FairBus`], of which a
-//! [`crate::channel::Topology`]-shaped device gets one per channel
-//! (see [`crate::channel::Channel`] for the standalone composition).
+//! [`crate::channel::Topology`]-shaped device gets one per channel (the
+//! PIM scheduler, `ntt_pim_core::sched`, composes the three).
 //! Banks issue in order: each bank's commands take strictly increasing
 //! bus slots, and only another bank's command can fill a gap a bank
 //! leaves. [`crate::validate::validate_queues`] checks all three scopes
@@ -165,12 +165,11 @@ impl ResolvedTiming {
     }
 }
 
-/// Bank geometry (the paper's Table I: one rank, one bank evaluated; 32 B
-/// atoms; 32 columns per 1 KB row; 32768 rows).
+/// Geometry of one bank (the paper's Table I: 32 B atoms; 32 columns per
+/// 1 KB row; 32768 rows). How many banks a device has is its
+/// [`crate::channel::Topology`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Geometry {
-    /// Number of banks in the chip model.
-    pub banks: u32,
     /// Rows per bank.
     pub rows_per_bank: u32,
     /// DRAM atoms (columns) per row.
@@ -183,10 +182,9 @@ pub struct Geometry {
 }
 
 impl Geometry {
-    /// The paper's Table I geometry (single bank).
+    /// The paper's Table I bank geometry.
     pub fn hbm2e_single_bank() -> Self {
         Self {
-            banks: 1,
             rows_per_bank: 32_768,
             cols_per_row: 32,
             atom_bytes: 32,

@@ -20,12 +20,24 @@
 //! The `bank` column is a flat id. For a sharded device, callers write
 //! *global* bank ids and decode them with
 //! [`crate::channel::Topology::location`] — one trace per channel is the
-//! natural unit, since a channel's command bus is what serializes the
-//! commands a trace orders ([`crate::channel::Channel`]).
+//! natural unit, since a channel's command bus ([`crate::chip::FairBus`])
+//! is what serializes the commands a trace orders. A parsed trace is
+//! checked by replaying it as bus claims through
+//! [`crate::validate::validate_queues`].
 
 use crate::bank::BankCommand;
-use crate::validate::TraceEntry;
 use std::fmt::Write as _;
+
+/// One timestamped DRAM command: a line of the text trace.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TraceEntry {
+    /// Issue time in picoseconds.
+    pub at_ps: u64,
+    /// Target bank.
+    pub bank: u32,
+    /// The command.
+    pub cmd: BankCommand,
+}
 
 /// Error from parsing a textual trace.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,4 +1,4 @@
-//! Independent trace validation.
+//! Independent schedule validation.
 //!
 //! The PIM scheduler in `ntt-pim-core` *constructs* command timelines; this
 //! module *checks* finished timelines by replaying them through fresh
@@ -6,102 +6,20 @@
 //! Scheduler tests use it so the checker shares no code (and no bugs) with
 //! the producer, per the verification strategy in DESIGN.md.
 //!
-//! Two entry points: [`validate_trace`] checks one time-sorted trace of
-//! DRAM commands behind one bus and one rank, and [`validate_queues`]
-//! checks a whole multi-bank queue schedule on a
-//! [`Topology`] — every bus claim (DRAM commands, compute-unit commands
-//! and each beat of a parameter broadcast), each bank's program order and
-//! the DAG barriers between queued programs.
+//! [`validate_queues`] is the one entry point. It checks a whole
+//! multi-bank queue schedule on a [`Topology`] — every bus claim (DRAM
+//! commands, compute-unit commands and each beat of a parameter
+//! broadcast), each bank's program order and the DAG barriers between
+//! queued programs. A single bank's DRAM trace is the `1 × 1 × 1` case:
+//! one bank, one program, one claim per command.
 
 use crate::bank::{BankCommand, BankTimer};
 use crate::channel::Topology;
 use crate::rank::RankTimer;
 use crate::timing::{Geometry, ResolvedTiming};
 use crate::TimingError;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
-
-/// One timestamped command of a finished schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceEntry {
-    /// Issue time in picoseconds.
-    pub at_ps: u64,
-    /// Target bank.
-    pub bank: u32,
-    /// The command.
-    pub cmd: BankCommand,
-}
-
-/// Replays `trace` and returns the index and cause of the first violation.
-///
-/// Checks, in order, for every entry:
-///
-/// 1. addresses are within `geometry`,
-/// 2. the shared command bus carries at most one command per cycle slot and
-///    commands are slot-aligned,
-/// 3. the per-bank timing constraints of [`BankTimer`] hold, and
-/// 4. rank-level activation limits (tRRD / tFAW) hold across banks.
-///
-/// Entries must be sorted by `at_ps` (ties broken arbitrarily but
-/// distinct slots enforced); unsorted traces are reported as bus
-/// conflicts or `TooEarly` violations, never silently accepted.
-///
-/// # Errors
-///
-/// `Err((index, cause))` identifies the first offending entry.
-pub fn validate_trace(
-    timing: ResolvedTiming,
-    geometry: Geometry,
-    trace: &[TraceEntry],
-) -> Result<(), (usize, TimingError)> {
-    let mut banks: Vec<BankTimer> = (0..geometry.banks)
-        .map(|_| BankTimer::new(timing))
-        .collect();
-    let mut rank = RankTimer::new(&timing);
-    let mut bus_slots: HashSet<u64> = HashSet::with_capacity(trace.len());
-    for (i, e) in trace.iter().enumerate() {
-        // 1. Addresses.
-        if e.bank >= geometry.banks {
-            return Err((
-                i,
-                TimingError::AddressOutOfRange {
-                    what: "bank",
-                    value: e.bank as u64,
-                    limit: geometry.banks as u64,
-                },
-            ));
-        }
-        if let Some(err) = address_error(geometry, e.cmd) {
-            return Err((i, err));
-        }
-        // 2. Bus occupancy and alignment.
-        if e.at_ps % timing.cycle_ps != 0 {
-            return Err((i, TimingError::BusConflict { at_ps: e.at_ps }));
-        }
-        if !bus_slots.insert(e.at_ps) {
-            return Err((i, TimingError::BusConflict { at_ps: e.at_ps }));
-        }
-        // 3. Bank timing.
-        if let Err(err) = banks[e.bank as usize].issue_at(e.cmd, e.at_ps) {
-            return Err((i, err));
-        }
-        // 4. Rank-level activation limits.
-        if let BankCommand::Act { .. } = e.cmd {
-            if !rank.is_legal(e.at_ps) {
-                return Err((
-                    i,
-                    TimingError::TooEarly {
-                        cmd: "ACT (rank tRRD/tFAW)",
-                        at_ps: e.at_ps,
-                        earliest_ps: rank.earliest_act(0),
-                    },
-                ));
-            }
-            rank.record_act(e.at_ps);
-        }
-    }
-    Ok(())
-}
 
 /// The row or column of `cmd` that falls outside `geometry`, if any.
 fn address_error(geometry: Geometry, cmd: BankCommand) -> Option<TimingError> {
@@ -331,91 +249,6 @@ mod tests {
         )
     }
 
-    fn entry(at_cycles: u64, cmd: BankCommand) -> TraceEntry {
-        TraceEntry {
-            at_ps: at_cycles * C,
-            bank: 0,
-            cmd,
-        }
-    }
-
-    #[test]
-    fn accepts_legal_trace() {
-        let (t, g) = setup();
-        let trace = vec![
-            entry(0, BankCommand::Act { row: 3 }),
-            entry(14, BankCommand::Rd { col: 0 }),
-            entry(16, BankCommand::Rd { col: 1 }),
-            entry(18, BankCommand::Wr { col: 0 }),
-            entry(64, BankCommand::Pre),
-            entry(78, BankCommand::Act { row: 4 }),
-        ];
-        validate_trace(t, g, &trace).expect("legal trace");
-    }
-
-    #[test]
-    fn rejects_trcd_violation() {
-        let (t, g) = setup();
-        let trace = vec![
-            entry(0, BankCommand::Act { row: 3 }),
-            entry(13, BankCommand::Rd { col: 0 }),
-        ];
-        let (i, err) = validate_trace(t, g, &trace).unwrap_err();
-        assert_eq!(i, 1);
-        assert!(matches!(err, TimingError::TooEarly { cmd: "RD", .. }));
-    }
-
-    #[test]
-    fn rejects_bus_double_booking() {
-        let (t, mut g) = setup();
-        g.banks = 2;
-        let trace = vec![
-            TraceEntry {
-                at_ps: 0,
-                bank: 0,
-                cmd: BankCommand::Act { row: 0 },
-            },
-            TraceEntry {
-                at_ps: 0,
-                bank: 1,
-                cmd: BankCommand::Act { row: 0 },
-            },
-        ];
-        let (i, err) = validate_trace(t, g, &trace).unwrap_err();
-        assert_eq!(i, 1);
-        assert!(matches!(err, TimingError::BusConflict { .. }));
-    }
-
-    #[test]
-    fn rejects_unaligned_issue() {
-        let (t, g) = setup();
-        let trace = vec![TraceEntry {
-            at_ps: 5, // not a multiple of the cycle
-            bank: 0,
-            cmd: BankCommand::Act { row: 0 },
-        }];
-        assert!(validate_trace(t, g, &trace).is_err());
-    }
-
-    #[test]
-    fn rejects_bad_addresses() {
-        let (t, g) = setup();
-        let trace = vec![entry(0, BankCommand::Act { row: 1 << 20 })];
-        let (_, err) = validate_trace(t, g, &trace).unwrap_err();
-        assert!(matches!(
-            err,
-            TimingError::AddressOutOfRange { what: "row", .. }
-        ));
-    }
-
-    #[test]
-    fn rejects_read_without_activate() {
-        let (t, g) = setup();
-        let trace = vec![entry(0, BankCommand::Rd { col: 0 })];
-        let (_, err) = validate_trace(t, g, &trace).unwrap_err();
-        assert!(matches!(err, TimingError::RowNotOpen { .. }));
-    }
-
     fn claim(at_cycles: u64, job: usize, cmd: Option<BankCommand>) -> BusClaim {
         BusClaim {
             at_ps: at_cycles * C,
@@ -443,6 +276,89 @@ mod tests {
     fn check(topology: Topology, banks: &[BankSchedule]) -> Result<(), QueueViolation> {
         let (t, g) = setup();
         validate_queues(t, g, topology, banks)
+    }
+
+    /// One bank running one program of DRAM commands only, given as
+    /// `(cycle, command)` pairs in issue order.
+    fn dram_trace(cmds: &[(u64, BankCommand)]) -> BankSchedule {
+        let last = cmds.last().map_or(0, |&(cycle, _)| cycle);
+        BankSchedule {
+            claims: cmds
+                .iter()
+                .map(|&(cycle, cmd)| claim(cycle, 0, Some(cmd)))
+                .collect(),
+            jobs: vec![QueuedJob {
+                waits_on: None,
+                signals: None,
+                end_ps: (last + 1) * C,
+            }],
+        }
+    }
+
+    #[test]
+    fn accepts_legal_trace() {
+        let bank = dram_trace(&[
+            (0, BankCommand::Act { row: 3 }),
+            (14, BankCommand::Rd { col: 0 }),
+            (16, BankCommand::Rd { col: 1 }),
+            (18, BankCommand::Wr { col: 0 }),
+            (64, BankCommand::Pre),
+            (78, BankCommand::Act { row: 4 }),
+        ]);
+        check(Topology::single_rank(1), &[bank]).expect("legal trace");
+    }
+
+    #[test]
+    fn rejects_trcd_violation() {
+        let bank = dram_trace(&[
+            (0, BankCommand::Act { row: 3 }),
+            (13, BankCommand::Rd { col: 0 }),
+        ]);
+        let err = check(Topology::single_rank(1), &[bank]).unwrap_err();
+        assert_eq!(err.claim, 1);
+        assert!(matches!(err.cause, TimingError::TooEarly { cmd: "RD", .. }));
+    }
+
+    #[test]
+    fn rejects_bus_double_booking() {
+        let act = [(0, BankCommand::Act { row: 0 })];
+        let banks = [dram_trace(&act), dram_trace(&act)];
+        let err = check(Topology::single_rank(2), &banks).unwrap_err();
+        assert_eq!((err.bank, err.claim), (1, 0));
+        assert_eq!(err.cause, TimingError::BusConflict { at_ps: 0 });
+    }
+
+    #[test]
+    fn rejects_unaligned_issue() {
+        // A claim off the bus-cycle grid, before any bank rule applies.
+        let mut bank = dram_trace(&[(0, BankCommand::Act { row: 0 })]);
+        bank.claims[0].at_ps = 5;
+        let err = check(Topology::single_rank(1), &[bank]).unwrap_err();
+        assert_eq!((err.bank, err.claim), (0, 0));
+        assert_eq!(err.cause, TimingError::BusConflict { at_ps: 5 });
+    }
+
+    #[test]
+    fn rejects_bad_addresses() {
+        // An ACT row past the geometry's 32768 rows.
+        let bank = dram_trace(&[(0, BankCommand::Act { row: 1 << 20 })]);
+        let err = check(Topology::single_rank(1), &[bank]).unwrap_err();
+        assert_eq!(
+            err.cause,
+            TimingError::AddressOutOfRange {
+                what: "row",
+                value: 1 << 20,
+                limit: 32_768
+            }
+        );
+    }
+
+    #[test]
+    fn rejects_read_without_activate() {
+        // An RD to a closed row.
+        let bank = dram_trace(&[(0, BankCommand::Rd { col: 0 })]);
+        let err = check(Topology::single_rank(1), &[bank]).unwrap_err();
+        assert!(matches!(err.cause, TimingError::RowNotOpen { .. }), "{err}");
     }
 
     #[test]

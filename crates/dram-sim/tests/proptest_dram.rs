@@ -7,9 +7,10 @@
 //! `proptest_pim.rs`.)
 
 use dram_sim::bank::{BankCommand, BankTimer};
+use dram_sim::channel::Topology;
 use dram_sim::chip::FairBus;
 use dram_sim::timing::{Geometry, TimingParams};
-use dram_sim::validate::{validate_trace, TraceEntry};
+use dram_sim::validate::{validate_queues, BankSchedule, BusClaim, QueuedJob};
 use proptest::prelude::*;
 
 /// A random but *state-aware* command choice: picks among the commands
@@ -28,6 +29,26 @@ fn step_command(open: bool, pick: u8, row: u32, col: u32) -> BankCommand {
             _ => BankCommand::Pre, // no-op precharge is legal
         }
     }
+}
+
+/// One bank running one program whose every bus claim is a DRAM command,
+/// as `(ps, command)` pairs in issue order, finishing at `end_ps`.
+fn one_bank(cmds: &[(u64, BankCommand)], end_ps: u64) -> [BankSchedule; 1] {
+    [BankSchedule {
+        claims: cmds
+            .iter()
+            .map(|&(at_ps, cmd)| BusClaim {
+                at_ps,
+                job: 0,
+                cmd: Some(cmd),
+            })
+            .collect(),
+        jobs: vec![QueuedJob {
+            waits_on: None,
+            signals: None,
+            end_ps,
+        }],
+    }]
 }
 
 /// The fair-bus rule written the obvious way: walk the ordered set of
@@ -126,11 +147,12 @@ proptest! {
                 slot = cursor + timing.cycle_ps;
             }
             bank.issue_at(cmd, slot).expect("earliest is legal");
-            trace.push(TraceEntry { at_ps: slot, bank: 0, cmd });
+            trace.push((slot, cmd));
             cursor = slot;
         }
-        validate_trace(timing, geometry, &trace)
-            .map_err(|(i, e)| TestCaseError::fail(format!("entry {i}: {e}")))?;
+        let banks = one_bank(&trace, cursor + timing.cycle_ps);
+        validate_queues(timing, geometry, Topology::single_rank(1), &banks)
+            .map_err(|v| TestCaseError::fail(v.to_string()))?;
     }
 
     /// Issuing even one cycle before `earliest_issue` is rejected.
@@ -160,14 +182,13 @@ proptest! {
         let timing = TimingParams::hbm2e().resolve();
         let geometry = Geometry::hbm2e_single_bank();
         let c = timing.cycle_ps;
-        let trace = vec![
-            TraceEntry { at_ps: 0, bank: 0, cmd: BankCommand::Act { row: 1 } },
-            TraceEntry {
-                at_ps: (14 - shift_cycles) * c,
-                bank: 0,
-                cmd: BankCommand::Rd { col: 0 },
-            },
-        ];
-        prop_assert!(validate_trace(timing, geometry, &trace).is_err());
+        let banks = one_bank(
+            &[
+                (0, BankCommand::Act { row: 1 }),
+                ((14 - shift_cycles) * c, BankCommand::Rd { col: 0 }),
+            ],
+            28 * c,
+        );
+        prop_assert!(validate_queues(timing, geometry, Topology::single_rank(1), &banks).is_err());
     }
 }

@@ -23,7 +23,6 @@
 //! homomorphic add / plaintext multiply), [`noise`] (noise-budget
 //! analysis).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bfv;

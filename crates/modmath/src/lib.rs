@@ -50,7 +50,6 @@
 //! [`ntt-ref`]: ../ntt_ref/index.html
 //! [`ntt-pim-core`]: ../ntt_pim_core/index.html
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arith;

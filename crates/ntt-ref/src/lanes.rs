@@ -122,13 +122,9 @@ pub fn inverse_batch_lazy(plan: &NttPlan, soa: &mut [u64]) {
 /// [`BLOCKED_MIN_N`] and above the first `log2(BLOCK_ROWS)` stages run
 /// block-local (their butterfly groups span ≤ [`BLOCK_ROWS`] rows, so each
 /// 32 KiB block is finished while still cache-hot) before the cross-block
-/// stages sweep the full buffer.
+/// stages sweep the full buffer. Its two callers, [`forward_batch_lazy`]
+/// and [`inverse_batch_lazy`], check the buffer length and the lazy bound.
 fn dit_stages_soa(plan: &NttPlan, soa: &mut [u64], inverse: bool) {
-    assert_eq!(soa.len(), plan.n() * LANE_WIDTH, "SoA length mismatch");
-    assert!(
-        plan.uses_lazy(),
-        "modulus exceeds the Shoup lazy bound (q < 2^62)"
-    );
     let log_n = plan.log_n();
     if plan.n() >= BLOCKED_MIN_N {
         let local = BLOCK_ROWS.trailing_zeros().min(log_n);
@@ -394,22 +390,22 @@ fn transform_group(plan: &NttPlan, group: &mut [Vec<u64>], soa: &mut [u64], pass
     match pass {
         Pass::Forward => {
             pack_bitrev(group, plan.log_n(), soa);
-            dit_stages_soa(plan, soa, false);
+            forward_batch_lazy(plan, soa);
             unpack_normalized(group, soa, q);
         }
         Pass::NegacyclicForward => {
             pack_bitrev_weighted(plan, group, soa);
-            dit_stages_soa(plan, soa, false);
+            forward_batch_lazy(plan, soa);
             unpack_normalized(group, soa, q);
         }
         Pass::Inverse => {
             pack_bitrev(group, plan.log_n(), soa);
-            dit_stages_soa(plan, soa, true);
+            inverse_batch_lazy(plan, soa);
             unpack_inverse_scaled(plan, group, soa, false);
         }
         Pass::NegacyclicInverse => {
             pack_bitrev(group, plan.log_n(), soa);
-            dit_stages_soa(plan, soa, true);
+            inverse_batch_lazy(plan, soa);
             unpack_inverse_scaled(plan, group, soa, true);
         }
     }
@@ -554,9 +550,9 @@ fn polymul_group<P: AsRef<[u64]>>(
     q: u64,
 ) {
     pack_bitrev_weighted(plan, ga, sa);
-    dit_stages_soa(plan, sa, false);
+    forward_batch_lazy(plan, sa);
     pack_bitrev_weighted(plan, gb, sb);
-    dit_stages_soa(plan, sb, false);
+    forward_batch_lazy(plan, sb);
     // The spectra are still lazy in [0, 4q); the widening Hadamard product
     // reduces mod q anyway ((a·b) mod q = (a mod q · b mod q) mod q, and
     // 4q · 4q < 2¹²⁸), so the two normalize sweeps the scalar path pays
@@ -567,7 +563,7 @@ fn polymul_group<P: AsRef<[u64]>>(
     // The spectra sit in natural row order; the inverse DIT stages expect
     // bit-reversed input, so reorder rows before descending.
     bitrev_rows(sa, plan.log_n());
-    dit_stages_soa(plan, sa, true);
+    inverse_batch_lazy(plan, sa);
     unpack_inverse_scaled(plan, ga, sa, true);
 }
 

@@ -65,7 +65,6 @@
 //!
 //! [`ntt-pim-core`]: ../ntt_pim_core/index.html
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod baseline;

@@ -12,7 +12,6 @@
 //! bench targets) each benchmark body runs exactly once as a smoke
 //! test, keeping the tier-1 suite fast.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt;

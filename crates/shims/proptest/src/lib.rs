@@ -12,7 +12,6 @@
 //! fixed deterministic stream per test (seeded from the test name), so
 //! failures reproduce across runs.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt;

@@ -7,7 +7,6 @@
 //! generation and seeded tests, **not** cryptographically secure
 //! (neither is this workspace's use of it; see `fhe-lite`'s docs).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::ops::Range;

@@ -45,7 +45,6 @@
 //! See `examples/` for runnable scenarios and `crates/bench` for the
 //! binaries regenerating every table and figure of the paper.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod engine;

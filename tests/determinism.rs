@@ -7,6 +7,7 @@ use ntt_pim::core::device::{NttDirection, PimDevice};
 use ntt_pim::core::layout::PolyLayout;
 use ntt_pim::core::mapper::{map_ntt, MapperOptions, NttParams};
 use ntt_pim::core::sched::schedule;
+use ntt_pim::dram::validate::{validate_queues, BankSchedule, BusClaim, QueuedJob};
 
 const Q: u32 = 2_013_265_921;
 
@@ -85,7 +86,28 @@ fn trace_text_roundtrip_preserves_schedule() {
     let text = ntt_pim::dram::trace::to_text(&tl.bank_trace(), cycle);
     let back = ntt_pim::dram::trace::from_text(&text, cycle).unwrap();
     assert_eq!(back, tl.bank_trace());
-    // And the re-parsed trace still validates.
-    ntt_pim::dram::validate::validate_trace(config.timing.resolve(), config.geometry, &back)
-        .unwrap_or_else(|(i, e)| panic!("entry {i}: {e}"));
+    // And the re-parsed trace still validates: one bank running one
+    // program, each DRAM command a bus claim.
+    let bank = BankSchedule {
+        claims: back
+            .iter()
+            .map(|e| BusClaim {
+                at_ps: e.at_ps,
+                job: 0,
+                cmd: Some(e.cmd),
+            })
+            .collect(),
+        jobs: vec![QueuedJob {
+            waits_on: None,
+            signals: None,
+            end_ps: tl.end_ps,
+        }],
+    };
+    validate_queues(
+        config.timing.resolve(),
+        config.geometry,
+        config.topology,
+        &[bank],
+    )
+    .unwrap_or_else(|v| panic!("{v}"));
 }
