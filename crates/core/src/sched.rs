@@ -1677,6 +1677,38 @@ mod tests {
     }
 
     #[test]
+    fn buffer_past_nb_is_refused() {
+        // Nb = 2 names buffers P and S1: a read into S2, or a pointwise
+        // product with S2 as its second operand, is refused with a typed
+        // error, whether or not the log is kept.
+        let c = PimConfig::hbm2e(2);
+        let past = BufId(2);
+        for cmd in [
+            PimCommand::CuRead {
+                row: 0,
+                col: 0,
+                buf: past,
+            },
+            PimCommand::Pointwise {
+                p: BufId::PRIMARY,
+                s: past,
+            },
+        ] {
+            let prog = hand_built(vec![cmd]);
+            let queues = [vec![DagJob::plain(&prog)]];
+            for result in [
+                schedule_queues_dag(&c, &queues),
+                schedule_queues_unlogged(&c, &queues),
+            ] {
+                assert!(
+                    matches!(result, Err(PimError::BufferMisuse { .. })),
+                    "{result:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn dag_unsignaled_barrier_completes_at_zero() {
         let c = PimConfig::hbm2e(2).with_banks(1);
         let prog = program(&c, 256, MapperOptions::default());
