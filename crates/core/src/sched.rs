@@ -1,14 +1,15 @@
 //! In-order issue engine: logical command stream → timed schedule.
 //!
 //! The memory controller issues one command per memory-clock cycle on the
-//! shared command bus, respecting (i) DRAM bank timing via the dram-sim
-//! state machine, (ii) compute-unit occupancy, and (iii) atom-buffer
+//! shared command bus, respecting (i) DRAM bank and rank timing (the
+//! paper's Table I), (ii) compute-unit occupancy, and (iii) atom-buffer
 //! hazards (a buffer can be refilled only after its previous contents were
 //! consumed or drained). Rows are managed lazily (open-page): `PRE`/`ACT`
 //! pairs are inserted exactly when a column command targets a different
-//! row, so the mapper's command *order* fully determines the activation
-//! count — which is how the paper's pipelining reduces activations
-//! (Fig. 6c) without any scheduler-side special case.
+//! row, and a `PRE` before a refresh, so the mapper's command *order*
+//! fully determines the activation count — which is how the paper's
+//! pipelining reduces activations (Fig. 6c) without any scheduler-side
+//! special case.
 //!
 //! Pipelining therefore needs no lookahead here: the mapper emits the
 //! paper's software-pipelined order, and in-order issue with per-resource
@@ -42,9 +43,24 @@
 //! commands backfill the gaps it leaves. [`schedule`], the paper's
 //! single-transform path, is the one-bank case of the same queue engine,
 //! where the rule reduces to a strictly monotonic stream of slots.
+//!
+//! The scheduler keeps its own timing state. Each bank has three fronts,
+//! the earliest bus slot of its next ACT (or REF), PRE and column
+//! command, and every command it issues raises them once: an ACT at slot
+//! t raises the ACT front to t + tRC, the PRE front to t + tRAS and the
+//! column front to t + tRCD; a PRE raises the ACT front to t + tRP; a RD
+//! raises the column front to t + tCCD and the PRE front to t + CL, a WR
+//! the PRE front to t + CL + tWR; a REF raises the ACT front to t + tRFC.
+//! A bank's issue slots strictly increase, so each front is Table I's
+//! rule against the bank's last command of each kind. Each rank keeps its
+//! last four ACTs for tRRD and tFAW. Times are whole bus slots: a
+//! compute-unit latency that is not a whole number of them is rounded up
+//! for the commands that wait on it and stays exact in the reported ends.
 //! [`dram_sim::validate::validate_queues`] checks finished schedules
-//! against that rule, the topology's timing and the DAG barriers
-//! ([`QueueTimeline::bank_schedules`] builds its input).
+//! against the in-order rule, the topology's timing and the DAG barriers
+//! ([`QueueTimeline::bank_schedules`] builds its input) by replaying them
+//! through dram-sim's `BankTimer` and `RankTimer`, which this module does
+//! not use: the checker shares no timing rule with the scheduler.
 //!
 //! The per-command [`Event`] log, [`Timeline::logical_issue_ps`] and the
 //! claimed slots exist only for the callers that return a timeline —
@@ -53,18 +69,16 @@
 //! [`crate::device::PimDevice::schedule_queues_dag`], hence every PIM
 //! backend) and the cost estimates need only times, so they call
 //! [`schedule_queues_unlogged`]: the same engine without the log, where
-//! each bank keeps just its issue cursor and completion front, and host
-//! cost grows with the commands issued.
+//! each bank keeps just its queue cursor, fronts and completion time,
+//! and host cost grows with the commands issued.
 
 use crate::cmd::{BufId, PimCommand};
 use crate::config::PimConfig;
 use crate::mapper::Program;
 use crate::PimError;
-use dram_sim::bank::{BankCommand, BankCounters, BankTimer};
+use dram_sim::bank::{BankCommand, BankCounters};
 use dram_sim::chip::FairBus;
 use dram_sim::energy::{EnergyMeter, EnergyParams};
-use dram_sim::rank::RankTimer;
-use dram_sim::timing::ResolvedTiming;
 use dram_sim::trace::TraceEntry;
 use dram_sim::validate::{BankSchedule, BusClaim, QueuedJob};
 
@@ -333,160 +347,443 @@ fn bank_command(cmd: &PimCommand) -> Option<BankCommand> {
     })
 }
 
-/// Per-bank scheduling state.
-struct Engine<'a> {
-    config: &'a PimConfig,
-    resolved: ResolvedTiming,
-    bank: BankTimer,
-    cu_free: u64,
-    buf_ready: Vec<u64>,
-    buf_busy: Vec<u64>,
+/// A compute-unit latency: its exact length, for the reported ends, and
+/// the bus slots it spans rounded up, after which a command waiting on it
+/// may claim a slot. On a CU clock other than the memory clock it need
+/// not be whole slots: at 900 MHz a C1 takes 16665 ps, 20.006 slots of
+/// 833 ps.
+#[derive(Clone, Copy)]
+struct Latency {
+    ps: u64,
+    slots: u64,
+}
+
+impl Latency {
+    fn new(ps: u64, cycle_ps: u64) -> Self {
+        Self {
+            ps,
+            slots: ps.div_ceil(cycle_ps),
+        }
+    }
+}
+
+/// What every bank's issue rules read, resolved once per scheduling call:
+/// the DRAM timing in bus slots (Table I's memory cycles), the
+/// compute-unit latencies, the buffer count and the energy per command.
+struct Costs {
+    cycle_ps: u64,
+    cl: u64,
+    t_ccd: u64,
+    t_rp: u64,
+    t_ras: u64,
+    t_rcd: u64,
+    t_rc: u64,
+    t_wr: u64,
+    t_refi: u64,
+    t_rfc: u64,
+    t_rrd: u64,
+    t_faw: u64,
+    n_bufs: usize,
+    c1: Latency,
+    c2: Latency,
+    elementwise: Latency,
+    reg_move: Latency,
+    reg_bu: Latency,
+    param_beats: u64,
+    energy: EnergyParams,
+}
+
+impl Costs {
+    fn new(config: &PimConfig) -> Self {
+        let t = config.timing;
+        let cycle_ps = t.cycle_ps();
+        let latency = |ps| Latency::new(ps, cycle_ps);
+        Self {
+            cycle_ps,
+            cl: t.cl.into(),
+            t_ccd: t.t_ccd.into(),
+            t_rp: t.t_rp.into(),
+            t_ras: t.t_ras.into(),
+            t_rcd: t.t_rcd.into(),
+            t_rc: u64::from(t.t_ras) + u64::from(t.t_rp),
+            t_wr: t.t_wr.into(),
+            t_refi: t.t_refi.into(),
+            t_rfc: t.t_rfc.into(),
+            t_rrd: t.t_rrd.into(),
+            t_faw: t.t_faw.into(),
+            n_bufs: config.n_bufs,
+            c1: latency(config.c1_ps()),
+            c2: latency(config.c2_ps()),
+            elementwise: latency(config.elementwise_ps()),
+            reg_move: latency(config.reg_move_ps()),
+            reg_bu: latency(config.reg_bu_ps()),
+            param_beats: config.cu.param_beats.into(),
+            energy: EnergyParams::hbm2e_pim(),
+        }
+    }
+}
+
+/// One rank's activation window, in bus slots: tRRD after its last ACT,
+/// tFAW after the fourth-last. Every ACT of the rank waits for
+/// [`Self::act`], so the rank's ACTs strictly increase and the ring holds
+/// its last four.
+#[derive(Default)]
+struct Rank {
+    /// Slots of the last four ACTs; the oldest sits at `acts % 4`.
+    ring: [u64; 4],
+    /// ACTs issued so far.
+    acts: u64,
+    /// Earliest slot of the next ACT.
+    act: u64,
+}
+
+impl Rank {
+    fn record_act(&mut self, slot: u64, costs: &Costs) {
+        self.ring[(self.acts % 4) as usize] = slot;
+        self.acts += 1;
+        self.act = slot + costs.t_rrd;
+        if self.acts >= 4 {
+            self.act = self
+                .act
+                .max(self.ring[(self.acts % 4) as usize] + costs.t_faw);
+        }
+    }
+}
+
+/// The first bus slot at which an atom buffer's contents are ready to
+/// consume, and at which the buffer is free to refill.
+#[derive(Clone, Copy, Default)]
+struct Buf {
+    ready: u64,
+    busy: u64,
+}
+
+impl Buf {
+    /// Filled, and free again, from `slot` on.
+    fn at(slot: u64) -> Self {
+        Self {
+            ready: slot,
+            busy: slot,
+        }
+    }
+}
+
+/// DAG barrier state: how many contributors each barrier still waits
+/// for, and the completion front of those already done.
+struct Barriers {
+    left: Vec<usize>,
+    end_ps: Vec<u64>,
+}
+
+/// One bank: its queue cursor and its own timing state.
+///
+/// Times are bus slots (whole memory cycles) except where a field says
+/// ps: every readiness time is only ever asked for as a slot, so it is
+/// kept rounded up to one, while completion times are reported exactly.
+/// The DRAM rules are fronts: the earliest slot of the bank's next ACT
+/// (or REF), PRE and column command, each raised by every command issued,
+/// so a command checks one front and no rule is evaluated twice.
+/// `LOG` fills `events`, `logical_issue_ps`, `slots_ps` and
+/// `program_first_slot`: only for callers that return a [`Timeline`].
+struct Engine<'a, const LOG: bool> {
+    costs: &'a Costs,
+    /// The bank's program queue, the position of its head program, that
+    /// program's commands once it has started, and the position of its
+    /// next command (0 before it starts).
+    queue: &'a [DagJob<'a>],
+    job: usize,
+    commands: &'a [PimCommand],
+    cmd: usize,
+    /// The bus and the activation window the bank issues on.
+    channel: usize,
+    rank: usize,
+    /// Completion front of the bank's programs so far, ps (the row close
+    /// between queued programs does not count toward a program's end),
+    /// and each finished program's completion.
+    jobs_end_ps: u64,
+    job_end_ps: Vec<u64>,
+    /// Fronts: the next ACT or REF (every rule raises both alike), PRE
+    /// and column command.
+    act: u64,
+    pre: u64,
+    col: u64,
     open_row: Option<u32>,
-    /// Whether `events`, `logical_issue_ps`, `slots_ps` and
-    /// `program_first_slot` are filled: only for callers that return a
-    /// [`Timeline`].
-    keep_log: bool,
+    /// Whether a column command touched the open row (row-hit counting).
+    row_touched: bool,
+    counters: BankCounters,
+    cu_free: u64,
+    bufs: Vec<Buf>,
     events: Vec<Event>,
     logical_issue_ps: Vec<u64>,
     slots_ps: Vec<u64>,
     program_first_slot: Vec<usize>,
-    /// Issue time of the command recorded last, ps (0 before the first).
-    last_at_ps: u64,
+    /// Slot of the command recorded last (0 before the first).
+    last: u64,
     /// Completion front: the latest effect end of any command, ps.
     end_ps: u64,
-    /// Latest effect end of the commands the current [`Self::issue`]
-    /// call recorded, ps.
-    issue_end_ps: u64,
     energy: EnergyMeter,
-    eparams: EnergyParams,
-    /// Next refresh deadline (ps); `u64::MAX` disables refresh.
-    next_ref_ps: u64,
-    /// Issue floor, ps: no command may claim a bus slot earlier than
-    /// this. One cycle past the bank's latest claim (in-order issue; 0
-    /// before the first), raised to a DAG barrier's completion time when
-    /// the bank starts a program that waits on that barrier.
+    /// Next refresh deadline; `u64::MAX` disables refresh.
+    next_ref: u64,
+    /// Issue floor: no command may claim an earlier slot. One past the
+    /// bank's latest claim (in-order issue; 0 before the first), raised
+    /// to a DAG barrier's completion when the bank starts a program that
+    /// waits on that barrier.
     floor: u64,
 }
 
-impl<'a> Engine<'a> {
-    fn new(config: &'a PimConfig, keep_log: bool) -> Self {
-        let resolved = config.timing.resolve();
+impl<'a, const LOG: bool> Engine<'a, LOG> {
+    fn new(
+        costs: &'a Costs,
+        refresh: bool,
+        queue: &'a [DagJob<'a>],
+        channel: usize,
+        rank: usize,
+    ) -> Self {
         Self {
-            config,
-            resolved,
-            bank: BankTimer::new(resolved),
-            cu_free: 0,
-            buf_ready: vec![0; config.n_bufs],
-            buf_busy: vec![0; config.n_bufs],
+            costs,
+            queue,
+            job: 0,
+            commands: &[],
+            cmd: 0,
+            channel,
+            rank,
+            jobs_end_ps: 0,
+            job_end_ps: Vec::with_capacity(queue.len()),
+            act: 0,
+            pre: 0,
+            col: 0,
             open_row: None,
-            keep_log,
+            row_touched: false,
+            counters: BankCounters::default(),
+            cu_free: 0,
+            bufs: vec![Buf::default(); costs.n_bufs],
             events: Vec::new(),
             logical_issue_ps: Vec::new(),
             slots_ps: Vec::new(),
             program_first_slot: Vec::new(),
-            last_at_ps: 0,
+            last: 0,
             end_ps: 0,
-            issue_end_ps: 0,
             energy: EnergyMeter::new(),
-            eparams: EnergyParams::hbm2e_pim(),
-            next_ref_ps: if config.refresh {
-                resolved.t_refi
-            } else {
-                u64::MAX
-            },
+            next_ref: if refresh { costs.t_refi } else { u64::MAX },
             floor: 0,
         }
     }
 
-    /// Claims the first free bus slot at or after `earliest_ps` and the
+    /// The bank's turn in the round-robin: completes any run of empty
+    /// programs at its queue head instantly at its completion front (after
+    /// a barrier they wait on, at that barrier's front), then issues the
+    /// head program's next command unless the head waits on an unfinished
+    /// barrier. Returns whether the bank made progress.
+    fn step(
+        &mut self,
+        bus: &mut FairBus,
+        rank: &mut Rank,
+        barriers: &mut Barriers,
+    ) -> Result<bool, PimError> {
+        let mut progressed = false;
+        if self.cmd == 0 {
+            loop {
+                let Some(&job) = self.queue.get(self.job) else {
+                    return Ok(progressed);
+                };
+                let barrier_ps = match job.waits_on {
+                    // Head gated: retry once the contributors drain.
+                    Some(k) if barriers.left[k] > 0 => return Ok(progressed),
+                    Some(k) => barriers.end_ps[k],
+                    None => 0,
+                };
+                self.begin_program();
+                if !job.program.commands.is_empty() {
+                    // Floor every issue at the barrier's completion (the
+                    // stage boundary).
+                    self.floor = self.floor.max(barrier_ps.div_ceil(self.costs.cycle_ps));
+                    self.commands = &job.program.commands;
+                    break;
+                }
+                // An empty program ends at once, after its barrier.
+                self.jobs_end_ps = self.jobs_end_ps.max(barrier_ps);
+                self.finish_program(barriers);
+                progressed = true;
+            }
+        }
+        let commands = self.commands;
+        self.issue(&commands[self.cmd], bus, rank)?;
+        self.cmd += 1;
+        if self.cmd == commands.len() {
+            self.cmd = 0;
+            self.finish_program(barriers);
+            // Between queued jobs the host stages the next job's data
+            // into the bank, so the open row must not carry over: close
+            // it, and let the next program pay its own ACT. (Nothing
+            // follows on this bank → no row to hand over.) The close
+            // counts toward neither program's end.
+            if self.job < self.queue.len() {
+                let jobs_end_ps = self.jobs_end_ps;
+                self.precharge(bus);
+                self.jobs_end_ps = jobs_end_ps;
+            }
+        }
+        Ok(true)
+    }
+
+    /// Records the head program's completion, counts it toward the
+    /// barrier it signals, and moves to the next program.
+    fn finish_program(&mut self, barriers: &mut Barriers) {
+        self.job_end_ps.push(self.jobs_end_ps);
+        if let Some(k) = self.queue[self.job].signals {
+            barriers.left[k] -= 1;
+            barriers.end_ps[k] = barriers.end_ps[k].max(self.jobs_end_ps);
+        }
+        self.job += 1;
+    }
+
+    /// Claims the first free bus slot at or after `earliest` and the
     /// issue floor. Banks issue in order, so only other banks' commands
     /// backfill this bank's gaps.
-    fn claim(&mut self, bus: &mut FairBus, earliest_ps: u64) -> u64 {
-        let slot = bus.claim(earliest_ps.max(self.floor));
-        self.floor = slot + self.resolved.cycle_ps;
-        if self.keep_log {
-            self.slots_ps.push(slot);
+    fn claim(&mut self, bus: &mut FairBus, earliest: u64) -> u64 {
+        let slot = bus.claim(earliest.max(self.floor));
+        self.floor = slot + 1;
+        if LOG {
+            self.slots_ps.push(slot * self.costs.cycle_ps);
         }
         slot
     }
 
     /// Marks the start of the bank's next queued program in the log.
     fn begin_program(&mut self) {
-        if self.keep_log {
+        if LOG {
             self.program_first_slot.push(self.slots_ps.len());
         }
     }
 
-    /// Records one issued command: moves the issue cursor and the
-    /// completion fronts, and logs the event when the log is kept.
-    fn record(&mut self, at_ps: u64, end_ps: u64, cmd: &PimCommand) {
-        self.last_at_ps = at_ps;
+    /// Records one command issued at `slot`: moves the issue cursor and
+    /// the completion fronts, and logs the event when the log is kept.
+    fn record(&mut self, slot: u64, end_ps: u64, cmd: &PimCommand) {
+        self.last = slot;
         self.end_ps = self.end_ps.max(end_ps);
-        self.issue_end_ps = self.issue_end_ps.max(end_ps);
-        if self.keep_log {
+        self.jobs_end_ps = self.jobs_end_ps.max(end_ps);
+        if LOG {
             self.events.push(Event {
-                at_ps,
+                at_ps: slot * self.costs.cycle_ps,
                 end_ps,
                 cmd: cmd.clone(),
             });
         }
     }
 
+    /// Records a DRAM command issued at `slot` whose effect lasts
+    /// `slots`.
+    fn record_dram(&mut self, slot: u64, slots: u64, cmd: &PimCommand) {
+        self.record(slot, (slot + slots) * self.costs.cycle_ps, cmd);
+    }
+
+    /// The index of buffer `b`, refused past Nb.
     fn check_buf(&self, b: BufId) -> Result<usize, PimError> {
-        let i = b.0 as usize;
-        if i >= self.config.n_bufs {
+        let i = usize::from(b.0);
+        if i >= self.bufs.len() {
             return Err(PimError::BufferMisuse {
-                reason: format!("buffer {b} out of range for Nb={}", self.config.n_bufs),
+                reason: format!("buffer {b} out of range for Nb={}", self.bufs.len()),
             });
         }
         Ok(i)
     }
 
-    /// Opens `row`, inserting PRE/ACT as needed.
-    fn open(&mut self, row: u32, bus: &mut FairBus, rank: &mut RankTimer) -> Result<(), PimError> {
-        if self.open_row == Some(row) {
-            return Ok(());
+    /// Closes the open row, if any: PRE at its front; the next ACT or
+    /// REF waits tRP.
+    fn precharge(&mut self, bus: &mut FairBus) {
+        if self.open_row.take().is_some() {
+            let slot = self.claim(bus, self.pre);
+            let t_rp = self.costs.t_rp;
+            self.act = self.act.max(slot + t_rp);
+            self.counters.pres += 1;
+            self.record_dram(slot, t_rp, &PimCommand::Pre);
         }
-        if self.open_row.is_some() {
-            let e = self.bank.earliest_issue(BankCommand::Pre, 0)?;
-            let slot = self.claim(bus, e);
-            self.bank.issue_at(BankCommand::Pre, slot)?;
-            self.record(slot, slot + self.resolved.t_rp, &PimCommand::Pre);
-        }
-        let e = self
-            .bank
-            .earliest_issue(BankCommand::Act { row }, 0)?
-            .max(rank.earliest_act(0));
-        let slot = self.claim(bus, e);
-        self.bank.issue_at(BankCommand::Act { row }, slot)?;
-        rank.record_act(slot);
-        self.energy.record_act(&self.eparams);
-        self.record(slot, slot + self.resolved.t_rcd, &PimCommand::Act { row });
-        self.open_row = Some(row);
-        Ok(())
     }
 
-    /// Issues one logical command (plus any row-management prefix),
-    /// recording its issue time for phase breakdowns. Returns the latest
-    /// effect end among the commands it issued (0 when it issued none).
+    /// Refreshes the bank, closing the open row first (a refresh needs
+    /// the bank precharged); the next ACT or REF waits tRFC.
+    fn refresh(&mut self, bus: &mut FairBus) {
+        self.precharge(bus);
+        let slot = self.claim(bus, self.act);
+        let t_rfc = self.costs.t_rfc;
+        self.act = self.act.max(slot + t_rfc);
+        self.counters.refreshes += 1;
+        self.record_dram(slot, t_rfc, &PimCommand::Refresh);
+    }
+
+    /// Opens `row`, closing another open row first: ACT at the later of
+    /// the bank's and the rank's fronts. The next ACT waits tRC, PRE
+    /// tRAS, a column command tRCD.
+    fn open(&mut self, row: u32, bus: &mut FairBus, rank: &mut Rank) {
+        if self.open_row == Some(row) {
+            return;
+        }
+        self.precharge(bus);
+        let slot = self.claim(bus, self.act.max(rank.act));
+        let costs = self.costs;
+        self.act = self.act.max(slot + costs.t_rc);
+        self.pre = self.pre.max(slot + costs.t_ras);
+        self.col = self.col.max(slot + costs.t_rcd);
+        rank.record_act(slot, costs);
+        self.open_row = Some(row);
+        self.row_touched = false;
+        self.counters.acts += 1;
+        self.energy.record_act(&costs.energy);
+        self.record_dram(slot, costs.t_rcd, &PimCommand::Act { row });
+    }
+
+    /// Issues a column command to `row`, opening it if needed, at or
+    /// after `ready` and the column front; returns its slot. The next
+    /// column command waits tCCD, PRE CL plus `recovery` (tWR after a
+    /// write).
+    fn column(
+        &mut self,
+        row: u32,
+        ready: u64,
+        recovery: u64,
+        bus: &mut FairBus,
+        rank: &mut Rank,
+    ) -> u64 {
+        self.open(row, bus, rank);
+        let slot = self.claim(bus, self.col.max(ready));
+        self.col = self.col.max(slot + self.costs.t_ccd);
+        self.pre = self.pre.max(slot + self.costs.cl + recovery);
+        self.counters.row_hits += u64::from(self.row_touched);
+        self.row_touched = true;
+        slot
+    }
+
+    /// Issues a compute-unit command at or after `ready` and the CU's
+    /// release; returns the slot from which its result is ready.
+    fn compute(
+        &mut self,
+        ready: u64,
+        latency: Latency,
+        cmd: &PimCommand,
+        bus: &mut FairBus,
+    ) -> u64 {
+        let slot = self.claim(bus, self.cu_free.max(ready));
+        self.cu_free = slot + latency.slots;
+        self.record(slot, slot * self.costs.cycle_ps + latency.ps, cmd);
+        self.cu_free
+    }
+
+    /// Issues one logical command (plus any refresh and row-management
+    /// prefix), recording its issue time for phase breakdowns.
     fn issue(
         &mut self,
         cmd: &PimCommand,
         bus: &mut FairBus,
-        rank: &mut RankTimer,
-    ) -> Result<u64, PimError> {
-        self.issue_end_ps = 0;
+        rank: &mut Rank,
+    ) -> Result<(), PimError> {
         // Refresh injection: when the deadline passed, close the row and
-        // refresh before the next command (open-bank refresh is illegal).
-        let now = self.last_at_ps;
-        if now >= self.next_ref_ps {
-            if self.open_row.is_some() {
-                self.issue_inner(&PimCommand::Pre, bus, rank)?;
-            }
-            self.issue_inner(&PimCommand::Refresh, bus, rank)?;
+        // refresh before the next command.
+        let now = self.last;
+        if now >= self.next_ref {
+            self.refresh(bus);
             // Catch up in whole intervals (a long CU op may span several).
-            while self.next_ref_ps <= now {
-                self.next_ref_ps += self.resolved.t_refi;
+            while self.next_ref <= now {
+                self.next_ref += self.costs.t_refi;
             }
         }
         self.issue_inner(cmd, bus, rank)?;
@@ -494,113 +791,80 @@ impl<'a> Engine<'a> {
         // (ACT/PRE prefixes come before it). A no-op PRE records nothing
         // and inherits the previous command's time, which is exactly when
         // it "happened".
-        if self.keep_log {
-            self.logical_issue_ps.push(self.last_at_ps);
+        if LOG {
+            self.logical_issue_ps.push(self.last * self.costs.cycle_ps);
         }
-        Ok(self.issue_end_ps)
+        Ok(())
     }
 
     fn issue_inner(
         &mut self,
         cmd: &PimCommand,
         bus: &mut FairBus,
-        rank: &mut RankTimer,
+        rank: &mut Rank,
     ) -> Result<(), PimError> {
-        match cmd {
-            PimCommand::Act { row } => self.open(*row, bus, rank)?,
-            PimCommand::Refresh => {
-                let e = self.bank.earliest_issue(BankCommand::Ref, 0)?;
-                let slot = self.claim(bus, e);
-                self.bank.issue_at(BankCommand::Ref, slot)?;
-                self.record(slot, slot + self.resolved.t_rfc, cmd);
+        let costs = self.costs;
+        match *cmd {
+            PimCommand::Act { row } => self.open(row, bus, rank),
+            PimCommand::Pre => self.precharge(bus),
+            PimCommand::Refresh => self.refresh(bus),
+            PimCommand::CuRead { row, buf, .. } => {
+                let i = self.check_buf(buf)?;
+                let slot = self.column(row, self.bufs[i].busy, 0, bus, rank);
+                self.counters.reads += 1;
+                self.energy.record_rd(&costs.energy);
+                self.bufs[i] = Buf::at(slot + costs.cl);
+                self.record_dram(slot, costs.cl, cmd);
             }
-            PimCommand::Pre => {
-                if self.open_row.is_some() {
-                    let e = self.bank.earliest_issue(BankCommand::Pre, 0)?;
-                    let slot = self.claim(bus, e);
-                    self.bank.issue_at(BankCommand::Pre, slot)?;
-                    self.record(slot, slot + self.resolved.t_rp, cmd);
-                    self.open_row = None;
-                }
-            }
-            PimCommand::CuRead { row, col, buf } => {
-                let i = self.check_buf(*buf)?;
-                self.open(*row, bus, rank)?;
-                let e = self
-                    .bank
-                    .earliest_issue(BankCommand::Rd { col: *col }, self.buf_busy[i])?;
-                let slot = self.claim(bus, e);
-                self.bank.issue_at(BankCommand::Rd { col: *col }, slot)?;
-                self.energy.record_rd(&self.eparams);
-                let done = slot + self.resolved.cl;
-                self.buf_ready[i] = done;
-                self.buf_busy[i] = done;
-                self.record(slot, done, cmd);
-            }
-            PimCommand::CuWrite { row, col, buf } => {
-                let i = self.check_buf(*buf)?;
-                self.open(*row, bus, rank)?;
-                let e = self
-                    .bank
-                    .earliest_issue(BankCommand::Wr { col: *col }, self.buf_ready[i])?;
-                let slot = self.claim(bus, e);
-                self.bank.issue_at(BankCommand::Wr { col: *col }, slot)?;
-                self.energy.record_wr(&self.eparams);
-                let drained = slot + self.resolved.cl;
-                self.buf_busy[i] = drained;
-                self.record(slot, drained, cmd);
+            PimCommand::CuWrite { row, buf, .. } => {
+                let i = self.check_buf(buf)?;
+                let slot = self.column(row, self.bufs[i].ready, costs.t_wr, bus, rank);
+                self.counters.writes += 1;
+                self.energy.record_wr(&costs.energy);
+                self.bufs[i].busy = slot + costs.cl;
+                self.record_dram(slot, costs.cl, cmd);
             }
             PimCommand::C1 { buf, .. } => {
-                let i = self.check_buf(*buf)?;
-                let ready = self.cu_free.max(self.buf_ready[i]);
-                let slot = self.claim(bus, ready);
-                let done = slot + self.config.c1_ps();
-                self.cu_free = done;
-                self.buf_ready[i] = done;
-                self.buf_busy[i] = done;
-                self.energy.record_c1(&self.eparams);
-                self.record(slot, done, cmd);
+                let i = self.check_buf(buf)?;
+                let done = self.compute(self.bufs[i].ready, costs.c1, cmd, bus);
+                self.bufs[i] = Buf::at(done);
+                self.energy.record_c1(&costs.energy);
             }
-            PimCommand::C2 { p, s, .. } => {
-                self.issue_two_buffer(cmd, *p, *s, self.config.c2_ps(), bus)?;
-            }
-            PimCommand::Pointwise { p, s } => {
-                self.issue_two_buffer(cmd, *p, *s, self.config.elementwise_ps(), bus)?;
+            PimCommand::C2 { p, s, .. } | PimCommand::Pointwise { p, s } => {
+                let latency = if matches!(cmd, PimCommand::C2 { .. }) {
+                    costs.c2
+                } else {
+                    costs.elementwise
+                };
+                let (pi, si) = (self.check_buf(p)?, self.check_buf(s)?);
+                let ready = self.bufs[pi].ready.max(self.bufs[si].ready);
+                let done = self.compute(ready, latency, cmd, bus);
+                self.bufs[pi] = Buf::at(done);
+                self.bufs[si] = Buf::at(done);
+                self.energy.record_c2(&costs.energy);
             }
             PimCommand::Scale { buf, .. } => {
-                let i = self.check_buf(*buf)?;
-                let ready = self.cu_free.max(self.buf_ready[i]);
-                let slot = self.claim(bus, ready);
-                let done = slot + self.config.elementwise_ps();
-                self.cu_free = done;
-                self.buf_ready[i] = done;
-                self.buf_busy[i] = done;
-                self.energy.record_c2(&self.eparams);
-                self.record(slot, done, cmd);
+                let i = self.check_buf(buf)?;
+                let done = self.compute(self.bufs[i].ready, costs.elementwise, cmd, bus);
+                self.bufs[i] = Buf::at(done);
+                self.energy.record_c2(&costs.energy);
             }
             PimCommand::RegLoad { buf, .. } | PimCommand::RegStore { buf, .. } => {
-                let i = self.check_buf(*buf)?;
-                let ready = self.cu_free.max(self.buf_ready[i]);
-                let slot = self.claim(bus, ready);
-                let done = slot + self.config.reg_move_ps();
-                self.cu_free = done;
+                let i = self.check_buf(buf)?;
+                let done = self.compute(self.bufs[i].ready, costs.reg_move, cmd, bus);
                 if matches!(cmd, PimCommand::RegStore { .. }) {
-                    self.buf_ready[i] = done;
+                    self.bufs[i].ready = done;
                 }
-                self.buf_busy[i] = self.buf_busy[i].max(done);
-                self.record(slot, done, cmd);
+                self.bufs[i].busy = self.bufs[i].busy.max(done);
             }
             PimCommand::RegBu { .. } => {
-                let slot = self.claim(bus, self.cu_free);
-                let done = slot + self.config.reg_bu_ps();
-                self.cu_free = done;
-                self.energy.record_c2(&self.eparams);
-                self.record(slot, done, cmd);
+                self.compute(0, costs.reg_bu, cmd, bus);
+                self.energy.record_c2(&costs.energy);
             }
             PimCommand::SetModulus { .. } | PimCommand::SetTwiddle { .. } => {
-                let beats = match cmd {
-                    PimCommand::SetTwiddle { beats } => *beats as u64,
-                    _ => self.config.cu.param_beats as u64,
+                let beats = match *cmd {
+                    PimCommand::SetTwiddle { beats } => u64::from(beats),
+                    _ => costs.param_beats,
                 };
                 // The beats take the bank's next `beats` claims; on a
                 // shared bus other banks' commands may land between them.
@@ -610,47 +874,25 @@ impl<'a> Engine<'a> {
                 for _ in 1..beats {
                     slot = self.claim(bus, slot);
                 }
-                self.cu_free = self.cu_free.max(slot + self.resolved.cycle_ps);
-                self.energy.record_param_beats(&self.eparams, beats);
-                self.record(first, slot + self.resolved.cycle_ps, cmd);
+                self.cu_free = self.cu_free.max(slot + 1);
+                self.energy.record_param_beats(&costs.energy, beats);
+                self.record(first, (slot + 1) * costs.cycle_ps, cmd);
             }
         }
         Ok(())
     }
 
-    fn issue_two_buffer(
-        &mut self,
-        cmd: &PimCommand,
-        p: BufId,
-        s: BufId,
-        latency_ps: u64,
-        bus: &mut FairBus,
-    ) -> Result<(), PimError> {
-        let pi = self.check_buf(p)?;
-        let si = self.check_buf(s)?;
-        let ready = self.cu_free.max(self.buf_ready[pi]).max(self.buf_ready[si]);
-        let slot = self.claim(bus, ready);
-        let done = slot + latency_ps;
-        self.cu_free = done;
-        for i in [pi, si] {
-            self.buf_ready[i] = done;
-            self.buf_busy[i] = done;
-        }
-        self.energy.record_c2(&self.eparams);
-        self.record(slot, done, cmd);
-        Ok(())
-    }
-
-    fn finish(self) -> Timeline {
-        Timeline {
+    fn finish(self) -> (Timeline, Vec<u64>) {
+        let timeline = Timeline {
             events: self.events,
             end_ps: self.end_ps,
-            counters: self.bank.counters(),
+            counters: self.counters,
             energy: self.energy,
             logical_issue_ps: self.logical_issue_ps,
             slots_ps: self.slots_ps,
             program_first_slot: self.program_first_slot,
-        }
+        };
+        (timeline, self.job_end_ps)
     }
 }
 
@@ -659,10 +901,11 @@ impl<'a> Engine<'a> {
 ///
 /// # Errors
 ///
-/// Propagates configuration and DRAM state errors; a correct mapper output
-/// never triggers the latter.
+/// [`PimError::BadConfig`] for an invalid configuration;
+/// [`PimError::BufferMisuse`] when a command names a buffer past Nb,
+/// which a correct mapper output never does.
 pub fn schedule(config: &PimConfig, program: &Program) -> Result<Timeline, PimError> {
-    let mut qt = schedule_multi(config, &[vec![DagJob::plain(program)]], true)?;
+    let mut qt = schedule_multi::<true>(config, &[vec![DagJob::plain(program)]])?;
     Ok(qt.banks.swap_remove(0))
 }
 
@@ -716,7 +959,7 @@ pub fn schedule_queues(
         .iter()
         .map(|q| q.iter().map(DagJob::plain).collect())
         .collect();
-    schedule_multi(config, &borrowed, true)
+    schedule_multi::<true>(config, &borrowed)
 }
 
 /// One queued program plus its dependency tags for
@@ -777,7 +1020,7 @@ pub fn schedule_queues_dag(
     config: &PimConfig,
     queues: &[Vec<DagJob<'_>>],
 ) -> Result<QueueTimeline, PimError> {
-    schedule_multi(config, queues, true)
+    schedule_multi::<true>(config, queues)
 }
 
 /// [`schedule_queues_dag`] without the per-command log: every figure of
@@ -794,19 +1037,18 @@ pub fn schedule_queues_unlogged(
     config: &PimConfig,
     queues: &[Vec<DagJob<'_>>],
 ) -> Result<QueueTimeline, PimError> {
-    schedule_multi(config, queues, false)
+    schedule_multi::<false>(config, queues)
 }
 
 /// The issue loop of every entry point: round-robin command interleave
-/// across banks, one stateful engine per bank, program-boundary
-/// completion times recorded per queue, barrier-tagged programs held
-/// until their dependencies drain. One command bus per channel, one
-/// [`RankTimer`] per rank — the topology's coupling structure.
-/// `keep_log` fills each bank's event log.
-fn schedule_multi(
+/// across banks, one [`Engine`] per bank, program-boundary completion
+/// times recorded per queue, barrier-tagged programs held until their
+/// dependencies drain. One command bus per channel, one activation
+/// window per rank — the topology's coupling structure. `LOG` fills
+/// each bank's event log.
+fn schedule_multi<const LOG: bool>(
     config: &PimConfig,
     queues: &[Vec<DagJob>],
-    keep_log: bool,
 ) -> Result<QueueTimeline, PimError> {
     config.validate()?;
     let topo = config.topology;
@@ -819,9 +1061,8 @@ fn schedule_multi(
             ),
         });
     }
-    let resolved = config.timing.resolve();
-    // Dense barrier table: how many contributors each barrier still
-    // waits for, and the completion front of those already done.
+    let costs = Costs::new(config);
+    // Dense barrier table, ids 0..n.
     let n_barriers = queues
         .iter()
         .flatten()
@@ -830,123 +1071,42 @@ fn schedule_multi(
         .map(|k| k + 1)
         .max()
         .unwrap_or(0);
-    let mut barrier_left = vec![0usize; n_barriers];
-    for job in queues.iter().flatten() {
-        if let Some(k) = job.signals {
-            barrier_left[k] += 1;
-        }
+    let mut barriers = Barriers {
+        left: vec![0; n_barriers],
+        end_ps: vec![0; n_barriers],
+    };
+    for k in queues.iter().flatten().filter_map(|job| job.signals) {
+        barriers.left[k] += 1;
     }
-    let mut barrier_ps = vec![0u64; n_barriers];
-    // The fair (first-free-slot) bus lives in dram-sim so channel-level
-    // models and this scheduler share one definition of "shared command
-    // bus"; each channel gets its own.
-    let mut buses: Vec<FairBus> = (0..topo.channels)
-        .map(|_| FairBus::new(resolved.cycle_ps))
-        .collect();
-    // Banks of one rank share that rank's timer: tRRD/tFAW couple their
-    // activations. Ranks are independent of each other.
-    let mut ranks: Vec<RankTimer> = (0..topo.total_ranks())
-        .map(|_| RankTimer::new(&resolved))
-        .collect();
-    // Per-bank routing: which bus and which rank timer bank b talks to.
-    let bank_channel: Vec<usize> = (0..queues.len())
-        .map(|b| topo.location(b).channel as usize)
-        .collect();
-    let bank_rank: Vec<usize> = (0..queues.len()).map(|b| topo.global_rank(b)).collect();
-    let mut engines: Vec<Engine> = queues
+    // The fair (first-free-slot) bus lives in dram-sim, one per channel.
+    let mut buses: Vec<FairBus> = (0..topo.channels).map(|_| FairBus::new()).collect();
+    // Banks of one rank share its activation window: tRRD/tFAW couple
+    // their ACTs. Ranks are independent of each other.
+    let mut ranks: Vec<Rank> = (0..topo.total_ranks()).map(|_| Rank::default()).collect();
+    let mut engines: Vec<Engine<LOG>> = queues
         .iter()
-        .map(|_| Engine::new(config, keep_log))
+        .enumerate()
+        .map(|(b, queue)| {
+            let channel = topo.location(b).channel as usize;
+            let rank = topo.global_rank(b);
+            Engine::new(&costs, config.refresh, queue, channel, rank)
+        })
         .collect();
-    let mut prog_idx = vec![0usize; queues.len()];
-    let mut cmd_idx = vec![0usize; queues.len()];
-    // Completion front of each bank's programs so far (the row close
-    // between queued programs does not count toward a program's end).
-    let mut max_end = vec![0u64; queues.len()];
-    let mut job_end_ps: Vec<Vec<u64>> =
-        queues.iter().map(|q| Vec::with_capacity(q.len())).collect();
     loop {
         let mut progressed = false;
-        for b in 0..queues.len() {
-            // Complete any run of empty programs at the queue head
-            // instantly at the bank's completion front (after a barrier
-            // they wait on, at that barrier's front).
-            while prog_idx[b] < queues[b].len() {
-                let job = &queues[b][prog_idx[b]];
-                if let Some(k) = job.waits_on {
-                    if barrier_left[k] > 0 {
-                        break; // head gated: retry once contributors drain
-                    }
-                }
-                if !job.program.commands.is_empty() {
-                    break;
-                }
-                engines[b].begin_program();
-                let end = job
-                    .waits_on
-                    .map(|k| barrier_ps[k])
-                    .unwrap_or(0)
-                    .max(max_end[b]);
-                max_end[b] = end;
-                job_end_ps[b].push(end);
-                if let Some(k) = job.signals {
-                    barrier_left[k] -= 1;
-                    barrier_ps[k] = barrier_ps[k].max(end);
-                }
-                prog_idx[b] += 1;
-                progressed = true;
-            }
-            if prog_idx[b] >= queues[b].len() {
-                continue;
-            }
-            let job = queues[b][prog_idx[b]];
-            if let Some(k) = job.waits_on {
-                if barrier_left[k] > 0 {
-                    continue; // this bank's head is gated this round
-                }
-                if cmd_idx[b] == 0 {
-                    // First command of a gated program: floor every issue
-                    // at the barrier's completion (the stage boundary).
-                    engines[b].floor = engines[b].floor.max(barrier_ps[k]);
-                }
-            }
-            if cmd_idx[b] == 0 {
-                engines[b].begin_program();
-            }
-            let prog = job.program;
-            let end = engines[b].issue(
-                &prog.commands[cmd_idx[b]],
-                &mut buses[bank_channel[b]],
-                &mut ranks[bank_rank[b]],
-            )?;
-            max_end[b] = max_end[b].max(end);
-            cmd_idx[b] += 1;
-            if cmd_idx[b] == prog.commands.len() {
-                job_end_ps[b].push(max_end[b]);
-                if let Some(k) = job.signals {
-                    barrier_left[k] -= 1;
-                    barrier_ps[k] = barrier_ps[k].max(max_end[b]);
-                }
-                prog_idx[b] += 1;
-                cmd_idx[b] = 0;
-                // Between queued jobs the host stages the next job's data
-                // into the bank, so the open row must not carry over:
-                // close it, and let the next program pay its own ACT.
-                // (Nothing follows on this bank → no row to hand over.)
-                if prog_idx[b] < queues[b].len() {
-                    engines[b].issue_inner(
-                        &PimCommand::Pre,
-                        &mut buses[bank_channel[b]],
-                        &mut ranks[bank_rank[b]],
-                    )?;
-                }
-            }
-            progressed = true;
+        for e in &mut engines {
+            let (bus, rank) = (&mut buses[e.channel], &mut ranks[e.rank]);
+            progressed |= e.step(bus, rank, &mut barriers)?;
         }
         if !progressed {
             // Either every queue drained, or the remaining heads all wait
             // on barriers whose contributors can no longer run: a cycle.
-            if let Some(b) = (0..queues.len()).find(|&b| prog_idx[b] < queues[b].len()) {
-                let k = queues[b][prog_idx[b]].waits_on.unwrap_or(0);
+            if let Some((b, e)) = engines
+                .iter()
+                .enumerate()
+                .find(|(_, e)| e.job < e.queue.len())
+            {
+                let k = e.queue[e.job].waits_on.unwrap_or(0);
                 return Err(PimError::BadConfig {
                     reason: format!(
                         "dependency deadlock: bank {b} waits on barrier {k}, \
@@ -957,10 +1117,11 @@ fn schedule_multi(
             break;
         }
     }
-    let banks: Vec<Timeline> = engines.into_iter().map(Engine::finish).collect();
+    let (banks, job_end_ps): (Vec<Timeline>, Vec<Vec<u64>>) =
+        engines.into_iter().map(Engine::finish).unzip();
     let end_ps = banks.iter().map(|t| t.end_ps).max().unwrap_or(0);
-    let per_channel_bus_slots: Vec<u64> = buses.iter().map(|b| b.issued()).collect();
-    let per_rank_acts: Vec<u64> = ranks.iter().map(RankTimer::total_acts).collect();
+    let per_channel_bus_slots: Vec<u64> = buses.iter().map(FairBus::issued).collect();
+    let per_rank_acts: Vec<u64> = ranks.iter().map(|r| r.acts).collect();
     Ok(QueueTimeline {
         banks,
         job_end_ps,
@@ -969,7 +1130,7 @@ fn schedule_multi(
         rank_acts: per_rank_acts.iter().sum(),
         per_channel_bus_slots,
         per_rank_acts,
-        barrier_ps,
+        barrier_ps: barriers.end_ps,
     })
 }
 

@@ -5,6 +5,12 @@
 //! ([`BankTimer::earliest_issue`]) and enforces legality on issue
 //! ([`BankTimer::issue_at`]).
 //!
+//! It is the validator's bank model: [`crate::validate::validate_queues`]
+//! replays every bank of a finished schedule through a fresh one. The
+//! PIM scheduler (`ntt_pim_core::sched`) does not use it; it keeps its
+//! own per-bank fronts, so a rule wrong on one side shows as a
+//! violation on the other.
+//!
 //! The modeled constraints (all from the paper's Table I):
 //!
 //! | edge | constraint |

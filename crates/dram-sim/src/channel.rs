@@ -16,13 +16,13 @@
 //!
 //! [`Topology`] is the shape descriptor threaded through the whole stack
 //! (`ntt_pim_core::config::PimConfig` carries one) and the device's one
-//! bank count. The timing of the three levels is composed in one place,
-//! the PIM scheduler (`ntt_pim_core::sched`): one
-//! [`crate::chip::FairBus`] per channel, one [`crate::rank::RankTimer`]
-//! per rank and one [`crate::bank::BankTimer`] per bank. The scheduler's
-//! tests pin the coupling rules above on hand-built programs, and
-//! [`crate::validate::validate_queues`] checks every schedule against
-//! them on its topology.
+//! bank count. The PIM scheduler (`ntt_pim_core::sched`) builds schedules
+//! on it with one [`crate::chip::FairBus`] per channel and its own rank
+//! windows and bank fronts; its tests pin the coupling rules above on
+//! hand-built programs. [`crate::validate::validate_queues`] checks every
+//! schedule against them on its topology by replaying it through one
+//! [`crate::rank::RankTimer`] per rank and one [`crate::bank::BankTimer`]
+//! per bank, which the scheduler does not use.
 //!
 //! See the DRAM timing glossary in [`crate::timing`] for the constraint
 //! definitions (tRRD, tFAW, …) referenced here.

@@ -7,21 +7,25 @@
 //! command-accurate model of a DRAM bank with
 //!
 //! * the timing constraints of the paper's Table I (CL, tCCD, tRP, tRAS,
-//!   tRCD, tWR at 1200 MHz HBM2E) enforced by a per-bank state machine
+//!   tRCD, tWR at 1200 MHz HBM2E) as a per-bank state machine
 //!   ([`bank::BankTimer`]),
 //! * functional storage ([`storage::BankStorage`]) so command streams can
 //!   be executed for *values*, not just times,
 //! * the shared command bus ([`chip::FairBus`]) behind bank-level
-//!   parallelism: one command per cycle per channel, backfilled across
-//!   banks while each bank issues in order,
+//!   parallelism: one command per slot (memory cycle) per channel,
+//!   backfilled across banks while each bank issues in order,
 //! * the per-rank activation window ([`rank::RankTimer`]: tRRD, tFAW),
 //! * the device shape ([`channel::Topology`]: channels × ranks × banks)
 //!   for device-level scaling studies beyond the paper's single chip, and
 //! * per-command energy accounting ([`energy`]).
 //!
-//! These are primitives. The PIM scheduler (`ntt_pim_core::sched`) is
-//! the one place that composes them into a device: one bus per channel,
-//! one rank timer per rank, one bank timer per bank.
+//! These are primitives with two users. The PIM scheduler
+//! (`ntt_pim_core::sched`) claims one [`chip::FairBus`] per channel and
+//! keeps its own bank and rank timing, as per-bank fronts and a per-rank
+//! window. The validator [`validate::validate_queues`] replays finished
+//! schedules through one [`bank::BankTimer`] per bank and one
+//! [`rank::RankTimer`] per rank, so the scheduler and its checker share
+//! no timing rule.
 //!
 //! A glossary of every modeled DRAM timing constraint, with the
 //! simulator's HBM2E defaults, lives in the [`timing`] module docs.
@@ -33,11 +37,11 @@
 //! Traces serialize to a textual format ([`trace`]) for inspection and
 //! replay, mirroring the paper's trace-driven methodology (its Fig. 1).
 //!
-//! An independent protocol validator, [`validate::validate_queues`],
-//! replays finished schedules against fresh state machines on a whole
-//! topology (bus slots per channel, tRRD/tFAW per rank, bank timing and
-//! refresh, per-bank program order, DAG barriers); a single bank's trace
-//! is its `1 × 1 × 1` case. The PIM scheduler's tests use it so that the
+//! The protocol validator, [`validate::validate_queues`], replays
+//! finished schedules against fresh state machines on a whole topology
+//! (bus slots per channel, tRRD/tFAW per rank, bank timing and refresh,
+//! per-bank program order, DAG barriers); a single bank's trace is its
+//! `1 × 1 × 1` case. The PIM scheduler's tests use it so that the
 //! component that *builds* schedules is never the component that
 //! *checks* them.
 //!

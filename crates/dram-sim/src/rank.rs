@@ -7,6 +7,11 @@
 //! wider), but bank-parallel workloads do — which is why the bank-level
 //! parallelism experiment models them; without tFAW the multi-bank speedup
 //! would be optimistic.
+//!
+//! [`RankTimer`] is the validator's rank model:
+//! [`crate::validate::validate_queues`] replays each rank's activations
+//! through one. The PIM scheduler (`ntt_pim_core::sched`) keeps its own
+//! four-entry window per rank and does not use it.
 
 use crate::timing::ResolvedTiming;
 use std::collections::VecDeque;

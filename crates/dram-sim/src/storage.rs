@@ -20,8 +20,8 @@
 //! ([`crate::channel::Topology`]) is simply
 //! `channels × ranks × banks` independent [`BankStorage`] values —
 //! values never cross the hierarchy, only timing couples it (the shared
-//! [`crate::chip::FairBus`] per channel and [`crate::rank::RankTimer`]
-//! per rank).
+//! [`crate::chip::FairBus`] per channel and the activation window per
+//! rank).
 
 use crate::timing::Geometry;
 

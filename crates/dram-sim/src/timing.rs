@@ -24,12 +24,14 @@
 //! ones in [`crate::rank::RankTimer`]. The command bus adds one more
 //! implicit constraint — one command per memory cycle per **channel** —
 //! modeled by [`crate::chip::FairBus`], of which a
-//! [`crate::channel::Topology`]-shaped device gets one per channel (the
-//! PIM scheduler, `ntt_pim_core::sched`, composes the three).
+//! [`crate::channel::Topology`]-shaped device gets one per channel.
 //! Banks issue in order: each bank's commands take strictly increasing
 //! bus slots, and only another bank's command can fill a gap a bank
-//! leaves. [`crate::validate::validate_queues`] checks all three scopes
-//! plus that order.
+//! leaves. [`crate::validate::validate_queues`] replays a schedule
+//! through the two timers and checks all three scopes plus that order.
+//! The PIM scheduler (`ntt_pim_core::sched`) claims the buses but keeps
+//! its own bank fronts and rank windows from this table, so the
+//! validator checks it with rules it does not share.
 
 /// Raw timing parameters in memory-clock cycles, plus the clock they are
 /// specified at. This mirrors the paper's Table I exactly.

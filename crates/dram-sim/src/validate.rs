@@ -1,10 +1,12 @@
 //! Independent schedule validation.
 //!
-//! The PIM scheduler in `ntt-pim-core` *constructs* command timelines; this
+//! The PIM scheduler in `ntt-pim-core` *constructs* command timelines with
+//! its own bank fronts, rank windows and [`crate::chip::FairBus`]es; this
 //! module *checks* finished timelines by replaying them through fresh
-//! [`BankTimer`]s and [`RankTimer`]s and a fresh bus-occupancy map.
-//! Scheduler tests use it so the checker shares no code (and no bugs) with
-//! the producer, per the verification strategy in DESIGN.md.
+//! [`BankTimer`]s and [`RankTimer`]s and a fresh bus-occupancy map, none
+//! of which the scheduler uses. Scheduler tests use it so the checker
+//! shares no timing rule (and no bugs) with the producer, per the
+//! verification strategy in DESIGN.md.
 //!
 //! [`validate_queues`] is the one entry point. It checks a whole
 //! multi-bank queue schedule on a [`Topology`] — every bus claim (DRAM

@@ -53,19 +53,19 @@ fn one_bank(cmds: &[(u64, BankCommand)], end_ps: u64) -> [BankSchedule; 1] {
 
 /// The fair-bus rule written the obvious way: walk the ordered set of
 /// taken slots from the requested one to the first gap.
+#[derive(Default)]
 struct SetBus {
-    cycle_ps: u64,
     taken: std::collections::BTreeSet<u64>,
 }
 
 impl SetBus {
-    fn claim(&mut self, at_ps: u64) -> u64 {
-        let mut slot = at_ps.div_ceil(self.cycle_ps);
+    fn claim(&mut self, from: u64) -> u64 {
+        let mut slot = from;
         while self.taken.contains(&slot) {
             slot += 1;
         }
         self.taken.insert(slot);
-        slot * self.cycle_ps
+        slot
     }
 }
 
@@ -77,50 +77,45 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// The bitset bus and the ordered-set model grant the same slot to
-    /// every claim of a random sequence — repeated times, backfills
-    /// behind long saturated runs, jumps far past the horizon, sub-cycle
-    /// times, and times at the word and summary-word edges — and count
-    /// the same number of issued slots.
+    /// every claim of a random sequence — repeated slots, backfills
+    /// behind long saturated runs, jumps far past the horizon, and slots
+    /// at the word and summary-word edges — and count the same number of
+    /// issued slots.
     #[test]
     fn fair_bus_matches_ordered_set_model(
         ops in prop::collection::vec((0u8..6, any::<u64>()), 1..48),
     ) {
-        let cycle = TimingParams::hbm2e().resolve().cycle_ps;
-        let mut bus = FairBus::new(cycle);
-        let mut model = SetBus { cycle_ps: cycle, taken: Default::default() };
+        let mut bus = FairBus::new();
+        let mut model = SetBus::default();
         let mut last = 0u64;
         // One past the latest slot either bus granted.
         let mut horizon = 0u64;
         for (kind, a) in ops {
-            let times: Vec<u64> = match kind {
+            let slots: Vec<u64> = match kind {
                 // The previous request again.
                 0 => vec![last],
-                // Anywhere up to the horizon, sub-cycle offsets included.
-                1 => vec![a % ((horizon + 1) * cycle)],
+                // Anywhere up to the horizon.
+                1 => vec![a % (horizon + 1)],
                 // Far past the horizon.
-                2 => vec![(horizon + 4096 + a % (1 << 18)) * cycle + a % cycle],
-                // A word or summary-word edge, off by at most one slot,
-                // possibly a fraction of a cycle early.
-                3 => {
-                    let slot = EDGES[(a % 4) as usize] + (a >> 2) % 3;
-                    vec![(slot - 1) * cycle + 1 + (a >> 4) % cycle]
-                }
+                2 => vec![horizon + 4096 + a % (1 << 18)],
+                // A word or summary-word edge, off by at most one slot.
+                3 => vec![EDGES[(a % 4) as usize] + (a >> 2) % 3 - 1],
                 // A saturated run of consecutive slots just past the
                 // horizon, long enough to fill whole summary words.
                 4 => {
                     let start = horizon + (a % 130);
                     let len = 1 + (a >> 8) % 4500;
-                    (start..start + len).map(|s| s * cycle).collect()
+                    (start..start + len).collect()
                 }
                 // Into the most recent run.
-                _ => vec![horizon.saturating_sub(1 + a % 4200) * cycle],
+                _ => vec![horizon.saturating_sub(1 + a % 4200)],
             };
-            for at in times {
-                let got = bus.claim(at);
-                prop_assert_eq!(got, model.claim(at), "claim at {} ps", at);
-                prop_assert!(got >= at && got % cycle == 0);
-                last = at;
-                horizon = horizon.max(got / cycle + 1);
+            for from in slots {
+                let got = bus.claim(from);
+                prop_assert_eq!(got, model.claim(from), "claim from slot {}", from);
+                prop_assert!(got >= from);
+                last = from;
+                horizon = horizon.max(got + 1);
             }
             prop_assert_eq!(bus.issued(), model.taken.len() as u64);
         }
