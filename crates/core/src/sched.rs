@@ -1293,7 +1293,11 @@ mod tests {
     /// the schedule through the independent validator, and returns it
     /// with each bank's command issue cycles.
     fn coupled(topology: Topology, programs: &[Vec<PimCommand>]) -> (QueueTimeline, Vec<Vec<u64>>) {
-        let c = PimConfig::hbm2e(2).with_topology(topology);
+        coupled_on(PimConfig::hbm2e(2).with_topology(topology), programs)
+    }
+
+    /// [`coupled`] on a whole configuration.
+    fn coupled_on(c: PimConfig, programs: &[Vec<PimCommand>]) -> (QueueTimeline, Vec<Vec<u64>>) {
         let queues: Vec<Vec<Program>> = programs
             .iter()
             .map(|commands| vec![hand_built(commands.clone())])
@@ -1348,11 +1352,23 @@ mod tests {
 
     #[test]
     fn tfaw_limits_activation_bursts() {
-        // The first four ACTs pace at tRRD; the fifth waits for the tFAW
-        // window (20 cycles), and the rest continue at tRRD.
+        // The ACTs pace at tRRD (5 cycles). At Table I's values the tFAW
+        // window (20 cycles) is four tRRD, so the fifth ACT meets both
+        // rules at once; tfaw_wider_than_four_trrd_stalls_the_fifth_act
+        // gives the window room to bind.
         let (qt, at) = coupled(Topology::single_rank(8), &vec![vec![act(0)]; 8]);
         assert_eq!(at.concat(), [0, 5, 10, 15, 20, 25, 30, 35]);
         assert_eq!(qt.per_rank_acts, [8]);
+    }
+
+    #[test]
+    fn tfaw_wider_than_four_trrd_stalls_the_fifth_act() {
+        // With a 30-cycle window the fifth ACT waits for the first to
+        // leave it; each later ACT waits for the one four before it.
+        let mut c = PimConfig::hbm2e(2).with_topology(Topology::single_rank(8));
+        c.timing.t_faw = 30;
+        let (_, at) = coupled_on(c, &vec![vec![act(0)]; 8]);
+        assert_eq!(at.concat(), [0, 5, 10, 15, 30, 35, 40, 45]);
     }
 
     #[test]

@@ -392,6 +392,33 @@ mod tests {
     }
 
     #[test]
+    fn queues_keep_tfaw_per_rank() {
+        // At Table I's values tFAW is four tRRD, so only a wider window
+        // binds: with 30 cycles, a fifth ACT at the tRRD pace (cycle 20)
+        // comes before the first ACT leaves the window.
+        let t = TimingParams {
+            t_faw: 30,
+            ..TimingParams::hbm2e()
+        };
+        let check = |fifth: u64| {
+            let banks: Vec<BankSchedule> = [0, 5, 10, 15, fifth].map(one_program).into();
+            validate_queues(
+                t.resolve(),
+                Geometry::hbm2e_single_bank(),
+                Topology::single_rank(5),
+                &banks,
+            )
+        };
+        check(30).expect("the fifth ACT after the window");
+        let err = check(20).unwrap_err();
+        assert!(
+            matches!(err.cause, TimingError::TooEarly { cmd, .. } if cmd.starts_with("ACT")),
+            "{err}"
+        );
+        assert_eq!((err.bank, err.claim), (4, 0));
+    }
+
+    #[test]
     fn queues_issue_in_program_order() {
         let mut bank = one_program(0);
         bank.claims.swap(1, 2);
