@@ -62,13 +62,6 @@ pub struct Scan {
     pub comments: Vec<Comment>,
 }
 
-impl Scan {
-    /// All comments that start on `line`.
-    pub fn comments_on_line(&self, line: usize) -> impl Iterator<Item = &Comment> {
-        self.comments.iter().filter(move |c| c.line == line)
-    }
-}
-
 /// Scan `src` into tokens and comments.
 pub fn scan(src: &str) -> Scan {
     let b = src.as_bytes();

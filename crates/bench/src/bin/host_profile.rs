@@ -20,9 +20,10 @@
 //! It also reports host nanoseconds per simulated command-bus slot, the
 //! unit the repository benchmark's `host_ns_per_sim_cmd` uses, and the
 //! whole batch through `BatchExecutor::run`: once on a fresh executor
-//! (cold: it maps, decodes and schedules) and the minimum of [`REPS`]
-//! repeats on the same executor (warm: the decoded programs and the queue
-//! report come from its memo; validation, functional execution and
+//! (cold: it maps, decodes and schedules) and the minimum of
+//! [`EXECUTE_REPS`] repeats on the same executor, in turn with the
+//! execute rows (warm: the decoded programs and the queue report come
+//! from its memo; validation, loading, functional execution and
 //! read-back still run).
 //!
 //! Every timed run of the execute rows and of the executor gets operands
@@ -57,14 +58,21 @@
 //!   `sched::schedule` runs of the same program. Sixteen programs sharing
 //!   one bus issue sixteen programs' worth of commands, so a scheduler
 //!   whose host cost grows with the commands it issues reads close to
-//!   1×. It reads below that (≈0.76× on a 2-vCPU x86-64 VM) because
+//!   1×. It reads below that (≈0.6× on a 2-vCPU x86-64 VM) because
 //!   `sched::schedule` runs the same queue engine with its per-command
 //!   log, which the batch path skips. The gate fails above
 //!   [`MAX_SCHEDULE_RATIO`].
-//! * the warm executor run against the cold one. Without the memo a
-//!   repeat costs what the first run did (≈0.95×); with it, what is left
-//!   is the functional run, loading and read-back (≈0.13× on a 2-vCPU
-//!   x86-64 VM). The gate fails above [`MAX_WARM_RATIO`].
+//! * the warm executor run against the serial execute of the same
+//!   sixteen programs, the two timed in turn in one loop. With the memo,
+//!   what a repeat still does is validate, load the operands, execute
+//!   through `run_banks` and read back: 0.7–1.9× the serial execute over
+//!   59 runs on a 2-vCPU x86-64 VM (the high end while the VM runs the
+//!   process's threads no faster than one), 1.6–1.7× on one core.
+//!   Without the memo it maps, decodes and schedules again (5.9–7.6×).
+//!   The gate fails above
+//!   [`MAX_WARM_OVER_EXECUTE`]. Its yardstick is work the warm run must
+//!   still do, so a faster cold path leaves it where it is; against the
+//!   cold run, as this gate once was, every cold-path gain tightened it.
 //! * each `data_independence` row, random operands against zeros. The
 //!   gate fails above [`MAX_DATA_RATIO`].
 //! * the `cu_datapath` row, the serial functional run against
@@ -120,8 +128,8 @@ const EXECUTE_REPS: usize = 20;
 /// single-bank schedules of the same program.
 const MAX_SCHEDULE_RATIO: f64 = 3.0;
 /// The gate: a repeat of the batch on the same executor may cost at most
-/// this fraction of its first run.
-const MAX_WARM_RATIO: f64 = 0.25;
+/// this many times the serial execute of its sixteen programs.
+const MAX_WARM_OVER_EXECUTE: f64 = 2.5;
 /// The gate: a kernel may cost at most this many times as much on random
 /// operands as on all-zero ones.
 const MAX_DATA_RATIO: f64 = 1.25;
@@ -265,6 +273,12 @@ fn main() {
     let (mut execute_ms, mut execute_zero_ms) = (f64::INFINITY, f64::INFINITY);
     let mut concurrent_ms = f64::INFINITY;
     let (mut one_thread_ms, mut two_threads_ms) = (f64::INFINITY, f64::INFINITY);
+    // The whole batch through a fresh executor, cold, then warm repeats
+    // in the loop beside the serial execute they are gated against.
+    let mut exec = BatchExecutor::new(config).expect("valid config");
+    let jobs = operands.jobs();
+    let cold_ms = ms(|| exec.run(&jobs).expect("batch runs"));
+    let mut warm_ms = f64::INFINITY;
     for _ in 0..EXECUTE_REPS {
         one_thread_ms = one_thread_ms.min(ms(|| spin(1) ^ spin(2)));
         two_threads_ms = two_threads_ms.min(ms(|| {
@@ -295,6 +309,8 @@ fn main() {
             })
             .collect();
         concurrent_ms = concurrent_ms.min(ms(|| dev.run_banks(lists).expect("programs run")));
+        let jobs = operands.jobs();
+        warm_ms = warm_ms.min(ms(|| exec.run(&jobs).expect("batch runs")));
     }
     let concurrent_ratio = concurrent_ms / execute_ms;
     let cores = helpers::budget() + 1;
@@ -328,14 +344,7 @@ fn main() {
         })
     });
 
-    let mut exec = BatchExecutor::new(config).expect("valid config");
-    let jobs = operands.jobs();
-    let cold_ms = ms(|| exec.run(&jobs).expect("batch runs"));
-    let warm_ms = min_of(|| {
-        let jobs = operands.jobs();
-        ms(|| exec.run(&jobs).expect("batch runs"))
-    });
-    let warm_ratio = warm_ms / cold_ms;
+    let warm_ratio = warm_ms / execute_ms;
 
     let total_ms = map_ms + decode_ms + execute_ms + schedule_ms;
     let per_slot = |ms: f64| ms * 1e6 / report.bus_slots as f64;
@@ -362,8 +371,8 @@ fn main() {
          {ratio:.2}x (gate {MAX_SCHEDULE_RATIO:.1}x)"
     );
     println!(
-        "BatchExecutor::run cold {cold_ms:.3} ms, warm {warm_ms:.3} ms (min of {REPS}): \
-         {warm_ratio:.2}x (gate {MAX_WARM_RATIO:.2}x)"
+        "BatchExecutor::run cold {cold_ms:.3} ms, warm {warm_ms:.3} ms (min of {EXECUTE_REPS}): \
+         {warm_ratio:.2}x the serial execute (gate {MAX_WARM_OVER_EXECUTE:.2}x)"
     );
     println!(
         "run_banks {concurrent_ms:.3} ms vs {JOBS} x run_decoded {execute_ms:.3} ms on {cores} \
@@ -398,8 +407,9 @@ fn main() {
          \"host_ns_per_bus_slot\": {{\"schedule\": {:.1}, \"total\": {:.1}}},\n  \
          \"gate\": {{\"schedule_queues_ms\": {schedule_ms:.3}, \"single_schedules_ms\": {singles_ms:.3}, \
          \"ratio\": {ratio:.3}, \"max_ratio\": {MAX_SCHEDULE_RATIO}}},\n  \
-         \"executor_ms\": {{\"cold\": {cold_ms:.3}, \"warm\": {warm_ms:.3}, \
-         \"warm_over_cold\": {warm_ratio:.3}, \"max_ratio\": {MAX_WARM_RATIO}}},\n  \
+         \"executor_ms\": {{\"stat\": \"warm: min of {EXECUTE_REPS}\", \"cold\": {cold_ms:.3}, \"warm\": {warm_ms:.3}, \
+         \"serial_execute\": {execute_ms:.3}, \"warm_over_serial_execute\": {warm_ratio:.3}, \
+         \"max_ratio\": {MAX_WARM_OVER_EXECUTE}}},\n  \
          \"execute_concurrency\": {{\"cores\": {cores}, \"stat\": \"min of {EXECUTE_REPS}\", \
          \"serial_ms\": {execute_ms:.3}, \
          \"concurrent_ms\": {concurrent_ms:.3}, \"concurrent_over_serial\": {concurrent_ratio:.3}, \
@@ -433,10 +443,10 @@ fn main() {
             );
             failed = true;
         }
-        if warm_ratio > MAX_WARM_RATIO {
+        if warm_ratio > MAX_WARM_OVER_EXECUTE {
             eprintln!(
-                "FAIL: a repeated BatchExecutor::run costs {warm_ratio:.2}x its first run; \
-                 the gate allows {MAX_WARM_RATIO:.2}x"
+                "FAIL: a repeated BatchExecutor::run costs {warm_ratio:.2}x the serial execute \
+                 of its {JOBS} programs; the gate allows {MAX_WARM_OVER_EXECUTE:.2}x"
             );
             failed = true;
         }
@@ -494,7 +504,7 @@ fn main() {
         }
         println!(
             "check ok: {ratio:.2}x <= {MAX_SCHEDULE_RATIO:.1}x, \
-             {warm_ratio:.2}x <= {MAX_WARM_RATIO:.2}x, \
+             warm/execute {warm_ratio:.2}x <= {MAX_WARM_OVER_EXECUTE:.2}x, \
              random/zero {execute_data_ratio:.2}x and {lanes_data_ratio:.2}x <= \
              {MAX_DATA_RATIO:.2}x, execute/NttPlan {execute_plan_ratio:.2}x <= \
              {MAX_EXECUTE_OVER_PLAN:.2}x, concurrent execute {concurrent_ratio:.2}x"
