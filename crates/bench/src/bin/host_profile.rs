@@ -69,10 +69,10 @@
 //!   59 runs on a 2-vCPU x86-64 VM (the high end while the VM runs the
 //!   process's threads no faster than one), 1.6–1.7× on one core.
 //!   Without the memo it maps, decodes and schedules again (5.9–7.6×).
-//!   The gate fails above
-//!   [`MAX_WARM_OVER_EXECUTE`]. Its yardstick is work the warm run must
-//!   still do, so a faster cold path leaves it where it is; against the
-//!   cold run, as this gate once was, every cold-path gain tightened it.
+//!   The gate fails above [`MAX_WARM_OVER_EXECUTE`]. Its yardstick is
+//!   work the warm run must still do, so a faster cold path leaves it
+//!   where it is; against the cold run the ratio would tighten with
+//!   every cold-path gain.
 //! * each `data_independence` row, random operands against zeros. The
 //!   gate fails above [`MAX_DATA_RATIO`].
 //! * the `cu_datapath` row, the serial functional run against

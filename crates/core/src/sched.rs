@@ -427,7 +427,7 @@ impl Costs {
 /// tFAW after the fourth-last. Every ACT of the rank waits for
 /// [`Self::act`], so the rank's ACTs strictly increase and the ring holds
 /// its last four.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct Rank {
     /// Slots of the last four ACTs; the oldest sits at `acts % 4`.
     ring: [u64; 4],
@@ -1079,10 +1079,10 @@ fn schedule_multi<const LOG: bool>(
         barriers.left[k] += 1;
     }
     // The fair (first-free-slot) bus lives in dram-sim, one per channel.
-    let mut buses: Vec<FairBus> = (0..topo.channels).map(|_| FairBus::new()).collect();
+    let mut buses = vec![FairBus::new(); topo.channels as usize];
     // Banks of one rank share its activation window: tRRD/tFAW couple
     // their ACTs. Ranks are independent of each other.
-    let mut ranks: Vec<Rank> = (0..topo.total_ranks()).map(|_| Rank::default()).collect();
+    let mut ranks = vec![Rank::default(); topo.total_ranks()];
     let mut engines: Vec<Engine<LOG>> = queues
         .iter()
         .enumerate()

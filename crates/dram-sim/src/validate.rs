@@ -6,7 +6,7 @@
 //! [`BankTimer`]s and [`RankTimer`]s and a fresh bus-occupancy map, none
 //! of which the scheduler uses. Scheduler tests use it so the checker
 //! shares no timing rule (and no bugs) with the producer, per the
-//! verification strategy in DESIGN.md.
+//! verification strategy in `docs/ARCHITECTURE.md`.
 //!
 //! [`validate_queues`] is the one entry point. It checks a whole
 //! multi-bank queue schedule on a [`Topology`] — every bus claim (DRAM
