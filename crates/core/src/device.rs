@@ -27,7 +27,7 @@ use crate::mapper::{self, Dataflow, MapperOptions, NttParams, Program};
 use crate::sched::{self, Timeline};
 use crate::sim::{DecodedProgram, FunctionalSim};
 use crate::PimError;
-use modmath::bitrev::bitrev_permute;
+use modmath::bitrev::bitrev_copy;
 
 /// Transform direction for [`PimDevice::ntt`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,23 +120,30 @@ pub struct BankStep<'p> {
     pub read: Option<PolyHandle>,
 }
 
-/// Host DMA of a checked operand: bit-reverses the image if the handle
-/// says so, then writes it.
-fn write(sim: &mut FunctionalSim, operand: Operand) {
-    let Operand { handle, mut words } = operand;
-    if handle.order == StoredOrder::BitReversed {
-        bitrev_permute(&mut words);
+/// Host DMA of a checked operand, in one pass: word `i` lands at offset
+/// `i` of its region, or at `bitrev(i)` when the handle stores the image
+/// bit-reversed.
+fn write(sim: &mut FunctionalSim, operand: &Operand) {
+    let Operand { handle, words } = operand;
+    let region = sim.words_mut(handle.layout.base_word(), words.len());
+    match handle.order {
+        StoredOrder::Natural => region.copy_from_slice(words),
+        StoredOrder::BitReversed => bitrev_copy(words, region),
     }
-    sim.load_words(handle.layout.base_word(), &words);
 }
 
-/// Host DMA of a polynomial back in logical order.
+/// Host DMA of a polynomial back in logical order, in one pass over its
+/// region.
 fn read(sim: &FunctionalSim, handle: &PolyHandle) -> Vec<u32> {
-    let mut data = sim.read_region(&handle.layout);
-    if handle.order == StoredOrder::BitReversed {
-        bitrev_permute(&mut data);
+    let region = sim.words(handle.layout.base_word(), handle.n());
+    match handle.order {
+        StoredOrder::Natural => region.to_vec(),
+        StoredOrder::BitReversed => {
+            let mut data = vec![0; region.len()];
+            bitrev_copy(region, &mut data);
+            data
+        }
     }
-    data
 }
 
 /// Timing/energy/accounting result of one device request.
@@ -363,7 +370,7 @@ impl PimDevice {
     ) -> Result<PolyHandle, PimError> {
         let operand = self.operand(bank, base_word, coeffs.to_vec(), q, order)?;
         let handle = operand.handle;
-        write(&mut self.banks[bank], operand);
+        write(&mut self.banks[bank], &operand);
         Ok(handle)
     }
 
@@ -598,7 +605,7 @@ impl PimDevice {
             *out = list
                 .into_iter()
                 .map(|step| {
-                    step.loads.into_iter().for_each(|op| write(sim, op));
+                    step.loads.iter().for_each(|op| write(sim, op));
                     sim.run_checked(step.program);
                     step.read.map_or_else(Vec::new, |h| read(sim, &h))
                 })

@@ -43,6 +43,52 @@ use dram_sim::storage::BankStorage;
 use dram_sim::TimingError;
 use modmath::montgomery::Montgomery32;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// The decoder's table keys are a few small integers, hashed with one
+/// multiply-rotate per word instead of SipHash: the programs come from
+/// the mapper, not from an adversary.
+#[derive(Debug, Default, Clone, Copy)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    fn add(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, x: u8) {
+        self.add(u64::from(x));
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.add(u64::from(x));
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.add(x);
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.add(x as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A map keyed by small integers.
+type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
 
 /// Value-level simulator for one bank.
 #[derive(Debug, Clone)]
@@ -85,6 +131,25 @@ impl FunctionalSim {
     /// Host DMA: reads words from the array.
     pub fn read_words(&self, base_word: usize, len: usize) -> Vec<u32> {
         self.storage.read_words(base_word, len)
+    }
+
+    /// Host DMA: the `len` words of the array from `base_word`, in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the span exceeds the bank.
+    pub(crate) fn words(&self, base_word: usize, len: usize) -> &[u32] {
+        &self.storage.cells()[base_word..base_word + len]
+    }
+
+    /// Host DMA: the `len` words of the array from `base_word`, to write
+    /// in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the span exceeds the bank.
+    pub(crate) fn words_mut(&mut self, base_word: usize, len: usize) -> &mut [u32] {
+        &mut self.storage.cells_mut()[base_word..base_word + len]
     }
 
     /// Reads a polynomial region.
@@ -165,9 +230,10 @@ impl BankShape {
     }
 }
 
-/// One decoded command: 8 bytes, with addresses resolved to cell-array
-/// word offsets and twiddles to table indices. `ACT`, `PRE`, refresh and
-/// twiddle broadcasts move no values and decode to nothing.
+/// One decoded command, with addresses resolved to cell-array word
+/// offsets and twiddles to table indices. `ACT`, `PRE`, refresh and
+/// twiddle broadcasts move no values and decode to nothing; a CU-read,
+/// compute and CU-write-back of one atom decode to one in-place op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Op {
     /// CU-read: the atom at cell word `word` into buffer `buf`.
@@ -187,6 +253,21 @@ enum Op {
     Scale { buf: u8, row: u32 },
     /// `p ← p·s`, lane-wise.
     Pointwise { p: u8, s: u8 },
+    /// C1 with kernel `kernel` on the atom at cell word `word`, in place.
+    C1At { word: u32, kernel: u32 },
+    /// C2 with twiddle row `row` between the atoms at cell words `p` and
+    /// `s`, in place.
+    C2At {
+        order: BuOrder,
+        p: u32,
+        s: u32,
+        row: u32,
+    },
+    /// Scale the atom at cell word `word` by twiddle row `row`, in place.
+    ScaleAt { word: u32, row: u32 },
+    /// The atom at cell word `p` times the one at `s`, lane-wise, in
+    /// place at `p`.
+    PointwiseAt { p: u32, s: u32 },
     /// Switch to Montgomery context `ctx`.
     Modulus { ctx: u32 },
     /// Lane `lane` of `buf` into operand register `reg`.
@@ -197,7 +278,288 @@ enum Op {
     RegBu { order: BuOrder, omega_mont: u32 },
 }
 
-const _: () = assert!(std::mem::size_of::<Op>() == 8);
+const _: () = assert!(std::mem::size_of::<Op>() == 16);
+
+/// How far one buffer's contents are along a read → compute → write-back
+/// of one atom, as the decoder walks a program.
+#[derive(Debug, Clone, Copy)]
+enum Track {
+    /// Nothing that can fuse.
+    Idle,
+    /// Filled by the op at `read` from cell word `word`, not used yet.
+    Loaded { read: u32, word: u32 },
+    /// An operand of candidate `cand`, computed on; its write-back must
+    /// go to `word`, and nothing may read or write `word` before it.
+    Computed { cand: usize, word: u32 },
+    /// An operand of candidate `cand` that is done with: it fuses once
+    /// the next op to touch the buffer refills it, or none does.
+    Spent { cand: usize },
+}
+
+/// A compute op that becomes `fused` once each of its operands settles.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    fused: Op,
+    /// Index of the compute op.
+    at: u32,
+    /// Index of its earliest absorbed read.
+    first: u32,
+    /// The reads and write-backs the fused op absorbs.
+    absorbed: [u32; 4],
+    n_absorbed: u8,
+    /// Operands not settled yet.
+    open: u8,
+    /// An operand failed a condition: the ops stay as they are.
+    dead: bool,
+}
+
+/// The decoder's op stream, fusing read → compute → write-back triples
+/// in one pass over the program with pending state per buffer.
+///
+/// A compute on buffer `b` absorbs the `Read` that filled `b` from word
+/// `X` and the next `Write` of `b`, which must go back to `X`, when:
+///
+/// 1. no op between the `Read` and the compute writes `X`, and no other
+///    compute in that span fuses on `X` (a fused op writes at its own
+///    position, not at its write-back's);
+/// 2. no op between the compute and the `Write` reads or writes `X`;
+/// 3. the next op after the `Write` that touches `b` is a `Read`, or
+///    there is none (programs are checked from empty buffers, so nothing
+///    after the program reads `b`).
+///
+/// The compute must be the first op to touch `b` after the `Read`, and
+/// the `Write` the first after the compute. A C2 or Pointwise fuses only
+/// when both operands do. A C2's operands then come from distinct words:
+/// the first write-back to a shared word breaks the other operand's
+/// condition 2. Pointwise's second operand is never written back, so it
+/// needs only conditions 1 and 3 (and may share the first's word: the
+/// fused op reads both before it writes). The fused op stands where the compute stood and reads and
+/// writes the cells in place; the absorbed ops vanish. Anything else —
+/// the `Nb = 1` register path, a ping-pong stage writing to another
+/// region — stays as it was.
+///
+/// Ops wait in a window only while a pending triple may still absorb
+/// them; everything before the earliest such op is final.
+struct Fuser {
+    /// Final ops.
+    out: Vec<Op>,
+    /// Ops from index `base` on; an absorbed one is `None`. A program
+    /// has fewer than 2³² ops: each is one command of at least 16 bytes.
+    window: Vec<Option<Op>>,
+    base: u32,
+    track: Vec<Track>,
+    cands: Vec<Candidate>,
+    /// Slots of `cands` free for reuse: at most one candidate per buffer
+    /// is ever pending.
+    free: Vec<usize>,
+}
+
+impl Fuser {
+    /// A stream for a program of `commands` commands over `n_bufs`
+    /// buffers. An in-place program decodes to about one op per four
+    /// commands (a read, a compute and a write-back per operand).
+    fn new(commands: usize, n_bufs: usize) -> Self {
+        Self {
+            out: Vec::with_capacity(commands / 4),
+            window: Vec::with_capacity(64),
+            base: 0,
+            track: vec![Track::Idle; n_bufs],
+            cands: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    /// Index of the next op.
+    fn next(&self) -> u32 {
+        self.base + self.window.len() as u32
+    }
+
+    /// Appends `op`.
+    fn push(&mut self, op: Op) {
+        if self.window.len() == self.window.capacity() {
+            self.flush();
+        }
+        self.window.push(Some(op));
+    }
+
+    /// Moves every op no pending triple can absorb or replace to `out`.
+    fn flush(&mut self) {
+        let pinned = self
+            .track
+            .iter()
+            .map(|t| match *t {
+                Track::Idle => u32::MAX,
+                Track::Loaded { read, .. } => read,
+                Track::Computed { cand, .. } | Track::Spent { cand } => self.cands[cand].first,
+            })
+            .fold(self.next(), u32::min);
+        let done = (pinned - self.base) as usize;
+        for op in &self.window[..done] {
+            if let Some(op) = *op {
+                self.out.push(op);
+            }
+        }
+        self.window.copy_within(done.., 0);
+        self.window.truncate(self.window.len() - done);
+        self.base = pinned;
+    }
+
+    /// A read of `word` into `buf`, pushed next.
+    fn read(&mut self, buf: u8, word: u32) {
+        for b in 0..self.track.len() {
+            if let Track::Computed { word: w, .. } = self.track[b] {
+                if w == word && b != buf as usize {
+                    self.drop(b);
+                }
+            }
+        }
+        match self.track[buf as usize] {
+            Track::Spent { cand } => self.settle(cand),
+            _ => self.drop(buf as usize),
+        }
+        let read = self.next();
+        self.track[buf as usize] = Track::Loaded { read, word };
+    }
+
+    /// A write of `buf` to `word`, pushed next.
+    fn write(&mut self, buf: u8, word: u32) {
+        for b in 0..self.track.len() {
+            if let Track::Loaded { word: w, .. } | Track::Computed { word: w, .. } = self.track[b] {
+                if w == word && b != buf as usize {
+                    self.drop(b);
+                }
+            }
+        }
+        match self.track[buf as usize] {
+            Track::Computed { cand, word: w } if w == word => {
+                let at = self.next();
+                let c = &mut self.cands[cand];
+                c.absorbed[c.n_absorbed as usize] = at;
+                c.n_absorbed += 1;
+                self.track[buf as usize] = Track::Spent { cand };
+            }
+            _ => self.drop(buf as usize),
+        }
+    }
+
+    /// Any other op that reads or writes `buf`, pushed next.
+    fn touch(&mut self, buf: u8) {
+        self.drop(buf as usize);
+    }
+
+    /// A compute on `operands`, pushed next, of which the first `written`
+    /// are computed on in place and written back and the rest only read;
+    /// `fused` builds its in-place form from the operands' words.
+    fn compute<const N: usize>(
+        &mut self,
+        operands: [u8; N],
+        written: usize,
+        fused: impl FnOnce([u32; N]) -> Op,
+    ) {
+        let mut reads = [0; N];
+        let mut words = [0; N];
+        for (i, &b) in operands.iter().enumerate() {
+            match self.track[b as usize] {
+                Track::Loaded { read, word } => {
+                    (reads[i], words[i]) = (read, word);
+                }
+                _ => {
+                    for b in operands {
+                        self.drop(b as usize);
+                    }
+                    return;
+                }
+            }
+        }
+        // The fused op rewrites the written operands' words here, so a
+        // buffer loaded from one of them earlier would read the new value
+        // if it fused later.
+        for b in 0..self.track.len() {
+            if let Track::Loaded { word, .. } = self.track[b] {
+                if words[..written].contains(&word) && !operands.contains(&(b as u8)) {
+                    self.track[b] = Track::Idle;
+                }
+            }
+        }
+        let mut absorbed = [0; 4];
+        absorbed[..N].copy_from_slice(&reads);
+        let candidate = Candidate {
+            fused: fused(words),
+            at: self.next(),
+            first: reads.into_iter().fold(u32::MAX, u32::min),
+            absorbed,
+            n_absorbed: N as u8,
+            open: N as u8,
+            dead: false,
+        };
+        let cand = match self.free.pop() {
+            Some(slot) => {
+                self.cands[slot] = candidate;
+                slot
+            }
+            None => {
+                self.cands.push(candidate);
+                self.cands.len() - 1
+            }
+        };
+        for i in 0..N {
+            self.track[operands[i] as usize] = if i < written {
+                Track::Computed {
+                    cand,
+                    word: words[i],
+                }
+            } else {
+                Track::Spent { cand }
+            };
+        }
+    }
+
+    /// The program ended: every spent operand settles. Returns the ops.
+    fn finish(mut self) -> Vec<Op> {
+        for b in 0..self.track.len() {
+            match self.track[b] {
+                Track::Spent { cand } => self.settle(cand),
+                _ => self.drop(b),
+            }
+            self.track[b] = Track::Idle;
+        }
+        self.flush();
+        self.out.shrink_to_fit();
+        self.out
+    }
+
+    /// `buf` leaves its triple unfinished: its candidate, if any, stays
+    /// unfused.
+    fn drop(&mut self, buf: usize) {
+        if let Track::Computed { cand, .. } | Track::Spent { cand } = self.track[buf] {
+            self.cands[cand].dead = true;
+            self.release(cand);
+        }
+        self.track[buf] = Track::Idle;
+    }
+
+    /// One operand of `cand` met every condition; the last one to do so
+    /// fuses the candidate unless another failed.
+    fn settle(&mut self, cand: usize) {
+        let c = &self.cands[cand];
+        if c.open == 1 && !c.dead {
+            let window = &mut self.window[..];
+            let base = self.base;
+            window[(c.at - base) as usize] = Some(c.fused);
+            for &i in &c.absorbed[..c.n_absorbed as usize] {
+                window[(i - base) as usize] = None;
+            }
+        }
+        self.release(cand);
+    }
+
+    fn release(&mut self, cand: usize) {
+        self.cands[cand].open -= 1;
+        if self.cands[cand].open == 0 {
+            self.free.push(cand);
+        }
+    }
+}
 
 /// A [`Program`] decoded for banks of one geometry and buffer count:
 /// checked once, then run any number of times by [`FunctionalSim::run`].
@@ -268,18 +630,19 @@ impl DecodedProgram {
 
         let mut bufs = BufferState::new(config.n_bufs);
         let mut d = Self {
-            ops: Vec::with_capacity(program.commands.len()),
+            ops: Vec::new(),
             moduli: Vec::new(),
             twiddles: Vec::new(),
             kernels: Vec::new(),
             shape: BankShape::of(config),
         };
+        let mut ops = Fuser::new(program.commands.len(), config.n_bufs);
         // The context compute commands run under, as an index into
         // `d.moduli`, and the dedup maps behind the tables.
         let mut ctx: Option<u32> = None;
-        let mut ctx_of: HashMap<u32, u32> = HashMap::new();
-        let mut row_of: HashMap<(u32, TwiddleParams), u32> = HashMap::new();
-        let mut kernel_of = HashMap::new();
+        let mut ctx_of: WordMap<u32, u32> = WordMap::default();
+        let mut row_of: WordMap<(u32, TwiddleParams), u32> = WordMap::default();
+        let mut kernel_of: WordMap<_, _> = WordMap::default();
         let current = |ctx: Option<u32>| {
             ctx.ok_or_else(|| PimError::BufferMisuse {
                 reason: "compute command before SetModulus broadcast".into(),
@@ -303,19 +666,17 @@ impl DecodedProgram {
                 PimCommand::CuRead { row, col, buf } => {
                     check_row(row)?;
                     check_col(col)?;
-                    Op::Read {
-                        buf: bufs.fill(buf)?,
-                        word: word(row, col),
-                    }
+                    let (buf, word) = (bufs.fill(buf)?, word(row, col));
+                    ops.read(buf, word);
+                    Op::Read { buf, word }
                 }
                 PimCommand::CuWrite { row, col, buf } => {
                     check_row(row)?;
                     let buf = bufs.valid(buf, "read")?;
                     check_col(col)?;
-                    Op::Write {
-                        buf,
-                        word: word(row, col),
-                    }
+                    let word = word(row, col);
+                    ops.write(buf, word);
+                    Op::Write { buf, word }
                 }
                 PimCommand::C1 { buf, ref params } => {
                     let c = current(ctx)?;
@@ -329,31 +690,28 @@ impl DecodedProgram {
                             k
                         }
                     };
-                    Op::C1 {
-                        buf: bufs.valid(buf, "written")?,
-                        kernel,
-                    }
+                    let buf = bufs.valid(buf, "written")?;
+                    ops.compute([buf], 1, |[word]| Op::C1At { word, kernel });
+                    Op::C1 { buf, kernel }
                 }
                 PimCommand::C2 { p, s, tw, order } => {
                     let c = current(ctx)?;
                     let (p, s) = bufs.pair(p, s)?;
-                    Op::C2 {
-                        p,
-                        s,
-                        order,
-                        row: twiddle_row(&mut d, c, tw),
-                    }
+                    let row = twiddle_row(&mut d, c, tw);
+                    ops.compute([p, s], 2, |[p, s]| Op::C2At { order, p, s, row });
+                    Op::C2 { p, s, order, row }
                 }
                 PimCommand::Scale { buf, tw } => {
                     let c = current(ctx)?;
-                    Op::Scale {
-                        buf: bufs.valid(buf, "written")?,
-                        row: twiddle_row(&mut d, c, tw),
-                    }
+                    let buf = bufs.valid(buf, "written")?;
+                    let row = twiddle_row(&mut d, c, tw);
+                    ops.compute([buf], 1, |[word]| Op::ScaleAt { word, row });
+                    Op::Scale { buf, row }
                 }
                 PimCommand::Pointwise { p, s } => {
                     current(ctx)?;
                     let (p, s) = bufs.pair(p, s)?;
+                    ops.compute([p, s], 1, |[p, s]| Op::PointwiseAt { p, s });
                     Op::Pointwise { p, s }
                 }
                 PimCommand::SetModulus { q } => {
@@ -377,34 +735,30 @@ impl DecodedProgram {
                 }
                 PimCommand::RegLoad { buf, lane, reg } => {
                     let buf = bufs.valid(buf, "read")?;
-                    Op::RegLoad {
-                        buf,
-                        lane: check_lane(lane)?,
-                        reg,
-                    }
+                    let lane = check_lane(lane)?;
+                    ops.touch(buf);
+                    Op::RegLoad { buf, lane, reg }
                 }
                 PimCommand::RegStore { buf, lane, reg } => {
                     let buf = bufs.valid(buf, "written")?;
-                    Op::RegStore {
-                        buf,
-                        lane: check_lane(lane)?,
-                        reg,
-                    }
+                    let lane = check_lane(lane)?;
+                    ops.touch(buf);
+                    Op::RegStore { buf, lane, reg }
                 }
                 PimCommand::RegBu { omega_mont, order } => {
                     current(ctx)?;
                     Op::RegBu { order, omega_mont }
                 }
             };
-            d.ops.push(op);
+            ops.push(op);
         }
+        d.ops = ops.finish();
         if d.moduli.is_empty() {
             // No SetModulus means no compute op (rejected above), so the
             // context a run starts under is never read; any valid one
             // stands in.
             d.moduli.push(Montgomery32::new(3)?);
         }
-        d.ops.shrink_to_fit();
         d.moduli.shrink_to_fit();
         d.twiddles.shrink_to_fit();
         d.kernels.shrink_to_fit();
@@ -429,14 +783,8 @@ impl DecodedProgram {
         let (mut reg_a, mut reg_b) = (0u32, 0u32);
         for &op in &self.ops {
             match op {
-                Op::Read { buf, word } => {
-                    let w = word as usize;
-                    bufs[buf as usize].0.copy_from_slice(&cells[w..w + NA]);
-                }
-                Op::Write { buf, word } => {
-                    let w = word as usize;
-                    cells[w..w + NA].copy_from_slice(&bufs[buf as usize].0);
-                }
+                Op::Read { buf, word } => bufs[buf as usize].0 = *atom(cells, word),
+                Op::Write { buf, word } => *atom(cells, word) = bufs[buf as usize].0,
                 Op::C1 { buf, kernel } => {
                     self.kernels[kernel as usize].run(&mont, &mut bufs[buf as usize].0);
                 }
@@ -456,6 +804,22 @@ impl DecodedProgram {
                 Op::Pointwise { p, s } => {
                     let rhs = bufs[s as usize].0;
                     cu::pointwise(&mont, &mut bufs[p as usize].0, &rhs);
+                }
+                Op::C1At { word, kernel } => {
+                    self.kernels[kernel as usize].run(&mont, atom(cells, word));
+                }
+                Op::C2At { order, p, s, row } => {
+                    let (mut x, mut y) = (*atom(cells, p), *atom(cells, s));
+                    cu::c2(&mont, &mut x, &mut y, &self.twiddles[row as usize], order);
+                    *atom(cells, p) = x;
+                    *atom(cells, s) = y;
+                }
+                Op::ScaleAt { word, row } => {
+                    cu::scale(&mont, atom(cells, word), &self.twiddles[row as usize]);
+                }
+                Op::PointwiseAt { p, s } => {
+                    let rhs = *atom(cells, s);
+                    cu::pointwise(&mont, atom(cells, p), &rhs);
                 }
                 Op::Modulus { ctx } => mont = self.moduli[ctx as usize],
                 Op::RegLoad { buf, lane, reg } => {
@@ -477,6 +841,15 @@ impl DecodedProgram {
             }
         }
     }
+}
+
+/// The atom at cell word `word`.
+#[inline(always)]
+fn atom(cells: &mut [u32], word: u32) -> &mut Atom {
+    let w = word as usize;
+    (&mut cells[w..w + NA])
+        .try_into()
+        .expect("an atom's span is NA words")
 }
 
 /// Compares PIM output against an expected vector, reporting the first
@@ -988,6 +1361,226 @@ mod tests {
             sim.execute(&compute),
             Err(PimError::BufferMisuse { .. })
         ));
+    }
+
+    /// Every in-place program the mapper and the device build at Nb ≥ 2
+    /// decodes to one in-place op per compute command, plus its modulus
+    /// switches: no atom moves through a buffer.
+    #[test]
+    fn in_place_programs_decode_to_one_op_per_compute() {
+        use crate::device::{NttDirection, PimDevice, StoredOrder};
+        let fused = |op: &Op| {
+            matches!(
+                op,
+                Op::C1At { .. } | Op::C2At { .. } | Op::ScaleAt { .. } | Op::PointwiseAt { .. }
+            )
+        };
+        for nb in [2usize, 4, 6] {
+            let c = PimConfig::hbm2e(nb);
+            let dev = PimDevice::new(c).unwrap();
+            for n in [4usize, 8, 16, 64, 256, 1024, 4096] {
+                let layout = PolyLayout::new(&c, 0, n).unwrap();
+                let other = PolyLayout::new(&c, c.polymul_rhs_base(n), n).unwrap();
+                let params = NttParams {
+                    q: Q,
+                    omega: omega_for(n),
+                };
+                let mut programs = vec![
+                    map_scale(&c, &layout, Q, 3, 5).unwrap(),
+                    map_pointwise(&c, &layout, &other, Q).unwrap(),
+                ];
+                for dataflow in [Dataflow::DitFromBitrev, Dataflow::DifToBitrev] {
+                    for inverse in [false, true] {
+                        for group_same_row in [false, true] {
+                            let opts = MapperOptions {
+                                dataflow,
+                                inverse,
+                                group_same_row,
+                                in_place_update: true,
+                            };
+                            programs.push(map_ntt(&c, &layout, &params, &opts).unwrap());
+                        }
+                    }
+                }
+                let poly = random_poly(n, 1);
+                let handle = |base, order| {
+                    *dev.operand(0, base, poly.clone(), Q, order)
+                        .unwrap()
+                        .handle()
+                };
+                let (a, b) = (
+                    handle(0, StoredOrder::Natural),
+                    handle(c.polymul_rhs_base(n), StoredOrder::Natural),
+                );
+                programs.push(dev.build_ntt_program(&a, NttDirection::Inverse).unwrap());
+                programs.push(dev.polymul_program(&a, &b).unwrap());
+                let mut mixed = map_scale(&c, &layout, 7681, 1, 2).unwrap();
+                mixed.commands.extend(programs[0].commands.clone());
+                programs.push(mixed);
+                for program in &programs {
+                    let computes = program
+                        .commands
+                        .iter()
+                        .filter(|cmd| {
+                            matches!(
+                                cmd,
+                                PimCommand::C1 { .. }
+                                    | PimCommand::C2 { .. }
+                                    | PimCommand::Scale { .. }
+                                    | PimCommand::Pointwise { .. }
+                            )
+                        })
+                        .count();
+                    let decoded = DecodedProgram::decode(&c, program).unwrap();
+                    let switches = decoded
+                        .ops
+                        .iter()
+                        .filter(|op| matches!(op, Op::Modulus { .. }))
+                        .count();
+                    assert!(
+                        decoded
+                            .ops
+                            .iter()
+                            .all(|op| fused(op) || matches!(op, Op::Modulus { .. })),
+                        "nb={nb} n={n}"
+                    );
+                    assert_eq!(decoded.ops.len(), computes + switches, "nb={nb} n={n}");
+                }
+            }
+        }
+        // N = 4096 forward: 512 C1 and 2304 C2, down from 13,056 ops.
+        for nb in [2usize, 4, 6] {
+            let c = PimConfig::hbm2e(nb);
+            let layout = PolyLayout::new(&c, 0, 4096).unwrap();
+            let params = NttParams {
+                q: Q,
+                omega: omega_for(4096),
+            };
+            let program = map_ntt(&c, &layout, &params, &MapperOptions::default()).unwrap();
+            let decoded = DecodedProgram::decode(&c, &program).unwrap();
+            assert_eq!(decoded.ops.len(), 2816, "nb={nb}");
+            eprintln!(
+                "nb={nb} commands={} heap={}",
+                program.len(),
+                decoded.heap_bytes()
+            );
+        }
+    }
+
+    /// Each way a read → compute → write-back can fail to fuse computes
+    /// what the commands one by one compute, and fuses nothing it must
+    /// not: three atoms of one row, each lane of atom `k` holding
+    /// `10k + 1`, and Scale doubling every lane.
+    #[test]
+    fn fusion_edge_cases_keep_the_commands_values() {
+        let q = 7681;
+        let c = PimConfig::hbm2e(4);
+        let mont = Montgomery32::new(q).unwrap();
+        let rd = |buf, col| PimCommand::CuRead {
+            row: 0,
+            col,
+            buf: BufId(buf),
+        };
+        let wr = |buf, col| PimCommand::CuWrite {
+            row: 0,
+            col,
+            buf: BufId(buf),
+        };
+        let double = |buf| PimCommand::Scale {
+            buf: BufId(buf),
+            tw: TwiddleParams {
+                omega0_mont: mont.to_mont(2),
+                r_omega_mont: mont.one(),
+            },
+        };
+        let pw = PimCommand::Pointwise {
+            p: BufId(0),
+            s: BufId(1),
+        };
+        let (a0, a1, a2) = (1, 11, 21);
+        // (case, commands, atoms 0..3 after, in-place ops decoded)
+        let cases = [
+            (
+                "a triple",
+                vec![rd(0, 0), double(0), wr(0, 0)],
+                [2 * a0, a1, a2],
+                1,
+            ),
+            (
+                "its source rewritten before the compute",
+                vec![rd(0, 0), rd(1, 1), wr(1, 0), double(0), wr(0, 0)],
+                [2 * a0, a1, a2],
+                0,
+            ),
+            (
+                "its atom read before the write-back",
+                vec![rd(0, 0), double(0), rd(1, 0), wr(0, 0), wr(1, 1)],
+                [2 * a0, a0, a2],
+                0,
+            ),
+            (
+                "its buffer written again without a refill",
+                vec![rd(0, 0), double(0), wr(0, 0), wr(0, 1)],
+                [2 * a0, 2 * a0, a2],
+                0,
+            ),
+            (
+                "written back elsewhere",
+                vec![rd(0, 0), double(0), wr(0, 2), rd(0, 1)],
+                [a0, a1, 2 * a0],
+                0,
+            ),
+            // The Scale fuses and rewrites atom 1 where it stands, before
+            // the Pointwise, which read atom 1 earlier: that one must not.
+            (
+                "a read-only operand rewritten by another fused op",
+                vec![
+                    rd(1, 1),
+                    rd(2, 1),
+                    rd(0, 0),
+                    double(2),
+                    pw.clone(),
+                    wr(2, 1),
+                    wr(0, 0),
+                ],
+                [a0 * a1, 2 * a1, a2],
+                1,
+            ),
+            (
+                "a pointwise pair",
+                vec![rd(0, 0), rd(1, 1), pw.clone(), wr(0, 0)],
+                [a0 * a1, a1, a2],
+                1,
+            ),
+        ];
+        for (case, commands, atoms, fused) in cases {
+            let mut commands = commands;
+            commands.insert(0, PimCommand::SetModulus { q });
+            let prog = program(commands);
+            let decoded = DecodedProgram::decode(&c, &prog).unwrap();
+            let in_place = decoded
+                .ops
+                .iter()
+                .filter(|op| {
+                    matches!(
+                        op,
+                        Op::C1At { .. }
+                            | Op::C2At { .. }
+                            | Op::ScaleAt { .. }
+                            | Op::PointwiseAt { .. }
+                    )
+                })
+                .count();
+            assert_eq!(in_place, fused, "{case}");
+            let mut sim = FunctionalSim::new(&c).unwrap();
+            for (k, v) in [a0, a1, a2].into_iter().enumerate() {
+                sim.load_words(8 * k, &[v; 8]);
+            }
+            sim.run(&decoded).unwrap();
+            for (k, v) in atoms.into_iter().enumerate() {
+                assert_eq!(sim.read_words(8 * k, 8), vec![v; 8], "{case}: atom {k}");
+            }
+        }
     }
 
     /// A program that switches modulus mid-stream runs each half under

@@ -72,6 +72,12 @@ impl BankStorage {
         self.words[start_word..end].to_vec()
     }
 
+    /// The whole cell array, row-major, for host DMA that reads it in
+    /// place.
+    pub fn cells(&self) -> &[u32] {
+        &self.words
+    }
+
     /// The whole cell array, row-major (`row · row_words + col ·
     /// atom_words` addresses the first word of an atom), for a command
     /// stream executed in place.

@@ -59,6 +59,37 @@ pub fn bitrev_permute<T>(data: &mut [T]) {
     }
 }
 
+/// Writes the bit-reversal permutation of `src` into `dst` in one pass:
+/// `src[i]` lands at `dst[bit_reverse(i)]`. The permutation is its own
+/// inverse, so the same call also reads a bit-reversed image back.
+///
+/// # Panics
+///
+/// Panics if `src.len()` is not a power of two or `dst` has another
+/// length.
+///
+/// # Example
+///
+/// ```
+/// let mut dst = [0; 8];
+/// modmath::bitrev::bitrev_copy(&[0, 1, 2, 3, 4, 5, 6, 7], &mut dst);
+/// assert_eq!(dst, [0, 4, 2, 6, 1, 5, 3, 7]);
+/// ```
+pub fn bitrev_copy<T: Copy>(src: &[T], dst: &mut [T]) {
+    let n = src.len();
+    assert!(n.is_power_of_two(), "length {n} is not a power of two");
+    assert_eq!(dst.len(), n, "source and destination lengths differ");
+    let bits = n.trailing_zeros();
+    if bits == 0 {
+        dst.copy_from_slice(src);
+        return;
+    }
+    let shift = usize::BITS - bits;
+    for (i, &x) in src.iter().enumerate() {
+        dst[i.reverse_bits() >> shift] = x;
+    }
+}
+
 /// Returns the bit-reversal permutation of `0..n` as an index vector.
 ///
 /// # Panics
@@ -119,6 +150,24 @@ mod tests {
     fn permute_rejects_non_power_of_two() {
         let mut v = [1, 2, 3];
         bitrev_permute(&mut v);
+    }
+
+    #[test]
+    fn copy_matches_permutation() {
+        for n in [1usize, 2, 4, 64, 4096] {
+            let src: Vec<u32> = (0..n as u32).map(|i| i * 7 + 1).collect();
+            let mut want = src.clone();
+            bitrev_permute(&mut want);
+            let mut got = vec![0; n];
+            bitrev_copy(&src, &mut got);
+            assert_eq!(got, want, "n={n}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "lengths differ")]
+    fn copy_rejects_mismatched_lengths() {
+        bitrev_copy(&[1, 2], &mut [0; 4]);
     }
 
     #[test]
