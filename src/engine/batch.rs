@@ -793,10 +793,25 @@ impl BatchExecutor {
     /// before anything is issued, so a malformed job can never fail
     /// mid-batch after earlier jobs already executed. Errors name the
     /// offending job index.
+    ///
+    /// Each distinct modulus pays for one primality test: a modulus
+    /// already found prime passes, and a composite one fails at the first
+    /// job that carries it.
     fn validate(&self, jobs: &[NttJob]) -> Result<(), EngineError> {
         let config = self.device.config();
+        let mut primes: Vec<u64> = Vec::new();
+        let mut is_prime = |q: u64| {
+            if primes.contains(&q) {
+                return true;
+            }
+            let prime = prime::is_prime(q);
+            if prime {
+                primes.push(q);
+            }
+            prime
+        };
         for (i, job) in jobs.iter().enumerate() {
-            validate_job(config, job).map_err(|e| match e {
+            check_job(config, job, &mut is_prime).map_err(|e| match e {
                 EngineError::Shape { reason } => EngineError::Shape {
                     reason: format!("job {i}: {reason}"),
                 },
@@ -1211,12 +1226,17 @@ impl BatchExecutor {
 ///
 /// [`EngineError::Shape`] describing the violation.
 pub fn validate_shape(job: &NttJob) -> Result<(), EngineError> {
+    check_shape(job, prime::is_prime)
+}
+
+/// [`validate_shape`] with the primality test `is_prime`.
+fn check_shape(job: &NttJob, is_prime: impl FnOnce(u64) -> bool) -> Result<(), EngineError> {
     let shape = |reason: String| EngineError::Shape { reason };
     let n = job.n();
     if !n.is_power_of_two() || n < 4 {
         return Err(shape(format!("length {n} is not a power of two >= 4")));
     }
-    if !prime::is_prime(job.q) {
+    if !is_prime(job.q) {
         return Err(shape(format!("q={} is not prime", job.q)));
     }
     if (job.q - 1) % (2 * n as u64) != 0 {
@@ -1256,7 +1276,16 @@ pub fn validate_shape(job: &NttJob) -> Result<(), EngineError> {
 /// [`EngineError::Shape`] describing the violation (without a job index
 /// — the caller knows which request it is holding).
 pub fn validate_job(config: &PimConfig, job: &NttJob) -> Result<(), EngineError> {
-    validate_shape(job)?;
+    check_job(config, job, prime::is_prime)
+}
+
+/// [`validate_job`] with the primality test `is_prime`.
+fn check_job(
+    config: &PimConfig,
+    job: &NttJob,
+    is_prime: impl FnOnce(u64) -> bool,
+) -> Result<(), EngineError> {
+    check_shape(job, is_prime)?;
     if job.q > u64::from(u32::MAX) {
         return Err(EngineError::Shape {
             reason: format!("q={} exceeds the 32-bit PIM datapath", job.q),
@@ -1722,6 +1751,20 @@ mod tests {
         let mut expect = jobs[0].coeffs.clone();
         cpu.forward(&mut expect, Q).unwrap();
         assert_eq!(out.spectra[0], expect);
+    }
+
+    #[test]
+    fn a_shared_composite_modulus_names_its_first_job() {
+        // Each distinct modulus is tested for primality once per batch;
+        // a composite one still fails at the first job that carries it.
+        let mut exec = BatchExecutor::new(PimConfig::hbm2e(2).with_banks(2)).unwrap();
+        let composite = || NttJob::new(vec![1; 64], 65535);
+        let jobs = vec![job(64, 1), composite(), job(64, 2), composite()];
+        let err = exec.run(&jobs).unwrap_err();
+        assert!(
+            matches!(&err, EngineError::Shape { reason } if reason == "job 1: q=65535 is not prime"),
+            "{err}"
+        );
     }
 
     #[test]
