@@ -1,4 +1,4 @@
-//! Ablation studies for the design choices DESIGN.md calls out:
+//! Ablation studies for the paper's design choices:
 //!
 //! 1. **In-place update** (§III.C) — off: every inter-atom stage writes to
 //!    a ping-pong scratch region.

@@ -2,7 +2,7 @@
 //! near-linear speed up as the number of banks increases, \[but\] a more
 //! thorough investigation at the system level is left for future work").
 //!
-//! This is the beyond-paper experiment DESIGN.md lists: identical NTTs in
+//! This is a beyond-paper experiment: identical NTTs in
 //! 1…16 banks over one shared command bus, reporting batch latency,
 //! effective speedup, and bus pressure.
 

@@ -1,5 +1,5 @@
 //! Regenerates **Table II: PIM Area Overhead** from the area model
-//! (published synthesis points; see DESIGN.md's substitution note).
+//! (published synthesis points; see `ntt_pim_core::area`).
 
 use ntt_pim_bench::print_table;
 use ntt_pim_core::area;

@@ -1,7 +1,8 @@
 //! Shared experiment harness for the table/figure binaries.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper (see DESIGN.md's per-experiment index); this library holds the
+//! paper or runs one gate (the README's "Examples, benches, figures"
+//! section lists them); this library holds the
 //! common simulation drivers so the binaries stay declarative.
 
 #![warn(missing_docs)]
@@ -13,7 +14,7 @@ use ntt_pim_core::sched::{schedule, Timeline};
 use ntt_pim_core::PimError;
 
 /// The polynomial lengths of the paper's Figs. 7–8 (the printed "8912" is
-/// the power-of-two 8192; see DESIGN.md).
+/// the power-of-two 8192).
 pub const FIG7_LENGTHS: [usize; 6] = [256, 512, 1024, 2048, 4096, 8192];
 
 /// The polynomial lengths of Table III.

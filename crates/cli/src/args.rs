@@ -2,7 +2,8 @@
 //!
 //! Supports `--flag`, `--key value`, and `--key=value` forms plus
 //! positional subcommands — enough for this tool without pulling a parser
-//! crate into the workspace (DESIGN.md limits dependencies).
+//! crate into the workspace, which builds offline with in-tree stand-ins
+//! for its few external crates (`crates/shims/README.md`).
 
 use crate::CliError;
 use std::collections::BTreeMap;

@@ -3,11 +3,10 @@
 //! The paper synthesized its CU (Verilog RTL, Synopsys DC, Samsung 65 nm)
 //! and estimated buffer area with CACTI 7.0; we cannot run proprietary
 //! synthesis, so this module encodes the *published* Table II points
-//! exactly and interpolates between them (see DESIGN.md's substitution
-//! table). The decomposition helpers expose the trend the paper draws from
-//! the table: the CU plus one secondary buffer costs about half of
-//! Newton's MAC array, and each further buffer adds marginally (buffer
-//! SRAM plus crossbar growth).
+//! exactly and interpolates between them. The decomposition helpers
+//! expose the trend the paper draws from the table: the CU plus one
+//! secondary buffer costs about half of Newton's MAC array, and each
+//! further buffer adds marginally (buffer SRAM plus crossbar growth).
 
 /// A single DRAM bank, CACTI-3DD DDR4 model at 32 nm (paper footnote 2).
 pub const BANK_MM2: f64 = 4.2208;

@@ -62,8 +62,9 @@ pub enum OperandReg {
 /// which pairs with the bit-reversed-input DIT graph and geometric on-the-
 /// fly twiddles. `Gs` multiplies *after* (`(a+b, (a−b)·ω)`), the paper's
 /// Fig. 3 drawing, which pairs with the natural-input DIF graph used for
-/// the inverse/no-bit-reversal path. The CU implements both orders; see
-/// DESIGN.md for why the paper's pseudocode needs this disambiguation.
+/// the inverse/no-bit-reversal path. The paper's pseudocode does not say
+/// which order a C2 uses, and the two graphs need different ones, so the
+/// CU implements both and every command names its order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BuOrder {
     /// Cooley–Tukey order (multiply first).

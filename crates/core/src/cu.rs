@@ -26,7 +26,7 @@
 //! are canonical residues, so both give the same words, which the tests
 //! check against the generator.
 //!
-//! Both butterfly orders are implemented (see [`BuOrder`] and DESIGN.md):
+//! Both butterfly orders are implemented (see [`BuOrder`]):
 //! `Ct` for the bit-reversed-input DIT graph (geometric twiddles, the
 //! primary mapping), `Gs` for the natural-input DIF graph (the paper's
 //! Fig. 3 drawing; used by the inverse / no-bit-reversal path).

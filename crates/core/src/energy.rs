@@ -1,11 +1,10 @@
 //! Energy reporting — the Table III energy model.
 //!
-//! Per-command energy constants live in [`dram_sim::energy`] (and their
-//! calibration rationale in DESIGN.md); the scheduler accumulates them
-//! while building a timeline. This module turns the raw tally into the
-//! report shape Table III uses and adds the breakdown the paper discusses
-//! (activation energy dominating at large `N` because the inter-row
-//! regime's share grows).
+//! Per-command energy constants and their calibration live in
+//! [`dram_sim::energy`]; the scheduler accumulates them while building a
+//! timeline. This module turns the raw tally into the report shape Table
+//! III uses and adds the breakdown the paper discusses (activation energy
+//! dominating at large `N` because the inter-row regime's share grows).
 
 use crate::sched::Timeline;
 

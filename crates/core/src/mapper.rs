@@ -53,7 +53,7 @@ pub enum Dataflow {
     DifToBitrev,
 }
 
-/// Mapping options (the ablation switches of DESIGN.md).
+/// Mapping options: the switches the `ablation` bench binary turns off.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MapperOptions {
     /// Graph direction.

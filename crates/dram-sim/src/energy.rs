@@ -2,10 +2,10 @@
 //!
 //! PIM is supposed to be fabricated in a memory process whose energy data
 //! is not public (the paper makes the same caveat for area), so these are
-//! HBM2-class order-of-magnitude constants chosen — as documented in
-//! DESIGN.md — to land the paper's Table III NTT-PIM energy column within
-//! a small factor. They are model *inputs*; the experiment harness prints
-//! model and paper numbers side by side.
+//! HBM2-class order-of-magnitude constants chosen to land the paper's
+//! Table III NTT-PIM energy column within a small factor (the fit is
+//! described on [`EnergyParams::hbm2e_pim`]). They are model *inputs*;
+//! the experiment harness prints model and paper numbers side by side.
 
 /// Energy cost per command type, in picojoules.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -28,7 +28,7 @@ pub struct EnergyParams {
 }
 
 impl EnergyParams {
-    /// The calibrated defaults (see DESIGN.md §3).
+    /// The calibrated defaults.
     ///
     /// These are *incremental* (above-background) energies per command,
     /// fitted so the simulated Table III NTT-PIM energy column lands
