@@ -17,6 +17,10 @@
 //!   `BatchExecutor::run` does,
 //! * schedule — one `schedule_queues` over the sixteen bank queues.
 //!
+//! It records the size of the N = 4096 program: its mapped commands and
+//! the ops it decodes to (each read → compute → write-back of one atom
+//! is one in-place op), with the decoded form's heap bytes.
+//!
 //! It also reports host nanoseconds per simulated command-bus slot, the
 //! unit the repository benchmark's `host_ns_per_sim_cmd` uses, and the
 //! whole batch through `BatchExecutor::run`: once on a fresh executor
@@ -65,9 +69,9 @@
 //! * the warm executor run against the serial execute of the same
 //!   sixteen programs, the two timed in turn in one loop. With the memo,
 //!   what a repeat still does is validate, load the operands, execute
-//!   through `run_banks` and read back: 0.7–1.9× the serial execute over
-//!   59 runs on a 2-vCPU x86-64 VM (the high end while the VM runs the
-//!   process's threads no faster than one), 1.6–1.7× on one core.
+//!   through `run_banks` and read back: 1.0–1.9× the serial execute over
+//!   14 runs on a 2-vCPU x86-64 VM (the high end while the VM runs the
+//!   process's threads no faster than one), 1.65–1.7× on one core.
 //!   Without the memo it maps, decodes and schedules again (5.9–7.6×).
 //!   The gate fails above [`MAX_WARM_OVER_EXECUTE`]. Its yardstick is
 //!   work the warm run must still do, so a faster cold path leaves it
@@ -78,9 +82,11 @@
 //! * the `cu_datapath` row, the serial functional run against
 //!   `NttPlan::forward`. With sign-mask Montgomery corrections and
 //!   straight-line C1/C2 kernels the optimizer runs the lanes' adds,
-//!   subtracts and corrections as vector code, and the ratio reads
-//!   ≈0.6× on a 2-vCPU x86-64 VM; with `min` corrections, which have
-//!   no SSE2 vector form, it read ≈0.9–1.0×. The gate fails above
+//!   subtracts and corrections as vector code. With each read →
+//!   compute → write-back of an atom run as one op on the bank's cells
+//!   the ratio reads ≈0.41–0.49× on a 2-vCPU x86-64 VM (≈0.6× while
+//!   every atom moved through a buffer); with `min` corrections, which
+//!   have no SSE2 vector form, it read ≈0.9–1.0×. The gate fails above
 //!   [`MAX_EXECUTE_OVER_PLAN`].
 //! * the concurrent execute against the serial one. Sixteen banks on
 //!   two cores read ≈0.5–0.7× on a 2-vCPU x86-64 VM; the gate fails
@@ -254,6 +260,11 @@ fn main() {
     };
     let decode_ms = min_of(|| ms(|| decode(&dev)));
     let decoded = decode(&dev);
+    let (commands, decoded_ops, decoded_heap) = (
+        programs[0].len(),
+        decoded[0].op_count(),
+        decoded[0].heap_bytes(),
+    );
 
     // The serial execute on random operands and on zeros, and the
     // concurrent execute, interleaved so all see the same host state,
@@ -354,6 +365,9 @@ fn main() {
         report.latency_ns / 1000.0,
         report.bus_slots
     );
+    println!(
+        "program: {commands} commands, decoded to {decoded_ops} ops ({decoded_heap} heap bytes)"
+    );
     println!("host ms (min of {REPS}):");
     println!("  map      {map_ms:>9.3}");
     println!("  decode   {decode_ms:>9.3}");
@@ -401,6 +415,8 @@ fn main() {
          \"workload\": {{\"topology\": \"{topology}\", \"jobs\": {JOBS}, \"n\": {N}, \"q\": {Q}, \
          \"kind\": \"forward\", \"stat\": \"min of {REPS}\"}},\n  \
          \"sim\": {{\"latency_us\": {:.2}, \"bus_slots\": {}}},\n  \
+         \"program\": {{\"commands\": {commands}, \"decoded_ops\": {decoded_ops}, \
+         \"decoded_heap_bytes\": {decoded_heap}}},\n  \
          \"host_ms\": {{\"map\": {map_ms:.3}, \"decode\": {decode_ms:.3}, \"execute\": {execute_ms:.3}, \
          \"execute_concurrent\": {concurrent_ms:.3}, \
          \"schedule\": {schedule_ms:.3}, \"total\": {total_ms:.3}}},\n  \

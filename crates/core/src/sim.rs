@@ -3,12 +3,11 @@
 //! check the correctness of timing and functionality").
 //!
 //! [`FunctionalSim`] executes a mapped command stream for *values*: every
-//! `CU-read` really moves an atom from the bank into an atom buffer,
-//! every `C1`/`C2` runs the Montgomery butterfly datapath, every
-//! `CU-write` lands in the bank. Timing is the scheduler's concern;
-//! running both over the same stream and cross-checking against the
-//! `ntt-ref` golden models is the system's end-to-end correctness
-//! argument.
+//! `C1`/`C2`/`Scale`/`Pointwise` runs the Montgomery datapath on the
+//! atoms the stream's `CU-read`s name, and the results land where its
+//! `CU-write`s put them. Timing is the scheduler's concern; running both
+//! over the same stream and cross-checking against the `ntt-ref` golden
+//! models is the system's end-to-end correctness argument.
 //!
 //! Execution has two halves:
 //!
@@ -19,9 +18,15 @@
 //!   before compute, C1 shape, register lane in range — and returns the
 //!   typed error a mapper bug deserves ([`PimError::BufferMisuse`],
 //!   [`PimError::Timing`], [`PimError::Math`]) before any value moves.
-//!   What it emits is one 8-byte op per value-moving command, carrying
-//!   resolved word offsets and indices into deduplicated per-lane
-//!   twiddle rows and C1 kernels.
+//!   What it emits is 16-byte ops carrying resolved word offsets and
+//!   indices into deduplicated per-lane twiddle rows and C1 kernels. The
+//!   compute unit updates atoms in place (§III.C): it reads an atom into
+//!   a buffer, computes and writes it back to the same address. Each
+//!   such read → compute → write-back decodes to one op that computes on
+//!   the bank's cells in place, whenever no other op could tell the
+//!   difference (the conditions are on the decoder's pending state,
+//!   `Fuser`). Every other value-moving command is one op of its own.
+//!   An in-place N = 4096 forward program is then one op per C1 and C2.
 //! * **Run** ([`FunctionalSim::run`]) is a flat loop over those ops with
 //!   no per-command check. It reads and writes the bank's cell array in
 //!   place — exact, because an open row's cells are reachable only
@@ -333,18 +338,18 @@ struct Candidate {
 /// the first write-back to a shared word breaks the other operand's
 /// condition 2. Pointwise's second operand is never written back, so it
 /// needs only conditions 1 and 3 (and may share the first's word: the
-/// fused op reads both before it writes). The fused op stands where the compute stood and reads and
-/// writes the cells in place; the absorbed ops vanish. Anything else —
-/// the `Nb = 1` register path, a ping-pong stage writing to another
-/// region — stays as it was.
+/// fused op reads both before it writes). The fused op stands where the
+/// compute stood and reads and writes the cells in place; the absorbed
+/// ops vanish. Anything else — the `Nb = 1` register path, a ping-pong
+/// stage writing to another region — stays as it was.
 ///
 /// Ops wait in a window only while a pending triple may still absorb
 /// them; everything before the earliest such op is final.
 struct Fuser {
     /// Final ops.
     out: Vec<Op>,
-    /// Ops from index `base` on; an absorbed one is `None`. A program
-    /// has fewer than 2³² ops: each is one command of at least 16 bytes.
+    /// Ops from index `base` on; an absorbed one is `None`. Indices fit
+    /// a `u32`: a program of 2³² commands would take over 64 GiB.
     window: Vec<Option<Op>>,
     base: u32,
     track: Vec<Track>,
@@ -763,6 +768,12 @@ impl DecodedProgram {
         d.twiddles.shrink_to_fit();
         d.kernels.shrink_to_fit();
         Ok(d)
+    }
+
+    /// Ops a run executes: one per value-moving command, with each fused
+    /// read → compute → write-back counting once.
+    pub fn op_count(&self) -> usize {
+        self.ops.len()
     }
 
     /// Heap bytes the decoded form holds: ops, Montgomery contexts,
