@@ -79,10 +79,6 @@ impl Hasher for WordHasher {
         self.add(u64::from(x));
     }
 
-    fn write_u64(&mut self, x: u64) {
-        self.add(x);
-    }
-
     fn write_usize(&mut self, x: usize) {
         self.add(x as u64);
     }
