@@ -1,30 +1,53 @@
 //! The functional compute unit's datapath (Fig. 2 right; Algorithms 1
 //! and 2), as kernels over one atom.
 //!
-//! All multiplications go through Montgomery REDC — the same datapath
-//! the paper synthesized — with twiddles in Montgomery form and data in
-//! plain form (see [`crate::tfg`]). The kernels run on a fixed [`Atom`]
-//! of [`NA`] = 8 lanes, Table I's 32 B atom of 32-bit words and the only
-//! size [`crate::config::PimConfig::validate`] accepts. The butterfly
-//! order is chosen once per command, so a C2 is eight copies of one
-//! butterfly, and each C1 shape (2, 4 or 8 points, either order) is a
-//! straight-line function of fixed stages, a full atom three stages of
-//! four butterflies.
+//! The paper's CU multiplies by twiddles in a 32-bit Montgomery datapath,
+//! and the mapper emits every twiddle in Montgomery form (see
+//! [`crate::tfg`]). The functional model computes the same words another
+//! way: every product by a twiddle — C1, C2, Scale and the `Nb = 1`
+//! register butterfly — is a 32-bit Shoup product ([`mul_shoup`]). The
+//! decoder ([`crate::sim`]) turns each Montgomery-form twiddle `w_mont`
+//! into its plain residue `w = REDC(w_mont)` and the companion
+//! `w′ = ⌊w·2³²/q⌋` once per twiddle row and per C1 kernel ([`Twiddle`],
+//! [`TwiddleRow`]). For data `b < 2³²` the product is
+//! `q̂ = ⌊b·w′/2³²⌋` and `r = b·w − q̂·q`: `w′` falls short of `w·2³²/q`
+//! by less than one, so `r` lies in `[0, 2q)`, and `2q < 2³²` lets one
+//! correction return `b·w mod q`, the canonical residue `REDC(b·w_mont)`
+//! gives. The words are the same; the unit tests check the product
+//! against both at every kernel modulus, one lane at a time and eight
+//! lanes at once. Pointwise keeps REDC: both of its operands are data, so
+//! there is no constant to precompute a companion for.
 //!
-//! With [`Montgomery32`]'s sign-mask corrections the optimizer runs the
-//! lanes' additions, subtractions and corrections as SSE2 vector code on
-//! the default x86-64 target; the 32 × 32 → 64-bit products stay scalar
-//! multiplies. The `x.min(x − q)` corrections these replaced have no
-//! SSE2 vector form, and with them every lane stayed scalar. No `unsafe`
-//! code, target feature or second kernel path is involved: this is the
-//! one datapath, and debug builds run it unvectorized.
+//! The kernels run on a fixed [`Atom`] of [`NA`] = 8 lanes, Table I's
+//! 32 B atom of 32-bit words and the only size
+//! [`crate::config::PimConfig::validate`] accepts. The butterfly order is
+//! chosen once per command. A C2 computes its eight products before its
+//! add/sub legs, and Scale is eight products; both carry lanes `2k` and
+//! `2k + 1` as the halves of one 64-bit word through the product. In that
+//! shape the optimizer runs C2 (either order) and Scale as SSE2 vector
+//! code on the default x86-64 target, products included: `pmuludq`, which
+//! multiplies the low halves of two 64-bit lanes, and no scalar multiply.
+//! SSE2 has no 32-bit low multiply, so the same products written on 32-bit
+//! lanes also compiled to `pmuludq`, but spent about four shuffles per
+//! four lanes on each `b·w` and `q̂·q` and ran no faster than the scalar
+//! REDC they replaced; REDC itself stayed scalar in every shape a
+//! prototype tried.
+//! Each C1 shape (2, 4 or 8 points, either order) is a straight-line
+//! function of fixed stages and stays scalar code; the first butterfly of
+//! each group has twiddle `step⁰ = 1` and is an addition and a
+//! subtraction only, so a full-atom C1 multiplies in 5 of its 12
+//! butterflies. Every correction is a sign mask, `d + (q & (d >> 31))`,
+//! which SSE2 has for 32-bit lanes (the `x.min(x − q)` form has no SSE2
+//! vector form). No `unsafe` code, target feature or second kernel path
+//! is involved: this is the one datapath, and debug builds run it
+//! unvectorized.
 //!
 //! The hardware generates each C2's lane twiddles `ω0·rω^l` by a serial
 //! chain of multiplies ([`crate::tfg::TwiddleGen`]). Here the decoder
-//! ([`crate::sim`]) precomputes them once per distinct `(q, ω0, rω)` as
-//! eight independent products ([`lane_twiddles`]); Montgomery products
-//! are canonical residues, so both give the same words, which the tests
-//! check against the generator.
+//! precomputes them once per distinct `(q, ω0, rω)` as eight independent
+//! products ([`lane_twiddles`], Montgomery form); Montgomery products are
+//! canonical residues, so both give the same words, which the tests check
+//! against the generator.
 //!
 //! Both butterfly orders are implemented (see [`BuOrder`]):
 //! `Ct` for the bit-reversed-input DIT graph (geometric twiddles, the
@@ -44,27 +67,90 @@ const LOG_NA: usize = NA.trailing_zeros() as usize;
 /// One atom: the contents of an atom buffer, one word per lane.
 pub(crate) type Atom = [u32; NA];
 
-/// The Cooley–Tukey butterfly: `t = b·w; (a + t, a − t)`. `a` and `b`
-/// are plain form, `w` is the Montgomery-form twiddle.
+/// The low 32 bits of a 64-bit word.
+const LO: u64 = 0xffff_ffff;
+
+/// The Shoup product before its correction: for a lane `b < 2³²`, a
+/// plain twiddle `w < q` and its companion `w_shoup`, with
+/// `q̂ = ⌊b·w_shoup/2³²⌋`, `b·w − q̂·q`. `w_shoup` falls short of
+/// `w·2³²/q` by less than one and `b < 2³²`, so `q̂` falls short of
+/// `b·w/q` by less than one and the result lies in `[0, 2q)`, with
+/// `2q < 2³²`; [`reduce`] finishes it. Every product by a twiddle goes
+/// through here.
+///
+/// The operands are 32-bit values in 64-bit words. A C2 or Scale keeps
+/// an atom's even and odd lanes in the two halves of one word
+/// ([`TwiddleRow::products`]), and SSE2's `pmuludq` multiplies exactly
+/// the low halves of two 64-bit lanes, so the vector code needs no
+/// shuffles to split or join lanes.
 #[inline(always)]
-fn ct(mont: &Montgomery32, a: u32, b: u32, w: u32) -> (u32, u32) {
-    let t = mont.redc(b as u64 * w as u64);
+fn mul_shoup(q: u64, b: u64, w: u64, w_shoup: u64) -> u64 {
+    let q_hat = (b * w_shoup) >> 32;
+    b * w - q_hat * q
+}
+
+/// `x mod q` for `x` in `[0, 2q)`, `q < 2³¹`: `x − q` lies in `[−q, q)`
+/// and keeps its sign in the top bit, so a sign mask adds `q` back
+/// exactly when it went negative.
+#[inline(always)]
+fn reduce(q: u32, x: u32) -> u32 {
+    let d = x.wrapping_sub(q);
+    d.wrapping_add(q & ((d as i32 >> 31) as u32))
+}
+
+/// One twiddle in Shoup form: its plain residue and companion.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Twiddle {
+    w: u32,
+    w_shoup: u32,
+}
+
+impl Twiddle {
+    /// The Shoup form of the Montgomery-form twiddle `w_mont`, under
+    /// `mont`'s modulus: `w = REDC(w_mont) < q` and its companion
+    /// `⌊w·2³²/q⌋`, which fits a `u32` because `w < q`.
+    pub(crate) fn from_mont(mont: &Montgomery32, w_mont: u32) -> Self {
+        let w = mont.from_mont(w_mont);
+        Self {
+            w,
+            w_shoup: ((u64::from(w) << 32) / u64::from(mont.modulus())) as u32,
+        }
+    }
+
+    /// `b·self mod q`, for any `b < 2³²`.
+    #[inline(always)]
+    fn mul(self, q: u32, b: u32) -> u32 {
+        let r = mul_shoup(q.into(), b.into(), self.w.into(), self.w_shoup.into());
+        reduce(q, r as u32)
+    }
+}
+
+/// The Cooley–Tukey butterfly: `t = b·w; (a + t, a − t)`.
+#[inline(always)]
+fn ct(mont: &Montgomery32, a: u32, b: u32, tw: Twiddle) -> (u32, u32) {
+    let t = tw.mul(mont.modulus(), b);
     (mont.add(a, t), mont.sub(a, t))
 }
 
 /// The Gentleman–Sande butterfly: `(a + b, (a − b)·w)`.
 #[inline(always)]
-fn gs(mont: &Montgomery32, a: u32, b: u32, w: u32) -> (u32, u32) {
-    (mont.add(a, b), mont.redc(mont.sub(a, b) as u64 * w as u64))
+fn gs(mont: &Montgomery32, a: u32, b: u32, tw: Twiddle) -> (u32, u32) {
+    (mont.add(a, b), tw.mul(mont.modulus(), mont.sub(a, b)))
 }
 
-/// One butterfly in the selected order; `a` and `b` are plain form, `w`
-/// is the Montgomery-form twiddle.
+/// One butterfly in the selected order on plain-form `a` and `b` (the
+/// `Nb = 1` register path).
 #[inline]
-pub(crate) fn butterfly(mont: &Montgomery32, a: u32, b: u32, w: u32, order: BuOrder) -> (u32, u32) {
+pub(crate) fn butterfly(
+    mont: &Montgomery32,
+    a: u32,
+    b: u32,
+    tw: Twiddle,
+    order: BuOrder,
+) -> (u32, u32) {
     match order {
-        BuOrder::Ct => ct(mont, a, b, w),
-        BuOrder::Gs => gs(mont, a, b, w),
+        BuOrder::Ct => ct(mont, a, b, tw),
+        BuOrder::Gs => gs(mont, a, b, tw),
     }
 }
 
@@ -72,7 +158,7 @@ pub(crate) fn butterfly(mont: &Montgomery32, a: u32, b: u32, w: u32, order: BuOr
 /// (Montgomery form): `rω`'s powers, then eight independent products.
 /// For reduced `ω0` and `rω` (what the mapper emits) these are the words
 /// [`crate::tfg::TwiddleGen`] steps through.
-pub(crate) fn lane_twiddles(mont: &Montgomery32, tw: TwiddleParams) -> Atom {
+fn lane_twiddles(mont: &Montgomery32, tw: TwiddleParams) -> Atom {
     let mut powers = [mont.one(); NA];
     for l in 1..NA {
         powers[l] = mont.mul(powers[l - 1], tw.r_omega_mont);
@@ -80,31 +166,76 @@ pub(crate) fn lane_twiddles(mont: &Montgomery32, tw: TwiddleParams) -> Atom {
     powers.map(|p| mont.mul(tw.omega0_mont, p))
 }
 
-/// `bu` on every lane: lane `l` computes `bu(p[l], s[l], tw[l])`.
-#[inline(always)]
-fn lanes(p: &mut Atom, s: &mut Atom, tw: &Atom, bu: impl Fn(u32, u32, u32) -> (u32, u32)) {
-    for l in 0..NA {
-        (p[l], s[l]) = bu(p[l], s[l], tw[l]);
+/// The lane twiddles of one C2 or Scale in Shoup form: the plain words
+/// and their companions, an atom each (64 bytes).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct TwiddleRow {
+    w: Atom,
+    w_shoup: Atom,
+}
+
+impl TwiddleRow {
+    /// The row of one C2 or Scale's parameters under `mont`, from
+    /// [`lane_twiddles`].
+    pub(crate) fn new(mont: &Montgomery32, tw: TwiddleParams) -> Self {
+        Self::from_mont(mont, &lane_twiddles(mont, tw))
+    }
+
+    /// The row of Montgomery-form lane twiddles `words`.
+    fn from_mont(mont: &Montgomery32, words: &Atom) -> Self {
+        let tw = words.map(|w| Twiddle::from_mont(mont, w));
+        Self {
+            w: tw.map(|t| t.w),
+            w_shoup: tw.map(|t| t.w_shoup),
+        }
+    }
+
+    /// Lane `l` of `b` times lane `l`'s twiddle, `mod q`. Lanes `2k`
+    /// and `2k + 1` travel as the low and high halves of one 64-bit
+    /// word, and every product is computed before any add or subtract:
+    /// in this shape the optimizer runs all eight as SSE2 vector code.
+    #[inline(always)]
+    fn products(&self, q: u32, b: &Atom) -> Atom {
+        let pair = |x: &Atom, k: usize| u64::from(x[2 * k]) | u64::from(x[2 * k + 1]) << 32;
+        let r: [u64; NA / 2] = std::array::from_fn(|k| {
+            let (b, w, w_shoup) = (pair(b, k), pair(&self.w, k), pair(&self.w_shoup, k));
+            let even = mul_shoup(q.into(), b & LO, w & LO, w_shoup & LO);
+            let odd = mul_shoup(q.into(), b >> 32, w >> 32, w_shoup >> 32);
+            (even & LO) | odd << 32
+        });
+        std::array::from_fn(|l| reduce(q, (r[l / 2] >> (32 * (l % 2))) as u32))
     }
 }
 
 /// C2 (Algorithm 2): lane `l` computes `BU(p[l], s[l])` with twiddle
-/// `tw[l]`, in place. The order is chosen once for the atom, so each arm
-/// is eight copies of one butterfly.
-#[inline]
-pub(crate) fn c2(mont: &Montgomery32, p: &mut Atom, s: &mut Atom, tw: &Atom, order: BuOrder) {
+/// lane `l` of `tw`, in place. The order is chosen once for the atom;
+/// each arm computes its eight products, then the add/sub legs.
+///
+/// Always inlined: left to itself the optimizer keeps this kernel out of
+/// line in the run loop, and the call, with its atoms passed through
+/// memory, made the serial run of sixteen N = 4096 programs about 1.6×
+/// slower than inlined.
+#[inline(always)]
+pub(crate) fn c2(mont: &Montgomery32, p: &mut Atom, s: &mut Atom, tw: &TwiddleRow, order: BuOrder) {
+    let q = mont.modulus();
     match order {
-        BuOrder::Ct => lanes(p, s, tw, |a, b, w| ct(mont, a, b, w)),
-        BuOrder::Gs => lanes(p, s, tw, |a, b, w| gs(mont, a, b, w)),
+        BuOrder::Ct => {
+            let (a, t) = (*p, tw.products(q, s));
+            *p = std::array::from_fn(|l| mont.add(a[l], t[l]));
+            *s = std::array::from_fn(|l| mont.sub(a[l], t[l]));
+        }
+        BuOrder::Gs => {
+            let (a, b) = (*p, *s);
+            *p = std::array::from_fn(|l| mont.add(a[l], b[l]));
+            *s = tw.products(q, &std::array::from_fn(|l| mont.sub(a[l], b[l])));
+        }
     }
 }
 
-/// The `Scale` extension: lane `l` is multiplied by `tw[l]`.
-#[inline]
-pub(crate) fn scale(mont: &Montgomery32, x: &mut Atom, tw: &Atom) {
-    for l in 0..NA {
-        x[l] = mont.redc(x[l] as u64 * tw[l] as u64);
-    }
+/// The `Scale` extension: lane `l` is multiplied by twiddle lane `l`.
+#[inline(always)]
+pub(crate) fn scale(mont: &Montgomery32, x: &mut Atom, tw: &TwiddleRow) {
+    *x = tw.products(mont.modulus(), x);
 }
 
 /// The `Pointwise` extension: `p[l] ← p[l]·s[l]`.
@@ -121,23 +252,28 @@ pub(crate) fn pointwise(mont: &Montgomery32, p: &mut Atom, s: &Atom) {
     }
 }
 
-/// Stage twiddles of a C1: `tw[s][j] = step[s]^j` (Montgomery form) for
-/// `j < 2^s`.
-type StageTwiddles = [[u32; NA / 2]; LOG_NA];
+/// Stage twiddles of a C1 in Shoup form: `tw[s][j] = step[s]^j` for
+/// `j < 2^s`. Entry `j = 0` is one and never multiplied by.
+type StageTwiddles = [[Twiddle; NA / 2]; LOG_NA];
 
 /// One C1 stage of span `M` over the first `P` lanes: butterfly
 /// `(k + j, k + j + M)`, for each group start `k` and `j < M`, takes
-/// twiddle `tw[j]`. Both bounds are constants, so the stage compiles to
-/// `P / 2` butterflies of straight-line code.
+/// twiddle `tw[j]`. The first butterfly of a group has twiddle one, and
+/// in either order is then `(a + b, a − b)`: an addition and a
+/// subtraction, no product. Both bounds are constants, so the stage
+/// compiles to `P / 2` butterflies of straight-line code.
 #[inline(always)]
 fn stage<const P: usize, const M: usize>(
+    mont: &Montgomery32,
     x: &mut Atom,
-    tw: &[u32; NA / 2],
-    bu: impl Fn(u32, u32, u32) -> (u32, u32),
+    tw: &[Twiddle; NA / 2],
+    bu: impl Fn(u32, u32, Twiddle) -> (u32, u32),
 ) {
     for g in 0..P / (2 * M) {
-        for (j, &w) in tw[..M].iter().enumerate() {
-            let (a, b) = (2 * M * g + j, 2 * M * g + j + M);
+        let k = 2 * M * g;
+        (x[k], x[k + M]) = (mont.add(x[k], x[k + M]), mont.sub(x[k], x[k + M]));
+        for (j, &w) in tw[..M].iter().enumerate().skip(1) {
+            let (a, b) = (k + j, k + j + M);
             (x[a], x[b]) = bu(x[a], x[b], w);
         }
     }
@@ -146,12 +282,12 @@ fn stage<const P: usize, const M: usize>(
 /// A `P`-point DIT C1 in `Ct` order: stages span 1 → P/2.
 fn dit<const P: usize>(mont: &Montgomery32, x: &mut Atom, tw: &StageTwiddles) {
     let bu = |a, b, w| ct(mont, a, b, w);
-    stage::<P, 1>(x, &tw[0], bu);
+    stage::<P, 1>(mont, x, &tw[0], bu);
     if P >= 4 {
-        stage::<P, 2>(x, &tw[1], bu);
+        stage::<P, 2>(mont, x, &tw[1], bu);
     }
     if P >= 8 {
-        stage::<P, 4>(x, &tw[2], bu);
+        stage::<P, 4>(mont, x, &tw[2], bu);
     }
 }
 
@@ -159,18 +295,19 @@ fn dit<const P: usize>(mont: &Montgomery32, x: &mut Atom, tw: &StageTwiddles) {
 fn dif<const P: usize>(mont: &Montgomery32, x: &mut Atom, tw: &StageTwiddles) {
     let bu = |a, b, w| gs(mont, a, b, w);
     if P >= 8 {
-        stage::<P, 4>(x, &tw[2], bu);
+        stage::<P, 4>(mont, x, &tw[2], bu);
     }
     if P >= 4 {
-        stage::<P, 2>(x, &tw[1], bu);
+        stage::<P, 2>(mont, x, &tw[1], bu);
     }
-    stage::<P, 1>(x, &tw[0], bu);
+    stage::<P, 1>(mont, x, &tw[0], bu);
 }
 
 /// C1 (Algorithm 1): the intra-atom NTT over the first `points` lanes,
-/// with every stage's twiddles precomputed. Stage `s` (span `2^s`) uses
-/// `1, step[s], step[s]², …` within each butterfly group, resetting at
-/// group boundaries, so one row of `2^s` twiddles serves every group.
+/// with every stage's twiddles precomputed in Shoup form. Stage `s`
+/// (span `2^s`) uses `1, step[s], step[s]², …` within each butterfly
+/// group, resetting at group boundaries, so one row of `2^s` twiddles
+/// serves every group.
 ///
 /// Each accepted shape — 2, 4 or 8 points in either order — is its own
 /// straight-line function, picked once when the kernel is built; a full
@@ -212,7 +349,8 @@ impl C1Kernel {
                 ),
             });
         }
-        let mut tw = [[0; NA / 2]; LOG_NA];
+        let one = Twiddle::from_mont(mont, mont.one());
+        let mut tw = [[one; NA / 2]; LOG_NA];
         for (s, &step) in params.stage_steps_mont.iter().enumerate() {
             let powers = lane_twiddles(
                 mont,
@@ -221,7 +359,9 @@ impl C1Kernel {
                     r_omega_mont: step,
                 },
             );
-            tw[s].copy_from_slice(&powers[..NA / 2]);
+            for (t, &p) in tw[s].iter_mut().zip(&powers) {
+                *t = Twiddle::from_mont(mont, p);
+            }
         }
         Ok(Self { stages, tw })
     }
@@ -365,7 +505,7 @@ mod tests {
         let (omega0, r) = (3u32, 62u32);
         let tw = crate::tfg::params_to_mont(&m, omega0, r);
         let (mut p, mut s) = (a, b);
-        c2(&m, &mut p, &mut s, &lane_twiddles(&m, tw), BuOrder::Ct);
+        c2(&m, &mut p, &mut s, &TwiddleRow::new(&m, tw), BuOrder::Ct);
         for l in 0..NA {
             let w = modmath::arith::mul_mod(
                 omega0 as u64,
@@ -414,7 +554,7 @@ mod tests {
         let m = mont();
         let mut atom: Atom = [100; NA];
         let tw = crate::tfg::params_to_mont(&m, 2, 3);
-        scale(&m, &mut atom, &lane_twiddles(&m, tw));
+        scale(&m, &mut atom, &TwiddleRow::new(&m, tw));
         for l in 0..NA as u64 {
             let w = modmath::arith::mul_mod(2, pow_mod(3, l, Q as u64), Q as u64);
             assert_eq!(
@@ -616,9 +756,10 @@ mod tests {
             let (a, b) = (residues.atom(q, corner), residues.atom(q, corner));
             let w = residues.atom(q, corner);
             let w_mont = w.map(|w| m.to_mont(w));
+            let row = TwiddleRow::from_mont(m, &w_mont);
             for order in [BuOrder::Ct, BuOrder::Gs] {
                 let (mut p, mut s) = (a, b);
-                c2(m, &mut p, &mut s, &w_mont, order);
+                c2(m, &mut p, &mut s, &row, order);
                 for l in 0..NA {
                     assert_eq!(
                         (p[l], s[l]),
@@ -632,7 +773,7 @@ mod tests {
             }
             let mul = |x: u32, y: u32| mul_mod(x as u64, y as u64, q as u64) as u32;
             let mut x = a;
-            scale(m, &mut x, &w_mont);
+            scale(m, &mut x, &row);
             assert_eq!(
                 x,
                 std::array::from_fn(|l| mul(a[l], w[l])),
@@ -645,6 +786,83 @@ mod tests {
                 std::array::from_fn(|l| mul(a[l], b[l])),
                 "q={q} Pointwise {a:?} {b:?}"
             );
+        });
+    }
+
+    /// The Shoup product at its edges: on every kernel modulus, with `b`
+    /// and `w` each drawn from `{0, 1, q − 2, q − 1}` and from seeded
+    /// residues, the companion is `⌊w·2³²/q⌋`, and the product — one lane
+    /// at a time ([`Twiddle::mul`], the C1 and register path) and eight
+    /// lanes in pairs ([`TwiddleRow::products`], the C2 and Scale path)
+    /// — is both the widening `b·w mod q` and the word REDC gives on the
+    /// Montgomery-form twiddle, which is what the CU computed before the
+    /// Shoup form.
+    #[test]
+    fn shoup_product_matches_widening_and_redc() {
+        let mut residues = Residues(0x5851_f42d_4c95_7f2d);
+        for q in KERNEL_MODULI {
+            let m = Montgomery32::new(q).unwrap();
+            let corners = [0, 1, q - 2, q - 1];
+            let mut pairs: Vec<(u32, u32)> = corners
+                .iter()
+                .flat_map(|&b| corners.iter().map(move |&w| (b, w)))
+                .collect();
+            pairs.extend((0..304).map(|_| (residues.next(q), residues.next(q))));
+            for chunk in pairs.chunks(NA) {
+                let b: Atom = std::array::from_fn(|l| chunk[l].0);
+                let w: Atom = std::array::from_fn(|l| chunk[l].1);
+                let row = TwiddleRow::from_mont(&m, &w.map(|w| m.to_mont(w)));
+                let lanes = row.products(q, &b);
+                for l in 0..NA {
+                    let (b, w) = (b[l], w[l]);
+                    let tw = Twiddle::from_mont(&m, m.to_mont(w));
+                    let want_shoup = ((u128::from(w) << 32) / u128::from(q)) as u32;
+                    assert_eq!(
+                        tw,
+                        Twiddle {
+                            w,
+                            w_shoup: want_shoup
+                        },
+                        "q={q} w={w}"
+                    );
+                    assert_eq!((row.w[l], row.w_shoup[l]), (w, want_shoup), "q={q} w={w}");
+                    let widening = (u64::from(b) * u64::from(w) % u64::from(q)) as u32;
+                    let redc = m.redc(u64::from(b) * u64::from(m.to_mont(w)));
+                    assert_eq!(widening, redc, "q={q} b={b} w={w}");
+                    assert_eq!(tw.mul(q, b), widening, "q={q} b={b} w={w} one lane");
+                    assert_eq!(lanes[l], widening, "q={q} b={b} w={w} lane {l} of a row");
+                }
+            }
+        }
+    }
+
+    /// C1 kernels whose stage steps are all one, so that every twiddle is
+    /// one, and all `q − 1`, so that every other stage twiddle is `−1`,
+    /// against the widening network on random and corner atoms.
+    #[test]
+    fn c1_kernels_with_unit_and_minus_one_steps() {
+        for_each_case(|q, m, residues, corner| {
+            for step in [1, q - 1] {
+                for points in [2usize, 4, 8] {
+                    for order in [BuOrder::Ct, BuOrder::Gs] {
+                        let steps = vec![step; points.trailing_zeros() as usize];
+                        let params = C1Params {
+                            points: points as u8,
+                            stage_steps_mont: steps.iter().map(|&w| m.to_mont(w)).collect(),
+                            order,
+                        };
+                        let atom = residues.atom(q, corner);
+                        let mut got = atom;
+                        C1Kernel::new(m, &params).unwrap().run(m, &mut got);
+                        let mut want = atom;
+                        c1_ref(q, &mut want, points, &steps, order);
+                        assert_eq!(
+                            got, want,
+                            "q={q} step={step} {points} points {order:?} {atom:?}"
+                        );
+                    }
+                }
+            }
         });
     }
 }

@@ -324,6 +324,35 @@ impl PimDevice {
         &self.opts
     }
 
+    /// Checks that a request can run under the device's mapper options.
+    ///
+    /// With `in_place_update` off (the §III.C ping-pong ablation) each
+    /// stage writes to a scratch region and the result ends where
+    /// [`Program::final_base`] says. The request paths — [`Self::ntt`],
+    /// [`Self::ntt_in_place`], [`Self::polymul_negacyclic`] and the
+    /// facade's `BatchExecutor::run` — read the operand's own region,
+    /// and an inverse's `N⁻¹` pass and a product's later passes are
+    /// mapped over the operand's layout, so they would return wrong
+    /// values. They call this first and run nothing when it fails. The
+    /// program builders, [`mapper::map_ntt`] and [`Self::run_banks`]
+    /// still take the ablation: its programs map, schedule and run, and
+    /// their results are read at `final_base`.
+    ///
+    /// # Errors
+    ///
+    /// [`PimError::BadConfig`] naming `in_place_update` when it is off.
+    pub fn check_in_place(&self) -> Result<(), PimError> {
+        if self.opts.in_place_update {
+            return Ok(());
+        }
+        Err(PimError::BadConfig {
+            reason: "mapper option in_place_update is off: the ping-pong ablation leaves \
+                     a request's result outside its operand's region; build, run and read \
+                     its programs at Program::final_base instead"
+                .into(),
+        })
+    }
+
     /// Loads natural-order coefficients into bank 0 at `base_word`,
     /// bit-reversing on the host first (the layout the forward DIT
     /// transform expects).
@@ -491,9 +520,12 @@ impl PimDevice {
     ///
     /// # Errors
     ///
-    /// [`PimError::BadRegion`] when the stored order does not match the
-    /// direction; math errors when `q` lacks the needed root of unity.
+    /// [`PimError::BadConfig`] when the mapper options turn in-place
+    /// update off ([`Self::check_in_place`]); [`PimError::BadRegion`]
+    /// when the stored order does not match the direction; math errors
+    /// when `q` lacks the needed root of unity. Nothing runs on an error.
     pub fn ntt(&mut self, handle: &PolyHandle, dir: NttDirection) -> Result<NttReport, PimError> {
+        self.check_in_place()?;
         let program = self.build_ntt_program(handle, dir)?;
         let timeline = sched::schedule(&self.config, &program)?;
         self.banks[handle.bank].execute(&program)?;
@@ -770,12 +802,15 @@ impl PimDevice {
     ///
     /// # Errors
     ///
-    /// As [`Self::polymul_program`].
+    /// [`PimError::BadConfig`] when the mapper options turn in-place
+    /// update off ([`Self::check_in_place`]); otherwise as
+    /// [`Self::polymul_program`]. Nothing runs on an error.
     pub fn polymul_negacyclic(
         &mut self,
         a: &PolyHandle,
         b: &PolyHandle,
     ) -> Result<NttReport, PimError> {
+        self.check_in_place()?;
         let program = self.polymul_program(a, b)?;
         let timeline = sched::schedule(&self.config, &program)?;
         self.banks[a.bank].execute(&program)?;
@@ -909,6 +944,51 @@ mod tests {
         let x = poly(256, 1);
         let h = dev.load_polynomial(0, &x, Q).unwrap(); // natural
         assert!(dev.ntt(&h, NttDirection::Forward).is_err());
+    }
+
+    /// With in-place update off, every request path refuses before it
+    /// runs: the ping-pong ablation would leave its result outside the
+    /// operand's region. The bank keeps its words and the handle its
+    /// order.
+    #[test]
+    fn request_paths_refuse_the_ping_pong_ablation() {
+        for n in [64usize, 256] {
+            let mut dev = PimDevice::new(PimConfig::hbm2e(2)).unwrap();
+            dev.set_mapper_options(MapperOptions {
+                in_place_update: false,
+                ..MapperOptions::default()
+            });
+            let refused = |err: PimError| matches!(&err, PimError::BadConfig { reason } if reason.contains("in_place_update"));
+            let x = poly(n, 11);
+            let mut fwd = dev.load_polynomial_bitrev(0, &x, Q).unwrap();
+            let other = dev.config().polymul_rhs_base(n);
+            let a = dev.load_polynomial(other, &x, Q).unwrap();
+            let y = poly(n, 12);
+            let b = dev.load_polynomial(2 * other, &y, Q).unwrap();
+            let image = dev.banks[0].read_words(0, 3 * other);
+            assert!(
+                refused(dev.ntt(&fwd, NttDirection::Forward).unwrap_err()),
+                "n={n}"
+            );
+            assert!(
+                refused(dev.ntt(&a, NttDirection::Inverse).unwrap_err()),
+                "n={n}"
+            );
+            let err = dev
+                .ntt_in_place(&mut fwd, NttDirection::Forward)
+                .unwrap_err();
+            assert!(refused(err), "n={n}");
+            assert_eq!(fwd.order(), StoredOrder::BitReversed, "n={n}");
+            assert!(
+                refused(dev.polymul_negacyclic(&a, &b).unwrap_err()),
+                "n={n}"
+            );
+            assert_eq!(dev.banks[0].read_words(0, 3 * other), image, "n={n}");
+            assert_eq!(dev.read_polynomial(&fwd).unwrap(), x, "n={n}");
+            // The program builders still map the ablation.
+            assert!(dev.build_ntt_program(&fwd, NttDirection::Forward).is_ok());
+            assert!(dev.polymul_program(&a, &b).is_ok());
+        }
     }
 
     #[test]

@@ -40,7 +40,7 @@
 use crate::buffers::BufferState;
 use crate::cmd::{BuOrder, OperandReg, PimCommand, TwiddleParams};
 use crate::config::PimConfig;
-use crate::cu::{self, Atom, C1Kernel, NA};
+use crate::cu::{self, Atom, C1Kernel, Twiddle, TwiddleRow, NA};
 use crate::layout::PolyLayout;
 use crate::mapper::Program;
 use crate::PimError;
@@ -275,8 +275,8 @@ enum Op {
     RegLoad { buf: u8, lane: u8, reg: OperandReg },
     /// Operand register `reg` into lane `lane` of `buf`.
     RegStore { buf: u8, lane: u8, reg: OperandReg },
-    /// Scalar butterfly on the operand registers.
-    RegBu { order: BuOrder, omega_mont: u32 },
+    /// Scalar butterfly on the operand registers, by twiddle `tw`.
+    RegBu { order: BuOrder, tw: Twiddle },
 }
 
 const _: () = assert!(std::mem::size_of::<Op>() == 16);
@@ -570,9 +570,9 @@ pub struct DecodedProgram {
     /// One Montgomery context per distinct modulus; a run starts under
     /// the first.
     moduli: Vec<Montgomery32>,
-    /// Per-lane twiddles of every distinct `(q, ω0, rω)` a C2 or Scale
-    /// uses.
-    twiddles: Vec<Atom>,
+    /// Per-lane twiddles, in Shoup form, of every distinct `(q, ω0, rω)`
+    /// a C2 or Scale uses.
+    twiddles: Vec<TwiddleRow>,
     /// Every distinct `(q, C1 parameters)` as a precomputed kernel.
     kernels: Vec<C1Kernel>,
     shape: BankShape,
@@ -652,7 +652,7 @@ impl DecodedProgram {
         let mut twiddle_row = |d: &mut Self, ctx: u32, tw: TwiddleParams| {
             *row_of.entry((ctx, tw)).or_insert_with(|| {
                 d.twiddles
-                    .push(cu::lane_twiddles(&d.moduli[ctx as usize], tw));
+                    .push(TwiddleRow::new(&d.moduli[ctx as usize], tw));
                 (d.twiddles.len() - 1) as u32
             })
         };
@@ -747,8 +747,9 @@ impl DecodedProgram {
                     Op::RegStore { buf, lane, reg }
                 }
                 PimCommand::RegBu { omega_mont, order } => {
-                    current(ctx)?;
-                    Op::RegBu { order, omega_mont }
+                    let c = current(ctx)?;
+                    let tw = Twiddle::from_mont(&d.moduli[c as usize], omega_mont);
+                    Op::RegBu { order, tw }
                 }
             };
             ops.push(op);
@@ -778,7 +779,7 @@ impl DecodedProgram {
         use std::mem::size_of;
         self.ops.capacity() * size_of::<Op>()
             + self.moduli.capacity() * size_of::<Montgomery32>()
-            + self.twiddles.capacity() * size_of::<Atom>()
+            + self.twiddles.capacity() * size_of::<TwiddleRow>()
             + self.kernels.capacity() * size_of::<C1Kernel>()
     }
 
@@ -842,8 +843,8 @@ impl DecodedProgram {
                         OperandReg::B => reg_b,
                     };
                 }
-                Op::RegBu { order, omega_mont } => {
-                    (reg_a, reg_b) = cu::butterfly(&mont, reg_a, reg_b, omega_mont, order);
+                Op::RegBu { order, tw } => {
+                    (reg_a, reg_b) = cu::butterfly(&mont, reg_a, reg_b, tw, order);
                 }
             }
         }

@@ -34,6 +34,16 @@
 //! (unsigned 32-bit `pminud` arrives with SSE4.1), so it kept every lane
 //! scalar; the mask is an arithmetic shift, an `and` and an add, which
 //! SSE2 has for 32-bit lanes.
+//!
+//! The functional CU's products by a twiddle no longer go through
+//! [`Montgomery32::redc`]: its decoder turns each Montgomery-form twiddle
+//! into a plain residue and a 32-bit Shoup companion once, and the
+//! kernels multiply in Shoup form, which gives the word `redc` gives and
+//! compiles to vector multiplies on SSE2 where `redc` stays scalar. The
+//! CU's add/sub legs and their corrections still use [`Montgomery32::add`]
+//! and [`Montgomery32::sub`], its Pointwise (two data operands, no
+//! constant to precompute for) still uses `redc`, and so do the twiddle
+//! generator and the conversions in and out of Montgomery form.
 
 use crate::arith;
 use crate::Error;

@@ -484,17 +484,19 @@ pub struct BatchExecutor {
 
 /// Upper bound on the weight one executor's program memo holds, in
 /// units of one mapped command (40 bytes): an entry weighs its commands
-/// plus its decoded form rounded up to whole units (8-byte ops, about
-/// one per command, plus 32-byte twiddle rows and the C1 kernels), so
-/// 2²⁰ units bound the memo at about 40 MiB. The decoded form adds
-/// about a quarter to an entry: an N = 4096 forward program is 13,067
-/// commands, and 13,056 ops, 511 twiddle rows and one C1 kernel
-/// (≈118 KiB) decoded, 16,089 units in all. The largest
-/// working set measured is ≈0.46 M commands, ≈0.57 M units, on one
-/// executor of the repository benchmark's replay workload (every length
-/// from 256 to 8192, three kinds, two moduli, plus the row and column
-/// sub-jobs of split transforms), so the cap holds it with room to
-/// spare.
+/// plus its decoded form rounded up to whole units (16-byte ops, about
+/// one per C1 and C2 of an in-place program, plus 64-byte twiddle rows
+/// of plain words and Shoup companions, and the C1 kernels), so 2²⁰
+/// units bound the memo at about 40 MiB. The decoded form adds about a
+/// seventh to an entry: an N = 4096 forward program is 13,067 commands,
+/// and 2,816 ops, 511 twiddle rows and one C1 kernel (77,880 bytes)
+/// decoded, 15,014 units in all. The largest working set measured is
+/// one executor of the repository benchmark's replay workload (every
+/// length from 256 to 8192, three kinds, two moduli, plus the row and
+/// column sub-jobs of split transforms): 162 programs, ≈0.46 M commands
+/// and ≈0.54 M units with their decoded forms, and a second pass over
+/// its batches adds no program or batch miss. The cap holds it with
+/// room to spare.
 pub const PROGRAM_MEMO_CAP_COMMANDS: usize = 1 << 20;
 
 /// Upper bound on the plan units (jobs, or split sub-jobs) across the
@@ -999,9 +1001,14 @@ impl BatchExecutor {
     ///
     /// # Errors
     ///
-    /// [`EngineError::Shape`] naming the offending job on malformed
+    /// [`EngineError::Pim`] with [`PimError::BadConfig`] when the
+    /// device's mapper options turn in-place update off
+    /// ([`PimDevice::check_in_place`]: the ping-pong ablation leaves
+    /// results where this path does not read them), before anything
+    /// runs; [`EngineError::Shape`] naming the offending job on malformed
     /// batches; device errors otherwise.
     pub fn run(&mut self, jobs: &[NttJob]) -> Result<BatchOutcome, EngineError> {
+        self.device.check_in_place()?;
         // A device replaced through `device_mut` maps and times
         // differently: start both memos afresh.
         if self.memo_config != *self.device.config() {
@@ -1751,6 +1758,43 @@ mod tests {
         let mut expect = jobs[0].coeffs.clone();
         cpu.forward(&mut expect, Q).unwrap();
         assert_eq!(out.spectra[0], expect);
+    }
+
+    /// With in-place update off, `run` refuses the batch before anything
+    /// runs: the ping-pong ablation would leave each result outside the
+    /// region the executor reads. No program is mapped, no batch is
+    /// planned and no operand reaches a bank.
+    #[test]
+    fn run_refuses_the_ping_pong_ablation() {
+        for n in [64usize, 256] {
+            let mut device = PimDevice::new(PimConfig::hbm2e(2).with_banks(2)).unwrap();
+            device.set_mapper_options(MapperOptions {
+                in_place_update: false,
+                ..MapperOptions::default()
+            });
+            let mut exec = BatchExecutor::from_device(device);
+            let jobs = vec![
+                job(n, 1),
+                NttJob::inverse(poly(n, Q, 2), Q),
+                NttJob::negacyclic_polymul(poly(n, Q, 3), poly(n, Q, 4), Q),
+            ];
+            let err = exec.run(&jobs).unwrap_err();
+            assert!(
+                matches!(&err, EngineError::Pim(PimError::BadConfig { reason })
+                    if reason.contains("in_place_update")),
+                "n={n}: {err}"
+            );
+            assert_eq!(exec.memo_stats(), MemoStats::default(), "n={n}");
+            let span = 2 * exec.config().polymul_rhs_base(n);
+            for bank in 0..exec.bank_count() {
+                let dev = exec.device_mut();
+                let region = dev
+                    .operand(bank, 0, vec![0; span], Q as u32, StoredOrder::Natural)
+                    .unwrap();
+                let words = dev.read_polynomial(region.handle()).unwrap();
+                assert!(words.iter().all(|&w| w == 0), "n={n} bank {bank}");
+            }
+        }
     }
 
     #[test]
