@@ -14,10 +14,12 @@
 //!
 //! Banks share no values, so [`PimDevice::run_banks`] executes one list
 //! of (operand loads, decoded program, read-back) per bank with the banks
-//! on concurrent host threads from the process-wide budget in
-//! [`crate::helpers`]. The facade's `BatchExecutor`, the one batch path,
-//! runs through it; this module serves single requests (the paper path)
-//! and the primitives that executor is built from.
+//! on concurrent host threads: the caller and the process-wide pool in
+//! [`crate::helpers`]. Each busy bank's simulator moves to the thread
+//! that runs it, with its list of owned [`BankStep`]s, and comes back to
+//! the device afterwards. The facade's `BatchExecutor`, the one batch
+//! path, runs through it; this module serves single requests (the paper
+//! path) and the primitives that executor is built from.
 
 use crate::config::PimConfig;
 use crate::energy::EnergyReport;
@@ -28,6 +30,7 @@ use crate::sched::{self, Timeline};
 use crate::sim::{DecodedProgram, FunctionalSim};
 use crate::PimError;
 use modmath::bitrev::bitrev_copy;
+use std::sync::Arc;
 
 /// Transform direction for [`PimDevice::ntt`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,14 +110,16 @@ impl Operand {
 }
 
 /// One program in a bank's list for [`PimDevice::run_banks`]: operands
-/// written first, then the program, then the read-back.
+/// written first, then the program, then the read-back. A step owns what
+/// it touches, so it can move to whichever thread runs its bank; the
+/// program is shared, since many banks often run the same one.
 #[derive(Debug, Clone)]
-pub struct BankStep<'p> {
+pub struct BankStep {
     /// Operands written into the bank, in order, before the program runs
     /// (empty when the operands are already resident).
     pub loads: Vec<Operand>,
     /// The program, decoded for this device ([`PimDevice::decode_program`]).
-    pub program: &'p DecodedProgram,
+    pub program: Arc<DecodedProgram>,
     /// The polynomial read back, in logical order, after the program ran;
     /// `None` reads nothing.
     pub read: Option<PolyHandle>,
@@ -586,11 +591,12 @@ impl PimDevice {
     /// [`Self::read_polynomial`] called in turn.
     ///
     /// Banks share no values, so they run concurrently: the calling
-    /// thread and helper threads from the process-wide budget
+    /// thread and the process-wide pool of helper threads
     /// ([`crate::helpers`]) take busy banks one at a time until none is
-    /// left. A call with one busy bank, or one that finds the budget
-    /// spent, runs on the calling thread. Results do not depend on which
-    /// thread ran a bank.
+    /// left. Each busy bank's simulator moves, with its list, to the
+    /// thread that runs it and comes back to the device afterwards. A
+    /// call with one busy bank, or on one core, runs on the calling
+    /// thread. Results do not depend on which thread ran a bank.
     ///
     /// Everything is checked before any bank is touched, so a rejected
     /// call changes nothing.
@@ -602,10 +608,12 @@ impl PimDevice {
     /// read-back handle naming a bank other than its list's;
     /// [`PimError::BadRegion`] for a handle whose region does not fit
     /// this device's banks.
-    pub fn run_banks(
-        &mut self,
-        lists: Vec<Vec<BankStep<'_>>>,
-    ) -> Result<Vec<Vec<Vec<u32>>>, PimError> {
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic from a bank's run once every bank has finished
+    /// and is back in the device.
+    pub fn run_banks(&mut self, lists: Vec<Vec<BankStep>>) -> Result<Vec<Vec<Vec<u32>>>, PimError> {
         if lists.len() > self.banks.len() {
             return Err(PimError::BadConfig {
                 reason: format!("{} bank lists for {} banks", lists.len(), self.banks.len()),
@@ -613,7 +621,7 @@ impl PimDevice {
         }
         for (bank, (sim, list)) in self.banks.iter().zip(&lists).enumerate() {
             for step in list {
-                sim.check(step.program)?;
+                sim.check(&step.program)?;
                 for h in step.loads.iter().map(Operand::handle).chain(&step.read) {
                     if h.bank != bank {
                         return Err(PimError::BadConfig {
@@ -626,23 +634,41 @@ impl PimDevice {
             }
         }
         let mut out: Vec<Vec<Vec<u32>>> = vec![Vec::new(); lists.len()];
-        let busy: Vec<_> = self
-            .banks
-            .iter_mut()
-            .zip(lists)
-            .zip(out.iter_mut())
-            .filter(|((_, list), _)| !list.is_empty())
+        // Busy banks move into their items; the slots they leave are
+        // refilled when the items come back, whatever happened in them.
+        let mut slots: Vec<Option<FunctionalSim>> = std::mem::take(&mut self.banks)
+            .into_iter()
+            .map(Some)
             .collect();
-        helpers::for_each(busy, |((sim, list), out)| {
-            *out = list
+        let busy: Vec<(usize, FunctionalSim, Vec<BankStep>)> = lists
+            .into_iter()
+            .enumerate()
+            .filter(|(_, list)| !list.is_empty())
+            .map(|(bank, list)| (bank, slots[bank].take().expect("one list per bank"), list))
+            .collect();
+        let (busy, words) = helpers::map(busy, |(_, sim, list)| {
+            std::mem::take(list)
                 .into_iter()
                 .map(|step| {
                     step.loads.iter().for_each(|op| write(sim, op));
-                    sim.run_checked(step.program);
+                    sim.run_checked(&step.program);
                     step.read.map_or_else(Vec::new, |h| read(sim, &h))
                 })
-                .collect();
+                .collect::<Vec<_>>()
         });
+        let mut ran = Vec::with_capacity(busy.len());
+        for (bank, sim, _) in busy {
+            slots[bank] = Some(sim);
+            ran.push(bank);
+        }
+        self.banks = slots
+            .into_iter()
+            .map(|sim| sim.expect("every bank came back"))
+            .collect();
+        let words = words.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        for (bank, words) in ran.into_iter().zip(words) {
+            out[bank] = words;
+        }
         Ok(out)
     }
 
@@ -1120,14 +1146,14 @@ mod tests {
         assert!(batch.latency_ns < 2.5 * single);
         let decoded = queues
             .iter()
-            .map(|queue| dev.decode_program(&queue[0]).unwrap())
+            .map(|queue| Arc::new(dev.decode_program(&queue[0]).unwrap()))
             .collect::<Vec<_>>();
         for h in &mut handles {
             h.assume_order(StoredOrder::Natural);
         }
         let lists = handles
             .iter()
-            .zip(&decoded)
+            .zip(decoded)
             .map(|(h, program)| {
                 vec![BankStep {
                     loads: Vec::new(),
@@ -1191,11 +1217,11 @@ mod tests {
         assert!(report.latency_ns < 2.0 * single);
         let decoded = queues
             .iter()
-            .map(|queue| dev.decode_program(&queue[0]).unwrap())
+            .map(|queue| Arc::new(dev.decode_program(&queue[0]).unwrap()))
             .collect::<Vec<_>>();
         let lists = pairs
             .iter()
-            .zip(&decoded)
+            .zip(decoded)
             .map(|((ha, _), program)| {
                 vec![BankStep {
                     loads: Vec::new(),

@@ -43,8 +43,8 @@
 //! * [`energy`] — the Table III energy model.
 //! * [`device`] — the host-visible API, including on-device polynomial
 //!   multiplication and bank-level parallel NTT batches.
-//! * [`helpers`] — the process-wide budget of helper threads that run a
-//!   batch's banks concurrently ([`device::PimDevice::run_banks`]).
+//! * [`helpers`] — the process-wide pool of parked helper threads that
+//!   run a batch's banks concurrently ([`device::PimDevice::run_banks`]).
 //!
 //! # Quickstart
 //!

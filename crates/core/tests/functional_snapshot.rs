@@ -36,6 +36,7 @@ use modmath::arith::pow_mod;
 use ntt_pim_core::config::PimConfig;
 use ntt_pim_core::device::{BankStep, NttDirection, Operand, PimDevice, StoredOrder};
 use ntt_pim_core::mapper::{MapperOptions, Program};
+use std::sync::Arc;
 
 const MODULI: [u32; 4] = [7681, 12289, 8_380_417, 2_013_265_921];
 const BUFFER_COUNTS: [usize; 4] = [1, 2, 4, 6];
@@ -178,7 +179,7 @@ impl Bench {
             .dev
             .run_banks(vec![vec![BankStep {
                 loads,
-                program: &decoded,
+                program: Arc::new(decoded),
                 read: Some(*result.handle()),
             }]])
             .expect("program runs");

@@ -24,7 +24,9 @@
 //!    **steals** from the most backed-up peer once that peer's predicted
 //!    backlog exceeds its own by the steal threshold
 //!    ([`fleet::pick_steal_victim`]), re-pricing the stolen group on its
-//!    own cost model — provided its backend admits every stolen job.
+//!    own cost model — provided its backend admits every stolen job. A
+//!    worker with neither sleeps until the next push onto any queue
+//!    (placement or failover re-route) wakes it, or for at most `POLL`.
 //! 4. **Fail over** (worker) — a failed execution retires the backend
 //!    ([`FleetRouter::mark_unhealthy`]), re-routes the failed group and
 //!    everything still queued on it onto healthy peers, and only
@@ -37,7 +39,8 @@
 //!    same fault-injected path real batches take, and on success
 //!    rejoins the placement set with an empty backlog
 //!    ([`FleetRouter::readmit`]); a failed probe doubles the backoff
-//!    and retires the backend again.
+//!    and retires the backend again. The backoff counts idle ticks: each
+//!    `POLL` of idleness is one, and a push that wakes the worker is not.
 
 use crate::fault::{FailingDevice, FaultSwitch};
 use crate::fleet::{self, FleetRouter};
@@ -49,12 +52,13 @@ use ntt_pim::engine::CpuNttEngine;
 use ntt_ref::cache::PlanCache;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Poll granularity: how often the collect/worker loops re-check their
-/// exit conditions while idle. Bounds shutdown latency without burning
-/// CPU (idle service ≈ 1k wakeups/s per thread).
+/// The longest an idle router or worker waits before it re-checks its
+/// exit conditions: it bounds shutdown latency. A request wakes the
+/// router and a queue push wakes idle workers sooner; a worker's idle
+/// timeouts are also the ticks its re-admission probe backs off in.
 const POLL: Duration = Duration::from_millis(1);
 
 /// One placed group of requests riding to (or between) workers.
@@ -76,6 +80,12 @@ pub(crate) struct FleetState {
     pub(crate) router: Mutex<FleetRouter>,
     /// Per-device work queues, fed by the router (and by failover).
     pub(crate) queues: Vec<Mutex<VecDeque<RoutedBatch>>>,
+    /// Pushes onto any queue so far. An idle worker sleeps on `pushed`
+    /// only while this still reads what it read before it last looked
+    /// for work, so no push goes unseen.
+    generation: Mutex<u64>,
+    /// Signalled by every push.
+    pushed: Condvar,
     /// Set by the service owner after the router thread has drained and
     /// joined: workers exit once this is up and their queue is empty.
     pub(crate) done: AtomicBool,
@@ -92,6 +102,8 @@ impl FleetState {
         Self {
             router: Mutex::new(router),
             queues: (0..devices).map(|_| Mutex::new(VecDeque::new())).collect(),
+            generation: Mutex::new(0),
+            pushed: Condvar::new(),
             done: AtomicBool::new(false),
             work_stealing,
             readmission,
@@ -111,11 +123,33 @@ impl FleetState {
             .collect()
     }
 
+    /// Queues a group on `device` and wakes every idle worker: the
+    /// owner, and any peer that may now steal.
     fn push(&self, device: usize, batch: RoutedBatch) {
         self.queues[device]
             .lock()
             .expect("queue poisoned")
             .push_back(batch);
+        *self.generation.lock().expect("generation poisoned") += 1;
+        self.pushed.notify_all();
+    }
+
+    /// The push count, read before looking for work.
+    fn generation(&self) -> u64 {
+        *self.generation.lock().expect("generation poisoned")
+    }
+
+    /// An idle worker's wait: returns `true` as soon as the push count
+    /// differs from `seen` (at once if a push came after it was read),
+    /// or `false` once `until` passes without one.
+    fn idle(&self, seen: u64, until: Instant) -> bool {
+        let generation = self.generation.lock().expect("generation poisoned");
+        let timeout = until.saturating_duration_since(Instant::now());
+        let (generation, _) = self
+            .pushed
+            .wait_timeout_while(generation, timeout, |g| *g == seen)
+            .expect("generation poisoned");
+        *generation != seen
     }
 
     /// Routes tickets (`pending`, parallel with `jobs`) onto the device
@@ -349,18 +383,21 @@ impl Worker {
     }
 
     pub(crate) fn run(mut self) {
+        // An idle tick is a `POLL` of idleness with no push in it; pushes
+        // wake the worker in between without resetting the tick's clock.
+        let mut tick = Instant::now() + POLL;
         loop {
-            let next = self.pop_own().or_else(|| self.steal());
-            match next {
+            let seen = self.fleet.generation();
+            match self.pop_own().or_else(|| self.steal()) {
                 Some(batch) => self.process(batch),
+                None if self.fleet.done.load(Ordering::Acquire) => break,
                 None => {
-                    if self.fleet.done.load(Ordering::Acquire) {
-                        break;
+                    if !self.fleet.idle(seen, tick) {
+                        tick = Instant::now() + POLL;
+                        if !self.healthy && self.fleet.readmission {
+                            self.try_probe();
+                        }
                     }
-                    if !self.healthy && self.fleet.readmission {
-                        self.try_probe();
-                    }
-                    std::thread::sleep(POLL);
                 }
             }
         }
@@ -432,7 +469,10 @@ impl Worker {
     /// once that peer's predicted backlog exceeds its own by more than
     /// the steal threshold, taking the *youngest* queued group (the
     /// victim keeps its oldest work — better latency fairness) and
-    /// re-pricing it on its own topology.
+    /// re-pricing it on its own topology. A group this backend does not
+    /// admit in full stays where it is: it never leaves the victim's
+    /// queue, so no push is needed to put it back, and no two idle
+    /// workers that both refuse it wake each other handing it back.
     fn steal(&mut self) -> Option<RoutedBatch> {
         if !self.healthy || !self.fleet.work_stealing {
             return None;
@@ -443,19 +483,15 @@ impl Worker {
         };
         let lens = self.fleet.queue_lens();
         let victim = fleet::pick_steal_victim(&queued, &lens, self.id, threshold)?;
-        let mut batch = self.fleet.queues[victim]
-            .lock()
-            .expect("queue poisoned")
-            .pop_back()?;
-        if batch.jobs.iter().any(|j| self.device.admit(j).is_err()) {
-            // This backend cannot take the group (capacity or window);
-            // hand it back.
-            self.fleet.queues[victim]
-                .lock()
-                .expect("queue poisoned")
-                .push_back(batch);
-            return None;
-        }
+        let mut batch = {
+            let mut queue = self.fleet.queues[victim].lock().expect("queue poisoned");
+            let youngest = queue.back()?;
+            if youngest.jobs.iter().any(|j| self.device.admit(j).is_err()) {
+                // This backend cannot take the group (capacity or window).
+                return None;
+            }
+            queue.pop_back()?
+        };
         batch.predicted_ns = self.fleet.router.lock().expect("router poisoned").reassign(
             victim,
             self.id,
@@ -718,6 +754,39 @@ mod tests {
         // Both sides of the accounting returned to zero.
         let router = fleet.router.lock().unwrap();
         assert!(router.queued_ns().iter().all(|&q| q == 0.0));
+    }
+
+    /// A push between a worker's read of the push count and its wait
+    /// ends the wait at once; with no push, the wait ends at its
+    /// deadline and says so.
+    #[test]
+    fn a_push_after_the_read_ends_the_idle_wait_at_once() {
+        let topo = Topology::new(1, 1, 4);
+        let router = FleetRouter::new(&[PimConfig::hbm2e(2).with_topology(topo)], 0.0).unwrap();
+        let fleet = FleetState::new(router, true, true);
+        let seen = fleet.generation();
+        assert!(!fleet.idle(seen, Instant::now() + Duration::from_millis(2)));
+        let (tx, _rx) = mpsc::sync_channel(1);
+        fleet.push(
+            0,
+            RoutedBatch {
+                pending: vec![Pending {
+                    tenant: "t".into(),
+                    job: NttJob::new(Vec::new(), 0),
+                    submitted: Instant::now(),
+                    tx,
+                }],
+                jobs: vec![NttJob::new(poly(256, 3), Q)],
+                predicted_ns: 0.0,
+                attempts: 0,
+            },
+        );
+        // A day's deadline: only the push can end this wait.
+        assert!(fleet.idle(seen, Instant::now() + Duration::from_secs(86_400)));
+        assert!(
+            fleet.idle(seen, Instant::now()),
+            "a moved count never waits"
+        );
     }
 
     /// A worker below the steal threshold leaves the victim alone.

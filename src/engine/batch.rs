@@ -704,11 +704,12 @@ impl BatchKey {
 }
 
 /// One unit's mapped program — what the scheduler times — and its
-/// decoded form — what the functional simulator runs.
+/// decoded form — what the functional simulator runs, shared with every
+/// [`BankStep`] that runs it.
 #[derive(Debug)]
 struct MappedUnit {
     program: Program,
-    decoded: DecodedProgram,
+    decoded: Arc<DecodedProgram>,
 }
 
 impl MappedUnit {
@@ -905,7 +906,7 @@ impl BatchExecutor {
             Some(mapped) => mapped,
             None => {
                 let program = program.map(&self.device, &loads)?;
-                let decoded = self.device.decode_program(&program)?;
+                let decoded = Arc::new(self.device.decode_program(&program)?);
                 let mapped = Arc::new(MappedUnit { program, decoded });
                 self.programs.insert(key, mapped.clone(), mapped.weight());
                 mapped
@@ -942,7 +943,7 @@ impl BatchExecutor {
             units.push(bank_units);
             operands.push(bank_operands);
         }
-        let lists: Vec<Vec<BankStep<'_>>> = units
+        let lists: Vec<Vec<BankStep>> = units
             .iter()
             .zip(operands)
             .map(|(bank_units, bank_operands)| {
@@ -951,7 +952,7 @@ impl BatchExecutor {
                     .zip(bank_operands)
                     .map(|((_, mapped), (loads, read))| BankStep {
                         loads,
-                        program: &mapped.decoded,
+                        program: Arc::clone(&mapped.decoded),
                         read: Some(read),
                     })
                     .collect()
@@ -985,8 +986,8 @@ impl BatchExecutor {
     /// Functional execution has two steps. Prepare, on the calling
     /// thread: gather every unit's operands and take its decoded program
     /// from the memo. Execute: one [`PimDevice::run_banks`] call loads,
-    /// runs and reads back every bank's queue, the banks on helper
-    /// threads from the process-wide budget
+    /// runs and reads back every bank's queue, the banks on the caller
+    /// and the process-wide pool of helper threads
     /// ([`crate::core::helpers`]). A split job's row units need its
     /// column units' outputs, so they prepare and execute in a second
     /// pass. Outcomes are bit-identical whatever the thread count.
