@@ -2,7 +2,7 @@
 //! an isolated CU operation per regime, rendered as an ASCII timeline
 //! (S/P buffers on the I/O track, CU on the compute track).
 
-use ntt_pim_core::cmd::{BuOrder, BufId, C1Params, PimCommand, TwiddleParams};
+use ntt_pim_core::cmd::{BuOrder, BufId, C1Params, PimCommand, StageSteps, TwiddleParams};
 use ntt_pim_core::config::PimConfig;
 use ntt_pim_core::mapper::Program;
 use ntt_pim_core::sched::schedule;
@@ -32,7 +32,7 @@ fn main() {
     };
     let c1 = C1Params {
         points: 8,
-        stage_steps_mont: vec![one, one, one],
+        stage_steps_mont: StageSteps::new(&[one, one, one]).expect("three steps fit"),
         order: BuOrder::Ct,
     };
     let q = ntt_pim_bench::Q;

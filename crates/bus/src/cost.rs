@@ -23,7 +23,7 @@ use crate::window::{BackendKind, CapabilityWindow};
 use ntt_pim::core::config::Topology;
 use ntt_pim::core::device::QueueReport;
 use ntt_pim::engine::batch::{
-    group_jobs, validate_job, validate_shape, BatchOutcome, DeviceCostModel, JobKind, NttJob,
+    group_jobs, validate_device, validate_shape, BatchOutcome, DeviceCostModel, JobKind, NttJob,
 };
 use ntt_pim::engine::{EngineError, ReportSource};
 use ntt_pim::reference::lanes::LANE_WIDTH;
@@ -92,12 +92,16 @@ impl CpuLaneCostModel {
     /// [`LANE_WIDTH`]-wide waves whose lanes all finish together (the
     /// SoA kernel's shape). The report has one bank per lane and no
     /// energy; every job's latency is its wave's.
-    pub fn batch_outcome(&mut self, jobs: &[NttJob]) -> BatchOutcome {
+    pub fn batch_outcome<'a>(
+        &mut self,
+        jobs: impl IntoIterator<Item = &'a NttJob>,
+    ) -> BatchOutcome {
         let mut queue = QueueReport::empty(LANE_WIDTH, 1, 1);
         let mut assignment = vec![Vec::new(); LANE_WIDTH];
-        let mut job_latency_ns = vec![0.0; jobs.len()];
+        let groups = group_jobs(jobs);
+        let mut job_latency_ns = vec![0.0; groups.iter().map(|g| g.indices.len()).sum()];
         let mut now = 0.0f64;
-        for group in group_jobs(jobs) {
+        for group in groups {
             let unit = kind_factor_tag(group.tag) * self.transform_cost(group.n);
             for wave in group.indices.chunks(LANE_WIDTH) {
                 now += unit;
@@ -115,7 +119,7 @@ impl CpuLaneCostModel {
 
     /// Predicted makespan of a batch, ns: the latency
     /// [`Self::batch_outcome`] reports.
-    pub fn batch_makespan_ns(&mut self, jobs: &[NttJob]) -> f64 {
+    pub fn batch_makespan_ns<'a>(&mut self, jobs: impl IntoIterator<Item = &'a NttJob>) -> f64 {
         self.batch_outcome(jobs).latency_ns
     }
 }
@@ -170,9 +174,9 @@ impl PublishedCostModel {
     /// The timing of a batch, as the backend reports it (no spectra):
     /// the jobs run one at a time in job order, each taking its
     /// published latency and energy. The report has one bank.
-    pub fn batch_outcome(&self, jobs: &[NttJob]) -> BatchOutcome {
+    pub fn batch_outcome<'a>(&self, jobs: impl IntoIterator<Item = &'a NttJob>) -> BatchOutcome {
         let mut queue = QueueReport::empty(1, 1, 1);
-        let mut job_latency_ns = Vec::with_capacity(jobs.len());
+        let mut job_latency_ns = Vec::new();
         let mut now = 0.0f64;
         for job in jobs {
             let unit = self.job_cost(job);
@@ -185,13 +189,13 @@ impl PublishedCostModel {
         queue.per_bank_ns[0] = now;
         queue.per_bank_energy_nj[0] = queue.energy_nj;
         queue.latency_ns = now;
-        let assignment = vec![(0..jobs.len()).collect()];
+        let assignment = vec![(0..job_latency_ns.len()).collect()];
         BatchOutcome::timed(queue, job_latency_ns, assignment, ReportSource::Published)
     }
 
     /// Serial batch latency, ns: the latency [`Self::batch_outcome`]
     /// reports.
-    pub fn batch_makespan_ns(&self, jobs: &[NttJob]) -> f64 {
+    pub fn batch_makespan_ns<'a>(&self, jobs: impl IntoIterator<Item = &'a NttJob>) -> f64 {
         self.batch_outcome(jobs).latency_ns
     }
 }
@@ -280,10 +284,7 @@ impl BusCostModel {
     }
 
     /// Full admission check for one job: shape first (typed
-    /// [`EngineError::Shape`]), then the capability window (typed
-    /// [`EngineError::Unsupported`]). For PIM slots this additionally
-    /// runs the device-level [`validate_job`] (bank capacity, split
-    /// planning).
+    /// [`EngineError::Shape`]), then [`Self::admit_shaped`].
     ///
     /// # Errors
     ///
@@ -291,9 +292,24 @@ impl BusCostModel {
     /// panics.
     pub fn admit(&self, job: &NttJob) -> Result<(), EngineError> {
         validate_shape(job)?;
+        self.admit_shaped(job)
+    }
+
+    /// [`Self::admit`] of a job whose shape [`validate_shape`] accepted:
+    /// the capability window (typed [`EngineError::Unsupported`]), then,
+    /// for PIM slots, what the device checks past the shape
+    /// ([`validate_device`]: the 32-bit modulus, bank capacity and split
+    /// planning). A caller admitting one job on many backends checks its
+    /// shape once.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::Shape`] or [`EngineError::Unsupported`]; never
+    /// panics.
+    pub fn admit_shaped(&self, job: &NttJob) -> Result<(), EngineError> {
         self.window().admits(self.label(), job)?;
         match self {
-            BusCostModel::Pim(m) => validate_job(m.config(), job),
+            BusCostModel::Pim(m) => validate_device(m.config(), job),
             BusCostModel::CpuLanes(_) => Ok(()),
             BusCostModel::Published(p) => {
                 if p.model().latency_ns(job.n()).is_none() {
@@ -319,7 +335,7 @@ impl BusCostModel {
     }
 
     /// Predicted makespan of a whole batch on this backend, ns.
-    pub fn batch_makespan_ns(&mut self, jobs: &[NttJob]) -> f64 {
+    pub fn batch_makespan_ns<'a>(&mut self, jobs: impl IntoIterator<Item = &'a NttJob>) -> f64 {
         match self {
             BusCostModel::Pim(m) => m.batch_makespan_ns(jobs),
             BusCostModel::CpuLanes(m) => m.batch_makespan_ns(jobs),

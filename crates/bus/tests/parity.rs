@@ -301,6 +301,35 @@ fn cpu_lanes_quote_is_the_reported_latency_of_48_jobs() {
     }
 }
 
+/// A job that fails both the shape check and a backend's window reports
+/// the shape error: admission checks the shape first on every backend.
+#[test]
+fn shape_errors_come_before_window_errors() {
+    let backends = every_backend();
+    // A 35-bit modulus at N = 2048: outside the PIM datapath, outside
+    // both fixed-modulus published models, and past MeNTT's lengths.
+    let q_big = find_ntt_prime(4096, 35).unwrap();
+    let mut job = NttJob::forward(poly(2048, q_big, 11), q_big);
+    for backend in &backends {
+        let refused = backend.label() != "cpu-lanes";
+        assert_eq!(
+            matches!(backend.admit(&job), Err(EngineError::Unsupported { .. })),
+            refused,
+            "{}: the well-formed job",
+            backend.label()
+        );
+    }
+    job.coeffs[7] = q_big;
+    for backend in &backends {
+        let err = backend.admit(&job).unwrap_err();
+        assert!(
+            matches!(&err, EngineError::Shape { reason } if reason.contains("not reduced")),
+            "{}: {err}",
+            backend.label()
+        );
+    }
+}
+
 /// Deterministic window pins: each backend's advertised capability
 /// window rejects exactly the out-of-range shapes, with typed errors.
 #[test]

@@ -83,16 +83,58 @@ pub struct TwiddleParams {
     pub r_omega_mont: u32,
 }
 
+/// The Montgomery-form stage steps of one C1: at most [`Self::MAX`],
+/// stored inline with their count, so a command is `Copy` and mapping a
+/// C1 allocates nothing. Reads as a slice of the steps it holds.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct StageSteps {
+    /// The steps, then zeros.
+    steps: [u32; StageSteps::MAX],
+    len: u8,
+}
+
+impl StageSteps {
+    /// The most stages one C1 runs: `log2(Na)` for Table I's 8-lane atom.
+    pub const MAX: usize = 3;
+
+    /// The steps `steps`, or `None` when there are more than
+    /// [`Self::MAX`]. The count need not match any C1 shape: the decoder
+    /// rejects a mismatch.
+    pub fn new(steps: &[u32]) -> Option<Self> {
+        let mut inline = Self::default();
+        inline.steps.get_mut(..steps.len())?.copy_from_slice(steps);
+        inline.len = steps.len() as u8;
+        Some(inline)
+    }
+}
+
+impl std::ops::Deref for StageSteps {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        &self.steps[..self.len as usize]
+    }
+}
+
+impl<'a> IntoIterator for &'a StageSteps {
+    type Item = &'a u32;
+    type IntoIter = std::slice::Iter<'a, u32>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
 /// Per-stage twiddle steps for a C1 command. Stage `s` (0-indexed, span
 /// `2^s`) uses twiddles `1, step[s], step[s]², …` within each butterfly
 /// group, resetting at group boundaries — the hardware reset the paper's
 /// Algorithm 1 alludes to with its `ω ← ω0` initialization.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct C1Params {
     /// Number of points to transform (≤ `Na`; allows `N < Na` requests).
     pub points: u8,
     /// Montgomery-form step per local stage (`log2(points)` entries).
-    pub stage_steps_mont: Vec<u32>,
+    pub stage_steps_mont: StageSteps,
     /// Butterfly order: `Ct` runs stages span 1→N/2 (DIT), `Gs` runs them
     /// span N/2→1 (DIF).
     pub order: BuOrder,
@@ -102,7 +144,7 @@ pub struct C1Params {
 ///
 /// Row/column addresses are physical within the single target bank; the
 /// multi-bank batch API replicates streams across banks.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PimCommand {
     /// Activate a row (copies the row into the bitline sense amps).
     Act {
@@ -212,6 +254,10 @@ pub enum PimCommand {
     },
 }
 
+// Copy, and small enough that a program's commands are one flat array:
+// the program memo weighs its entries in units of one command.
+const _: () = assert!(std::mem::size_of::<PimCommand>() == 24);
+
 impl PimCommand {
     /// Short mnemonic for traces and timelines.
     pub fn mnemonic(&self) -> &'static str {
@@ -270,6 +316,20 @@ mod tests {
         assert_eq!(BufId(3).to_string(), "S3");
         assert!(BufId(0).is_primary());
         assert!(!BufId(1).is_primary());
+    }
+
+    #[test]
+    fn stage_steps_hold_up_to_three_inline() {
+        for len in 0..=3u32 {
+            let steps: Vec<u32> = (1..=len).collect();
+            let inline = StageSteps::new(&steps).unwrap();
+            assert_eq!(&*inline, &steps[..]);
+            assert_eq!(inline.iter().count(), len as usize);
+        }
+        assert_eq!(StageSteps::new(&[1, 2, 3, 4]), None);
+        // The count is part of the value: a trailing zero step is a step.
+        assert_eq!(StageSteps::new(&[5, 6]), StageSteps::new(&[5, 6]));
+        assert_ne!(StageSteps::new(&[5, 6]), StageSteps::new(&[5, 6, 0]));
     }
 
     #[test]

@@ -378,7 +378,7 @@ impl C1Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cmd::{BufId, OperandReg, PimCommand};
+    use crate::cmd::{BufId, OperandReg, PimCommand, StageSteps};
     use crate::config::PimConfig;
     use crate::mapper::Program;
     use crate::sim::FunctionalSim;
@@ -398,9 +398,12 @@ mod tests {
         let m = mont();
         C1Params {
             points: n as u8,
-            stage_steps_mont: (0..n.trailing_zeros())
-                .map(|s| m.to_mont(pow_mod(w, (n >> (s + 1)) as u64, Q as u64) as u32))
-                .collect(),
+            stage_steps_mont: StageSteps::new(
+                &(0..n.trailing_zeros())
+                    .map(|s| m.to_mont(pow_mod(w, (n >> (s + 1)) as u64, Q as u64) as u32))
+                    .collect::<Vec<_>>(),
+            )
+            .unwrap(),
             order,
         }
     }
@@ -432,12 +435,13 @@ mod tests {
             matches!(&err, PimError::BufferMisuse { reason } if reason.contains("SetModulus")),
             "{err}"
         );
-        // Malformed C1 shapes fail when the kernel is built.
+        // Malformed C1 shapes fail when the kernel is built (a 16-point
+        // C1 fails on its point count; four steps do not fit a command).
         let m = mont();
-        for (points, steps) in [(3u8, 2usize), (16, 4), (8, 2)] {
+        for (points, steps) in [(3u8, 2usize), (16, 3), (8, 2)] {
             let params = C1Params {
                 points,
-                stage_steps_mont: vec![1; steps],
+                stage_steps_mont: StageSteps::new(&vec![1; steps]).unwrap(),
                 order: BuOrder::Ct,
             };
             assert!(C1Kernel::new(&m, &params).is_err(), "{points} points");
@@ -728,7 +732,10 @@ mod tests {
                     let steps: Vec<u32> = (0..log_p).map(|_| residues.residue(q, corner)).collect();
                     let params = C1Params {
                         points: points as u8,
-                        stage_steps_mont: steps.iter().map(|&w| m.to_mont(w)).collect(),
+                        stage_steps_mont: StageSteps::new(
+                            &steps.iter().map(|&w| m.to_mont(w)).collect::<Vec<_>>(),
+                        )
+                        .unwrap(),
                         order,
                     };
                     let atom = residues.atom(q, corner);
@@ -848,7 +855,10 @@ mod tests {
                         let steps = vec![step; points.trailing_zeros() as usize];
                         let params = C1Params {
                             points: points as u8,
-                            stage_steps_mont: steps.iter().map(|&w| m.to_mont(w)).collect(),
+                            stage_steps_mont: StageSteps::new(
+                                &steps.iter().map(|&w| m.to_mont(w)).collect::<Vec<_>>(),
+                            )
+                            .unwrap(),
                             order,
                         };
                         let atom = residues.atom(q, corner);

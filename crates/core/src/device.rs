@@ -20,6 +20,12 @@
 //! the device afterwards. The facade's `BatchExecutor`, the one batch
 //! path, runs through it; this module serves single requests (the paper
 //! path) and the primitives that executor is built from.
+//!
+//! Host DMA touches each word once each way. [`OperandWords`] checks a
+//! job's `u64` coefficients, narrows them and lays them out in storage
+//! order in one pass, so writing an [`Operand`] into its bank is one
+//! copy; [`PimDevice::run_banks`] reads each result back in logical
+//! order straight into `u64` words, on the thread that ran the bank.
 
 use crate::config::PimConfig;
 use crate::energy::EnergyReport;
@@ -29,7 +35,7 @@ use crate::mapper::{self, Dataflow, MapperOptions, NttParams, Program};
 use crate::sched::{self, Timeline};
 use crate::sim::{DecodedProgram, FunctionalSim};
 use crate::PimError;
-use modmath::bitrev::bitrev_copy;
+use modmath::bitrev::for_each_bitrev_pair;
 use std::sync::Arc;
 
 /// Transform direction for [`PimDevice::ntt`].
@@ -93,9 +99,94 @@ impl PolyHandle {
     }
 }
 
-/// Natural-order coefficients bound for one bank region, checked when
-/// made ([`PimDevice::operand`]) so that writing them cannot fail: the
-/// bank exists, the region fits it, and every word is reduced.
+/// Coefficients laid out the way a bank stores them, every word reduced
+/// modulo `q`: word `i` holds coefficient `i` in
+/// [`StoredOrder::Natural`] order and coefficient `bitrev(i)` in
+/// [`StoredOrder::BitReversed`] order. Only the checked constructors make
+/// one, each in one pass over the coefficients that checks, narrows and
+/// permutes them; [`PimDevice::bind`] then gives it a bank region.
+#[derive(Debug, Clone)]
+pub struct OperandWords {
+    words: Vec<u32>,
+    q: u32,
+    order: StoredOrder,
+}
+
+impl OperandWords {
+    /// Natural-order `coeffs`, checked against `q`, narrowed to `u32` and
+    /// laid out in `order`, in one pass.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::gather`].
+    pub fn new(coeffs: &[u64], q: u32, order: StoredOrder) -> Result<Self, PimError> {
+        Self::gather(coeffs.len(), q, order, |i| coeffs[i])
+    }
+
+    /// The `n` natural-order coefficients `coeff(0), …, coeff(n − 1)`,
+    /// checked against `q`, narrowed to `u32` and laid out in `order`, in
+    /// one pass that calls `coeff` once per index: a strided gather (a
+    /// split transform's column or row) lands in storage order directly.
+    ///
+    /// # Errors
+    ///
+    /// [`PimError::BadRegion`] when a coefficient is not reduced modulo
+    /// `q`, or when a bit-reversed image's length is not a power of two.
+    pub fn gather(
+        n: usize,
+        q: u32,
+        order: StoredOrder,
+        mut coeff: impl FnMut(usize) -> u64,
+    ) -> Result<Self, PimError> {
+        let q64 = u64::from(q);
+        // Stays set in the top bit while every coefficient is below
+        // `q < 2³²`: `c − q` wraps negative exactly when `c < q`, and
+        // `!c` has its top bit set for every `c < 2⁶³`. An AND of 64-bit
+        // words keeps the loop branch-free.
+        let mut reduced = u64::MAX;
+        let mut words = vec![0; n];
+        let mut put = |word: &mut u32, c: u64| {
+            reduced &= c.wrapping_sub(q64) & !c;
+            *word = c as u32;
+        };
+        match order {
+            StoredOrder::Natural => {
+                for (i, word) in words.iter_mut().enumerate() {
+                    put(word, coeff(i));
+                }
+            }
+            StoredOrder::BitReversed => {
+                if !n.is_power_of_two() {
+                    return Err(PimError::BadRegion {
+                        reason: format!("bit-reversed length {n} is not a power of two"),
+                    });
+                }
+                for_each_bitrev_pair(n, |i, j| put(&mut words[j], coeff(i)));
+            }
+        }
+        if reduced >> 63 == 0 {
+            return Err(PimError::BadRegion {
+                reason: "coefficients must be reduced modulo q".into(),
+            });
+        }
+        Ok(Self { words, q, order })
+    }
+
+    /// Number of coefficients.
+    pub fn len(&self) -> usize {
+        self.words.len()
+    }
+
+    /// Whether there are no coefficients.
+    pub fn is_empty(&self) -> bool {
+        self.words.is_empty()
+    }
+}
+
+/// Checked words bound to one bank region ([`PimDevice::bind`],
+/// [`PimDevice::operand`]), so that writing them cannot fail: the bank
+/// exists, the region fits it, and every word is reduced. The words are
+/// already in storage order, so the write is one copy.
 #[derive(Debug, Clone)]
 pub struct Operand {
     handle: PolyHandle,
@@ -125,27 +216,24 @@ pub struct BankStep {
     pub read: Option<PolyHandle>,
 }
 
-/// Host DMA of a checked operand, in one pass: word `i` lands at offset
-/// `i` of its region, or at `bitrev(i)` when the handle stores the image
-/// bit-reversed.
+/// Host DMA of a checked operand: its words are in storage order, so
+/// this is one copy into its region.
 fn write(sim: &mut FunctionalSim, operand: &Operand) {
     let Operand { handle, words } = operand;
-    let region = sim.words_mut(handle.layout.base_word(), words.len());
-    match handle.order {
-        StoredOrder::Natural => region.copy_from_slice(words),
-        StoredOrder::BitReversed => bitrev_copy(words, region),
-    }
+    sim.words_mut(handle.layout.base_word(), words.len())
+        .copy_from_slice(words);
 }
 
 /// Host DMA of a polynomial back in logical order, in one pass over its
-/// region.
-fn read(sim: &FunctionalSim, handle: &PolyHandle) -> Vec<u32> {
+/// region, widened to `T`: `u32` words for [`PimDevice::read_polynomial`],
+/// the `u64` words of a batch's spectra for [`PimDevice::run_banks`].
+fn read<T: Copy + Default + From<u32>>(sim: &FunctionalSim, handle: &PolyHandle) -> Vec<T> {
     let region = sim.words(handle.layout.base_word(), handle.n());
     match handle.order {
-        StoredOrder::Natural => region.to_vec(),
+        StoredOrder::Natural => region.iter().map(|&w| T::from(w)).collect(),
         StoredOrder::BitReversed => {
-            let mut data = vec![0; region.len()];
-            bitrev_copy(region, &mut data);
+            let mut data = vec![T::default(); region.len()];
+            for_each_bitrev_pair(region.len(), |i, j| data[i] = T::from(region[j]));
             data
         }
     }
@@ -402,7 +490,7 @@ impl PimDevice {
         q: u32,
         order: StoredOrder,
     ) -> Result<PolyHandle, PimError> {
-        let operand = self.operand(bank, base_word, coeffs.to_vec(), q, order)?;
+        let operand = self.checked(bank, base_word, coeffs, q, order)?;
         let handle = operand.handle;
         write(&mut self.banks[bank], &operand);
         Ok(handle)
@@ -424,17 +512,40 @@ impl PimDevice {
         q: u32,
         order: StoredOrder,
     ) -> Result<Operand, PimError> {
-        if bank >= self.banks.len() {
-            return Err(PimError::BadConfig {
-                reason: format!("bank {bank} out of range ({} banks)", self.banks.len()),
-            });
-        }
-        if coeffs.iter().any(|&c| c >= q) {
-            return Err(PimError::BadRegion {
-                reason: "coefficients must be reduced modulo q".into(),
-            });
-        }
-        let layout = PolyLayout::new(&self.config, base_word, coeffs.len())?;
+        self.checked(bank, base_word, &coeffs, q, order)
+    }
+
+    /// [`Self::operand`] of borrowed words.
+    fn checked(
+        &self,
+        bank: usize,
+        base_word: usize,
+        coeffs: &[u32],
+        q: u32,
+        order: StoredOrder,
+    ) -> Result<Operand, PimError> {
+        self.check_bank(bank)?;
+        let words = OperandWords::gather(coeffs.len(), q, order, |i| u64::from(coeffs[i]))?;
+        self.bind(bank, base_word, words)
+    }
+
+    /// Binds checked words to the region at `base_word` of `bank`: the
+    /// operand [`Self::run_banks`] loads, [`Self::operand`] for words
+    /// already checked and laid out.
+    ///
+    /// # Errors
+    ///
+    /// [`PimError::BadConfig`] for a bad bank index; region errors as in
+    /// [`PolyLayout::new`].
+    pub fn bind(
+        &self,
+        bank: usize,
+        base_word: usize,
+        words: OperandWords,
+    ) -> Result<Operand, PimError> {
+        self.check_bank(bank)?;
+        let OperandWords { words, q, order } = words;
+        let layout = PolyLayout::new(&self.config, base_word, words.len())?;
         Ok(Operand {
             handle: PolyHandle {
                 layout,
@@ -442,8 +553,17 @@ impl PimDevice {
                 q,
                 order,
             },
-            words: coeffs,
+            words,
         })
+    }
+
+    fn check_bank(&self, bank: usize) -> Result<(), PimError> {
+        if bank >= self.banks.len() {
+            return Err(PimError::BadConfig {
+                reason: format!("bank {bank} out of range ({} banks)", self.banks.len()),
+            });
+        }
+        Ok(())
     }
 
     /// Reads a polynomial back in logical (natural coefficient) order,
@@ -576,10 +696,8 @@ impl PimDevice {
     }
 
     fn bank_mut(&mut self, bank: usize) -> Result<&mut FunctionalSim, PimError> {
-        let banks = self.banks.len();
-        self.banks.get_mut(bank).ok_or_else(|| PimError::BadConfig {
-            reason: format!("bank {bank} out of range ({banks} banks)"),
-        })
+        self.check_bank(bank)?;
+        Ok(&mut self.banks[bank])
     }
 
     /// Runs one ordered list of steps per bank — `lists[b]` in bank `b` —
@@ -588,7 +706,9 @@ impl PimDevice {
     /// writes its operands, runs its decoded program and reads back, on
     /// that bank's own simulator, so a bank's list behaves exactly as
     /// [`Self::load_in_bank`], [`Self::run_decoded`] and
-    /// [`Self::read_polynomial`] called in turn.
+    /// [`Self::read_polynomial`] called in turn, except that the words
+    /// come back as `u64`: the read-back widens them in its one pass over
+    /// the region, on the thread that ran the bank.
     ///
     /// Banks share no values, so they run concurrently: the calling
     /// thread and the process-wide pool of helper threads
@@ -613,7 +733,7 @@ impl PimDevice {
     ///
     /// Re-raises a panic from a bank's run once every bank has finished
     /// and is back in the device.
-    pub fn run_banks(&mut self, lists: Vec<Vec<BankStep>>) -> Result<Vec<Vec<Vec<u32>>>, PimError> {
+    pub fn run_banks(&mut self, lists: Vec<Vec<BankStep>>) -> Result<Vec<Vec<Vec<u64>>>, PimError> {
         if lists.len() > self.banks.len() {
             return Err(PimError::BadConfig {
                 reason: format!("{} bank lists for {} banks", lists.len(), self.banks.len()),
@@ -633,7 +753,7 @@ impl PimDevice {
                 }
             }
         }
-        let mut out: Vec<Vec<Vec<u32>>> = vec![Vec::new(); lists.len()];
+        let mut out: Vec<Vec<Vec<u64>>> = vec![Vec::new(); lists.len()];
         // Busy banks move into their items; the slots they leave are
         // refilled when the items come back, whatever happened in them.
         let mut slots: Vec<Option<FunctionalSim>> = std::mem::take(&mut self.banks)
@@ -918,8 +1038,13 @@ impl PimDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use modmath::bitrev::bitrev_copy;
 
     const Q: u32 = 7681;
+
+    fn wide(words: &[u32]) -> Vec<u64> {
+        words.iter().map(|&w| u64::from(w)).collect()
+    }
 
     fn poly(n: usize, seed: u64) -> Vec<u32> {
         let mut state = seed;
@@ -931,6 +1056,55 @@ mod tests {
                 ((state >> 33) % Q as u64) as u32
             })
             .collect()
+    }
+
+    /// One pass lays the words out: narrowed natural-order words, or the
+    /// bit-reversed image `bitrev_copy` makes, for every power-of-two
+    /// length up to 2¹³, from a slice or a gather; and the branch-free
+    /// check refuses exactly the unreduced words, at `q`, past 2⁶³ and
+    /// at the top of the range.
+    #[test]
+    fn operand_words_check_narrow_and_lay_out_in_one_pass() {
+        let q = 8_380_417u32;
+        for log_n in 0..=13 {
+            let n = 1usize << log_n;
+            let coeffs: Vec<u64> = (0..n as u64)
+                .map(|i| (i * 2_654_435_761) % u64::from(q))
+                .collect();
+            let narrow: Vec<u32> = coeffs.iter().map(|&c| c as u32).collect();
+            let mut bitrev = vec![0; n];
+            bitrev_copy(&narrow, &mut bitrev);
+            for (order, want) in [
+                (StoredOrder::Natural, &narrow),
+                (StoredOrder::BitReversed, &bitrev),
+            ] {
+                let words = OperandWords::new(&coeffs, q, order).unwrap();
+                assert_eq!(&words.words, want, "n={n} {order:?}");
+                let gathered = OperandWords::gather(n, q, order, |i| coeffs[i]).unwrap();
+                assert_eq!(&gathered.words, want, "n={n} {order:?} gathered");
+            }
+        }
+        let q64 = u64::from(q);
+        for (bad, reduced) in [
+            (q64 - 1, true),
+            (q64, false),
+            (u64::from(u32::MAX), false),
+            ((1 << 63) + q64 - 1, false),
+            (1 << 63, false),
+            (u64::MAX, false),
+        ] {
+            for order in [StoredOrder::Natural, StoredOrder::BitReversed] {
+                for at in [0, 5, 15] {
+                    let mut coeffs = vec![1; 16];
+                    coeffs[at] = bad;
+                    let words = OperandWords::new(&coeffs, q, order);
+                    assert_eq!(words.is_ok(), reduced, "{bad} at {at} {order:?}");
+                }
+            }
+        }
+        let err = OperandWords::new(&[1; 12], q, StoredOrder::BitReversed).unwrap_err();
+        assert!(matches!(err, PimError::BadRegion { .. }), "{err}");
+        assert!(OperandWords::new(&[1; 12], q, StoredOrder::Natural).is_ok());
     }
 
     #[test]
@@ -1171,8 +1345,8 @@ mod tests {
                 .load_polynomial_bitrev(0, &poly(n, bank as u64 + 10), Q)
                 .unwrap();
             one.ntt_in_place(&mut hs, NttDirection::Forward).unwrap();
-            assert_eq!(spectra[bank][0], one.read_polynomial(&hs).unwrap());
-            assert_eq!(dev.read_polynomial(h).unwrap(), spectra[bank][0]);
+            assert_eq!(spectra[bank][0], wide(&one.read_polynomial(&hs).unwrap()));
+            assert_eq!(wide(&dev.read_polynomial(h).unwrap()), spectra[bank][0]);
         }
     }
 
@@ -1233,7 +1407,7 @@ mod tests {
         let products = dev.run_banks(lists).unwrap();
         for (bank, (ha, _)) in pairs.iter().enumerate() {
             let got = dev.read_polynomial(ha).unwrap();
-            assert_eq!(got, products[bank][0], "bank {bank}");
+            assert_eq!(wide(&got), products[bank][0], "bank {bank}");
             let got64: Vec<u64> = got.iter().map(|&v| v as u64).collect();
             assert_eq!(got64, expects[bank], "bank {bank}");
         }
@@ -1310,7 +1484,6 @@ mod tests {
         let ha = dev.load_polynomial(0, &a, q).unwrap();
         let hb = dev.load_polynomial(n, &b, q).unwrap();
         dev.polymul_negacyclic(&ha, &hb).unwrap();
-        let wide = |v: &[u32]| v.iter().map(|&c| c as u64).collect::<Vec<u64>>();
         let expect = ntt_ref::naive::negacyclic_convolution(&wide(&a), &wide(&b), q as u64);
         assert_eq!(wide(&dev.read_polynomial(&ha).unwrap()), expect);
     }

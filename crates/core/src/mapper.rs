@@ -32,7 +32,7 @@
 //! — the mapping whose cost the paper summarizes as "no performance
 //! advantage even compared with a software execution".
 
-use crate::cmd::{BuOrder, BufId, C1Params, OperandReg, PimCommand, TwiddleParams};
+use crate::cmd::{BuOrder, BufId, C1Params, OperandReg, PimCommand, StageSteps, TwiddleParams};
 use crate::config::PimConfig;
 use crate::layout::PolyLayout;
 use crate::PimError;
@@ -412,6 +412,7 @@ impl<'a> Mapping<'a> {
         let steps: Vec<u32> = (0..log_p)
             .map(|s| self.mont.to_mont(self.stage_step(s)))
             .collect();
+        let steps = StageSteps::new(&steps).expect("an atom has at most three stages");
         self.mark("intra-atom (C1)".into());
         self.commands.push(PimCommand::SetTwiddle { beats: 4 });
         let atoms = self.layout.atom_count();
@@ -439,7 +440,7 @@ impl<'a> Mapping<'a> {
                     buf,
                     params: C1Params {
                         points: points as u8,
-                        stage_steps_mont: steps.clone(),
+                        stage_steps_mont: steps,
                         order,
                     },
                 });
@@ -757,7 +758,7 @@ mod tests {
             .commands
             .iter()
             .find_map(|c| match c {
-                PimCommand::C1 { params, .. } => Some(params.clone()),
+                PimCommand::C1 { params, .. } => Some(*params),
                 _ => None,
             })
             .expect("one C1");

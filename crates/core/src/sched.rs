@@ -666,7 +666,7 @@ impl<'a, const LOG: bool> Engine<'a, LOG> {
             self.events.push(Event {
                 at_ps: slot * self.costs.cycle_ps,
                 end_ps,
-                cmd: cmd.clone(),
+                cmd: *cmd,
             });
         }
     }

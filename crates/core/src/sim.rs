@@ -18,7 +18,7 @@
 //!   before compute, C1 shape, register lane in range — and returns the
 //!   typed error a mapper bug deserves ([`PimError::BufferMisuse`],
 //!   [`PimError::Timing`], [`PimError::Math`]) before any value moves.
-//!   What it emits is 16-byte ops carrying resolved word offsets and
+//!   What it emits is 12-byte ops carrying resolved word offsets and
 //!   indices into deduplicated per-lane twiddle rows and C1 kernels. The
 //!   compute unit updates atoms in place (§III.C): it reads an atom into
 //!   a buffer, computes and writes it back to the same address. Each
@@ -26,11 +26,19 @@
 //!   the bank's cells in place, whenever no other op could tell the
 //!   difference (the conditions are on the decoder's pending state,
 //!   `Fuser`). Every other value-moving command is one op of its own.
-//!   An in-place N = 4096 forward program is then one op per C1 and C2.
-//! * **Run** ([`FunctionalSim::run`]) is a flat loop over those ops with
-//!   no per-command check. It reads and writes the bank's cell array in
-//!   place — exact, because an open row's cells are reachable only
-//!   through that row (see [`dram_sim::storage`]) — on fixed 8-lane
+//!   In-place ops exist only as *runs*: a maximal sequence of in-place
+//!   ops of one kind (C1 with one kernel, C2 in one order, Scale or
+//!   Pointwise) whose cell words and twiddle rows advance by constant
+//!   steps is one entry, with its start and steps in a side table, and a
+//!   lone op is a run of one. An in-place N = 4096 forward program
+//!   executes one op per C1 and C2, 2,816 in all, from 257 entries: one
+//!   run of every C1 and 256 runs of C2s.
+//! * **Run** ([`FunctionalSim::run`]) is a flat loop over those entries
+//!   with no per-command check, one arm per kind; a run's arm loops over
+//!   its ops in order, so runs execute exactly the ops, in the order, a
+//!   loop over single ops would. It reads and writes the bank's cell
+//!   array in place — exact, because an open row's cells are reachable
+//!   only through that row (see [`dram_sim::storage`]) — on fixed 8-lane
 //!   atoms.
 //!
 //! A decoded program depends only on the program, the bank geometry and
@@ -234,7 +242,9 @@ impl BankShape {
 /// One decoded command, with addresses resolved to cell-array word
 /// offsets and twiddles to table indices. `ACT`, `PRE`, refresh and
 /// twiddle broadcasts move no values and decode to nothing; a CU-read,
-/// compute and CU-write-back of one atom decode to one in-place op.
+/// compute and CU-write-back of one atom decode to one in-place op, and
+/// consecutive in-place ops of one kind whose words and twiddle rows
+/// advance by constant steps share one entry, a [`Run`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Op {
     /// CU-read: the atom at cell word `word` into buffer `buf`.
@@ -254,21 +264,18 @@ enum Op {
     Scale { buf: u8, row: u32 },
     /// `p ← p·s`, lane-wise.
     Pointwise { p: u8, s: u8 },
-    /// C1 with kernel `kernel` on the atom at cell word `word`, in place.
-    C1At { word: u32, kernel: u32 },
-    /// C2 with twiddle row `row` between the atoms at cell words `p` and
-    /// `s`, in place.
-    C2At {
-        order: BuOrder,
-        p: u32,
-        s: u32,
-        row: u32,
-    },
-    /// Scale the atom at cell word `word` by twiddle row `row`, in place.
-    ScaleAt { word: u32, row: u32 },
-    /// The atom at cell word `p` times the one at `s`, lane-wise, in
-    /// place at `p`.
-    PointwiseAt { p: u32, s: u32 },
+    /// Run `run`: C1s with kernel `kernel`, each on the atom at its cell
+    /// word `p`, in place.
+    C1At { kernel: u32, run: u32 },
+    /// Run `run`: C2s in order `order`, each between the atoms at its
+    /// cell words `p` and `s` with its twiddle row, in place.
+    C2At { order: BuOrder, run: u32 },
+    /// Run `run`: Scales, each of the atom at its cell word `p` by its
+    /// twiddle row, in place.
+    ScaleAt { run: u32 },
+    /// Run `run`: each the atom at its cell word `p` times the one at
+    /// `s`, lane-wise, in place at `p`.
+    PointwiseAt { run: u32 },
     /// Switch to Montgomery context `ctx`.
     Modulus { ctx: u32 },
     /// Lane `lane` of `buf` into operand register `reg`.
@@ -279,7 +286,139 @@ enum Op {
     RegBu { order: BuOrder, tw: Twiddle },
 }
 
-const _: () = assert!(std::mem::size_of::<Op>() == 16);
+const _: () = assert!(std::mem::size_of::<Op>() == 12);
+
+/// What one in-place op computes, and what every op of a run shares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RunKind {
+    C1 { kernel: u32 },
+    C2 { order: BuOrder },
+    Scale,
+    Pointwise,
+}
+
+impl RunKind {
+    /// The entry of run `run` of this kind.
+    fn op(self, run: u32) -> Op {
+        match self {
+            RunKind::C1 { kernel } => Op::C1At { kernel, run },
+            RunKind::C2 { order } => Op::C2At { order, run },
+            RunKind::Scale => Op::ScaleAt { run },
+            RunKind::Pointwise => Op::PointwiseAt { run },
+        }
+    }
+
+    /// The kind of a run entry, `None` for any other op.
+    fn of(op: Op) -> Option<Self> {
+        match op {
+            Op::C1At { kernel, .. } => Some(RunKind::C1 { kernel }),
+            Op::C2At { order, .. } => Some(RunKind::C2 { order }),
+            Op::ScaleAt { .. } => Some(RunKind::Scale),
+            Op::PointwiseAt { .. } => Some(RunKind::Pointwise),
+            _ => None,
+        }
+    }
+}
+
+/// One fused read → compute → write-back, before it joins a run: its
+/// kind, the cell words of its operands (`s` is 0 for C1 and Scale) and
+/// its twiddle row (0 for C1 and Pointwise).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct InPlace {
+    kind: RunKind,
+    p: u32,
+    s: u32,
+    row: u32,
+}
+
+/// `count` in-place ops of one kind, run in order: op `k` computes on
+/// cell words `p + k·dp` and `s + k·ds` with twiddle row `row + k·drow`.
+/// The steps are two's-complement offsets, so a run may walk down.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Run {
+    count: u32,
+    p: u32,
+    s: u32,
+    row: u32,
+    dp: u32,
+    ds: u32,
+    drow: u32,
+}
+
+impl Run {
+    /// A run of one.
+    fn new(op: InPlace) -> Self {
+        Self {
+            count: 1,
+            p: op.p,
+            s: op.s,
+            row: op.row,
+            dp: 0,
+            ds: 0,
+            drow: 0,
+        }
+    }
+
+    /// Appends `op` when it continues the run's steps (any steps, after
+    /// the first op); the caller checked the kind.
+    fn extend(&mut self, op: InPlace) -> bool {
+        let at = |start: u32, step: u32| start.wrapping_add(step.wrapping_mul(self.count));
+        if self.count == 1 {
+            self.dp = op.p.wrapping_sub(self.p);
+            self.ds = op.s.wrapping_sub(self.s);
+            self.drow = op.row.wrapping_sub(self.row);
+        } else if (op.p, op.s, op.row)
+            != (
+                at(self.p, self.dp),
+                at(self.s, self.ds),
+                at(self.row, self.drow),
+            )
+        {
+            return false;
+        }
+        self.count += 1;
+        true
+    }
+
+    /// Calls `f(p, s, row)` for each op in turn.
+    #[inline(always)]
+    fn each(&self, mut f: impl FnMut(u32, u32, u32)) {
+        let (mut p, mut s, mut row) = (self.p, self.s, self.row);
+        for _ in 0..self.count {
+            f(p, s, row);
+            p = p.wrapping_add(self.dp);
+            s = s.wrapping_add(self.ds);
+            row = row.wrapping_add(self.drow);
+        }
+    }
+}
+
+/// Final ops and the runs their in-place entries stand for.
+#[derive(Debug, Default)]
+struct Stream {
+    ops: Vec<Op>,
+    runs: Vec<Run>,
+}
+
+impl Stream {
+    /// Appends a final op that is not in place.
+    fn op(&mut self, op: Op) {
+        self.ops.push(op);
+    }
+
+    /// Appends a fused op: it joins the run the last entry stands for
+    /// when it has that run's kind and continues its steps, and starts a
+    /// run of its own otherwise. The last run entry's run is always the
+    /// newest run.
+    fn fused(&mut self, op: InPlace) {
+        let last = self.ops.last().copied().and_then(RunKind::of);
+        if last == Some(op.kind) && self.runs.last_mut().is_some_and(|run| run.extend(op)) {
+            return;
+        }
+        self.runs.push(Run::new(op));
+        self.ops.push(op.kind.op((self.runs.len() - 1) as u32));
+    }
+}
 
 /// How far one buffer's contents are along a read → compute → write-back
 /// of one atom, as the decoder walks a program.
@@ -300,7 +439,7 @@ enum Track {
 /// A compute op that becomes `fused` once each of its operands settles.
 #[derive(Debug, Clone, Copy)]
 struct Candidate {
-    fused: Op,
+    fused: InPlace,
     /// Index of the compute op.
     at: u32,
     /// Index of its earliest absorbed read.
@@ -312,6 +451,17 @@ struct Candidate {
     open: u8,
     /// An operand failed a condition: the ops stay as they are.
     dead: bool,
+}
+
+/// An op in the fuser's window.
+#[derive(Debug, Clone, Copy)]
+enum Pending {
+    /// As decoded.
+    Op(Op),
+    /// A compute that fused with its reads and write-backs.
+    Fused(InPlace),
+    /// A read or write-back a fused compute absorbed.
+    Absorbed,
 }
 
 /// The decoder's op stream, fusing read → compute → write-back triples
@@ -340,13 +490,14 @@ struct Candidate {
 /// stage writing to another region — stays as it was.
 ///
 /// Ops wait in a window only while a pending triple may still absorb
-/// them; everything before the earliest such op is final.
+/// them; everything before the earliest such op is final, and joins the
+/// output stream's runs.
 struct Fuser {
     /// Final ops.
-    out: Vec<Op>,
-    /// Ops from index `base` on; an absorbed one is `None`. Indices fit
-    /// a `u32`: a program of 2³² commands would take over 64 GiB.
-    window: Vec<Option<Op>>,
+    out: Stream,
+    /// Ops from index `base` on. Indices fit a `u32`: a program of 2³²
+    /// commands would take over 64 GiB.
+    window: Vec<Pending>,
     base: u32,
     track: Vec<Track>,
     cands: Vec<Candidate>,
@@ -361,7 +512,10 @@ impl Fuser {
     /// commands (a read, a compute and a write-back per operand).
     fn new(commands: usize, n_bufs: usize) -> Self {
         Self {
-            out: Vec::with_capacity(commands / 4),
+            out: Stream {
+                ops: Vec::with_capacity(commands / 4),
+                runs: Vec::new(),
+            },
             window: Vec::with_capacity(64),
             base: 0,
             track: vec![Track::Idle; n_bufs],
@@ -380,7 +534,7 @@ impl Fuser {
         if self.window.len() == self.window.capacity() {
             self.flush();
         }
-        self.window.push(Some(op));
+        self.window.push(Pending::Op(op));
     }
 
     /// Moves every op no pending triple can absorb or replace to `out`.
@@ -395,9 +549,11 @@ impl Fuser {
             })
             .fold(self.next(), u32::min);
         let done = (pinned - self.base) as usize;
-        for op in &self.window[..done] {
-            if let Some(op) = *op {
-                self.out.push(op);
+        for &op in &self.window[..done] {
+            match op {
+                Pending::Op(op) => self.out.op(op),
+                Pending::Fused(op) => self.out.fused(op),
+                Pending::Absorbed => {}
             }
         }
         self.window.copy_within(done.., 0);
@@ -455,7 +611,7 @@ impl Fuser {
         &mut self,
         operands: [u8; N],
         written: usize,
-        fused: impl FnOnce([u32; N]) -> Op,
+        fused: impl FnOnce([u32; N]) -> InPlace,
     ) {
         let mut reads = [0; N];
         let mut words = [0; N];
@@ -515,8 +671,9 @@ impl Fuser {
         }
     }
 
-    /// The program ended: every spent operand settles. Returns the ops.
-    fn finish(mut self) -> Vec<Op> {
+    /// The program ended: every spent operand settles. Returns the ops
+    /// and their runs.
+    fn finish(mut self) -> Stream {
         for b in 0..self.track.len() {
             match self.track[b] {
                 Track::Spent { cand } => self.settle(cand),
@@ -525,7 +682,8 @@ impl Fuser {
             self.track[b] = Track::Idle;
         }
         self.flush();
-        self.out.shrink_to_fit();
+        self.out.ops.shrink_to_fit();
+        self.out.runs.shrink_to_fit();
         self.out
     }
 
@@ -546,9 +704,9 @@ impl Fuser {
         if c.open == 1 && !c.dead {
             let window = &mut self.window[..];
             let base = self.base;
-            window[(c.at - base) as usize] = Some(c.fused);
+            window[(c.at - base) as usize] = Pending::Fused(c.fused);
             for &i in &c.absorbed[..c.n_absorbed as usize] {
-                window[(i - base) as usize] = None;
+                window[(i - base) as usize] = Pending::Absorbed;
             }
         }
         self.release(cand);
@@ -567,6 +725,8 @@ impl Fuser {
 #[derive(Debug, Clone)]
 pub struct DecodedProgram {
     ops: Vec<Op>,
+    /// The runs the in-place entries of `ops` stand for.
+    runs: Vec<Run>,
     /// One Montgomery context per distinct modulus; a run starts under
     /// the first.
     moduli: Vec<Montgomery32>,
@@ -632,6 +792,7 @@ impl DecodedProgram {
         let mut bufs = BufferState::new(config.n_bufs);
         let mut d = Self {
             ops: Vec::new(),
+            runs: Vec::new(),
             moduli: Vec::new(),
             twiddles: Vec::new(),
             kernels: Vec::new(),
@@ -692,27 +853,47 @@ impl DecodedProgram {
                         }
                     };
                     let buf = bufs.valid(buf, "written")?;
-                    ops.compute([buf], 1, |[word]| Op::C1At { word, kernel });
+                    ops.compute([buf], 1, |[p]| InPlace {
+                        kind: RunKind::C1 { kernel },
+                        p,
+                        s: 0,
+                        row: 0,
+                    });
                     Op::C1 { buf, kernel }
                 }
                 PimCommand::C2 { p, s, tw, order } => {
                     let c = current(ctx)?;
                     let (p, s) = bufs.pair(p, s)?;
                     let row = twiddle_row(&mut d, c, tw);
-                    ops.compute([p, s], 2, |[p, s]| Op::C2At { order, p, s, row });
+                    ops.compute([p, s], 2, |[p, s]| InPlace {
+                        kind: RunKind::C2 { order },
+                        p,
+                        s,
+                        row,
+                    });
                     Op::C2 { p, s, order, row }
                 }
                 PimCommand::Scale { buf, tw } => {
                     let c = current(ctx)?;
                     let buf = bufs.valid(buf, "written")?;
                     let row = twiddle_row(&mut d, c, tw);
-                    ops.compute([buf], 1, |[word]| Op::ScaleAt { word, row });
+                    ops.compute([buf], 1, |[p]| InPlace {
+                        kind: RunKind::Scale,
+                        p,
+                        s: 0,
+                        row,
+                    });
                     Op::Scale { buf, row }
                 }
                 PimCommand::Pointwise { p, s } => {
                     current(ctx)?;
                     let (p, s) = bufs.pair(p, s)?;
-                    ops.compute([p, s], 1, |[p, s]| Op::PointwiseAt { p, s });
+                    ops.compute([p, s], 1, |[p, s]| InPlace {
+                        kind: RunKind::Pointwise,
+                        p,
+                        s,
+                        row: 0,
+                    });
                     Op::Pointwise { p, s }
                 }
                 PimCommand::SetModulus { q } => {
@@ -754,7 +935,10 @@ impl DecodedProgram {
             };
             ops.push(op);
         }
-        d.ops = ops.finish();
+        Stream {
+            ops: d.ops,
+            runs: d.runs,
+        } = ops.finish();
         if d.moduli.is_empty() {
             // No SetModulus means no compute op (rejected above), so the
             // context a run starts under is never read; any valid one
@@ -770,22 +954,47 @@ impl DecodedProgram {
     /// Ops a run executes: one per value-moving command, with each fused
     /// read → compute → write-back counting once.
     pub fn op_count(&self) -> usize {
+        self.ops
+            .iter()
+            .map(|&op| match RunKind::of(op) {
+                Some(_) => self.runs[Self::run_of(op)].count as usize,
+                None => 1,
+            })
+            .sum()
+    }
+
+    /// Entries the run loop dispatches: one per run of in-place ops and
+    /// one per other op. An in-place N = 4096 forward program executes
+    /// 2,816 ops in far fewer entries.
+    pub fn dispatch_count(&self) -> usize {
         self.ops.len()
     }
 
-    /// Heap bytes the decoded form holds: ops, Montgomery contexts,
-    /// twiddle rows and C1 kernels.
+    /// The run a run entry stands for.
+    fn run_of(op: Op) -> usize {
+        match op {
+            Op::C1At { run, .. }
+            | Op::C2At { run, .. }
+            | Op::ScaleAt { run }
+            | Op::PointwiseAt { run } => run as usize,
+            _ => unreachable!("{op:?} is not a run entry"),
+        }
+    }
+
+    /// Heap bytes the decoded form holds: ops, runs, Montgomery
+    /// contexts, twiddle rows and C1 kernels.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         self.ops.capacity() * size_of::<Op>()
+            + self.runs.capacity() * size_of::<Run>()
             + self.moduli.capacity() * size_of::<Montgomery32>()
             + self.twiddles.capacity() * size_of::<TwiddleRow>()
             + self.kernels.capacity() * size_of::<C1Kernel>()
     }
 
-    /// The flat loop: every op on fixed 8-lane atoms, reading and writing
-    /// `cells` in place. Decoding checked every offset, buffer and
-    /// modulus, so nothing here can fail.
+    /// The flat loop: every entry on fixed 8-lane atoms, a run's ops in
+    /// turn, reading and writing `cells` in place. Decoding checked every
+    /// offset, buffer and modulus, so nothing here can fail.
     fn run_on(&self, cells: &mut [u32], bufs: &mut [BufAtom]) {
         let mut mont = self.moduli[0];
         let (mut reg_a, mut reg_b) = (0u32, 0u32);
@@ -813,21 +1022,34 @@ impl DecodedProgram {
                     let rhs = bufs[s as usize].0;
                     cu::pointwise(&mont, &mut bufs[p as usize].0, &rhs);
                 }
-                Op::C1At { word, kernel } => {
-                    self.kernels[kernel as usize].run(&mont, atom(cells, word));
+                Op::C1At { kernel, run } => {
+                    let kernel = &self.kernels[kernel as usize];
+                    self.runs[run as usize].each(|p, _, _| kernel.run(&mont, atom(cells, p)));
                 }
-                Op::C2At { order, p, s, row } => {
-                    let (mut x, mut y) = (*atom(cells, p), *atom(cells, s));
-                    cu::c2(&mont, &mut x, &mut y, &self.twiddles[row as usize], order);
-                    *atom(cells, p) = x;
-                    *atom(cells, s) = y;
+                // The order is fixed for the run, so each arm's loop
+                // inlines a C2 of one order.
+                Op::C2At { order, run } => {
+                    let run = &self.runs[run as usize];
+                    let twiddles = &self.twiddles;
+                    match order {
+                        BuOrder::Ct => run.each(|p, s, row| {
+                            c2_at(&mont, cells, p, s, &twiddles[row as usize], BuOrder::Ct);
+                        }),
+                        BuOrder::Gs => run.each(|p, s, row| {
+                            c2_at(&mont, cells, p, s, &twiddles[row as usize], BuOrder::Gs);
+                        }),
+                    }
                 }
-                Op::ScaleAt { word, row } => {
-                    cu::scale(&mont, atom(cells, word), &self.twiddles[row as usize]);
+                Op::ScaleAt { run } => {
+                    self.runs[run as usize].each(|p, _, row| {
+                        cu::scale(&mont, atom(cells, p), &self.twiddles[row as usize]);
+                    });
                 }
-                Op::PointwiseAt { p, s } => {
-                    let rhs = *atom(cells, s);
-                    cu::pointwise(&mont, atom(cells, p), &rhs);
+                Op::PointwiseAt { run } => {
+                    self.runs[run as usize].each(|p, s, _| {
+                        let rhs = *atom(cells, s);
+                        cu::pointwise(&mont, atom(cells, p), &rhs);
+                    });
                 }
                 Op::Modulus { ctx } => mont = self.moduli[ctx as usize],
                 Op::RegLoad { buf, lane, reg } => {
@@ -849,6 +1071,15 @@ impl DecodedProgram {
             }
         }
     }
+}
+
+/// C2 between the atoms at cell words `p` and `s`, in place.
+#[inline(always)]
+fn c2_at(mont: &Montgomery32, cells: &mut [u32], p: u32, s: u32, tw: &TwiddleRow, order: BuOrder) {
+    let (mut x, mut y) = (*atom(cells, p), *atom(cells, s));
+    cu::c2(mont, &mut x, &mut y, tw, order);
+    *atom(cells, p) = x;
+    *atom(cells, s) = y;
 }
 
 /// The atom at cell word `word`.
@@ -890,7 +1121,7 @@ pub fn check_equal(got: &[u32], expected: &[u32]) -> Result<(), PimError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cmd::BufId;
+    use crate::cmd::{BufId, C1Params, StageSteps};
     use crate::mapper::{map_ntt, map_pointwise, map_scale, Dataflow, MapperOptions, NttParams};
     use modmath::bitrev::bitrev_permute;
 
@@ -1267,7 +1498,9 @@ mod tests {
                 |cmds, _| {
                     let i = first(cmds, |c| matches!(c, PimCommand::C1 { .. }));
                     if let PimCommand::C1 { params, .. } = &mut cmds[i] {
-                        params.stage_steps_mont.pop();
+                        let steps = &params.stage_steps_mont;
+                        params.stage_steps_mont =
+                            StageSteps::new(&steps[..steps.len() - 1]).unwrap();
                     }
                 },
                 misuse,
@@ -1373,16 +1606,13 @@ mod tests {
 
     /// Every in-place program the mapper and the device build at Nb ≥ 2
     /// decodes to one in-place op per compute command, plus its modulus
-    /// switches: no atom moves through a buffer.
+    /// switches: no atom moves through a buffer. The in-place ops run as
+    /// runs, so the run loop dispatches far fewer entries than it
+    /// executes ops.
     #[test]
     fn in_place_programs_decode_to_one_op_per_compute() {
         use crate::device::{NttDirection, PimDevice, StoredOrder};
-        let fused = |op: &Op| {
-            matches!(
-                op,
-                Op::C1At { .. } | Op::C2At { .. } | Op::ScaleAt { .. } | Op::PointwiseAt { .. }
-            )
-        };
+        let fused = |op: &Op| RunKind::of(*op).is_some();
         for nb in [2usize, 4, 6] {
             let c = PimConfig::hbm2e(nb);
             let dev = PimDevice::new(c).unwrap();
@@ -1452,13 +1682,18 @@ mod tests {
                             .all(|op| fused(op) || matches!(op, Op::Modulus { .. })),
                         "nb={nb} n={n}"
                     );
-                    assert_eq!(decoded.ops.len(), computes + switches, "nb={nb} n={n}");
+                    assert_eq!(decoded.op_count(), computes + switches, "nb={nb} n={n}");
+                    assert!(decoded.dispatch_count() <= decoded.op_count());
                 }
             }
         }
-        // N = 4096 forward: 512 C1 and 2304 C2, down from 13,056 ops.
+        // N = 4096: 512 C1 and 2304 C2 forward, down from 13,056 ops, in
+        // one C1 run and 256 C2 runs; the inverse adds a 512-op Scale
+        // run, and the product two forwards, the pointwise and the
+        // weightings.
         for nb in [2usize, 4, 6] {
             let c = PimConfig::hbm2e(nb);
+            let dev = PimDevice::new(c).unwrap();
             let layout = PolyLayout::new(&c, 0, 4096).unwrap();
             let params = NttParams {
                 q: Q,
@@ -1466,12 +1701,21 @@ mod tests {
             };
             let program = map_ntt(&c, &layout, &params, &MapperOptions::default()).unwrap();
             let decoded = DecodedProgram::decode(&c, &program).unwrap();
-            assert_eq!(decoded.ops.len(), 2816, "nb={nb}");
-            eprintln!(
-                "nb={nb} commands={} heap={}",
-                program.len(),
-                decoded.heap_bytes()
-            );
+            let handle = |base| {
+                *dev.operand(0, base, vec![0; 4096], Q, StoredOrder::Natural)
+                    .unwrap()
+                    .handle()
+            };
+            let (a, b) = (handle(0), handle(c.polymul_rhs_base(4096)));
+            let decode = |program: Result<Program, PimError>| {
+                DecodedProgram::decode(&c, &program.unwrap()).unwrap()
+            };
+            let inverse = decode(dev.build_ntt_program(&a, NttDirection::Inverse));
+            let polymul = decode(dev.polymul_program(&a, &b));
+            let counts = |d: &DecodedProgram| (d.op_count(), d.dispatch_count());
+            assert_eq!(counts(&decoded), (2816, 257), "nb={nb} forward");
+            assert_eq!(counts(&inverse), (3328, 258), "nb={nb} inverse");
+            assert_eq!(counts(&polymul), (10496, 775), "nb={nb} polymul");
         }
     }
 
@@ -1547,7 +1791,7 @@ mod tests {
                     rd(2, 1),
                     rd(0, 0),
                     double(2),
-                    pw.clone(),
+                    pw,
                     wr(2, 1),
                     wr(0, 0),
                 ],
@@ -1556,7 +1800,7 @@ mod tests {
             ),
             (
                 "a pointwise pair",
-                vec![rd(0, 0), rd(1, 1), pw.clone(), wr(0, 0)],
+                vec![rd(0, 0), rd(1, 1), pw, wr(0, 0)],
                 [a0 * a1, a1, a2],
                 1,
             ),
@@ -1566,19 +1810,7 @@ mod tests {
             commands.insert(0, PimCommand::SetModulus { q });
             let prog = program(commands);
             let decoded = DecodedProgram::decode(&c, &prog).unwrap();
-            let in_place = decoded
-                .ops
-                .iter()
-                .filter(|op| {
-                    matches!(
-                        op,
-                        Op::C1At { .. }
-                            | Op::C2At { .. }
-                            | Op::ScaleAt { .. }
-                            | Op::PointwiseAt { .. }
-                    )
-                })
-                .count();
+            let in_place: u32 = decoded.runs.iter().map(|run| run.count).sum();
             assert_eq!(in_place, fused, "{case}");
             let mut sim = FunctionalSim::new(&c).unwrap();
             for (k, v) in [a0, a1, a2].into_iter().enumerate() {
@@ -1589,6 +1821,131 @@ mod tests {
                 assert_eq!(sim.read_words(8 * k, 8), vec![v; 8], "{case}: atom {k}");
             }
         }
+    }
+
+    /// Consecutive in-place ops join one run while their kind — with a
+    /// C1's kernel and a C2's order — stays the same and their cell words
+    /// and twiddle rows keep constant steps, which may be negative; an op
+    /// that fits no run is a run of one. A program of runs computes what
+    /// its read → compute → write-back triples compute one program each.
+    #[test]
+    fn runs_break_at_kind_kernel_order_and_stride_changes() {
+        let q = 7681;
+        let c = PimConfig::hbm2e(4);
+        let mont = Montgomery32::new(q).unwrap();
+        let rd = |buf, col| PimCommand::CuRead {
+            row: 0,
+            col,
+            buf: BufId(buf),
+        };
+        let wr = |buf, col| PimCommand::CuWrite {
+            row: 0,
+            col,
+            buf: BufId(buf),
+        };
+        // Twiddle `k` is its own row, numbered in order of first use.
+        let tw = |k: u32| TwiddleParams {
+            omega0_mont: mont.to_mont(k + 2),
+            r_omega_mont: mont.to_mont(3),
+        };
+        let one = |compute, col| vec![rd(0, col), compute, wr(0, col)];
+        let scale = |k, col| {
+            let compute = PimCommand::Scale {
+                buf: BufId(0),
+                tw: tw(k),
+            };
+            one(compute, col)
+        };
+        let c1 = |step, col| {
+            let params = C1Params {
+                points: 8,
+                stage_steps_mont: StageSteps::new(&[mont.to_mont(step); 3]).unwrap(),
+                order: BuOrder::Ct,
+            };
+            let compute = PimCommand::C1 {
+                buf: BufId(0),
+                params,
+            };
+            one(compute, col)
+        };
+        let c2 = |order, k, p, s| {
+            let compute = PimCommand::C2 {
+                p: BufId(0),
+                s: BufId(1),
+                tw: tw(k),
+                order,
+            };
+            vec![rd(0, p), rd(1, s), compute, wr(0, p), wr(1, s)]
+        };
+        let pointwise = PimCommand::Pointwise {
+            p: BufId(0),
+            s: BufId(1),
+        };
+        let triples = [
+            // Up one atom and one twiddle row a step.
+            scale(0, 0),
+            scale(1, 1),
+            scale(2, 2),
+            scale(3, 3),
+            // The stride breaks, and a C1 follows: a run of one.
+            scale(4, 5),
+            c1(5, 6),
+            c1(5, 7),
+            // Another kernel.
+            c1(7, 8),
+            // Down one atom a step.
+            scale(5, 11),
+            scale(6, 10),
+            scale(7, 9),
+            c2(BuOrder::Ct, 8, 12, 13),
+            c2(BuOrder::Ct, 9, 14, 15),
+            // Another order.
+            c2(BuOrder::Gs, 10, 16, 17),
+            vec![rd(0, 18), rd(1, 19), pointwise, wr(0, 18)],
+        ];
+        let na = NA as u32;
+        let expected = [
+            (RunKind::Scale, 4, 0, na, 1),
+            (RunKind::Scale, 1, 5 * na, 0, 0),
+            (RunKind::C1 { kernel: 0 }, 2, 6 * na, na, 0),
+            (RunKind::C1 { kernel: 1 }, 1, 8 * na, 0, 0),
+            (RunKind::Scale, 3, 11 * na, na.wrapping_neg(), 1),
+            (RunKind::C2 { order: BuOrder::Ct }, 2, 12 * na, 2 * na, 1),
+            (RunKind::C2 { order: BuOrder::Gs }, 1, 16 * na, 0, 0),
+            (RunKind::Pointwise, 1, 18 * na, 0, 0),
+        ];
+        let with_modulus = |triples: &[Vec<PimCommand>]| {
+            let mut commands = vec![PimCommand::SetModulus { q }];
+            commands.extend(triples.iter().flatten().copied());
+            program(commands)
+        };
+        let decoded = DecodedProgram::decode(&c, &with_modulus(&triples)).unwrap();
+        let runs: Vec<_> = decoded
+            .ops
+            .iter()
+            .map(|&op| {
+                let run = decoded.runs[DecodedProgram::run_of(op)];
+                (RunKind::of(op).unwrap(), run.count, run.p, run.dp, run.drow)
+            })
+            .collect();
+        assert_eq!(runs, expected);
+        assert_eq!((decoded.op_count(), decoded.dispatch_count()), (15, 8));
+
+        let words: Vec<u32> = (0..20 * na).map(|i| (i * 37 + 11) % q).collect();
+        let mut whole = FunctionalSim::new(&c).unwrap();
+        whole.load_words(0, &words);
+        whole.run(&decoded).unwrap();
+        let mut alone = FunctionalSim::new(&c).unwrap();
+        alone.load_words(0, &words);
+        for triple in &triples {
+            alone
+                .execute(&with_modulus(std::slice::from_ref(triple)))
+                .unwrap();
+        }
+        assert_eq!(
+            whole.read_words(0, words.len()),
+            alone.read_words(0, words.len())
+        );
     }
 
     /// A program that switches modulus mid-stream runs each half under

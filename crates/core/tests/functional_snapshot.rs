@@ -183,7 +183,13 @@ impl Bench {
                 read: Some(*result.handle()),
             }]])
             .expect("program runs");
-        out.swap_remove(0).swap_remove(0)
+        // `run_banks` widens the read-back to `u64`; the digest hashes
+        // the bank's 32-bit words.
+        out.swap_remove(0)
+            .swap_remove(0)
+            .into_iter()
+            .map(|w| u32::try_from(w).expect("a bank word fits 32 bits"))
+            .collect()
     }
 }
 

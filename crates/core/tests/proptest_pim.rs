@@ -9,7 +9,7 @@ use dram_sim::validate::validate_queues;
 use modmath::arith::{add_mod, mul_mod, pow_mod, sub_mod};
 use modmath::bitrev::bitrev_permute;
 use modmath::montgomery::Montgomery32;
-use ntt_pim_core::cmd::{BuOrder, BufId, C1Params, PimCommand, TwiddleParams};
+use ntt_pim_core::cmd::{BuOrder, BufId, C1Params, PimCommand, StageSteps, TwiddleParams};
 use ntt_pim_core::config::PimConfig;
 use ntt_pim_core::layout::PolyLayout;
 use ntt_pim_core::mapper::{map_ntt, Dataflow, MapperOptions, NttParams, Program};
@@ -357,7 +357,13 @@ impl Shadow {
                     buf: BufId(buf),
                     params: C1Params {
                         points: points as u8,
-                        stage_steps_mont: steps.iter().map(|&w| self.mont.to_mont(w)).collect(),
+                        stage_steps_mont: StageSteps::new(
+                            &steps
+                                .iter()
+                                .map(|&w| self.mont.to_mont(w))
+                                .collect::<Vec<_>>(),
+                        )
+                        .expect("at most three steps"),
                         order,
                     },
                 });

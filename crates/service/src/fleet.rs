@@ -62,7 +62,7 @@
 use ntt_bus::{BackendKind, BusCostModel, CapabilityWindow, EngineError, NttJob};
 use ntt_pim::core::config::{PimConfig, Topology};
 use ntt_pim::core::PimError;
-use ntt_pim::engine::batch::DeviceCostModel;
+use ntt_pim::engine::batch::{DeviceCostModel, ShapeCheck};
 
 /// One group of jobs placed on one backend by [`FleetRouter::route`].
 #[derive(Debug, Clone, PartialEq)]
@@ -280,12 +280,18 @@ impl FleetRouter {
         }
         // Candidate backends per job: healthy and inside the capability
         // window (a job can overflow a published model's max N or a
-        // small PIM device's banks while fitting the CPU's).
+        // small PIM device's banks while fitting the CPU's). The shape
+        // does not depend on the backend: each job's is checked once, and
+        // each distinct modulus tested for primality once per call.
+        let mut shapes = ShapeCheck::new();
         let candidates: Vec<Vec<usize>> = jobs
             .iter()
             .map(|job| {
+                if shapes.validate(job).is_err() {
+                    return Vec::new();
+                }
                 (0..self.models.len())
-                    .filter(|&d| self.is_healthy(d) && self.models[d].admit(job).is_ok())
+                    .filter(|&d| self.is_healthy(d) && self.models[d].admit_shaped(job).is_ok())
                     .collect()
             })
             .collect();
@@ -308,13 +314,13 @@ impl FleetRouter {
         let common = &candidates[routable[0]];
         let uniform = routable.iter().all(|&j| candidates[j] == *common);
         if uniform {
-            let batch: Vec<NttJob> = routable.iter().map(|&j| jobs[j].clone()).collect();
+            let batch = || routable.iter().map(|&j| &jobs[j]);
             let drains: Vec<(usize, f64)> = common
                 .iter()
                 .map(|&d| {
                     (
                         d,
-                        self.queued_ns[d] + self.models[d].batch_makespan_ns(&batch),
+                        self.queued_ns[d] + self.models[d].batch_makespan_ns(batch()),
                     )
                 })
                 .collect();
@@ -389,8 +395,7 @@ impl FleetRouter {
             if group.is_empty() {
                 continue;
             }
-            let batch: Vec<NttJob> = group.iter().map(|&j| jobs[j].clone()).collect();
-            let predicted = self.models[device].batch_makespan_ns(&batch);
+            let predicted = self.models[device].batch_makespan_ns(group.iter().map(|&j| &jobs[j]));
             self.queued_ns[device] += predicted;
             routing.placements.push(Placement {
                 device,

@@ -7,7 +7,7 @@
 
 use ntt_pim::core::config::{PimConfig, Topology};
 use ntt_pim::engine::batch::NttJob;
-use ntt_pim::engine::CpuNttEngine;
+use ntt_pim::engine::{CpuNttEngine, EngineError};
 use ntt_service::{
     BackendKind, BackendSpec, FaultSwitch, FleetRouter, NttService, PublishedKind, ServiceConfig,
     ServiceError,
@@ -643,4 +643,34 @@ fn skewed_fleet_completes_everything_with_small_device_occupancy() {
         "the small device is not starved: it executed {} jobs",
         stats.devices[3].jobs
     );
+}
+
+/// The router checks each job's shape once, before any backend's window:
+/// a job that fails both is placed nowhere, and admission names its
+/// shape error, while the rest of the micro-batch routes as before.
+#[test]
+fn a_job_failing_shape_and_window_reports_the_shape_error() {
+    let config = device((1, 1, 4));
+    let mut router = FleetRouter::new(&[config], 0.0).unwrap();
+    let q_big = ntt_pim::math::prime::find_ntt_prime(512, 35).unwrap();
+    let mut both = NttJob::forward(poly(256, q_big, 5), q_big);
+    assert!(matches!(
+        router.admit(0, &both),
+        Err(EngineError::Unsupported { .. })
+    ));
+    both.coeffs[3] = q_big;
+    let err = router.admit(0, &both).unwrap_err();
+    assert!(
+        matches!(&err, EngineError::Shape { reason } if reason.contains("not reduced")),
+        "{err}"
+    );
+    let good = NttJob::forward(poly(256, MODULI[0], 6), MODULI[0]);
+    let routing = router.route(&[both, good.clone(), good]);
+    assert_eq!(routing.unroutable, vec![0]);
+    let placed: Vec<usize> = routing
+        .placements
+        .iter()
+        .flat_map(|p| p.jobs.iter().copied())
+        .collect();
+    assert_eq!(placed, vec![1, 2]);
 }

@@ -26,11 +26,14 @@
 //! pressure, rank activations, and per-bank/per-job accounting.
 //!
 //! On the host, [`BatchExecutor::run`] works in two steps: a serial
-//! prepare step (validate, plan, gather operands, map and decode on a
-//! memo miss), then one execute step that runs every bank's queue through
-//! [`PimDevice::run_banks`], the banks on concurrent host threads. Banks
-//! share no values and results are scattered back in plan order, so the
-//! outcome never depends on the thread count.
+//! prepare step (validate, plan, bind operands, map and decode on a memo
+//! miss), then one execute step that runs every bank's queue through
+//! [`PimDevice::run_banks`], the banks on concurrent host threads. Each
+//! operand word is touched once each way: validation checks it, narrows
+//! it to `u32` and lays it out in the order its bank stores it, in one
+//! pass, and each result is read back once, on its bank's thread,
+//! straight into the `u64` spectrum the outcome returns. Banks share no
+//! values, so the outcome never depends on the thread count.
 //!
 //! The executor is topology-aware: on a sharded
 //! `channels × ranks × banks` device
@@ -46,19 +49,19 @@ use super::{CpuNttEngine, EngineError, ReportSource};
 use crate::core::cmd::PimCommand;
 use crate::core::config::{PimConfig, Topology};
 use crate::core::device::{
-    BankStep, NttDirection, Operand, PimDevice, PolyHandle, QueueReport, StoredOrder,
+    BankStep, NttDirection, Operand, OperandWords, PimDevice, QueueReport, StoredOrder,
 };
 use crate::core::layout::PolyLayout;
 use crate::core::mapper::{MapperOptions, Program};
 use crate::core::sched::{lpt_assign_topology, lpt_makespan, DagJob};
 use crate::core::sim::DecodedProgram;
 use crate::core::PimError;
-use crate::math::arith::pow_mod;
+use crate::math::arith::{mul_mod, pow_mod};
 use crate::math::prime;
 use crate::reference::four_step::{plan_split, SplitPlan};
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// What a batched job computes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -254,9 +257,10 @@ impl DeviceCostModel {
     /// contribute one unit, split large transforms one unit per column
     /// and per row sub-job (a split that cannot be planned on this
     /// device falls back to one whole-transform unit).
-    pub fn unit_costs(&mut self, jobs: &[NttJob]) -> Vec<f64> {
+    pub fn unit_costs<'a>(&mut self, jobs: impl IntoIterator<Item = &'a NttJob>) -> Vec<f64> {
         let banks = self.lanes();
-        let mut costs = Vec::with_capacity(jobs.len());
+        let jobs = jobs.into_iter();
+        let mut costs = Vec::with_capacity(jobs.size_hint().0);
         for job in jobs {
             if job.kind == JobKind::SplitLarge {
                 if let Ok(split) = plan_split(job.n(), banks) {
@@ -275,7 +279,7 @@ impl DeviceCostModel {
     /// Predicted makespan of the whole batch on this device, ns: the
     /// heaviest bank queue the hierarchical LPT packer would produce
     /// ([`crate::core::sched::lpt_makespan`] over [`Self::unit_costs`]).
-    pub fn batch_makespan_ns(&mut self, jobs: &[NttJob]) -> f64 {
+    pub fn batch_makespan_ns<'a>(&mut self, jobs: impl IntoIterator<Item = &'a NttJob>) -> f64 {
         let costs = self.unit_costs(jobs);
         lpt_makespan(&costs, &self.config.topology)
     }
@@ -483,25 +487,28 @@ pub struct BatchExecutor {
 }
 
 /// Upper bound on the weight one executor's program memo holds, in
-/// units of one mapped command (40 bytes): an entry weighs its commands
-/// plus its decoded form rounded up to whole units (16-byte ops, about
-/// one per C1 and C2 of an in-place program, plus 64-byte twiddle rows
-/// of plain words and Shoup companions, and the C1 kernels), so 2²⁰
-/// units bound the memo at about 40 MiB. The decoded form adds about a
-/// seventh to an entry: an N = 4096 forward program is 13,067 commands,
-/// and 2,816 ops, 511 twiddle rows and one C1 kernel (77,880 bytes)
-/// decoded, 15,014 units in all. The largest working set measured is
-/// one executor of the repository benchmark's replay workload (every
-/// length from 256 to 8192, three kinds, two moduli, plus the row and
-/// column sub-jobs of split transforms): 162 programs, ≈0.46 M commands
-/// and ≈0.54 M units with their decoded forms, and a second pass over
-/// its batches adds no program or batch miss. The cap holds it with
-/// room to spare.
+/// units of one mapped command (24 bytes): an entry weighs its commands
+/// plus its decoded form rounded up to whole units (12-byte ops, one per
+/// run of in-place ops, their 28-byte runs, 64-byte twiddle rows of plain
+/// words and Shoup companions, and the C1 kernels), so 2²⁰ units bound
+/// the memo at about 24 MiB. The decoded form adds about an eighth to an
+/// entry: an N = 4096 forward program is 13,067 commands, and 257 ops
+/// standing for 2,816, 511 twiddle rows and one C1 kernel (43,104 bytes)
+/// decoded, 14,863 units in all. The largest working set measured is one
+/// executor of the repository benchmark's replay workload (every length
+/// from 256 to 8192, three kinds, two moduli, plus the row and column
+/// sub-jobs of split transforms): 162 programs, ≈0.46 M commands and
+/// ≈0.53 M units with their decoded forms, and a second pass over its
+/// batches adds no program or batch miss. The cap holds it with room to
+/// spare.
 pub const PROGRAM_MEMO_CAP_COMMANDS: usize = 1 << 20;
 
 /// Upper bound on the plan units (jobs, or split sub-jobs) across the
 /// batch shapes one executor's batch memo holds: 2¹⁶ units, a few MiB
-/// of plans, queue reports and keys at roughly 100 bytes per unit.
+/// of plans, queue reports and the timing read off them, weak program
+/// handles, split roots and keys at roughly 100 bytes per unit. A held
+/// program handle keeps no program alive: the program memo's bound
+/// covers every program.
 pub const BATCH_MEMO_CAP_UNITS: usize = 1 << 16;
 
 /// Occupancy and hit counters of a [`BatchExecutor`]'s two memos.
@@ -592,6 +599,17 @@ enum UnitProgram {
 }
 
 impl UnitProgram {
+    /// The program a whole job runs. A split job's whole form is a
+    /// forward NTT (the planner expands split jobs into column and row
+    /// units, so only a caller bypassing it would run one whole).
+    fn whole(kind: &JobKind) -> Self {
+        match kind {
+            JobKind::Forward | JobKind::SplitLarge => UnitProgram::Forward,
+            JobKind::Inverse => UnitProgram::Inverse,
+            JobKind::NegacyclicPolymul { .. } => UnitProgram::Polymul,
+        }
+    }
+
     /// The order the unit's operand is stored in, and the order the
     /// program leaves its result in: forward DIT transforms (whole jobs
     /// and split columns) take bit-reversed storage to natural, inverse
@@ -628,44 +646,61 @@ impl UnitProgram {
     }
 }
 
-/// What one plan unit runs on: its program, modulus and natural-order
-/// operand words (a polymul's second operand in `rhs`).
+/// A unit's operands, laid out: its words in the order its program
+/// expects them in the bank, and a polymul's second operand. Validation
+/// makes a whole job's; a split's sub-jobs take theirs from its stage
+/// matrices.
 #[derive(Debug)]
-struct UnitInput {
-    program: UnitProgram,
-    q: u32,
-    words: Vec<u32>,
-    rhs: Option<Vec<u32>>,
+struct UnitWords {
+    words: OperandWords,
+    rhs: Option<OperandWords>,
 }
 
-impl UnitInput {
-    /// A whole job's input. A split job's whole form is a forward NTT
-    /// (the planner expands split jobs into column and row units, so
-    /// only a caller bypassing it would run one whole).
-    fn job(job: &NttJob) -> Self {
-        let words = |coeffs: &[u64]| coeffs.iter().map(|&c| c as u32).collect::<Vec<u32>>();
-        let (program, rhs) = match &job.kind {
-            JobKind::Forward | JobKind::SplitLarge => (UnitProgram::Forward, None),
-            JobKind::Inverse => (UnitProgram::Inverse, None),
-            JobKind::NegacyclicPolymul { rhs } => (UnitProgram::Polymul, Some(words(rhs))),
-        };
-        Self {
-            program,
-            q: job.q as u32,
-            words: words(&job.coeffs),
-            rhs,
-        }
+/// What one split job's shape fixes: its factorization, the roots its
+/// column and row sub-jobs are mapped over (powers of the parent root,
+/// so the sub-transforms compose into the parent bit-exactly), and each
+/// row's twiddle `ω^row`.
+#[derive(Debug)]
+struct SplitShape {
+    /// Index of the split job in the batch.
+    job: usize,
+    split: SplitPlan,
+    col_root: u32,
+    row_root: u32,
+    row_twiddles: Vec<u32>,
+}
+
+impl SplitShape {
+    /// The shape of split job `job` (length `n`, modulus `q`) on `banks`
+    /// banks, which validation accepted.
+    fn new(job: usize, n: usize, q: u64, banks: usize) -> Result<Self, EngineError> {
+        let split = plan_split(n, banks).expect("validated");
+        let omega = prime::root_of_unity(n as u64, q)?;
+        let mut twiddle = 1;
+        let row_twiddles = (0..split.rows)
+            .map(|_| {
+                let t = twiddle as u32;
+                twiddle = mul_mod(twiddle, omega, q);
+                t
+            })
+            .collect();
+        Ok(Self {
+            job,
+            split,
+            col_root: pow_mod(omega, split.cols as u64, q) as u32,
+            row_root: pow_mod(omega, split.rows as u64, q) as u32,
+            row_twiddles,
+        })
     }
 }
 
-/// One unit's outcome from [`BatchExecutor::run_units`]: where it ran,
-/// which plan unit it was, the program it ran and the words it read back.
-#[derive(Debug)]
-struct Ran {
-    bank: usize,
-    unit: usize,
-    mapped: Arc<MappedUnit>,
-    out: Vec<u32>,
+/// The position of split job `job` among `splits`, which is also its
+/// stage barrier's id. A batch holds few split jobs.
+fn split_index(splits: &[SplitShape], job: usize) -> usize {
+    splits
+        .iter()
+        .position(|s| s.job == job)
+        .expect("every split unit's job has a shape")
 }
 
 /// Everything a unit's program is a function of, given the device
@@ -720,11 +755,19 @@ impl MappedUnit {
     }
 }
 
-/// The value-independent half of one batch.
+/// The value-independent half of one batch: what its shape determines.
 #[derive(Debug)]
 struct MemoBatch {
     plan: Arc<BatchPlan>,
-    report: QueueReport,
+    /// The batch's outcome without spectra: its queue report and the
+    /// per-job latencies, split reports and assignment read off it.
+    timed: BatchOutcome,
+    /// Each plan unit's program, held weakly: a program the program memo
+    /// evicts is freed, not kept alive here, and a later run of the
+    /// shape takes that unit's program from the program memo again.
+    programs: Vec<Weak<MappedUnit>>,
+    /// Roots and row twiddles of each split job, in job order.
+    splits: Arc<[SplitShape]>,
 }
 
 impl BatchExecutor {
@@ -795,33 +838,31 @@ impl BatchExecutor {
     /// Validates the *whole* batch against the device's capability window
     /// before anything is issued, so a malformed job can never fail
     /// mid-batch after earlier jobs already executed. Errors name the
-    /// offending job index.
+    /// first offending job.
+    ///
+    /// The check of a whole job's coefficients is also its one pass in:
+    /// each word is checked, narrowed to `u32` and written in the order
+    /// its program expects it in the bank. Returns those words in job
+    /// order (`None` for a split job, whose column sub-jobs gather their
+    /// own).
     ///
     /// Each distinct modulus pays for one primality test: a modulus
     /// already found prime passes, and a composite one fails at the first
     /// job that carries it.
-    fn validate(&self, jobs: &[NttJob]) -> Result<(), EngineError> {
+    fn validate(&self, jobs: &[NttJob]) -> Result<Vec<Option<UnitWords>>, EngineError> {
         let config = self.device.config();
-        let mut primes: Vec<u64> = Vec::new();
-        let mut is_prime = |q: u64| {
-            if primes.contains(&q) {
-                return true;
-            }
-            let prime = prime::is_prime(q);
-            if prime {
-                primes.push(q);
-            }
-            prime
-        };
-        for (i, job) in jobs.iter().enumerate() {
-            check_job(config, job, &mut is_prime).map_err(|e| match e {
-                EngineError::Shape { reason } => EngineError::Shape {
-                    reason: format!("job {i}: {reason}"),
-                },
-                other => other,
-            })?;
-        }
-        Ok(())
+        let mut shapes = ShapeCheck::new();
+        jobs.iter()
+            .enumerate()
+            .map(|(i, job)| {
+                lay_out(config, job, |q| shapes.is_prime(q)).map_err(|e| match e {
+                    EngineError::Shape { reason } => EngineError::Shape {
+                        reason: format!("job {i}: {reason}"),
+                    },
+                    other => other,
+                })
+            })
+            .collect()
     }
 
     /// Validates the batch and computes the per-bank job queues
@@ -870,111 +911,84 @@ impl BatchExecutor {
         })
     }
 
-    /// The prepare half of one unit: checks its operands against `bank`
-    /// (nothing is written yet) and takes its mapped and decoded program
-    /// from the memo, mapping it over the operands' handles and decoding
-    /// it on a miss. Returns the operands, the handle the result is read
-    /// back through, and the program.
-    fn prepare(
+    /// The bank step of one plan unit over `loads`, its operands already
+    /// bound to the unit's bank: the unit's program comes from `slot`
+    /// (the batch memo's) or else from the program memo, which maps it
+    /// over the operands' handles and decodes it on a miss, and fills
+    /// `slot`. The result is read back through the first operand's region
+    /// in the order the program leaves it.
+    fn step(
         &mut self,
-        bank: usize,
-        input: UnitInput,
-    ) -> Result<(Vec<Operand>, PolyHandle, Arc<MappedUnit>), EngineError> {
-        let UnitInput {
-            program,
-            q,
-            words,
-            rhs,
-        } = input;
-        let (stored, result) = program.orders();
-        let n = words.len();
-        let mut loads = vec![self.device.operand(bank, 0, words, q, stored)?];
-        if let Some(rhs) = rhs {
-            let base = self.device.config().polymul_rhs_base(n);
-            loads.push(
-                self.device
-                    .operand(bank, base, rhs, q, StoredOrder::Natural)?,
-            );
-        }
-        let key = ProgramKey {
-            unit: program,
-            n,
-            q,
-            opts: *self.device.mapper_options(),
-        };
-        let mapped = match self.programs.get(&key) {
-            Some(mapped) => mapped,
+        program: UnitProgram,
+        loads: Vec<Operand>,
+        slot: &mut Option<Arc<MappedUnit>>,
+    ) -> Result<BankStep, EngineError> {
+        let mut read = *loads[0].handle();
+        let mapped = match slot {
+            Some(mapped) => Arc::clone(mapped),
             None => {
-                let program = program.map(&self.device, &loads)?;
-                let decoded = Arc::new(self.device.decode_program(&program)?);
-                let mapped = Arc::new(MappedUnit { program, decoded });
-                self.programs.insert(key, mapped.clone(), mapped.weight());
-                mapped
+                let key = ProgramKey {
+                    unit: program,
+                    n: read.n(),
+                    q: read.modulus(),
+                    opts: *self.device.mapper_options(),
+                };
+                let mapped = match self.programs.get(&key) {
+                    Some(mapped) => mapped,
+                    None => {
+                        let program = program.map(&self.device, &loads)?;
+                        let decoded = Arc::new(self.device.decode_program(&program)?);
+                        let mapped = Arc::new(MappedUnit { program, decoded });
+                        self.programs.insert(key, mapped.clone(), mapped.weight());
+                        mapped
+                    }
+                };
+                slot.insert(mapped).clone()
             }
         };
-        let mut read = *loads[0].handle();
-        read.assume_order(result);
-        Ok((loads, read, mapped))
+        read.assume_order(program.orders().1);
+        Ok(BankStep {
+            loads,
+            program: Arc::clone(&mapped.decoded),
+            read: Some(read),
+        })
     }
 
-    /// Runs the plan units `input` picks (`None` skips a unit), in queue
-    /// order per bank, in two steps. Prepare, serially: every picked
-    /// unit's operands are gathered and checked and its program comes
-    /// from the memo ([`Self::prepare`]). Execute: one
-    /// [`PimDevice::run_banks`] call loads, runs and reads back every
-    /// bank's list, the banks concurrently. Outcomes come back bank by
-    /// bank in queue order, whichever thread ran each bank.
+    /// Runs the plan units `input` picks, in queue order per bank:
+    /// `input` gives a unit's program and its laid-out words, or `None`
+    /// to skip it. Prepare, serially: each picked unit's words are bound
+    /// to its bank and its program taken ([`Self::step`], through
+    /// `programs`, by plan unit). Execute: one [`PimDevice::run_banks`]
+    /// call loads, runs and reads back every bank's list, the banks
+    /// concurrently. Returns each unit's read-back words by plan unit,
+    /// whichever thread ran its bank.
     fn run_units(
         &mut self,
         plan: &BatchPlan,
-        mut input: impl FnMut(PlanUnit) -> Option<UnitInput>,
-    ) -> Result<Vec<Ran>, EngineError> {
-        let mut units: Vec<Vec<(usize, Arc<MappedUnit>)>> = Vec::new();
-        let mut operands: Vec<Vec<(Vec<Operand>, PolyHandle)>> = Vec::new();
+        programs: &mut [Option<Arc<MappedUnit>>],
+        mut input: impl FnMut(PlanUnit) -> Result<Option<(UnitProgram, UnitWords)>, EngineError>,
+    ) -> Result<Vec<(usize, Vec<u64>)>, EngineError> {
+        let mut lists: Vec<Vec<BankStep>> = Vec::with_capacity(plan.queues.len());
+        let mut ran: Vec<usize> = Vec::new();
         for (bank, queue) in plan.queues.iter().enumerate() {
-            let (mut bank_units, mut bank_operands) = (Vec::new(), Vec::new());
-            for &ui in queue {
-                if let Some(unit_input) = input(plan.units[ui]) {
-                    let (loads, read, mapped) = self.prepare(bank, unit_input)?;
-                    bank_units.push((ui, mapped));
-                    bank_operands.push((loads, read));
+            let mut list = Vec::new();
+            for &u in queue {
+                let Some((program, UnitWords { words, rhs })) = input(plan.units[u])? else {
+                    continue;
+                };
+                let n = words.len();
+                let mut loads = vec![self.device.bind(bank, 0, words)?];
+                if let Some(rhs) = rhs {
+                    let base = self.device.config().polymul_rhs_base(n);
+                    loads.push(self.device.bind(bank, base, rhs)?);
                 }
+                list.push(self.step(program, loads, &mut programs[u])?);
+                ran.push(u);
             }
-            units.push(bank_units);
-            operands.push(bank_operands);
+            lists.push(list);
         }
-        let lists: Vec<Vec<BankStep>> = units
-            .iter()
-            .zip(operands)
-            .map(|(bank_units, bank_operands)| {
-                bank_units
-                    .iter()
-                    .zip(bank_operands)
-                    .map(|((_, mapped), (loads, read))| BankStep {
-                        loads,
-                        program: Arc::clone(&mapped.decoded),
-                        read: Some(read),
-                    })
-                    .collect()
-            })
-            .collect();
-        let words = self.device.run_banks(lists)?;
-        Ok(units
-            .into_iter()
-            .zip(words)
-            .enumerate()
-            .flat_map(|(bank, (bank_units, outs))| {
-                bank_units
-                    .into_iter()
-                    .zip(outs)
-                    .map(move |((unit, mapped), out)| Ran {
-                        bank,
-                        unit,
-                        mapped,
-                        out,
-                    })
-            })
-            .collect())
+        let outs = self.device.run_banks(lists)?;
+        Ok(ran.into_iter().zip(outs.into_iter().flatten()).collect())
     }
 
     /// Runs every job and merges the reports.
@@ -983,22 +997,33 @@ impl BatchExecutor {
     /// job is malformed); results land in [`BatchOutcome::spectra`] in
     /// job order regardless of bank assignment.
     ///
+    /// Each operand word is touched once on the way in and once on the
+    /// way out. Validation checks a whole job's coefficients, narrows them
+    /// to `u32` and lays them out in the order its bank stores them, in
+    /// one pass; loading is then one copy into the bank. The read-back
+    /// widens the result to `u64` in logical order, on the thread that
+    /// ran the bank, and that vector becomes the job's spectrum.
+    ///
     /// Functional execution has two steps. Prepare, on the calling
-    /// thread: gather every unit's operands and take its decoded program
-    /// from the memo. Execute: one [`PimDevice::run_banks`] call loads,
-    /// runs and reads back every bank's queue, the banks on the caller
-    /// and the process-wide pool of helper threads
-    /// ([`crate::core::helpers`]). A split job's row units need its
-    /// column units' outputs, so they prepare and execute in a second
-    /// pass. Outcomes are bit-identical whatever the thread count.
+    /// thread: bind every unit's operands to its bank and take its
+    /// decoded program from the memo. Execute: one
+    /// [`PimDevice::run_banks`] call loads, runs and reads back every
+    /// bank's queue, the banks on the caller and the process-wide pool of
+    /// helper threads ([`crate::core::helpers`]). A split job's row units
+    /// need its column units' outputs, so they prepare and execute in a
+    /// second pass: each row gathers its words from the column outputs
+    /// straight into storage order, and each row's output is transposed
+    /// into the job's spectrum. Outcomes are bit-identical whatever the
+    /// thread count.
     ///
     /// Mapping, decoding and timing never read the values, so the
     /// executor memoizes them: each unit's mapped and decoded program by
-    /// its shape (shared across banks and batches), and each batch's
-    /// plan and queue report by the batch's shape. A repeated shape still
-    /// validates, loads, executes and reads back every job; it skips only
-    /// the mapper, the decoder and the scheduler, whose results it would
-    /// reproduce exactly.
+    /// its shape (shared across banks and batches), and by the batch's
+    /// shape its plan, queue report, the timing read off it, each unit's
+    /// program and each split job's roots and row twiddles. A repeated
+    /// shape still validates, loads, executes and reads back every job;
+    /// it skips only the mapper, the decoder, the scheduler and the root
+    /// search, whose results it would reproduce exactly.
     ///
     /// # Errors
     ///
@@ -1017,183 +1042,211 @@ impl BatchExecutor {
             self.batches.clear();
             self.memo_config = *self.device.config();
         }
-        // A batch whose shape ran before reuses its plan and queue report.
-        self.validate(jobs)?;
+        // Validation lays the words out; it runs before the memo lookup,
+        // so a rejected batch moves no memo counter.
+        let mut inputs = self.validate(jobs)?;
         let key = BatchKey::new(*self.device.mapper_options(), jobs);
         let hit = self.batches.get(&key);
-        let plan = match &hit {
-            Some(memo) => memo.plan.clone(),
-            None => Arc::new(self.plan_validated(jobs)?),
-        };
         let banks = self.bank_count();
+        // A batch whose shape ran before reuses its plan, split shapes and
+        // programs.
+        let (plan, splits, mut programs) = match &hit {
+            Some(memo) => (
+                Arc::clone(&memo.plan),
+                Arc::clone(&memo.splits),
+                memo.programs.iter().map(Weak::upgrade).collect(),
+            ),
+            None => {
+                let plan = Arc::new(self.plan_validated(jobs)?);
+                let splits = jobs
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, job)| job.kind == JobKind::SplitLarge)
+                    .map(|(i, job)| SplitShape::new(i, job.n(), job.q, banks))
+                    .collect::<Result<Arc<[SplitShape]>, _>>()?;
+                let units = plan.units.len();
+                (plan, splits, vec![None; units])
+            }
+        };
         let mut spectra: Vec<Vec<u64>> = vec![Vec::new(); jobs.len()];
-
-        // Per split job: factorization, the parent root's powers, a dense
-        // barrier id, and the host-side twiddle matrix the column stage
-        // gathers into (the inter-stage transpose — host data movement,
-        // like every load).
-        struct SplitCtx {
-            split: SplitPlan,
-            omega: u64,
-            col_root: u32,
-            row_root: u32,
-            barrier: usize,
-            matrix: Vec<Vec<u32>>,
-        }
-        let mut ctxs: HashMap<usize, SplitCtx> = HashMap::new();
-        for (i, job) in jobs.iter().enumerate() {
-            if job.kind == JobKind::SplitLarge {
-                let split = plan_split(job.n(), banks).expect("validated");
-                let omega = prime::root_of_unity(job.n() as u64, job.q)?;
-                let barrier = ctxs.len();
-                ctxs.insert(
-                    i,
-                    SplitCtx {
-                        split,
-                        omega,
-                        col_root: pow_mod(omega, split.cols as u64, job.q) as u32,
-                        row_root: pow_mod(omega, split.rows as u64, job.q) as u32,
-                        barrier,
-                        matrix: vec![vec![0u32; split.cols]; split.rows],
-                    },
-                );
-                spectra[i] = vec![0u64; job.n()];
-            }
-        }
-        // Async drain, two functional passes. Pass A: ordinary jobs and
-        // column sub-jobs, in queue order (row units sort last in every
-        // queue, so program order still matches queue order).
-        // One scheduled program plus its DAG tags, per bank:
-        // `(program, waits_on, signals)`.
-        type TaggedProgram = (Arc<MappedUnit>, Option<usize>, Option<usize>);
-        let mut programs: Vec<Vec<TaggedProgram>> = vec![Vec::new(); banks];
-        let pass_a = self.run_units(&plan, |unit| match unit {
-            PlanUnit::Job(ji) => Some(UnitInput::job(&jobs[ji])),
-            PlanUnit::SplitColumn { job: ji, column } => {
-                let (job, ctx) = (&jobs[ji], &ctxs[&ji]);
-                let words = (0..ctx.split.rows)
-                    .map(|r| job.coeffs[r * ctx.split.cols + column] as u32)
+        // A split job's matrix moves between its stages by blocked
+        // transposes, so each unit's words are one contiguous run: here
+        // its input, column by column.
+        let split_inputs: Vec<Vec<u64>> = splits
+            .iter()
+            .map(|shape| {
+                let rows: Vec<&[u64]> = jobs[shape.job]
+                    .coeffs
+                    .chunks_exact(shape.split.cols)
                     .collect();
-                Some(UnitInput {
-                    program: UnitProgram::Column { root: ctx.col_root },
-                    q: job.q as u32,
-                    words,
-                    rhs: None,
-                })
+                transpose(&rows, shape.split.cols)
+            })
+            .collect();
+        // Pass A: ordinary jobs and column sub-jobs, in queue order (row
+        // units sort last in every queue, so each bank still runs its
+        // queue in order).
+        let pass_a = self.run_units(&plan, &mut programs, |unit| match unit {
+            PlanUnit::Job(ji) => {
+                let words = inputs[ji]
+                    .take()
+                    .expect("validation lays out every whole job");
+                Ok(Some((UnitProgram::whole(&jobs[ji].kind), words)))
             }
-            PlanUnit::SplitRow { .. } => None, // pass B
+            PlanUnit::SplitColumn { job, column } => {
+                let s = split_index(&splits, job);
+                let rows = splits[s].split.rows;
+                let program = UnitProgram::Column {
+                    root: splits[s].col_root,
+                };
+                let column = &split_inputs[s][column * rows..][..rows];
+                let words = OperandWords::new(column, jobs[job].q as u32, program.orders().0)?;
+                Ok(Some((program, UnitWords { words, rhs: None })))
+            }
+            PlanUnit::SplitRow { .. } => Ok(None),
         })?;
-        for Ran {
-            bank,
-            unit,
-            mapped,
-            out,
-        } in pass_a
-        {
-            match plan.units[unit] {
-                PlanUnit::Job(ji) => {
-                    spectra[ji] = out.into_iter().map(u64::from).collect();
-                    programs[bank].push((mapped, None, None));
-                }
-                PlanUnit::SplitColumn { job: ji, column } => {
-                    let ctx = ctxs.get_mut(&ji).expect("context exists");
-                    for (r, v) in out.into_iter().enumerate() {
-                        ctx.matrix[r][column] = v;
-                    }
-                    programs[bank].push((mapped, None, Some(ctx.barrier)));
+        let mut columns: Vec<Vec<Vec<u64>>> = splits
+            .iter()
+            .map(|shape| vec![Vec::new(); shape.split.cols])
+            .collect();
+        for (u, out) in pass_a {
+            match plan.units[u] {
+                PlanUnit::Job(ji) => spectra[ji] = out,
+                PlanUnit::SplitColumn { job, column } => {
+                    columns[split_index(&splits, job)][column] = out;
                 }
                 PlanUnit::SplitRow { .. } => {}
             }
         }
-        // Pass B: row sub-jobs — each consumes one gathered matrix row,
-        // so it runs after every column drained.
-        let pass_b = self.run_units(&plan, |unit| {
-            let PlanUnit::SplitRow { job: ji, row } = unit else {
-                return None;
-            };
-            let q = jobs[ji].q;
-            let ctx = ctxs.get_mut(&ji).expect("context exists");
-            Some(UnitInput {
-                program: UnitProgram::Row {
-                    root: ctx.row_root,
-                    twiddle: pow_mod(ctx.omega, row as u64, q) as u32,
-                },
-                q: q as u32,
-                words: std::mem::take(&mut ctx.matrix[row]),
-                rhs: None,
-            })
-        })?;
-        for Ran {
-            bank,
-            unit,
-            mapped,
-            out,
-        } in pass_b
-        {
-            if let PlanUnit::SplitRow { job: ji, row } = plan.units[unit] {
-                let (rows, barrier) = (ctxs[&ji].split.rows, ctxs[&ji].barrier);
-                // Step 4 transpose: out[k₂·rows + k₁] = Y_{k₁}[k₂].
-                for (c, v) in out.into_iter().enumerate() {
-                    spectra[ji][c * rows + row] = u64::from(v);
+
+        // Pass B: row sub-jobs. Row `r` is element `r` of every column
+        // output, so it runs after every column drained.
+        if !splits.is_empty() {
+            let matrices: Vec<Vec<u64>> = splits
+                .iter()
+                .zip(&columns)
+                .map(|(shape, columns)| transpose(columns, shape.split.rows))
+                .collect();
+            let pass_b = self.run_units(&plan, &mut programs, |unit| {
+                let PlanUnit::SplitRow { job, row } = unit else {
+                    return Ok(None);
+                };
+                let s = split_index(&splits, job);
+                let (shape, cols) = (&splits[s], splits[s].split.cols);
+                let program = UnitProgram::Row {
+                    root: shape.row_root,
+                    twiddle: shape.row_twiddles[row],
+                };
+                let words = &matrices[s][row * cols..][..cols];
+                let words = OperandWords::new(words, jobs[job].q as u32, program.orders().0)?;
+                Ok(Some((program, UnitWords { words, rhs: None })))
+            })?;
+            let mut rows: Vec<Vec<Vec<u64>>> = splits
+                .iter()
+                .map(|shape| vec![Vec::new(); shape.split.rows])
+                .collect();
+            for (u, out) in pass_b {
+                if let PlanUnit::SplitRow { job, row } = plan.units[u] {
+                    rows[split_index(&splits, job)][row] = out;
                 }
-                programs[bank].push((mapped, Some(barrier), None));
+            }
+            // Step 4 transpose: spectrum[k₂·rows + k₁] = Y_{k₁}[k₂].
+            for (shape, rows) in splits.iter().zip(&rows) {
+                spectra[shape.job] = transpose(rows, shape.split.cols);
             }
         }
-        let queue_report = match hit {
-            Some(memo) => memo.report.clone(),
+
+        let memo = match hit {
+            Some(memo) => memo,
             None => {
-                let dag: Vec<Vec<DagJob<'_>>> = programs
-                    .iter()
-                    .map(|queue| {
-                        queue
-                            .iter()
-                            .map(|(unit, waits_on, signals)| DagJob {
-                                program: &unit.program,
-                                waits_on: *waits_on,
-                                signals: *signals,
-                            })
-                            .collect()
-                    })
+                let programs: Vec<Arc<MappedUnit>> = programs
+                    .into_iter()
+                    .map(|p| p.expect("every unit ran"))
                     .collect();
-                let report = self.device.schedule_queues_dag(&dag)?;
-                let memo = MemoBatch {
-                    plan: plan.clone(),
-                    report: report.clone(),
-                };
-                self.batches
-                    .insert(key, Arc::new(memo), plan.units.len().max(1));
-                report
+                let timed = self.schedule(&plan, &splits, &programs, jobs.len())?;
+                let weight = plan.units.len().max(1);
+                let memo = Arc::new(MemoBatch {
+                    plan,
+                    timed,
+                    programs: programs.iter().map(Arc::downgrade).collect(),
+                    splits,
+                });
+                self.batches.insert(key, Arc::clone(&memo), weight);
+                memo
             }
         };
-        let mut job_latency_ns = vec![0.0f64; jobs.len()];
-        let mut split_end: HashMap<usize, f64> = HashMap::new();
-        for (bank, ends) in queue_report.job_end_ns.iter().enumerate() {
+        Ok(BatchOutcome {
+            spectra,
+            ..memo.timed.clone()
+        })
+    }
+
+    /// Times a batch whose units ran `programs` (by plan unit): one queue
+    /// per bank in queue order, each split job's column units signalling
+    /// its barrier and its row units waiting on it. Returns the outcome
+    /// without spectra.
+    fn schedule(
+        &self,
+        plan: &BatchPlan,
+        splits: &[SplitShape],
+        programs: &[Arc<MappedUnit>],
+        jobs: usize,
+    ) -> Result<BatchOutcome, EngineError> {
+        let dag: Vec<Vec<DagJob<'_>>> = plan
+            .queues
+            .iter()
+            .map(|queue| {
+                queue
+                    .iter()
+                    .map(|&u| {
+                        let (waits_on, signals) = match plan.units[u] {
+                            PlanUnit::Job(_) => (None, None),
+                            PlanUnit::SplitColumn { job, .. } => {
+                                (None, Some(split_index(splits, job)))
+                            }
+                            PlanUnit::SplitRow { job, .. } => {
+                                (Some(split_index(splits, job)), None)
+                            }
+                        };
+                        DagJob {
+                            program: &programs[u].program,
+                            waits_on,
+                            signals,
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let report = self.device.schedule_queues_dag(&dag)?;
+        let mut job_latency_ns = vec![0.0f64; jobs];
+        let mut split_end = vec![0.0f64; splits.len()];
+        for (bank, ends) in report.job_end_ns.iter().enumerate() {
             let mut prev = 0.0;
             for (slot, &end) in ends.iter().enumerate() {
                 match plan.units[plan.queues[bank][slot]] {
                     PlanUnit::Job(ji) => job_latency_ns[ji] = end - prev,
                     PlanUnit::SplitColumn { job: ji, .. } | PlanUnit::SplitRow { job: ji, .. } => {
-                        let e = split_end.entry(ji).or_insert(0.0);
+                        let e = &mut split_end[split_index(splits, ji)];
                         *e = e.max(end);
                     }
                 }
                 prev = end;
             }
         }
-        let mut tagged: Vec<(usize, &SplitCtx)> = ctxs.iter().map(|(&ji, ctx)| (ji, ctx)).collect();
-        tagged.sort_by_key(|&(ji, _)| ji);
-        let mut splits = Vec::with_capacity(tagged.len());
-        for (ji, ctx) in tagged {
-            let end = split_end.get(&ji).copied().unwrap_or(0.0);
-            job_latency_ns[ji] = end;
-            splits.push(SplitReport {
-                job: ji,
-                rows: ctx.split.rows,
-                cols: ctx.split.cols,
-                column_stage_ns: queue_report.barrier_ns[ctx.barrier],
-                latency_ns: end,
-            });
-        }
+        let split_reports = splits
+            .iter()
+            .zip(split_end)
+            .enumerate()
+            .map(|(barrier, (shape, end))| {
+                job_latency_ns[shape.job] = end;
+                SplitReport {
+                    job: shape.job,
+                    rows: shape.split.rows,
+                    cols: shape.split.cols,
+                    column_stage_ns: report.barrier_ns[barrier],
+                    latency_ns: end,
+                }
+            })
+            .collect();
         // Job-level assignment view: each bank's distinct jobs in queue
         // order (a split job shows up on every bank that ran sub-jobs).
         let assignment: Vec<Vec<usize>> = plan
@@ -1210,18 +1263,70 @@ impl BatchExecutor {
                 seen
             })
             .collect();
-
         Ok(BatchOutcome {
-            spectra,
-            splits,
-            ..BatchOutcome::timed(
-                queue_report,
-                job_latency_ns,
-                assignment,
-                ReportSource::Simulated,
-            )
+            splits: split_reports,
+            ..BatchOutcome::timed(report, job_latency_ns, assignment, ReportSource::Simulated)
         })
     }
+}
+
+/// The transpose of the matrix whose rows are `lines`, each `len` words
+/// long: word `m·lines.len() + l` of the result is `lines[l][m]`. It
+/// walks 8 × 8 blocks, eight words of one line at a time written to eight
+/// result rows, so each cache line it reads or writes is used whole while
+/// cached; word by word, a split's strided gathers took a fresh cache
+/// line for every word.
+fn transpose<L: AsRef<[u64]>>(lines: &[L], len: usize) -> Vec<u64> {
+    const BLOCK: usize = 8;
+    let n = lines.len();
+    let mut out = vec![0; n * len];
+    for l0 in (0..n).step_by(BLOCK) {
+        for m0 in (0..len).step_by(BLOCK) {
+            for (l, line) in lines.iter().enumerate().skip(l0).take(BLOCK) {
+                let words = &line.as_ref()[m0..len.min(m0 + BLOCK)];
+                for (dm, &w) in words.iter().enumerate() {
+                    out[(m0 + dm) * n + l] = w;
+                }
+            }
+        }
+    }
+    out
+}
+
+/// [`validate_job`] of one batch job with the primality test `is_prime`,
+/// laying out a whole job's coefficients in the same pass that checks
+/// them ([`BatchExecutor::validate`]). Errors are [`validate_job`]'s, in
+/// its order. A split job, and a modulus past 32 bits, which fails
+/// below, take [`validate_job`]'s scan and lay out nothing.
+fn lay_out(
+    config: &PimConfig,
+    job: &NttJob,
+    is_prime: impl FnOnce(u64) -> bool,
+) -> Result<Option<UnitWords>, EngineError> {
+    let q = match u32::try_from(job.q) {
+        Ok(q) if job.kind != JobKind::SplitLarge => q,
+        _ => return check_job(config, job, is_prime).map(|()| None),
+    };
+    let shape = |reason: &str| EngineError::Shape {
+        reason: reason.into(),
+    };
+    check_root(job, is_prime)?;
+    // The length is a power of two, so an unreduced word is the one way
+    // laying the words out can fail.
+    let stored = UnitProgram::whole(&job.kind).orders().0;
+    let words = OperandWords::new(&job.coeffs, q, stored)
+        .map_err(|_| shape("coefficients not reduced modulo q"))?;
+    let rhs = match &job.kind {
+        JobKind::NegacyclicPolymul { rhs } => {
+            check_rhs_len(job.n(), rhs)?;
+            let rhs = OperandWords::new(rhs, q, StoredOrder::Natural)
+                .map_err(|_| shape("rhs coefficients not reduced modulo q"))?;
+            Some(rhs)
+        }
+        _ => None,
+    };
+    validate_capacity(config, &job.kind, job.n())?;
+    Ok(Some(UnitWords { words, rhs }))
 }
 
 /// Backend-independent shape validation: power-of-two length `>= 4`,
@@ -1237,8 +1342,65 @@ pub fn validate_shape(job: &NttJob) -> Result<(), EngineError> {
     check_shape(job, prime::is_prime)
 }
 
+/// [`validate_shape`] for many jobs, testing each distinct modulus for
+/// primality once: a modulus already found prime passes at once, and a
+/// composite one is tested again, and fails, wherever it recurs. The
+/// executor validates a batch through one, and the fleet router each
+/// micro-batch it places.
+#[derive(Debug, Clone, Default)]
+pub struct ShapeCheck {
+    primes: Vec<u64>,
+}
+
+impl ShapeCheck {
+    /// A check that has tested no modulus yet.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// [`validate_shape`] of `job`.
+    ///
+    /// # Errors
+    ///
+    /// As [`validate_shape`].
+    pub fn validate(&mut self, job: &NttJob) -> Result<(), EngineError> {
+        check_shape(job, |q| self.is_prime(q))
+    }
+
+    fn is_prime(&mut self, q: u64) -> bool {
+        if self.primes.contains(&q) {
+            return true;
+        }
+        let prime = prime::is_prime(q);
+        if prime {
+            self.primes.push(q);
+        }
+        prime
+    }
+}
+
 /// [`validate_shape`] with the primality test `is_prime`.
 fn check_shape(job: &NttJob, is_prime: impl FnOnce(u64) -> bool) -> Result<(), EngineError> {
+    check_root(job, is_prime)?;
+    if job.coeffs.iter().any(|&c| c >= job.q) {
+        return Err(EngineError::Shape {
+            reason: "coefficients not reduced modulo q".into(),
+        });
+    }
+    if let JobKind::NegacyclicPolymul { rhs } = &job.kind {
+        check_rhs_len(job.n(), rhs)?;
+        if rhs.iter().any(|&c| c >= job.q) {
+            return Err(EngineError::Shape {
+                reason: "rhs coefficients not reduced modulo q".into(),
+            });
+        }
+    }
+    Ok(())
+}
+
+/// The first checks of [`validate_shape`]: a power-of-two length `>= 4`
+/// and a prime modulus with a `2N`-th root of unity.
+fn check_root(job: &NttJob, is_prime: impl FnOnce(u64) -> bool) -> Result<(), EngineError> {
     let shape = |reason: String| EngineError::Shape { reason };
     let n = job.n();
     if !n.is_power_of_two() || n < 4 {
@@ -1253,19 +1415,15 @@ fn check_shape(job: &NttJob, is_prime: impl FnOnce(u64) -> bool) -> Result<(), E
             job.q
         )));
     }
-    if job.coeffs.iter().any(|&c| c >= job.q) {
-        return Err(shape("coefficients not reduced modulo q".into()));
-    }
-    if let JobKind::NegacyclicPolymul { rhs } = &job.kind {
-        if rhs.len() != n {
-            return Err(shape(format!(
-                "operand lengths differ ({n} vs {})",
-                rhs.len()
-            )));
-        }
-        if rhs.iter().any(|&c| c >= job.q) {
-            return Err(shape("rhs coefficients not reduced modulo q".into()));
-        }
+    Ok(())
+}
+
+/// A polymul's second operand must have the first's length `n`.
+fn check_rhs_len(n: usize, rhs: &[u64]) -> Result<(), EngineError> {
+    if rhs.len() != n {
+        return Err(EngineError::Shape {
+            reason: format!("operand lengths differ ({n} vs {})", rhs.len()),
+        });
     }
     Ok(())
 }
@@ -1294,6 +1452,17 @@ fn check_job(
     is_prime: impl FnOnce(u64) -> bool,
 ) -> Result<(), EngineError> {
     check_shape(job, is_prime)?;
+    validate_device(config, job)
+}
+
+/// What [`validate_job`] checks past [`validate_shape`]: a 32-bit
+/// modulus and bank capacity for every operand. For a caller that has
+/// checked the job's shape already.
+///
+/// # Errors
+///
+/// [`EngineError::Shape`] describing the violation.
+pub fn validate_device(config: &PimConfig, job: &NttJob) -> Result<(), EngineError> {
     if job.q > u64::from(u32::MAX) {
         return Err(EngineError::Shape {
             reason: format!("q={} exceeds the 32-bit PIM datapath", job.q),
@@ -1400,12 +1569,12 @@ pub struct JobGroup {
     pub indices: Vec<usize>,
 }
 
-/// Groups a batch by `(kind, n, q)` in first-seen order. Few distinct
-/// combinations occur per micro-batch, so a linear scan keeps the order
-/// without hashing.
-pub fn group_jobs(jobs: &[NttJob]) -> Vec<JobGroup> {
+/// Groups a batch by `(kind, n, q)` in first-seen order; indices count
+/// the jobs as `jobs` yields them. Few distinct combinations occur per
+/// micro-batch, so a linear scan keeps the order without hashing.
+pub fn group_jobs<'a>(jobs: impl IntoIterator<Item = &'a NttJob>) -> Vec<JobGroup> {
     let mut groups: Vec<JobGroup> = Vec::new();
-    for (i, job) in jobs.iter().enumerate() {
+    for (i, job) in jobs.into_iter().enumerate() {
         let (tag, n, q) = (job.kind.lane_tag(), job.n(), job.q);
         match groups
             .iter_mut()

@@ -19,7 +19,7 @@ use ntt_pim::core::config::{PimConfig, Topology};
 use ntt_pim::core::device::{NttDirection, PimDevice};
 use ntt_pim::core::mapper::MapperOptions;
 use ntt_pim::engine::batch::{
-    validate_job, BatchExecutor, BatchOutcome, NttJob, BATCH_MEMO_CAP_UNITS,
+    validate_job, BatchExecutor, BatchOutcome, MemoStats, NttJob, BATCH_MEMO_CAP_UNITS,
     PROGRAM_MEMO_CAP_COMMANDS,
 };
 use ntt_pim::engine::{CpuNttEngine, EngineError};
@@ -199,6 +199,183 @@ proptest! {
         assert_within_caps(&exec);
         assert_within_caps(&warmed);
     }
+}
+
+/// The repository benchmark's replay topologies.
+const BENCH_TOPOLOGIES: [(u32, u32, u32); 3] = [(1, 1, 16), (2, 2, 4), (4, 2, 2)];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Random mixed batches on the benchmark's topologies: forward,
+    /// inverse and product jobs over the benchmark's moduli, with split
+    /// transforms among them, each batch run on a fresh executor and
+    /// then, with other values, as a memo hit. Both runs match golden:
+    /// the words every unit loads, the split's memoized roots and row
+    /// twiddles, and the read-back into the spectra.
+    #[test]
+    fn mixed_batches_match_golden_on_the_benchmark_topologies(
+        spec in prop::collection::vec(
+            (0u8..4, 6u32..=11, 0usize..2, any::<u64>()),
+            1..7,
+        ),
+        salt in any::<u64>(),
+    ) {
+        for (c, r, b) in BENCH_TOPOLOGIES {
+            let config = PimConfig::hbm2e(2).with_topology(Topology::new(c, r, b));
+            // A split runs over the benchmark's split modulus, at 1024 or
+            // 4096.
+            let jobs: Vec<NttJob> = spec
+                .iter()
+                .map(|&(kind, log_n, qi, seed)| match kind {
+                    3 => job(3, 10 + 2 * (log_n % 2), MODULI[1], seed),
+                    _ => job(kind, log_n, MODULI[qi], seed),
+                })
+                .filter(|j| validate_job(&config, j).is_ok())
+                .collect();
+            let mut exec = BatchExecutor::new(config).unwrap();
+            for (round, batch) in [jobs.clone(), revalued(&jobs, salt)].iter().enumerate() {
+                let out = exec.run(batch).unwrap();
+                for (i, (j, got)) in batch.iter().zip(&out.spectra).enumerate() {
+                    prop_assert_eq!(got, &golden(j), "{}x{}x{} round {} job {}", c, r, b, round, i);
+                }
+            }
+            prop_assert_eq!(exec.memo_stats().batch_hits, 1);
+        }
+    }
+}
+
+/// Validation's pass over a whole job's coefficients is also the pass that
+/// lays them out for the bank, and it keeps the separate checks' errors:
+/// the first offending job in job order is named, with the reason
+/// `validate_job` gives, and a rejected batch moves no memo counter and
+/// writes no bank.
+#[test]
+fn fused_validation_names_the_first_offending_job() {
+    let config = PimConfig::hbm2e(2).with_banks(4);
+    let [q1, q2] = MODULI;
+    let mut exec = BatchExecutor::new(config).unwrap();
+    let good = mixed(30);
+    exec.run(&good).unwrap();
+    let stats = exec.memo_stats();
+    let window = |exec: &mut BatchExecutor| -> Vec<Vec<u32>> {
+        let dev = exec.device_mut();
+        (0..4)
+            .map(|bank| {
+                let all = dev
+                    .operand(
+                        bank,
+                        0,
+                        vec![0; 2048],
+                        2,
+                        ntt_pim::core::device::StoredOrder::Natural,
+                    )
+                    .unwrap();
+                dev.read_polynomial(all.handle()).unwrap()
+            })
+            .collect()
+    };
+    let cells = window(&mut exec);
+    let reject = |exec: &mut BatchExecutor, jobs: &[NttJob], want: &str| {
+        let err = exec.run(jobs).unwrap_err();
+        assert!(
+            matches!(&err, EngineError::Shape { reason } if reason == want),
+            "want {want:?}, got {err}"
+        );
+    };
+
+    // An unreduced coefficient in job 1 and a bad length in job 3: job 1.
+    let mut jobs = revalued(&good, 1);
+    jobs[1].coeffs[17] = q2;
+    jobs[3] = NttJob::split_large(vec![1; 48], q2);
+    reject(&mut exec, &jobs, "job 1: coefficients not reduced modulo q");
+    // Only the bad length left: job 3.
+    jobs[1] = good[1].clone();
+    reject(
+        &mut exec,
+        &jobs,
+        "job 3: length 48 is not a power of two >= 4",
+    );
+    // An unreduced second operand of a product.
+    let mut jobs = revalued(&good, 2);
+    if let ntt_pim::engine::batch::JobKind::NegacyclicPolymul { rhs } = &mut jobs[2].kind {
+        rhs[127] = q1 + 5;
+    }
+    reject(
+        &mut exec,
+        &jobs,
+        "job 2: rhs coefficients not reduced modulo q",
+    );
+    // An unreduced word of a split transform's input, which its column
+    // sub-jobs gather.
+    let mut jobs = revalued(&good, 3);
+    jobs[3].coeffs[1023] = u64::MAX;
+    reject(&mut exec, &jobs, "job 3: coefficients not reduced modulo q");
+    // The last word of a bit-reversed (forward) operand.
+    let mut jobs = revalued(&good, 4);
+    jobs[4].coeffs[255] = q1;
+    reject(&mut exec, &jobs, "job 4: coefficients not reduced modulo q");
+
+    assert_eq!(
+        exec.memo_stats(),
+        stats,
+        "a rejected batch moved a memo counter"
+    );
+    assert_eq!(window(&mut exec), cells, "a rejected batch wrote a bank");
+    // The memoized shape still serves the next valid batch.
+    let next = revalued(&good, 5);
+    let out = exec.run(&next).unwrap();
+    for (i, j) in next.iter().enumerate() {
+        assert_eq!(out.spectra[i], golden(j), "job {i}");
+    }
+}
+
+/// Every way one job can be malformed, through the executor's fused
+/// validation and through `validate_job`, reports the same reason — the
+/// first check `validate_job` makes that fails.
+#[test]
+fn fused_validation_keeps_validate_job_reasons() {
+    let mut config = PimConfig::hbm2e(2).with_banks(2);
+    config.geometry.rows_per_bank = 8;
+    let q = 12289u64;
+    let q_big = ntt_pim::math::prime::find_ntt_prime(512, 35).unwrap();
+    let unreduced = |mut coeffs: Vec<u64>, q: u64| {
+        coeffs[3] = q;
+        coeffs
+    };
+    let cases = vec![
+        NttJob::forward(vec![1; 12], q),
+        NttJob::forward(vec![1; 64], 65535),
+        NttJob::forward(poly(4096, 7681, 1), 7681),
+        NttJob::forward(unreduced(poly(64, q, 2), q), q),
+        NttJob::inverse(unreduced(poly(64, q, 3), q), q),
+        NttJob::negacyclic_polymul(poly(64, q, 4), poly(32, q, 5), q),
+        NttJob::negacyclic_polymul(poly(64, q, 4), unreduced(poly(64, q, 5), q), q),
+        NttJob::negacyclic_polymul(unreduced(poly(64, q, 4), q), poly(32, q, 5), q),
+        NttJob::forward(poly(256, q_big, 6), q_big),
+        NttJob::forward(unreduced(poly(256, q_big, 6), q_big), q_big),
+        // Past the shrunken bank of 2048 words, alone and unreduced.
+        NttJob::forward(poly(4096, 2_013_265_921, 7), 2_013_265_921),
+        NttJob::forward(
+            unreduced(poly(4096, 2_013_265_921, 7), 2_013_265_921),
+            2_013_265_921,
+        ),
+        NttJob::negacyclic_polymul(poly(2048, q, 8), poly(2048, q, 9), q),
+        NttJob::split_large(unreduced(poly(1024, q, 10), q), q),
+    ];
+    let mut exec = BatchExecutor::new(config).unwrap();
+    for (i, job) in cases.iter().enumerate() {
+        let want = match validate_job(&config, job) {
+            Err(EngineError::Shape { reason }) => reason,
+            other => panic!("case {i} must be malformed: {other:?}"),
+        };
+        let got = exec.run(std::slice::from_ref(job)).unwrap_err();
+        assert!(
+            matches!(&got, EngineError::Shape { reason } if *reason == format!("job 0: {want}")),
+            "case {i}: {got} vs {want}"
+        );
+    }
+    assert_eq!(exec.memo_stats(), MemoStats::default());
 }
 
 /// A small mixed batch: every kind, both moduli, and a split transform

@@ -145,12 +145,13 @@ fn cells(dev: &mut PimDevice) -> Vec<Vec<u32>> {
         .collect()
 }
 
-/// Every bank's units through one `run_banks` call.
+/// Every bank's units through one `run_banks` call, which reads each
+/// result back as `u64` words.
 fn run_concurrently(
     dev: &mut PimDevice,
     units: &[Vec<Unit>],
     decoded: &[Vec<Arc<DecodedProgram>>],
-) -> Vec<Vec<Vec<u32>>> {
+) -> Vec<Vec<Vec<u64>>> {
     let lists: Vec<Vec<BankStep>> = units
         .iter()
         .zip(decoded)
@@ -177,12 +178,13 @@ fn run_concurrently(
 }
 
 /// The same units bank by bank on the calling thread, through the
-/// one-call-per-step device API.
+/// one-call-per-step device API, `read_polynomial`'s `u32` words widened
+/// to compare with `run_banks`'s.
 fn run_serially(
     dev: &mut PimDevice,
     units: &[Vec<Unit>],
     decoded: &[Vec<Arc<DecodedProgram>>],
-) -> Vec<Vec<Vec<u32>>> {
+) -> Vec<Vec<Vec<u64>>> {
     let mut out = Vec::new();
     for (bank, (list, programs)) in units.iter().zip(decoded).enumerate() {
         let mut words = Vec::new();
@@ -192,10 +194,10 @@ fn run_serially(
                     .expect("operand loads");
             }
             dev.run_decoded(bank, program).expect("program runs");
-            words.push(
-                dev.read_polynomial(&read_handle(dev, bank, unit))
-                    .expect("bank exists"),
-            );
+            let read = dev
+                .read_polynomial(&read_handle(dev, bank, unit))
+                .expect("bank exists");
+            words.push(read.into_iter().map(u64::from).collect());
         }
         out.push(words);
     }

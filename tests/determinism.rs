@@ -1,6 +1,8 @@
 //! Determinism: identical inputs must produce bit-identical schedules,
 //! reports and memory images across runs — the property that makes every
-//! number in EXPERIMENTS.md reproducible.
+//! simulated number reproducible: those the binaries under README's
+//! "Examples, benches, figures" print, and those the `BENCH_*.json` files
+//! record.
 
 use ntt_pim::core::config::PimConfig;
 use ntt_pim::core::device::{NttDirection, PimDevice};

@@ -1,5 +1,8 @@
 //! The paper's quantitative claims, asserted as integration tests on the
-//! simulator (shape, not absolute nanoseconds — see EXPERIMENTS.md).
+//! simulator (shape, not absolute nanoseconds). The binaries that print
+//! the simulated points beside the published ones are listed under
+//! README's "Examples, benches, figures"; the `BENCH_*.json` files record
+//! the numbers the benches gate.
 //!
 //! Every test cites the claim it checks.
 
